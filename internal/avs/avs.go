@@ -12,6 +12,7 @@ package avs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/memacct"
 	"repro/internal/recvec"
@@ -68,18 +69,25 @@ func (c Config) Validate() error {
 func (c Config) NumVertices() int64 { return int64(1) << uint(c.Levels) }
 
 // Generator generates scopes for one graph configuration. Scope and
-// ScopeWithSize are not safe for concurrent use (they share a scratch
-// dedup buffer) — give each worker its own instance, as core.Generate
-// does. ScopeSize and the probability accessors are read-only and safe
-// to call concurrently (the partitioner's parallel combine relies on
-// this).
+// ScopeWithSize are not safe for concurrent use (they share the
+// generator's recursive vector and dedup set) — give each worker its
+// own instance, as core.Generate does. ScopeSize and the probability
+// accessors only read tables filled by New and are safe to call
+// concurrently (the partitioner's parallel combine relies on this).
 type Generator struct {
 	cfg Config
 	// acct, when non-nil, is charged for the per-scope dedup structure
 	// and the recursive vector, making O(d_max) visible to experiments.
+	// It is a high-water mark only: each scope is charged and released in
+	// one step at its end, so Peak is exact and Current stays 0.
 	acct *memacct.Acct
-	// scratch is the reusable in-scope duplicate filter.
-	scratch dedupSet
+	// rowProb[c] is P_{u→} of a vertex with c one bits under the
+	// noise-free model (Lemma 1); nil under NSKG.
+	rowProb []float64
+	// vec and set are the worker's reusable recursive vector (Idea#1
+	// taken across scopes) and in-scope duplicate filter.
+	vec recvec.Vector
+	set dedupSet
 }
 
 // New returns a scope generator. acct may be nil.
@@ -87,7 +95,17 @@ func New(cfg Config, acct *memacct.Acct) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{cfg: cfg, acct: acct}, nil
+	g := &Generator{cfg: cfg, acct: acct}
+	if cfg.Noise == nil {
+		// The very expression of skg.RowProb, evaluated once per popcount
+		// class instead of once per vertex: same bits, so the same
+		// binomial means and scope sizes.
+		g.rowProb = make([]float64, cfg.Levels+1)
+		for ones := range g.rowProb {
+			g.rowProb[ones] = skg.RowProb(cfg.Seed, int64(1)<<uint(ones)-1, cfg.Levels)
+		}
+	}
+	return g, nil
 }
 
 // Config returns the generator's configuration.
@@ -95,10 +113,10 @@ func (g *Generator) Config() Config { return g.cfg }
 
 // RowProb returns P_{u→} under the configured model.
 func (g *Generator) RowProb(u int64) float64 {
-	if g.cfg.Noise != nil {
+	if g.rowProb == nil {
 		return g.cfg.Noise.RowProb(u, g.cfg.Levels)
 	}
-	return skg.RowProb(g.cfg.Seed, u, g.cfg.Levels)
+	return g.rowProb[bits.OnesCount64(uint64(u)&(uint64(1)<<uint(g.cfg.Levels)-1))]
 }
 
 // ExpectedDegree returns E[|S(u,V)|] = |E|·P_{u→}, the partitioner's
@@ -124,104 +142,23 @@ func (g *Generator) ScopeSize(u int64, src *rng.Source) int64 {
 	return d
 }
 
-// dedupSet is the in-scope duplicate filter. Small scopes use a sorted
-// slice (cache-friendly, zero allocations after warm-up); large ones a
-// map. The 48-entry crossover favours the common case of edge factors
-// ~16 where most scopes are small.
-type dedupSet struct {
-	small []int64
-	big   map[int64]struct{}
-	// pool keeps a cleared map for reuse across scopes, avoiding a map
-	// allocation per high-degree scope.
-	pool    map[int64]struct{}
-	acct    *memacct.Acct
-	charged int64
-}
-
-const dedupSmallMax = 48
-
-func (s *dedupSet) reset() {
-	s.small = s.small[:0]
-	if s.big != nil {
-		// Recycle moderate maps; drop oversized ones so one hot scope
-		// does not pin memory for the rest of the run.
-		if len(s.big) <= 4096 {
-			clear(s.big)
-			s.pool = s.big
-		}
-		s.big = nil
-	}
-	if s.acct != nil && s.charged != 0 {
-		s.acct.Add(-s.charged)
-		s.charged = 0
-	}
-}
-
-func (s *dedupSet) charge() {
-	if s.acct != nil {
-		s.acct.Add(memacct.VertexBytes)
-		s.charged += memacct.VertexBytes
-	}
-}
-
-// insert returns false if v was already present.
-func (s *dedupSet) insert(v int64) bool {
-	if s.big != nil {
-		if _, dup := s.big[v]; dup {
-			return false
-		}
-		s.big[v] = struct{}{}
-		s.charge()
-		return true
-	}
-	// Binary search in the sorted small slice.
-	lo, hi := 0, len(s.small)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.small[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.small) && s.small[lo] == v {
-		return false
-	}
-	if len(s.small) < dedupSmallMax {
-		s.small = append(s.small, 0)
-		copy(s.small[lo+1:], s.small[lo:])
-		s.small[lo] = v
-		s.charge()
-		return true
-	}
-	// Graduate to map (reusing the pooled one when available).
-	if s.pool != nil {
-		s.big, s.pool = s.pool, nil
-	} else {
-		s.big = make(map[int64]struct{}, 2*dedupSmallMax)
-	}
-	for _, x := range s.small {
-		s.big[x] = struct{}{}
-	}
-	s.big[v] = struct{}{}
-	s.charge()
-	return true
-}
-
 // ScopeResult carries one generated scope.
 type ScopeResult struct {
 	Src int64
 	// Dsts are the distinct destinations, in generation order. The slice
-	// aliases the buffer passed to GenerateScope.
+	// aliases the buffer passed to Scope (grown by append when it is too
+	// small), never storage the generator keeps: callers may retain it
+	// across later Scope calls.
 	Dsts []int64
 	// Attempts counts stochastic edge trials including duplicates.
 	Attempts int64
 }
 
 // Scope generates the full scope of source vertex u: it draws the scope
-// size, builds u's recursive vector once (Idea#1, unless ablated), and
-// determines destinations until the size is reached, discarding
-// duplicates. buf, if non-nil, is reused for the destination slice.
+// size, rebuilds the generator's recursive vector for u once (Idea#1,
+// unless ablated), and determines destinations until the size is
+// reached, discarding duplicates. buf, if non-nil, is reused for the
+// destination slice.
 //
 // The returned destinations are unique. Generation is deterministic
 // given src's state.
@@ -230,93 +167,88 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) ScopeResult {
 	return g.ScopeWithSize(u, size, src, buf)
 }
 
-// ScopeWithSize generates exactly `size` distinct destinations for u
-// (clamped to |V|). It is split from Scope so the partitioner can draw
-// scope sizes ahead of time (Figure 6) and later generate the edges.
+// ScopeWithSize generates `size` distinct destinations for u (clamped
+// to |V|). It is split from Scope so the partitioner can draw scope
+// sizes ahead of time (Figure 6) and later generate the edges.
+//
+// Rejection sampling stops after 64·size+1024 attempts, so a scope
+// whose remaining cells are too improbable to hit (near-full hub rows
+// of tiny or dense graphs) comes back short of `size` rather than
+// looping; Attempts records the cap. There is no fallback enumeration,
+// and the cap is part of the stream: changing either changes bytes.
 func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []int64) ScopeResult {
-	if nv := g.cfg.NumVertices(); size > nv {
+	nv := g.cfg.NumVertices()
+	if size > nv {
 		size = nv
 	}
 	res := ScopeResult{Src: u, Dsts: buf[:0]}
 	if size <= 0 {
 		return res
 	}
-
-	cfg := g.cfg
+	cfg := &g.cfg
 	var (
-		vec *recvec.Vector
-		big *recvec.BigVector
+		big   *recvec.BigVector
+		total float64
 	)
-	build := func() {
-		if cfg.HighPrecision {
-			big = recvec.NewBig(cfg.Seed, u, cfg.Levels, 0)
-			return
-		}
-		if cfg.Noise != nil {
-			vec = recvec.NewNoisy(cfg.Noise, u, cfg.Levels)
-		} else {
-			vec = recvec.New(cfg.Seed, u, cfg.Levels)
-		}
-	}
-	build()
-	vecBytes := int64((cfg.Levels + 1) * 16) // f + sigma, float64 each
-	if g.acct != nil {
-		g.acct.Add(vecBytes)
-		defer g.acct.Add(-vecBytes)
-	}
-
-	var total float64
-	if big != nil {
+	if cfg.HighPrecision {
+		big = recvec.NewBig(cfg.Seed, u, cfg.Levels, 0)
 		total = big.RowProb()
 	} else {
-		total = vec.RowProb()
+		g.resetVector(u)
+		total = g.vec.RowProb()
 	}
-	if total <= 0 {
-		return res
-	}
-
-	if cfg.AllowDuplicates {
-		for res.Attempts < size {
-			if !cfg.Opts.ReuseVector && !cfg.HighPrecision {
-				build()
+	if total > 0 {
+		// Everything the configuration decides is decided here, once per
+		// scope; the loop below branches only on locals that never change
+		// while it runs. Idea#1 ablated means rebuilding the vector before
+		// every edge; DetermineOpt sends Production() straight to Determine.
+		opts := cfg.Opts
+		rebuild := !opts.ReuseVector && big == nil
+		vec, set := &g.vec, &g.set
+		set.begin(size, nv, !cfg.AllowDuplicates)
+		dsts, attempts, limit := res.Dsts, int64(0), maxAttempts(size)
+		for int64(len(dsts)) < size && attempts < limit {
+			if rebuild {
+				g.resetVector(u)
 			}
 			x := src.UniformTo(total)
 			var dst int64
 			if big != nil {
 				dst = big.Determine(x)
 			} else {
-				dst = vec.DetermineOpt(x, src, cfg.Opts)
+				dst = vec.DetermineOpt(x, src, opts)
 			}
-			res.Attempts++
-			res.Dsts = append(res.Dsts, dst)
+			attempts++
+			if set.insert(dst) {
+				dsts = append(dsts, dst)
+			}
 		}
-		return res
+		res.Dsts, res.Attempts = dsts, attempts
 	}
-
-	set := &g.scratch
-	set.acct = g.acct
-	set.reset()
-	defer set.reset()
-	// A scope close to |V| distinct cells would make rejection sampling
-	// quadratic; bail into direct enumeration when duplicates dominate
-	// pathologically (uniform seeds with tiny graphs in tests).
-	maxAttempts := 64*size + 1024
-
-	for int64(len(res.Dsts)) < size && res.Attempts < maxAttempts {
-		if !cfg.Opts.ReuseVector && !cfg.HighPrecision {
-			build() // Idea#1 ablation: rebuild the vector for every edge
+	if g.acct != nil {
+		// One charge per scope, at its high-water mark: the vector (f and
+		// sigma, float64 each) plus 8 bytes per kept destination — what
+		// the algorithm needs, not the capacity the dedup set retains
+		// (DESIGN.md §5). Charges inside a scope only ever grew, so the
+		// peak equals that of charging per insert.
+		tracked := int64(cfg.Levels+1) * 16
+		if !cfg.AllowDuplicates {
+			tracked += int64(len(res.Dsts)) * memacct.VertexBytes
 		}
-		x := src.UniformTo(total)
-		var dst int64
-		if big != nil {
-			dst = big.Determine(x)
-		} else {
-			dst = vec.DetermineOpt(x, src, cfg.Opts)
-		}
-		res.Attempts++
-		if set.insert(dst) {
-			res.Dsts = append(res.Dsts, dst)
-		}
+		g.acct.Add(tracked)
+		g.acct.Add(-tracked)
 	}
 	return res
+}
+
+// maxAttempts is the rejection-sampling cap of a scope of the given size.
+func maxAttempts(size int64) int64 { return 64*size + 1024 }
+
+// resetVector rebuilds the generator's recursive vector for source u.
+func (g *Generator) resetVector(u int64) {
+	if g.cfg.Noise != nil {
+		g.vec.ResetNoisy(g.cfg.Noise, u, g.cfg.Levels)
+	} else {
+		g.vec.Reset(g.cfg.Seed, u, g.cfg.Levels)
+	}
 }

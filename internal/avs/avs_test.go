@@ -341,26 +341,41 @@ func TestMemoryAccountingIsScopeLocal(t *testing.T) {
 	}
 }
 
-// TestDedupSetSmallToBigTransition exercises the graduation path.
-func TestDedupSetTransition(t *testing.T) {
-	var acct memacct.Acct
-	s := dedupSet{acct: &acct}
-	for i := int64(0); i < 2*dedupSmallMax; i++ {
-		if !s.insert(i * 3) {
-			t.Fatalf("fresh value %d reported duplicate", i*3)
+// TestDedupSetTiers: every tier answers membership like a Go map, also
+// when reused for a second scope (stale entries must not leak through
+// begin).
+func TestDedupSetTiers(t *testing.T) {
+	var s dedupSet
+	src := rng.New(5)
+	for _, tc := range []struct {
+		size, nv int64
+		want     dedupTier
+	}{
+		{1, 1 << 20, tierTable},
+		{16, 1 << 20, tierTable},
+		{5000, 1 << 20, tierTable},
+		{1 << 14, 1 << 20, tierBitmap},
+		{1000, 1000, tierBitmap}, // size == |V|
+		{1, 2, tierBitmap},
+	} {
+		for round := 0; round < 2; round++ {
+			s.begin(tc.size, tc.nv, true)
+			if s.tier != tc.want {
+				t.Fatalf("size %d of %d: tier %d, want %d", tc.size, tc.nv, s.tier, tc.want)
+			}
+			seen := make(map[int64]bool)
+			for int64(len(seen)) < tc.size {
+				v := src.Int63n(tc.nv)
+				if fresh := s.insert(v); fresh == seen[v] {
+					t.Fatalf("size %d of %d: insert(%d) = %v, seen before = %v", tc.size, tc.nv, v, fresh, seen[v])
+				}
+				seen[v] = true
+			}
 		}
 	}
-	for i := int64(0); i < 2*dedupSmallMax; i++ {
-		if s.insert(i * 3) {
-			t.Fatalf("duplicate %d reported fresh", i*3)
-		}
-	}
-	if acct.Current() != 2*dedupSmallMax*memacct.VertexBytes {
-		t.Fatalf("accounting %d", acct.Current())
-	}
-	s.reset()
-	if acct.Current() >= 2*dedupSmallMax*memacct.VertexBytes {
-		t.Fatalf("reset did not release: %d", acct.Current())
+	s.begin(10, 1<<20, false)
+	if !s.insert(7) || !s.insert(7) {
+		t.Fatal("tierNone rejected a repeat")
 	}
 }
 

@@ -1,48 +1,93 @@
 package avs
 
-// Ablation benchmarks for the in-scope dedup structure (DESIGN.md §5):
-// the sorted small slice vs a Go map across degrees around the
-// crossover. Run with `go test -bench=Dedup ./internal/avs/`.
+// Benchmarks of the in-scope dedup structures (DESIGN.md §5), each
+// filling one scope of `degree` distinct destinations of a 2^18-vertex
+// graph with reused storage, as a warmed-up worker does: the two tiers
+// of dedupSet against a Go map and against the sorted slice that used
+// to serve sizes ≤ 48. Run with `go test -bench=Dedup ./internal/avs/`.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-func benchDedupSlice(b *testing.B, degree int) {
-	src := rng.New(1)
-	vals := make([]int64, degree)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := dedupSet{}
-		for j := range vals {
-			vals[j] = src.Int63n(1 << 30)
-		}
-		for _, v := range vals {
-			s.insert(v)
+// sortedInsert is the retired small tier: binary search and memmove.
+func sortedInsert(s []int64, v int64) ([]int64, bool) {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
+	if lo < len(s) && s[lo] == v {
+		return s, false
+	}
+	s = append(s, 0)
+	copy(s[lo+1:], s[lo:])
+	s[lo] = v
+	return s, true
 }
 
-func benchDedupMap(b *testing.B, degree int) {
-	src := rng.New(1)
-	vals := make([]int64, degree)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := make(map[int64]struct{}, 8)
+func BenchmarkDedup(b *testing.B) {
+	const nv = 1 << 18
+	for _, degree := range []int{8, 32, 512, 30000} {
+		src := rng.New(1)
+		vals := make([]int64, degree)
 		for j := range vals {
-			vals[j] = src.Int63n(1 << 30)
+			vals[j] = src.Int63n(nv)
 		}
-		for _, v := range vals {
-			m[v] = struct{}{}
+		var sink int
+		// A huge |V| rules the bitmap out; |V| = 2^18 with a hub-sized
+		// size forces it whatever the degree.
+		for _, tc := range []struct {
+			name     string
+			size, nv int64
+		}{
+			{"table", int64(degree), 1 << 40},
+			{"bitmap", nv / 64, nv},
+		} {
+			b.Run(fmt.Sprintf("%s/degree=%d", tc.name, degree), func(b *testing.B) {
+				var s dedupSet
+				for i := 0; i < b.N; i++ {
+					s.begin(tc.size, tc.nv, true)
+					for _, v := range vals {
+						if s.insert(v) {
+							sink++
+						}
+					}
+				}
+			})
 		}
+		if degree <= 512 { // quadratic beyond
+			b.Run(fmt.Sprintf("sorted/degree=%d", degree), func(b *testing.B) {
+				var s []int64
+				for i := 0; i < b.N; i++ {
+					s = s[:0]
+					for _, v := range vals {
+						var fresh bool
+						if s, fresh = sortedInsert(s, v); fresh {
+							sink++
+						}
+					}
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("map/degree=%d", degree), func(b *testing.B) {
+			m := make(map[int64]struct{}, degree)
+			for i := 0; i < b.N; i++ {
+				clear(m)
+				for _, v := range vals {
+					if _, dup := m[v]; !dup {
+						m[v] = struct{}{}
+						sink++
+					}
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkDedupHybridDegree8(b *testing.B)   { benchDedupSlice(b, 8) }
-func BenchmarkDedupMapDegree8(b *testing.B)      { benchDedupMap(b, 8) }
-func BenchmarkDedupHybridDegree32(b *testing.B)  { benchDedupSlice(b, 32) }
-func BenchmarkDedupMapDegree32(b *testing.B)     { benchDedupMap(b, 32) }
-func BenchmarkDedupHybridDegree512(b *testing.B) { benchDedupSlice(b, 512) }
-func BenchmarkDedupMapDegree512(b *testing.B)    { benchDedupMap(b, 512) }

@@ -1,0 +1,212 @@
+package avs
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/memacct"
+	"repro/internal/recvec"
+	"repro/internal/rng"
+	"repro/internal/skg"
+)
+
+// randomSeed draws a valid seed matrix; zeroAt in [0, 4) zeroes one
+// entry (a degenerate row or column: f[k] = 0, σ = +Inf levels).
+func randomSeed(src *rng.Source, zeroAt int64) skg.Seed {
+	w := [4]float64{src.Float64() + 0.05, src.Float64() + 0.05, src.Float64() + 0.05, src.Float64() + 0.05}
+	if zeroAt < 4 {
+		w[zeroAt] = 0
+	}
+	sum := w[0] + w[1] + w[2] + w[3]
+	k := skg.Seed{A: w[0] / sum, B: w[1] / sum, C: w[2] / sum}
+	k.D = math.Max(0, 1-k.A-k.B-k.C)
+	return k
+}
+
+// referenceScope is the scope loop as it stood before the vector, the
+// descent and the dedup set were rewritten: a fresh vector per scope, a
+// binary search per recursion step (SparseRecursion+SingleRandom without
+// ReuseVector reaches recvec's per-step search, not Determine) and a Go
+// map for duplicates. It returns the destinations, the attempt count and
+// the bytes the scope charges to memacct.
+func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, int64, int64) {
+	if nv := cfg.NumVertices(); size > nv {
+		size = nv
+	}
+	var vec *recvec.Vector
+	if cfg.Noise != nil {
+		vec = recvec.NewNoisy(cfg.Noise, u, cfg.Levels)
+	} else {
+		vec = recvec.New(cfg.Seed, u, cfg.Levels)
+	}
+	tracked := int64(cfg.Levels+1) * 16
+	total := vec.RowProb()
+	if total <= 0 {
+		return nil, 0, tracked
+	}
+	var (
+		dsts     []int64
+		attempts int64
+		seen     = make(map[int64]struct{})
+		perStep  = recvec.Options{SparseRecursion: true, SingleRandom: true}
+	)
+	for int64(len(dsts)) < size && attempts < 64*size+1024 {
+		dst := vec.DetermineOpt(src.UniformTo(total), src, perStep)
+		attempts++
+		if _, dup := seen[dst]; dup && !cfg.AllowDuplicates {
+			continue
+		}
+		seen[dst] = struct{}{}
+		dsts = append(dsts, dst)
+	}
+	if !cfg.AllowDuplicates {
+		tracked += 8 * int64(len(dsts))
+	}
+	return dsts, attempts, tracked
+}
+
+// TestScopeMatchesReferenceLoop: the scope loop with its reused vector,
+// one-pass descent and flat dedup set emits the stream of the loop it
+// replaced — identical destinations in identical order after identical
+// attempt counts, and an identical accounting peak — over random seed
+// matrices (some with a zero entry), 1–40 levels, NSKG on and off, both
+// orientations, AllowDuplicates, and sizes that land in every dedup
+// tier including the size == |V| clamp.
+func TestScopeMatchesReferenceLoop(t *testing.T) {
+	src := rng.New(12)
+	tiers := make(map[dedupTier]int)
+	for i := 0; i < 240; i++ {
+		levels := i%40 + 1
+		nv := int64(1) << uint(levels)
+		cfg := Config{
+			Seed:            randomSeed(src, src.Int63n(12)),
+			Levels:          levels,
+			NumEdges:        16 * nv,
+			Opts:            recvec.Production(),
+			AllowDuplicates: i%7 == 3,
+		}
+		// γ+µ must stay non-negative too (skg.MaxNoise only bounds by β).
+		if noise := math.Min(skg.MaxNoise(cfg.Seed), cfg.Seed.C); i%2 == 1 && noise > 0 {
+			ns, err := skg.NewNoise(cfg.Seed, levels, noise/2, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Noise = ns
+		}
+		if i%3 == 2 { // AVS-I: the column scope of K is the row scope of Kᵀ
+			cfg.Seed = cfg.Seed.Transpose()
+			if cfg.Noise != nil {
+				cfg.Noise = cfg.Noise.Transpose()
+			}
+		}
+		var acct memacct.Acct
+		g, err := New(cfg, &acct)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Sizes on both sides of the table/bitmap boundary |V|/64, plus
+		// more than |V| (clamped).
+		var wantPeak int64
+		for _, size := range []int64{1, 16, 700, nv/64 + 1, nv + 5} {
+			if size > 1<<13 {
+				continue // keep hub-sized scopes of wide graphs out of a unit test
+			}
+			u := src.Int63n(nv)
+			stream := src.Uint64()
+			wantDsts, wantAttempts, tracked := referenceScope(cfg, u, size, rng.New(stream))
+			wantPeak = max(wantPeak, tracked)
+			got := g.ScopeWithSize(u, size, rng.New(stream), nil)
+			tiers[g.set.tier]++
+			if got.Attempts != wantAttempts || !slices.Equal(got.Dsts, wantDsts) {
+				t.Fatalf("case %d levels %d u %d size %d noisy %v dups %v: got %d dsts / %d attempts, reference %d / %d",
+					i, levels, u, size, cfg.Noise != nil, cfg.AllowDuplicates, len(got.Dsts), got.Attempts, len(wantDsts), wantAttempts)
+			}
+		}
+		if acct.Peak() != wantPeak || acct.Current() != 0 {
+			t.Fatalf("case %d: accounting peak %d cur %d, reference peak %d", i, acct.Peak(), acct.Current(), wantPeak)
+		}
+	}
+	for _, tier := range []dedupTier{tierNone, tierBitmap, tierTable} {
+		if tiers[tier] < 20 {
+			t.Errorf("dedup tier %d ran only %d scopes; the sweep no longer covers it", tier, tiers[tier])
+		}
+	}
+}
+
+// TestRowProbTableMatchesSKG: the popcount table returns the bits
+// skg.RowProb returns, so binomial means and scope sizes cannot move.
+func TestRowProbTableMatchesSKG(t *testing.T) {
+	for _, levels := range []int{1, 7, 18, 40} {
+		cfg := baseConfig(levels)
+		g, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := rng.New(uint64(levels))
+		for i := 0; i < 2000; i++ {
+			u := src.Int63n(cfg.NumVertices())
+			got, want := g.RowProb(u), skg.RowProb(cfg.Seed, u, levels)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("levels %d u %d: table %v, skg.RowProb %v", levels, u, got, want)
+			}
+		}
+	}
+}
+
+// TestScopeDstsNeverAliasGenerator: callers keep Dsts across later Scope
+// calls (bench sampling, the server pipeline), so a result must alias
+// the caller's buffer only.
+func TestScopeDstsNeverAliasGenerator(t *testing.T) {
+	g, err := New(baseConfig(12), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := g.Scope(0, rng.NewScoped(1, 0), nil)
+	keep := slices.Clone(first.Dsts)
+	for u := int64(1); u < 64; u++ {
+		g.Scope(u, rng.NewScoped(1, uint64(u)), nil)
+	}
+	if !slices.Equal(first.Dsts, keep) {
+		t.Fatal("a later Scope call overwrote an earlier result obtained with buf == nil")
+	}
+}
+
+// TestScopeSteadyStateAllocs: with a reused buffer and a reseeded
+// Source, a warmed-up worker generates scopes without touching the
+// heap — vector, dedup set and destination buffer are all reused.
+func TestScopeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	noisy := baseConfig(14)
+	ns, err := skg.NewNoise(noisy.Seed, noisy.Levels, 0.05, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy.Noise = ns
+	for name, cfg := range map[string]Config{"classic": baseConfig(14), "nskg": noisy} {
+		var acct memacct.Acct
+		g, err := New(cfg, &acct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			src rng.Source
+			buf []int64
+			u   int64
+		)
+		// Rows 0..255 hold the hub and both dedup tiers of this scale.
+		pass := func() {
+			for u = 0; u < 256; u++ {
+				src.Reseed(77, uint64(u))
+				buf = g.Scope(u, &src, buf).Dsts
+			}
+		}
+		pass() // warm-up: grows buf, the vector and the dedup storage
+		if n := testing.AllocsPerRun(5, pass); n != 0 {
+			t.Errorf("%s: %v allocations per 256 steady-state scopes, want 0", name, n)
+		}
+	}
+}

@@ -401,9 +401,10 @@ func GenerateRangesObserved(cfg Config, ranges []partition.Range, sinks SinkFact
 			workerStart := time.Now()
 			defer func() { out.dur = time.Since(workerStart) }()
 			var buf []int64
+			var src rng.Source // reseeded per scope: no allocation per vertex
 			for u := ranges[i].Lo; u < ranges[i].Hi; u++ {
-				src := rng.NewScoped(cfg.MasterSeed, uint64(u))
-				res := g.Scope(u, src, buf)
+				src.Reseed(cfg.MasterSeed, uint64(u))
+				res := g.Scope(u, &src, buf)
 				buf = res.Dsts
 				out.attempts += res.Attempts
 				out.edges += int64(len(res.Dsts))

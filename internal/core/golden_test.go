@@ -1,0 +1,97 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/gformat"
+	"repro/internal/partition"
+)
+
+// goldenTSV generates cfg with three workers into in-memory TSV parts
+// and returns the SHA-256 of their in-order concatenation (which equals
+// the whole-graph TSV for any worker count).
+func goldenTSV(t *testing.T, cfg Config) (string, Stats) {
+	t.Helper()
+	cfg.Workers = 3
+	bufs := make([]bytes.Buffer, cfg.Workers)
+	st, err := Generate(cfg, func(w int, _ partition.Range) (gformat.Writer, error) {
+		return gformat.NewTSVWriter(&bufs[w]), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for i := range bufs {
+		h.Write(bufs[i].Bytes())
+	}
+	return hex.EncodeToString(h.Sum(nil)), st
+}
+
+func denseConfig(scale int, edgeFactor int64) Config {
+	cfg := DefaultConfig(scale)
+	cfg.EdgeFactor = edgeFactor
+	return cfg
+}
+
+// TestGoldenTSV pins whole-graph bytes to hashes generated at the
+// commit before the scope loop was rewritten (PR 12's parent):
+// the first rows of ROADMAP's conformance table. A stream-changing PR
+// must regenerate them deliberately, together with a stream version.
+func TestGoldenTSV(t *testing.T) {
+	nskg := DefaultConfig(12)
+	nskg.NoiseParam = 0.05
+	avsi := DefaultConfig(11)
+	avsi.Orientation = AVSI
+	dups := DefaultConfig(10)
+	dups.AllowDuplicates = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"classic-s12", DefaultConfig(12), "f3b2fdc6a337beb59864cae861d2960f4df929aee605d8b882b11cc5e34ac607"},
+		{"nskg-s12-nu0.05", nskg, "98d7001c548d739cc89be1a045db0b77105316c98ed6a4be884f5b5cf045eb85"},
+		{"avsi-s11", avsi, "3dafd325d2e5353ab255ba2258c0126492031dc96eac6c77b36cd4e28b80fa73"},
+		{"dense-s9-ef128", denseConfig(9, 128), "07cb665e757a9d01a9b74aab5b3c22f12582ec4a27f7d6b65c77ad740d8d8723"},
+		{"allow-duplicates-s10", dups, "a514b6d7a6cf49c2a5cb2d6ec437dc03de41318ff71f5e57819c35c82cfd9c4c"},
+	} {
+		got, _ := goldenTSV(t, tc.cfg)
+		if got != tc.want {
+			t.Errorf("%s: TSV sha256 %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestGoldenStats pins the counted outputs of a run — edges, attempts,
+// max degree and the accounted O(d_max) peak — to the parent commit's
+// values: the rewrite may change how fast they are reached, never what
+// they are.
+func TestGoldenStats(t *testing.T) {
+	type counts struct{ edges, attempts, maxDeg, peak int64 }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want counts
+	}{
+		{"default-s10", DefaultConfig(10), counts{16386, 92286, 968, 7920}},
+		{"default-s14", DefaultConfig(14), counts{263044, 339659, 5644, 45392}},
+		{"default-s18", DefaultConfig(18), counts{4204336, 4591803, 30063, 240808}},
+		{"dense-s13-ef128", denseConfig(13, 128), counts{999658, 9561444, 7333, 58888}},
+	} {
+		if testing.Short() && tc.cfg.Scale >= 18 {
+			continue
+		}
+		tc.cfg.Workers = 2
+		st, err := Generate(tc.cfg, DiscardSinks(gformat.ADJ6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := counts{st.Edges, st.Attempts, st.MaxDegree, st.PeakWorkerBytes}
+		if got != tc.want {
+			t.Errorf("%s: {edges attempts maxDeg peak} = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -14,8 +14,9 @@ import (
 const (
 	// StagePlan is the Figure 6 partition planning stage.
 	StagePlan = "core.plan"
-	// StageRecvecBuild is the recursive-vector construction stage (one
-	// call per worker; items = workers built).
+	// StageRecvecBuild is the scope-generator construction stage (one
+	// call per worker; items = workers built). The per-scope refill of
+	// each worker's recursive vector is part of StageScopeDraw.
 	StageRecvecBuild = "core.recvec_build"
 	// StageScopeDraw is the stochastic scope/degree draw stage: wall
 	// time spent in Algorithm 4 proper, excluding encoding and I/O

@@ -45,7 +45,12 @@ func chaosMasterConfig(cfg core.Config) MasterConfig {
 // like a real machine that comes back after the job finished.
 func runChaosCluster(t *testing.T, cfg core.Config) (Summary, []string, *telemetry.Registry) {
 	t.Helper()
-	m, err := NewMaster(chaosMasterConfig(cfg))
+	return runChaosClusterWith(t, chaosMasterConfig(cfg))
+}
+
+func runChaosClusterWith(t *testing.T, mc MasterConfig) (Summary, []string, *telemetry.Registry) {
+	t.Helper()
+	m, err := NewMaster(mc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +162,14 @@ func TestChaosKillAndStallBitIdentical(t *testing.T) {
 
 // TestChaosSinkFailureRetriedElsewhere: an injected write failure makes
 // one lease Fail; the requeued ranges complete on a retry and the file
-// set is still exactly the reference set.
+// set is still exactly the reference set. Leases are capped at one
+// range: a failed lease is requeued once however many of its ranges
+// failed, so only then does every injected failure map to its own
+// requeue, whatever the scheduling.
 func TestChaosSinkFailureRetriedElsewhere(t *testing.T) {
 	cfg := testConfig(10)
+	mc := chaosMasterConfig(cfg)
+	mc.MaxLeaseRanges = 1
 
 	faultpoint.Reset()
 	_, calmDirs, _ := runChaosCluster(t, cfg)
@@ -170,7 +180,7 @@ func TestChaosSinkFailureRetriedElsewhere(t *testing.T) {
 	if err := faultpoint.Arm("core.sink.write", "fail:injected disk failure*2"); err != nil {
 		t.Fatal(err)
 	}
-	sum, chaosDirs, tel := runChaosCluster(t, cfg)
+	sum, chaosDirs, tel := runChaosClusterWith(t, mc)
 	got := readParts(t, chaosDirs, "adj6")
 
 	if sum.Requeues == 0 {

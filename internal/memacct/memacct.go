@@ -7,6 +7,11 @@
 // benchmark process and Go's GC makes RSS a lagging, noisy proxy. Each
 // tracked structure charges bytes to an Acct when it grows and releases
 // them when freed; the peak is the algorithm's space demand.
+//
+// The AVS scope generator is the exception to "when it grows": it
+// charges a scope's whole working set in one step as the scope
+// completes and releases it at once, so for it only Peak is meaningful
+// and Current reads 0 between charges.
 package memacct
 
 import "sync/atomic"

@@ -47,15 +47,31 @@ func Plan(g *avs.Generator, masterSeed uint64, parts, binsPerPart int) ([]Range,
 
 	// Combine: walk all scopes in vertex order, drawing each scope's
 	// size from its private stream, and close a bin whenever it reaches
-	// the target. The size draws are sliced across GOMAXPROCS goroutines
-	// exactly as the paper slices the combine step across threads; the
-	// result is identical to a sequential walk because sizes are
-	// scope-seeded and bin boundaries depend only on the size sequence.
+	// the target. Sizes are scope-seeded and bin boundaries depend only
+	// on the size sequence, so the walk can be cut up freely: a parallel
+	// pass keeps one sum per block of sizeBlock vertices, and the
+	// sequential walk steps over whole blocks, re-drawing the sizes of a
+	// block only when a bin closes inside it (its sum reaches the open
+	// bin's remainder). Memory is |V|/sizeBlock + sizeBlock words, not
+	// the |V| words of a materialised size vector, for at most twice
+	// the draws.
 	binTarget := cfg.NumEdges / int64(parts*binsPerPart)
 	if binTarget < 1 {
 		binTarget = 1
 	}
-	sizes := drawSizesParallel(g, masterSeed, nv)
+	sizeOf := func(src *rng.Source, u int64) int64 {
+		src.Reseed(masterSeed, uint64(u))
+		return g.ScopeSize(u, src)
+	}
+	sums := make([]int64, (nv+sizeBlock-1)/sizeBlock)
+	parallelRanges(int64(len(sums)), func(lo, hi int64) {
+		var src rng.Source
+		for b := lo; b < hi; b++ {
+			for u, end := b*sizeBlock, min((b+1)*sizeBlock, nv); u < end; u++ {
+				sums[b] += sizeOf(&src, u)
+			}
+		}
+	})
 	type bin struct {
 		lo, hi int64 // [lo, hi)
 		edges  int64
@@ -63,14 +79,28 @@ func Plan(g *avs.Generator, masterSeed uint64, parts, binsPerPart int) ([]Range,
 	var bins []bin
 	cur := bin{lo: 0}
 	var total int64
-	for u := int64(0); u < nv; u++ {
-		size := sizes[u]
-		cur.edges += size
-		total += size
-		if cur.edges >= binTarget {
-			cur.hi = u + 1
-			bins = append(bins, cur)
-			cur = bin{lo: u + 1}
+	sizes := make([]int64, min(sizeBlock, nv))
+	for b, sum := range sums {
+		total += sum
+		if cur.edges+sum < binTarget {
+			cur.edges += sum
+			continue
+		}
+		base := int64(b) * sizeBlock
+		block := sizes[:min(sizeBlock, nv-base)]
+		parallelRanges(int64(len(block)), func(lo, hi int64) {
+			var src rng.Source
+			for i := lo; i < hi; i++ {
+				block[i] = sizeOf(&src, base+i)
+			}
+		})
+		for i, size := range block {
+			cur.edges += size
+			if cur.edges >= binTarget {
+				cur.hi = base + int64(i) + 1
+				bins = append(bins, cur)
+				cur = bin{lo: cur.hi}
+			}
 		}
 	}
 	if cur.lo < nv {
@@ -109,34 +139,22 @@ func Plan(g *avs.Generator, masterSeed uint64, parts, binsPerPart int) ([]Range,
 	return ranges, nil
 }
 
-// drawSizesParallel samples every scope size, slicing the vertex space
-// across GOMAXPROCS goroutines. Each scope has its own seeded stream,
-// so the slicing cannot change any value.
-func drawSizesParallel(g *avs.Generator, masterSeed uint64, nv int64) []int64 {
-	sizes := make([]int64, nv)
-	workers := int64(runtime.GOMAXPROCS(0))
-	if workers > nv {
-		workers = 1
-	}
+// sizeBlock is the number of consecutive scopes whose sizes the combine
+// step keeps only as a sum.
+const sizeBlock = 4096
+
+// parallelRanges cuts [0, n) into GOMAXPROCS contiguous slices, calls
+// fn(lo, hi) on each from its own goroutine, and waits for all.
+func parallelRanges(n int64, fn func(lo, hi int64)) {
+	workers := min(int64(runtime.GOMAXPROCS(0)), n)
 	var wg sync.WaitGroup
-	chunk := (nv + workers - 1) / workers
 	for w := int64(0); w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nv {
-			hi = nv
-		}
-		if lo >= hi {
-			continue
-		}
+		lo, hi := n*w/workers, n*(w+1)/workers
 		wg.Add(1)
-		go func(lo, hi int64) {
+		go func() {
 			defer wg.Done()
-			for u := lo; u < hi; u++ {
-				sizes[u] = g.ScopeSize(u, rng.NewScoped(masterSeed, uint64(u)))
-			}
-		}(lo, hi)
+			fn(lo, hi)
+		}()
 	}
 	wg.Wait()
-	return sizes
 }

@@ -112,7 +112,9 @@ type Signals struct {
 	MemBudgetBytes int64
 	// TrackedBytes is the algorithmic working set charged to the
 	// configured memacct.Acct (0 when none) — the structure-level view
-	// that moves ahead of RSS, since Go's RSS lags frees.
+	// that moves ahead of RSS, since Go's RSS lags frees. Only structures
+	// that charge while they are live show up here; avs scopes charge and
+	// release in one step (peak only) and contribute nothing.
 	TrackedBytes int64
 	// DiskUsedFrac is the used fraction of the watched disk (0 when no
 	// path is configured); DiskFreeBytes the space still available.

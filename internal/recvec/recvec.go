@@ -44,24 +44,8 @@ type Vector struct {
 // O(levels) time. Bit k of u (LSB = bit 0) selects the seed row used at
 // destination-bit position k.
 func New(k skg.Seed, u int64, levels int) *Vector {
-	v := &Vector{levels: levels, u: u, f: make([]float64, levels+1), sigma: make([]float64, levels)}
-	// f[levels] = P_{u→} (Lemma 1); walk down multiplying the
-	// conditional "destination bit x is 0" factor of each position.
-	p := 1.0
-	for x := 0; x < levels; x++ {
-		p *= k.RowSum((uint64(u) >> uint(x)) & 1)
-	}
-	v.f[levels] = p
-	for x := levels - 1; x >= 0; x-- {
-		srcBit := (uint64(u) >> uint(x)) & 1
-		row := k.RowSum(srcBit)
-		var frac float64
-		if row > 0 {
-			frac = k.At(srcBit, 0) / row
-		}
-		v.f[x] = v.f[x+1] * frac
-	}
-	v.fillSigma()
+	v := &Vector{}
+	v.Reset(k, u, levels)
 	return v
 }
 
@@ -69,10 +53,59 @@ func New(k skg.Seed, u int64, levels int) *Vector {
 // vertex u. Kronecker level i (0 = MSB) of the noise applies to vertex
 // bit position levels−1−i.
 func NewNoisy(ns *skg.Noise, u int64, levels int) *Vector {
+	v := &Vector{}
+	v.ResetNoisy(ns, u, levels)
+	return v
+}
+
+// resize points f and sigma at one backing array of 2·levels+1 values,
+// reusing the current one when it is large enough.
+func (v *Vector) resize(u int64, levels int) {
+	v.levels, v.u = levels, u
+	n := 2*levels + 1
+	buf := v.f[:0] // f heads the backing array, so its capacity is the array's
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	v.f, v.sigma = buf[:levels+1], buf[levels+1:n]
+}
+
+// Reset rebuilds v in place as New(k, u, levels) would build it — the
+// same arithmetic in the same order, so every value is bit-identical —
+// without allocating once v has held a vector of as many levels. It is
+// Idea#1 one step further: not only one vector per scope, but one
+// vector's storage per worker.
+func (v *Vector) Reset(k skg.Seed, u int64, levels int) {
+	v.resize(u, levels)
+	// The row sum and the "destination bit is 0" fraction depend only on
+	// the source bit, so both are computed once per call, not per level.
+	var row, frac [2]float64
+	for bit := uint64(0); bit < 2; bit++ {
+		row[bit] = k.RowSum(bit)
+		if row[bit] > 0 {
+			frac[bit] = k.At(bit, 0) / row[bit]
+		}
+	}
+	// f[levels] = P_{u→} (Lemma 1); walk down multiplying the
+	// conditional "destination bit x is 0" factor of each position.
+	p := 1.0
+	for x := 0; x < levels; x++ {
+		p *= row[(uint64(u)>>uint(x))&1]
+	}
+	v.f[levels] = p
+	for x := levels - 1; x >= 0; x-- {
+		v.f[x] = v.f[x+1] * frac[(uint64(u)>>uint(x))&1]
+	}
+	v.fillSigma()
+}
+
+// ResetNoisy is Reset for the NSKG model: it rebuilds v in place as
+// NewNoisy(ns, u, levels) would build it.
+func (v *Vector) ResetNoisy(ns *skg.Noise, u int64, levels int) {
 	if ns.Levels() < levels {
 		panic(fmt.Sprintf("recvec: noise has %d levels, need %d", ns.Levels(), levels))
 	}
-	v := &Vector{levels: levels, u: u, f: make([]float64, levels+1), sigma: make([]float64, levels)}
+	v.resize(u, levels)
 	p := 1.0
 	for x := 0; x < levels; x++ {
 		lev := ns.Level(levels - 1 - x)
@@ -90,7 +123,6 @@ func NewNoisy(ns *skg.Noise, u int64, levels int) *Vector {
 		v.f[x] = v.f[x+1] * frac
 	}
 	v.fillSigma()
-	return v
 }
 
 // NewRef builds the vector by direct Definition 2 summation of
@@ -142,9 +174,47 @@ func (v *Vector) RowProb() float64 { return v.f[v.levels] }
 // Sigma returns the Lemma 3 ratio σ_{u[k]} of bit position k.
 func (v *Vector) Sigma(k int) float64 { return v.sigma[k] }
 
+// Determine implements Theorem 2 / Algorithm 5: it maps a uniform random
+// value x ∈ [0, RowProb()) to a destination vertex. This is the
+// production path: recursion only on 1 bits (Idea#2) and a single
+// random value translated in place (Idea#3).
+//
+// The Theorem 2 search "largest k with f[k] ≤ x" is done as one downward
+// scan shared by all recursion steps: selected indices strictly
+// decrease and f is non-decreasing, so the next index is the first
+// k below the previous one with f[k] ≤ x, and every level is compared
+// at most once per edge. It selects exactly the indices a fresh binary
+// search per step (clamped below the previous index) selects, and
+// translates x with the same subtraction and division, so destinations
+// are bit-identical to that formulation (fuzzed in determine_test.go).
+// The division must stay a division: multiplying by a stored 1/σ rounds
+// differently and would change the generated graph.
+func (v *Vector) Determine(x float64) int64 {
+	f, sigma := v.f, v.sigma
+	f0 := f[0]
+	if !(x >= f0 && x > 0) {
+		return 0
+	}
+	var dst int64
+	bit := int64(1) << uint(len(sigma)) // shifted right once per level
+	for k := len(sigma) - 1; k >= 0; k-- {
+		bit >>= 1
+		if fk := f[k]; x >= fk {
+			dst |= bit
+			// A zero f[k] has σ = +Inf and sends x to 0, ending the scan.
+			x = (x - fk) / sigma[k]
+			if !(x >= f0 && x > 0) {
+				break
+			}
+		}
+	}
+	return dst
+}
+
 // searchBinary returns the largest k with f[k] <= x, i.e. the index
 // selected in step (2) of Theorem 2, via binary search on the
-// non-decreasing vector: O(log levels) per call.
+// non-decreasing vector: O(log levels) per call. Only the ablation
+// variants search per recursion step; Determine scans once.
 func (v *Vector) searchBinary(x float64) int {
 	lo, hi := 0, v.levels // invariant: f[lo] <= x, f[hi] > x is not guaranteed at entry
 	// Find first index i in (0, levels] with f[i] > x; answer is i-1.
@@ -169,30 +239,6 @@ func (v *Vector) searchLinear(x float64) int {
 		k++
 	}
 	return k
-}
-
-// Determine implements Theorem 2 / Algorithm 5: it maps a uniform random
-// value x ∈ [0, RowProb()) to a destination vertex. This is the
-// production path: sparse recursion (Idea#2), a single random value
-// translated in place (Idea#3), binary search within the vector.
-func (v *Vector) Determine(x float64) int64 {
-	var dst int64
-	prev := v.levels // selected bit indices are strictly decreasing
-	for x >= v.f[0] && x > 0 {
-		k := v.searchBinary(x)
-		// Strict decrease guarantees termination; float rounding in the
-		// translation below can otherwise pin x at a boundary.
-		if k >= prev {
-			k = prev - 1
-			if k < 0 {
-				break
-			}
-		}
-		prev = k
-		dst |= 1 << uint(k)
-		x = (x - v.f[k]) / v.sigma[k]
-	}
-	return dst
 }
 
 // Options selects an ablation variant of edge determination. The zero
@@ -225,6 +271,9 @@ func Production() Options {
 // destination follows the same distribution for every option combination
 // (property-tested); only the work performed differs.
 func (v *Vector) DetermineOpt(x float64, src *rng.Source, o Options) int64 {
+	if o == Production() {
+		return v.Determine(x)
+	}
 	if o.SparseRecursion {
 		return v.determineSparse(x, src, o)
 	}

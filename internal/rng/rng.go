@@ -52,22 +52,35 @@ type Source struct {
 // state expansion, as recommended by the xoshiro authors.
 func New(seed uint64) *Source {
 	var src Source
+	src.seed(seed)
+	return &src
+}
+
+func (r *Source) seed(seed uint64) {
 	st := seed
-	for i := range src.s {
-		src.s[i] = SplitMix64(&st)
+	for i := range r.s {
+		r.s[i] = SplitMix64(&st)
 	}
 	// xoshiro256** requires a nonzero state; splitmix64 of any seed gives
 	// all-zero with probability ~2^-256, but guard anyway.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9E3779B97F4A7C15
+	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
+		r.s[0] = 0x9E3779B97F4A7C15
 	}
-	return &src
+	r.spare, r.hasSpare = 0, false
 }
 
 // NewScoped returns the private stream of scope `scope` under the given
 // master seed.
 func NewScoped(master uint64, scope uint64) *Source {
 	return New(Mix64(master, scope))
+}
+
+// Reseed rewinds r to the start of scope `scope`'s private stream: the
+// state NewScoped(master, scope) returns, cached normal variate
+// included, without allocating. A scope loop keeps one Source and
+// reseeds it per vertex.
+func (r *Source) Reseed(master uint64, scope uint64) {
+	r.seed(Mix64(master, scope))
 }
 
 // Uint64 returns the next 64 random bits.

@@ -236,3 +236,34 @@ func BenchmarkNormal(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestReseedEqualsNewScoped: a reused Source rewound with Reseed is
+// indistinguishable from a fresh NewScoped one — same uniform and normal
+// draws — even when the previous scope left a cached Box–Muller spare
+// behind (a stale spare would shift every later normal draw).
+func TestReseedEqualsNewScoped(t *testing.T) {
+	var reused Source
+	for scope := uint64(0); scope < 200; scope++ {
+		reused.Reseed(99, scope)
+		fresh := NewScoped(99, scope)
+		if reused != *fresh {
+			t.Fatalf("scope %d: reseeded state %+v, fresh %+v", scope, reused, *fresh)
+		}
+		for i := 0; i < 8; i++ {
+			if a, b := reused.Normal(3, 2), fresh.Normal(3, 2); a != b {
+				t.Fatalf("scope %d normal draw %d: %v vs %v", scope, i, a, b)
+			}
+			if a, b := reused.Uint64(), fresh.Uint64(); a != b {
+				t.Fatalf("scope %d draw %d: %d vs %d", scope, i, a, b)
+			}
+		}
+		// Leave a spare behind on odd scopes: one Normal call caches the
+		// pair's second variate.
+		if scope%2 == 1 {
+			reused.Normal(0, 1)
+			if !reused.hasSpare {
+				t.Fatal("expected a cached spare after an odd number of Normal calls")
+			}
+		}
+	}
+}

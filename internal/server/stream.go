@@ -147,6 +147,7 @@ func (p *pipeline) start(ctx context.Context, masterSeed uint64, gens []*avs.Gen
 		go func(w int, g *avs.Generator) {
 			defer p.wg.Done()
 			defer close(p.out[w])
+			var src rng.Source // reseeded per scope: no allocation per vertex
 			for u := p.lo + int64(w); u < p.hi; u += int64(p.workers) {
 				var buf []int64
 				select {
@@ -154,7 +155,8 @@ func (p *pipeline) start(ctx context.Context, masterSeed uint64, gens []*avs.Gen
 				case <-ctx.Done():
 					return
 				}
-				res := g.Scope(u, rng.NewScoped(masterSeed, uint64(u)), buf[:0])
+				src.Reseed(masterSeed, uint64(u))
+				res := g.Scope(u, &src, buf[:0])
 				p.generated.Add(1)
 				select {
 				case p.out[w] <- scopeMsg{src: u, dsts: res.Dsts, attempts: res.Attempts}:
