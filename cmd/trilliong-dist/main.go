@@ -111,6 +111,21 @@ func main() {
 		}
 	}
 
+	// classicConfig is the single-model job the flags describe (both the
+	// master and a masterless worker need it when -community is unset).
+	classicConfig := func() core.Config {
+		seed, err := parseSeed(*seedSpec)
+		if err != nil {
+			fatal(err)
+		}
+		cfg := core.DefaultConfig(*scale)
+		cfg.EdgeFactor = *edgeFactor
+		cfg.Seed = seed
+		cfg.NoiseParam = *noise
+		cfg.MasterSeed = *masterSeed
+		return cfg
+	}
+
 	if *masterless {
 		f, err := gformat.ParseFormat(*format)
 		if err != nil {
@@ -130,19 +145,10 @@ func main() {
 			*parts = lay.NumBlocks()
 			src = lay
 		} else {
-			seed, err := parseSeed(*seedSpec)
-			if err != nil {
-				fatal(err)
-			}
-			cfg := core.DefaultConfig(*scale)
-			cfg.EdgeFactor = *edgeFactor
-			cfg.Seed = seed
-			cfg.NoiseParam = *noise
-			cfg.MasterSeed = *masterSeed
 			if *parts < 1 {
 				fatal(fmt.Errorf("masterless needs -parts pinned (> 0): with no master, the file layout must not depend on who shows up"))
 			}
-			src = core.NewConfigSource(cfg)
+			src = classicConfig()
 		}
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fatal(err)
@@ -157,7 +163,7 @@ func main() {
 			stopSampling := ctrl.Start()
 			defer stopSampling()
 		}
-		sum, err := swarm.RunJob(src, *out, f, swarm.Options{
+		sum, err := swarm.Run(src, *out, f, swarm.Options{
 			Parts: *parts, WorkerID: *swarmID, Threads: *threads,
 			ScanInterval: *scanEvery, MaxEpochs: *maxEpochs,
 			Store: st, Pressure: ctrl, Telemetry: tel,
@@ -198,17 +204,8 @@ func main() {
 			mc.Community = &ccfg
 			targetEdges = lay.TotalEdges()
 		} else {
-			seed, err := parseSeed(*seedSpec)
-			if err != nil {
-				fatal(err)
-			}
-			cfg := core.DefaultConfig(*scale)
-			cfg.EdgeFactor = *edgeFactor
-			cfg.Seed = seed
-			cfg.NoiseParam = *noise
-			cfg.MasterSeed = *masterSeed
-			mc.Config = cfg
-			targetEdges = cfg.NumEdges()
+			mc.Config = classicConfig()
+			targetEdges = mc.Config.NumEdges()
 		}
 		m, err := dist.NewMaster(mc)
 		if err != nil {

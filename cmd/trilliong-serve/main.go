@@ -193,6 +193,24 @@ func (o *options) newService() (*trilliong.Server, error) {
 	return svc, nil
 }
 
+// Slow-client bounds. A peer that opens a connection and never finishes
+// its request headers, or parks an idle keep-alive forever, would
+// otherwise pin a goroutine and a descriptor each. There is deliberately
+// no WriteTimeout: a stream legitimately lasts as long as its job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
@@ -212,7 +230,7 @@ func main() {
 		stopSampling := p.Start()
 		defer stopSampling()
 	}
-	httpSrv := &http.Server{Addr: o.addr, Handler: svc.Handler()}
+	httpSrv := newHTTPServer(o.addr, svc.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -100,6 +101,39 @@ func TestTenantFlags(t *testing.T) {
 // identically to the part files GenerateToDir writes for the same
 // configuration, while a second concurrent job streams correctly and
 // a killed client cancels its job (visible in status and expvar).
+// TestSlowHeaderClientDisconnected: the binary's http.Server carries the
+// slow-client bounds (and no WriteTimeout — streams are long-lived), and
+// a client that never finishes its request headers is hung up on rather
+// than holding its connection forever.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	srv := newHTTPServer("", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("server timeouts: header %v idle %v write %v, want positive, positive, none",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.WriteTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond // the drill need not wait out the production bound
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Headers without the terminating blank line: the request never starts.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: slow\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept a header-stalling client connected: %v", err)
+	}
+}
+
 func TestServeScale20EndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-20 end-to-end in -short mode")

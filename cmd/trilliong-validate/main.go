@@ -243,13 +243,9 @@ func consumeStore(acc *validate.Accumulator, cfg core.Config, dir, formatName st
 	if err != nil {
 		return err
 	}
-	ranges, err := core.Plan(cfg, parts)
+	ranges, ids, err := cfg.Plan(parts)
 	if err != nil {
 		return err
-	}
-	ids := make([]int, len(ranges))
-	for i := range ids {
-		ids[i] = i
 	}
 	scratch, err := os.MkdirTemp("", "trilliong-validate-*")
 	if err != nil {

@@ -5,11 +5,22 @@ package trilliong
 // API entry point.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/community"
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/gformat"
+	"repro/internal/store"
+	"repro/internal/swarm"
 )
 
 type edgeSet map[Edge]struct{}
@@ -238,5 +249,191 @@ func TestNoiseChangesGraphButStaysDeterministic(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Fatal("noise had no effect on the graph")
+	}
+}
+
+// partHashes maps every part file name under dirs to the SHA-256 of its
+// bytes. A name present in two directories must carry identical bytes.
+func partHashes(t *testing.T, dirs ...string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "part-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range files {
+			b, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			h := hex.EncodeToString(sum[:])
+			if prev, ok := out[filepath.Base(name)]; ok && prev != h {
+				t.Fatalf("%s differs between directories", filepath.Base(name))
+			}
+			out[filepath.Base(name)] = h
+		}
+	}
+	return out
+}
+
+// TestPartExecutorConformance proves the one part executor
+// (core.ResumeParts / core.RunParts) once for both PartSources, through
+// every runtime that calls it: whichever way a job's parts come to
+// exist — generated cold, found on disk, fetched from a warm store,
+// leased from a master, claimed by a swarm — the per-part bytes are
+// identical and the cache/skip accounting is what the path implies.
+func TestPartExecutorConformance(t *testing.T) {
+	const format = gformat.ADJ6
+	classic := core.DefaultConfig(11)
+	classic.NoiseParam = 0.05
+	classic.MasterSeed = 7
+	classic.Workers = 4
+	ccfg := community.Config{
+		// 256 is a power of two (AVS intra block); the rest run ERV.
+		Sizes:      []int64{300, 256, 200},
+		Mixing:     [][]float64{{6, 1, 1}, {1, 6, 0}, {1, 1, 6}},
+		EdgeFactor: 8,
+		Noise:      0.05,
+		MasterSeed: 7,
+	}
+	lay, err := community.New(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		src    core.PartSource
+		parts  int
+		resume func(dir string, st *store.Store) (core.Stats, error)
+		master dist.MasterConfig
+	}{
+		{"classic", classic, classic.Workers,
+			func(dir string, st *store.Store) (core.Stats, error) {
+				return core.ResumeToDirStore(classic, dir, format, st)
+			},
+			dist.MasterConfig{Config: classic}},
+		{"community", lay, lay.NumBlocks(),
+			func(dir string, st *store.Store) (core.Stats, error) {
+				return lay.GenerateToDir(dir, format, community.RunOptions{Store: st})
+			},
+			dist.MasterConfig{Community: &ccfg}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := store.Open(t.TempDir(), store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want map[string]string
+			same := func(row string, dirs ...string) {
+				t.Helper()
+				got := partHashes(t, dirs...)
+				if len(got) != tc.parts {
+					t.Fatalf("%s: %d part files, want %d", row, len(got), tc.parts)
+				}
+				for name, h := range got {
+					if want[name] != h {
+						t.Errorf("%s: %s sha256 %s, want %s", row, name, h, want[name])
+					}
+				}
+			}
+
+			cold := t.TempDir()
+			cst, err := tc.resume(cold, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cst.Edges == 0 || cst.PartsFromCache != 0 || len(cst.Ranges) != tc.parts {
+				t.Fatalf("cold: edges %d, from cache %d, %d ranges", cst.Edges, cst.PartsFromCache, len(cst.Ranges))
+			}
+			want = partHashes(t, cold)
+			same("cold", cold)
+
+			// Same directory again: every part is verified present and
+			// skipped — nothing generated, nothing fetched.
+			again, err := tc.resume(cold, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Edges != 0 || again.PartsFromCache != 0 {
+				t.Fatalf("again: edges %d, from cache %d, want 0 and 0", again.Edges, again.PartsFromCache)
+			}
+			same("again", cold)
+
+			// Fresh directory, warm store: every part is a cache hit.
+			warm := t.TempDir()
+			wst, err := tc.resume(warm, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wst.Edges != 0 || wst.PartsFromCache != tc.parts {
+				t.Fatalf("warm: edges %d, from cache %d, want 0 and %d", wst.Edges, wst.PartsFromCache, tc.parts)
+			}
+			same("warm", warm)
+
+			// Two TCP workers leasing from a master, no store.
+			mc := tc.master
+			mc.Addr, mc.Workers, mc.Parts, mc.Format = "127.0.0.1:0", 2, tc.parts, format
+			mc.AcceptTimeout = 10 * time.Second
+			m, err := dist.NewMaster(mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			distDirs := []string{t.TempDir(), t.TempDir()}
+			var wg sync.WaitGroup
+			werrs := make([]error, len(distDirs))
+			for i, dir := range distDirs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					werrs[i] = dist.RunWorker(dist.WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dir})
+				}()
+			}
+			dsum, err := m.Run()
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, werr := range werrs {
+				if werr != nil {
+					t.Fatalf("dist worker %d: %v", i, werr)
+				}
+			}
+			if dsum.Parts != tc.parts || dsum.Edges != cst.Edges || dsum.PartsFromCache != 0 || dsum.SkippedParts != 0 {
+				t.Fatalf("dist: %+v, want %d parts, %d edges, none cached or skipped", dsum, tc.parts, cst.Edges)
+			}
+			same("dist", distDirs...)
+
+			// Two masterless swarm workers sharing one directory, no store.
+			shared := t.TempDir()
+			sums := make([]swarm.Summary, 2)
+			serrs := make([]error, 2)
+			for i := range sums {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sums[i], serrs[i] = swarm.Run(tc.src, shared, format, swarm.Options{
+						Parts: tc.parts, WorkerID: uint64(i + 1), ScanInterval: 20 * time.Millisecond,
+					})
+				}()
+			}
+			wg.Wait()
+			claimed := 0
+			for i, serr := range serrs {
+				if serr != nil {
+					t.Fatalf("swarm worker %d: %v", i, serr)
+				}
+				claimed += sums[i].Claimed
+				if sums[i].FromCache != 0 {
+					t.Fatalf("swarm worker %d: %d parts from a store it does not have", i, sums[i].FromCache)
+				}
+			}
+			if claimed != tc.parts {
+				t.Fatalf("swarm: %d parts claimed across workers, want %d", claimed, tc.parts)
+			}
+			same("swarm", shared)
+		})
 	}
 }

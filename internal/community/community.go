@@ -541,9 +541,10 @@ func (l *Layout) newScoper(b Block) (scoper, error) {
 }
 
 // generateBlock writes block b through w: scope u of the block draws
-// from rng.NewScoped(b.Seed, u) — fully independent of every other
-// scope and block, which is the whole determinism story — and lands as
-// global scope (SrcLo+u, dsts+DstLo). The writer is not closed.
+// from the stream of rng.NewScoped(b.Seed, u) — fully independent of
+// every other scope and block, which is the whole determinism story —
+// and lands as global scope (SrcLo+u, dsts+DstLo). The writer is not
+// closed.
 func (l *Layout) generateBlock(b Block, w gformat.Writer, tel *telemetry.Registry, onScope func()) (edges, attempts, maxDeg int64, err error) {
 	g, err := l.newScoper(b)
 	if err != nil {
@@ -551,9 +552,10 @@ func (l *Layout) generateBlock(b Block, w gformat.Writer, tel *telemetry.Registr
 	}
 	rows := b.SrcHi - b.SrcLo
 	var buf []int64
+	var src rng.Source // reseeded per scope: no allocation per vertex
 	for u := int64(0); u < rows; u++ {
-		src := rng.NewScoped(b.Seed, uint64(u))
-		dsts, att := g.scope(u, src, buf)
+		src.Reseed(b.Seed, uint64(u))
+		dsts, att := g.scope(u, &src, buf)
 		buf = dsts
 		for i := range dsts {
 			dsts[i] += b.DstLo
@@ -637,59 +639,19 @@ type RunOptions struct {
 
 // GenerateToDir generates the layout into dir, one part file per block
 // (part-<blockID>.<ext>), with the full resume/store treatment of the
-// flat generator: atomic part files, a manifest handshake, existing
-// complete parts skipped, store hits materialized, generated parts
-// ingested. Concatenating the part files in part order yields the
-// byte-exact stream output.
+// flat generator — it is core.ResumeParts over the layout: atomic part
+// files, a manifest handshake, existing complete parts skipped, store
+// hits materialized, generated parts ingested. Concatenating the part
+// files in part order yields the byte-exact stream output.
 func (l *Layout) GenerateToDir(dir string, format gformat.Format, opt RunOptions) (core.Stats, error) {
 	if err := checkFormat(format); err != nil {
-		return core.Stats{}, err
-	}
-	planStart := time.Now()
-	ranges, ids, err := l.Plan(0)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	if err := l.EnsureManifest(dir, format, len(ranges)); err != nil {
-		return core.Stats{}, err
-	}
-	if err := core.SweepTemps(dir); err != nil {
 		return core.Stats{}, err
 	}
 	if tel := opt.Telemetry; tel != nil {
 		tel.Gauge(MetricCommunities).Set(float64(len(l.cfg.Sizes)))
 		tel.Gauge(MetricBlocksPlanned).Set(float64(len(l.blocks)))
 	}
-	planDur := time.Since(planStart)
-
-	missing, missingIDs := core.MissingParts(dir, format, ranges, ids)
-	missing, missingIDs, hits, err := core.FetchPartsFromStore(opt.Store, l, dir, format, missing, missingIDs)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	if len(missing) == 0 {
-		return core.Stats{
-			PlanDuration:   planDur,
-			Elapsed:        planDur,
-			Ranges:         ranges,
-			PartsFromCache: hits,
-		}, nil
-	}
-	sinks := core.IngestingSinksFor(
-		core.AtomicPartSinks(dir, format, l.NumVertices(), missingIDs),
-		opt.Store, l, dir, format, missingIDs)
-	if opt.Telemetry != nil {
-		sinks = core.ObservedSinks(sinks, format, opt.Telemetry)
-	}
-	st, err := core.GenerateParts(l, missing, missingIDs, sinks, opt.Telemetry)
-	if err != nil {
-		return st, err
-	}
-	st.PlanDuration = planDur
-	st.Elapsed = planDur + st.GenDuration
-	st.Ranges = ranges
-	st.PartsFromCache = hits
-	return st, nil
+	return core.ResumeParts(l, 0, dir, format, opt.Store, opt.Telemetry)
 }
 
 // GenerateStream writes every block in part order through one writer.

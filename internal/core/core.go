@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -166,35 +165,32 @@ func DiscardSinks(format gformat.Format) SinkFactory {
 // part-<worker>.<ext>. CSR6 part files carry the global vertex count so
 // they can be read independently.
 func FileSinks(dir string, format gformat.Format, numVertices int64) SinkFactory {
-	return FileSinksOffset(dir, format, numVertices, 0)
-}
-
-// FileSinksOffset is FileSinks with part numbering starting at `first`,
-// so workers on different machines produce a collision-free global file
-// set (the distributed runtime's layout).
-func FileSinksOffset(dir string, format gformat.Format, numVertices int64, first int) SinkFactory {
 	return func(worker int, r partition.Range) (gformat.Writer, error) {
-		name := filepath.Join(dir, fmt.Sprintf("part-%05d.%s", first+worker, extOf(format)))
-		f, err := os.Create(name)
+		f, err := os.Create(PartPath(dir, format, worker))
 		if err != nil {
 			return nil, err
 		}
-		switch format {
-		case gformat.TSV:
-			return &closerWriter{Writer: gformat.NewTSVWriter(f), f: f}, nil
-		case gformat.ADJ6:
-			return &closerWriter{Writer: gformat.NewADJ6Writer(f), f: f}, nil
-		case gformat.CSR6:
-			w, err := gformat.NewCSR6Writer(f, numVertices)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			return &closerWriter{Writer: w, f: f}, nil
-		default:
+		w, err := newPartWriter(f, format, numVertices)
+		if err != nil {
 			f.Close()
-			return nil, fmt.Errorf("core: unsupported format %v", format)
+			return nil, err
 		}
+		return &closerWriter{Writer: w, f: f}, nil
+	}
+}
+
+// newPartWriter returns the encoder of one part file in the given
+// format. The caller owns f.
+func newPartWriter(f *os.File, format gformat.Format, numVertices int64) (gformat.Writer, error) {
+	switch format {
+	case gformat.TSV:
+		return gformat.NewTSVWriter(f), nil
+	case gformat.ADJ6:
+		return gformat.NewADJ6Writer(f), nil
+	case gformat.CSR6:
+		return gformat.NewCSR6Writer(f, numVertices)
+	default:
+		return nil, fmt.Errorf("core: unsupported format %v", format)
 	}
 }
 
@@ -311,148 +307,31 @@ func Generate(cfg Config, sinks SinkFactory) (Stats, error) {
 // run-wide scope/edge/attempt counters (see docs/OBSERVABILITY.md for
 // the catalog). A nil registry disables instrumentation entirely.
 func GenerateObserved(cfg Config, sinks SinkFactory, tel *telemetry.Registry) (Stats, error) {
-	if err := cfg.Validate(); err != nil {
-		return Stats{}, err
-	}
-	workers := cfg.workers()
-	var st Stats
 	planStart := time.Now()
-	ranges, err := Plan(cfg, workers)
+	ranges, ids, err := cfg.Plan(cfg.workers())
 	if err != nil {
 		return Stats{}, err
 	}
-	st.PlanDuration = time.Since(planStart)
+	planDur := time.Since(planStart)
 	if tel != nil {
-		tel.Stage(StagePlan).Observe(st.PlanDuration, int64(len(ranges)))
+		tel.Stage(StagePlan).Observe(planDur, int64(len(ranges)))
 	}
-	gst, err := GenerateRangesObserved(cfg, ranges, sinks, tel)
-	if err != nil {
-		return st, err
-	}
-	gst.PlanDuration = st.PlanDuration
-	gst.Elapsed = gst.PlanDuration + gst.GenDuration
-	return gst, nil
+	st, err := GenerateParts(cfg, ranges, ids, sinks, tel)
+	st.PlanDuration = planDur
+	st.Elapsed = planDur + st.GenDuration
+	return st, err
 }
 
 // GenerateRanges generates exactly the given vertex ranges, one worker
 // goroutine per range, into the sinks. It is the execution half of
-// Generate, split out so a distributed worker can run the ranges a
-// master assigned it.
+// Generate, split out so a caller can run a plan it computed itself.
 func GenerateRanges(cfg Config, ranges []partition.Range, sinks SinkFactory) (Stats, error) {
-	return GenerateRangesObserved(cfg, ranges, sinks, nil)
-}
-
-// GenerateRangesObserved is GenerateRanges feeding the given telemetry
-// registry (nil disables instrumentation). Worker wall time is split
-// between the scope-draw and sink-write stages by timing the writer
-// calls locally, so the hot loop never touches shared state.
-func GenerateRangesObserved(cfg Config, ranges []partition.Range, sinks SinkFactory, tel *telemetry.Registry) (Stats, error) {
+	// Validate before GenerateParts opens the first sink: a bad
+	// configuration must not leave files behind.
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
 	}
-	workers := len(ranges)
-	if workers == 0 {
-		return Stats{}, fmt.Errorf("core: no ranges to generate")
-	}
-	accts := make([]memacct.Acct, workers)
-	gens := make([]*avs.Generator, workers)
-	buildStart := time.Now()
-	for i := range gens {
-		g, err := NewScopeGenerator(cfg, &accts[i])
-		if err != nil {
-			return Stats{}, err
-		}
-		gens[i] = g
-	}
-	var timed []*timedWriter
-	if tel != nil {
-		tel.Stage(StageRecvecBuild).Observe(time.Since(buildStart), int64(workers))
-		timed = make([]*timedWriter, workers)
-		sinks = observedSinkFactory(sinks, tel.RateGauge(MetricEdgesPerSec, 0), timed)
-	}
-
-	var st Stats
-	st.Ranges = ranges
-
-	writers := make([]gformat.Writer, workers)
-	for i, r := range ranges {
-		w, err := sinks(i, r)
-		if err != nil {
-			return st, err
-		}
-		writers[i] = w
-	}
-
-	genStart := time.Now()
-	type workerOut struct {
-		edges, attempts, maxDeg int64
-		dur                     time.Duration
-		err                     error
-	}
-	outs := make([]workerOut, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out := &outs[i]
-			g := gens[i]
-			w := writers[i]
-			workerStart := time.Now()
-			defer func() { out.dur = time.Since(workerStart) }()
-			var buf []int64
-			var src rng.Source // reseeded per scope: no allocation per vertex
-			for u := ranges[i].Lo; u < ranges[i].Hi; u++ {
-				src.Reseed(cfg.MasterSeed, uint64(u))
-				res := g.Scope(u, &src, buf)
-				buf = res.Dsts
-				out.attempts += res.Attempts
-				out.edges += int64(len(res.Dsts))
-				if int64(len(res.Dsts)) > out.maxDeg {
-					out.maxDeg = int64(len(res.Dsts))
-				}
-				if err := w.WriteScope(u, res.Dsts); err != nil {
-					out.err = err
-					return
-				}
-			}
-			out.err = w.Close()
-		}(i)
-	}
-	wg.Wait()
-	st.GenDuration = time.Since(genStart)
-	if tel != nil {
-		draw, write := tel.Stage(StageScopeDraw), tel.Stage(StageSinkWrite)
-		scopes, edges := tel.Counter(MetricScopes), tel.Counter(MetricEdges)
-		attempts, bytes := tel.Counter(MetricAttempts), tel.Counter(MetricBytes)
-		for i, out := range outs {
-			tw := timed[i]
-			write.Observe(tw.elapsed, out.edges)
-			if d := out.dur - tw.elapsed; d > 0 {
-				draw.Observe(d, tw.scopes)
-			}
-			scopes.Add(tw.scopes)
-			edges.Add(out.edges)
-			attempts.Add(out.attempts)
-			bytes.Add(writers[i].BytesWritten())
-		}
-	}
-	st.Elapsed = st.GenDuration
-	for i, out := range outs {
-		if out.err != nil {
-			return st, fmt.Errorf("core: worker %d: %w", i, out.err)
-		}
-		st.Edges += out.edges
-		st.Attempts += out.attempts
-		if out.maxDeg > st.MaxDegree {
-			st.MaxDegree = out.maxDeg
-		}
-		st.BytesWritten += writers[i].BytesWritten()
-		if p := accts[i].Peak(); p > st.PeakWorkerBytes {
-			st.PeakWorkerBytes = p
-		}
-	}
-	return st, nil
+	return GenerateParts(cfg, ranges, seqIDs(len(ranges)), sinks, nil)
 }
 
 // GenerateSeq is the single-threaded entry point (TrillionG/seq of

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/gformat"
@@ -92,6 +95,63 @@ func TestGoldenStats(t *testing.T) {
 		got := counts{st.Edges, st.Attempts, st.MaxDegree, st.PeakWorkerBytes}
 		if got != tc.want {
 			t.Errorf("%s: {edges attempts maxDeg peak} = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestGoldenKeys pins the identity strings every stored artifact and
+// run manifest written so far is addressed by, to literals generated at
+// the commit before Config became a PartSource (PR 12). CacheFingerprint is fmt's %+v rendering of
+// Config, so a String/Format method on Config, or a field added to it,
+// silently changes all three — orphaning every existing store entry
+// and failing every resume of an existing directory. Such a change
+// must be deliberate and come with a codec/stream version.
+func TestGoldenKeys(t *testing.T) {
+	nskg := DefaultConfig(12)
+	nskg.NoiseParam = 0.05
+	nskg.Orientation = AVSI
+	nskg.MasterSeed = 42
+	nskg.Workers = 3 // normalized out of all three
+	r := partition.Range{Lo: 0, Hi: 512, Edges: 9000}
+	for _, tc := range []struct {
+		name          string
+		cfg           Config
+		wantFP, wantK string
+	}{
+		{"default-s10", DefaultConfig(10),
+			"cfg={Scale:10 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0 MasterSeed:1 Workers:0 BinsPerWorker:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-O AllowDuplicates:false}",
+			"3ef6871f36f94c6f6541ce9ed254b9cf90685ba1d93a0a23ac3a1acf18b08ea2"},
+		{"nskg-avsi-s12", nskg,
+			"cfg={Scale:12 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0.05 MasterSeed:42 Workers:0 BinsPerWorker:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-I AllowDuplicates:false}",
+			"fd8f7cf761885c56429a396f2d5e05733ef6d6db175c423c3a44f39eee91c87b"},
+	} {
+		if got := CacheFingerprint(tc.cfg); got != tc.wantFP {
+			t.Errorf("%s: CacheFingerprint\n got %s\nwant %s", tc.name, got, tc.wantFP)
+		}
+		if got := tc.cfg.Fingerprint(); got != tc.wantFP {
+			t.Errorf("%s: PartSource Fingerprint %s differs from CacheFingerprint", tc.name, got)
+		}
+		if got := PartKey(tc.cfg, gformat.ADJ6, r).String(); got != tc.wantK {
+			t.Errorf("%s: PartKey %s, want %s", tc.name, got, tc.wantK)
+		}
+		if got := tc.cfg.PartKey(gformat.ADJ6, 7, r).String(); got != tc.wantK {
+			t.Errorf("%s: PartSource PartKey %s, want %s (the id must not enter a classic key)", tc.name, got, tc.wantK)
+		}
+
+		dir := t.TempDir()
+		if err := EnsureRunManifest(dir, tc.cfg, gformat.ADJ6, 4); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m resumeManifest
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.wantFP + " format=ADJ6 parts=4"; m.Fingerprint != want {
+			t.Errorf("%s: manifest fingerprint\n got %s\nwant %s", tc.name, m.Fingerprint, want)
 		}
 	}
 }

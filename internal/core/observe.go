@@ -15,8 +15,9 @@ const (
 	// StagePlan is the Figure 6 partition planning stage.
 	StagePlan = "core.plan"
 	// StageRecvecBuild is the scope-generator construction stage (one
-	// call per worker; items = workers built). The per-scope refill of
-	// each worker's recursive vector is part of StageScopeDraw.
+	// call per part: each part builds its own generator; items = parts
+	// built). The per-scope refill of each part's recursive vector is
+	// part of StageScopeDraw.
 	StageRecvecBuild = "core.recvec_build"
 	// StageScopeDraw is the stochastic scope/degree draw stage: wall
 	// time spent in Algorithm 4 proper, excluding encoding and I/O
@@ -98,9 +99,11 @@ func (c *countingWriter) settle() {
 	}
 }
 
-// timedWriter measures the wall time a worker spends inside the format
+// timedWriter measures the wall time a part spends inside the format
 // encoder and sink (WriteScope and Close), accumulating locally so the
-// per-scope cost is two clock reads, no shared state.
+// per-scope cost is two clock reads, no shared state. Config.GeneratePart
+// wraps its writer in one to attribute the part's wall time to the draw
+// and write stages after the fact.
 type timedWriter struct {
 	gformat.Writer
 	elapsed time.Duration
@@ -124,19 +127,4 @@ func (t *timedWriter) Close() error {
 	err := t.Writer.Close()
 	t.elapsed += time.Since(start)
 	return err
-}
-
-// observedSinkFactory wraps each worker's writer in a timedWriter and
-// remembers them so the run can attribute worker wall time to the
-// draw and write stages after the fact.
-func observedSinkFactory(inner SinkFactory, rate *telemetry.RateGauge, timed []*timedWriter) SinkFactory {
-	return func(worker int, r partition.Range) (gformat.Writer, error) {
-		w, err := inner(worker, r)
-		if err != nil {
-			return nil, err
-		}
-		tw := &timedWriter{Writer: w, rate: rate}
-		timed[worker] = tw
-		return tw, nil
-	}
 }

@@ -38,13 +38,13 @@ func TestGenerateObservedCountersMatchStats(t *testing.T) {
 		t.Fatalf("per-format byte counter %d, stats %d", got, st.BytesWritten)
 	}
 
-	// Stage accounting: plan ran once, recvec build once, and the draw
-	// and write stages saw one observation per worker with the full
-	// scope/edge mass.
+	// Stage accounting: plan ran once, and the recvec-build, draw and
+	// write stages saw one observation per worker (each part builds its
+	// own generator in its own goroutine) with the full scope/edge mass.
 	if s := tel.StageSnapshot(StagePlan); s.Calls != 1 || s.Items != 3 {
 		t.Fatalf("plan stage %+v", s)
 	}
-	if s := tel.StageSnapshot(StageRecvecBuild); s.Calls != 1 || s.Items != 3 {
+	if s := tel.StageSnapshot(StageRecvecBuild); s.Calls != 3 || s.Items != 3 {
 		t.Fatalf("recvec stage %+v", s)
 	}
 	if s := tel.StageSnapshot(StageSinkWrite); s.Calls != 3 || s.Items != st.Edges {

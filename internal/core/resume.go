@@ -109,28 +109,19 @@ func SweepTemps(dir string) error {
 	return errors.Join(errs...)
 }
 
-// AtomicFileSinks is FileSinks with crash safety: each part is written
-// to part-<n>.<ext>.tmp and renamed into place only when its writer
-// closes cleanly, so a part file either exists complete or not at all.
-// This is what makes Resume sound.
-func AtomicFileSinks(dir string, format gformat.Format, numVertices int64, first int) SinkFactory {
-	return func(worker int, r partition.Range) (gformat.Writer, error) {
-		return newAtomicWriter(dir, format, numVertices, first+worker, PartSinkOptions{})
-	}
-}
-
-// AtomicPartSinks is AtomicFileSinks for an explicit, possibly
-// non-contiguous set of global part indices: worker i writes part
-// ids[i]. The distributed runtime uses it to regenerate exactly the
-// parts a lease names.
+// AtomicPartSinks is FileSinks with crash safety, for an explicit,
+// possibly non-contiguous set of global part indices: worker i writes
+// part ids[i] to part-<n>.<ext>.tmp and renames it into place only when
+// its writer closes cleanly, so a part file either exists complete or
+// not at all. This is what makes resume sound.
 func AtomicPartSinks(dir string, format gformat.Format, numVertices int64, ids []int) SinkFactory {
-	return AtomicPartSinksOpts(dir, format, numVertices, ids, PartSinkOptions{})
+	return atomicPartSinks(dir, format, numVertices, ids, PartSinkOptions{})
 }
 
-// PartSinkOptions tunes AtomicPartSinksOpts for directories shared by
-// independent writers — the masterless swarm runtime, where several
-// processes may race to publish the same part. The zero value is plain
-// AtomicPartSinks behavior.
+// PartSinkOptions tunes the part executor's atomic sinks (RunParts)
+// for directories shared by independent writers — the masterless swarm
+// runtime, where several processes may race to publish the same part.
+// The zero value is plain AtomicPartSinks behavior.
 type PartSinkOptions struct {
 	// TmpSuffix, when non-empty, is inserted into each temp file name
 	// (part-NNNNN.<ext>.<TmpSuffix>.tmp) so writers in different
@@ -148,8 +139,8 @@ type PartSinkOptions struct {
 	OnDuplicate func(id int)
 }
 
-// AtomicPartSinksOpts is AtomicPartSinks with shared-directory options.
-func AtomicPartSinksOpts(dir string, format gformat.Format, numVertices int64, ids []int, opt PartSinkOptions) SinkFactory {
+// atomicPartSinks is AtomicPartSinks with shared-directory options.
+func atomicPartSinks(dir string, format gformat.Format, numVertices int64, ids []int, opt PartSinkOptions) SinkFactory {
 	return func(worker int, r partition.Range) (gformat.Writer, error) {
 		return newAtomicWriter(dir, format, numVertices, ids[worker], opt)
 	}
@@ -170,24 +161,11 @@ func newAtomicWriter(dir string, format gformat.Format, numVertices int64, idx i
 	if err != nil {
 		return nil, err
 	}
-	var w gformat.Writer
-	switch format {
-	case gformat.TSV:
-		w = gformat.NewTSVWriter(f)
-	case gformat.ADJ6:
-		w = gformat.NewADJ6Writer(f)
-	case gformat.CSR6:
-		cw, err := gformat.NewCSR6Writer(f, numVertices)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return nil, err
-		}
-		w = cw
-	default:
+	w, err := newPartWriter(f, format, numVertices)
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return nil, fmt.Errorf("core: unsupported format %v", format)
+		return nil, err
 	}
 	return &atomicWriter{Writer: w, f: f, tmp: tmp, final: final, onDup: onDup}, nil
 }
@@ -328,28 +306,19 @@ func ReadRunManifest(dir string) (*RunManifest, error) {
 	return &RunManifest{Config: *m.Config, Format: f, Parts: m.Parts}, nil
 }
 
-// fingerprint condenses everything that determines the part file set:
-// the full configuration (Workers normalized out — parts is recorded
-// separately, and it, not Workers, is what fixes the plan) plus format
-// and part count.
-func fingerprint(cfg Config, format gformat.Format, parts int) string {
-	cfg.Workers = 0
-	return fmt.Sprintf("cfg=%+v format=%v parts=%d", cfg, format, parts)
-}
-
 // EnsureRunManifest validates dir against an existing resume manifest
-// or writes one recording (cfg, format, parts). It is the
+// or writes one recording (src, format, parts). It is the
 // shared-directory handshake of the masterless swarm workers: every
 // worker performs it before generating, so two workers pointed at one
 // directory with different configurations fail loudly instead of
 // interleaving parts of two different graphs. Writing is idempotent
 // and race-safe between workers of the *same* job — they serialize the
 // identical bytes, so whichever rename lands last changes nothing.
-func EnsureRunManifest(dir string, cfg Config, format gformat.Format, parts int) error {
-	return checkOrWriteManifest(dir, cfg, format, parts)
+func EnsureRunManifest(dir string, src PartSource, format gformat.Format, parts int) error {
+	return src.EnsureManifest(dir, format, parts)
 }
 
-// EnsureSourceManifest is EnsureRunManifest for a non-Config
+// EnsureSourceManifest is the EnsureManifest of a non-Config
 // PartSource: the manifest's identity is the source's fingerprint
 // (plus format and part count), and source — an opaque JSON spec of
 // the job, recorded verbatim — lets downstream tools recover what the
@@ -389,23 +358,9 @@ func ReadSourceSpec(dir string) (source json.RawMessage, format gformat.Format, 
 	return m.Source, f, m.Parts, nil
 }
 
-// checkOrWriteManifest validates dir against an existing manifest or
-// writes one. Directories from runs predating the manifest resume
-// without validation, as before.
-func checkOrWriteManifest(dir string, cfg Config, format gformat.Format, parts int) error {
-	recorded := cfg
-	recorded.Workers = 0
-	want := resumeManifest{
-		Fingerprint: fingerprint(cfg, format, parts),
-		Parts:       parts,
-		Format:      format.String(),
-		Config:      &recorded,
-	}
-	return ensureManifest(dir, want)
-}
-
 // ensureManifest validates dir against an existing manifest or writes
-// want atomically.
+// want atomically. Directories from runs predating the manifest resume
+// without validation, as before.
 func ensureManifest(dir string, want resumeManifest) error {
 	path := filepath.Join(dir, manifestName)
 	if b, err := os.ReadFile(path); err == nil {
@@ -448,18 +403,4 @@ func ensureManifest(dir string, want resumeManifest) error {
 		return err
 	}
 	return syncDir(dir)
-}
-
-// ResumeToDir generates the graph into dir with atomic part files,
-// skipping every part that already exists complete (each present part
-// is structurally verified, not just stat'ed) — so an interrupted run
-// continues where it stopped, and a finished run is a no-op. The
-// configuration (including Workers, which fixes the partition) must
-// match the original run; a manifest written alongside the parts
-// detects a mismatched resume and fails it instead of mixing two
-// partitions in one directory. The resulting file set is bit-identical
-// to an uninterrupted one. ResumeToDirStore (cache.go) is this plus an
-// artifact store.
-func ResumeToDir(cfg Config, dir string, format gformat.Format) (Stats, error) {
-	return ResumeToDirStore(cfg, dir, format, nil)
 }

@@ -160,7 +160,7 @@ func TestResumeWorkersMismatchDetected(t *testing.T) {
 // clean Close; before that only the .tmp exists.
 func TestAtomicSinkRenameSemantics(t *testing.T) {
 	dir := t.TempDir()
-	factory := AtomicFileSinks(dir, gformat.ADJ6, 1<<8, 5)
+	factory := AtomicPartSinks(dir, gformat.ADJ6, 1<<8, []int{5})
 	w, err := factory(0, partition.Range{Lo: 0, Hi: 256})
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestMissingPartsConcurrentWithAtomicSinks(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 0; i < parts; i++ {
-			sinks := AtomicPartSinksOpts(dir, gformat.ADJ6, cfg.NumVertices(), ids[i:i+1], PartSinkOptions{TmpSuffix: "pub"})
+			sinks := atomicPartSinks(dir, gformat.ADJ6, cfg.NumVertices(), ids[i:i+1], PartSinkOptions{TmpSuffix: "pub"})
 			if _, err := GenerateRanges(cfg, ranges[i:i+1], sinks); err != nil {
 				t.Errorf("publish part %d: %v", i, err)
 				return
@@ -170,10 +170,10 @@ func TestSweepTempsSurfacesErrors(t *testing.T) {
 	}
 }
 
-// TestAtomicPartSinksOptsDuplicateLosesGracefully: with OnDuplicate
+// TestAtomicPartSinkOptionsDuplicateLosesGracefully: with OnDuplicate
 // armed, a writer whose final path is already published discards its
 // temp, reports the loss, and leaves the winner's bytes untouched.
-func TestAtomicPartSinksOptsDuplicateLosesGracefully(t *testing.T) {
+func TestAtomicPartSinkOptionsDuplicateLosesGracefully(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.MasterSeed = 7
 	dir := t.TempDir()
@@ -189,7 +189,7 @@ func TestAtomicPartSinksOptsDuplicateLosesGracefully(t *testing.T) {
 	winner := readFile(t, PartPath(dir, gformat.ADJ6, 0))
 
 	var lost []int
-	sinks := AtomicPartSinksOpts(dir, gformat.ADJ6, cfg.NumVertices(), ids, PartSinkOptions{
+	sinks := atomicPartSinks(dir, gformat.ADJ6, cfg.NumVertices(), ids, PartSinkOptions{
 		TmpSuffix:   "loser",
 		OnDuplicate: func(id int) { lost = append(lost, id) },
 	})
@@ -211,10 +211,10 @@ func TestAtomicPartSinksOptsDuplicateLosesGracefully(t *testing.T) {
 	}
 }
 
-// TestAtomicPartSinksOptsSuffixSeparatesWriters: two writers with
+// TestAtomicPartSinkOptionsSuffixSeparatesWriters: two writers with
 // distinct suffixes publishing the same part never share a temp path,
 // and both temps match the sweepable pattern.
-func TestAtomicPartSinksOptsSuffixSeparatesWriters(t *testing.T) {
+func TestAtomicPartSinkOptionsSuffixSeparatesWriters(t *testing.T) {
 	final := PartPath(t.TempDir(), gformat.ADJ6, 3)
 	a := final + ".aaaa.tmp"
 	b := final + ".bbbb.tmp"

@@ -185,18 +185,9 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.MaxLeaseRanges < 0 {
 		return nil, fmt.Errorf("dist: negative max lease ranges")
 	}
-	var src core.PartSource
-	if cfg.Community != nil {
-		lay, err := community.New(*cfg.Community)
-		if err != nil {
-			return nil, err
-		}
-		src = lay
-	} else {
-		if err := cfg.Config.Validate(); err != nil {
-			return nil, err
-		}
-		src = core.NewConfigSource(cfg.Config)
+	src, err := partSource(cfg.Config, cfg.Community)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.AcceptTimeout == 0 {
 		cfg.AcceptTimeout = 60 * time.Second

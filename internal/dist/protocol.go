@@ -73,6 +73,18 @@ type Job struct {
 	Heartbeat time.Duration
 }
 
+// partSource resolves the part source a job names: the community layout
+// when comm is set — recomputed from the spec, deterministic, so the
+// master and every worker agree on block ids, ranges and store keys
+// without shipping the layout itself — else the classic config, which
+// is its own source.
+func partSource(cfg core.Config, comm *community.Config) (core.PartSource, error) {
+	if comm != nil {
+		return community.New(*comm)
+	}
+	return cfg, cfg.Validate()
+}
+
 // Heartbeat is the worker's liveness-and-progress beacon: it resets
 // the master's per-lease silence deadline.
 type Heartbeat struct {

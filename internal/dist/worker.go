@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/backoff"
-	"repro/internal/community"
 	"repro/internal/core"
 	"repro/internal/faultpoint"
 	"repro/internal/gformat"
@@ -209,37 +208,18 @@ func sessionFault(conn net.Conn, err error) error {
 	return err
 }
 
-// executeLease generates the leased ranges — skipping parts whose
-// files already exist — while a sibling goroutine heartbeats progress
-// to the master.
+// executeLease makes the leased parts exist — skipping parts whose
+// files are already complete in OutDir, then core.RunParts for the rest
+// (store fetch, else generate and ingest) — while a sibling goroutine
+// heartbeats progress to the master.
 func executeLease(job Job, cfg WorkerConfig, conn net.Conn, send func(interface{}) error) (Done, error) {
-	// Rebuild the part source the lease describes. For community jobs
-	// the layout is recomputed from the wire spec — deterministic, so
-	// every worker (and the master) agrees on block ids, ranges and
-	// store keys without shipping the layout itself.
-	var src core.PartSource
-	if job.Community != nil {
-		lay, err := community.New(*job.Community)
-		if err != nil {
-			return Done{}, err
-		}
-		src = lay
-	} else {
-		src = core.NewConfigSource(job.Config)
-	}
-
-	missing, missingIDs := core.MissingParts(cfg.OutDir, job.Format, job.Ranges, job.PartIDs)
-	skipped := len(job.Ranges) - len(missing)
-	cfg.Telemetry.Counter(MetricWorkerSkips).Add(int64(skipped))
-
-	// Consult the artifact store before generating: any range generated
-	// before — by this worker, a previous incarnation, or anyone sharing
-	// the store — is a verified copy instead of a regeneration.
-	missing, missingIDs, fromCache, err := core.FetchPartsFromStore(cfg.Store, src, cfg.OutDir, job.Format, missing, missingIDs)
+	src, err := partSource(job.Config, job.Community)
 	if err != nil {
 		return Done{}, err
 	}
-	cfg.Telemetry.Counter(MetricWorkerCacheHits).Add(int64(fromCache))
+	missing, missingIDs := core.MissingParts(cfg.OutDir, job.Format, job.Ranges, job.PartIDs)
+	skipped := len(job.Ranges) - len(missing)
+	cfg.Telemetry.Counter(MetricWorkerSkips).Add(int64(skipped))
 
 	var scopes atomic.Int64
 	stop := make(chan struct{})
@@ -276,22 +256,13 @@ func executeLease(job Job, cfg WorkerConfig, conn net.Conn, send func(interface{
 		}()
 	}
 
-	var st core.Stats
-	if len(missing) > 0 {
-		// Atomic sinks: a crashed worker leaves only .tmp litter, never
-		// a truncated part file, so a restart can trust what it finds.
-		// IngestingSinks publishes each finished part into the store
-		// (after the atomic rename, before telemetry). ObservedSinks
-		// feeds the per-format byte/edge counters and
-		// GenerateRangesObserved the stage spans, so a worker's
-		// -metrics-addr shows live core-pipeline throughput.
-		sinks := core.ObservedSinks(
-			core.IngestingSinksFor(
-				core.AtomicPartSinks(cfg.OutDir, job.Format, src.NumVertices(), missingIDs),
-				cfg.Store, src, cfg.OutDir, job.Format, missingIDs),
-			job.Format, cfg.Telemetry)
-		st, err = core.GenerateParts(src, missing, missingIDs, progressSinks(sinks, &scopes), cfg.Telemetry)
-	}
+	// Any range generated before — by this worker, a previous
+	// incarnation, or anyone sharing the store — is a verified copy
+	// instead of a regeneration. The registry rides along so a worker's
+	// -metrics-addr shows live core-pipeline throughput.
+	st, err := core.RunParts(src, cfg.OutDir, job.Format, missing, missingIDs, cfg.Store, cfg.Telemetry,
+		core.PartSinkOptions{}, func(sinks core.SinkFactory) core.SinkFactory { return progressSinks(sinks, &scopes) })
+	cfg.Telemetry.Counter(MetricWorkerCacheHits).Add(int64(st.PartsFromCache))
 	close(stop)
 	hb.Wait()
 	if err != nil {
@@ -305,7 +276,7 @@ func executeLease(job Job, cfg WorkerConfig, conn net.Conn, send func(interface{
 		BytesWritten:    st.BytesWritten,
 		GenDuration:     st.GenDuration,
 		Skipped:         skipped,
-		FromCache:       fromCache,
+		FromCache:       st.PartsFromCache,
 		Level:           cfg.level(),
 	}, nil
 }

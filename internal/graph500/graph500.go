@@ -91,6 +91,10 @@ type Result struct {
 	Sim *cluster.Sim
 	// PeakMachineBytes is the largest tracked per-machine working set.
 	PeakMachineBytes int64
+	// OwnedEdges is the number of edge-list entries the shuffle routed to
+	// each worker (its inbox) — the counted-work view of ownership
+	// balance, independent of how long any task took.
+	OwnedEdges []int64
 }
 
 // ConstructionRatio returns the fraction of simulated time spent in
@@ -211,6 +215,10 @@ func Run(cfg Config, masterSeed uint64, emitCSR func(src int64, dsts []int64) er
 	}
 	if err := sim.AddTransfer("shuffle", traffic); err != nil {
 		return res, err
+	}
+	res.OwnedEdges = make([]int64, workers)
+	for o, buf := range inbox {
+		res.OwnedEdges[o] = int64(len(buf))
 	}
 
 	// Construction: per worker, sort the inbox into a CSR image. The

@@ -142,7 +142,14 @@ func TestSchedulerFairnessThreeTenants(t *testing.T) {
 
 // TestSchedulerFairnessThreeToOne is the acceptance-criteria check: two
 // tenants at weights 3:1, identical saturating workloads, completed
-// edge counts converge to 3:1 within ±10%.
+// edge counts converge to 3:1 within ±10%. It counts grants from a
+// single-dispatcher sequence rather than racing goroutines against a
+// deadline: both tenants keep a standing backlog of parked Acquires,
+// and the test alone decides when a slot frees — it takes one grant,
+// restores that tenant's backlog, and only then releases — so every
+// dispatch sees the same queue whatever the machine load, and the
+// totals are a function of the scheduler, not of the goroutine
+// scheduler. (The three-tenant test above stays the racing stress test.)
 func TestSchedulerFairnessThreeToOne(t *testing.T) {
 	s := New(Config{
 		Slots: 2,
@@ -151,7 +158,65 @@ func TestSchedulerFairnessThreeToOne(t *testing.T) {
 			"bronze": {Weight: 1, QueueTTL: -1},
 		},
 	})
-	got := runFairness(t, s, []string{"gold", "bronze"}, 100, 60_000)
+	const backlog, cost, grants = 4, 100, 400
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() { cancel(); wg.Wait() }()
+
+	granted := make(chan *Grant)
+	queued := func(tenant string) int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if ts, ok := s.tenants[tenant]; ok {
+			return ts.queued
+		}
+		return 0
+	}
+	// park adds one waiter to tenant's queue and returns once it is
+	// queued; its grant, when dispatched, arrives on granted.
+	park := func(tenant string) {
+		want := queued(tenant) + 1
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := s.Acquire(ctx, Request{Tenant: tenant, Class: Batch, Cost: cost})
+			if err != nil {
+				return // canceled at teardown
+			}
+			select {
+			case granted <- g:
+			case <-ctx.Done():
+				g.Release()
+			}
+		}()
+		waitFor(t, func() bool { return queued(tenant) == want })
+	}
+
+	// Hold every slot while the backlogs build, so the first dispatch
+	// already chooses between two saturated tenants.
+	var plugs []*Grant
+	for i := 0; i < s.Slots(); i++ {
+		g, err := s.Acquire(ctx, Request{Tenant: "plug", Cost: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plugs = append(plugs, g)
+	}
+	for i := 0; i < backlog; i++ {
+		park("gold")
+		park("bronze")
+	}
+	for _, g := range plugs {
+		g.Release()
+	}
+
+	got := map[string]int64{}
+	for i := 0; i < grants; i++ {
+		g := <-granted
+		got[g.Tenant()] += cost
+		park(g.Tenant())
+		g.Release()
+	}
 	if got["bronze"] == 0 {
 		t.Fatal("bronze tenant starved")
 	}

@@ -9,8 +9,8 @@
 //
 // Everything a worker needs it derives locally:
 //
-//   - The part plan. core.Plan(cfg, parts) is deterministic, so every
-//     worker computes the identical partition from (Config, Parts).
+//   - The part plan. PartSource.Plan(parts) is deterministic, so every
+//     worker computes the identical partition from (source, Parts).
 //   - Its schedule. Each epoch has a pseudorandom permutation of the
 //     part indices seeded from (job fingerprint, epoch) — identical on
 //     every worker — rotated to a private starting offset derived from
@@ -184,23 +184,16 @@ func epochOrder(seed, workerID uint64, epoch, parts int) []int {
 	return rot
 }
 
-// Run executes one masterless swarm worker for a classic Config job.
-// It is RunJob over the Config's PartSource adapter — plan, bytes and
-// store keys are identical to every pre-existing path.
-func Run(job core.Config, dir string, format gformat.Format, opts Options) (Summary, error) {
-	return RunJob(core.NewConfigSource(job), dir, format, opts)
-}
-
-// RunJob executes one masterless swarm worker for any core.PartSource
-// — the classic Config partition or a community layout, whose blocks
-// become the claimable parts: it derives the plan and its schedules
-// locally, claims parts until a completion scan finds none missing,
-// and returns its share of the run. Any number of invocations — in one
-// process or many, started together or hours apart — pointed at the
-// same shared dir (and optionally the same store) cooperate on one job
-// and converge on the identical file set a single-process batch run
-// produces.
-func RunJob(src core.PartSource, dir string, format gformat.Format, opts Options) (Summary, error) {
+// Run executes one masterless swarm worker for any core.PartSource —
+// a classic core.Config with its degree-balanced partition, or a
+// community layout, whose blocks become the claimable parts: it derives
+// the plan and its schedules locally, claims parts until a completion
+// scan finds none missing, and returns its share of the run. Any number
+// of invocations — in one process or many, started together or hours
+// apart — pointed at the same shared dir (and optionally the same
+// store) cooperate on one job and converge on the identical file set a
+// single-process batch run produces.
+func Run(src core.PartSource, dir string, format gformat.Format, opts Options) (Summary, error) {
 	if opts.Parts < 1 {
 		return Summary{}, fmt.Errorf("swarm: Parts must be pinned (> 0): with no master to gate registration, the plan must not depend on who shows up")
 	}
@@ -398,31 +391,25 @@ func (w *worker) claim(id int, r partition.Range) (collided bool, err error) {
 		w.tel.Counter(MetricPartsSkipped).Inc()
 		return true, nil
 	}
-	if w.opts.Store != nil {
-		if _, ok, err := w.opts.Store.Retrieve(w.src.PartKey(w.format, id, r), final); err != nil {
-			return false, err
-		} else if ok {
-			w.fromCache.Add(1)
-			w.tel.Counter(MetricStoreHits).Inc()
-			return false, nil
-		}
-	}
-
-	ids := []int{id}
+	// The part executor fetches from the store or generates, publishing
+	// with first-writer-wins. Ingest sits outside the atomic sink (the
+	// final file must exist before the store reads it); a lost claim
+	// ingests the winner's identical bytes, and Store.IngestFile is
+	// idempotent, so the order of winners and losers cannot corrupt the
+	// store.
 	var lostRace atomic.Bool
-	sinks := core.AtomicPartSinksOpts(w.dir, w.format, w.src.NumVertices(), ids, core.PartSinkOptions{
-		TmpSuffix:   w.tmpSuffix,
-		OnDuplicate: func(int) { lostRace.Store(true) },
-	})
-	// Ingest outside the atomic sink (the final file must exist before
-	// the store reads it); a lost claim ingests the winner's identical
-	// bytes, and Store.IngestFile is idempotent, so the order of
-	// winners and losers cannot corrupt the store.
-	sinks = core.IngestingSinksFor(sinks, w.opts.Store, w.src, w.dir, w.format, ids)
-	sinks = core.ObservedSinks(sinks, w.format, w.tel)
-	st, err := w.src.GeneratePart(id, r, sinks, w.tel)
+	st, err := core.RunParts(w.src, w.dir, w.format, []partition.Range{r}, []int{id}, w.opts.Store, w.tel,
+		core.PartSinkOptions{
+			TmpSuffix:   w.tmpSuffix,
+			OnDuplicate: func(int) { lostRace.Store(true) },
+		}, nil)
 	if err != nil {
 		return false, err
+	}
+	if st.PartsFromCache > 0 {
+		w.fromCache.Add(1)
+		w.tel.Counter(MetricStoreHits).Inc()
+		return false, nil
 	}
 	w.edges.Add(st.Edges)
 	w.bytes.Add(st.BytesWritten)

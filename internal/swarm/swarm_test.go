@@ -289,10 +289,10 @@ func TestRunThreeWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunJobCommunityBlocksBitIdentical: a community layout's blocks
+// TestRunCommunityBlocksBitIdentical: a community layout's blocks
 // are the swarm's claimable parts, and two cooperating workers
 // converge on the byte-exact file set of a single-process batch run.
-func TestRunJobCommunityBlocksBitIdentical(t *testing.T) {
+func TestRunCommunityBlocksBitIdentical(t *testing.T) {
 	lay, err := community.New(community.Config{
 		Sizes:      []int64{8, 5, 8},
 		Mixing:     [][]float64{{4, 1, 0}, {1, 2, 1}, {0, 1, 3}},
@@ -319,7 +319,7 @@ func TestRunJobCommunityBlocksBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sums[i], errs[i] = RunJob(lay, dir, gformat.ADJ6, Options{
+			sums[i], errs[i] = Run(lay, dir, gformat.ADJ6, Options{
 				Parts:        parts,
 				WorkerID:     uint64(i + 1),
 				ScanInterval: 20 * time.Millisecond,
@@ -336,11 +336,11 @@ func TestRunJobCommunityBlocksBitIdentical(t *testing.T) {
 	assertNoTempLitter(t, dir)
 }
 
-// TestRunJobCommunitySharesStoreWithBatch: parts a batch run ingested
+// TestRunCommunitySharesStoreWithBatch: parts a batch run ingested
 // into the artifact store are claimed from the cache by a later swarm
 // run of the identical spec — the store key fingerprints the layout,
 // not the execution mode.
-func TestRunJobCommunitySharesStoreWithBatch(t *testing.T) {
+func TestRunCommunitySharesStoreWithBatch(t *testing.T) {
 	spec := community.Config{
 		Sizes:      []int64{8, 5},
 		Mixing:     [][]float64{{4, 1}, {1, 2}},
@@ -366,7 +366,7 @@ func TestRunJobCommunitySharesStoreWithBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	swarmDir := t.TempDir()
-	sum, err := RunJob(lay2, swarmDir, gformat.ADJ6, Options{
+	sum, err := Run(lay2, swarmDir, gformat.ADJ6, Options{
 		Parts:        lay2.NumBlocks(),
 		ScanInterval: 20 * time.Millisecond,
 		Store:        st,
