@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	dir, err := os.MkdirTemp("", "trilliong-bench-*")
+	dir, err := os.MkdirTemp("", "trilliong-example-*")
 	if err != nil {
 		log.Fatal(err)
 	}

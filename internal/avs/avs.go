@@ -11,7 +11,6 @@ package avs
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/memacct"
@@ -37,10 +36,6 @@ type Config struct {
 	// HighPrecision switches RecVec arithmetic to math/big.Float
 	// (the paper's BigDecimal mode, Section 5).
 	HighPrecision bool
-	// MaxScopeFactor caps a sampled scope size at MaxScopeFactor times
-	// the scope's expectation (0 means no cap beyond |V|). TrillionG
-	// does not need it; it exists for fault-injection tests.
-	MaxScopeFactor float64
 	// AllowDuplicates skips in-scope duplicate elimination, emitting raw
 	// stochastic trials like the Graph500 edge-list generator. The
 	// paper's criticism of such lists ("a huge number of repeated
@@ -87,7 +82,7 @@ type Generator struct {
 	// vec and set are the worker's reusable recursive vector (Idea#1
 	// taken across scopes) and in-scope duplicate filter.
 	vec recvec.Vector
-	set dedupSet
+	set DedupSet
 }
 
 // New returns a scope generator. acct may be nil.
@@ -133,11 +128,6 @@ func (g *Generator) ScopeSize(u int64, src *rng.Source) int64 {
 	d := src.Binomial(g.cfg.NumEdges, p)
 	if nv := g.cfg.NumVertices(); d > nv {
 		d = nv
-	}
-	if g.cfg.MaxScopeFactor > 0 {
-		if lim := int64(math.Ceil(g.cfg.MaxScopeFactor * float64(g.cfg.NumEdges) * p)); d > lim {
-			d = lim
-		}
 	}
 	return d
 }
@@ -205,7 +195,7 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		opts := cfg.Opts
 		rebuild := !opts.ReuseVector && big == nil
 		vec, set := &g.vec, &g.set
-		set.begin(size, nv, !cfg.AllowDuplicates)
+		set.Begin(size, nv, !cfg.AllowDuplicates)
 		dsts, attempts, limit := res.Dsts, int64(0), maxAttempts(size)
 		for int64(len(dsts)) < size && attempts < limit {
 			if rebuild {
@@ -219,7 +209,7 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 				dst = vec.DetermineOpt(x, src, opts)
 			}
 			attempts++
-			if set.insert(dst) {
+			if set.Insert(dst) {
 				dsts = append(dsts, dst)
 			}
 		}

@@ -343,9 +343,9 @@ func TestMemoryAccountingIsScopeLocal(t *testing.T) {
 
 // TestDedupSetTiers: every tier answers membership like a Go map, also
 // when reused for a second scope (stale entries must not leak through
-// begin).
+// Begin).
 func TestDedupSetTiers(t *testing.T) {
-	var s dedupSet
+	var s DedupSet
 	src := rng.New(5)
 	for _, tc := range []struct {
 		size, nv int64
@@ -359,22 +359,22 @@ func TestDedupSetTiers(t *testing.T) {
 		{1, 2, tierBitmap},
 	} {
 		for round := 0; round < 2; round++ {
-			s.begin(tc.size, tc.nv, true)
+			s.Begin(tc.size, tc.nv, true)
 			if s.tier != tc.want {
 				t.Fatalf("size %d of %d: tier %d, want %d", tc.size, tc.nv, s.tier, tc.want)
 			}
 			seen := make(map[int64]bool)
 			for int64(len(seen)) < tc.size {
 				v := src.Int63n(tc.nv)
-				if fresh := s.insert(v); fresh == seen[v] {
+				if fresh := s.Insert(v); fresh == seen[v] {
 					t.Fatalf("size %d of %d: insert(%d) = %v, seen before = %v", tc.size, tc.nv, v, fresh, seen[v])
 				}
 				seen[v] = true
 			}
 		}
 	}
-	s.begin(10, 1<<20, false)
-	if !s.insert(7) || !s.insert(7) {
+	s.Begin(10, 1<<20, false)
+	if !s.Insert(7) || !s.Insert(7) {
 		t.Fatal("tierNone rejected a repeat")
 	}
 }

@@ -2,9 +2,10 @@ package avs
 
 import "math/bits"
 
-// dedupSet is the in-scope duplicate filter. A scope's size is known
-// before its first draw, so begin picks the structure up front and no
-// scope ever migrates between them:
+// DedupSet is the in-scope duplicate filter of both scope loops,
+// ScopeWithSize here and erv.Scope. A scope's size is known before its
+// first draw, so Begin picks the structure up front and no scope ever
+// migrates between them:
 //
 //   - a bitmap of |V| bits when |V| ≤ 64·size, i.e. when it is no larger
 //     than the 8·size bytes of destinations themselves (hub rows);
@@ -17,7 +18,7 @@ import "math/bits"
 // bits — O(d_max) either way. Membership answers are all the set
 // contributes, so its layout cannot influence the generated graph.
 // BenchmarkDedup sets both against a Go map and a sorted slice.
-type dedupSet struct {
+type DedupSet struct {
 	tier  dedupTier
 	words []uint64 // bitmap tier
 	table []int64  // table tier, len a power of two
@@ -33,10 +34,10 @@ const (
 	tierTable
 )
 
-// begin empties the set and sizes it for a scope of up to size ≥ 1
+// Begin empties the set and sizes it for a scope of up to size ≥ 1
 // distinct destinations drawn from [0, nv). dedup false selects
 // tierNone.
-func (s *dedupSet) begin(size, nv int64, dedup bool) {
+func (s *DedupSet) Begin(size, nv int64, dedup bool) {
 	switch {
 	case !dedup:
 		s.tier = tierNone
@@ -61,8 +62,8 @@ func (s *dedupSet) begin(size, nv int64, dedup bool) {
 	}
 }
 
-// insert returns false if v was already present.
-func (s *dedupSet) insert(v int64) bool {
+// Insert returns false if v was already present.
+func (s *DedupSet) Insert(v int64) bool {
 	switch s.tier {
 	case tierBitmap:
 		w, bit := &s.words[v>>6], uint64(1)<<(uint(v)&63)

@@ -3,7 +3,7 @@ package avs
 // Benchmarks of the in-scope dedup structures (DESIGN.md §5), each
 // filling one scope of `degree` distinct destinations of a 2^18-vertex
 // graph with reused storage, as a warmed-up worker does: the two tiers
-// of dedupSet against a Go map and against the sorted slice that used
+// of DedupSet against a Go map and against the sorted slice that used
 // to serve sizes ≤ 48. Run with `go test -bench=Dedup ./internal/avs/`.
 
 import (
@@ -52,11 +52,11 @@ func BenchmarkDedup(b *testing.B) {
 			{"bitmap", nv / 64, nv},
 		} {
 			b.Run(fmt.Sprintf("%s/degree=%d", tc.name, degree), func(b *testing.B) {
-				var s dedupSet
+				var s DedupSet
 				for i := 0; i < b.N; i++ {
-					s.begin(tc.size, tc.nv, true)
+					s.Begin(tc.size, tc.nv, true)
 					for _, v := range vals {
-						if s.insert(v) {
+						if s.Insert(v) {
 							sink++
 						}
 					}

@@ -13,7 +13,10 @@
 // graph is therefore a pure function of its Config — bit-identical
 // across worker counts, machines, claim orders, and execution modes —
 // and a block is the natural work unit: one part file, one store
-// artifact, one dist lease, one swarm claim.
+// artifact, one dist lease, one swarm claim. Each block run builds its
+// own scope generator, because both engines' Scope reuse per-generator
+// state (avs: recursive vector and dedup set; erv: dedup set) and are
+// not safe for concurrent use.
 //
 // Layout implements core.PartSource, which is what plugs the
 // composition into the batch, distributed and masterless runtimes at

@@ -2,7 +2,9 @@ package community
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
@@ -382,5 +384,49 @@ func TestTelemetryCounters(t *testing.T) {
 	intra, inter := tel.CounterValue(MetricIntraEdges), tel.CounterValue(MetricInterEdges)
 	if intra <= 0 || inter <= 0 || intra+inter != st.Edges {
 		t.Fatalf("intra %d + inter %d != generated %d", intra, inter, st.Edges)
+	}
+}
+
+// TestGoldenERVStreamBytes pins whole-stream bytes of an all-ERV layout
+// (no community size is a power of two, so every block takes the
+// rectangle path; Noise is set and must not reach it). The digests were
+// generated at PR 17's parent. The sizes put hub rows on the dedup
+// set's bitmap tier (3000 ≤ 64·size), tail rows on its table tier, and
+// the dense 37×37 block on the attempt cap.
+func TestGoldenERVStreamBytes(t *testing.T) {
+	lay := mustLayout(t, Config{
+		Sizes:      []int64{3000, 1000, 37},
+		Mixing:     [][]float64{{6, 2, 1}, {2, 3, 1}, {1, 1, 0.6}},
+		Edges:      40000,
+		Noise:      0.1,
+		MasterSeed: 11,
+	})
+	for _, b := range lay.Blocks() {
+		if s, err := lay.newScoper(b); err != nil {
+			t.Fatal(err)
+		} else if _, ok := s.(ervScoper); !ok {
+			t.Fatalf("block (%d,%d) is not on the ERV path", b.SrcComm, b.DstComm)
+		}
+	}
+	for _, tc := range []struct {
+		format gformat.Format
+		open   func(*bytes.Buffer) gformat.Writer
+		want   string
+	}{
+		{gformat.TSV, func(b *bytes.Buffer) gformat.Writer { return gformat.NewTSVWriter(b) }, "5ff1e35a3e1bc7015beb9c2820f310bc3de7af8cef568ea81b595060091dc6ca"},
+		{gformat.ADJ6, func(b *bytes.Buffer) gformat.Writer { return gformat.NewADJ6Writer(b) }, "7c744f332d36d73cda6bedaa2e18d843a026f0308a16228f694778b8a4c3cdc5"},
+	} {
+		var buf bytes.Buffer
+		w := tc.open(&buf)
+		st, err := lay.GenerateStream(w, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+			t.Errorf("%v: sha256 %s (%d edges, %d bytes), want %s", tc.format, got, st.Edges, buf.Len(), tc.want)
+		}
 	}
 }

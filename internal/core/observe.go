@@ -9,7 +9,7 @@ import (
 )
 
 // Stage and metric names the core pipeline publishes when a run is
-// observed. Consumers (trilliong-bench, the dist worker, dashboards)
+// observed. Consumers (bench/, the dist worker, dashboards)
 // key off these; docs/OBSERVABILITY.md is the catalog.
 const (
 	// StagePlan is the Figure 6 partition planning stage.

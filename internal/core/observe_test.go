@@ -10,7 +10,7 @@ import (
 
 // TestGenerateObservedCountersMatchStats: the registry's totals must
 // agree exactly with the Stats the run returns — the property that
-// lets trilliong-bench report from the registry alone.
+// lets a consumer report from the registry alone.
 func TestGenerateObservedCountersMatchStats(t *testing.T) {
 	tel := telemetry.NewRegistry()
 	cfg := DefaultConfig(10)

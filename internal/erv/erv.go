@@ -13,6 +13,12 @@
 //   - Gaussian with mean |E|/|V|: the uniform seed;
 //   - Uniform over [min, max]: drawn directly (the case the paper
 //     notes is trivial and omits).
+//
+// A scope here is the AVS scope procedure over a rectangle, and it
+// filters in-scope duplicates through the same avs.DedupSet, held by
+// the Generator and reused from scope to scope (O(d_max) working
+// memory, no allocation per scope). So a Generator's Scope and Generate
+// are not safe for concurrent use: one Generator per goroutine.
 package erv
 
 import (
@@ -20,6 +26,7 @@ import (
 	"math"
 
 	"repro/internal/alias"
+	"repro/internal/avs"
 	"repro/internal/recvec"
 	"repro/internal/rng"
 	"repro/internal/skg"
@@ -246,7 +253,9 @@ func prefixRowMass(a, b float64, n int64, levels int) float64 {
 	return sum
 }
 
-// Generator produces one ERV edge collection.
+// Generator produces one ERV edge collection. Scope and Generate reuse
+// its dedup set (one Generator per goroutine); ScopeSize and the
+// probability accessors only read what New filled.
 type Generator struct {
 	cfg       Config
 	srcLevels int
@@ -265,6 +274,8 @@ type Generator struct {
 	// outAlias samples empirical out-degrees (index = degree); inAlias
 	// samples empirical destination buckets spread over [0, NumDst).
 	outAlias, inAlias *alias.Table
+	// set is the in-scope duplicate filter, reused across Scope calls.
+	set avs.DedupSet
 }
 
 // New validates cfg and precomputes the shared vectors.
@@ -414,6 +425,9 @@ func (g *Generator) drawDst(src *rng.Source) int64 {
 
 // Scope generates source u's destinations (deduplicated unless
 // AllowDuplicates). Destinations use range-local IDs [0, NumDst).
+// Rejection sampling stops after 64·size+1024 attempts, the cap of
+// avs.ScopeWithSize, so a near-full row comes back short rather than
+// looping; the cap is part of the stream.
 func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 	size := g.ScopeSize(u, src)
 	out := buf[:0]
@@ -426,16 +440,13 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 		}
 		return out
 	}
-	seen := make(map[int64]struct{}, size)
+	g.set.Begin(size, g.cfg.NumDst, true)
 	attempts := int64(0)
 	for int64(len(out)) < size && attempts < 64*size+1024 {
 		attempts++
-		v := g.drawDst(src)
-		if _, dup := seen[v]; dup {
-			continue
+		if v := g.drawDst(src); g.set.Insert(v) {
+			out = append(out, v)
 		}
-		seen[v] = struct{}{}
-		out = append(out, v)
 	}
 	return out
 }
@@ -445,9 +456,10 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 func (g *Generator) Generate(masterSeed uint64, emit func(src int64, dsts []int64) error) (int64, error) {
 	var total int64
 	var buf []int64
+	var src rng.Source // reseeded per scope: no allocation per vertex
 	for u := int64(0); u < g.cfg.NumSrc; u++ {
-		src := rng.NewScoped(masterSeed, uint64(u))
-		dsts := g.Scope(u, src, buf)
+		src.Reseed(masterSeed, uint64(u))
+		dsts := g.Scope(u, &src, buf)
 		buf = dsts
 		total += int64(len(dsts))
 		if emit != nil && len(dsts) > 0 {

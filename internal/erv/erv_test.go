@@ -389,6 +389,38 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// TestScopeSteadyStateAllocs is the twin of avs's test of the same
+// name: with a reused buffer and a reseeded Source, a warmed-up
+// generator draws scopes without touching the heap. NumDst 5000 puts
+// hub rows on the dedup set's bitmap tier and tail rows on its table.
+func TestScopeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	g, err := New(Config{
+		NumSrc: 256, NumDst: 5000, NumEdges: 20000,
+		OutDist: Dist{Kind: Zipfian, Slope: -1.5},
+		InDist:  Dist{Kind: Zipfian, Slope: -1.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		src rng.Source
+		buf []int64
+	)
+	pass := func() {
+		for u := int64(0); u < 256; u++ {
+			src.Reseed(77, uint64(u))
+			buf = g.Scope(u, &src, buf)
+		}
+	}
+	pass() // warm-up: grows buf and the dedup storage
+	if n := testing.AllocsPerRun(5, pass); n != 0 {
+		t.Errorf("%v allocations per 256 steady-state scopes, want 0", n)
+	}
+}
+
 func TestScopeSizeOutOfRange(t *testing.T) {
 	g, err := New(Config{
 		NumSrc: 10, NumDst: 10, NumEdges: 100,

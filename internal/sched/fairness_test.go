@@ -224,6 +224,26 @@ func TestSchedulerFairnessThreeToOne(t *testing.T) {
 	if ratio < 3*0.90 || ratio > 3*1.10 {
 		t.Errorf("completed-edges ratio gold/bronze = %.3f, want 3.0 ±10%% (totals %v)", ratio, got)
 	}
+
+	// Every grant is dispatched from the queue, an immediate one
+	// included, and each dispatch observes one wait: the plugs, the
+	// grants received above, and the Slots more that the last releases
+	// dispatched (Release dispatches under the lock) and nobody took.
+	tel := s.Telemetry()
+	dispatched := int64(len(plugs) + grants + s.Slots())
+	if n := tel.Counter(MetricGranted).Value(); n != dispatched {
+		t.Fatalf("%s = %d, want %d", MetricGranted, n, dispatched)
+	}
+	if n := tel.Histogram(MetricWaitSeconds).Count(); n != dispatched {
+		t.Errorf("%s holds %d observations, want one per dispatch (%d)", MetricWaitSeconds, n, dispatched)
+	}
+	var byClass int64
+	for c := Class(0); c < numClasses; c++ {
+		byClass += tel.Histogram(MetricWaitSeconds + "." + c.String()).Count()
+	}
+	if byClass != dispatched {
+		t.Errorf("per-class wait histograms sum to %d, want %d", byClass, dispatched)
+	}
 }
 
 // TestSchedulerBackgroundNotStarved: under constant interactive load a

@@ -215,9 +215,6 @@ func (s *Server) setRetryAfterForPressure(w http.ResponseWriter) {
 // Status, list and metrics endpoints stay available.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown drains the server gracefully: it rejects new work and waits
 // for in-flight streams to finish, or until ctx expires — then every
 // remaining job is cancelled and Shutdown returns ctx's error.

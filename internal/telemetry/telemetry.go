@@ -73,13 +73,6 @@ func register[T any](r *Registry, name string, mk func() T) T {
 	return m
 }
 
-// Names returns the registered metric names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.names...)
-}
-
 // get returns the metric registered under name, or nil.
 func (r *Registry) get(name string) any {
 	r.mu.RLock()
@@ -490,21 +483,6 @@ func (r *Registry) StageSnapshot(name string) StageSnapshot {
 		return s.Snapshot()
 	}
 	return StageSnapshot{}
-}
-
-// Stages returns the snapshots of every registered stage, keyed by
-// name — what trilliong-bench embeds in its report.
-func (r *Registry) Stages() map[string]StageSnapshot {
-	r.mu.RLock()
-	names := append([]string(nil), r.names...)
-	r.mu.RUnlock()
-	out := make(map[string]StageSnapshot)
-	for _, name := range names {
-		if s, ok := r.get(name).(*Stage); ok {
-			out[name] = s.Snapshot()
-		}
-	}
-	return out
 }
 
 // sortedNames returns the registered names sorted lexically (the

@@ -205,9 +205,8 @@ func TestStageSpans(t *testing.T) {
 	if want := float64(s.Items) / s.Seconds; math.Abs(s.ItemsPerSec-want) > 1e-9 {
 		t.Fatalf("items/sec %v, want %v", s.ItemsPerSec, want)
 	}
-	all := r.Stages()
-	if _, ok := all["core.scope_draw"]; !ok || len(all) != 1 {
-		t.Fatalf("stages map %v", all)
+	if got := r.StageSnapshot("core.scope_draw"); got.Calls != s.Calls || got.Items != s.Items {
+		t.Fatalf("registry snapshot %+v, stage snapshot %+v", got, s)
 	}
 	if r.StageSnapshot("missing").Calls != 0 {
 		t.Fatal("missing stage should snapshot zero")

@@ -389,9 +389,6 @@ func (m *Model) ExpectedInHist() stats.Hist { return m.inE.hist() }
 // out-degree ≥ d.
 func (m *Model) ExpectedOutCCDF(d int64) float64 { return m.outE.at(d) }
 
-// ExpectedInCCDF is the in-axis analogue.
-func (m *Model) ExpectedInCCDF(d int64) float64 { return m.inE.at(d) }
-
 // PredictedOutOscillation is the stats.Oscillation score of the
 // expected out-degree distribution.
 func (m *Model) PredictedOutOscillation() float64 { return m.outE.oscillation() }
