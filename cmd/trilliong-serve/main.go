@@ -48,7 +48,6 @@ type options struct {
 	maxJobs        int
 	maxWorkers     int
 	maxScale       int
-	depth          int
 	drainTimeout   time.Duration
 	pprof          bool
 	storeDir       string
@@ -74,9 +73,8 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.maxStreams, "max-streams", 4, "concurrently streaming jobs (scheduler slots)")
 	fs.IntVar(&o.maxJobs, "max-jobs", 1024, "job registry capacity")
-	fs.IntVar(&o.maxWorkers, "max-workers", 0, "producer goroutines per job (0 = GOMAXPROCS)")
+	fs.IntVar(&o.maxWorkers, "max-workers", 0, "parts generated concurrently per job (0 = GOMAXPROCS)")
 	fs.IntVar(&o.maxScale, "max-scale", 34, "largest accepted scale")
-	fs.IntVar(&o.depth, "depth", 32, "per-producer pipeline depth (scopes)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "graceful shutdown bound")
 	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	fs.StringVar(&o.storeDir, "store-dir", "", "artifact store directory: cache streamed artifacts, enable /download")
@@ -157,7 +155,6 @@ func (o *options) newService() (*trilliong.Server, error) {
 		MaxJobs:          o.maxJobs,
 		MaxWorkersPerJob: o.maxWorkers,
 		MaxScale:         o.maxScale,
-		PipelineDepth:    o.depth,
 		EnablePprof:      o.pprof,
 		Tenants:          tenants,
 		TenantDefaults:   defaults,

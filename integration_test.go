@@ -5,6 +5,7 @@ package trilliong
 // API entry point.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gformat"
+	"repro/internal/partition"
 	"repro/internal/store"
 	"repro/internal/swarm"
 )
@@ -279,11 +281,12 @@ func partHashes(t *testing.T, dirs ...string) map[string]string {
 }
 
 // TestPartExecutorConformance proves the one part executor
-// (core.ResumeParts / core.RunParts) once for both PartSources, through
-// every runtime that calls it: whichever way a job's parts come to
-// exist — generated cold, found on disk, fetched from a warm store,
-// leased from a master, claimed by a swarm — the per-part bytes are
-// identical and the cache/skip accounting is what the path implies.
+// (core.ResumeParts / core.RunParts / core.StreamParts) once for both
+// PartSources, through every runtime that calls it: whichever way a
+// job's parts come to exist — generated cold, found on disk, fetched
+// from a warm store, leased from a master, claimed by a swarm, streamed
+// in order into one writer — the per-part bytes are identical and the
+// cache/skip accounting is what the path implies.
 func TestPartExecutorConformance(t *testing.T) {
 	const format = gformat.ADJ6
 	classic := core.DefaultConfig(11)
@@ -350,6 +353,49 @@ func TestPartExecutorConformance(t *testing.T) {
 			}
 			want = partHashes(t, cold)
 			same("cold", cold)
+
+			// Streamed: the same parts in order through one writer are the
+			// part files concatenated, at any worker count.
+			ranges, ids, err := tc.src.Plan(tc.parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := func(row string, ranges []partition.Range, ids, files []int) {
+				t.Helper()
+				batch := sha256.New()
+				for _, id := range files {
+					b, err := os.ReadFile(core.PartPath(cold, format, id))
+					if err != nil {
+						t.Fatal(err)
+					}
+					batch.Write(b)
+				}
+				for _, workers := range []int{1, 3} {
+					i := 0
+					next := func() (int, partition.Range, bool) {
+						if i == len(ids) {
+							return 0, partition.Range{}, false
+						}
+						i++
+						return ids[i-1], ranges[i-1], true
+					}
+					streamed := sha256.New()
+					if _, err := core.StreamParts(context.Background(), tc.src, format, next, workers, streamed, nil); err != nil {
+						t.Fatalf("%s workers %d: %v", row, workers, err)
+					}
+					if got, want := hex.EncodeToString(streamed.Sum(nil)), hex.EncodeToString(batch.Sum(nil)); got != want {
+						t.Errorf("%s workers %d: sha256 %s, want the part files' %s", row, workers, got, want)
+					}
+				}
+			}
+			stream("stream", ranges, ids, ids)
+			if _, ok := tc.src.(core.Config); ok {
+				// A classic sub-range is any cut of it: parts 1 and 2, split
+				// off the plan's boundary.
+				cut := ranges[1].Lo + 5
+				stream("stream sub-range", []partition.Range{{Lo: ranges[1].Lo, Hi: cut}, {Lo: cut, Hi: ranges[2].Hi}},
+					[]int{0, 1}, []int{1, 2})
+			}
 
 			// Same directory again: every part is verified present and
 			// skipped — nothing generated, nothing fetched.

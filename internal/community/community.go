@@ -31,7 +31,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/avs"
 	"repro/internal/core"
@@ -205,6 +204,11 @@ func New(cfg Config) (*Layout, error) {
 		if c.MinSize < 1 || c.MaxSize < c.MinSize || c.MaxSize > maxCommunitySize {
 			return nil, fmt.Errorf("community: size bounds [%d, %d] invalid", c.MinSize, c.MaxSize)
 		}
+		// Checked before sampling so the spec's own mixing matrix, not a
+		// bare count, bounds what a spec can make this allocate.
+		if len(c.Mixing) != c.Communities {
+			return nil, fmt.Errorf("community: mixing matrix is %d×?, need %d×%d", len(c.Mixing), c.Communities, c.Communities)
+		}
 		c.Sizes = sampleSizes(c.Communities, c.MinSize, c.MaxSize, c.SizeExponent, c.MasterSeed)
 	}
 	k := len(c.Sizes)
@@ -244,8 +248,16 @@ func New(cfg Config) (*Layout, error) {
 	if mass <= 0 {
 		return nil, fmt.Errorf("community: mixing matrix is all zero")
 	}
+	if math.IsInf(mass, 0) {
+		// Every share would round to zero and splitBudget would hand the
+		// budget out one edge at a time.
+		return nil, fmt.Errorf("community: mixing weights overflow when summed")
+	}
 
 	if c.Edges == 0 {
+		if c.EdgeFactor > math.MaxInt64/offsets[k] {
+			return nil, fmt.Errorf("community: edge factor %d over %d vertices overflows the edge budget", c.EdgeFactor, offsets[k])
+		}
 		c.Edges = c.EdgeFactor * offsets[k]
 	}
 	if c.Edges < 1 {
@@ -468,27 +480,6 @@ func (l *Layout) EnsureManifest(dir string, format gformat.Format, parts int) er
 	return core.EnsureSourceManifest(dir, l.fp, spec, format, parts)
 }
 
-// scoper is one block's destination-scope generator.
-type scoper interface {
-	// scope draws local source u's destinations (block-local ids) and
-	// the stochastic attempt count.
-	scope(u int64, src *rng.Source, buf []int64) ([]int64, int64)
-}
-
-type avsScoper struct{ g *avs.Generator }
-
-func (s avsScoper) scope(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
-	res := s.g.Scope(u, src, buf)
-	return res.Dsts, res.Attempts
-}
-
-type ervScoper struct{ g *erv.Generator }
-
-func (s ervScoper) scope(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
-	dsts := s.g.Scope(u, src, buf)
-	return dsts, int64(len(dsts))
-}
-
 // distForSlope maps a Lemma-6 Zipf slope onto an ERV distribution:
 // properly negative slopes are Zipfian; a flat (uniform-seed) slope
 // degenerates to Gaussian, matching erv's own seed mapping.
@@ -499,15 +490,22 @@ func distForSlope(slope float64) erv.Dist {
 	return erv.Dist{Kind: erv.Gaussian}
 }
 
+// pow2Intra reports whether b is a power-of-two diagonal square — the
+// blocks the AVS engine can generate.
+func (b Block) pow2Intra() bool {
+	rows := b.SrcHi - b.SrcLo
+	return b.Intra && rows >= 2 && rows == b.DstHi-b.DstLo && rows&(rows-1) == 0
+}
+
 // newScoper builds block b's generator. Power-of-two intra blocks run
 // the real AVS engine (SKG, or NSKG when Noise is set, with the noise
 // stream derived from the block seed); everything else — rectangles
 // and odd-sized squares — runs ERV with the seed's Lemma-6 slopes.
 // Generators are not concurrency-safe: one scoper per concurrent block.
-func (l *Layout) newScoper(b Block) (scoper, error) {
+func (l *Layout) newScoper(b Block) (core.Scoper, error) {
 	rows, cols := b.SrcHi-b.SrcLo, b.DstHi-b.DstLo
 	seed := *l.cfg.Seed
-	if b.Intra && rows >= 2 && rows == cols && rows&(rows-1) == 0 {
+	if b.pow2Intra() {
 		levels := bits.Len64(uint64(rows)) - 1
 		acfg := avs.Config{
 			Seed:            seed,
@@ -526,7 +524,10 @@ func (l *Layout) newScoper(b Block) (scoper, error) {
 		if err != nil {
 			return nil, err
 		}
-		return avsScoper{g: g}, nil
+		return func(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
+			res := g.Scope(u, src, buf)
+			return res.Dsts, res.Attempts
+		}, nil
 	}
 	ecfg := erv.Config{
 		NumSrc:          rows,
@@ -540,83 +541,40 @@ func (l *Layout) newScoper(b Block) (scoper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ervScoper{g: g}, nil
+	return func(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
+		dsts := g.Scope(u, src, buf)
+		return dsts, int64(len(dsts))
+	}, nil
 }
 
-// generateBlock writes block b through w: scope u of the block draws
-// from the stream of rng.NewScoped(b.Seed, u) — fully independent of
-// every other scope and block, which is the whole determinism story —
-// and lands as global scope (SrcLo+u, dsts+DstLo). The writer is not
-// closed.
-func (l *Layout) generateBlock(b Block, w gformat.Writer, tel *telemetry.Registry, onScope func()) (edges, attempts, maxDeg int64, err error) {
-	g, err := l.newScoper(b)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	rows := b.SrcHi - b.SrcLo
-	var buf []int64
-	var src rng.Source // reseeded per scope: no allocation per vertex
-	for u := int64(0); u < rows; u++ {
-		src.Reseed(b.Seed, uint64(u))
-		dsts, att := g.scope(u, &src, buf)
-		buf = dsts
-		for i := range dsts {
-			dsts[i] += b.DstLo
-		}
-		attempts += att
-		edges += int64(len(dsts))
-		if int64(len(dsts)) > maxDeg {
-			maxDeg = int64(len(dsts))
-		}
-		if err := w.WriteScope(b.SrcLo+u, dsts); err != nil {
-			return edges, attempts, maxDeg, err
-		}
-		if onScope != nil {
-			onScope()
-		}
-	}
-	if tel != nil {
-		tel.Counter(MetricBlocksGenerated).Inc()
-		if b.Intra {
-			tel.Counter(MetricIntraEdges).Add(edges)
-		} else {
-			tel.Counter(MetricInterEdges).Add(edges)
-		}
-	}
-	return edges, attempts, maxDeg, nil
-}
-
-// GeneratePart implements core.PartSource: block id into a writer from
-// sinks(0, r). On success the writer is closed (publishing the part,
-// under atomic sinks); on error it is abandoned unclosed, exactly like
-// the flat generator's workers, so a failed part is never renamed into
-// place.
+// GeneratePart implements core.PartSource: block id through
+// core.GenerateScopes. Scope u of the block draws from the stream of
+// (b.Seed, u) — fully independent of every other scope and block, which
+// is the whole determinism story — and lands as global scope
+// (SrcLo+u, dsts+DstLo). The block's own rectangle fixes the rows,
+// whatever r says, as in PartKey.
 func (l *Layout) GeneratePart(id int, r partition.Range, sinks core.SinkFactory, tel *telemetry.Registry) (core.Stats, error) {
 	if id < 0 || id >= len(l.blocks) {
 		return core.Stats{}, fmt.Errorf("community: part %d outside the %d-block layout", id, len(l.blocks))
 	}
 	b := l.blocks[id]
-	start := time.Now()
-	w, err := sinks(0, r)
+	scope, err := l.newScoper(b)
 	if err != nil {
 		return core.Stats{}, err
 	}
-	edges, attempts, maxDeg, err := l.generateBlock(b, w, tel, nil)
+	r.Lo, r.Hi = b.SrcLo, b.SrcHi
+	st, err := core.GenerateScopes(scope, b.Seed, r, b.SrcLo, b.DstLo, sinks, tel)
 	if err != nil {
-		return core.Stats{}, fmt.Errorf("community: block (%d,%d): %w", b.SrcComm, b.DstComm, err)
+		return st, fmt.Errorf("community: block (%d,%d): %w", b.SrcComm, b.DstComm, err)
 	}
-	if err := w.Close(); err != nil {
-		return core.Stats{}, err
+	if tel != nil {
+		tel.Counter(MetricBlocksGenerated).Inc()
+		if b.Intra {
+			tel.Counter(MetricIntraEdges).Add(st.Edges)
+		} else {
+			tel.Counter(MetricInterEdges).Add(st.Edges)
+		}
 	}
-	st := core.Stats{
-		Edges:        edges,
-		Attempts:     attempts,
-		MaxDegree:    maxDeg,
-		BytesWritten: w.BytesWritten(),
-		GenDuration:  time.Since(start),
-		Ranges:       []partition.Range{r},
-	}
-	st.Elapsed = st.GenDuration
 	return st, nil
 }
 
@@ -645,7 +603,9 @@ type RunOptions struct {
 // flat generator — it is core.ResumeParts over the layout: atomic part
 // files, a manifest handshake, existing complete parts skipped, store
 // hits materialized, generated parts ingested. Concatenating the part
-// files in part order yields the byte-exact stream output.
+// files in part order yields the byte-exact stream output —
+// core.StreamParts over Plan(0), which is how the HTTP server streams a
+// community job and still shares artifacts with the part-file world.
 func (l *Layout) GenerateToDir(dir string, format gformat.Format, opt RunOptions) (core.Stats, error) {
 	if err := checkFormat(format); err != nil {
 		return core.Stats{}, err
@@ -655,30 +615,4 @@ func (l *Layout) GenerateToDir(dir string, format gformat.Format, opt RunOptions
 		tel.Gauge(MetricBlocksPlanned).Set(float64(len(l.blocks)))
 	}
 	return core.ResumeParts(l, 0, dir, format, opt.Store, opt.Telemetry)
-}
-
-// GenerateStream writes every block in part order through one writer.
-// The bytes are exactly the batch part files concatenated — TSV and
-// ADJ6 encode scope by scope with no global state — which is what lets
-// the HTTP server stream a community job and still share artifacts
-// with the part-file world. onScope, if non-nil, is called per scope
-// (progress accounting). The writer is not closed.
-func (l *Layout) GenerateStream(w gformat.Writer, tel *telemetry.Registry, onScope func()) (core.Stats, error) {
-	start := time.Now()
-	var st core.Stats
-	for _, b := range l.blocks {
-		edges, attempts, maxDeg, err := l.generateBlock(b, w, tel, onScope)
-		st.Edges += edges
-		st.Attempts += attempts
-		if maxDeg > st.MaxDegree {
-			st.MaxDegree = maxDeg
-		}
-		if err != nil {
-			return st, fmt.Errorf("community: block (%d,%d): %w", b.SrcComm, b.DstComm, err)
-		}
-	}
-	st.BytesWritten = w.BytesWritten()
-	st.GenDuration = time.Since(start)
-	st.Elapsed = st.GenDuration
-	return st, nil
 }

@@ -2,15 +2,18 @@ package community
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/erv"
 	"repro/internal/gformat"
+	"repro/internal/partition"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -35,6 +38,50 @@ func mustLayout(t *testing.T, cfg Config) *Layout {
 		t.Fatal(err)
 	}
 	return lay
+}
+
+// streamLayout streams every block in part order through
+// core.StreamParts — the way the HTTP server streams a community job —
+// and returns the bytes. Every scope must pass the sink decoration.
+func streamLayout(t *testing.T, lay *Layout, format gformat.Format, workers int) ([]byte, core.Stats) {
+	t.Helper()
+	ranges, ids, err := lay.Plan(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	next := func() (int, partition.Range, bool) {
+		if i == len(ids) {
+			return 0, partition.Range{}, false
+		}
+		i++
+		return ids[i-1], ranges[i-1], true
+	}
+	var buf bytes.Buffer
+	var scopes atomic.Int64
+	st, err := core.StreamParts(context.Background(), lay, format, next, workers, &buf, func(inner core.SinkFactory) core.SinkFactory {
+		return func(worker int, r partition.Range) (gformat.Writer, error) {
+			w, err := inner(worker, r)
+			return scopeCounter{w, &scopes}, err
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scopes.Load() != lay.ScopeTotal() {
+		t.Fatalf("%d scopes passed the sink decoration, ScopeTotal is %d", scopes.Load(), lay.ScopeTotal())
+	}
+	return buf.Bytes(), st
+}
+
+type scopeCounter struct {
+	gformat.Writer
+	n *atomic.Int64
+}
+
+func (c scopeCounter) WriteScope(src int64, dsts []int64) error {
+	c.n.Add(1)
+	return c.Writer.WriteScope(src, dsts)
 }
 
 // readParts returns each part's bytes indexed by block id.
@@ -122,20 +169,14 @@ func TestStreamEqualsConcatenatedParts(t *testing.T) {
 		concat.Write(p)
 	}
 
-	var streamed bytes.Buffer
-	w := gformat.NewTSVWriter(&streamed)
-	scopes := 0
-	if _, err := lay.GenerateStream(w, nil, func() { scopes++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(concat.Bytes(), streamed.Bytes()) {
-		t.Fatal("streamed bytes differ from the part files concatenated in part order")
-	}
-	if int64(scopes) != lay.ScopeTotal() {
-		t.Fatalf("onScope fired %d times, ScopeTotal is %d", scopes, lay.ScopeTotal())
+	for _, workers := range []int{1, 3} {
+		streamed, st := streamLayout(t, lay, gformat.TSV, workers)
+		if !bytes.Equal(concat.Bytes(), streamed) {
+			t.Fatalf("workers %d: streamed bytes differ from the part files concatenated in part order", workers)
+		}
+		if st.BytesWritten != int64(len(streamed)) {
+			t.Fatalf("workers %d: stats count %d bytes, stream has %d", workers, st.BytesWritten, len(streamed))
+		}
 	}
 }
 
@@ -249,15 +290,8 @@ func TestBipartiteIsSingleRectangularBlock(t *testing.T) {
 		t.Fatalf("bipartite block = %+v", b)
 	}
 
-	var buf bytes.Buffer
-	w := gformat.NewTSVWriter(&buf)
-	if _, err := lay.GenerateStream(w, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := gformat.NewTSVReader(&buf)
+	streamed, _ := streamLayout(t, lay, gformat.TSV, 1)
+	r := gformat.NewTSVReader(bytes.NewReader(streamed))
 	edges := 0
 	for {
 		e, err := r.Next()
@@ -402,31 +436,20 @@ func TestGoldenERVStreamBytes(t *testing.T) {
 		MasterSeed: 11,
 	})
 	for _, b := range lay.Blocks() {
-		if s, err := lay.newScoper(b); err != nil {
-			t.Fatal(err)
-		} else if _, ok := s.(ervScoper); !ok {
+		if b.pow2Intra() {
 			t.Fatalf("block (%d,%d) is not on the ERV path", b.SrcComm, b.DstComm)
 		}
 	}
 	for _, tc := range []struct {
 		format gformat.Format
-		open   func(*bytes.Buffer) gformat.Writer
 		want   string
 	}{
-		{gformat.TSV, func(b *bytes.Buffer) gformat.Writer { return gformat.NewTSVWriter(b) }, "5ff1e35a3e1bc7015beb9c2820f310bc3de7af8cef568ea81b595060091dc6ca"},
-		{gformat.ADJ6, func(b *bytes.Buffer) gformat.Writer { return gformat.NewADJ6Writer(b) }, "7c744f332d36d73cda6bedaa2e18d843a026f0308a16228f694778b8a4c3cdc5"},
+		{gformat.TSV, "5ff1e35a3e1bc7015beb9c2820f310bc3de7af8cef568ea81b595060091dc6ca"},
+		{gformat.ADJ6, "7c744f332d36d73cda6bedaa2e18d843a026f0308a16228f694778b8a4c3cdc5"},
 	} {
-		var buf bytes.Buffer
-		w := tc.open(&buf)
-		st, err := lay.GenerateStream(w, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
-			t.Errorf("%v: sha256 %s (%d edges, %d bytes), want %s", tc.format, got, st.Edges, buf.Len(), tc.want)
+		streamed, st := streamLayout(t, lay, tc.format, 1)
+		if got := fmt.Sprintf("%x", sha256.Sum256(streamed)); got != tc.want {
+			t.Errorf("%v: sha256 %s (%d edges, %d bytes), want %s", tc.format, got, st.Edges, len(streamed), tc.want)
 		}
 	}
 }

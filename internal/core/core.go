@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -102,6 +103,9 @@ func (c Config) Validate() error {
 	}
 	if c.EdgeFactor < 1 {
 		return fmt.Errorf("core: edge factor %d < 1", c.EdgeFactor)
+	}
+	if c.EdgeFactor > math.MaxInt64>>uint(c.Scale) {
+		return fmt.Errorf("core: edge factor %d at scale %d overflows the edge count", c.EdgeFactor, c.Scale)
 	}
 	if err := c.Seed.Validate(); err != nil {
 		return err

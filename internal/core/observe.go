@@ -101,7 +101,7 @@ func (c *countingWriter) settle() {
 
 // timedWriter measures the wall time a part spends inside the format
 // encoder and sink (WriteScope and Close), accumulating locally so the
-// per-scope cost is two clock reads, no shared state. Config.GeneratePart
+// per-scope cost is two clock reads, no shared state. GenerateScopes
 // wraps its writer in one to attribute the part's wall time to the draw
 // and write stages after the fact.
 type timedWriter struct {

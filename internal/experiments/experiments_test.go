@@ -223,36 +223,33 @@ func TestFig11bShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := scales[len(scales)-1]
-	adj := res.Time("TrillionG (ADJ6)", top)
-	tsv := res.Time("TrillionG (TSV)", top)
-	disk := res.Time("RMAT/p-disk", top)
-	if adj == 0 || tsv == 0 || disk == 0 {
-		t.Fatalf("missing cells: %v %v %v", adj, tsv, disk)
-	}
-	// At test scales the store-time difference between formats is ~1ms
-	// while compute noise is comparable, so compare bytes (deterministic)
-	// and allow 20% timing slack; at paper scales storage dominates and
-	// the ordering is strict.
-	var adjBytes, tsvBytes int64
+	// Elapsed carries host compute time, which moves with machine load;
+	// the shape claims are asserted on the terms the simulator models
+	// from counted bytes: what each method stores and what it shuffles.
+	rows := map[string]Fig11bRow{}
 	for _, row := range res.Rows {
-		if row.Scale != top {
-			continue
-		}
-		switch row.Method {
-		case "TrillionG (ADJ6)":
-			adjBytes = row.Bytes
-		case "TrillionG (TSV)":
-			tsvBytes = row.Bytes
+		if row.Scale == top {
+			rows[row.Method] = row
 		}
 	}
-	if adjBytes >= tsvBytes {
-		t.Fatalf("ADJ6 output %d bytes not below TSV %d", adjBytes, tsvBytes)
+	adj, tsv, disk := rows["TrillionG (ADJ6)"], rows["TrillionG (TSV)"], rows["RMAT/p-disk"]
+	if adj.Elapsed == 0 || tsv.Elapsed == 0 || disk.Elapsed == 0 {
+		t.Fatalf("missing cells: %v %v %v", adj.Elapsed, tsv.Elapsed, disk.Elapsed)
 	}
-	if float64(adj) > 1.2*float64(tsv) {
-		t.Fatalf("ADJ6 %v much slower than TSV %v", adj, tsv)
+	if adj.Bytes >= tsv.Bytes {
+		t.Fatalf("ADJ6 output %d bytes not below TSV %d", adj.Bytes, tsv.Bytes)
 	}
-	if adj*2 > disk {
-		t.Fatalf("TrillionG ADJ6 %v not clearly faster than RMAT/p-disk %v", adj, disk)
+	if adj.StoreTime >= tsv.StoreTime {
+		t.Fatalf("ADJ6 store %v not below TSV %v", adj.StoreTime, tsv.StoreTime)
+	}
+	// TrillionG ships no edges; RMAT/p shuffles every one of them.
+	if adj.NetworkTime != 0 || tsv.NetworkTime != 0 || disk.NetworkTime == 0 {
+		t.Fatalf("network time: ADJ6 %v and TSV %v want 0, RMAT/p-disk %v want > 0",
+			adj.NetworkTime, tsv.NetworkTime, disk.NetworkTime)
+	}
+	if 2*(adj.StoreTime+adj.NetworkTime) > disk.StoreTime+disk.NetworkTime {
+		t.Fatalf("TrillionG ADJ6 store+network %v not clearly below RMAT/p-disk %v",
+			adj.StoreTime+adj.NetworkTime, disk.StoreTime+disk.NetworkTime)
 	}
 	res.Report().Print(&bytes.Buffer{})
 }

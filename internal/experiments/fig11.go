@@ -11,8 +11,8 @@ import (
 	"repro/internal/gformat"
 	"repro/internal/kronecker"
 	"repro/internal/memacct"
+	"repro/internal/partition"
 	"repro/internal/rmat"
-	"repro/internal/rng"
 	"repro/internal/skg"
 	"repro/internal/wesp"
 )
@@ -153,6 +153,10 @@ type Fig11bRow struct {
 	OOM     bool
 	Edges   int64
 	Bytes   int64
+	// StoreTime and NetworkTime are the modeled terms of Elapsed —
+	// deterministic functions of bytes stored and bytes shuffled, where
+	// the compute term is host wall time.
+	StoreTime, NetworkTime time.Duration
 }
 
 // Fig11bResult is the distributed comparison of Figure 11b: RMAT/p-mem,
@@ -197,7 +201,8 @@ func Fig11b(scales []int, cc cluster.Config, memCapBytes int64, dir string) (*Fi
 		} else if err != nil {
 			return nil, fmt.Errorf("fig11b RMAT/p-mem scale %d: %w", sc, err)
 		} else {
-			row.Elapsed = wres.Sim.Elapsed() + res.storeTime(wres.Edges*12)
+			row.StoreTime, row.NetworkTime = res.storeTime(wres.Edges*12), wres.Sim.NetworkTime()
+			row.Elapsed = wres.Sim.Elapsed() + row.StoreTime
 		}
 		res.Rows = append(res.Rows, row)
 
@@ -211,10 +216,12 @@ func Fig11b(scales []int, cc cluster.Config, memCapBytes int64, dir string) (*Fi
 		if err != nil {
 			return nil, fmt.Errorf("fig11b RMAT/p-disk scale %d: %w", sc, err)
 		}
+		store := res.storeTime(dres.Edges * 12)
 		res.Rows = append(res.Rows, Fig11bRow{
 			Method: "RMAT/p-disk", Scale: sc,
-			Elapsed: dres.Sim.Elapsed() + res.storeTime(dres.Edges*12),
-			Edges:   dres.Edges,
+			Elapsed:   dres.Sim.Elapsed() + store,
+			Edges:     dres.Edges,
+			StoreTime: store, NetworkTime: dres.Sim.NetworkTime(),
 		})
 
 		// TrillionG in TSV and ADJ6.
@@ -247,8 +254,7 @@ func (r *Fig11bResult) trillionG(scale int, format gformat.Format) (Fig11bRow, e
 	cfg.MasterSeed = 402
 	cfg.Workers = r.Cluster.Workers()
 
-	// The plan runs on the master; its time is part of the makespan.
-	gens, ranges, err := planOnly(cfg)
+	ranges, err := core.Plan(cfg, cfg.Workers)
 	if err != nil {
 		return Fig11bRow{}, err
 	}
@@ -256,34 +262,20 @@ func (r *Fig11bResult) trillionG(scale int, format gformat.Format) (Fig11bRow, e
 	// formatting for TSV, binary packing for ADJ6) is charged to the
 	// worker, exactly as on a real machine; only the disk itself is
 	// modeled.
-	writers := make([]gformat.Writer, len(ranges))
+	var edges, bytes int64
 	err = sim.RunPhase("generate", func(w cluster.Worker) error {
-		var wr gformat.Writer
-		if format == gformat.TSV {
-			wr = gformat.NewTSVWriter(io.Discard)
-		} else {
-			wr = gformat.NewADJ6Writer(io.Discard)
-		}
-		writers[w.Index] = wr
-		g := gens[w.Index%len(gens)]
-		var buf []int64
-		for u := ranges[w.Index].Lo; u < ranges[w.Index].Hi; u++ {
-			src := rng.NewScoped(cfg.MasterSeed, uint64(u))
-			sc := g.Scope(u, src, buf)
-			buf = sc.Dsts
-			if err := wr.WriteScope(u, sc.Dsts); err != nil {
-				return err
+		st, err := cfg.GeneratePart(0, ranges[w.Index], func(int, partition.Range) (gformat.Writer, error) {
+			if format == gformat.TSV {
+				return gformat.NewTSVWriter(io.Discard), nil
 			}
-		}
-		return wr.Close()
+			return gformat.NewADJ6Writer(io.Discard), nil
+		}, nil)
+		edges += st.Edges
+		bytes += st.BytesWritten
+		return err
 	})
 	if err != nil {
 		return Fig11bRow{}, err
-	}
-	var edges, bytes int64
-	for _, w := range writers {
-		edges += w.EdgesWritten()
-		bytes += w.BytesWritten()
 	}
 	sim.AddModeledTime("store", r.storeTime(bytes))
 	name := "TrillionG (TSV)"
@@ -292,6 +284,7 @@ func (r *Fig11bResult) trillionG(scale int, format gformat.Format) (Fig11bRow, e
 	}
 	return Fig11bRow{
 		Method: name, Scale: scale, Elapsed: sim.Elapsed(), Edges: edges, Bytes: bytes,
+		StoreTime: r.storeTime(bytes), NetworkTime: sim.NetworkTime(),
 	}, nil
 }
 

@@ -102,14 +102,17 @@ func fig14TrillionG(scale int, cc cluster.Config) (Fig14Row, error) {
 	cfg.MasterSeed = 702
 	cfg.NoiseParam = 0.1
 	cfg.Workers = cc.Workers()
-	gens, ranges, err := planOnly(cfg)
+	g, err := core.NewScopeGenerator(cfg, nil)
+	if err != nil {
+		return Fig14Row{}, err
+	}
+	ranges, err := core.Plan(cfg, cfg.Workers)
 	if err != nil {
 		return Fig14Row{}, err
 	}
 	scopes := make([][][]int64, len(ranges))
 	srcs := make([][]int64, len(ranges))
 	err = sim.RunPhase("generate", func(w cluster.Worker) error {
-		g := gens[0]
 		for u := ranges[w.Index].Lo; u < ranges[w.Index].Hi; u++ {
 			src := rng.NewScoped(cfg.MasterSeed, uint64(u))
 			sc := g.Scope(u, src, nil)

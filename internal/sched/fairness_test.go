@@ -2,166 +2,25 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// saturate runs workers goroutines per tenant, each looping
-// Acquire→count→Release with the given per-request cost, until stop is
-// closed. Completed cost per tenant lands in done.
-func saturate(t *testing.T, s *Scheduler, tenants []string, workers int, cost int64, stop chan struct{}, done map[string]*atomic.Int64) *sync.WaitGroup {
-	t.Helper()
-	var wg sync.WaitGroup
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() { <-stop; cancel() }()
-	for _, tn := range tenants {
-		tn := tn
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					g, err := s.Acquire(ctx, Request{Tenant: tn, Class: Batch, Cost: cost})
-					if err != nil {
-						if errors.Is(err, context.Canceled) {
-							return
-						}
-						// Quota/shed rejections just mean "try again" here.
-						select {
-						case <-ctx.Done():
-							return
-						default:
-							continue
-						}
-					}
-					select {
-					case <-stop:
-						g.Release()
-						return
-					default:
-					}
-					done[tn].Add(cost)
-					g.Release()
-				}
-			}()
-		}
-	}
-	return &wg
-}
-
-// runFairness saturates the scheduler from every tenant until the
-// slowest tenant completes minPerTenant cost units, then returns the
-// completed totals. Counting starts only once every tenant has waiters
-// queued: before the last worker goroutine starts, the lone offered
-// load legitimately gets 100% of capacity (the scheduler is
-// work-conserving), which would swamp the ratios.
-func runFairness(t *testing.T, s *Scheduler, tenants []string, cost, minPerTenant int64) map[string]int64 {
-	t.Helper()
-	done := make(map[string]*atomic.Int64, len(tenants))
-	for _, tn := range tenants {
-		done[tn] = new(atomic.Int64)
-	}
-	stop := make(chan struct{})
-	wg := saturate(t, s, tenants, 8, cost, stop, done)
-
-	waitFor(t, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, tn := range tenants {
-			ts, ok := s.tenants[tn]
-			if !ok || ts.queued == 0 {
-				return false
-			}
-		}
-		return true
-	})
-	base := snapshot(done)
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		slowest := int64(1 << 62)
-		for _, tn := range tenants {
-			if v := done[tn].Load() - base[tn]; v < slowest {
-				slowest = v
-			}
-		}
-		if slowest >= minPerTenant {
-			break
-		}
-		if time.Now().After(deadline) {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("fairness run timed out; completed so far: %v", snapshot(done))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	got := snapshot(done)
-	for tn := range got {
-		got[tn] -= base[tn]
-	}
-	return got
-}
-
-func snapshot(done map[string]*atomic.Int64) map[string]int64 {
-	out := make(map[string]int64, len(done))
-	for k, v := range done {
-		out[k] = v.Load()
-	}
-	return out
-}
-
-// TestSchedulerFairnessThreeTenants is the race-enabled stress test:
-// three tenants at weights 1:2:4 submitting identical saturating
-// workloads; completed-work ratios must converge on the weights.
-func TestSchedulerFairnessThreeTenants(t *testing.T) {
-	s := New(Config{
-		Slots: 2,
-		Tenants: map[string]Limits{
-			"w1": {Weight: 1, QueueTTL: -1},
-			"w2": {Weight: 2, QueueTTL: -1},
-			"w4": {Weight: 4, QueueTTL: -1},
-		},
-	})
-	got := runFairness(t, s, []string{"w1", "w2", "w4"}, 100, 40_000)
-	base := float64(got["w1"])
-	if base == 0 {
-		t.Fatal("weight-1 tenant starved")
-	}
-	for tn, want := range map[string]float64{"w2": 2, "w4": 4} {
-		ratio := float64(got[tn]) / base
-		if ratio < want*0.80 || ratio > want*1.25 {
-			t.Errorf("completed-work ratio %s/w1 = %.2f, want %.1f ±~20%% (totals %v)", tn, ratio, want, got)
-		}
-	}
-}
-
-// TestSchedulerFairnessThreeToOne is the acceptance-criteria check: two
-// tenants at weights 3:1, identical saturating workloads, completed
-// edge counts converge to 3:1 within ±10%. It counts grants from a
+// dispatchFairness measures the scheduler's share-out from a
 // single-dispatcher sequence rather than racing goroutines against a
-// deadline: both tenants keep a standing backlog of parked Acquires,
-// and the test alone decides when a slot frees — it takes one grant,
-// restores that tenant's backlog, and only then releases — so every
-// dispatch sees the same queue whatever the machine load, and the
-// totals are a function of the scheduler, not of the goroutine
-// scheduler. (The three-tenant test above stays the racing stress test.)
-func TestSchedulerFairnessThreeToOne(t *testing.T) {
-	s := New(Config{
-		Slots: 2,
-		Tenants: map[string]Limits{
-			"gold":   {Weight: 3, QueueTTL: -1},
-			"bronze": {Weight: 1, QueueTTL: -1},
-		},
-	})
-	const backlog, cost, grants = 4, 100, 400
+// deadline: every tenant keeps a standing backlog of parked Acquires,
+// and the caller's goroutine alone decides when a slot frees — it takes
+// one grant, restores that tenant's backlog, and only then releases —
+// so every dispatch sees the same queue whatever the machine load, and
+// the totals are a function of the scheduler, not of the goroutine
+// scheduler. It returns the cost granted per tenant over `grants`
+// dispatches; the parked waiters are torn down when the test ends.
+func dispatchFairness(t *testing.T, s *Scheduler, tenants []string, backlog int, cost int64, grants int) map[string]int64 {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	defer func() { cancel(); wg.Wait() }()
+	t.Cleanup(func() { cancel(); wg.Wait() })
 
 	granted := make(chan *Grant)
 	queued := func(tenant string) int {
@@ -193,7 +52,7 @@ func TestSchedulerFairnessThreeToOne(t *testing.T) {
 	}
 
 	// Hold every slot while the backlogs build, so the first dispatch
-	// already chooses between two saturated tenants.
+	// already chooses between saturated tenants.
 	var plugs []*Grant
 	for i := 0; i < s.Slots(); i++ {
 		g, err := s.Acquire(ctx, Request{Tenant: "plug", Cost: 1})
@@ -203,8 +62,9 @@ func TestSchedulerFairnessThreeToOne(t *testing.T) {
 		plugs = append(plugs, g)
 	}
 	for i := 0; i < backlog; i++ {
-		park("gold")
-		park("bronze")
+		for _, tn := range tenants {
+			park(tn)
+		}
 	}
 	for _, g := range plugs {
 		g.Release()
@@ -217,6 +77,47 @@ func TestSchedulerFairnessThreeToOne(t *testing.T) {
 		park(g.Tenant())
 		g.Release()
 	}
+	return got
+}
+
+// TestSchedulerFairnessThreeTenants: three tenants at weights 1:2:4
+// with identical standing backlogs; granted-work ratios must converge
+// on the weights.
+func TestSchedulerFairnessThreeTenants(t *testing.T) {
+	s := New(Config{
+		Slots: 2,
+		Tenants: map[string]Limits{
+			"w1": {Weight: 1, QueueTTL: -1},
+			"w2": {Weight: 2, QueueTTL: -1},
+			"w4": {Weight: 4, QueueTTL: -1},
+		},
+	})
+	got := dispatchFairness(t, s, []string{"w1", "w2", "w4"}, 4, 100, 700)
+	base := float64(got["w1"])
+	if base == 0 {
+		t.Fatal("weight-1 tenant starved")
+	}
+	for tn, want := range map[string]float64{"w2": 2, "w4": 4} {
+		ratio := float64(got[tn]) / base
+		if ratio < want*0.80 || ratio > want*1.25 {
+			t.Errorf("completed-work ratio %s/w1 = %.2f, want %.1f ±~20%% (totals %v)", tn, ratio, want, got)
+		}
+	}
+}
+
+// TestSchedulerFairnessThreeToOne is the acceptance-criteria check: two
+// tenants at weights 3:1, identical saturating workloads, completed
+// edge counts converge to 3:1 within ±10%.
+func TestSchedulerFairnessThreeToOne(t *testing.T) {
+	s := New(Config{
+		Slots: 2,
+		Tenants: map[string]Limits{
+			"gold":   {Weight: 3, QueueTTL: -1},
+			"bronze": {Weight: 1, QueueTTL: -1},
+		},
+	})
+	const grants = 400
+	got := dispatchFairness(t, s, []string{"gold", "bronze"}, 4, 100, grants)
 	if got["bronze"] == 0 {
 		t.Fatal("bronze tenant starved")
 	}
@@ -230,7 +131,7 @@ func TestSchedulerFairnessThreeToOne(t *testing.T) {
 	// grants received above, and the Slots more that the last releases
 	// dispatched (Release dispatches under the lock) and nobody took.
 	tel := s.Telemetry()
-	dispatched := int64(len(plugs) + grants + s.Slots())
+	dispatched := int64(s.Slots() + grants + s.Slots())
 	if n := tel.Counter(MetricGranted).Value(); n != dispatched {
 		t.Fatalf("%s = %d, want %d", MetricGranted, n, dispatched)
 	}

@@ -8,9 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/gformat"
-	"repro/internal/partition"
 	"repro/internal/pressure"
 	"repro/internal/store"
 )
@@ -90,18 +88,6 @@ func (s *Server) SetStore(st *store.Store, spoolDir string) error {
 	return nil
 }
 
-// jobKey derives the artifact key of a job's exact output: the part
-// bytes of its vertex range in its format. Classic jobs use
-// core.PartKey, community jobs the layout's whole-stream key, so server
-// jobs share cache entries with batch and distributed runs of the same
-// configuration.
-func jobKey(job *Job) store.Key {
-	if job.layout != nil {
-		return job.layout.ArtifactKey(job.format)
-	}
-	return core.PartKey(job.cfg, job.format, partition.Range{Lo: job.lo, Hi: job.hi})
-}
-
 // serveFromStore satisfies a started stream from the artifact store.
 // It reports whether it did; false means a miss (or a corrupt entry,
 // already evicted) and the caller generates. Hits stream through the
@@ -117,7 +103,7 @@ func (s *Server) serveFromStore(w http.ResponseWriter, out *flushWriter, job *Jo
 	os.Remove(spoolPath) // Retrieve re-creates it atomically
 	defer os.Remove(spoolPath)
 
-	info, ok, err := s.store.Retrieve(jobKey(job), spoolPath)
+	info, ok, err := s.store.Retrieve(job.key, spoolPath)
 	if err != nil || !ok {
 		return false, err
 	}
@@ -132,11 +118,10 @@ func (s *Server) serveFromStore(w http.ResponseWriter, out *flushWriter, job *Jo
 		return true, err
 	}
 	// The artifact carries its edge count as sidecar metadata; scopes
-	// are the stream's scope total (one per vertex for the flat path,
-	// one per block row for community layouts).
-	job.scopes.Store(job.scopesTotal())
+	// are the stream's scope total.
+	job.scopes.Store(job.scopesTotal)
 	job.edges.Store(info.Edges)
-	s.metrics.scopesTotal.Add(job.scopesTotal())
+	s.metrics.scopesTotal.Add(job.scopesTotal)
 	s.metrics.addEdges(info.Edges)
 	return true, nil
 }
@@ -174,7 +159,7 @@ func (s *Server) ingestSpooled(sw *spoolWriter, job *Job, streamErr error) {
 	// Ingest failures are deliberately swallowed: the client got its
 	// stream; the cache just stays cold. The store's own metrics make
 	// persistent ingest trouble visible.
-	s.store.IngestFile(jobKey(job), path, job.edges.Load())
+	s.store.IngestFile(job.key, path, job.edges.Load())
 }
 
 // handleDownload serves a job's complete artifact from the store (the
@@ -191,7 +176,7 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no artifact store configured")
 		return
 	}
-	key := jobKey(job)
+	key := job.key
 
 	// Zero-copy delivery: when the artifact lives only in the cold tier
 	// and the backend can mint presigned URLs, redirect the client to

@@ -112,7 +112,7 @@ func TestServerStreamCorruptEntryRegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := core.PartKey(c.cfg, c.format, partition.Range{Lo: c.lo, Hi: c.hi})
+	key := core.PartKey(c.src.(core.Config), c.format, partition.Range{Lo: c.lo, Hi: c.hi})
 	if err := st.CorruptForTest(key); err != nil {
 		t.Fatal(err)
 	}

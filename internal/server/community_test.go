@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/community"
 	"repro/internal/core"
@@ -124,6 +126,46 @@ func TestServerCommunityStreamCacheHit(t *testing.T) {
 	}
 	if bytes.Equal(first, third) {
 		t.Fatal("different mixing matrices streamed identical bytes")
+	}
+}
+
+// TestServerCommunityStreamCancel: DELETE in the middle of a community
+// stream — one block at the head, the next running ahead — cancels the
+// job and leaves no stream behind.
+func TestServerCommunityStreamCancel(t *testing.T) {
+	srv, base := newTestServer(t, Options{})
+	// Four ~10 MB blocks: far more than the socket buffers hold.
+	id := createJob(t, base, `{"shape":"community","format":"tsv","workers":2,"community":`+
+		`{"sizes":[100000,100000],"mixing":[[1,1],[1,1]],"edge_factor":16,"master_seed":3}}`)
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := io.ReadFull(resp.Body, make([]byte, 1<<12)); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE status %d", dresp.StatusCode)
+	}
+	io.Copy(io.Discard, resp.Body)
+
+	// Shutdown waits for every stream handler — and a handler returns
+	// only after core.StreamParts has collected its workers.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("stream still running after DELETE: %v", err)
+	}
+	st := getStatus(t, base, id)
+	if st.State != StateCanceled || st.ScopesDone >= st.ScopesTotal {
+		t.Fatalf("status after DELETE mid-stream: %+v", st)
 	}
 }
 

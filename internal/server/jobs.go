@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,9 +12,11 @@ import (
 	"repro/internal/community"
 	"repro/internal/core"
 	"repro/internal/gformat"
+	"repro/internal/partition"
 	"repro/internal/recvec"
 	"repro/internal/sched"
 	"repro/internal/skg"
+	"repro/internal/store"
 )
 
 // JobState is a job's lifecycle state.
@@ -89,24 +92,43 @@ type specLimits struct {
 	maxWorkersPerJob int
 }
 
-// compiled is a spec resolved against the server limits: either a core
-// configuration (classic shape) or a community layout, plus the
-// streamable format and concrete vertex range.
+// compiled is a spec resolved against the server limits into what a
+// stream needs, whatever its shape: the part source, a fresh ordered
+// part schedule per stream, the artifact key of the whole output
+// (core.PartKey of the range for the classic shape, the layout's
+// ArtifactKey for community shapes — so server jobs share cache entries
+// with batch and distributed runs of the same configuration), and the
+// numbers the API reports.
 type compiled struct {
-	cfg    core.Config
-	layout *community.Layout
-	format gformat.Format
-	lo, hi int64
+	src     core.PartSource
+	parts   func() partSchedule
+	workers int
+	key     store.Key
+	format  gformat.Format
+	lo, hi  int64
+	scale   int // 0 for community shapes
+	// cost is the admission cost: the job's expected edge count
+	// (Theorem 1 for the classic shape, the layout's planned edge budget
+	// for community shapes), so fairness and rate limits are apportioned
+	// over expected work — one scale-30 job weighs as much as thousands
+	// of small ones.
+	cost int64
+	// scopesTotal is the number of scopes the stream emits: one per
+	// vertex for the classic shape, one per (block, source row) for
+	// community layouts (a vertex heads one scope per block it sources).
+	scopesTotal int64
 }
 
-// scopesTotal is the number of scopes the job's stream emits: one per
-// vertex for the flat path, one per (block, source row) for community
-// layouts (a vertex heads one scope per block it sources).
-func (c compiled) scopesTotal() int64 {
-	if c.layout != nil {
-		return c.layout.ScopeTotal()
+// compileWorkers bounds the spec's worker count by the server's
+// per-job limit; jobs that ask for 0 workers get the limit.
+func (s JobSpec) compileWorkers(lim specLimits) (int, error) {
+	if s.Workers < 0 {
+		return 0, fmt.Errorf("server: negative workers")
 	}
-	return c.hi - c.lo
+	if lim.maxWorkersPerJob > 0 && (s.Workers == 0 || s.Workers > lim.maxWorkersPerJob) {
+		return lim.maxWorkersPerJob, nil
+	}
+	return s.Workers, nil
 }
 
 // compileFormat resolves and bounds the spec's format: only the
@@ -151,6 +173,10 @@ func (s JobSpec) compileCommunity(lim specLimits) (compiled, error) {
 	if err != nil {
 		return compiled{}, err
 	}
+	workers, err := s.compileWorkers(lim)
+	if err != nil {
+		return compiled{}, err
+	}
 	var cfg community.Config
 	switch s.Shape {
 	case "bipartite":
@@ -164,8 +190,8 @@ func (s JobSpec) compileCommunity(lim specLimits) (compiled, error) {
 		if ef == 0 {
 			ef = 16
 		}
-		if ef < 0 {
-			return compiled{}, fmt.Errorf("server: negative edge factor")
+		if ef < 0 || ef > math.MaxInt64 / *s.Rows {
+			return compiled{}, fmt.Errorf("server: edge factor %d outside [0, 2^63/rows)", ef)
 		}
 		cfg = community.Bipartite(*s.Rows, *s.Cols, ef**s.Rows, s.MasterSeed)
 		cfg.AllowDuplicates = s.AllowDuplicates
@@ -191,7 +217,20 @@ func (s JobSpec) compileCommunity(lim specLimits) (compiled, error) {
 	if lim.maxScale > 0 && lay.NumVertices() > int64(1)<<lim.maxScale {
 		return compiled{}, fmt.Errorf("server: %d vertices exceed the server's scale limit %d (2^%d)", lay.NumVertices(), lim.maxScale, lim.maxScale)
 	}
-	return compiled{layout: lay, format: format, lo: 0, hi: lay.NumVertices()}, nil
+	ranges, ids, err := lay.Plan(0)
+	if err != nil {
+		return compiled{}, err
+	}
+	return compiled{
+		src:         lay,
+		parts:       func() partSchedule { return listParts(ranges, ids) },
+		workers:     workers,
+		key:         lay.ArtifactKey(format),
+		format:      format,
+		hi:          lay.NumVertices(),
+		cost:        lay.TotalEdges(),
+		scopesTotal: lay.ScopeTotal(),
+	}, nil
 }
 
 // compileClassic resolves the recursive-vector shape.
@@ -202,12 +241,16 @@ func (s JobSpec) compileClassic(lim specLimits) (compiled, error) {
 	if lim.maxScale > 0 && s.Scale > lim.maxScale {
 		return compiled{}, fmt.Errorf("server: scale %d exceeds server limit %d", s.Scale, lim.maxScale)
 	}
+	workers, err := s.compileWorkers(lim)
+	if err != nil {
+		return compiled{}, err
+	}
 	cfg := core.Config{
 		Scale:           s.Scale,
 		EdgeFactor:      s.EdgeFactor,
 		NoiseParam:      s.Noise,
 		MasterSeed:      s.MasterSeed,
-		Workers:         s.Workers,
+		Workers:         workers,
 		Opts:            recvec.Production(),
 		AllowDuplicates: s.AllowDuplicates,
 	}
@@ -221,12 +264,6 @@ func (s JobSpec) compileClassic(lim specLimits) (compiled, error) {
 		cfg.Seed = skg.Seed{A: s.Seed[0], B: s.Seed[1], C: s.Seed[2], D: s.Seed[3]}
 	} else {
 		cfg.Seed = skg.Graph500Seed
-	}
-	if cfg.Workers < 0 {
-		return compiled{}, fmt.Errorf("server: negative workers")
-	}
-	if lim.maxWorkersPerJob > 0 && (cfg.Workers == 0 || cfg.Workers > lim.maxWorkersPerJob) {
-		cfg.Workers = lim.maxWorkersPerJob
 	}
 	if err := cfg.Validate(); err != nil {
 		return compiled{}, err
@@ -245,7 +282,22 @@ func (s JobSpec) compileClassic(lim specLimits) (compiled, error) {
 	if lo < 0 || hi < lo || hi > cfg.NumVertices() {
 		return compiled{}, fmt.Errorf("server: range [%d, %d) outside [0, %d)", lo, hi, cfg.NumVertices())
 	}
-	return compiled{cfg: cfg, format: format, lo: lo, hi: hi}, nil
+	cost, err := core.EstimateRangeEdges(cfg, lo, hi)
+	if err != nil {
+		return compiled{}, fmt.Errorf("estimating job cost: %w", err)
+	}
+	return compiled{
+		src:         cfg,
+		parts:       func() partSchedule { return cutRange(cfg, lo, hi, workers) },
+		workers:     workers,
+		key:         core.PartKey(cfg, format, partition.Range{Lo: lo, Hi: hi}),
+		format:      format,
+		lo:          lo,
+		hi:          hi,
+		scale:       cfg.Scale,
+		cost:        cost,
+		scopesTotal: hi - lo,
+	}, nil
 }
 
 // Job is one registered generation request. Counters are updated live
@@ -254,18 +306,13 @@ type Job struct {
 	ID   string
 	Spec JobSpec
 
-	// Tenant, Class and Cost are the job's scheduling identity: the
-	// accounting principal from the X-Trilliong-Tenant header, the
-	// priority class from the spec, and the expected edge count from
-	// Theorem 1 (core.EstimateRangeEdges) the scheduler charges.
+	// Tenant and Class are, with the compiled cost, the job's scheduling
+	// identity: the accounting principal from the X-Trilliong-Tenant
+	// header and the priority class from the spec.
 	Tenant string
 	Class  sched.Class
-	Cost   int64
 
-	cfg    core.Config
-	layout *community.Layout // non-nil for the community shapes
-	format gformat.Format
-	lo, hi int64
+	compiled
 
 	created time.Time
 
@@ -303,15 +350,6 @@ type JobStatus struct {
 	ElapsedMS     int64   `json:"elapsed_ms,omitempty"`
 }
 
-// scopesTotal is the stream's total scope count (see
-// compiled.scopesTotal).
-func (j *Job) scopesTotal() int64 {
-	if j.layout != nil {
-		return j.layout.ScopeTotal()
-	}
-	return j.hi - j.lo
-}
-
 // Status snapshots the job.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
@@ -323,13 +361,13 @@ func (j *Job) Status() JobStatus {
 		State:         state,
 		Tenant:        j.Tenant,
 		Class:         j.Class.String(),
-		CostEdges:     j.Cost,
-		Scale:         j.cfg.Scale,
+		CostEdges:     j.cost,
+		Scale:         j.scale,
 		Format:        j.format.String(),
 		Lo:            j.lo,
 		Hi:            j.hi,
 		ScopesDone:    j.scopes.Load(),
-		ScopesTotal:   j.scopesTotal(),
+		ScopesTotal:   j.scopesTotal,
 		EdgesStreamed: j.edges.Load(),
 		BytesStreamed: j.bytes.Load(),
 		Error:         errMsg,
@@ -477,7 +515,7 @@ func newRegistry(maxJobs int, pendingTTL time.Duration) *registry {
 }
 
 // add registers a compiled job and assigns its ID.
-func (r *registry) add(spec JobSpec, tenant string, class sched.Class, cost int64, c compiled) (*Job, error) {
+func (r *registry) add(spec JobSpec, tenant string, class sched.Class, c compiled) (*Job, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.order) >= r.maxJobs && !r.evictLocked() {
@@ -485,18 +523,13 @@ func (r *registry) add(spec JobSpec, tenant string, class sched.Class, cost int6
 	}
 	r.nextID++
 	j := &Job{
-		ID:      fmt.Sprintf("j%08d", r.nextID),
-		Spec:    spec,
-		Tenant:  tenant,
-		Class:   class,
-		Cost:    cost,
-		cfg:     c.cfg,
-		layout:  c.layout,
-		format:  c.format,
-		lo:      c.lo,
-		hi:      c.hi,
-		created: r.now(),
-		state:   StatePending,
+		ID:       fmt.Sprintf("j%08d", r.nextID),
+		Spec:     spec,
+		Tenant:   tenant,
+		Class:    class,
+		compiled: c,
+		created:  r.now(),
+		state:    StatePending,
 	}
 	r.jobs[j.ID] = j
 	r.order = append(r.order, j.ID)

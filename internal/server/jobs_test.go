@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gformat"
 	"repro/internal/sched"
 )
@@ -14,11 +15,12 @@ func TestJobSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.EdgeFactor != 16 || c.cfg.MasterSeed != 1 {
-		t.Fatalf("defaults not applied: %+v", c.cfg)
+	cfg := c.src.(core.Config)
+	if cfg.EdgeFactor != 16 || cfg.MasterSeed != 1 {
+		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if c.cfg.Seed.A != 0.57 {
-		t.Fatalf("seed default %+v", c.cfg.Seed)
+	if cfg.Seed.A != 0.57 {
+		t.Fatalf("seed default %+v", cfg.Seed)
 	}
 	if c.format != gformat.TSV || c.lo != 0 || c.hi != 1024 {
 		t.Fatalf("format %v range [%d, %d)", c.format, c.lo, c.hi)
@@ -45,8 +47,8 @@ func TestJobSpecExplicit(t *testing.T) {
 	if c.format != gformat.ADJ6 || c.lo != 16 || c.hi != 48 {
 		t.Fatalf("format %v range [%d, %d)", c.format, c.lo, c.hi)
 	}
-	if c.cfg.Workers != 2 || c.cfg.NoiseParam != 0.1 || c.cfg.MasterSeed != 7 {
-		t.Fatalf("cfg %+v", c.cfg)
+	if cfg := c.src.(core.Config); c.workers != 2 || cfg.NoiseParam != 0.1 || cfg.MasterSeed != 7 {
+		t.Fatalf("workers %d, cfg %+v", c.workers, cfg)
 	}
 }
 
@@ -64,6 +66,8 @@ func TestJobSpecRejections(t *testing.T) {
 		{Scale: 10, Seed: &[4]float64{1, 1, 1, 1}}, // seed doesn't sum to 1
 		{Scale: 10, Noise: 0.9},                    // inadmissible noise
 		{Scale: 10, Lo: &big, Hi: &big},            // lo beyond |V|
+		{Scale: 10, EdgeFactor: 1 << 62},           // |E| overflows int64
+		{Shape: "bipartite", Rows: &big, Cols: &big, EdgeFactor: 1 << 30},
 	}
 	for i, spec := range bad {
 		if _, err := spec.compile(specLimits{maxScale: 20, maxWorkersPerJob: 4}); err == nil {
@@ -73,19 +77,29 @@ func TestJobSpecRejections(t *testing.T) {
 }
 
 func TestJobSpecWorkerCap(t *testing.T) {
+	rows := int64(8)
 	c, err := JobSpec{Scale: 10, Workers: 64}.compile(specLimits{maxWorkersPerJob: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.Workers != 4 {
-		t.Fatalf("workers %d, want cap 4", c.cfg.Workers)
+	if c.workers != 4 {
+		t.Fatalf("workers %d, want cap 4", c.workers)
 	}
 	c, err = JobSpec{Scale: 10}.compile(specLimits{maxWorkersPerJob: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.Workers != 4 {
-		t.Fatalf("unset workers %d, want server default 4", c.cfg.Workers)
+	if c.workers != 4 {
+		t.Fatalf("unset workers %d, want server default 4", c.workers)
+	}
+	// The community shapes take the same field through the same cap.
+	bip := JobSpec{Shape: "bipartite", Rows: &rows, Cols: &rows, EdgeFactor: 2}
+	if c, err = bip.compile(specLimits{maxWorkersPerJob: 4}); err != nil || c.workers != 4 {
+		t.Fatalf("bipartite unset workers %d (%v), want server default 4", c.workers, err)
+	}
+	bip.Workers = -1
+	if _, err = bip.compile(specLimits{maxWorkersPerJob: 4}); err == nil {
+		t.Fatal("bipartite spec with negative workers accepted")
 	}
 }
 
@@ -95,7 +109,7 @@ func addJob(t *testing.T, r *registry, spec JobSpec) *Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := r.add(spec, sched.DefaultTenant, sched.Batch, 1, c)
+	j, err := r.add(spec, sched.DefaultTenant, sched.Batch, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +198,7 @@ func TestRegistryEviction(t *testing.T) {
 
 	// Both slots hold fresh pending jobs: admission must fail.
 	full, _ := JobSpec{Scale: 8}.compile(specLimits{})
-	if _, err := r.add(JobSpec{Scale: 8}, sched.DefaultTenant, sched.Batch, 1, full); err == nil {
+	if _, err := r.add(JobSpec{Scale: 8}, sched.DefaultTenant, sched.Batch, full); err == nil {
 		t.Fatal("overfull registry accepted a job")
 	}
 
@@ -245,7 +259,7 @@ func TestRegistryEvictsStalePending(t *testing.T) {
 	}
 	r.now = func() time.Time { return base.Add(time.Hour) }
 	c2, _ := JobSpec{Scale: 8}.compile(specLimits{})
-	if _, err := r.add(JobSpec{Scale: 8}, sched.DefaultTenant, sched.Batch, 1, c2); err == nil {
+	if _, err := r.add(JobSpec{Scale: 8}, sched.DefaultTenant, sched.Batch, c2); err == nil {
 		t.Fatal("registry evicted a queued job")
 	}
 }

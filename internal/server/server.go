@@ -39,13 +39,11 @@ type Options struct {
 	// is evicted (then the oldest stale pending one), and POST fails
 	// with 503 if every slot is live (0 = 1024).
 	MaxJobs int
-	// MaxWorkersPerJob caps a job's producer goroutines (0 =
+	// MaxWorkersPerJob caps the parts a job generates concurrently (0 =
 	// GOMAXPROCS). Jobs that ask for 0 workers get this cap.
 	MaxWorkersPerJob int
 	// MaxScale rejects specs above this scale (0 = 34).
 	MaxScale int
-	// PipelineDepth is each producer's channel capacity (0 = 32).
-	PipelineDepth int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints are opt-in (trilliong-serve's -pprof
 	// flag) because they expose process internals.
@@ -91,9 +89,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxScale < 1 {
 		o.MaxScale = 34
-	}
-	if o.PipelineDepth < 1 {
-		o.PipelineDepth = defaultDepth
 	}
 	return o
 }
@@ -311,21 +306,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The admission cost is the job's expected edge count (Theorem 1 for
-	// the flat path, the layout's planned edge budget for community
-	// shapes), so fairness and rate limits are apportioned over expected
-	// work — one scale-30 job weighs as much as thousands of small ones.
-	var cost int64
-	if c.layout != nil {
-		cost = c.layout.TotalEdges()
-	} else {
-		cost, err = core.EstimateRangeEdges(c.cfg, c.lo, c.hi)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "estimating job cost: %v", err)
-			return
-		}
-	}
-	job, err := s.reg.add(spec, tenant, class, cost, c)
+	job, err := s.reg.add(spec, tenant, class, c)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
@@ -336,8 +317,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		State:       string(StatePending),
 		Tenant:      tenant,
 		Class:       class.String(),
-		CostEdges:   cost,
-		ScopesTotal: c.scopesTotal(),
+		CostEdges:   c.cost,
+		ScopesTotal: c.scopesTotal,
 		StatusURL:   "/v1/jobs/" + job.ID,
 		StreamURL:   "/v1/jobs/" + job.ID + "/stream",
 	})
@@ -445,7 +426,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	grant, err := s.sched.Acquire(ctx, sched.Request{
 		Tenant: job.Tenant,
 		Class:  job.Class,
-		Cost:   job.Cost,
+		Cost:   job.cost,
 	})
 	if err != nil {
 		var adm *sched.AdmissionError
@@ -496,7 +477,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 	}
 	w.Header().Set("X-Trilliong-Job-Id", job.ID)
-	w.Header().Set("X-Trilliong-Scopes-Total", fmt.Sprint(job.scopesTotal()))
+	w.Header().Set("X-Trilliong-Scopes-Total", fmt.Sprint(job.scopesTotal))
 
 	// A cancelled stream may be wedged in a Write to a stalled client,
 	// where it would never observe ctx; expiring the write deadline
@@ -532,36 +513,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			// A spool-temp failure just means this stream isn't cached.
 		}
-		if job.layout != nil {
-			// Community jobs stream block by block through one encoder —
-			// byte-identical to the batch part files concatenated, so the
-			// spooled artifact is shared with the part-file world via the
-			// layout's whole-stream key.
-			var enc gformat.Writer
-			if enc, err = newStreamWriter(job.format, streamOut); err == nil {
-				var st core.Stats
-				st, err = job.layout.GenerateStream(enc, s.metrics.tel, func() {
-					job.scopes.Add(1)
-					s.metrics.scopesTotal.Add(1)
-				})
-				job.edges.Store(st.Edges)
-				s.metrics.addEdges(st.Edges)
-				if err == nil {
-					err = enc.Close()
-				}
-			}
-		} else {
-			_, err = StreamRange(ctx, job.cfg, job.format, job.lo, job.hi, streamOut, StreamOptions{
-				Workers: job.cfg.Workers,
-				Depth:   s.opts.PipelineDepth,
-				OnScope: func(_ int64, edges int) {
-					job.scopes.Add(1)
-					job.edges.Add(int64(edges))
-					s.metrics.scopesTotal.Add(1)
-					s.metrics.addEdges(int64(edges))
-				},
-			})
-		}
+		// Whatever the shape, the stream is the job's parts in order
+		// through one executor — byte-identical to the batch part files
+		// concatenated, so the spooled artifact is shared with the
+		// part-file world.
+		_, err = core.StreamParts(ctx, job.src, job.format, job.parts(), job.workers, streamOut,
+			countingSinks(func(edges int) {
+				job.scopes.Add(1)
+				job.edges.Add(int64(edges))
+				s.metrics.scopesTotal.Add(1)
+				s.metrics.addEdges(int64(edges))
+			}))
 		if sw != nil {
 			s.ingestSpooled(sw, job, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gformat"
@@ -85,7 +84,7 @@ func TestStreamRangeSubrangesConcatenate(t *testing.T) {
 	cuts := []int64{0, 17, nv / 3, nv / 2, nv}
 	for i := 0; i+1 < len(cuts); i++ {
 		// Different worker counts per piece must not change the bytes.
-		opt := StreamOptions{Workers: i + 1, Depth: 2}
+		opt := StreamOptions{Workers: i + 1}
 		if _, err := StreamRange(context.Background(), cfg, gformat.TSV, cuts[i], cuts[i+1], &pieces, opt); err != nil {
 			t.Fatal(err)
 		}
@@ -129,65 +128,39 @@ func TestStreamRangeEmptyRange(t *testing.T) {
 	}
 }
 
-// TestPipelineRunaheadBounded is the backpressure property: with no
-// consumer, producers stop after filling their bounded channels, so
-// run-ahead never exceeds workers·(depth+1) scopes.
-func TestPipelineRunaheadBounded(t *testing.T) {
-	cfg := core.DefaultConfig(12)
-	const workers, depth = 2, 4
-	p, gens, err := newPipeline(cfg, 0, cfg.NumVertices(), workers, depth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p.start(ctx, cfg.MasterSeed, gens)
+// cancelWriter cancels the stream's context once it has accepted n
+// bytes, like a DELETE arriving mid-stream.
+type cancelWriter struct {
+	n      int
+	cancel context.CancelFunc
+	total  int64
+}
 
-	// Let the producers run head-free; they must stall at the bound.
-	deadline := time.Now().Add(time.Second)
-	limit := int64(workers * (depth + 1))
-	for time.Now().Before(deadline) {
-		if p.generated.Load() > limit {
-			t.Fatalf("run-ahead %d exceeds bound %d", p.generated.Load(), limit)
-		}
-		time.Sleep(10 * time.Millisecond)
+func (c *cancelWriter) Write(p []byte) (int, error) {
+	c.total += int64(len(p))
+	if c.n -= len(p); c.n < 0 {
+		c.cancel()
 	}
-	if g := p.generated.Load(); g < int64(workers*depth) {
-		t.Fatalf("producers generated only %d scopes; pipeline not running", g)
-	}
-
-	// Drain a prefix in order: scopes must arrive exactly in vertex
-	// order even though two producers interleave.
-	for u := int64(0); u < 64; u++ {
-		msg, err := p.next(ctx, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg.src != u {
-			t.Fatalf("scope %d arrived when %d was due", msg.src, u)
-		}
-		p.recycle(u, msg.dsts)
-	}
-	cancel()
-	p.wg.Wait()
+	return len(p), nil
 }
 
 func TestStreamRangeCancel(t *testing.T) {
 	cfg := core.DefaultConfig(16)
-	ctx, cancel := context.WithCancel(context.Background())
-	var n int64
-	var buf bytes.Buffer
-	opt := StreamOptions{Workers: 2, OnScope: func(int64, int) {
-		if n++; n == 100 {
-			cancel()
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		w := &cancelWriter{n: 1 << 17, cancel: cancel}
+		st, err := StreamRange(ctx, cfg, gformat.TSV, 0, cfg.NumVertices(), w, StreamOptions{Workers: workers})
+		if err != context.Canceled {
+			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
 		}
-	}}
-	_, err := StreamRange(ctx, cfg, gformat.TSV, 0, cfg.NumVertices(), &buf, opt)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n >= cfg.NumVertices() {
-		t.Fatal("stream ran to completion despite cancellation")
+		if st.Scopes >= cfg.NumVertices() {
+			t.Fatalf("workers %d: stream ran to completion despite cancellation", workers)
+		}
+		// Generation stops within a scope of the cancel; what reaches the
+		// writer afterwards is at most what was already encoded.
+		if w.total > 4<<20 {
+			t.Fatalf("workers %d: %d bytes written after cancelling at %d", workers, w.total, 1<<17)
+		}
 	}
 }
 

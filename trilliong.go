@@ -259,14 +259,16 @@ type StreamOptions = server.StreamOptions
 // stream). The bytes are identical to the corresponding slice of the
 // part files GenerateToDir writes for the same (Config, MasterSeed):
 // scopes appear in vertex order, encoded exactly as the batch writers
-// encode them. Generation runs through a bounded channel pipeline, so
-// a slow w throttles the producers and memory stays O(Workers · d_max)
+// encode them. The stream is an ordered schedule of parts run by the
+// batch executor (core.StreamParts): the part at the head writes
+// straight through, parts running ahead buffer a bounded amount, so a
+// slow w throttles generation and memory stays O(Workers · d_max)
 // regardless of range size; cancelling ctx aborts the stream.
 func (c Config) StreamRange(ctx context.Context, w io.Writer, format Format, lo, hi int64) (StreamStats, error) {
 	return c.StreamRangeOpts(ctx, w, format, lo, hi, StreamOptions{})
 }
 
-// StreamRangeOpts is StreamRange with explicit pipeline options.
+// StreamRangeOpts is StreamRange with an explicit worker count.
 func (c Config) StreamRangeOpts(ctx context.Context, w io.Writer, format Format, lo, hi int64, opt StreamOptions) (StreamStats, error) {
 	return server.StreamRange(ctx, c.toCore(), format, lo, hi, w, opt)
 }
