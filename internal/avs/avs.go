@@ -197,6 +197,27 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		vec, set := &g.vec, &g.set
 		set.Begin(size, nv, !cfg.AllowDuplicates)
 		dsts, attempts, limit := res.Dsts, int64(0), maxAttempts(size)
+		if big == nil && opts == recvec.Production() {
+			// While Lanes more destinations and Lanes more attempts are both
+			// allowed, the loop below would make the next Lanes attempts
+			// whatever they hit (an attempt adds at most one destination), so
+			// they are drawn in stream order, determined together and inserted
+			// in lane order: same Dsts, Attempts and state of src.
+			var xs [recvec.Lanes]float64
+			var out [recvec.Lanes]int64
+			for size-int64(len(dsts)) >= recvec.Lanes && limit-attempts >= recvec.Lanes {
+				for l := range xs {
+					xs[l] = src.UniformTo(total)
+				}
+				vec.DetermineBatch(&xs, &out)
+				attempts += recvec.Lanes
+				for _, dst := range out {
+					if set.Insert(dst) {
+						dsts = append(dsts, dst)
+					}
+				}
+			}
+		}
 		for int64(len(dsts)) < size && attempts < limit {
 			if rebuild {
 				g.resetVector(u)

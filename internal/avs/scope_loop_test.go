@@ -66,13 +66,35 @@ func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, int64,
 	return dsts, attempts, tracked
 }
 
+// sameAsReference runs one scope through g and through referenceScope
+// on equal streams and requires equal destinations in equal order, equal
+// attempts and an equal next random value: the loop drew exactly as many
+// values as the reference, no more. It returns the reference's tracked
+// bytes and attempts.
+func sameAsReference(t *testing.T, g *Generator, u, size int64, stream uint64) (tracked, attempts int64) {
+	t.Helper()
+	cfg := g.Config()
+	want, got := rng.New(stream), rng.New(stream)
+	wantDsts, wantAttempts, tracked := referenceScope(cfg, u, size, want)
+	res := g.ScopeWithSize(u, size, got, nil)
+	if res.Attempts != wantAttempts || !slices.Equal(res.Dsts, wantDsts) {
+		t.Fatalf("levels %d u %d size %d noisy %v dups %v: got %d dsts / %d attempts, reference %d / %d",
+			cfg.Levels, u, size, cfg.Noise != nil, cfg.AllowDuplicates, len(res.Dsts), res.Attempts, len(wantDsts), wantAttempts)
+	}
+	if got.Uint64() != want.Uint64() {
+		t.Fatalf("levels %d u %d size %d: stream position after the scope differs from the reference loop's", cfg.Levels, u, size)
+	}
+	return tracked, wantAttempts
+}
+
 // TestScopeMatchesReferenceLoop: the scope loop with its reused vector,
-// one-pass descent and flat dedup set emits the stream of the loop it
-// replaced — identical destinations in identical order after identical
-// attempt counts, and an identical accounting peak — over random seed
+// lane-batched descent plus scalar tail and flat dedup set emits the
+// stream of the loop it replaced — identical destinations in identical
+// order after identical attempt counts, an identical accounting peak
+// and an identical stream position afterwards — over random seed
 // matrices (some with a zero entry), 1–40 levels, NSKG on and off, both
-// orientations, AllowDuplicates, and sizes that land in every dedup
-// tier including the size == |V| clamp.
+// orientations, AllowDuplicates, every size around the batch width, and
+// sizes that land in every dedup tier including the size == |V| clamp.
 func TestScopeMatchesReferenceLoop(t *testing.T) {
 	src := rng.New(12)
 	tiers := make(map[dedupTier]int)
@@ -86,8 +108,7 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 			Opts:            recvec.Production(),
 			AllowDuplicates: i%7 == 3,
 		}
-		// γ+µ must stay non-negative too (skg.MaxNoise only bounds by β).
-		if noise := math.Min(skg.MaxNoise(cfg.Seed), cfg.Seed.C); i%2 == 1 && noise > 0 {
+		if noise := skg.MaxNoise(cfg.Seed); i%2 == 1 && noise > 0 {
 			ns, err := skg.NewNoise(cfg.Seed, levels, noise/2, src)
 			if err != nil {
 				t.Fatal(err)
@@ -106,23 +127,20 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Sizes on both sides of the table/bitmap boundary |V|/64, plus
-		// more than |V| (clamped).
+		// Every size up to two batches and one, sizes on both sides of the
+		// table/bitmap boundary |V|/64, and more than |V| (clamped to it).
+		sizes := []int64{16, 700, nv/64 + 1, nv + 5}
+		for size := int64(1); size <= 2*recvec.Lanes+1; size++ {
+			sizes = append(sizes, size)
+		}
 		var wantPeak int64
-		for _, size := range []int64{1, 16, 700, nv/64 + 1, nv + 5} {
+		for _, size := range sizes {
 			if size > 1<<13 {
 				continue // keep hub-sized scopes of wide graphs out of a unit test
 			}
-			u := src.Int63n(nv)
-			stream := src.Uint64()
-			wantDsts, wantAttempts, tracked := referenceScope(cfg, u, size, rng.New(stream))
+			tracked, _ := sameAsReference(t, g, src.Int63n(nv), size, src.Uint64())
 			wantPeak = max(wantPeak, tracked)
-			got := g.ScopeWithSize(u, size, rng.New(stream), nil)
 			tiers[g.set.tier]++
-			if got.Attempts != wantAttempts || !slices.Equal(got.Dsts, wantDsts) {
-				t.Fatalf("case %d levels %d u %d size %d noisy %v dups %v: got %d dsts / %d attempts, reference %d / %d",
-					i, levels, u, size, cfg.Noise != nil, cfg.AllowDuplicates, len(got.Dsts), got.Attempts, len(wantDsts), wantAttempts)
-			}
 		}
 		if acct.Peak() != wantPeak || acct.Current() != 0 {
 			t.Fatalf("case %d: accounting peak %d cur %d, reference peak %d", i, acct.Peak(), acct.Current(), wantPeak)
@@ -131,6 +149,33 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 	for _, tier := range []dedupTier{tierNone, tierBitmap, tierTable} {
 		if tiers[tier] < 20 {
 			t.Errorf("dedup tier %d ran only %d scopes; the sweep no longer covers it", tier, tiers[tier])
+		}
+	}
+
+	// Rows asked for all of |V| that end on the attempt cap instead: a hub
+	// row whose rarest cells stay unhit and a row with one reachable cell
+	// (the shortfall exceeds Lanes, so the cap is reached in the batched
+	// phase), and a row with two reachable cells of four (the shortfall is
+	// below Lanes, so it is reached in the scalar tail).
+	noBeta := skg.Seed{A: 0.6, B: 0, C: 0.3, D: 0.1}
+	for _, tc := range []struct {
+		seed   skg.Seed
+		levels int
+		u      int64
+	}{
+		{skg.Graph500Seed, 8, 0},
+		{noBeta, 4, 0},
+		{noBeta, 2, 1},
+	} {
+		nv := int64(1) << uint(tc.levels)
+		g, err := New(Config{Seed: tc.seed, Levels: tc.levels, NumEdges: 128 * nv, Opts: recvec.Production()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for stream := uint64(0); stream < 8; stream++ {
+			if _, attempts := sameAsReference(t, g, tc.u, nv, stream); attempts != maxAttempts(nv) {
+				t.Errorf("seed %v levels %d u %d: stopped after %d attempts, want the cap %d", tc.seed, tc.levels, tc.u, attempts, maxAttempts(nv))
+			}
 		}
 	}
 }

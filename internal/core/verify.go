@@ -44,15 +44,10 @@ func CheckPart(path string, format gformat.Format) error {
 			}
 		}
 	case gformat.ADJ6:
-		r := gformat.NewADJ6Reader(f)
-		for {
-			if _, _, err := r.Next(); err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
-				return fmt.Errorf("core: part %s: %w", path, err)
-			}
+		if err := gformat.CheckADJ6(f); err != nil {
+			return fmt.Errorf("core: part %s: %w", path, err)
 		}
+		return nil
 	case gformat.CSR6:
 		if err := gformat.CheckCSR6(f); err != nil {
 			return fmt.Errorf("core: part %s: %w", path, err)

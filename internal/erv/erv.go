@@ -441,8 +441,32 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 		return out
 	}
 	g.set.Begin(size, g.cfg.NumDst, true)
-	attempts := int64(0)
-	for int64(len(out)) < size && attempts < 64*size+1024 {
+	attempts, limit := int64(0), 64*size+1024
+	if g.dstVec != nil {
+		// As in avs.ScopeWithSize: while Lanes more destinations and Lanes
+		// more attempts are both allowed, the loop below would consume the
+		// next Lanes draws whatever they yield, so they are determined
+		// together; out-of-range ones are skipped uncounted, as drawDst does.
+		total := g.dstVec.RowProb()
+		var xs [recvec.Lanes]float64
+		var vs [recvec.Lanes]int64
+		for size-int64(len(out)) >= recvec.Lanes && limit-attempts >= recvec.Lanes {
+			for l := range xs {
+				xs[l] = src.UniformTo(total)
+			}
+			g.dstVec.DetermineBatch(&xs, &vs)
+			for _, v := range vs {
+				if v >= g.cfg.NumDst {
+					continue
+				}
+				attempts++
+				if g.set.Insert(v) {
+					out = append(out, v)
+				}
+			}
+		}
+	}
+	for int64(len(out)) < size && attempts < limit {
 		attempts++
 		if v := g.drawDst(src); g.set.Insert(v) {
 			out = append(out, v)

@@ -1,0 +1,101 @@
+package erv
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/recvec"
+	"repro/internal/rng"
+)
+
+// referenceScope is Scope as it stood before the lane-batched descent:
+// one drawDst per attempt, with a Go map for duplicates. It returns the
+// destinations and whether the scope ended on the attempt cap.
+func referenceScope(g *Generator, u int64, src *rng.Source) (out []int64, capped bool) {
+	size := g.ScopeSize(u, src)
+	if size <= 0 {
+		return nil, false
+	}
+	if g.cfg.AllowDuplicates {
+		for int64(len(out)) < size {
+			out = append(out, g.drawDst(src))
+		}
+		return out, false
+	}
+	seen := make(map[int64]bool)
+	attempts := int64(0)
+	for int64(len(out)) < size && attempts < 64*size+1024 {
+		attempts++
+		if v := g.drawDst(src); !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out, int64(len(out)) < size
+}
+
+// TestScopeMatchesReferenceLoop is the twin of avs's test of the same
+// name: Scope with its batched phase and scalar tail emits the
+// destinations of the one-draw-per-attempt loop, in its order, and
+// leaves the stream where that loop leaves it. Destination ranges are
+// mostly not powers of two, so out-of-range draws are skipped uncounted
+// inside batches and the attempt cap falls anywhere in a batch; out
+// distributions ask for fewer than Lanes destinations, for about a
+// batch or two, and for all of a range whose rare cells stay unhit.
+func TestScopeMatchesReferenceLoop(t *testing.T) {
+	ins := []Dist{
+		{Kind: Zipfian, Slope: -2.5},
+		{Kind: Zipfian, Slope: -0.7},
+		{Kind: Gaussian},
+		{Kind: Uniform},
+		{Kind: Empirical, Weights: []float64{5, 0, 1, 3}},
+	}
+	var scopes, capped, batched int
+	for _, numDst := range []int64{1, 3, 5, 16, 37, 100, 1000, 4097} {
+		outs := []Dist{
+			{Kind: Uniform, Min: 0, Max: recvec.Lanes - 1},
+			{Kind: Uniform, Min: recvec.Lanes, Max: 2*recvec.Lanes + 1},
+			{Kind: Uniform, Min: numDst - 2, Max: numDst},
+			{Kind: Zipfian, Slope: -1.2},
+		}
+		for i, in := range ins {
+			for j, out := range outs {
+				if out.Min < 0 || out.Min > 100 {
+					continue // no negative degrees; keep 64·|range| attempts per row small
+				}
+				cfg := Config{
+					NumSrc: 16, NumDst: numDst, NumEdges: numDst/2 + 1,
+					OutDist: out, InDist: in,
+					AllowDuplicates: (i+j)%5 == 4,
+				}
+				g, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for u := int64(0); u < cfg.NumSrc; u++ {
+					want, got := rng.NewScoped(uint64(numDst), uint64(u)), rng.NewScoped(uint64(numDst), uint64(u))
+					wantDsts, short := referenceScope(g, u, want)
+					gotDsts := g.Scope(u, got, nil)
+					if !slices.Equal(gotDsts, wantDsts) {
+						t.Fatalf("NumDst %d in %v out %v dups %v u %d: got %d destinations %v, reference %d %v",
+							numDst, in.Kind, out, cfg.AllowDuplicates, u, len(gotDsts), gotDsts, len(wantDsts), wantDsts)
+					}
+					if got.Uint64() != want.Uint64() {
+						t.Fatalf("NumDst %d in %v out %v dups %v u %d: stream position after the scope differs from the reference loop's",
+							numDst, in.Kind, out, cfg.AllowDuplicates, u)
+					}
+					scopes++
+					if short {
+						capped++
+					}
+					if g.dstVec != nil && !cfg.AllowDuplicates && len(wantDsts) >= recvec.Lanes {
+						batched++
+					}
+				}
+			}
+		}
+	}
+	if capped < scopes/20 || batched < scopes/5 {
+		t.Errorf("of %d scopes %d ended on the attempt cap and %d had a batched phase; the sweep no longer covers them", scopes, capped, batched)
+	}
+}

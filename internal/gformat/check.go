@@ -1,6 +1,7 @@
 package gformat
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -52,4 +53,30 @@ func CheckCSR6(rs io.ReadSeeker) error {
 		return fmt.Errorf("gformat: CSR6 offset table ends at %d, want %d edges", last, ne)
 	}
 	return nil
+}
+
+// CheckADJ6 structurally validates an ADJ6 stream without materialising
+// it: it reads each record's 10-byte head and skips the 6·n bytes of
+// adjacency the head declares, so it allocates nothing per record and a
+// corrupt count costs a short read, not memory. Its verdict is that of
+// walking the stream with ADJ6Reader.Next: truncation anywhere is an
+// error, an empty stream is valid.
+func CheckADJ6(r io.Reader) error {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var head [10]byte
+	for {
+		switch _, err := io.ReadFull(br, head[:]); err {
+		case nil:
+		case io.EOF: // bare, as ReadFull returns it: the stream ended between records
+			return nil
+		case io.ErrUnexpectedEOF:
+			return fmt.Errorf("gformat: truncated ADJ6 record: %w", err)
+		default:
+			return err
+		}
+		n := int(binary.LittleEndian.Uint32(head[6:]))
+		if got, err := br.Discard(6 * n); err != nil {
+			return fmt.Errorf("gformat: truncated ADJ6 adjacency (%d of %d): %w", got/6, n, err)
+		}
+	}
 }

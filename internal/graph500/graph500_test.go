@@ -34,6 +34,12 @@ func TestValidate(t *testing.T) {
 		t.Fatal("expected noise bound error")
 	}
 	c = baseConfig()
+	c.Seed = skg.Seed{A: 0.5, B: 0.3, C: 0.05, D: 0.15}
+	c.NoiseParam = 0.1 // below β, above γ
+	if err := c.Validate(); err == nil {
+		t.Fatal("expected noise bound error above γ on an asymmetric seed")
+	}
+	c = baseConfig()
 	c.Levels = 0
 	if err := c.Validate(); err == nil {
 		t.Fatal("expected levels error")

@@ -2,6 +2,7 @@ package recvec
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -58,27 +59,38 @@ func fuzzSeed(a, b, c float64, zeroAt uint8) (skg.Seed, bool) {
 	return k, k.Validate() == nil
 }
 
-// checkDetermine compares the scan with the oracle on x and on the
-// values around it that historically broke descents: every boundary
+// checkDetermine compares the scan with the oracle on xs and on the
+// values around them that historically broke descents: every boundary
 // f[k] and its float neighbours, 0, the largest value below the total,
-// and subnormals.
-func checkDetermine(t *testing.T, v *Vector, x float64) {
+// the total itself and subnormals. Every window of Lanes consecutive
+// probes then goes through DetermineBatch, which must agree with
+// Determine lane for lane; xs sit between the fixed probes and the
+// boundaries, so each of them passes through every lane.
+func checkDetermine(t *testing.T, v *Vector, xs ...float64) {
 	t.Helper()
 	total := v.RowProb()
-	xs := []float64{x, 0, math.SmallestNonzeroFloat64, 1e-310, math.Nextafter(total, 0), total}
+	probes := []float64{0, math.SmallestNonzeroFloat64, 1e-310, math.Nextafter(total, 0), total}
+	probes = append(probes, xs...)
 	for k := 0; k <= v.levels; k++ {
-		xs = append(xs, v.f[k], math.Nextafter(v.f[k], 0), math.Nextafter(v.f[k], 2))
+		probes = append(probes, v.f[k], math.Nextafter(v.f[k], 0), math.Nextafter(v.f[k], 2))
 	}
-	for _, x := range xs {
-		if math.IsNaN(x) || x < 0 {
-			continue
-		}
+	probes = slices.DeleteFunc(probes, func(x float64) bool { return math.IsNaN(x) || x < 0 })
+	scalar := make([]int64, len(probes))
+	for i, x := range probes {
 		got, want := v.Determine(x), determineBinarySearch(v, x)
 		if got != want {
 			t.Fatalf("levels %d u %d x %v: Determine %d, binary search %d (f %v)", v.levels, v.u, x, got, want, v.f)
 		}
 		if viaOpt := v.DetermineOpt(x, nil, Production()); viaOpt != got {
 			t.Fatalf("DetermineOpt(Production) %d != Determine %d", viaOpt, got)
+		}
+		scalar[i] = got
+	}
+	for i := 0; i+Lanes <= len(probes); i++ {
+		var got [Lanes]int64
+		v.DetermineBatch((*[Lanes]float64)(probes[i:]), &got)
+		if !slices.Equal(got[:], scalar[i:i+Lanes]) {
+			t.Fatalf("levels %d u %d xs %v: DetermineBatch %v, Determine %v (f %v)", v.levels, v.u, probes[i:i+Lanes], got, scalar[i:i+Lanes], v.f)
 		}
 	}
 }
@@ -89,6 +101,9 @@ func FuzzDetermine(f *testing.F) {
 	f.Add(0.9, 0.05, 0.04, uint8(1), uint8(40), uint64(1)<<39, 0.5)  // β = 0
 	f.Add(0.5, 0.2, 0.2, uint8(0), uint8(12), uint64(0xABC), 1e-300) // α = 0
 	f.Add(0.3, 0.3, 0.3, uint8(2), uint8(1), uint64(1), 0.0)         // γ = 0, one level
+	f.Add(0.4, 0.3, 0.2, uint8(0), uint8(0), uint64(0), 0.5)         // α = 0 at the top (only) level
+	f.Add(0.4, 0.3, 0.2, uint8(2), uint8(1), uint64(3), 0.25)        // γ = 0 at the top of two levels
+	f.Add(0.4, 0.3, 0.2, uint8(0), uint8(Lanes-2), uint64(3), 0.75)  // α = 0 at the top of Lanes−1 levels
 	f.Fuzz(func(t *testing.T, a, b, c float64, zeroAt, levels uint8, u uint64, frac float64) {
 		k, ok := fuzzSeed(a, b, c, zeroAt)
 		if !ok {
@@ -114,18 +129,53 @@ func TestDetermineMatchesBinarySearchRandom(t *testing.T) {
 		lv := i%40 + 1
 		u := src.Int63n(1 << uint(lv))
 		v := New(k, u, lv)
-		// skg.MaxNoise bounds the noise by β only; keep γ+µ non-negative
-		// too, or the level matrices stop being probabilities and f stops
-		// being non-decreasing, which both searches presuppose.
-		if noise := math.Min(skg.MaxNoise(k), k.C); i%2 == 1 && noise > 0 {
+		if noise := skg.MaxNoise(k); i%2 == 1 && noise > 0 {
 			ns, err := skg.NewNoise(k, lv, noise/2, src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			v = NewNoisy(ns, u, lv)
 		}
-		for j := 0; j < 50; j++ {
-			checkDetermine(t, v, src.UniformTo(v.RowProb()))
+		var xs [50]float64 // one pass over the boundary probes per vector
+		for j := range xs {
+			xs[j] = src.UniformTo(v.RowProb())
+		}
+		checkDetermine(t, v, xs[:]...)
+	}
+}
+
+// TestDetermineBatchOutsideDomain: the bit-pattern predicate agrees with
+// Determine's float compares on what a descent can produce or be handed
+// beyond [0, total) — ±0, negatives, ±Inf and NaN, from σ = 0 levels
+// (x/0, 0/0) and σ = +Inf levels — and on a seed entry given as −0,
+// whose f[k] = −0 must compare as +0.
+func TestDetermineBatchOutsideDomain(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, k := range []skg.Seed{
+		skg.Graph500Seed,
+		{A: 0.6, B: 0, C: 0.3, D: 0.1},       // σ = 0 where u's bit is 0
+		{A: 0, B: 0.6, C: 0.3, D: 0.1},       // f[k] = 0, σ = +Inf
+		{A: negZero, B: 0.6, C: 0.3, D: 0.1}, // f[k] = −0
+	} {
+		if err := k.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range []int64{0, 0b1010, 0b1111} {
+			v := New(k, u, 4)
+			xs := []float64{negZero, -1, math.Inf(-1), math.NaN(), math.Inf(1), 2, 0}
+			for x := 0; x <= 4; x++ {
+				xs = append(xs, v.f[x], math.Nextafter(v.f[x], 2))
+			}
+			for i := 0; i+Lanes <= len(xs); i++ {
+				window := (*[Lanes]float64)(xs[i:])
+				var got [Lanes]int64
+				v.DetermineBatch(window, &got)
+				for l, x := range window {
+					if want := v.Determine(x); got[l] != want {
+						t.Errorf("seed %v u %d x %v: DetermineBatch %d, Determine %d (f %v)", k, u, x, got[l], want, v.f)
+					}
+				}
+			}
 		}
 	}
 }

@@ -22,6 +22,7 @@ package recvec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/rng"
 	"repro/internal/skg"
@@ -175,9 +176,11 @@ func (v *Vector) RowProb() float64 { return v.f[v.levels] }
 func (v *Vector) Sigma(k int) float64 { return v.sigma[k] }
 
 // Determine implements Theorem 2 / Algorithm 5: it maps a uniform random
-// value x ∈ [0, RowProb()) to a destination vertex. This is the
-// production path: recursion only on 1 bits (Idea#2) and a single
-// random value translated in place (Idea#3).
+// value x ∈ [0, RowProb()) to a destination vertex, recursing only on
+// 1 bits (Idea#2) and translating a single random value in place
+// (Idea#3). The scope loops call it for the last < Lanes destinations
+// of a scope and DetermineBatch, its bit-identical batched form, for
+// the rest.
 //
 // The Theorem 2 search "largest k with f[k] ≤ x" is done as one downward
 // scan shared by all recursion steps: selected indices strictly
@@ -209,6 +212,66 @@ func (v *Vector) Determine(x float64) int64 {
 		}
 	}
 	return dst
+}
+
+// Lanes is how many draws DetermineBatch descends together: four
+// independent divide chains saturate the divider (two gain nothing over
+// Determine, eight 5 % more for a longer scalar tail — DESIGN.md §5.1).
+// DetermineBatch writes its lanes out by hand, so the two change together.
+const Lanes = 4
+
+const (
+	signBit = 1 << 63
+	infBits = 0x7FF << 52 // math.Float64bits(math.Inf(1))
+)
+
+// DetermineBatch sets out[l] = Determine(xs[l]) for every lane, to the
+// bit. Determine's serial compare-subtract-divide chain is latency- and
+// mispredict-bound; the draws of one scope are independent, so the batch
+// walks all levels once for all lanes, computes every lane's translated
+// value unconditionally — the same subtraction and division — and keeps
+// it by mask, not by branch. Determine takes level k exactly when
+// x ≥ f[k] && x > 0 (its break test only skips levels that f's
+// monotonicity already rules out), and on bit patterns that is
+// f[k] ≤ x && 0 < x ≤ +Inf as unsigned integers: it holds for x = +Inf
+// and fails for ±0, negatives and NaN, as the float test does. It needs
+// f[k] ≥ 0 (sign cleared so a −0 seed entry compares as +0) and f
+// non-decreasing, which a valid seed gives and skg.NewNoise keeps (it
+// draws within skg.MaxNoise whatever its tolerance admitted).
+func (v *Vector) DetermineBatch(xs *[Lanes]float64, out *[Lanes]int64) {
+	sigma := v.sigma
+	f := v.f[:len(sigma)]
+	x0, x1 := math.Float64bits(xs[0]), math.Float64bits(xs[1])
+	x2, x3 := math.Float64bits(xs[2]), math.Float64bits(xs[3])
+	var d0, d1, d2, d3 uint64
+	bit := uint64(1) << uint(len(sigma)) // shifted right once per level
+	for k := len(sigma) - 1; k >= 0; k-- {
+		bit >>= 1
+		fk, sk := f[k], sigma[k]
+		fb := math.Float64bits(fk) &^ signBit
+		t0 := math.Float64bits((math.Float64frombits(x0) - fk) / sk)
+		t1 := math.Float64bits((math.Float64frombits(x1) - fk) / sk)
+		t2 := math.Float64bits((math.Float64frombits(x2) - fk) / sk)
+		t3 := math.Float64bits((math.Float64frombits(x3) - fk) / sk)
+		m0, m1, m2, m3 := takeMask(x0, fb), takeMask(x1, fb), takeMask(x2, fb), takeMask(x3, fb)
+		x0 ^= (x0 ^ t0) & m0
+		x1 ^= (x1 ^ t1) & m1
+		x2 ^= (x2 ^ t2) & m2
+		x3 ^= (x3 ^ t3) & m3
+		d0 |= bit & m0
+		d1 |= bit & m1
+		d2 |= bit & m2
+		d3 |= bit & m3
+	}
+	out[0], out[1], out[2], out[3] = int64(d0), int64(d1), int64(d2), int64(d3)
+}
+
+// takeMask returns all ones when fb ≤ x && 0 < x ≤ +Inf on bit
+// patterns, else zero, from two borrows instead of two branches.
+func takeMask(x, fb uint64) uint64 {
+	_, below := bits.Sub64(x, fb, 0)           // 1 when x < fb
+	_, positive := bits.Sub64(x-1, infBits, 0) // 1 when 0 < x ≤ +Inf
+	return (below - 1) & -positive
 }
 
 // searchBinary returns the largest k with f[k] <= x, i.e. the index

@@ -1,6 +1,7 @@
 package recvec
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -472,15 +473,46 @@ func BenchmarkBuildVector(b *testing.B) {
 	}
 }
 
+// benchVector is the vector both Determine benchmarks descend: 36
+// levels is a paper-scale graph, 18 about what bench/ generates.
+func benchVector(levels int) *Vector {
+	return New(skg.Graph500Seed, 987654321&(1<<uint(levels)-1), levels)
+}
+
 func BenchmarkDetermine(b *testing.B) {
-	v := New(skg.Graph500Seed, 987654321, 36)
-	src := rng.New(1)
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += v.Determine(src.UniformTo(v.RowProb()))
+	for _, levels := range []int{18, 36} {
+		b.Run(fmt.Sprintf("levels=%d", levels), func(b *testing.B) {
+			v := benchVector(levels)
+			src := rng.New(1)
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				sink += v.Determine(src.UniformTo(v.RowProb()))
+			}
+			_ = sink
+		})
 	}
-	_ = sink
+}
+
+// BenchmarkDetermineBatch reports ns per draw, not per batch, random
+// draw included, so it reads against BenchmarkDetermine line for line.
+func BenchmarkDetermineBatch(b *testing.B) {
+	for _, levels := range []int{18, 36} {
+		b.Run(fmt.Sprintf("levels=%d", levels), func(b *testing.B) {
+			v := benchVector(levels)
+			src := rng.New(1)
+			var xs [Lanes]float64
+			var out [Lanes]int64
+			var sink int64
+			for i := 0; i < b.N; i += Lanes {
+				for l := range xs {
+					xs[l] = src.UniformTo(v.RowProb())
+				}
+				v.DetermineBatch(&xs, &out)
+				sink += out[0] + out[Lanes-1]
+			}
+			_ = sink
+		})
+	}
 }
 
 func BenchmarkDetermineBig(b *testing.B) {

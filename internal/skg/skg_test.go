@@ -226,6 +226,26 @@ func TestMaxNoise(t *testing.T) {
 	if got, want := MaxNoise(Graph500Seed), 0.19; !approxEq(got, want, eps) {
 		t.Fatalf("MaxNoise = %v, want %v", got, want)
 	}
+	// γ binds as β does: a noise between them would make γ+µ negative.
+	asym := Seed{A: 0.5, B: 0.3, C: 0.05, D: 0.15}
+	if got := MaxNoise(asym); got != asym.C {
+		t.Fatalf("MaxNoise(%v) = %v, want γ = %v", asym, got, asym.C)
+	}
+	if got := MaxNoise(asym.Transpose()); got != asym.C {
+		t.Fatalf("MaxNoise of the transpose = %v, want %v", got, asym.C)
+	}
+	if _, err := NewNoise(asym, 10, 0.1, rng.New(1)); err == nil {
+		t.Fatal("noise above γ accepted")
+	}
+	ns, err := NewNoise(asym, 40, asym.C, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ns.Levels(); i++ {
+		if m := ns.Level(i); min(m.A, m.B, m.C, m.D) < 0 {
+			t.Fatalf("level %d has a negative entry: %v", i, m)
+		}
+	}
 }
 
 func TestNewNoiseValidation(t *testing.T) {
@@ -238,6 +258,24 @@ func TestNewNoiseValidation(t *testing.T) {
 	}
 	if _, err := NewNoise(Graph500Seed, 10, 0.1, src); err != nil {
 		t.Fatalf("valid noise rejected: %v", err)
+	}
+	// Inside the tolerance band above the bound the draws are those of
+	// the bound itself: same levels, none with a negative entry.
+	for _, k := range []Seed{Graph500Seed, {A: 0.5, B: 0.3, C: 0.05, D: 0.15}} {
+		limit := MaxNoise(k)
+		at, err := NewNoise(k, 64, limit, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		above, err := NewNoise(k, 64, limit+5e-13, rng.New(3))
+		if err != nil {
+			t.Fatalf("noise inside the tolerance rejected: %v", err)
+		}
+		for i := 0; i < above.Levels(); i++ {
+			if m := above.Level(i); m != at.Level(i) || min(m.A, m.B, m.C, m.D) < 0 {
+				t.Fatalf("level %d: %v above the bound, %v at it", i, m, at.Level(i))
+			}
+		}
 	}
 }
 

@@ -116,6 +116,9 @@ func TestMaxNoise(t *testing.T) {
 	if got := MaxNoise(Graph500Seed); math.Abs(got-0.19) > 1e-12 {
 		t.Fatalf("MaxNoise = %v", got)
 	}
+	if got := MaxNoise(Seed{A: 0.5, B: 0.3, C: 0.05, D: 0.15}); got != 0.05 {
+		t.Fatalf("MaxNoise of a seed with γ < β = %v, want γ", got)
+	}
 }
 
 // TestDeterminismProperty: for random master seeds, two runs agree on
