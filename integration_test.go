@@ -280,6 +280,127 @@ func partHashes(t *testing.T, dirs ...string) map[string]string {
 	return out
 }
 
+// teeWriter encodes every scope in several formats at once, so one
+// generation yields the part in all of them.
+type teeWriter []gformat.Writer
+
+func (ws teeWriter) WriteScope(src int64, dsts []int64) error {
+	for _, w := range ws {
+		if err := w.WriteScope(src, dsts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (ws teeWriter) Close() error {
+	for _, w := range ws {
+		if err := w.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (ws teeWriter) BytesWritten() (n int64) {
+	for _, w := range ws {
+		n += w.BytesWritten()
+	}
+	return n
+}
+
+func (ws teeWriter) EdgesWritten() int64 { return ws[0].EdgesWritten() }
+
+// TestCooperativePartsMatchPartsAlone is the chunk scheduler's half of
+// the conformance table: however many threads share however many parts
+// (core.GenerateParts runs a thread per part, up to GOMAXPROCS, each
+// taking chunks of any part), every part file is byte for byte the file that part produces
+// generated alone, on one thread that draws nothing ahead. The configs
+// are dense, so the near-full hub rows that stall a part's head — and
+// send the other threads running ahead and into the next parts — sit
+// in the first part of every plan.
+func TestCooperativePartsMatchPartsAlone(t *testing.T) {
+	dense := core.DefaultConfig(9)
+	dense.EdgeFactor = 128
+	nskg := dense
+	nskg.NoiseParam = 0.05
+	avsi := dense
+	avsi.Orientation = core.AVSI
+	lay, err := community.New(community.Config{
+		// 512 is a power of two (AVS intra block); the rest run ERV.
+		Sizes:      []int64{512, 700, 300},
+		Mixing:     [][]float64{{6, 1, 1}, {1, 6, 1}, {1, 1, 6}},
+		EdgeFactor: 128,
+		Noise:      0.05,
+		MasterSeed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := []gformat.Format{gformat.TSV, gformat.ADJ6, gformat.CSR6}
+	for _, tc := range []struct {
+		name    string
+		src     core.PartSource
+		formats []gformat.Format
+	}{
+		{"classic", dense, all},
+		{"nskg", nskg, all},
+		{"avs-i", avsi, all},
+		// A vertex heads one scope per block it sources: no CSR6.
+		{"community-k3", lay, all[:2]},
+	} {
+		for _, parts := range []int{1, 2, 3, 8} {
+			var ranges []partition.Range
+			var ids []int
+			if cfg, ok := tc.src.(core.Config); ok {
+				ranges, ids, err = cfg.Plan(parts)
+			} else if ranges, ids, err = tc.src.Plan(0); err == nil {
+				ranges, ids = ranges[:parts], ids[:parts] // the first blocks, a diagonal one first
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every format of a part comes from the one draw of it.
+			sinks := func(dir string, ids []int) core.SinkFactory {
+				return func(i int, r partition.Range) (gformat.Writer, error) {
+					var tee teeWriter
+					for _, format := range tc.formats {
+						w, err := core.FileSinks(dir, format, tc.src.NumVertices())(ids[i], r)
+						if err != nil {
+							return nil, err
+						}
+						tee = append(tee, w)
+					}
+					return tee, nil
+				}
+			}
+			together, alone := t.TempDir(), t.TempDir()
+			st, err := core.GenerateParts(tc.src, ranges, ids, sinks(together, ids), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var edges int64
+			for i := range ranges {
+				one, err := core.GenerateParts(tc.src, ranges[i:i+1], ids[i:i+1], sinks(alone, ids[i:i+1]), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edges += one.Edges
+			}
+			want := partHashes(t, alone)
+			got := partHashes(t, together)
+			if len(got) != parts*len(tc.formats) || st.Edges != edges {
+				t.Fatalf("%s %d parts: %d files holding %d edges, want %d edges", tc.name, parts, len(got), st.Edges, edges)
+			}
+			for name, h := range got {
+				if want[name] != h {
+					t.Errorf("%s %d parts: %s sha256 %s together, %s alone", tc.name, parts, name, h, want[name])
+				}
+			}
+		}
+	}
+}
+
 // TestPartExecutorConformance proves the one part executor
 // (core.ResumeParts / core.RunParts / core.StreamParts) once for both
 // PartSources, through every runtime that calls it: whichever way a

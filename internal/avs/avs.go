@@ -12,6 +12,7 @@ package avs
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/memacct"
 	"repro/internal/recvec"
@@ -65,8 +66,10 @@ func (c Config) NumVertices() int64 { return int64(1) << uint(c.Levels) }
 
 // Generator generates scopes for one graph configuration. Scope and
 // ScopeWithSize are not safe for concurrent use (they share the
-// generator's recursive vector and dedup set) — give each worker its
-// own instance, as core.Generate does. ScopeSize and the probability
+// generator's recursive vector and dedup set) — give each thread its
+// own instance, as core's executor does: a thread builds one for the
+// part it is drawing rows of, and another when it moves to another
+// part. ScopeSize and the probability
 // accessors only read tables filled by New and are safe to call
 // concurrently (the partitioner's parallel combine relies on this).
 type Generator struct {
@@ -79,10 +82,11 @@ type Generator struct {
 	// rowProb[c] is P_{u→} of a vertex with c one bits under the
 	// noise-free model (Lemma 1); nil under NSKG.
 	rowProb []float64
-	// vec and set are the worker's reusable recursive vector (Idea#1
-	// taken across scopes) and in-scope duplicate filter.
+	// vec and set are the reusable recursive vector (Idea#1 taken across
+	// scopes) and in-scope duplicate filter: the generator's own, unless
+	// ShareSet lent it the calling thread's.
 	vec recvec.Vector
-	set DedupSet
+	set *DedupSet
 }
 
 // New returns a scope generator. acct may be nil.
@@ -90,7 +94,7 @@ func New(cfg Config, acct *memacct.Acct) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{cfg: cfg, acct: acct}
+	g := &Generator{cfg: cfg, acct: acct, set: new(DedupSet)}
 	if cfg.Noise == nil {
 		// The very expression of skg.RowProb, evaluated once per popcount
 		// class instead of once per vertex: same bits, so the same
@@ -105,6 +109,12 @@ func New(cfg Config, acct *memacct.Acct) (*Generator, error) {
 
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
+
+// ShareSet makes g filter duplicates through set instead of a set of its
+// own, so a thread that runs one generator after another (a chunk of
+// this part, then a chunk of that) warms a single set's storage. A set
+// holds nothing between scopes, so whose it is cannot change a draw.
+func (g *Generator) ShareSet(set *DedupSet) { g.set = set }
 
 // RowProb returns P_{u→} under the configured model.
 func (g *Generator) RowProb(u int64) float64 {
@@ -194,9 +204,11 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		// every edge; DetermineOpt sends Production() straight to Determine.
 		opts := cfg.Opts
 		rebuild := !opts.ReuseVector && big == nil
-		vec, set := &g.vec, &g.set
+		vec, set := &g.vec, g.set
 		set.Begin(size, nv, !cfg.AllowDuplicates)
-		dsts, attempts, limit := res.Dsts, int64(0), maxAttempts(size)
+		// size is known before the first draw: one growth, not a doubling
+		// per power of two on the way to a hub row.
+		dsts, attempts, limit := slices.Grow(res.Dsts, int(size)), int64(0), maxAttempts(size)
 		if big == nil && opts == recvec.Production() {
 			// While Lanes more destinations and Lanes more attempts are both
 			// allowed, the loop below would make the next Lanes attempts

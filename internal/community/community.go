@@ -12,11 +12,12 @@
 // exactly the per-scope independence trick the flat generator uses. The
 // graph is therefore a pure function of its Config — bit-identical
 // across worker counts, machines, claim orders, and execution modes —
-// and a block is the natural work unit: one part file, one store
-// artifact, one dist lease, one swarm claim. Each block run builds its
-// own scope generator, because both engines' Scope reuse per-generator
-// state (avs: recursive vector and dedup set; erv: dedup set) and are
-// not safe for concurrent use.
+// and a block is the natural output unit: one part file, one store
+// artifact, one dist lease, one swarm claim. Every thread that draws
+// rows of a block builds its own scope generator, because both engines'
+// Scope reuse per-generator state (avs: recursive vector; erv: nothing
+// but the dedup set the thread lends it) and are not safe for
+// concurrent use.
 //
 // Layout implements core.PartSource, which is what plugs the
 // composition into the batch, distributed and masterless runtimes at
@@ -36,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/erv"
 	"repro/internal/gformat"
+	"repro/internal/memacct"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/skg"
@@ -289,7 +291,7 @@ func New(cfg Config) (*Layout, error) {
 			// Probe-build the block's generator so a bad configuration
 			// (including empty/inverted rectangles, as *erv.RangeError)
 			// fails at spec time, not mid-generation.
-			if _, err := l.newScoper(b); err != nil {
+			if _, _, err := l.newScoper(b, new(avs.DedupSet)); err != nil {
 				return nil, fmt.Errorf("community: block (%d,%d): %w", i, j, err)
 			}
 			l.blocks = append(l.blocks, b)
@@ -497,12 +499,13 @@ func (b Block) pow2Intra() bool {
 	return b.Intra && rows >= 2 && rows == b.DstHi-b.DstLo && rows&(rows-1) == 0
 }
 
-// newScoper builds block b's generator. Power-of-two intra blocks run
-// the real AVS engine (SKG, or NSKG when Noise is set, with the noise
-// stream derived from the block seed); everything else — rectangles
-// and odd-sized squares — runs ERV with the seed's Lemma-6 slopes.
-// Generators are not concurrency-safe: one scoper per concurrent block.
-func (l *Layout) newScoper(b Block) (core.Scoper, error) {
+// newScoper builds block b's generator and its expected-edges closed
+// form. Power-of-two intra blocks run the real AVS engine (SKG, or NSKG
+// when Noise is set, with the noise stream derived from the block seed);
+// everything else — rectangles and odd-sized squares — runs ERV with the
+// seed's Lemma-6 slopes. Generators are not concurrency-safe: one scoper
+// per thread, filtering duplicates through that thread's set.
+func (l *Layout) newScoper(b Block, set *avs.DedupSet) (core.Scoper, func(lo, hi int64) float64, error) {
 	rows, cols := b.SrcHi-b.SrcLo, b.DstHi-b.DstLo
 	seed := *l.cfg.Seed
 	if b.pow2Intra() {
@@ -516,18 +519,19 @@ func (l *Layout) newScoper(b Block) (core.Scoper, error) {
 		if l.cfg.Noise > 0 {
 			n, err := skg.NewNoise(seed, levels, l.cfg.Noise, rng.New(rng.Mix64(b.Seed, noiseSalt)))
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			acfg.Noise = n
 		}
 		g, err := avs.New(acfg, nil)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		g.ShareSet(set)
 		return func(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
 			res := g.Scope(u, src, buf)
 			return res.Dsts, res.Attempts
-		}, nil
+		}, core.RowEdges(seed, levels, b.Edges), nil
 	}
 	ecfg := erv.Config{
 		NumSrc:          rows,
@@ -539,43 +543,53 @@ func (l *Layout) newScoper(b Block) (core.Scoper, error) {
 	}
 	g, err := erv.New(ecfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	g.ShareSet(set)
 	return func(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
 		dsts := g.Scope(u, src, buf)
 		return dsts, int64(len(dsts))
-	}, nil
+	}, g.ExpectedEdges, nil
 }
 
-// GeneratePart implements core.PartSource: block id through
-// core.GenerateScopes. Scope u of the block draws from the stream of
-// (b.Seed, u) — fully independent of every other scope and block, which
-// is the whole determinism story — and lands as global scope
-// (SrcLo+u, dsts+DstLo). The block's own rectangle fixes the rows,
-// whatever r says, as in PartKey.
-func (l *Layout) GeneratePart(id int, r partition.Range, sinks core.SinkFactory, tel *telemetry.Registry) (core.Stats, error) {
+// OpenPart implements core.PartSource: block id. Scope u of the block
+// draws from the stream of (b.Seed, u) — fully independent of every
+// other scope and block, which is the whole determinism story — and
+// lands as global scope (SrcLo+u, dsts+DstLo). The block's own rectangle
+// fixes the rows, whatever r says, as in PartKey.
+func (l *Layout) OpenPart(id int, _ partition.Range) (core.Part, error) {
 	if id < 0 || id >= len(l.blocks) {
-		return core.Stats{}, fmt.Errorf("community: part %d outside the %d-block layout", id, len(l.blocks))
+		return core.Part{}, fmt.Errorf("community: part %d outside the %d-block layout", id, len(l.blocks))
 	}
 	b := l.blocks[id]
-	scope, err := l.newScoper(b)
+	_, rowEdges, err := l.newScoper(b, new(avs.DedupSet))
 	if err != nil {
-		return core.Stats{}, err
+		return core.Part{}, err
 	}
-	r.Lo, r.Hi = b.SrcLo, b.SrcHi
-	st, err := core.GenerateScopes(scope, b.Seed, r, b.SrcLo, b.DstLo, sinks, tel)
-	if err != nil {
-		return st, fmt.Errorf("community: block (%d,%d): %w", b.SrcComm, b.DstComm, err)
-	}
-	if tel != nil {
-		tel.Counter(MetricBlocksGenerated).Inc()
-		if b.Intra {
-			tel.Counter(MetricIntraEdges).Add(st.Edges)
-		} else {
-			tel.Counter(MetricInterEdges).Add(st.Edges)
-		}
-	}
-	return st, nil
+	return core.Part{
+		Lo: b.SrcLo, Hi: b.SrcHi,
+		Seed:   b.Seed,
+		SrcOff: b.SrcLo, DstOff: b.DstLo,
+		NewScoper: func(set *avs.DedupSet, _ *memacct.Acct) (core.Scoper, error) {
+			scope, _, err := l.newScoper(b, set)
+			return scope, err
+		},
+		ExpectedEdges: rowEdges,
+		Settled: func(st core.Stats, err error, tel *telemetry.Registry) error {
+			if err != nil {
+				return fmt.Errorf("community: block (%d,%d): %w", b.SrcComm, b.DstComm, err)
+			}
+			if tel != nil {
+				tel.Counter(MetricBlocksGenerated).Inc()
+				if b.Intra {
+					tel.Counter(MetricIntraEdges).Add(st.Edges)
+				} else {
+					tel.Counter(MetricInterEdges).Add(st.Edges)
+				}
+			}
+			return nil
+		},
+	}, nil
 }
 
 // checkFormat rejects encodings that cannot express the blocked

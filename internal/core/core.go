@@ -1,9 +1,10 @@
 // Package core is the TrillionG system of Section 5: it plans an
-// AVS-level partition of the vertex space (Figure 6), runs one worker
-// per partition generating scopes with the recursive vector model
-// (Algorithm 4), and streams each worker's adjacency lists into its own
-// format writer (TSV, ADJ6 or CSR6) — no shuffle, no global merge, and
-// O(d_max) working memory per worker.
+// AVS-level partition of the vertex space (Figure 6), generates each
+// part's scopes with the recursive vector model (Algorithm 4) on a
+// thread per part, up to GOMAXPROCS — sharing the parts' rows a chunk at a
+// time, so a part of expensive rows does not idle the rest — and streams each
+// part's adjacency lists into its own format writer (TSV, ADJ6 or CSR6):
+// no shuffle, no global merge, and O(d_max) working memory per thread.
 package core
 
 import (
@@ -37,7 +38,11 @@ type Config struct {
 	// MasterSeed makes the graph reproducible; the output is a pure
 	// function of (Config, MasterSeed) regardless of Workers.
 	MasterSeed uint64
-	// Workers is the number of generation goroutines (0 = GOMAXPROCS).
+	// Workers is the number of parts the vertex space is cut into — the
+	// output units: one writer, one part file each (0 = GOMAXPROCS).
+	// Threads are scheduling units: one per part, up to GOMAXPROCS, each
+	// taking chunks of rows from whichever part has some left, so no
+	// thread is bound to a part. The graph does not depend on it.
 	Workers int
 	// BinsPerWorker tunes partition granularity (0 = default).
 	BinsPerWorker int
@@ -137,8 +142,9 @@ type Stats struct {
 	Attempts int64
 	// MaxDegree is the largest generated out-degree.
 	MaxDegree int64
-	// PeakWorkerBytes is the largest tracked working set of any worker
-	// (dedup set + RecVec) — the O(d_max) of Table 1.
+	// PeakWorkerBytes is the largest tracked working set of any scope
+	// (dedup set + RecVec) — the O(d_max) of Table 1 — whichever thread
+	// drew it.
 	PeakWorkerBytes int64
 	// BytesWritten sums the writers' outputs.
 	BytesWritten int64
@@ -153,8 +159,11 @@ type Stats struct {
 	Ranges []partition.Range
 }
 
-// SinkFactory supplies one writer per worker. It is called before
-// workers start, in worker order. The worker closes its writer.
+// SinkFactory supplies one writer per part (`worker` is the part's
+// position). It is called before any part draws, in part order. A
+// part's writer is called from one goroutine at a time — its scopes in
+// row order, then Close — but not always the same goroutine: whichever
+// thread holds the head of the part writes.
 type SinkFactory func(worker int, r partition.Range) (gformat.Writer, error)
 
 // DiscardSinks returns a factory of counting no-op writers in the given
@@ -326,8 +335,8 @@ func GenerateObserved(cfg Config, sinks SinkFactory, tel *telemetry.Registry) (S
 	return st, err
 }
 
-// GenerateRanges generates exactly the given vertex ranges, one worker
-// goroutine per range, into the sinks. It is the execution half of
+// GenerateRanges generates exactly the given vertex ranges, one part
+// per range, into the sinks. It is the execution half of
 // Generate, split out so a caller can run a plan it computed itself.
 func GenerateRanges(cfg Config, ranges []partition.Range, sinks SinkFactory) (Stats, error) {
 	// Validate before GenerateParts opens the first sink: a bad

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/gformat"
+	"repro/internal/skg"
 )
 
 // SizeEstimate predicts output volume without generating — the capacity
@@ -95,26 +97,46 @@ func EstimateRangeEdges(cfg Config, lo, hi int64) (int64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	if lo < 0 {
-		lo = 0
+	return int64(math.Round(cfg.rowEdges()(lo, hi))), nil
+}
+
+// rowEdges is the closed form behind EstimateRangeEdges for a valid
+// configuration, unrounded: the classic part's Part.ExpectedEdges.
+func (c Config) rowEdges() func(lo, hi int64) float64 {
+	seed := c.Seed
+	if c.Orientation == AVSI {
+		seed = seed.Transpose() // scopes are columns
 	}
-	if nv := cfg.NumVertices(); hi > nv {
-		hi = nv
-	}
-	if lo >= hi {
-		return 0, nil
-	}
-	a := cfg.Seed.A + cfg.Seed.B // row mass of a 0 bit
-	b := cfg.Seed.C + cfg.Seed.D
-	if cfg.Orientation == AVSI {
-		a, b = cfg.Seed.A+cfg.Seed.C, cfg.Seed.B+cfg.Seed.D
-	}
+	return RowEdges(seed, c.Scale, c.NumEdges())
+}
+
+// RowEdges returns the expected-edges closed form of an SKG row range:
+// edges · P(lo ≤ src < hi) for a 2^levels-vertex graph whose source
+// bits are 1 with the seed's row-mass share γ+δ, with lo/hi clamped to
+// the vertex space. NSKG noise perturbs the per-level shares around the
+// same means and is ignored: this is an estimate to plan and cut by.
+func RowEdges(seed skg.Seed, levels int, edges int64) func(lo, hi int64) float64 {
+	a, b := seed.A+seed.B, seed.C+seed.D // row mass of a 0 bit, of a 1 bit
 	pa, pb := a/(a+b), b/(a+b)
-	mass := prefixMass(pa, pb, cfg.Scale, hi) - prefixMass(pa, pb, cfg.Scale, lo)
-	if mass < 0 {
-		mass = 0
+	return func(lo, hi int64) float64 {
+		mass := prefixMass(pa, pb, levels, hi) - prefixMass(pa, pb, levels, lo)
+		return float64(edges) * max(mass, 0)
 	}
-	return int64(math.Round(float64(cfg.NumEdges()) * mass)), nil
+}
+
+// CutRows is the one budget cutter — the server's part schedule and the
+// executor's chunks both come from it: the end of the longest run of
+// rows [lo, end) ⊆ [lo, hi) whose expected edges, by the closed form
+// edges (monotone in its second argument), stay within budget. One row
+// over budget is a run of its own, so end > lo whenever hi > lo. It
+// costs O(log(hi−lo)) evaluations of edges.
+func CutRows(edges func(lo, hi int64) float64, lo, hi int64, budget float64) int64 {
+	if hi <= lo {
+		return hi
+	}
+	return lo + 1 + int64(sort.Search(int(hi-lo-1), func(i int) bool {
+		return edges(lo, lo+2+int64(i)) > budget
+	}))
 }
 
 // prefixMass returns P(v < n) where v's bits are independently 1 with

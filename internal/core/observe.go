@@ -15,11 +15,11 @@ const (
 	// StagePlan is the Figure 6 partition planning stage.
 	StagePlan = "core.plan"
 	// StageRecvecBuild is the scope-generator construction stage (one
-	// call per part: each part builds its own generator; items = parts
-	// built). The per-scope refill of each part's recursive vector is
-	// part of StageScopeDraw.
+	// call per part, items = parts: the time of every thread that built
+	// the part a generator, summed). The per-scope refill of the
+	// recursive vector is part of StageScopeDraw.
 	StageRecvecBuild = "core.recvec_build"
-	// StageScopeDraw is the stochastic scope/degree draw stage: wall
+	// StageScopeDraw is the stochastic scope/degree draw stage: thread
 	// time spent in Algorithm 4 proper, excluding encoding and I/O
 	// (items = scopes drawn).
 	StageScopeDraw = "core.scope_draw"
@@ -86,8 +86,9 @@ func (c *countingWriter) Close() error {
 }
 
 // settle publishes the writer's counter growth since the last call.
-// The writer is single-goroutine (one worker owns it), so the local
-// bookkeeping needs no locks; only the registry adds are atomic.
+// The writer is called from one goroutine at a time (whichever thread
+// holds the head of the part), so the local bookkeeping needs no locks;
+// only the registry adds are atomic.
 func (c *countingWriter) settle() {
 	if e := c.Writer.EdgesWritten(); e != c.lastEdges {
 		c.edges.Add(e - c.lastEdges)
@@ -101,9 +102,9 @@ func (c *countingWriter) settle() {
 
 // timedWriter measures the wall time a part spends inside the format
 // encoder and sink (WriteScope and Close), accumulating locally so the
-// per-scope cost is two clock reads, no shared state. GenerateScopes
-// wraps its writer in one to attribute the part's wall time to the draw
-// and write stages after the fact.
+// per-scope cost is two clock reads, no shared state. drawParts wraps
+// each part's writer in one to attribute the threads' time on the part
+// to the draw and write stages after the fact.
 type timedWriter struct {
 	gformat.Writer
 	elapsed time.Duration

@@ -31,8 +31,7 @@ func planSchedule(t *testing.T, cfg Config, parts int) ([]partition.Range, func(
 }
 
 // TestStreamPartsConcatenatesParts is property (a): whatever the worker
-// count, the stream is each part's GeneratePart bytes, in schedule
-// order.
+// count, the stream is each part generated alone, in schedule order.
 func TestStreamPartsConcatenatesParts(t *testing.T) {
 	cfg := DefaultConfig(12)
 	cfg.NoiseParam = 0.1
@@ -40,13 +39,13 @@ func TestStreamPartsConcatenatesParts(t *testing.T) {
 		ranges, _ := planSchedule(t, cfg, 7)
 		var want bytes.Buffer
 		var edges int64
-		for i, r := range ranges {
-			st, err := cfg.GeneratePart(i, r, func(int, partition.Range) (gformat.Writer, error) {
+		for i := range ranges {
+			st, err := GenerateRanges(cfg, ranges[i:i+1], func(int, partition.Range) (gformat.Writer, error) {
 				if format == gformat.TSV {
 					return gformat.NewTSVWriter(&want), nil
 				}
 				return gformat.NewADJ6Writer(&want), nil
-			}, nil)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,6 +24,7 @@ package erv
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/alias"
 	"repro/internal/avs"
@@ -274,8 +275,9 @@ type Generator struct {
 	// outAlias samples empirical out-degrees (index = degree); inAlias
 	// samples empirical destination buckets spread over [0, NumDst).
 	outAlias, inAlias *alias.Table
-	// set is the in-scope duplicate filter, reused across Scope calls.
-	set avs.DedupSet
+	// set is the in-scope duplicate filter, reused across Scope calls:
+	// the generator's own, unless ShareSet lent it the calling thread's.
+	set *avs.DedupSet
 }
 
 // New validates cfg and precomputes the shared vectors.
@@ -287,6 +289,7 @@ func New(cfg Config) (*Generator, error) {
 		cfg:       cfg,
 		srcLevels: levelsFor(cfg.NumSrc),
 		dstLevels: levelsFor(cfg.NumDst),
+		set:       new(avs.DedupSet),
 	}
 	switch {
 	case cfg.OutDist.Kind == Empirical:
@@ -331,6 +334,10 @@ func New(cfg Config) (*Generator, error) {
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
 
+// ShareSet makes g filter duplicates through set instead of a set of its
+// own, as avs.Generator.ShareSet does.
+func (g *Generator) ShareSet(set *avs.DedupSet) { g.set = set }
+
 // rowMass returns the unnormalized Kout measure of source u.
 func (g *Generator) rowMass(u int64) float64 {
 	ones := 0
@@ -374,6 +381,31 @@ func (g *Generator) ScopeSizeProb(u int64) float64 {
 		return 0
 	}
 	return g.rowMass(u) / g.outNorm
+}
+
+// ExpectedEdges returns the expected number of edges of source rows
+// [lo, hi) before the per-row clamp to NumDst — the sum of ScopeSize's
+// means, in O(levels): the Kout prefix mass for the seeded
+// distributions, rows × mean degree for Uniform and Empirical. It is the
+// cost model a scheduler cuts a collection into chunks by.
+func (g *Generator) ExpectedEdges(lo, hi int64) float64 {
+	lo, hi = max(lo, 0), min(hi, g.cfg.NumSrc)
+	if lo >= hi {
+		return 0
+	}
+	switch {
+	case g.outAlias != nil:
+		var mass, sum float64
+		for d, w := range g.cfg.OutDist.Weights {
+			mass += w
+			sum += float64(d) * w
+		}
+		return float64(hi-lo) * sum / mass
+	case g.uniformOut:
+		return float64(hi-lo) * float64(g.cfg.OutDist.Min+g.cfg.OutDist.Max) / 2
+	}
+	mass := prefixRowMass(g.outA, g.outB, hi, g.srcLevels) - prefixRowMass(g.outA, g.outB, lo, g.srcLevels)
+	return float64(g.cfg.NumEdges) * mass / g.outNorm
 }
 
 // DestProb returns the probability that a single destination draw
@@ -434,13 +466,15 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 	if size <= 0 {
 		return out
 	}
+	out = slices.Grow(out, int(size)) // known before the first draw
 	if g.cfg.AllowDuplicates {
 		for int64(len(out)) < size {
 			out = append(out, g.drawDst(src))
 		}
 		return out
 	}
-	g.set.Begin(size, g.cfg.NumDst, true)
+	set := g.set
+	set.Begin(size, g.cfg.NumDst, true)
 	attempts, limit := int64(0), 64*size+1024
 	if g.dstVec != nil {
 		// As in avs.ScopeWithSize: while Lanes more destinations and Lanes
@@ -460,7 +494,7 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 					continue
 				}
 				attempts++
-				if g.set.Insert(v) {
+				if set.Insert(v) {
 					out = append(out, v)
 				}
 			}
@@ -468,7 +502,7 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 	}
 	for int64(len(out)) < size && attempts < limit {
 		attempts++
-		if v := g.drawDst(src); g.set.Insert(v) {
+		if v := g.drawDst(src); set.Insert(v) {
 			out = append(out, v)
 		}
 	}

@@ -264,12 +264,12 @@ func (r *Fig11bResult) trillionG(scale int, format gformat.Format) (Fig11bRow, e
 	// modeled.
 	var edges, bytes int64
 	err = sim.RunPhase("generate", func(w cluster.Worker) error {
-		st, err := cfg.GeneratePart(0, ranges[w.Index], func(int, partition.Range) (gformat.Writer, error) {
+		st, err := core.GenerateRanges(cfg, ranges[w.Index:w.Index+1], func(int, partition.Range) (gformat.Writer, error) {
 			if format == gformat.TSV {
 				return gformat.NewTSVWriter(io.Discard), nil
 			}
 			return gformat.NewADJ6Writer(io.Discard), nil
-		}, nil)
+		})
 		edges += st.Edges
 		bytes += st.BytesWritten
 		return err

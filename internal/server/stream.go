@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -62,22 +61,20 @@ const chunkEdges = 1 << 15
 // cutRange schedules the classic stream of [lo, hi): one part for a
 // single worker (the stream is then exactly a batch part), else chunks
 // of about chunkEdges expected edges — at least one vertex each — cut
-// on demand from Theorem 1's closed-form prefix mass, because a
-// Scale-34 range has millions of them.
+// on demand by core.CutRows from Theorem 1's closed-form prefix mass,
+// because a Scale-34 range has millions of them.
 func cutRange(cfg core.Config, lo, hi int64, workers int) partSchedule {
 	id := 0
+	// Validated once per schedule, not once per probe; both callers have
+	// checked cfg already, so this cannot fail.
+	part, _ := cfg.OpenPart(0, partition.Range{Lo: lo, Hi: hi})
 	return func() (int, partition.Range, bool) {
 		if lo >= hi {
 			return 0, partition.Range{}, false
 		}
 		r := partition.Range{Lo: lo, Hi: hi}
 		if workers > 1 {
-			// The longest [lo, end) within the budget; cfg is valid, so
-			// the estimate cannot fail.
-			r.Hi = lo + 1 + int64(sort.Search(int(hi-lo-1), func(i int) bool {
-				edges, _ := core.EstimateRangeEdges(cfg, lo, lo+2+int64(i))
-				return edges > chunkEdges
-			}))
+			r.Hi = core.CutRows(part.ExpectedEdges, lo, hi, chunkEdges)
 		}
 		lo = r.Hi
 		id++

@@ -86,7 +86,9 @@ type Config struct {
 	// MasterSeed selects the pseudo-random universe. Same seed, same
 	// graph — regardless of Workers.
 	MasterSeed uint64
-	// Workers is the number of generation goroutines (0 = GOMAXPROCS).
+	// Workers is the number of parts, one part file each (0 =
+	// GOMAXPROCS). A thread per part, up to GOMAXPROCS, draws them; the
+	// threads share the parts' rows, so none is bound to a part.
 	Workers int
 	// Opts are the recursive-vector options (New sets Production).
 	Opts Options
