@@ -28,8 +28,12 @@
 // the job flags alone and rendezvouses with its peers purely through
 // the shared -out directory (and -store, when given) — zero messages,
 // no leases, workers free to join or die at any time (docs/DIST.md has
-// the failure model). Each worker of one job runs the identical job
-// flags against the same shared directory:
+// the failure model). A worker takes a part by creating its claim
+// marker (part-NNNNN.<ext>.claim.tmp) beside the part's final name,
+// passes over parts whose marker a peer holds, and steals one only when
+// the marker has outlasted its patience (-scan-interval at least). Each
+// worker of one job runs the identical job flags against the same
+// shared directory:
 //
 //	trilliong-dist -masterless -scale 30 -parts 512 -format adj6 \
 //	    -out /shared/graph -store /shared/store -threads 6
@@ -85,9 +89,9 @@ func main() {
 		remoteSpec  = flag.String("remote-store", "", "worker: cold tier behind -store: s3://bucket[/prefix]?endpoint=URL or a directory path")
 		withPres    = flag.Bool("pressure", false, "worker: sample host pressure and advertise it in heartbeats so the master routes fresh ranges to cooler machines")
 		masterless  = flag.Bool("masterless", false, "run as a swarm worker: no master, schedule derived from the job flags, rendezvous through the shared -out dir/-store (ignores -role)")
-		swarmID     = flag.Uint64("swarm-id", 0, "masterless: worker identity steering collision avoidance (0 = random)")
-		scanEvery   = flag.Duration("scan-interval", 0, "masterless: settle wait before stealing straggler parts (0 = 250ms)")
-		maxEpochs   = flag.Int("max-epochs", 0, "masterless: abort if parts are still missing after this many epochs (0 = unbounded)")
+		swarmID     = flag.Uint64("swarm-id", 0, "masterless: worker identity, its starting point on the shared claim schedule (0 = random)")
+		scanEvery   = flag.Duration("scan-interval", 0, "masterless: patience floor — a peer's claim marker (a file beside the part; the rendezvous surface is files only) is left alone at least this long, longer when this worker's own parts are slower, before its part is stolen (0 = 250ms)")
+		maxEpochs   = flag.Int("max-epochs", 0, "masterless: abort if a verifying scan still finds parts missing after this many claim passes; a clean run needs one (0 = unbounded)")
 		commSpec    = flag.String("community", "", "community spec JSON file: generate a community composition (master and masterless; blocks are the work units)")
 		faults      = flag.String("faultpoints", "", "arm fault injection, e.g. 'dist.worker.scope=crash*1' (also via "+faultpoint.EnvVar+")")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/vars (JSON) on this address")
@@ -173,6 +177,7 @@ func main() {
 		}
 		fmt.Printf("swarm worker     %016x (%d parts job-wide, %d threads)\n", sum.WorkerID, sum.Parts, *threads)
 		fmt.Printf("claimed          %d parts won, %d publish races lost, %d skipped, %d from store\n", sum.Claimed, sum.Lost, sum.Skipped, sum.FromCache)
+		fmt.Printf("markers          %d parts deferred to a peer's claim, %d stolen, %v waiting on peers\n", sum.Deferred, sum.Stolen, sum.Waited)
 		fmt.Printf("verified         %d present parts across scans\n", sum.Verified)
 		fmt.Printf("epochs           %d claim passes\n", sum.Epochs)
 		fmt.Printf("edges generated  %d (%d bytes, duplicates included)\n", sum.Edges, sum.BytesWritten)

@@ -289,8 +289,8 @@ func TestSwarmRunFacade(t *testing.T) {
 		}
 		claimed += sums[i].Claimed
 	}
-	if claimed < parts {
-		t.Fatalf("swarm claimed %d parts in total, want >= %d", claimed, parts)
+	if claimed != parts {
+		t.Fatalf("swarm claimed %d parts in total, want exactly %d", claimed, parts)
 	}
 	for i := 0; i < parts; i++ {
 		name := filepath.Join(dir, fmt.Sprintf("part-%05d.adj6", i))

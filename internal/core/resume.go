@@ -129,13 +129,15 @@ type PartSinkOptions struct {
 	// temp file. The names still match the part-*.tmp pattern
 	// SweepTemps removes, so crashed-writer litter remains sweepable.
 	TmpSuffix string
-	// OnDuplicate arms lose-detection at publish time: if the final
-	// part path already exists when this writer is about to rename its
-	// temp into place, the temp is discarded — the existing file is
-	// bit-identical by the determinism contract, so the first publisher
-	// wins — OnDuplicate is called with the part id, and Close reports
-	// success. nil keeps the plain semantics (rename unconditionally;
-	// an overwrite replaces identical bytes).
+	// OnDuplicate turns the publish into an exact first-writer-wins
+	// claim: the temp is hard-linked to the final name, which fails with
+	// EEXIST — atomically, however close the race — when a peer
+	// published first. The loser's temp is discarded (the winner's bytes
+	// are identical by the determinism contract), OnDuplicate is called
+	// with the part id, and Close reports success, so of any number of
+	// racing writers exactly one is not told it lost. nil keeps the plain
+	// semantics (rename unconditionally; an overwrite replaces identical
+	// bytes).
 	OnDuplicate func(id int)
 }
 
@@ -174,9 +176,8 @@ type atomicWriter struct {
 	gformat.Writer
 	f          *os.File
 	tmp, final string
-	// onDup, when set, turns the publish into a first-writer-wins
-	// claim: an already-present final file discards this temp instead
-	// of renaming over it, and onDup records the lost race.
+	// onDup, when set, publishes by link instead of rename: an existing
+	// final file is the lost race, and onDup records it.
 	onDup func()
 }
 
@@ -208,22 +209,23 @@ func (a *atomicWriter) Close() error {
 		return err
 	}
 	if a.onDup != nil {
-		if _, err := os.Stat(a.final); err == nil {
-			// A peer published this part first. Its bytes are identical
-			// by the determinism contract, so losing the race costs
-			// nothing but the duplicated work; keep the winner's file
-			// untouched. (If the winner lands between this stat and the
-			// rename below, the rename replaces identical bytes —
-			// equally harmless, just counted as a win by both.)
-			os.Remove(a.tmp)
+		// link(2) refuses an existing name, so of all the writers racing
+		// to publish this part exactly one succeeds; the others keep the
+		// winner's file — identical bytes by the determinism contract —
+		// and have lost nothing but the duplicated work.
+		err := os.Link(a.tmp, a.final)
+		os.Remove(a.tmp)
+		if errors.Is(err, fs.ErrExist) {
 			a.onDup()
 			return nil
 		}
-	}
-	if err := os.Rename(a.tmp, a.final); err != nil {
+		if err != nil {
+			return err
+		}
+	} else if err := os.Rename(a.tmp, a.final); err != nil {
 		return err
 	}
-	// The rename is only durable once the directory entry is on disk;
+	// The new name is only durable once the directory entry is on disk;
 	// without this a host crash could make a "complete" part vanish and
 	// silently defeat resume.
 	return syncDir(filepath.Dir(a.final))

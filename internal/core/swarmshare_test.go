@@ -211,6 +211,53 @@ func TestAtomicPartSinkOptionsDuplicateLosesGracefully(t *testing.T) {
 	}
 }
 
+// TestAtomicPartSinkOptionsExactlyOneWinner: however many writers
+// finish the same part in the same instant, the OnDuplicate publish
+// tells all but exactly one that they lost — the ledger the swarm's
+// "parts won sum to Parts" rests on. (A stat-then-rename publish lets
+// two of them both win.)
+func TestAtomicPartSinkOptionsExactlyOneWinner(t *testing.T) {
+	cfg := DefaultConfig(6)
+	cfg.MasterSeed = 8
+	ranges, err := Plan(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, rounds = 8, 25
+	for round := 0; round < rounds; round++ {
+		dir := t.TempDir()
+		var lost atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sinks := atomicPartSinks(dir, gformat.ADJ6, cfg.NumVertices(), []int{0}, PartSinkOptions{
+					TmpSuffix:   string(rune('a' + w)),
+					OnDuplicate: func(int) { lost.Add(1) },
+				})
+				<-start
+				if _, err := GenerateRanges(cfg, ranges, sinks); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := lost.Load(); got != writers-1 {
+			t.Fatalf("round %d: %d of %d writers lost, want all but one", round, got, writers)
+		}
+		if err := CheckPart(PartPath(dir, gformat.ADJ6, 0), gformat.ADJ6); err != nil {
+			t.Fatalf("round %d: published part: %v", round, err)
+		}
+		tmps, _ := filepath.Glob(filepath.Join(dir, "part-*.tmp"))
+		if len(tmps) != 0 {
+			t.Fatalf("round %d: temp litter %v", round, tmps)
+		}
+	}
+}
+
 // TestAtomicPartSinkOptionsSuffixSeparatesWriters: two writers with
 // distinct suffixes publishing the same part never share a temp path,
 // and both temps match the sweepable pattern.

@@ -7,40 +7,55 @@
 // Generation"): when every piece of shared state is a pure function of
 // the job description, workers have nothing to tell each other.
 //
-// Everything a worker needs it derives locally:
+// Everything a worker needs it derives locally or reads off the shared
+// output directory (and, optionally, the shared artifact store) — files
+// are the whole rendezvous surface:
 //
 //   - The part plan. PartSource.Plan(parts) is deterministic, so every
 //     worker computes the identical partition from (source, Parts).
-//   - Its schedule. Each epoch has a pseudorandom permutation of the
-//     part indices seeded from (job fingerprint, epoch) — identical on
-//     every worker — rotated to a private starting offset derived from
-//     the worker's identity. Distinct workers therefore walk disjoint
-//     prefixes of the same cycle and rarely collide.
+//   - Its schedule. One pseudorandom permutation of the part indices,
+//     seeded from the job fingerprint and so identical on every worker,
+//     rotated to a private starting offset derived from the worker's
+//     identity. Workers walk the same cycle from different points.
+//   - Who is drawing what. Before it draws a part a worker creates the
+//     part's claim marker — part-NNNNN.<ext>.claim.tmp, O_CREATE|O_EXCL,
+//     next to the part's final name — and removes it once the part is
+//     published. A worker that finds the marker taken does not draw the
+//     part and does not stop either: it defers the part and walks on, so
+//     the fleet balances itself like a lease queue with nobody handing
+//     out leases.
 //   - Completion. A part is done exactly when its file exists under
-//     its final name in the shared output directory (the atomic-rename
-//     contract of core.AtomicPartSinks) or its key is in the shared
-//     artifact store. core.MissingParts scans are the only
-//     "coordination" that ever happens.
+//     its final name (the atomic-publish contract of core's part sinks)
+//     or its key is in the shared artifact store. A worker returns only
+//     after a full core.MissingParts scan — every present part
+//     structurally verified — finds nothing missing.
 //
-// Claims are idempotent because generation is deterministic: if two
-// workers race on a part, both produce bit-identical bytes, the first
-// atomic rename (or store ingest) wins, and the loser counts a
-// swarm.claims_lost_total and moves on. A worker that dies mid-part
-// leaves only temp-file litter (unique per worker incarnation, so
-// racing writers never share a temp); the part stays missing, a
-// survivor's next scan finds it, and the survivors advance to the next
-// epoch, whose fresh permutation converges everyone onto the remaining
-// parts — work stealing with no messages. Workers are therefore
-// stateless and spot/serverless-friendly: thousands can join, die and
-// rejoin with zero lease traffic, rendezvousing purely through the
-// filesystem/store.
+// When its walk ends, the parts a worker deferred are in flight on
+// peers. It waits for exactly those, polling their final names at an
+// interval proportional to its own work (a fraction of its slowest
+// claim), and steals one only when the marker's owner has not changed
+// for a patience of max(ScanInterval, a few of its own slowest claims),
+// measured on the waiter's own monotonic clock from when it first saw
+// that owner — no mtimes, no clocks compared across hosts. The thief
+// rewrites the marker in its own name, so other waiters see a live
+// owner and restart their patience instead of all stealing at once. A
+// dead worker's marker therefore delays the survivors once, bounded; a
+// live-but-slow owner costs at most a duplicate, which is harmless:
+// generation is deterministic, the publish is an exclusive link (first
+// writer wins, exactly), and the loser counts a swarm.claims_lost_total
+// and moves on. A worker that dies mid-part leaves its marker and a
+// temp file (unique per worker incarnation, so racing writers never
+// share one) — both match part-*.tmp, which core.SweepTemps removes —
+// and a claim that fails removes its own marker on the way out.
+// Workers are therefore stateless and spot/serverless-friendly:
+// thousands can join, die and rejoin with zero lease traffic.
 //
 // Host pressure degrades claim *rate*, not routing: there is no master
 // to route around a hot host, so a worker whose pressure controller
-// reports elevated/critical inserts pauses between its own claims,
-// yielding parts to cooler peers while still making progress if it is
-// the last worker standing. Output bytes are identical at every
-// pressure level.
+// reports elevated/critical pauses before it takes a marker — never
+// while holding one — yielding parts to cooler peers while still making
+// progress if it is the last worker standing. Output bytes are
+// identical at every pressure level.
 package swarm
 
 import (
@@ -48,6 +63,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -75,21 +91,24 @@ type Options struct {
 	// depend on who shows up.
 	Parts int
 	// WorkerID is this worker's identity, the rotation offset of its
-	// epoch schedules. Identities only steer collision avoidance —
-	// correctness never depends on them — so 0 picks a random one.
-	// Distinct workers should use distinct identities; two workers
-	// sharing one simply duplicate each other's walk.
+	// schedule. Identities only spread workers over the cycle —
+	// correctness never depends on them, and claim markers keep even
+	// workers sharing one from drawing the same part — so 0 picks a
+	// random one.
 	WorkerID uint64
 	// Threads is the number of parts this worker generates
 	// concurrently (0 = 1).
 	Threads int
-	// ScanInterval paces the straggler machinery: a worker that finds
-	// missing parts after its own pass waits this long for in-flight
-	// peer renames to land before stealing (0 = 250ms).
+	// ScanInterval is the patience floor: a claim marker whose part has
+	// not been published is left to its owner for at least this long
+	// (longer when this worker's own claims are slower) before the part
+	// is stolen. It also caps the interval at which deferred parts are
+	// polled and paces retries of a pass that found nothing it could do
+	// (0 = 250ms).
 	ScanInterval time.Duration
 	// MaxEpochs aborts a worker that is still finding missing parts
-	// after this many epochs — a backstop against an environment where
-	// published parts keep vanishing (0 = unbounded).
+	// after this many claim passes — a backstop against an environment
+	// where published parts keep vanishing (0 = unbounded).
 	MaxEpochs int
 	// ThrottleCritical is the pause inserted before each claim while
 	// the local host advertises critical pressure; elevated pressure
@@ -111,31 +130,35 @@ type Options struct {
 }
 
 // Summary reports one worker's share of a masterless run. Totals are
-// per-worker: summed over all workers of a job, Claimed equals Parts
-// (every part is published by exactly one winner) while Lost, Skipped
-// and FromCache describe the collision and cache traffic.
+// per-worker: summed over all workers of a job, Claimed plus FromCache
+// equals Parts (every part is published by exactly one winner) while
+// Lost, Skipped, Deferred and Stolen describe the traffic around it.
 type Summary struct {
 	// Parts is the job-wide part count; WorkerID the identity used.
 	Parts    int
 	WorkerID uint64
 	// Claimed counts parts this worker generated and published first;
-	// Lost the generated duplicates that lost the publish race;
-	// Skipped the claim-time skips (peer published while we walked);
+	// Lost the generated duplicates that lost the publish;
+	// Skipped the parts found published when the walk reached them;
 	// FromCache the parts materialized from the artifact store;
 	// Verified the present parts structurally verified across scans.
 	Claimed, Lost, Skipped, FromCache, Verified int
-	// Epochs counts the claim-pass epochs this worker executed: 0
-	// means it joined a job that was already complete, 1 a clean
-	// single-pass run, >1 that collisions or stragglers forced it into
-	// later epochs (message-free work stealing).
+	// Deferred counts parts passed over because a peer held their claim
+	// marker; Stolen the parts drawn although a marker was held, after
+	// its owner outlasted this worker's patience.
+	Deferred, Stolen int
+	// Epochs counts the claim passes this worker executed: 0 means it
+	// joined a job that was already complete, 1 a clean run, >1 that a
+	// verifying scan found published parts damaged or gone.
 	Epochs int
 	// Edges and BytesWritten cover what this worker generated,
 	// duplicates included.
 	Edges        int64
 	BytesWritten int64
-	// PlanDuration is the local partition-planning time; Elapsed the
-	// whole run including scans and settle waits.
-	PlanDuration, Elapsed time.Duration
+	// PlanDuration is the local partition-planning time; Waited the
+	// time spent waiting on peers' in-flight parts; Elapsed the whole
+	// run including scans and waits.
+	PlanDuration, Waited, Elapsed time.Duration
 }
 
 // nonceCounter disambiguates workers started in the same process and
@@ -149,9 +172,9 @@ func runNonce() uint64 {
 	return rng.Mix64(uint64(os.Getpid())<<20^nonceCounter.Add(1), uint64(time.Now().UnixNano()))
 }
 
-// jobSeed condenses the job identity into the 64-bit seed of the epoch
-// permutations. Every worker derives it from the same pure inputs, so
-// the per-epoch schedules agree fleet-wide with zero messages.
+// jobSeed condenses the job identity into the 64-bit seed of the shared
+// permutation. Every worker derives it from the same pure inputs, so
+// the schedules agree fleet-wide with zero messages.
 func jobSeed(fingerprint string, format gformat.Format, parts int) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, fingerprint)
@@ -161,14 +184,14 @@ func jobSeed(fingerprint string, format gformat.Format, parts int) uint64 {
 	return h.Sum64()
 }
 
-// epochOrder is epoch e's schedule for one worker: the fleet-shared
-// pseudorandom permutation of [0, parts) seeded by (seed, epoch),
-// rotated to the worker's private starting offset. Sharing the base
-// permutation while privatizing only the offset is what makes prefixes
-// disjoint: workers walk the same cycle starting at different points,
-// so until the fleet wraps around, no two cover the same part.
-func epochOrder(seed, workerID uint64, epoch, parts int) []int {
-	r := rng.New(rng.Mix64(seed, uint64(epoch)))
+// schedule is one worker's walk order: the fleet-shared pseudorandom
+// permutation of [0, parts) seeded by seed, rotated to the worker's
+// private starting offset. Sharing the cycle while privatizing only the
+// offset keeps peers' territory contiguous: a worker that catches up
+// with a peer passes over a run of published parts and one held marker,
+// then finds untouched parts again.
+func schedule(seed, workerID uint64, parts int) []int {
+	r := rng.New(seed)
 	order := make([]int, parts)
 	for i := range order {
 		order[i] = i
@@ -177,17 +200,14 @@ func epochOrder(seed, workerID uint64, epoch, parts int) []int {
 		j := int(r.Int63n(int64(i + 1)))
 		order[i], order[j] = order[j], order[i]
 	}
-	off := int(rng.Mix64(rng.Mix64(seed, workerID), uint64(epoch)) % uint64(parts))
-	rot := make([]int, 0, parts)
-	rot = append(rot, order[off:]...)
-	rot = append(rot, order[:off]...)
-	return rot
+	off := int(rng.Mix64(seed, workerID) % uint64(parts))
+	return append(order[off:], order[:off]...)
 }
 
 // Run executes one masterless swarm worker for any core.PartSource —
 // a classic core.Config with its degree-balanced partition, or a
 // community layout, whose blocks become the claimable parts: it derives
-// the plan and its schedules locally, claims parts until a completion
+// the plan and its schedule locally, claims parts until a completion
 // scan finds none missing, and returns its share of the run. Any number
 // of invocations — in one process or many, started together or hours
 // apart — pointed at the same shared dir (and optionally the same
@@ -241,11 +261,12 @@ func Run(src core.PartSource, dir string, format gformat.Format, opts Options) (
 		opts:   opts,
 		ranges: ranges,
 		ids:    ids,
-		seed:   jobSeed(src.Fingerprint(), format, opts.Parts),
-		// Unique temp suffix per incarnation: racing claimants of one
-		// part must never interleave writes into a shared temp file.
-		tmpSuffix: fmt.Sprintf("%016x", nonce),
-		tel:       opts.Telemetry,
+		order:  schedule(jobSeed(src.Fingerprint(), format, opts.Parts), opts.WorkerID, opts.Parts),
+		// Unique per incarnation: the suffix of this worker's temp files
+		// (racing writers of one part must never interleave bytes into a
+		// shared temp) and the owner name it writes into its markers.
+		incarnation: fmt.Sprintf("%016x", nonce),
+		tel:         opts.Telemetry,
 	}
 	sum, err := w.run()
 	sum.PlanDuration = planDur
@@ -256,140 +277,299 @@ func Run(src core.PartSource, dir string, format gformat.Format, opts Options) (
 // worker is one Run invocation's state. Counters are atomics because
 // Threads claim loops feed them concurrently.
 type worker struct {
-	src       core.PartSource
-	dir       string
-	format    gformat.Format
-	opts      Options
-	ranges    []partition.Range
-	ids       []int
-	seed      uint64
-	tmpSuffix string
-	tel       *telemetry.Registry
+	src         core.PartSource
+	dir         string
+	format      gformat.Format
+	opts        Options
+	ranges      []partition.Range
+	ids         []int
+	order       []int // positions into ranges/ids, in walk order
+	incarnation string
+	tel         *telemetry.Registry
 
 	claimed, lost, skipped, fromCache atomic.Int64
-	verified                          atomic.Int64
+	deferred, stolen, verified        atomic.Int64
 	edges, bytes                      atomic.Int64
-	passes                            int // claim-pass epochs executed (run loop only)
+	slowest                           atomic.Int64 // longest own draw, ns
+	waited                            time.Duration
+	passes                            int // claim passes executed (run loop only)
+}
+
+// held is a part this worker passed over because a peer's marker was on
+// it: who owned the marker and when this worker first saw that owner.
+type held struct {
+	pos   int // position into ranges/ids
+	owner string
+	since time.Time
 }
 
 func (w *worker) run() (Summary, error) {
-	ids := w.ids
 	epochGauge := w.tel.Gauge(MetricEpoch)
-	for epoch := 0; ; epoch++ {
-		if w.opts.MaxEpochs > 0 && epoch >= w.opts.MaxEpochs {
-			return w.summary(), fmt.Errorf("swarm: parts still missing after %d epochs — published parts are vanishing or MaxEpochs is too low", epoch)
+	for {
+		epochGauge.Set(float64(w.passes))
+		missing, err := w.scan()
+		if err != nil || len(missing) == 0 {
+			return w.summary(), err
 		}
-		epochGauge.Set(float64(epoch))
-		missing, missingIDs, err := w.scan(ids)
+		if w.opts.MaxEpochs > 0 && w.passes >= w.opts.MaxEpochs {
+			return w.summary(), fmt.Errorf("swarm: parts still missing after %d epochs — published parts are vanishing or MaxEpochs is too low", w.passes)
+		}
+		w.passes++
+		before := w.activity()
+		waiting, err := w.walk(missing, nil)
+		if err == nil {
+			err = w.await(waiting)
+		}
 		if err != nil {
 			return w.summary(), err
 		}
-		if w.passes > 0 && len(missingIDs) > 0 {
-			// Straggler territory. The missing parts may be in flight
-			// on live peers; give their renames one scan interval to
-			// land before stealing, so a healthy-but-slow fleet is not
-			// drowned in duplicates.
+		if w.activity() == before {
+			// Nothing drawn, nothing deferred: every missing part sits
+			// under its final name yet fails verification and cannot be
+			// deleted. Verify again no faster than the patience floor.
 			time.Sleep(w.opts.ScanInterval)
-			missing, missingIDs, err = w.scan(ids)
-			if err != nil {
-				return w.summary(), err
-			}
-		}
-		if len(missingIDs) == 0 {
-			return w.summary(), nil
-		}
-		w.passes++
-		if err := w.claimPass(epoch, missing, missingIDs); err != nil {
-			return w.summary(), err
 		}
 	}
 }
 
-// scan is the completion check: which parts are not yet published,
-// complete and structurally valid, in the shared directory. It is the
-// only rendezvous read the swarm performs.
-func (w *worker) scan(ids []int) ([]partition.Range, []int, error) {
+// activity counts what passes accomplish; a pass that leaves it
+// unchanged only skipped.
+func (w *worker) activity() int64 {
+	return w.claimed.Load() + w.lost.Load() + w.fromCache.Load() + w.deferred.Load()
+}
+
+// scan is the completion check: the schedule positions of the parts not
+// yet published, complete and structurally valid, in walk order. A
+// published part needs no claim, so the scan also clears any marker
+// still lying next to one (its owner died between publish and unlink,
+// or was outrun by a thief).
+func (w *worker) scan() ([]int, error) {
 	if err := faultpoint.Fire(PointScan); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	scanStart := time.Now()
-	missing, missingIDs := core.MissingParts(w.dir, w.format, w.ranges, ids)
+	_, missingIDs := core.MissingParts(w.dir, w.format, w.ranges, w.ids)
 	w.tel.Histogram(MetricScanSeconds).ObserveDuration(time.Since(scanStart))
-	present := int64(len(ids) - len(missingIDs))
+	present := int64(len(w.ids) - len(missingIDs))
 	w.verified.Add(present)
 	w.tel.Counter(MetricPartsVerified).Add(present)
-	return missing, missingIDs, nil
-}
 
-// claimPass walks this epoch's schedule over the scan's missing parts,
-// claiming each until the walk runs into territory a peer covered: the
-// first part that turned up complete *since the scan* stops the pass,
-// because from there on the walk would mostly duplicate a live peer's
-// work. The next scan decides what, if anything, is genuinely left.
-// A pass with zero claims still terminates the run eventually: a
-// claim-time skip proves another worker made progress in the window.
-func (w *worker) claimPass(epoch int, missing []partition.Range, missingIDs []int) error {
-	byID := make(map[int]partition.Range, len(missingIDs))
-	for i, id := range missingIDs {
-		byID[id] = missing[i]
+	isMissing := make(map[int]bool, len(missingIDs))
+	for _, id := range missingIDs {
+		isMissing[id] = true
 	}
-	sched := make([]int, 0, len(missingIDs))
-	for _, pos := range epochOrder(w.seed, w.opts.WorkerID, epoch, w.opts.Parts) {
-		id := w.ids[pos]
-		if _, ok := byID[id]; ok {
-			sched = append(sched, id)
+	var missing []int
+	for _, pos := range w.order {
+		if isMissing[w.ids[pos]] {
+			missing = append(missing, pos)
+		} else {
+			os.Remove(w.markerPath(pos))
 		}
 	}
+	return missing, nil
+}
 
+// walk claims the parts at the given schedule positions, Threads at a
+// time, and returns the ones it had to defer to a peer's marker. Parts
+// in stale are taken over their marker: await names the ones whose owner
+// outlasted this worker's patience.
+func (w *worker) walk(sched []int, stale map[int]bool) ([]held, error) {
 	threads := min(w.opts.Threads, len(sched))
-	var cursor atomic.Int64
-	var stop atomic.Bool
-	errs := make([]error, threads)
-	var wg sync.WaitGroup
+	var (
+		cursor  atomic.Int64
+		failed  atomic.Bool
+		mu      sync.Mutex
+		waiting []held
+		errs    = make([]error, threads)
+		wg      sync.WaitGroup
+	)
 	for t := 0; t < threads; t++ {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			for !stop.Load() {
+			for !failed.Load() {
 				k := int(cursor.Add(1)) - 1
 				if k >= len(sched) {
 					return
 				}
-				id := sched[k]
-				collided, err := w.claim(id, byID[id])
+				h, err := w.claim(sched[k], stale[sched[k]])
 				if err != nil {
 					errs[t] = err
-					stop.Store(true)
+					failed.Store(true)
 					return
 				}
-				if collided {
-					stop.Store(true)
-					return
+				if h != nil {
+					mu.Lock()
+					waiting = append(waiting, *h)
+					mu.Unlock()
 				}
 			}
 		}(t)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return waiting, errors.Join(errs...)
 }
 
-// claim makes part id exist: skip if a peer published it meanwhile,
-// materialize from the store on a hit, otherwise generate it and
-// publish via atomic rename — first writer wins. collided reports a
-// claim-time skip, the signal that the walk has caught up with a peer.
-func (w *worker) claim(id int, r partition.Range) (collided bool, err error) {
-	w.throttle()
-	if err := faultpoint.Fire(PointClaim); err != nil {
-		return false, err
+// await waits out the parts this worker deferred. They are in flight
+// on peers, so it polls only their final names and markers — no
+// directory scan — at an interval proportional to its own slowest claim.
+// A part whose marker vanished unpublished (its owner failed and let go)
+// is claimed at once; one whose marker has named the same owner for a
+// whole patience is stolen. Time is the waiter's own monotonic clock
+// since it first saw that owner: nothing here reads an mtime or compares
+// clocks across hosts.
+func (w *worker) await(waiting []held) error {
+	if len(waiting) == 0 {
+		return nil
 	}
-	final := core.PartPath(w.dir, w.format, id)
-	// Presence recheck: presence under the final name is proof of
-	// completeness (atomic-rename contract), so no structural check
-	// here — scans re-verify everything anyway.
-	if _, err := os.Stat(final); err == nil {
-		w.skipped.Add(1)
-		w.tel.Counter(MetricPartsSkipped).Inc()
-		return true, nil
+	var waited time.Duration
+	defer func() {
+		w.waited += waited
+		w.tel.Histogram(MetricWaitSeconds).ObserveDuration(waited)
+	}()
+	stale := make(map[int]bool) // the ready parts to take over their marker
+	for len(waiting) > 0 {
+		tick := time.Now()
+		var ready []int
+		clear(stale)
+		still := waiting[:0]
+		for _, h := range waiting {
+			if published(w.partPath(h.pos)) {
+				continue
+			}
+			owner, err := os.ReadFile(w.markerPath(h.pos))
+			switch {
+			case errors.Is(err, fs.ErrNotExist):
+				ready = append(ready, h.pos)
+			case err != nil:
+				return err
+			case string(owner) != h.owner:
+				// Re-claimed or stolen by a peer: a new owner, a new clock.
+				still = append(still, held{pos: h.pos, owner: string(owner), since: tick})
+			case tick.Sub(h.since) >= w.patience():
+				ready = append(ready, h.pos)
+				stale[h.pos] = true
+			default:
+				still = append(still, h)
+			}
+		}
+		waiting = still
+		if len(ready) == 0 && len(waiting) > 0 {
+			time.Sleep(w.pollInterval())
+		}
+		waited += time.Since(tick)
+		if len(ready) > 0 {
+			again, err := w.walk(ready, stale)
+			if err != nil {
+				return err
+			}
+			waiting = append(waiting, again...)
+		}
+	}
+	return nil
+}
+
+// pollInterval is how often await looks at its deferred parts: an
+// eighth of this worker's slowest claim — peers' parts take about as
+// long, so that bounds the idle tail at a fraction of one part — no
+// faster than 1ms and no slower than ScanInterval.
+func (w *worker) pollInterval() time.Duration {
+	return min(max(time.Duration(w.slowest.Load())/8, time.Millisecond), w.opts.ScanInterval)
+}
+
+// patience is how long a marker may name the same owner, its part
+// unpublished, before await steals the part: ScanInterval, or four of
+// this worker's slowest claims if that is longer, so a fleet drawing
+// big parts does not mistake a busy peer for a dead one.
+func (w *worker) patience() time.Duration {
+	return max(w.opts.ScanInterval, 4*time.Duration(w.slowest.Load()))
+}
+
+func (w *worker) partPath(pos int) string {
+	return core.PartPath(w.dir, w.format, w.ids[pos])
+}
+
+// markerPath names a part's claim marker. It sits next to the final
+// name and matches part-*.tmp, so core.SweepTemps and every litter
+// check that covers temp files cover markers too.
+func (w *worker) markerPath(pos int) string {
+	return w.partPath(pos) + ".claim.tmp"
+}
+
+// published reports presence under the final name, which is proof of
+// completeness (atomic-publish contract); scans re-verify everything
+// anyway.
+func published(final string) bool {
+	_, err := os.Stat(final)
+	return err == nil
+}
+
+// mark takes a part's claim marker for this incarnation: exclusively,
+// or with steal over whoever holds it. A marker held by a peer comes
+// back as the held record await needs — its owner's name as of now
+// (empty while the owner is between creating the marker and signing it,
+// or has just let go).
+func (w *worker) mark(pos int, steal bool) (*held, error) {
+	marker := w.markerPath(pos)
+	flag := os.O_WRONLY | os.O_CREATE | os.O_EXCL
+	if steal {
+		flag = os.O_WRONLY | os.O_CREATE | os.O_TRUNC
+	}
+	f, err := os.OpenFile(marker, flag, 0o644)
+	if errors.Is(err, fs.ErrExist) {
+		owner, err := os.ReadFile(marker)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+		return &held{pos: pos, owner: string(owner), since: time.Now()}, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	_, err = f.WriteString(w.incarnation)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(marker)
+	}
+	return nil, err
+}
+
+// claim makes the part at pos exist, or reports that a peer is on it:
+// skip it if it is published, defer it if a peer holds its marker,
+// otherwise take the marker, materialize the part from the store or
+// generate and publish it — first writer wins — and let the marker go,
+// also when the claim fails.
+func (w *worker) claim(pos int, steal bool) (deferred *held, err error) {
+	if err := faultpoint.Fire(PointClaim); err != nil {
+		return nil, err
+	}
+	final := w.partPath(pos)
+	if published(final) {
+		w.skip()
+		return nil, nil
+	}
+	// Yield to cooler peers before taking the marker, never while
+	// holding it: a marker held through a pause would park its part.
+	w.throttle()
+	if h, err := w.mark(pos, steal); err != nil || h != nil {
+		if h != nil {
+			w.deferred.Add(1)
+			w.tel.Counter(MetricClaimsDeferred).Inc()
+		}
+		return h, err
+	}
+	defer os.Remove(w.markerPath(pos))
+	// An owner publishes and then lets go, so a marker taken after a
+	// peer's unlink sees that peer's part here.
+	if published(final) {
+		w.skip()
+		return nil, nil
+	}
+	if steal {
+		w.stolen.Add(1)
+		w.tel.Counter(MetricClaimsStolen).Inc()
 	}
 	// The part executor fetches from the store or generates, publishing
 	// with first-writer-wins. Ingest sits outside the atomic sink (the
@@ -398,18 +578,22 @@ func (w *worker) claim(id int, r partition.Range) (collided bool, err error) {
 	// idempotent, so the order of winners and losers cannot corrupt the
 	// store.
 	var lostRace atomic.Bool
-	st, err := core.RunParts(w.src, w.dir, w.format, []partition.Range{r}, []int{id}, w.opts.Store, w.tel,
+	drawStart := time.Now()
+	st, err := core.RunParts(w.src, w.dir, w.format, w.ranges[pos:pos+1], w.ids[pos:pos+1], w.opts.Store, w.tel,
 		core.PartSinkOptions{
-			TmpSuffix:   w.tmpSuffix,
+			TmpSuffix:   w.incarnation,
 			OnDuplicate: func(int) { lostRace.Store(true) },
 		}, nil)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if st.PartsFromCache > 0 {
 		w.fromCache.Add(1)
 		w.tel.Counter(MetricStoreHits).Inc()
-		return false, nil
+		return nil, nil
+	}
+	drew := int64(time.Since(drawStart))
+	for old := w.slowest.Load(); drew > old && !w.slowest.CompareAndSwap(old, drew); old = w.slowest.Load() {
 	}
 	w.edges.Add(st.Edges)
 	w.bytes.Add(st.BytesWritten)
@@ -421,14 +605,19 @@ func (w *worker) claim(id int, r partition.Range) (collided bool, err error) {
 		w.claimed.Add(1)
 		w.tel.Counter(MetricPartsClaimed).Inc()
 	}
-	return false, nil
+	return nil, nil
+}
+
+func (w *worker) skip() {
+	w.skipped.Add(1)
+	w.tel.Counter(MetricPartsSkipped).Inc()
 }
 
 // throttle inserts the pressure pause before a claim. With no master
 // to route work away from a hot host, the host slows itself down:
 // critical pressure pauses a full ThrottleCritical per claim, elevated
-// a quarter — enough for cooler peers to win most races, while a
-// last-worker-standing still finishes the job.
+// a quarter — enough for cooler peers to take most markers first, while
+// a last-worker-standing still finishes the job.
 func (w *worker) throttle() {
 	if w.opts.Pressure == nil {
 		return
@@ -458,9 +647,12 @@ func (w *worker) summary() Summary {
 		Skipped:      int(w.skipped.Load()),
 		FromCache:    int(w.fromCache.Load()),
 		Verified:     int(w.verified.Load()),
+		Deferred:     int(w.deferred.Load()),
+		Stolen:       int(w.stolen.Load()),
 		Epochs:       w.passes,
 		Edges:        w.edges.Load(),
 		BytesWritten: w.bytes.Load(),
+		Waited:       w.waited,
 	}
 }
 

@@ -1,14 +1,20 @@
 package swarm
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/community"
 	"repro/internal/core"
+	"repro/internal/faultpoint"
 	"repro/internal/gformat"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -56,6 +62,50 @@ func readDir(t *testing.T, dir string, parts int, format gformat.Format) map[str
 	return out
 }
 
+// noSteal is a ScanInterval no test draw outlasts: ScanInterval is only
+// the patience floor, so a large one costs a clean run nothing and rules
+// steals — the one source of duplicated generation — out of it.
+const noSteal = time.Minute
+
+// runWorkers runs one worker per identity concurrently against dir and
+// fails the test on any worker error.
+func runWorkers(t *testing.T, src core.PartSource, dir string, opts Options, workerIDs ...uint64) []Summary {
+	t.Helper()
+	sums := make([]Summary, len(workerIDs))
+	errs := make([]error, len(workerIDs))
+	var wg sync.WaitGroup
+	for i, id := range workerIDs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := opts
+			o.WorkerID = id
+			sums[i], errs[i] = Run(src, dir, gformat.ADJ6, o)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", workerIDs[i], err)
+		}
+	}
+	return sums
+}
+
+// total sums one field over the workers' summaries.
+func total(sums []Summary, field func(Summary) int) int {
+	n := 0
+	for _, s := range sums {
+		n += field(s)
+	}
+	return n
+}
+
+func claimed(s Summary) int  { return s.Claimed }
+func lost(s Summary) int     { return s.Lost }
+func deferred(s Summary) int { return s.Deferred }
+func stolen(s Summary) int   { return s.Stolen }
+
 func assertNoTempLitter(t *testing.T, dir string) {
 	t.Helper()
 	tmps, err := filepath.Glob(filepath.Join(dir, "part-*.tmp"))
@@ -83,10 +133,10 @@ func assertSameParts(t *testing.T, got, want map[string][]byte) {
 	}
 }
 
-func TestEpochOrderIsSharedPermutationWithPrivateRotation(t *testing.T) {
+func TestScheduleIsSharedPermutationWithPrivateRotation(t *testing.T) {
 	const seed, parts = 0xfeed, 16
-	a := epochOrder(seed, 1, 0, parts)
-	b := epochOrder(seed, 2, 0, parts)
+	a := schedule(seed, 1, parts)
+	b := schedule(seed, 2, parts)
 	seen := make([]bool, parts)
 	for _, id := range a {
 		if id < 0 || id >= parts || seen[id] {
@@ -111,23 +161,23 @@ func TestEpochOrderIsSharedPermutationWithPrivateRotation(t *testing.T) {
 		}
 	}
 	// Deterministic: the same identity derives the same schedule.
-	again := epochOrder(seed, 1, 0, parts)
+	again := schedule(seed, 1, parts)
 	for i := range a {
 		if a[i] != again[i] {
-			t.Fatal("epochOrder is not deterministic")
+			t.Fatal("schedule is not deterministic")
 		}
 	}
-	// A fresh epoch reshuffles the cycle itself.
-	next := epochOrder(seed, 1, 1, parts)
+	// Another job walks another cycle.
+	other := schedule(seed+1, 1, parts)
 	same := true
 	for i := range a {
-		if a[i] != next[i] {
+		if a[i] != other[i] {
 			same = false
 			break
 		}
 	}
 	if same {
-		t.Fatal("epoch 1 schedule identical to epoch 0")
+		t.Fatal("a different job seed produced the same schedule")
 	}
 }
 
@@ -182,7 +232,7 @@ func TestRunSingleWorkerMatchesBatch(t *testing.T) {
 	}
 	assertSameParts(t, readDir(t, dir, parts, gformat.ADJ6), want)
 	assertNoTempLitter(t, dir)
-	if sum.Claimed != parts || sum.Lost != 0 || sum.Skipped != 0 || sum.FromCache != 0 {
+	if sum.Claimed != parts || sum.Lost != 0 || sum.Skipped != 0 || sum.FromCache != 0 || sum.Deferred != 0 || sum.Stolen != 0 || sum.Waited != 0 {
 		t.Fatalf("lone worker accounting off: %+v", sum)
 	}
 	if sum.Epochs != 1 {
@@ -256,36 +306,56 @@ func TestRunThreeWorkersBitIdentical(t *testing.T) {
 	want := batchRef(t, cfg, parts, gformat.ADJ6)
 
 	dir := t.TempDir()
-	sums := make([]Summary, 3)
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sums[i], errs[i] = Run(cfg, dir, gformat.ADJ6, Options{
-				Parts:        parts,
-				WorkerID:     uint64(i + 1),
-				ScanInterval: 20 * time.Millisecond,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
+	sums := runWorkers(t, cfg, dir, Options{Parts: parts, ScanInterval: noSteal}, 1, 2, 3)
 	assertSameParts(t, readDir(t, dir, parts, gformat.ADJ6), want)
 	assertNoTempLitter(t, dir)
-	claimed := 0
-	for _, s := range sums {
-		claimed += s.Claimed
+	if total(sums, claimed) != parts || total(sums, lost) != 0 {
+		t.Fatalf("want %d parts won and none lost across workers: %+v", parts, sums)
 	}
-	// Every present part had a winning publish; a rare same-instant
-	// publish race can double-count a win, never under-count one.
-	if claimed < parts {
-		t.Fatalf("winners claim %d parts in total, want >= %d (sums %+v)", claimed, parts, sums)
+}
+
+// TestRunDrawsEveryPartOnce is the point of claim markers, on counted
+// work: over the sixteen identity pairs of the benchmark's old
+// claim-schedule lottery (and the same with a third worker), with a
+// stall at every claim so the walks overlap, the fleet generates exactly
+// the batch run's edges — no part twice — every part has one winner, no
+// publish is lost, nobody needs a second pass, and the bytes are the
+// batch run's.
+func TestRunDrawsEveryPartOnce(t *testing.T) {
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	cfg := testConfig(9)
+	const parts = 16
+	want := batchRef(t, cfg, parts, gformat.ADJ6)
+	ref, err := core.Generate(cfg, core.DiscardSinks(gformat.ADJ6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultpoint.Arm(PointClaim, "stall:200us"); err != nil {
+		t.Fatal(err)
+	}
+	for a := uint64(1); a <= 4; a++ {
+		for b := uint64(5); b <= 8; b++ {
+			for _, ids := range [][]uint64{{a, b}, {a, b, a + b + 7}} {
+				dir := t.TempDir()
+				sums := runWorkers(t, cfg, dir, Options{Parts: parts, ScanInterval: noSteal}, ids...)
+				assertSameParts(t, readDir(t, dir, parts, gformat.ADJ6), want)
+				assertNoTempLitter(t, dir)
+				var edges int64
+				for _, s := range sums {
+					edges += s.Edges
+					if s.Epochs > 1 {
+						t.Fatalf("ids %v: worker %d took %d claim passes: %+v", ids, s.WorkerID, s.Epochs, sums)
+					}
+				}
+				if edges != ref.Edges {
+					t.Fatalf("ids %v: fleet generated %d edges, the batch run %d: %+v", ids, edges, ref.Edges, sums)
+				}
+				if total(sums, claimed) != parts || total(sums, lost) != 0 || total(sums, stolen) != 0 {
+					t.Fatalf("ids %v: want %d parts won, none lost or stolen: %+v", ids, parts, sums)
+				}
+			}
+		}
 	}
 }
 
@@ -312,28 +382,12 @@ func TestRunCommunityBlocksBitIdentical(t *testing.T) {
 	want := readDir(t, refDir, parts, gformat.ADJ6)
 
 	dir := t.TempDir()
-	sums := make([]Summary, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sums[i], errs[i] = Run(lay, dir, gformat.ADJ6, Options{
-				Parts:        parts,
-				WorkerID:     uint64(i + 1),
-				ScanInterval: 20 * time.Millisecond,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
+	sums := runWorkers(t, lay, dir, Options{Parts: parts, ScanInterval: noSteal}, 1, 2)
 	assertSameParts(t, readDir(t, dir, parts, gformat.ADJ6), want)
 	assertNoTempLitter(t, dir)
+	if total(sums, claimed) != parts || total(sums, lost) != 0 {
+		t.Fatalf("want %d blocks won and none lost across workers: %+v", parts, sums)
+	}
 }
 
 // TestRunCommunitySharesStoreWithBatch: parts a batch run ingested
@@ -380,4 +434,59 @@ func TestRunCommunitySharesStoreWithBatch(t *testing.T) {
 	assertSameParts(t,
 		readDir(t, swarmDir, lay2.NumBlocks(), gformat.ADJ6),
 		readDir(t, batchDir, lay.NumBlocks(), gformat.ADJ6))
+}
+
+// TestObservabilityDocListsEveryMetric diffs the swarm.* table of
+// docs/OBSERVABILITY.md against the Metric* constants of telemetry.go:
+// a metric added, renamed or retired without its row fails here.
+func TestObservabilityDocListsEveryMetric(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "telemetry.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for i, name := range spec.Names {
+			if strings.HasPrefix(name.Name, "Metric") {
+				v, err := strconv.Unquote(spec.Values[i].(*ast.BasicLit).Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				code[v] = true
+			}
+		}
+		return true
+	})
+
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 5 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`swarm.") {
+			continue
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		documented[name] = true
+		if !code[name] {
+			t.Errorf("docs/OBSERVABILITY.md lists %s, which telemetry.go does not define", name)
+		}
+		if prom, want := strings.Trim(strings.TrimSpace(cells[2]), "`"), "trilliong_"+strings.ReplaceAll(name, ".", "_"); prom != want {
+			t.Errorf("docs/OBSERVABILITY.md gives %s the Prometheus name %s, want %s", name, prom, want)
+		}
+	}
+	for name := range code {
+		if !documented[name] {
+			t.Errorf("telemetry.go defines %s, which docs/OBSERVABILITY.md does not list", name)
+		}
+	}
+	if len(code) == 0 {
+		t.Fatal("no Metric* constants found in telemetry.go")
+	}
 }
