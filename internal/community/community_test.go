@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -196,26 +198,48 @@ func TestResumeSkipsCompleteParts(t *testing.T) {
 }
 
 func TestStoreCacheHitsAcrossRuns(t *testing.T) {
-	lay := mustLayout(t, testConfig())
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirA, dirB := t.TempDir(), t.TempDir()
-	if _, err := lay.GenerateToDir(dirA, gformat.ADJ6, RunOptions{Store: st}); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := lay.GenerateToDir(dirB, gformat.ADJ6, RunOptions{Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.PartsFromCache != lay.NumBlocks() {
-		t.Fatalf("second run hit %d of %d parts in the store", sum.PartsFromCache, lay.NumBlocks())
-	}
-	a, b := readParts(t, lay, dirA, gformat.ADJ6), readParts(t, lay, dirB, gformat.ADJ6)
-	for id := range a {
-		if !bytes.Equal(a[id], b[id]) {
-			t.Fatalf("store-materialized part %d differs from the generated original", id)
+	for _, format := range []gformat.Format{gformat.TSV, gformat.ADJ6} {
+		lay := mustLayout(t, testConfig())
+		st, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirA, dirB := t.TempDir(), t.TempDir()
+		if _, err := lay.GenerateToDir(dirA, format, RunOptions{Store: st}); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := lay.GenerateToDir(dirB, format, RunOptions{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.PartsFromCache != lay.NumBlocks() {
+			t.Fatalf("%v: second run hit %d of %d parts in the store", format, sum.PartsFromCache, lay.NumBlocks())
+		}
+		a, b := readParts(t, lay, dirA, format), readParts(t, lay, dirB, format)
+		for id := range a {
+			if !bytes.Equal(a[id], b[id]) {
+				t.Fatalf("%v: store-materialized part %d differs from the generated original", format, id)
+			}
+		}
+		// A block's sidecar — its digest taken by the block's writer, not
+		// by reading the part back — is the SHA-256 of the part file.
+		ranges, ids, err := lay.Plan(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			key := lay.PartKey(format, id, ranges[i]).String()
+			raw, err := os.ReadFile(filepath.Join(st.Dir(), "objects", key[:2], key+".sum"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			side, err := store.ParseSidecar(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sha256.Sum256(a[id]); side.SHA256 != hex.EncodeToString(want[:]) || side.Size != int64(len(a[id])) {
+				t.Errorf("%v: block %d sidecar %s/%d, part file %x/%d", format, id, side.SHA256, side.Size, want, len(a[id]))
+			}
 		}
 	}
 }

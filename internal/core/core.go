@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -183,7 +184,7 @@ func FileSinks(dir string, format gformat.Format, numVertices int64) SinkFactory
 		if err != nil {
 			return nil, err
 		}
-		w, err := newPartWriter(f, format, numVertices)
+		w, err := newPartWriter(f, format, numVertices, nil)
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -193,19 +194,31 @@ func FileSinks(dir string, format gformat.Format, numVertices int64) SinkFactory
 }
 
 // newPartWriter returns the encoder of one part file in the given
-// format. The caller owns f.
-func newPartWriter(f *os.File, format gformat.Format, numVertices int64) (gformat.Writer, error) {
+// format. The caller owns f. sum, if not nil, is handed every block the
+// encoder sends to f, in order — the part's bytes, if the format streams
+// front to back (streamable).
+func newPartWriter(f *os.File, format gformat.Format, numVertices int64, sum io.Writer) (gformat.Writer, error) {
+	var w io.Writer = f
+	if sum != nil {
+		w = io.MultiWriter(f, sum)
+	}
 	switch format {
 	case gformat.TSV:
-		return gformat.NewTSVWriter(f), nil
+		return gformat.NewTSVWriter(w), nil
 	case gformat.ADJ6:
-		return gformat.NewADJ6Writer(f), nil
+		return gformat.NewADJ6Writer(w), nil
 	case gformat.CSR6:
 		return gformat.NewCSR6Writer(f, numVertices)
 	default:
 		return nil, fmt.Errorf("core: unsupported format %v", format)
 	}
 }
+
+// streamable reports whether a format is encoded scope by scope, front
+// to back, with no global state: its parts concatenate into a stream and
+// can be hashed as they are written. CSR6 back-fills an offset table
+// through a seekable sink.
+func streamable(f gformat.Format) bool { return f == gformat.TSV || f == gformat.ADJ6 }
 
 func extOf(f gformat.Format) string {
 	switch f {

@@ -24,7 +24,7 @@ import (
 // worker's lease, a swarm worker's claim — runs the same sequence:
 //
 //	ResumeParts: Plan → EnsureManifest → SweepTemps → MissingParts → RunParts
-//	RunParts:    store fetch → (atomic → ingest → observed) sinks → GenerateParts
+//	RunParts:    store fetch → (atomic+digest → ingest → observed) sinks → GenerateParts
 //
 // and every runtime that turns one into a single ordered byte stream —
 // the server's jobs, the facade's StreamRange — runs
@@ -474,8 +474,7 @@ const slotCap = 1 << 20
 // next scope, and that first cause is returned as is. Stats sums the
 // parts taken (Ranges is left empty: a schedule can hold millions).
 func StreamParts(ctx context.Context, src PartSource, format gformat.Format, next func() (id int, r partition.Range, ok bool), workers int, w io.Writer, wrap func(SinkFactory) SinkFactory) (Stats, error) {
-	if format != gformat.TSV && format != gformat.ADJ6 {
-		// CSR6 backfills an offset table through a seekable sink.
+	if !streamable(format) {
 		return Stats{}, fmt.Errorf("core: format %v is not streamable (use tsv or adj6)", format)
 	}
 	ctx, cancel := context.WithCancel(ctx)
@@ -678,9 +677,9 @@ func (w *streamWriter) WriteScope(src int64, dsts []int64) error {
 // on a checksum-verified hit (Stats.PartsFromCache counts them) and
 // otherwise generated through the one sink stack every runtime shares:
 // atomic part files (a crash leaves only .tmp litter, never a truncated
-// part), ingested into the store after the rename, feeding tel's
-// per-format sink counters. A nil store and a nil registry drop their
-// layers. opt is the swarm's shared-directory publish behaviour (zero
+// part), ingested into the store after the rename (storedPartSinks),
+// feeding tel's per-format sink counters. A nil store and a nil
+// registry drop their layers. opt is the swarm's shared-directory publish behaviour (zero
 // for everyone else); wrap, if non-nil, decorates the finished stack
 // (the dist worker's heartbeat progress counter).
 func RunParts(src PartSource, dir string, format gformat.Format, ranges []partition.Range, ids []int, st *store.Store, tel *telemetry.Registry, opt PartSinkOptions, wrap func(SinkFactory) SinkFactory) (Stats, error) {
@@ -688,8 +687,7 @@ func RunParts(src PartSource, dir string, format gformat.Format, ranges []partit
 	if err != nil || len(missing) == 0 {
 		return Stats{PartsFromCache: hits}, err
 	}
-	sinks := atomicPartSinks(dir, format, src.NumVertices(), missingIDs, opt)
-	sinks = IngestingSinks(sinks, st, src, dir, format, missingIDs)
+	sinks := storedPartSinks(dir, format, src, missingIDs, st, opt)
 	sinks = ObservedSinks(sinks, format, tel)
 	if wrap != nil {
 		sinks = wrap(sinks)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -144,11 +145,13 @@ type PartSinkOptions struct {
 // atomicPartSinks is AtomicPartSinks with shared-directory options.
 func atomicPartSinks(dir string, format gformat.Format, numVertices int64, ids []int, opt PartSinkOptions) SinkFactory {
 	return func(worker int, r partition.Range) (gformat.Writer, error) {
-		return newAtomicWriter(dir, format, numVertices, ids[worker], opt)
+		return newAtomicWriter(dir, format, numVertices, ids[worker], opt, nil)
 	}
 }
 
-func newAtomicWriter(dir string, format gformat.Format, numVertices int64, idx int, opt PartSinkOptions) (gformat.Writer, error) {
+// newAtomicWriter opens the atomic writer of part idx; sum is
+// newPartWriter's.
+func newAtomicWriter(dir string, format gformat.Format, numVertices int64, idx int, opt PartSinkOptions, sum io.Writer) (gformat.Writer, error) {
 	final := PartPath(dir, format, idx)
 	tmp := final + ".tmp"
 	if opt.TmpSuffix != "" {
@@ -163,7 +166,7 @@ func newAtomicWriter(dir string, format gformat.Format, numVertices int64, idx i
 	if err != nil {
 		return nil, err
 	}
-	w, err := newPartWriter(f, format, numVertices)
+	w, err := newPartWriter(f, format, numVertices, sum)
 	if err != nil {
 		f.Close()
 		os.Remove(tmp)

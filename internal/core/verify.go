@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/gformat"
@@ -17,8 +15,9 @@ import (
 // leave a truncated file under its final name. The checks are
 // format-shaped:
 //
-//   - TSV: every line parses as "src<TAB>dst" (a torn write ends in a
-//     partial line).
+//   - TSV: every line is "src<TAB>dst\n", the last included (a torn
+//     write ends in a partial line — which may still parse, cut inside a
+//     destination's digits, so the newline is what is checked).
 //   - ADJ6: every record's declared adjacency count is satisfied by the
 //     bytes that follow (truncation surfaces as a short record).
 //   - CSR6: header magic, size arithmetic and final offset agree
@@ -34,26 +33,16 @@ func CheckPart(path string, format gformat.Format) error {
 	defer f.Close()
 	switch format {
 	case gformat.TSV:
-		r := gformat.NewTSVReader(f)
-		for {
-			if _, err := r.Next(); err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
-				return fmt.Errorf("core: part %s: %w", path, err)
-			}
-		}
+		err = gformat.CheckTSV(f)
 	case gformat.ADJ6:
-		if err := gformat.CheckADJ6(f); err != nil {
-			return fmt.Errorf("core: part %s: %w", path, err)
-		}
-		return nil
+		err = gformat.CheckADJ6(f)
 	case gformat.CSR6:
-		if err := gformat.CheckCSR6(f); err != nil {
-			return fmt.Errorf("core: part %s: %w", path, err)
-		}
-		return nil
+		err = gformat.CheckCSR6(f)
 	default:
 		return fmt.Errorf("core: unsupported format %v", format)
 	}
+	if err != nil {
+		return fmt.Errorf("core: part %s: %w", path, err)
+	}
+	return nil
 }

@@ -95,3 +95,48 @@ func TestCheckPartADJ6Allocations(t *testing.T) {
 		t.Errorf("%v allocations on a corrupt count, %v on a valid part", n, few)
 	}
 }
+
+// TestResumeRejectsPartTornInsideDigits: a TSV part cut inside a
+// destination's digits still ends in a line that parses — "4\t5" torn
+// from "4\t56\n" — and used to pass for complete, so resume kept a wrong
+// edge and dropped the rest. It must be found missing and regenerated.
+func TestResumeRejectsPartTornInsideDigits(t *testing.T) {
+	torn := filepath.Join(t.TempDir(), "part-00000.tsv")
+	if err := os.WriteFile(torn, []byte("1\t23\n4\t5"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckPart(torn, gformat.TSV); err == nil {
+		t.Fatal(`CheckPart accepts "1\t23\n4\t5"`)
+	}
+
+	cfg := DefaultConfig(9)
+	cfg.Workers = 2
+	dir := t.TempDir()
+	if _, err := ResumeToDir(cfg, dir, gformat.TSV); err != nil {
+		t.Fatal(err)
+	}
+	victim := PartPath(dir, gformat.TSV, 1)
+	whole := readFile(t, victim)
+	cut := len(whole) - 1
+	for ; cut > 1; cut-- { // the last two-digit run before a newline: keep its first digit
+		if whole[cut] == '\n' && whole[cut-1] != '\t' && whole[cut-2] != '\t' {
+			break
+		}
+	}
+	if err := os.WriteFile(victim, whole[:cut-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ranges, err := Plan(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ids := MissingParts(dir, gformat.TSV, ranges, []int{0, 1}); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("missing parts %v, want [1]", ids)
+	}
+	if stats, err := ResumeToDir(cfg, dir, gformat.TSV); err != nil || stats.Edges == 0 {
+		t.Fatalf("resume over the torn part: %+v, %v", stats, err)
+	}
+	if !bytes.Equal(readFile(t, victim), whole) {
+		t.Fatal("the torn part was not regenerated whole")
+	}
+}

@@ -17,11 +17,12 @@ package gformat
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -89,15 +90,6 @@ type Writer interface {
 	EdgesWritten() int64
 }
 
-func put48(buf []byte, v int64) {
-	buf[0] = byte(v)
-	buf[1] = byte(v >> 8)
-	buf[2] = byte(v >> 16)
-	buf[3] = byte(v >> 24)
-	buf[4] = byte(v >> 32)
-	buf[5] = byte(v >> 40)
-}
-
 func get48(buf []byte) int64 {
 	return int64(buf[0]) | int64(buf[1])<<8 | int64(buf[2])<<16 |
 		int64(buf[3])<<24 | int64(buf[4])<<32 | int64(buf[5])<<40
@@ -110,53 +102,78 @@ func checkID(v int64) error {
 	return nil
 }
 
-// countingWriter wraps an io.Writer and tracks payload bytes.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+// checkIDs is checkID over a list, in one OR per ID: a negative ID or
+// one with a bit above the 48th leaves its mark on the union, and only
+// then is the offender looked for.
+func checkIDs(ids []int64) error {
+	var union int64
+	for _, v := range ids {
+		union |= v
+	}
+	if uint64(union) <= uint64(MaxVertexID) {
+		return nil
+	}
+	for _, v := range ids {
+		if err := checkID(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TSVWriter writes the text edge-list format.
 type TSVWriter struct {
-	cw    *countingWriter
-	bw    *bufio.Writer
+	blk   block
 	edges int64
-	buf   []byte
 }
 
 // NewTSVWriter returns a TSV writer over w.
 func NewTSVWriter(w io.Writer) *TSVWriter {
-	cw := &countingWriter{w: w}
-	return &TSVWriter{cw: cw, bw: bufio.NewWriterSize(cw, 1<<16), buf: make([]byte, 0, 48)}
+	return &TSVWriter{blk: newBlock(w)}
 }
 
-// WriteScope implements Writer.
+// tsvLineMax is the longest line there is: two int64s with their signs,
+// a tab and a newline.
+const tsvLineMax = 20 + 1 + 20 + 1
+
+// WriteScope implements Writer. Every line of a scope starts with the
+// same bytes, so the source and its tab are formatted once and copied —
+// as one fixed-size store, whatever their length: the destination's
+// digits overwrite the excess — and each destination's digits are
+// written in place in the block.
 func (t *TSVWriter) WriteScope(src int64, dsts []int64) error {
-	for _, d := range dsts {
-		t.buf = t.buf[:0]
-		t.buf = strconv.AppendInt(t.buf, src, 10)
-		t.buf = append(t.buf, '\t')
-		t.buf = strconv.AppendInt(t.buf, d, 10)
-		t.buf = append(t.buf, '\n')
-		if _, err := t.bw.Write(t.buf); err != nil {
-			return err
-		}
+	if len(dsts) == 0 {
+		return nil
 	}
+	var prefix [24]byte
+	pl := putInt(prefix[:], 0, src)
+	prefix[pl] = '\t'
+	pl++
+	b := &t.blk
+	buf, n := b.buf, b.n
+	for _, d := range dsts {
+		if n > blockSize-tsvLineMax {
+			b.n = n
+			if err := b.flush(); err != nil {
+				return err
+			}
+			n = 0
+		}
+		*(*[len(prefix)]byte)(buf[n:]) = prefix
+		n = putInt(buf, n+pl, d)
+		buf[n] = '\n'
+		n++
+	}
+	b.n = n
 	t.edges += int64(len(dsts))
 	return nil
 }
 
 // Close implements Writer.
-func (t *TSVWriter) Close() error { return t.bw.Flush() }
+func (t *TSVWriter) Close() error { return t.blk.flush() }
 
 // BytesWritten implements Writer.
-func (t *TSVWriter) BytesWritten() int64 { return t.cw.n + int64(t.bw.Buffered()) }
+func (t *TSVWriter) BytesWritten() int64 { return t.blk.written() }
 
 // EdgesWritten implements Writer.
 func (t *TSVWriter) EdgesWritten() int64 { return t.edges }
@@ -165,19 +182,17 @@ func (t *TSVWriter) EdgesWritten() int64 { return t.edges }
 // emitted in arrival order; empty scopes are skipped (a vertex with no
 // out-edges simply never appears, as in the paper's per-scope files).
 type ADJ6Writer struct {
-	cw    *countingWriter
-	bw    *bufio.Writer
+	blk   block
 	edges int64
-	buf   []byte
 }
 
 // NewADJ6Writer returns an ADJ6 writer over w.
 func NewADJ6Writer(w io.Writer) *ADJ6Writer {
-	cw := &countingWriter{w: w}
-	return &ADJ6Writer{cw: cw, bw: bufio.NewWriterSize(cw, 1<<16)}
+	return &ADJ6Writer{blk: newBlock(w)}
 }
 
-// WriteScope implements Writer.
+// WriteScope implements Writer. A scope with an ID outside the 6-byte
+// range is refused whole, before any of it is encoded.
 func (a *ADJ6Writer) WriteScope(src int64, dsts []int64) error {
 	if len(dsts) == 0 {
 		return nil
@@ -185,22 +200,19 @@ func (a *ADJ6Writer) WriteScope(src int64, dsts []int64) error {
 	if err := checkID(src); err != nil {
 		return err
 	}
-	need := 10 + 6*len(dsts)
-	if cap(a.buf) < need {
-		a.buf = make([]byte, need)
+	if err := checkIDs(dsts); err != nil {
+		return err
 	}
-	b := a.buf[:need]
-	put48(b, src)
-	binary.LittleEndian.PutUint32(b[6:], uint32(len(dsts)))
-	off := 10
-	for _, d := range dsts {
-		if err := checkID(d); err != nil {
+	b := &a.blk
+	if b.n > blockSize-10 {
+		if err := b.flush(); err != nil {
 			return err
 		}
-		put48(b[off:], d)
-		off += 6
 	}
-	if _, err := a.bw.Write(b); err != nil {
+	binary.LittleEndian.PutUint64(b.buf[b.n:], uint64(src)) // six bytes of ID, then the count
+	binary.LittleEndian.PutUint32(b.buf[b.n+6:], uint32(len(dsts)))
+	b.n += 10
+	if err := b.put48s(dsts); err != nil {
 		return err
 	}
 	a.edges += int64(len(dsts))
@@ -208,10 +220,10 @@ func (a *ADJ6Writer) WriteScope(src int64, dsts []int64) error {
 }
 
 // Close implements Writer.
-func (a *ADJ6Writer) Close() error { return a.bw.Flush() }
+func (a *ADJ6Writer) Close() error { return a.blk.flush() }
 
 // BytesWritten implements Writer.
-func (a *ADJ6Writer) BytesWritten() int64 { return a.cw.n + int64(a.bw.Buffered()) }
+func (a *ADJ6Writer) BytesWritten() int64 { return a.blk.written() }
 
 // EdgesWritten implements Writer.
 func (a *ADJ6Writer) EdgesWritten() int64 { return a.edges }
@@ -235,8 +247,7 @@ type CSR6Writer struct {
 	degrees     []uint32
 	edges       int64
 	lastSrc     int64
-	neighboursW *bufio.Writer
-	cw          *countingWriter
+	blk         block // over ws: the neighbours as they arrive, the head on Close
 	closed      bool
 	scratch     []int64
 }
@@ -258,16 +269,17 @@ func NewCSR6Writer(ws io.WriteSeeker, numVertices int64) (*CSR6Writer, error) {
 		numVertices: numVertices,
 		degrees:     make([]uint32, numVertices),
 		lastSrc:     -1,
+		blk:         newBlock(ws),
 	}
 	// Reserve header + offsets; neighbours stream after them.
-	start := int64(csrHeaderSize + 8*(numVertices+1))
-	if _, err := ws.Seek(start, io.SeekStart); err != nil {
+	if _, err := ws.Seek(c.headSize(), io.SeekStart); err != nil {
 		return nil, err
 	}
-	c.cw = &countingWriter{w: ws, n: start}
-	c.neighboursW = bufio.NewWriterSize(c.cw, 1<<16)
 	return c, nil
 }
+
+// headSize is the length of the header and the offset table.
+func (c *CSR6Writer) headSize() int64 { return csrHeaderSize + 8*(c.numVertices+1) }
 
 // WriteScope implements Writer. Sources must be strictly increasing.
 func (c *CSR6Writer) WriteScope(src int64, dsts []int64) error {
@@ -282,16 +294,16 @@ func (c *CSR6Writer) WriteScope(src int64, dsts []int64) error {
 		return nil
 	}
 	c.scratch = append(c.scratch[:0], dsts...)
-	sort.Slice(c.scratch, func(i, j int) bool { return c.scratch[i] < c.scratch[j] })
-	var b [6]byte
-	for _, d := range c.scratch {
-		if err := checkID(d); err != nil {
-			return err
-		}
-		put48(b[:], d)
-		if _, err := c.neighboursW.Write(b[:]); err != nil {
-			return err
-		}
+	slices.Sort(c.scratch)
+	// Sorted, the two ends speak for every ID between them.
+	if err := checkID(c.scratch[0]); err != nil {
+		return err
+	}
+	if err := checkID(c.scratch[len(c.scratch)-1]); err != nil {
+		return err
+	}
+	if err := c.blk.put48s(c.scratch); err != nil {
+		return err
 	}
 	c.degrees[src] = uint32(len(dsts))
 	c.edges += int64(len(dsts))
@@ -304,38 +316,42 @@ func (c *CSR6Writer) Close() error {
 		return nil
 	}
 	c.closed = true
-	if err := c.neighboursW.Flush(); err != nil {
+	b := &c.blk
+	if err := b.flush(); err != nil {
 		return err
 	}
 	if _, err := c.ws.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	head := make([]byte, csrHeaderSize)
-	copy(head, csrMagic[:])
-	binary.LittleEndian.PutUint64(head[8:], uint64(c.numVertices))
-	binary.LittleEndian.PutUint64(head[16:], uint64(c.edges))
-	if _, err := c.ws.Write(head); err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(c.ws, 1<<16)
+	copy(b.buf, csrMagic[:])
+	binary.LittleEndian.PutUint64(b.buf[8:], uint64(c.numVertices))
+	binary.LittleEndian.PutUint64(b.buf[16:], uint64(c.edges))
+	b.n = csrHeaderSize
 	var off uint64
-	var b [8]byte
-	for v := int64(0); v <= c.numVertices; v++ {
-		binary.LittleEndian.PutUint64(b[:], off)
-		if _, err := bw.Write(b[:]); err != nil {
-			return err
+	for v := int64(0); ; v++ {
+		if b.n > blockSize-8 {
+			if err := b.flush(); err != nil {
+				return err
+			}
 		}
-		if v < c.numVertices {
-			off += uint64(c.degrees[v])
+		binary.LittleEndian.PutUint64(b.buf[b.n:], off)
+		b.n += 8
+		if v == c.numVertices {
+			break
 		}
+		off += uint64(c.degrees[v])
 	}
-	c.cw.n += csrHeaderSize + 8*(c.numVertices+1)
-	return bw.Flush()
+	return b.flush()
 }
 
-// BytesWritten implements Writer. Final only after Close (the offset
-// table is backfilled then).
-func (c *CSR6Writer) BytesWritten() int64 { return c.cw.n + int64(c.neighboursW.Buffered()) }
+// BytesWritten implements Writer: the file's size, the reserved header
+// and offset table included from the start.
+func (c *CSR6Writer) BytesWritten() int64 {
+	if c.closed {
+		return c.blk.written()
+	}
+	return c.headSize() + c.blk.written()
+}
 
 // EdgesWritten implements Writer.
 func (c *CSR6Writer) EdgesWritten() int64 { return c.edges }
@@ -362,8 +378,9 @@ func (d *DiscardWriter) WriteScope(src int64, dsts []int64) error {
 	}
 	switch d.format {
 	case TSV:
+		d.bytes += int64(len(dsts)) * int64(decimalLen(src)+2)
 		for _, dst := range dsts {
-			d.bytes += int64(decimalLen(src) + decimalLen(dst) + 2)
+			d.bytes += int64(decimalLen(dst))
 		}
 	case ADJ6:
 		d.bytes += 10 + 6*int64(len(dsts))
@@ -373,21 +390,6 @@ func (d *DiscardWriter) WriteScope(src int64, dsts []int64) error {
 	}
 	d.edges += int64(len(dsts))
 	return nil
-}
-
-func decimalLen(v int64) int {
-	if v == 0 {
-		return 1
-	}
-	n := 0
-	if v < 0 {
-		n++
-		v = -v
-	}
-	for ; v > 0; v /= 10 {
-		n++
-	}
-	return n
 }
 
 // Close implements Writer.
@@ -427,29 +429,42 @@ func (t *TSVReader) Next() (Edge, error) {
 		}
 		return Edge{}, t.err
 	}
-	line := t.sc.Text()
-	tab := -1
-	for i := 0; i < len(line); i++ {
-		if line[i] == '\t' {
-			tab = i
-			break
-		}
-	}
+	line := t.sc.Bytes()
+	tab := bytes.IndexByte(line, '\t')
 	if tab < 0 {
 		t.err = fmt.Errorf("gformat: malformed TSV line %q", line)
 		return Edge{}, t.err
 	}
-	src, err := strconv.ParseInt(line[:tab], 10, 64)
+	src, err := parseInt(line[:tab])
 	if err != nil {
 		t.err = fmt.Errorf("gformat: bad source in %q: %w", line, err)
 		return Edge{}, t.err
 	}
-	dst, err := strconv.ParseInt(line[tab+1:], 10, 64)
+	dst, err := parseInt(line[tab+1:])
 	if err != nil {
 		t.err = fmt.Errorf("gformat: bad destination in %q: %w", line, err)
 		return Edge{}, t.err
 	}
 	return Edge{Src: src, Dst: dst}, nil
+}
+
+// parseInt is strconv.ParseInt(string(b), 10, 64) without the string:
+// a run of up to 18 digits — every ID a writer emits — is read here,
+// and whatever else (signs, 19 digits and more, garbage) goes to strconv
+// for its verdict and its error text.
+func parseInt(b []byte) (int64, error) {
+	if len(b) == 0 || len(b) > 18 {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var v int64
+	for _, c := range b {
+		d := c - '0'
+		if d > 9 {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		v = v*10 + int64(d)
+	}
+	return v, nil
 }
 
 // ADJ6Reader streams adjacency lists from the binary format.

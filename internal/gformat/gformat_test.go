@@ -2,6 +2,7 @@ package gformat
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func TestFormatString(t *testing.T) {
@@ -42,9 +45,12 @@ func TestParseFormat(t *testing.T) {
 func TestPut48Get48RoundTrip(t *testing.T) {
 	f := func(v uint64) bool {
 		id := int64(v & uint64(MaxVertexID))
-		var b [6]byte
-		put48(b[:], id)
-		return get48(b[:]) == id
+		var out bytes.Buffer
+		b := newBlock(&out)
+		if b.put48s([]int64{id, id}) != nil || b.flush() != nil {
+			return false
+		}
+		return out.Len() == 12 && get48(out.Bytes()) == id && get48(out.Bytes()[6:]) == id
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -348,30 +354,79 @@ func TestADJ6SmallerThanTSV(t *testing.T) {
 	}
 }
 
-func BenchmarkTSVWrite(b *testing.B) {
-	w := NewTSVWriter(io.Discard)
-	dsts := make([]int64, 16)
-	for i := range dsts {
-		dsts[i] = int64(i) * 1000003
+// benchScopes is 256 scopes of 16 destinations with increasing sources
+// (CSR6 needs that) and unsorted 6- to 8-digit destinations.
+func benchScopes() (srcs []int64, dsts [][]int64) {
+	r := rng.New(7)
+	for i := 0; i < 256; i++ {
+		srcs = append(srcs, int64(i)*509)
+		d := make([]int64, 16)
+		for j := range d {
+			d[j] = r.Int63n(1 << 24)
+		}
+		dsts = append(dsts, d)
 	}
+	return srcs, dsts
+}
+
+// benchWrite reports ns per edge: one writer per pass over the scopes,
+// as a part has one.
+func benchWrite(b *testing.B, mk func() Writer) {
+	srcs, dsts := benchScopes()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.WriteScope(int64(i), dsts); err != nil {
+		w := mk()
+		for k, src := range srcs {
+			if err := w.WriteScope(src, dsts[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(srcs)*16), "ns/edge")
+}
+
+func BenchmarkTSVWrite(b *testing.B) {
+	benchWrite(b, func() Writer { return NewTSVWriter(io.Discard) })
 }
 
 func BenchmarkADJ6Write(b *testing.B) {
-	w := NewADJ6Writer(io.Discard)
-	dsts := make([]int64, 16)
-	for i := range dsts {
-		dsts[i] = int64(i) * 1000003
+	benchWrite(b, func() Writer { return NewADJ6Writer(io.Discard) })
+}
+
+// memSeeker is an in-memory io.WriteSeeker, so the CSR6 benchmark times
+// the encoder and not a disk.
+type memSeeker struct {
+	buf []byte
+	pos int
+}
+
+func (m *memSeeker) Write(p []byte) (int, error) {
+	if need := m.pos + len(p); need > len(m.buf) {
+		m.buf = append(m.buf, make([]byte, need-len(m.buf))...)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.WriteScope(int64(i), dsts); err != nil {
+	m.pos += copy(m.buf[m.pos:], p)
+	return len(p), nil
+}
+
+func (m *memSeeker) Seek(off int64, whence int) (int64, error) {
+	if whence != io.SeekStart {
+		return 0, errors.New("memSeeker: only SeekStart")
+	}
+	m.pos = int(off)
+	return off, nil
+}
+
+func BenchmarkCSR6Write(b *testing.B) {
+	var f memSeeker
+	benchWrite(b, func() Writer {
+		w, err := NewCSR6Writer(&f, 256*509)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		return w
+	})
 }

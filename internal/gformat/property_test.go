@@ -90,15 +90,23 @@ func TestTSVRoundTripProperty(t *testing.T) {
 	}
 }
 
-// FuzzTSVReader: arbitrary bytes never panic the text parser.
+// FuzzTSVReader: arbitrary bytes never panic the text parser or the
+// byte scan, and what the stricter of the two (CheckTSV) accepts, the
+// reader reads to the end, one edge per line.
 func FuzzTSVReader(f *testing.F) {
 	f.Add([]byte("1\t2\n3\t4\n"))
 	f.Add([]byte("\t\n\t\t\n"))
 	f.Add([]byte("9999999999999999999999\t1\n"))
+	f.Add([]byte("1\t23\n4\t5"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		valid := CheckTSV(bytes.NewReader(data)) == nil
 		r := NewTSVReader(bytes.NewReader(data))
-		for i := 0; i < 1000; i++ {
+		edges := 0
+		for ; ; edges++ {
 			if _, err := r.Next(); err != nil {
+				if valid && (err != io.EOF || edges != bytes.Count(data, []byte{'\n'})) {
+					t.Fatalf("CheckTSV accepts %q; the reader stops after %d edges with %v", data, edges, err)
+				}
 				return
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 )
 
@@ -55,25 +54,8 @@ func (s *Store) promote(key Key) (*entry, error) {
 		return nil, nil
 	}
 
-	sideTmp, err := writeTempFile(s.tmpDir(), "sum-*", side.Encode())
-	if err != nil {
-		return nil, fmt.Errorf("store: promote: %w", err)
-	}
-	defer os.Remove(sideTmp)
-	bucket := filepath.Dir(s.payloadPath(key.digest))
-	if err := os.MkdirAll(bucket, 0o755); err != nil {
-		return nil, fmt.Errorf("store: promote: %w", err)
-	}
-	// Payload first, sidecar second — the same crash ordering as
-	// IngestFile. If a concurrent ingest won the race these renames
-	// overwrite identical bytes (keys are content addresses).
-	if err := os.Rename(tmpName, s.payloadPath(key.digest)); err != nil {
-		return nil, fmt.Errorf("store: promote: %w", err)
-	}
-	if err := os.Rename(sideTmp, s.sumPath(key.digest)); err != nil {
-		return nil, fmt.Errorf("store: promote: %w", err)
-	}
-	if err := syncDir(bucket); err != nil {
+	// The same commit as an ingest's, in the same crash order.
+	if err := s.install(key.digest, tmpName, side); err != nil {
 		return nil, fmt.Errorf("store: promote: %w", err)
 	}
 

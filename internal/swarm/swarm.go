@@ -573,8 +573,8 @@ func (w *worker) claim(pos int, steal bool) (deferred *held, err error) {
 	}
 	// The part executor fetches from the store or generates, publishing
 	// with first-writer-wins. Ingest sits outside the atomic sink (the
-	// final file must exist before the store reads it); a lost claim
-	// ingests the winner's identical bytes, and Store.IngestFile is
+	// final file must exist before the store copies it); a lost claim
+	// ingests the winner's identical bytes, and the store's ingest is
 	// idempotent, so the order of winners and losers cannot corrupt the
 	// store.
 	var lostRace atomic.Bool
