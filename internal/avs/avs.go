@@ -168,8 +168,7 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) ScopeResult {
 }
 
 // ScopeWithSize generates `size` distinct destinations for u (clamped
-// to |V|). It is split from Scope so the partitioner can draw scope
-// sizes ahead of time (Figure 6) and later generate the edges.
+// to |V|): Scope after its size draw.
 //
 // Rejection sampling stops after 64·size+1024 attempts, so a scope
 // whose remaining cells are too improbable to hit (near-full hub rows

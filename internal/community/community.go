@@ -531,7 +531,7 @@ func (l *Layout) newScoper(b Block, set *avs.DedupSet) (core.Scoper, func(lo, hi
 		return func(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
 			res := g.Scope(u, src, buf)
 			return res.Dsts, res.Attempts
-		}, core.RowEdges(seed, levels, b.Edges), nil
+		}, core.RowEdges(seed, acfg.Noise, levels, b.Edges), nil
 	}
 	ecfg := erv.Config{
 		NumSrc:          rows,

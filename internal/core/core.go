@@ -1,5 +1,6 @@
 // Package core is the TrillionG system of Section 5: it plans an
-// AVS-level partition of the vertex space (Figure 6), generates each
+// AVS-level partition of the vertex space (Figure 6, cut by the closed
+// form of the degrees, so nothing is drawn or gathered), generates each
 // part's scopes with the recursive vector model (Algorithm 4) on a
 // thread per part, up to GOMAXPROCS — sharing the parts' rows a chunk at a
 // time, so a part of expensive rows does not idle the rest — and streams each
@@ -45,8 +46,6 @@ type Config struct {
 	// taking chunks of rows from whichever part has some left, so no
 	// thread is bound to a part. The graph does not depend on it.
 	Workers int
-	// BinsPerWorker tunes partition granularity (0 = default).
-	BinsPerWorker int
 	// Opts selects the edge-determination variant; zero value is the
 	// all-ideas-off ablation, so most callers should use
 	// DefaultConfig or set recvec.Production().
@@ -57,7 +56,7 @@ type Config struct {
 	// in-edge scopes (AVS-I, Section 3.3). Under AVS-I a scope is a
 	// *column* of the adjacency matrix: WriteScope(v, srcs) carries the
 	// in-neighbours of v, part files hold in-adjacency lists, and the
-	// partitioner balances by in-degree.
+	// plan balances expected in-degree.
 	Orientation Orientation
 	// AllowDuplicates emits raw stochastic trials without in-scope
 	// dedup, the Graph500-edge-list semantics the paper contrasts with
@@ -149,7 +148,7 @@ type Stats struct {
 	PeakWorkerBytes int64
 	// BytesWritten sums the writers' outputs.
 	BytesWritten int64
-	// PlanDuration is the Figure 6 partitioning time; GenDuration the
+	// PlanDuration is the Figure 6 planning time; GenDuration the
 	// generation+write time; Elapsed their sum.
 	PlanDuration, GenDuration, Elapsed time.Duration
 	// PartsFromCache counts parts satisfied from an artifact store
@@ -273,31 +272,41 @@ func (c *callbackWriter) Close() error        { return nil }
 func (c *callbackWriter) BytesWritten() int64 { return 0 }
 func (c *callbackWriter) EdgesWritten() int64 { return c.edges }
 
-// NewScopeGenerator builds the AVS generator for a configuration,
-// reconstructing the NSKG noise deterministically from the master seed.
-// acct may be nil. It is exported within the module for the distributed
-// runtime and the experiment harness.
-func NewScopeGenerator(cfg Config, acct *memacct.Acct) (*avs.Generator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// model returns the seed and NSKG noise (nil without noise) of the
+// configuration's row scopes, the noise reconstructed deterministically
+// from the master seed. The generator and the closed form both take them
+// from here, so they cannot drift apart.
+func (c Config) model() (skg.Seed, *skg.Noise, error) {
+	seed := c.Seed
 	var noise *skg.Noise
-	if cfg.NoiseParam > 0 {
+	if c.NoiseParam > 0 {
 		var err error
-		noise, err = skg.NewNoise(cfg.Seed, cfg.Scale, cfg.NoiseParam,
-			rng.New(rng.Mix64(cfg.MasterSeed, 0xBE5)))
+		noise, err = skg.NewNoise(c.Seed, c.Scale, c.NoiseParam, rng.New(rng.Mix64(c.MasterSeed, 0xBE5)))
 		if err != nil {
-			return nil, err
+			return skg.Seed{}, nil, err
 		}
 	}
-	seed := cfg.Seed
-	if cfg.Orientation == AVSI {
+	if c.Orientation == AVSI {
 		// A column scope of K is a row scope of K^T; the noise (drawn
 		// identically either way) transposes with it.
 		seed = seed.Transpose()
 		if noise != nil {
 			noise = noise.Transpose()
 		}
+	}
+	return seed, noise, nil
+}
+
+// NewScopeGenerator builds the AVS generator for a configuration.
+// acct may be nil. It is exported within the module for the distributed
+// runtime and the experiment harness.
+func NewScopeGenerator(cfg Config, acct *memacct.Acct) (*avs.Generator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	seed, noise, err := cfg.model()
+	if err != nil {
+		return nil, err
 	}
 	return avs.New(avs.Config{
 		Seed:            seed,
@@ -310,16 +319,45 @@ func NewScopeGenerator(cfg Config, acct *memacct.Acct) (*avs.Generator, error) {
 	}, acct)
 }
 
-// Plan computes the Figure 6 partition for the configuration: `parts`
-// contiguous vertex ranges of near-equal planned load. The plan is a
-// pure function of (cfg, parts), so a distributed master and its
-// workers agree on it without shipping sizes.
+// Plan cuts the vertex space [0, |V|) into exactly `parts` contiguous
+// ranges of near-equal expected edges. It is Figure 6 with a closed
+// form in place of the drawn degrees, so there is nothing to combine or
+// gather: cut i ends at the row boundary whose prefix of rowEdges —
+// Theorem 1's mean, NSKG noise included — is nearest the proportional
+// target (i+1)·|E|/parts, found by CutRows in O(Scale · log|V|) —
+// microseconds a cut, at any scale. A row heavier than a part's share is
+// a part of its own, and parts beyond the rows (or beside a hub row) are
+// empty; Range.Edges is the rounded expectation. The plan is a pure
+// function of (cfg, parts), so a distributed master, its workers and
+// every swarm worker agree on it without shipping anything.
 func Plan(cfg Config, parts int) ([]partition.Range, error) {
-	g, err := NewScopeGenerator(cfg, nil)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return partition.Plan(g, cfg.MasterSeed, parts, cfg.BinsPerWorker)
+	if parts < 1 {
+		return nil, fmt.Errorf("core: parts %d < 1", parts)
+	}
+	edges, nv := cfg.rowEdges(), cfg.NumVertices()
+	ranges := make([]partition.Range, parts)
+	var lo int64
+	for i := range ranges {
+		hi := nv
+		if i < parts-1 {
+			target := float64(cfg.NumEdges()) * float64(i+1) / float64(parts)
+			// The last boundary at or below the target (or row 1, if the
+			// first row alone is over it), then whichever neighbour is nearer.
+			hi = CutRows(edges, 0, nv, target)
+			if hi < nv && edges(0, hi+1)-target < target-edges(0, hi) {
+				hi++
+			} else if hi == 1 && target < edges(0, 1)-target {
+				hi = 0
+			}
+			hi = max(hi, lo)
+		}
+		ranges[i] = partition.Range{Lo: lo, Hi: hi, Edges: int64(math.Round(edges(lo, hi)))}
+		lo = hi
+	}
+	return ranges, nil
 }
 
 // Generate runs the full TrillionG pipeline: plan, then parallel scope

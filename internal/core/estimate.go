@@ -89,10 +89,10 @@ func EstimateSize(cfg Config, format gformat.Format) (SizeEstimate, error) {
 
 // EstimateRangeEdges predicts the expected number of edges whose source
 // vertex lies in [lo, hi): |E| · P(lo ≤ src < hi) under Theorem 1's
-// per-bit product measure, in O(Scale) time. It is the cost model the
-// admission scheduler charges a job before generating anything — the
-// same expectation partition.Plan balances, without drawing any scope
-// sizes. lo/hi are clamped to [0, |V|].
+// per-bit product measure (NSKG's noisy per-level shares included), in
+// O(Scale) time. It is the cost model the admission scheduler charges a
+// job before generating anything — the same expectation Plan balances,
+// without drawing any scope sizes. lo/hi are clamped to [0, |V|].
 func EstimateRangeEdges(cfg Config, lo, hi int64) (int64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
@@ -101,35 +101,41 @@ func EstimateRangeEdges(cfg Config, lo, hi int64) (int64, error) {
 }
 
 // rowEdges is the closed form behind EstimateRangeEdges for a valid
-// configuration, unrounded: the classic part's Part.ExpectedEdges.
+// configuration, unrounded: the classic part's Part.ExpectedEdges and
+// what Plan cuts by.
 func (c Config) rowEdges() func(lo, hi int64) float64 {
-	seed := c.Seed
-	if c.Orientation == AVSI {
-		seed = seed.Transpose() // scopes are columns
-	}
-	return RowEdges(seed, c.Scale, c.NumEdges())
+	seed, noise, _ := c.model() // valid, so the noise draw cannot fail
+	return RowEdges(seed, noise, c.Scale, c.NumEdges())
 }
 
 // RowEdges returns the expected-edges closed form of an SKG row range:
 // edges · P(lo ≤ src < hi) for a 2^levels-vertex graph whose source
-// bits are 1 with the seed's row-mass share γ+δ, with lo/hi clamped to
-// the vertex space. NSKG noise perturbs the per-level shares around the
-// same means and is ignored: this is an estimate to plan and cut by.
-func RowEdges(seed skg.Seed, levels int, edges int64) func(lo, hi int64) float64 {
-	a, b := seed.A+seed.B, seed.C+seed.D // row mass of a 0 bit, of a 1 bit
-	pa, pb := a/(a+b), b/(a+b)
+// bit at level i is 1 with that level's row-mass share (γ+δ)/(α+β+γ+δ) —
+// the seed's at every level, or with NSKG noise (nil for none) the noisy
+// level matrix's, whose µ_i is drawn once per graph and so does not
+// average out — with lo/hi clamped to the vertex space. The shares of a
+// level sum to 1, so the prefix mass stays an exact product.
+func RowEdges(seed skg.Seed, noise *skg.Noise, levels int, edges int64) func(lo, hi int64) float64 {
+	zeros := make([]float64, levels) // P(level i's source bit is 0), MSB first
+	for i := range zeros {
+		k := seed
+		if noise != nil {
+			k = noise.Level(i)
+		}
+		zeros[i] = (k.A + k.B) / (k.A + k.B + k.C + k.D)
+	}
 	return func(lo, hi int64) float64 {
-		mass := prefixMass(pa, pb, levels, hi) - prefixMass(pa, pb, levels, lo)
+		mass := prefixMass(zeros, hi) - prefixMass(zeros, lo)
 		return float64(edges) * max(mass, 0)
 	}
 }
 
-// CutRows is the one budget cutter — the server's part schedule and the
-// executor's chunks both come from it: the end of the longest run of
-// rows [lo, end) ⊆ [lo, hi) whose expected edges, by the closed form
-// edges (monotone in its second argument), stay within budget. One row
-// over budget is a run of its own, so end > lo whenever hi > lo. It
-// costs O(log(hi−lo)) evaluations of edges.
+// CutRows is the one budget cutter — the plan, the server's part
+// schedule and the executor's chunks all come from it: the end of the
+// longest run of rows [lo, end) ⊆ [lo, hi) whose expected edges, by the
+// closed form edges (monotone in its second argument), stay within
+// budget. One row over budget is a run of its own, so end > lo whenever
+// hi > lo. It costs O(log(hi−lo)) evaluations of edges.
 func CutRows(edges func(lo, hi int64) float64, lo, hi int64, budget float64) int64 {
 	if hi <= lo {
 		return hi
@@ -139,9 +145,10 @@ func CutRows(edges func(lo, hi int64) float64, lo, hi int64, budget float64) int
 	}))
 }
 
-// prefixMass returns P(v < n) where v's bits are independently 1 with
-// probability pb (pa + pb = 1) at every position of an levels-bit word.
-func prefixMass(pa, pb float64, levels int, n int64) float64 {
+// prefixMass returns P(v < n) for a len(zeros)-bit word v whose bits are
+// independent, the one of level i (MSB first) 0 with probability zeros[i].
+func prefixMass(zeros []float64, n int64) float64 {
+	levels := len(zeros)
 	if n <= 0 {
 		return 0
 	}
@@ -150,10 +157,10 @@ func prefixMass(pa, pb float64, levels int, n int64) float64 {
 	}
 	var sum float64
 	run := 1.0
-	for i := levels - 1; i >= 0; i-- {
-		if (n>>uint(i))&1 == 1 {
+	for i, pa := range zeros {
+		if (n>>uint(levels-1-i))&1 == 1 {
 			sum += run * pa
-			run *= pb
+			run *= 1 - pa
 		} else {
 			run *= pa
 		}
@@ -168,9 +175,11 @@ func prefixMass(pa, pb float64, levels int, n int64) float64 {
 func expectedDecimalDigits(a, b float64, levels int) float64 {
 	// P(v < n) for the per-bit product measure, normalized (a+b may not
 	// be 1 overall across levels; per bit the mass splits a : b).
-	pa := a / (a + b)
-	pb := b / (a + b)
-	prefix := func(n int64) float64 { return prefixMass(pa, pb, levels, n) }
+	zeros := make([]float64, levels)
+	for i := range zeros {
+		zeros[i] = a / (a + b)
+	}
+	prefix := func(n int64) float64 { return prefixMass(zeros, n) }
 	var exp float64
 	bound := int64(1)
 	for d := 1; ; d++ {

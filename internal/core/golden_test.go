@@ -100,12 +100,17 @@ func TestGoldenStats(t *testing.T) {
 }
 
 // TestGoldenKeys pins the identity strings every stored artifact and
-// run manifest written so far is addressed by, to literals generated at
-// the commit before Config became a PartSource (PR 12). CacheFingerprint is fmt's %+v rendering of
-// Config, so a String/Format method on Config, or a field added to it,
-// silently changes all three — orphaning every existing store entry
-// and failing every resume of an existing directory. Such a change
-// must be deliberate and come with a codec/stream version.
+// run manifest written so far is addressed by. CacheFingerprint is fmt's
+// %+v rendering of Config, so a String/Format method on Config, or a
+// field added to or removed from it, silently changes all three —
+// orphaning every existing store entry and failing every resume of an
+// existing directory. Such a change must be deliberate. The literals
+// were regenerated once, on purpose, when the drawn Figure 6 planner
+// gave way to the closed-form cuts: BinsPerWorker left Config (and so
+// %+v and every classic key), and the planner's name entered the
+// manifest, so a directory cut by the old planner is refused rather than
+// completed with parts cut another way. The bytes of a range did not
+// change, only its key.
 func TestGoldenKeys(t *testing.T) {
 	nskg := DefaultConfig(12)
 	nskg.NoiseParam = 0.05
@@ -119,11 +124,11 @@ func TestGoldenKeys(t *testing.T) {
 		wantFP, wantK string
 	}{
 		{"default-s10", DefaultConfig(10),
-			"cfg={Scale:10 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0 MasterSeed:1 Workers:0 BinsPerWorker:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-O AllowDuplicates:false}",
-			"3ef6871f36f94c6f6541ce9ed254b9cf90685ba1d93a0a23ac3a1acf18b08ea2"},
+			"cfg={Scale:10 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0 MasterSeed:1 Workers:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-O AllowDuplicates:false}",
+			"885d3e75c49c6a024dc4ec1ebddd73d214a218b4b1576581a74c26a4b8fc1783"},
 		{"nskg-avsi-s12", nskg,
-			"cfg={Scale:12 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0.05 MasterSeed:42 Workers:0 BinsPerWorker:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-I AllowDuplicates:false}",
-			"fd8f7cf761885c56429a396f2d5e05733ef6d6db175c423c3a44f39eee91c87b"},
+			"cfg={Scale:12 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0.05 MasterSeed:42 Workers:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-I AllowDuplicates:false}",
+			"adf1a5fa0b783fcaeb25b4a9c5221ccb2555caa949db3dce210f0b56df2de87e"},
 	} {
 		if got := CacheFingerprint(tc.cfg); got != tc.wantFP {
 			t.Errorf("%s: CacheFingerprint\n got %s\nwant %s", tc.name, got, tc.wantFP)
@@ -150,7 +155,7 @@ func TestGoldenKeys(t *testing.T) {
 		if err := json.Unmarshal(b, &m); err != nil {
 			t.Fatal(err)
 		}
-		if want := tc.wantFP + " format=ADJ6 parts=4"; m.Fingerprint != want {
+		if want := tc.wantFP + " format=ADJ6 parts=4 plan=rowedges-nearest"; m.Fingerprint != want {
 			t.Errorf("%s: manifest fingerprint\n got %s\nwant %s", tc.name, m.Fingerprint, want)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // observed. Consumers (bench/, the dist worker, dashboards)
 // key off these; docs/OBSERVABILITY.md is the catalog.
 const (
-	// StagePlan is the Figure 6 partition planning stage.
+	// StagePlan is the Figure 6 planning stage (core.Plan).
 	StagePlan = "core.plan"
 	// StageRecvecBuild is the scope-generator construction stage (one
 	// call per part, items = parts: the time of every thread that built

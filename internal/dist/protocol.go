@@ -1,5 +1,5 @@
 // Package dist is TrillionG's distributed runtime: a master process
-// plans the AVS-level partition (Figure 6) and leases contiguous
+// plans the AVS-level partition (Figure 6, core.Plan) and leases contiguous
 // vertex-range bundles to worker processes over TCP; each worker
 // generates its leases with the recursive vector model and writes part
 // files to its *local* disk — the deployment of the paper's 10-PC

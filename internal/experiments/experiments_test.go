@@ -353,13 +353,15 @@ func TestBalanceShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive := res.Skew("equal vertex ranges")
-	planned := res.Skew("AVS plan (Figure 6)")
-	if naive < 1.5 {
-		t.Fatalf("naive skew %v; skewed seed should imbalance equal ranges", naive)
-	}
-	if planned > 1.2 {
-		t.Fatalf("planned skew %v; Figure 6 should balance within 20%%", planned)
+	for _, suffix := range []string{"", ", NSKG noise 0.1"} {
+		naive := res.Skew("equal vertex ranges" + suffix)
+		planned := res.Skew("closed-form plan" + suffix)
+		if naive < 1.5 {
+			t.Fatalf("naive skew%s %v; skewed seed should imbalance equal ranges", suffix, naive)
+		}
+		if planned == 0 || planned > 1.2 {
+			t.Fatalf("planned skew%s %v; the plan should balance within 20%%", suffix, planned)
+		}
 	}
 	res.Report().Print(&bytes.Buffer{})
 }

@@ -1,117 +1,109 @@
-package partition
+package partition_test
+
+// These tests hold core.Plan, the one planner, to the contract of the
+// ranges it hands every runtime: exactly `parts` of them, tiling
+// [0, |V|) in order, balanced by the edges generation will draw. The
+// oracle comparison against the drawn Figure 6 plan is core's
+// TestPlanMatchesDrawnOracle.
 
 import (
 	"testing"
+	"testing/quick"
 
-	"repro/internal/avs"
-	"repro/internal/recvec"
+	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/rng"
-	"repro/internal/skg"
 )
 
-func gen(t *testing.T, levels int) *avs.Generator {
+func checkTiles(t *testing.T, ranges []partition.Range, parts int, nv int64) {
 	t.Helper()
-	g, err := avs.New(avs.Config{
-		Seed:     skg.Graph500Seed,
-		Levels:   levels,
-		NumEdges: 16 << uint(levels),
-		Opts:     recvec.Production(),
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	if len(ranges) != parts {
+		t.Fatalf("parts=%d: got %d ranges", parts, len(ranges))
 	}
-	return g
+	next := int64(0)
+	for i, r := range ranges {
+		if r.Lo != next || r.Hi < r.Lo {
+			t.Fatalf("parts=%d: range %d is %+v, want it to start at %d", parts, i, r, next)
+		}
+		next = r.Hi
+	}
+	if next != nv {
+		t.Fatalf("parts=%d: coverage ends at %d, want %d", parts, next, nv)
+	}
 }
 
 func TestPlanValidation(t *testing.T) {
-	g := gen(t, 8)
-	if _, err := Plan(g, 1, 0, 0); err == nil {
+	cfg := core.DefaultConfig(8)
+	if _, err := core.Plan(cfg, 0); err == nil {
 		t.Fatal("expected error for 0 parts")
 	}
-	if _, err := Plan(g, 1, 1000, 0); err == nil {
-		t.Fatal("expected error for parts > |V|")
+	bad := cfg
+	bad.Scale = 0
+	if _, err := core.Plan(bad, 4); err == nil {
+		t.Fatal("expected error for an invalid configuration")
 	}
+	// More parts than vertices is a plan with empty ranges, not an error.
+	ranges, err := core.Plan(cfg, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTiles(t, ranges, 1000, cfg.NumVertices())
 }
 
 // TestPlanCoversVertexSpace: ranges are contiguous, disjoint and cover
 // [0, |V|) in order, with exactly `parts` entries.
 func TestPlanCoversVertexSpace(t *testing.T) {
-	g := gen(t, 12)
+	cfg := core.DefaultConfig(12)
+	cfg.MasterSeed = 99
 	for _, parts := range []int{1, 2, 7, 60} {
-		ranges, err := Plan(g, 99, parts, 0)
+		ranges, err := core.Plan(cfg, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ranges) != parts {
-			t.Fatalf("parts=%d: got %d ranges", parts, len(ranges))
-		}
-		next := int64(0)
-		for i, r := range ranges {
-			if r.Lo != next {
-				t.Fatalf("parts=%d range %d starts at %d, want %d", parts, i, r.Lo, next)
-			}
-			if r.Hi < r.Lo {
-				t.Fatalf("parts=%d range %d inverted: %+v", parts, i, r)
-			}
-			next = r.Hi
-		}
-		if next != g.Config().NumVertices() {
-			t.Fatalf("parts=%d: coverage ends at %d", parts, next)
-		}
+		checkTiles(t, ranges, parts, cfg.NumVertices())
 	}
 }
 
-// TestPlanBalances: every non-trivial range's load is within a factor
-// of the ideal |E|/parts (bin granularity allows some slack; the
-// hottest vertex bounds what any partitioner can do).
+// TestPlanBalances: the edges generation draws for each range — the
+// scope sizes from each scope's own stream — are within a factor of the
+// ideal |E|/parts.
 func TestPlanBalances(t *testing.T) {
-	g := gen(t, 14)
+	cfg := core.DefaultConfig(14)
+	cfg.MasterSeed = 7
 	const parts = 8
-	ranges, err := Plan(g, 7, parts, 0)
+	ranges, err := core.Plan(cfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := core.NewScopeGenerator(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := make([]int64, parts)
 	var total int64
-	for _, r := range ranges {
-		total += r.Edges
+	for i, r := range ranges {
+		for u := r.Lo; u < r.Hi; u++ {
+			loads[i] += g.ScopeSize(u, rng.NewScoped(cfg.MasterSeed, uint64(u)))
+		}
+		total += loads[i]
 	}
 	ideal := float64(total) / parts
-	for i, r := range ranges {
-		if float64(r.Edges) > 1.6*ideal || float64(r.Edges) < 0.4*ideal {
-			t.Fatalf("range %d load %d far from ideal %v (ranges %+v)", i, r.Edges, ideal, ranges)
-		}
-	}
-}
-
-// TestPlanLoadsMatchGeneration: the planned per-range loads equal the
-// sums of sizes the generator will actually draw — the property that
-// lets TrillionG partition before generating.
-func TestPlanLoadsMatchGeneration(t *testing.T) {
-	g := gen(t, 11)
-	const master = 1234
-	ranges, err := Plan(g, master, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range ranges {
-		var sum int64
-		for u := r.Lo; u < r.Hi; u++ {
-			sum += g.ScopeSize(u, rng.NewScoped(master, uint64(u)))
-		}
-		if sum != r.Edges {
-			t.Fatalf("range %d planned %d, generation draws %d", i, r.Edges, sum)
+	for i, load := range loads {
+		if float64(load) > 1.6*ideal || float64(load) < 0.4*ideal {
+			t.Fatalf("range %d draws %d edges, far from ideal %v (ranges %+v)", i, load, ideal, ranges)
 		}
 	}
 }
 
 // TestPlanDeterministic: same inputs, same plan.
 func TestPlanDeterministic(t *testing.T) {
-	g := gen(t, 10)
-	a, err := Plan(g, 5, 6, 0)
+	cfg := core.DefaultConfig(10)
+	cfg.NoiseParam = 0.1
+	a, err := core.Plan(cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Plan(g, 5, 6, 0)
+	b, err := core.Plan(cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +116,7 @@ func TestPlanDeterministic(t *testing.T) {
 
 // TestPlanSinglePart: one part owns everything.
 func TestPlanSinglePart(t *testing.T) {
-	g := gen(t, 9)
-	ranges, err := Plan(g, 2, 1, 0)
+	ranges, err := core.Plan(core.DefaultConfig(9), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,15 +127,36 @@ func TestPlanSinglePart(t *testing.T) {
 
 // TestPlanPartsEqualVertices: extreme split still covers the space.
 func TestPlanPartsEqualVertices(t *testing.T) {
-	g := gen(t, 4)
-	ranges, err := Plan(g, 3, 16, 0)
+	ranges, err := core.Plan(core.DefaultConfig(4), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ranges) != 16 {
-		t.Fatalf("got %d ranges", len(ranges))
+	checkTiles(t, ranges, 16, 16)
+}
+
+// TestPlanCoverageProperty: for random (seed, parts) — NSKG, so the seed
+// moves the cuts, and up to twice as many parts as vertices — the plan
+// always covers [0, |V|) exactly once: the planner's safety invariant.
+func TestPlanCoverageProperty(t *testing.T) {
+	cfg := core.DefaultConfig(10)
+	cfg.NoiseParam = 0.1
+	f := func(seed uint16, partsRaw uint16) bool {
+		cfg.MasterSeed = uint64(seed)
+		parts := int(partsRaw)%2048 + 1
+		ranges, err := core.Plan(cfg, parts)
+		if err != nil || len(ranges) != parts {
+			return false
+		}
+		next := int64(0)
+		for _, r := range ranges {
+			if r.Lo != next || r.Hi < r.Lo {
+				return false
+			}
+			next = r.Hi
+		}
+		return next == 1024
 	}
-	if ranges[len(ranges)-1].Hi != 16 {
-		t.Fatal("last range must end at |V|")
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,8 +18,10 @@
 //     semantics, and sched.* telemetry.
 //
 // Costs are expected edge counts, cheaply predictable up front from
-// Theorem 1 (core.EstimateRangeEdges, partition.Range.Edges), which is
-// what makes cost-aware scheduling essentially free for TrillionG:
+// Theorem 1's closed form (core.EstimateRangeEdges, and the rounded
+// expectation core.Plan puts in partition.Range.Edges, NSKG noise
+// included), which is what makes cost-aware scheduling essentially free
+// for TrillionG:
 // fairness is apportioned over expected work, not job count.
 package sched
 

@@ -11,8 +11,10 @@
 // output directory (and, optionally, the shared artifact store) — files
 // are the whole rendezvous surface:
 //
-//   - The part plan. PartSource.Plan(parts) is deterministic, so every
-//     worker computes the identical partition from (source, Parts).
+//   - The part plan. PartSource.Plan(parts) is deterministic and, for a
+//     classic graph, a closed form that draws nothing, so every worker
+//     computes the identical partition from (source, Parts) in
+//     microseconds.
 //   - Its schedule. One pseudorandom permutation of the part indices,
 //     seeded from the job fingerprint and so identical on every worker,
 //     rotated to a private starting offset derived from the worker's
