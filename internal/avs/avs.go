@@ -209,20 +209,21 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		// per power of two on the way to a hub row.
 		dsts, attempts, limit := slices.Grow(res.Dsts, int(size)), int64(0), maxAttempts(size)
 		if big == nil && opts == recvec.Production() {
-			// While Lanes more destinations and Lanes more attempts are both
-			// allowed, the loop below would make the next Lanes attempts
-			// whatever they hit (an attempt adds at most one destination), so
-			// they are drawn in stream order, determined together and inserted
-			// in lane order: same Dsts, Attempts and state of src.
-			var xs [recvec.Lanes]float64
-			var out [recvec.Lanes]int64
-			for size-int64(len(dsts)) >= recvec.Lanes && limit-attempts >= recvec.Lanes {
-				for l := range xs {
-					xs[l] = src.UniformTo(total)
+			// While n more destinations and n more attempts are both allowed,
+			// the loop below would make the next n attempts whatever they hit
+			// (an attempt adds at most one destination), so DrawLanes draws a
+			// batch of up to n in stream order and determines it together,
+			// and its results are inserted in lane order: same Dsts, Attempts
+			// and state of src. Batches narrow from WideLanes to Lanes as n
+			// falls, and the scalar loop takes the last n < Lanes.
+			var out [recvec.WideLanes]int64
+			for {
+				n := vec.DrawLanes(src, min(size-int64(len(dsts)), limit-attempts), &out)
+				if n == 0 {
+					break
 				}
-				vec.DetermineBatch(&xs, &out)
-				attempts += recvec.Lanes
-				for _, dst := range out {
+				attempts += int64(n)
+				for _, dst := range out[:n] {
 					if set.Insert(dst) {
 						dsts = append(dsts, dst)
 					}

@@ -70,8 +70,8 @@ func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, int64,
 // on equal streams and requires equal destinations in equal order, equal
 // attempts and an equal next random value: the loop drew exactly as many
 // values as the reference, no more. It returns the reference's tracked
-// bytes and attempts.
-func sameAsReference(t *testing.T, g *Generator, u, size int64, stream uint64) (tracked, attempts int64) {
+// bytes, attempts and number of destinations kept.
+func sameAsReference(t *testing.T, g *Generator, u, size int64, stream uint64) (tracked, attempts, kept int64) {
 	t.Helper()
 	cfg := g.Config()
 	want, got := rng.New(stream), rng.New(stream)
@@ -84,7 +84,7 @@ func sameAsReference(t *testing.T, g *Generator, u, size int64, stream uint64) (
 	if got.Uint64() != want.Uint64() {
 		t.Fatalf("levels %d u %d size %d: stream position after the scope differs from the reference loop's", cfg.Levels, u, size)
 	}
-	return tracked, wantAttempts
+	return tracked, wantAttempts, int64(len(wantDsts))
 }
 
 // TestScopeMatchesReferenceLoop: the scope loop with its reused vector,
@@ -127,10 +127,12 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Every size up to two batches and one, sizes on both sides of the
-		// table/bitmap boundary |V|/64, and more than |V| (clamped to it).
+		// Every size up to two wide batches and one — so every hand-over
+		// from WideLanes to Lanes to the scalar loop — sizes on both sides
+		// of the table/bitmap boundary |V|/64, and more than |V| (clamped
+		// to it).
 		sizes := []int64{16, 700, nv/64 + 1, nv + 5}
-		for size := int64(1); size <= 2*recvec.Lanes+1; size++ {
+		for size := int64(1); size <= 2*recvec.WideLanes+1; size++ {
 			sizes = append(sizes, size)
 		}
 		var wantPeak int64
@@ -138,7 +140,7 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 			if size > 1<<13 {
 				continue // keep hub-sized scopes of wide graphs out of a unit test
 			}
-			tracked, _ := sameAsReference(t, g, src.Int63n(nv), size, src.Uint64())
+			tracked, _, _ := sameAsReference(t, g, src.Int63n(nv), size, src.Uint64())
 			wantPeak = max(wantPeak, tracked)
 			tiers[g.set.tier]++
 		}
@@ -152,20 +154,25 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 		}
 	}
 
-	// Rows asked for all of |V| that end on the attempt cap instead: a hub
-	// row whose rarest cells stay unhit and a row with one reachable cell
-	// (the shortfall exceeds Lanes, so the cap is reached in the batched
-	// phase), and a row with two reachable cells of four (the shortfall is
-	// below Lanes, so it is reached in the scalar tail).
+	// Rows asked for all of |V| that end on the attempt cap instead, one
+	// per tier the cap can fall in. The cap is a multiple of WideLanes, so
+	// it falls in the tier whose width the final shortfall admits. A hub
+	// row whose rarest cells stay unhit ends short by a few, in a tier that
+	// depends on the stream. Under noBeta a row reaches 2^popcount(u)
+	// cells: a row with one of 16 ends short by at least WideLanes (wide
+	// batches), a row with four of eight by Lanes (narrow batches), and a
+	// row with two of four by less (the scalar tail).
 	noBeta := skg.Seed{A: 0.6, B: 0, C: 0.3, D: 0.1}
 	for _, tc := range []struct {
 		seed   skg.Seed
 		levels int
 		u      int64
+		tier   int64 // batch width at the cap, 1 for the scalar tail; 0 unchecked
 	}{
-		{skg.Graph500Seed, 8, 0},
-		{noBeta, 4, 0},
-		{noBeta, 2, 1},
+		{skg.Graph500Seed, 8, 0, 0},
+		{noBeta, 4, 0, recvec.WideLanes},
+		{noBeta, 3, 0b011, recvec.Lanes},
+		{noBeta, 2, 1, 1},
 	} {
 		nv := int64(1) << uint(tc.levels)
 		g, err := New(Config{Seed: tc.seed, Levels: tc.levels, NumEdges: 128 * nv, Opts: recvec.Production()}, nil)
@@ -173,8 +180,18 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		for stream := uint64(0); stream < 8; stream++ {
-			if _, attempts := sameAsReference(t, g, tc.u, nv, stream); attempts != maxAttempts(nv) {
+			_, attempts, kept := sameAsReference(t, g, tc.u, nv, stream)
+			if attempts != maxAttempts(nv) {
 				t.Errorf("seed %v levels %d u %d: stopped after %d attempts, want the cap %d", tc.seed, tc.levels, tc.u, attempts, maxAttempts(nv))
+			}
+			tier := int64(1)
+			if short := nv - kept; short >= recvec.WideLanes {
+				tier = recvec.WideLanes
+			} else if short >= recvec.Lanes {
+				tier = recvec.Lanes
+			}
+			if tc.tier != 0 && tier != tc.tier {
+				t.Errorf("seed %v levels %d u %d: %d of %d cells kept, so the cap fell in tier %d, want %d", tc.seed, tc.levels, tc.u, kept, nv, tier, tc.tier)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultpoint"
@@ -173,15 +174,16 @@ func TestLostPublishRaceStillIngests(t *testing.T) {
 	}
 	st := openStore(t, nil)
 	for round := 0; round < 2; round++ {
-		lost := 0
-		opt := PartSinkOptions{TmpSuffix: "late", OnDuplicate: func(int) { lost++ }}
+		// Both parts' writers may lose their publish at the same time.
+		var lost atomic.Int32
+		opt := PartSinkOptions{TmpSuffix: "late", OnDuplicate: func(int) { lost.Add(1) }}
 		// RunParts would fetch round 2's parts from the store; the sinks
 		// are what is under test.
 		if _, err := GenerateParts(cfg, ranges, ids, storedPartSinks(dir, gformat.ADJ6, cfg, ids, st, opt), nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if lost != 2 {
-			t.Fatalf("round %d: %d publish races lost, want 2", round, lost)
+		if n := lost.Load(); n != 2 {
+			t.Fatalf("round %d: %d publish races lost, want 2", round, n)
 		}
 	}
 	if got := st.Stats(); got.Objects != 2 || got.Ingests != 2 {

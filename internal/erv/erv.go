@@ -24,6 +24,7 @@ package erv
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/alias"
@@ -264,6 +265,8 @@ type Generator struct {
 	// outA is the Kout row mass of a 0 bit (α+β); outB of a 1 bit.
 	outA, outB float64
 	outNorm    float64 // Σ row masses over [0, NumSrc)
+	// outMass[ones] is the row mass of a source with that many 1 bits.
+	outMass []float64
 	// dstVec is the destination CDF vector (shared by every scope; the
 	// column measure does not depend on the source).
 	dstVec *recvec.Vector
@@ -303,6 +306,12 @@ func New(cfg Config) (*Generator, error) {
 			g.outA = kout.A + kout.B
 			g.outB = kout.C + kout.D
 			g.outNorm = prefixRowMass(g.outA, g.outB, cfg.NumSrc, g.srcLevels)
+			// The mass depends on the source only through its popcount: one
+			// entry per class, the same expression, so the same bits.
+			g.outMass = make([]float64, g.srcLevels+1)
+			for ones := range g.outMass {
+				g.outMass[ones] = math.Pow(g.outA, float64(g.srcLevels-ones)) * math.Pow(g.outB, float64(ones))
+			}
 		} else {
 			g.uniformOut = true
 		}
@@ -338,13 +347,9 @@ func (g *Generator) Config() Config { return g.cfg }
 // own, as avs.Generator.ShareSet does.
 func (g *Generator) ShareSet(set *avs.DedupSet) { g.set = set }
 
-// rowMass returns the unnormalized Kout measure of source u.
+// rowMass returns the unnormalized Kout measure of source u ∈ [0, NumSrc).
 func (g *Generator) rowMass(u int64) float64 {
-	ones := 0
-	for x := u; x != 0; x &= x - 1 {
-		ones++
-	}
-	return math.Pow(g.outA, float64(g.srcLevels-ones)) * math.Pow(g.outB, float64(ones))
+	return g.outMass[bits.OnesCount64(uint64(u))]
 }
 
 // ScopeSize draws the out-degree of source u per Theorem 1 under Kout,
@@ -477,19 +482,17 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 	set.Begin(size, g.cfg.NumDst, true)
 	attempts, limit := int64(0), 64*size+1024
 	if g.dstVec != nil {
-		// As in avs.ScopeWithSize: while Lanes more destinations and Lanes
-		// more attempts are both allowed, the loop below would consume the
-		// next Lanes draws whatever they yield, so they are determined
+		// As in avs.ScopeWithSize: while n more destinations and n more
+		// attempts are both allowed, the loop below would consume the next
+		// n draws whatever they yield, so a batch of up to n is determined
 		// together; out-of-range ones are skipped uncounted, as drawDst does.
-		total := g.dstVec.RowProb()
-		var xs [recvec.Lanes]float64
-		var vs [recvec.Lanes]int64
-		for size-int64(len(out)) >= recvec.Lanes && limit-attempts >= recvec.Lanes {
-			for l := range xs {
-				xs[l] = src.UniformTo(total)
+		var vs [recvec.WideLanes]int64
+		for {
+			n := g.dstVec.DrawLanes(src, min(size-int64(len(out)), limit-attempts), &vs)
+			if n == 0 {
+				break
 			}
-			g.dstVec.DetermineBatch(&xs, &vs)
-			for _, v := range vs {
+			for _, v := range vs[:n] {
 				if v >= g.cfg.NumDst {
 					continue
 				}

@@ -3,6 +3,7 @@ package erv
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -418,6 +419,29 @@ func TestScopeSteadyStateAllocs(t *testing.T) {
 	pass() // warm-up: grows buf and the dedup storage
 	if n := testing.AllocsPerRun(5, pass); n != 0 {
 		t.Errorf("%v allocations per 256 steady-state scopes, want 0", n)
+	}
+}
+
+// TestRowMassTableMatchesPow: the popcount table returns the bits of the
+// two-math.Pow product per source it replaced, so binomial means and
+// scope sizes cannot move.
+func TestRowMassTableMatchesPow(t *testing.T) {
+	for _, numSrc := range []int64{1, 37, 1 << 12, 1<<47 - 3} {
+		for _, out := range []Dist{{Kind: Zipfian, Slope: -1.662}, {Kind: Gaussian}} {
+			g, err := New(Config{NumSrc: numSrc, NumDst: 10, NumEdges: 100, OutDist: out, InDist: Dist{Kind: Gaussian}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := rng.New(uint64(numSrc))
+			for i := 0; i < 500; i++ {
+				u := src.Int63n(numSrc)
+				ones := bits.OnesCount64(uint64(u))
+				want := math.Pow(g.outA, float64(g.srcLevels-ones)) * math.Pow(g.outB, float64(ones))
+				if got := g.rowMass(u); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("NumSrc %d %v u %d: table %v, math.Pow %v", numSrc, out.Kind, u, got, want)
+				}
+			}
+		}
 	}
 }
 

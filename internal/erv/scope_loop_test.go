@@ -10,17 +10,18 @@ import (
 
 // referenceScope is Scope as it stood before the lane-batched descent:
 // one drawDst per attempt, with a Go map for duplicates. It returns the
-// destinations and whether the scope ended on the attempt cap.
-func referenceScope(g *Generator, u int64, src *rng.Source) (out []int64, capped bool) {
-	size := g.ScopeSize(u, src)
+// destinations and the scope size drawn, which they fall short of when
+// the scope ended on the attempt cap.
+func referenceScope(g *Generator, u int64, src *rng.Source) (out []int64, size int64) {
+	size = g.ScopeSize(u, src)
 	if size <= 0 {
-		return nil, false
+		return nil, size
 	}
 	if g.cfg.AllowDuplicates {
 		for int64(len(out)) < size {
 			out = append(out, g.drawDst(src))
 		}
-		return out, false
+		return out, size
 	}
 	seen := make(map[int64]bool)
 	attempts := int64(0)
@@ -31,17 +32,19 @@ func referenceScope(g *Generator, u int64, src *rng.Source) (out []int64, capped
 			out = append(out, v)
 		}
 	}
-	return out, int64(len(out)) < size
+	return out, size
 }
 
 // TestScopeMatchesReferenceLoop is the twin of avs's test of the same
-// name: Scope with its batched phase and scalar tail emits the
-// destinations of the one-draw-per-attempt loop, in its order, and
+// name: Scope with its wide and narrow batches and its scalar tail emits
+// the destinations of the one-draw-per-attempt loop, in its order, and
 // leaves the stream where that loop leaves it. Destination ranges are
 // mostly not powers of two, so out-of-range draws are skipped uncounted
-// inside batches and the attempt cap falls anywhere in a batch; out
-// distributions ask for fewer than Lanes destinations, for about a
-// batch or two, and for all of a range whose rare cells stay unhit.
+// inside batches and the attempt cap falls anywhere in a batch. Out
+// distributions ask for every size up to two wide batches and one — so
+// every hand-over from WideLanes to Lanes to the scalar loop — and for
+// all of a range whose rare cells stay unhit, which ends on the cap with
+// a shortfall in each tier's range.
 func TestScopeMatchesReferenceLoop(t *testing.T) {
 	ins := []Dist{
 		{Kind: Zipfian, Slope: -2.5},
@@ -50,13 +53,17 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 		{Kind: Uniform},
 		{Kind: Empirical, Weights: []float64{5, 0, 1, 3}},
 	}
-	var scopes, capped, batched int
+	var scopes, cappedAll, batched int
+	// capped counts batched scopes that ended on the cap by the batch
+	// width their final shortfall admits, 1 for the scalar tail.
+	capped := make(map[int64]int)
 	for _, numDst := range []int64{1, 3, 5, 16, 37, 100, 1000, 4097} {
 		outs := []Dist{
-			{Kind: Uniform, Min: 0, Max: recvec.Lanes - 1},
-			{Kind: Uniform, Min: recvec.Lanes, Max: 2*recvec.Lanes + 1},
 			{Kind: Uniform, Min: numDst - 2, Max: numDst},
 			{Kind: Zipfian, Slope: -1.2},
+		}
+		for size := int64(0); size <= 2*recvec.WideLanes+1; size++ {
+			outs = append(outs, Dist{Kind: Uniform, Min: size, Max: size})
 		}
 		for i, in := range ins {
 			for j, out := range outs {
@@ -74,7 +81,7 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 				}
 				for u := int64(0); u < cfg.NumSrc; u++ {
 					want, got := rng.NewScoped(uint64(numDst), uint64(u)), rng.NewScoped(uint64(numDst), uint64(u))
-					wantDsts, short := referenceScope(g, u, want)
+					wantDsts, size := referenceScope(g, u, want)
 					gotDsts := g.Scope(u, got, nil)
 					if !slices.Equal(gotDsts, wantDsts) {
 						t.Fatalf("NumDst %d in %v out %v dups %v u %d: got %d destinations %v, reference %d %v",
@@ -85,17 +92,34 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 							numDst, in.Kind, out, cfg.AllowDuplicates, u)
 					}
 					scopes++
-					if short {
-						capped++
+					short := size - int64(len(wantDsts))
+					if short > 0 {
+						cappedAll++
 					}
-					if g.dstVec != nil && !cfg.AllowDuplicates && len(wantDsts) >= recvec.Lanes {
+					if g.dstVec == nil || cfg.AllowDuplicates {
+						continue
+					}
+					if size >= recvec.Lanes {
 						batched++
+					}
+					switch {
+					case short >= recvec.WideLanes:
+						capped[recvec.WideLanes]++
+					case short >= recvec.Lanes:
+						capped[recvec.Lanes]++
+					case short > 0:
+						capped[1]++
 					}
 				}
 			}
 		}
 	}
-	if capped < scopes/20 || batched < scopes/5 {
-		t.Errorf("of %d scopes %d ended on the attempt cap and %d had a batched phase; the sweep no longer covers them", scopes, capped, batched)
+	if cappedAll < scopes/20 || batched < scopes/5 {
+		t.Errorf("of %d scopes %d ended on the attempt cap and %d had a batched phase; the sweep no longer covers them", scopes, cappedAll, batched)
+	}
+	for _, tier := range []int64{recvec.WideLanes, recvec.Lanes, 1} {
+		if capped[tier] == 0 {
+			t.Errorf("of %d scopes none ended on the attempt cap in tier %d (capped by tier: %v); the sweep no longer covers it", scopes, tier, capped)
+		}
 	}
 }

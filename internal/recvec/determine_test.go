@@ -62,10 +62,8 @@ func fuzzSeed(a, b, c float64, zeroAt uint8) (skg.Seed, bool) {
 // checkDetermine compares the scan with the oracle on xs and on the
 // values around them that historically broke descents: every boundary
 // f[k] and its float neighbours, 0, the largest value below the total,
-// the total itself and subnormals. Every window of Lanes consecutive
-// probes then goes through DetermineBatch, which must agree with
-// Determine lane for lane; xs sit between the fixed probes and the
-// boundaries, so each of them passes through every lane.
+// the total itself and subnormals. Then checkWide puts the probes
+// through both wide kernels, every probe through every lane.
 func checkDetermine(t *testing.T, v *Vector, xs ...float64) {
 	t.Helper()
 	total := v.RowProb()
@@ -75,8 +73,7 @@ func checkDetermine(t *testing.T, v *Vector, xs ...float64) {
 		probes = append(probes, v.f[k], math.Nextafter(v.f[k], 0), math.Nextafter(v.f[k], 2))
 	}
 	probes = slices.DeleteFunc(probes, func(x float64) bool { return math.IsNaN(x) || x < 0 })
-	scalar := make([]int64, len(probes))
-	for i, x := range probes {
+	for _, x := range probes {
 		got, want := v.Determine(x), determineBinarySearch(v, x)
 		if got != want {
 			t.Fatalf("levels %d u %d x %v: Determine %d, binary search %d (f %v)", v.levels, v.u, x, got, want, v.f)
@@ -84,13 +81,40 @@ func checkDetermine(t *testing.T, v *Vector, xs ...float64) {
 		if viaOpt := v.DetermineOpt(x, nil, Production()); viaOpt != got {
 			t.Fatalf("DetermineOpt(Production) %d != Determine %d", viaOpt, got)
 		}
-		scalar[i] = got
 	}
-	for i := 0; i+Lanes <= len(probes); i++ {
-		var got [Lanes]int64
-		v.DetermineBatch((*[Lanes]float64)(probes[i:]), &got)
-		if !slices.Equal(got[:], scalar[i:i+Lanes]) {
-			t.Fatalf("levels %d u %d xs %v: DetermineBatch %v, Determine %v (f %v)", v.levels, v.u, probes[i:i+Lanes], got, scalar[i:i+Lanes], v.f)
+	checkWide(t, v, probes)
+}
+
+// wideKernels are the two implementations of the wide entry point:
+// whatever determineWide dispatches to on this machine and build, and the
+// Go fallback, called explicitly, whose halves are DetermineBatch. Where
+// the build has no AVX2 kernel they coincide.
+var wideKernels = []struct {
+	name      string
+	determine func(*Vector, *[WideLanes]float64, *[WideLanes]int64)
+}{
+	{"determineWide", (*Vector).determineWide},
+	{"determineWideGo", (*Vector).determineWideGo},
+}
+
+// checkWide puts every cyclic window of WideLanes consecutive xs through
+// both wide kernels, which must agree with Determine lane for lane; the
+// windows wrap around, so every x passes through every lane.
+func checkWide(t *testing.T, v *Vector, xs []float64) {
+	t.Helper()
+	for i := range xs {
+		var window [WideLanes]float64
+		var want [WideLanes]int64
+		for l := range window {
+			window[l] = xs[(i+l)%len(xs)]
+			want[l] = v.Determine(window[l])
+		}
+		for _, k := range wideKernels {
+			var got [WideLanes]int64
+			k.determine(v, &window, &got)
+			if got != want {
+				t.Fatalf("levels %d u %d xs %v: %s %v, Determine %v (f %v)", v.levels, v.u, window, k.name, got, want, v.f)
+			}
 		}
 	}
 }
@@ -98,35 +122,40 @@ func checkDetermine(t *testing.T, v *Vector, xs ...float64) {
 func FuzzDetermine(f *testing.F) {
 	f.Add(0.57, 0.19, 0.19, uint8(9), uint8(18), uint64(12345), 0.37)
 	f.Add(0.25, 0.25, 0.25, uint8(9), uint8(4), uint64(3), 0.999)
-	f.Add(0.9, 0.05, 0.04, uint8(1), uint8(40), uint64(1)<<39, 0.5)  // β = 0
-	f.Add(0.5, 0.2, 0.2, uint8(0), uint8(12), uint64(0xABC), 1e-300) // α = 0
-	f.Add(0.3, 0.3, 0.3, uint8(2), uint8(1), uint64(1), 0.0)         // γ = 0, one level
-	f.Add(0.4, 0.3, 0.2, uint8(0), uint8(0), uint64(0), 0.5)         // α = 0 at the top (only) level
-	f.Add(0.4, 0.3, 0.2, uint8(2), uint8(1), uint64(3), 0.25)        // γ = 0 at the top of two levels
-	f.Add(0.4, 0.3, 0.2, uint8(0), uint8(Lanes-2), uint64(3), 0.75)  // α = 0 at the top of Lanes−1 levels
+	f.Add(0.9, 0.05, 0.04, uint8(1), uint8(40), uint64(1)<<39, 0.5)    // β = 0
+	f.Add(0.5, 0.2, 0.2, uint8(0), uint8(12), uint64(0xABC), 1e-300)   // α = 0
+	f.Add(0.3, 0.3, 0.3, uint8(2), uint8(1), uint64(1), 0.0)           // γ = 0, one level
+	f.Add(0.4, 0.3, 0.2, uint8(0), uint8(0), uint64(0), 0.5)           // α = 0 at the top (only) level
+	f.Add(0.4, 0.3, 0.2, uint8(2), uint8(1), uint64(3), 0.25)          // γ = 0 at the top of two levels
+	f.Add(0.4, 0.3, 0.2, uint8(0), uint8(Lanes-2), uint64(3), 0.75)    // α = 0 at the top of Lanes−1 levels
+	f.Add(0.57, 0.19, 0.19, uint8(9), uint8(46), uint64(1)<<46-1, 0.9) // the most levels avs admits
 	f.Fuzz(func(t *testing.T, a, b, c float64, zeroAt, levels uint8, u uint64, frac float64) {
 		k, ok := fuzzSeed(a, b, c, zeroAt)
 		if !ok {
 			t.Skip()
 		}
-		lv := int(levels)%40 + 1
+		lv := int(levels)%maxLevels + 1
 		src := int64(u & (1<<uint(lv) - 1))
 		v := New(k, src, lv)
 		checkDetermine(t, v, math.Abs(frac)*v.RowProb())
 	})
 }
 
+// maxLevels is the most levels a generator admits (avs.Config.Validate,
+// and erv's 2⁴⁷-vertex ranges); the oracle tests cover 1 to maxLevels.
+const maxLevels = 47
+
 // TestDetermineMatchesBinarySearchRandom is the fuzz property on a fixed
 // random sweep, so plain `go test` exercises it too: random seeds (one
 // in four with a zero entry), every level count, noisy and plain.
 func TestDetermineMatchesBinarySearchRandom(t *testing.T) {
 	src := rng.New(2024)
-	for i := 0; i < 400; i++ {
+	for i := 0; i < 10*maxLevels; i++ {
 		k, ok := fuzzSeed(src.Float64(), src.Float64(), src.Float64(), uint8(src.Int63n(16)))
 		if !ok {
 			continue
 		}
-		lv := i%40 + 1
+		lv := i%maxLevels + 1
 		u := src.Int63n(1 << uint(lv))
 		v := New(k, u, lv)
 		if noise := skg.MaxNoise(k); i%2 == 1 && noise > 0 {
@@ -144,13 +173,14 @@ func TestDetermineMatchesBinarySearchRandom(t *testing.T) {
 	}
 }
 
-// TestDetermineBatchOutsideDomain: the bit-pattern predicate agrees with
-// Determine's float compares on what a descent can produce or be handed
-// beyond [0, total) — ±0, negatives, ±Inf and NaN, from σ = 0 levels
-// (x/0, 0/0) and σ = +Inf levels — and on a seed entry given as −0,
-// whose f[k] = −0 must compare as +0.
+// TestDetermineBatchOutsideDomain: the bit-pattern predicates of both
+// wide kernels agree with Determine's float compares on what a descent
+// can produce or be handed beyond [0, total) — ±0, negatives, ±Inf and
+// both signs of NaN, from σ = 0 levels (x/0, 0/0) and σ = +Inf levels —
+// and on a seed entry given as −0, whose f[k] = −0 must compare as +0.
 func TestDetermineBatchOutsideDomain(t *testing.T) {
 	negZero := math.Copysign(0, -1)
+	negNaN := math.Copysign(math.NaN(), -1)
 	for _, k := range []skg.Seed{
 		skg.Graph500Seed,
 		{A: 0.6, B: 0, C: 0.3, D: 0.1},       // σ = 0 where u's bit is 0
@@ -162,20 +192,11 @@ func TestDetermineBatchOutsideDomain(t *testing.T) {
 		}
 		for _, u := range []int64{0, 0b1010, 0b1111} {
 			v := New(k, u, 4)
-			xs := []float64{negZero, -1, math.Inf(-1), math.NaN(), math.Inf(1), 2, 0}
+			xs := []float64{negZero, -1, math.Inf(-1), math.NaN(), math.Inf(1), 2, 0, negNaN}
 			for x := 0; x <= 4; x++ {
 				xs = append(xs, v.f[x], math.Nextafter(v.f[x], 2))
 			}
-			for i := 0; i+Lanes <= len(xs); i++ {
-				window := (*[Lanes]float64)(xs[i:])
-				var got [Lanes]int64
-				v.DetermineBatch(window, &got)
-				for l, x := range window {
-					if want := v.Determine(x); got[l] != want {
-						t.Errorf("seed %v u %d x %v: DetermineBatch %d, Determine %d (f %v)", k, u, x, got[l], want, v.f)
-					}
-				}
-			}
+			checkWide(t, v, xs)
 		}
 	}
 }

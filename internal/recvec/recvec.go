@@ -179,8 +179,8 @@ func (v *Vector) Sigma(k int) float64 { return v.sigma[k] }
 // value x ∈ [0, RowProb()) to a destination vertex, recursing only on
 // 1 bits (Idea#2) and translating a single random value in place
 // (Idea#3). The scope loops call it for the last < Lanes destinations
-// of a scope and DetermineBatch, its bit-identical batched form, for
-// the rest.
+// of a scope and DrawLanes, which determines batches of draws to the
+// same bits, for the rest.
 //
 // The Theorem 2 search "largest k with f[k] ≤ x" is done as one downward
 // scan shared by all recursion steps: selected indices strictly
@@ -214,11 +214,65 @@ func (v *Vector) Determine(x float64) int64 {
 	return dst
 }
 
-// Lanes is how many draws DetermineBatch descends together: four
-// independent divide chains saturate the divider (two gain nothing over
-// Determine, eight 5 % more for a longer scalar tail — DESIGN.md §5.1).
-// DetermineBatch writes its lanes out by hand, so the two change together.
+// Lanes is how many draws DetermineBatch, the Go kernel, descends
+// together: four independent scalar divide chains saturate the scalar
+// divider (two gain nothing over Determine; eight in Go gain 5 %, as
+// they spill — DESIGN.md §5.1). DetermineBatch writes its lanes out by
+// hand, so the two change together.
 const Lanes = 4
+
+// WideLanes is how many draws determineWide descends together. The
+// packed divider needs two independent ymm chains of Lanes doubles to
+// run at its throughput, and there it takes about 0.4 of the Go kernel's
+// time per draw (DESIGN.md §5.1).
+const WideLanes = 2 * Lanes
+
+// DrawLanes draws and determines the next batch of a scope's
+// destinations: WideLanes uniforms on [0, RowProb()) from src when room
+// is at least WideLanes, else Lanes when room is at least Lanes, else
+// none. It sets out[l] = Determine(x_l) for the l-th value drawn, to the
+// bit, and returns how many values it drew. A scope loop passes as room
+// the number of draws it would make next whatever they hit, so a batch
+// consumes src exactly as one Determine per draw would.
+func (v *Vector) DrawLanes(src *rng.Source, room int64, out *[WideLanes]int64) int {
+	var xs [WideLanes]float64
+	total := v.RowProb()
+	switch {
+	case room >= WideLanes:
+		for l := range xs {
+			xs[l] = src.UniformTo(total)
+		}
+		v.determineWide(&xs, out)
+		return WideLanes
+	case room >= Lanes:
+		for l := range Lanes {
+			xs[l] = src.UniformTo(total)
+		}
+		v.DetermineBatch((*[Lanes]float64)(xs[:Lanes]), (*[Lanes]int64)(out[:Lanes]))
+		return Lanes
+	}
+	return 0
+}
+
+// determineWide sets out[l] = Determine(xs[l]) for every lane, to the
+// bit: by the AVX2 kernel where the CPU has AVX2 and the build has
+// assembly, else by determineWideGo. IEEE subtraction and division are
+// correctly rounded whether issued as DIVSD or packed VDIVPD, and Go
+// sets neither FTZ nor DAZ, so both give the same bits.
+func (v *Vector) determineWide(xs *[WideLanes]float64, out *[WideLanes]int64) {
+	if hasAVX2 {
+		determineWideAVX2(v.f, v.sigma, xs, out)
+		return
+	}
+	v.determineWideGo(xs, out)
+}
+
+// determineWideGo is determineWide in two DetermineBatch passes: the
+// fallback and the oracle the AVX2 kernel is tested against.
+func (v *Vector) determineWideGo(xs *[WideLanes]float64, out *[WideLanes]int64) {
+	v.DetermineBatch((*[Lanes]float64)(xs[:Lanes]), (*[Lanes]int64)(out[:Lanes]))
+	v.DetermineBatch((*[Lanes]float64)(xs[Lanes:]), (*[Lanes]int64)(out[Lanes:]))
+}
 
 const (
 	signBit = 1 << 63

@@ -493,25 +493,57 @@ func BenchmarkDetermine(b *testing.B) {
 	}
 }
 
-// BenchmarkDetermineBatch reports ns per draw, not per batch, random
-// draw included, so it reads against BenchmarkDetermine line for line.
+// benchSink keeps the benchmarks' destinations live.
+var benchSink int64
+
+// BenchmarkDetermineBatch reports ns per draw, not per batch, for both
+// kernels of the wide entry point: kernel=go is the Go kernel (two
+// DetermineBatch passes per WideLanes draws), kernel=avx2 the assembly
+// one, skipped where the CPU or the build has none. Levels are bench/'s
+// dense (13) and sparse (18) graphs, a paper-scale graph (36) and the
+// most avs admits (47). draws=pool descends a fixed pool of draws, the
+// kernel alone; draws=rng draws every value first, as DrawLanes does,
+// and reads against BenchmarkDetermine line for line.
 func BenchmarkDetermineBatch(b *testing.B) {
-	for _, levels := range []int{18, 36} {
-		b.Run(fmt.Sprintf("levels=%d", levels), func(b *testing.B) {
-			v := benchVector(levels)
-			src := rng.New(1)
-			var xs [Lanes]float64
-			var out [Lanes]int64
-			var sink int64
-			for i := 0; i < b.N; i += Lanes {
-				for l := range xs {
-					xs[l] = src.UniformTo(v.RowProb())
-				}
-				v.DetermineBatch(&xs, &out)
-				sink += out[0] + out[Lanes-1]
+	kernels := []struct {
+		name      string
+		available bool
+		determine func(*Vector, *[WideLanes]float64, *[WideLanes]int64)
+	}{
+		{"go", true, (*Vector).determineWideGo},
+		{"avx2", hasAVX2, (*Vector).determineWide},
+	}
+	for _, k := range kernels {
+		for _, levels := range []int{13, 18, 36, 47} {
+			for _, draws := range []string{"pool", "rng"} {
+				fromPool := draws == "pool"
+				b.Run(fmt.Sprintf("kernel=%s/levels=%d/draws=%s", k.name, levels, draws), func(b *testing.B) {
+					if !k.available {
+						b.Skip("no AVX2 kernel on this CPU or in this build")
+					}
+					v := benchVector(levels)
+					src := rng.New(1)
+					pool := make([]float64, 4096)
+					for i := range pool {
+						pool[i] = src.UniformTo(v.RowProb())
+					}
+					var xs [WideLanes]float64
+					var out [WideLanes]int64
+					b.ResetTimer()
+					for i := 0; i < b.N; i += WideLanes {
+						in := (*[WideLanes]float64)(pool[i%len(pool):])
+						if !fromPool {
+							for l := range xs {
+								xs[l] = src.UniformTo(v.RowProb())
+							}
+							in = &xs
+						}
+						k.determine(v, in, &out)
+						benchSink += out[0] + out[WideLanes-1]
+					}
+				})
 			}
-			_ = sink
-		})
+		}
 	}
 }
 
