@@ -165,12 +165,12 @@ func BenchmarkFig14_VsGraph500(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g1 := res.Time("Graph500", "1G", 12)
-		t1 := res.Time("TrillionG", "1G", 12)
-		if t1 > 0 {
-			b.ReportMetric(float64(g1)/float64(t1), "speedup-vs-graph500-1G")
+		g1, _ := res.Row("Graph500", "1G", 12)
+		t1, _ := res.Row("TrillionG", "1G", 12)
+		if t1.Elapsed > 0 {
+			b.ReportMetric(float64(g1.Elapsed)/float64(t1.Elapsed), "speedup-vs-graph500-1G")
 		}
-		b.ReportMetric(res.Ratio("Graph500", "1G", 12), "g500-construction-ratio")
+		b.ReportMetric(g1.ConstructionRatio, "g500-construction-ratio")
 	}
 }
 

@@ -87,9 +87,9 @@ func main() {
 	}
 
 	var total int64
-	for pred, n := range counts {
-		fmt.Printf("%-16s %d edges\n", pred, n)
-		total += n
+	for _, pred := range schema.Predicates() {
+		fmt.Printf("%-16s %d edges\n", pred, counts[pred])
+		total += counts[pred]
 	}
 	fmt.Printf("%-16s %d edges → %s\n", "total", total, *out)
 }

@@ -61,8 +61,8 @@ func main() {
 	}
 
 	fmt.Println("\ngenerated edges per predicate:")
-	for pred, n := range counts {
-		ps := statsByPred[pred]
+	for _, pred := range schema.Predicates() {
+		n, ps := counts[pred], statsByPred[pred]
 		var maxIn int64
 		var sumIn int64
 		for _, d := range ps.inDegrees {

@@ -402,12 +402,14 @@ func TestCooperativePartsMatchPartsAlone(t *testing.T) {
 }
 
 // TestPartExecutorConformance proves the one part executor
-// (core.ResumeParts / core.RunParts / core.StreamParts) once for both
-// PartSources, through every runtime that calls it: whichever way a
-// job's parts come to exist — generated cold, found on disk, fetched
+// (core.ResumeParts / core.RunParts / core.StreamParts) once for every
+// PartSource — classic, community and a gMark schema compiled to
+// community blocks — through every runtime that calls it: whichever way
+// a job's parts come to exist — generated cold, found on disk, fetched
 // from a warm store, leased from a master, claimed by a swarm, streamed
 // in order into one writer — the per-part bytes are identical and the
-// cache/skip accounting is what the path implies.
+// cache/skip accounting is what the path implies. (Dist ships community
+// specs, not schemas, so the gMark row has no dist leg.)
 func TestPartExecutorConformance(t *testing.T) {
 	const format = gformat.ADJ6
 	classic := core.DefaultConfig(11)
@@ -426,24 +428,35 @@ func TestPartExecutorConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// created and likes are both person→post: one rectangle, two blocks
+	// that only their seeds and part keys tell apart.
+	schema, err := SocialNetworkSchema(600, 4800).Layout(7)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name   string
 		src    core.PartSource
 		parts  int
 		resume func(dir string, st *store.Store) (core.Stats, error)
-		master dist.MasterConfig
+		master *dist.MasterConfig // nil: no dist leg
 	}{
 		{"classic", classic, classic.Workers,
 			func(dir string, st *store.Store) (core.Stats, error) {
 				return core.ResumeToDirStore(classic, dir, format, st)
 			},
-			dist.MasterConfig{Config: classic}},
+			&dist.MasterConfig{Config: classic}},
 		{"community", lay, lay.NumBlocks(),
 			func(dir string, st *store.Store) (core.Stats, error) {
 				return lay.GenerateToDir(dir, format, community.RunOptions{Store: st})
 			},
-			dist.MasterConfig{Community: &ccfg}},
+			&dist.MasterConfig{Community: &ccfg}},
+		{"gmark", schema, schema.NumBlocks(),
+			func(dir string, st *store.Store) (core.Stats, error) {
+				return schema.GenerateToDir(dir, format, community.RunOptions{Store: st})
+			},
+			nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := store.Open(t.TempDir(), store.Options{})
@@ -474,6 +487,20 @@ func TestPartExecutorConformance(t *testing.T) {
 			}
 			want = partHashes(t, cold)
 			same("cold", cold)
+			// Parts over the same rows are told apart by key and by bytes.
+			for i, ri := range cst.Ranges {
+				for j, rj := range cst.Ranges[:i] {
+					if ri.Lo != rj.Lo || ri.Hi != rj.Hi {
+						continue
+					}
+					if tc.src.PartKey(format, i, ri) == tc.src.PartKey(format, j, rj) {
+						t.Errorf("parts %d and %d over rows [%d, %d) share a store key", j, i, ri.Lo, ri.Hi)
+					}
+					if a, b := filepath.Base(core.PartPath(cold, format, i)), filepath.Base(core.PartPath(cold, format, j)); want[a] == want[b] {
+						t.Errorf("parts %d and %d over rows [%d, %d) hold the same bytes", j, i, ri.Lo, ri.Hi)
+					}
+				}
+			}
 
 			// Streamed: the same parts in order through one writer are the
 			// part files concatenated, at any worker count.
@@ -541,37 +568,39 @@ func TestPartExecutorConformance(t *testing.T) {
 			same("warm", warm)
 
 			// Two TCP workers leasing from a master, no store.
-			mc := tc.master
-			mc.Addr, mc.Workers, mc.Parts, mc.Format = "127.0.0.1:0", 2, tc.parts, format
-			mc.AcceptTimeout = 10 * time.Second
-			m, err := dist.NewMaster(mc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			distDirs := []string{t.TempDir(), t.TempDir()}
 			var wg sync.WaitGroup
-			werrs := make([]error, len(distDirs))
-			for i, dir := range distDirs {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					werrs[i] = dist.RunWorker(dist.WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dir})
-				}()
-			}
-			dsum, err := m.Run()
-			wg.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, werr := range werrs {
-				if werr != nil {
-					t.Fatalf("dist worker %d: %v", i, werr)
+			if tc.master != nil {
+				mc := *tc.master
+				mc.Addr, mc.Workers, mc.Parts, mc.Format = "127.0.0.1:0", 2, tc.parts, format
+				mc.AcceptTimeout = 10 * time.Second
+				m, err := dist.NewMaster(mc)
+				if err != nil {
+					t.Fatal(err)
 				}
+				distDirs := []string{t.TempDir(), t.TempDir()}
+				werrs := make([]error, len(distDirs))
+				for i, dir := range distDirs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						werrs[i] = dist.RunWorker(dist.WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dir})
+					}()
+				}
+				dsum, err := m.Run()
+				wg.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, werr := range werrs {
+					if werr != nil {
+						t.Fatalf("dist worker %d: %v", i, werr)
+					}
+				}
+				if dsum.Parts != tc.parts || dsum.Edges != cst.Edges || dsum.PartsFromCache != 0 || dsum.SkippedParts != 0 {
+					t.Fatalf("dist: %+v, want %d parts, %d edges, none cached or skipped", dsum, tc.parts, cst.Edges)
+				}
+				same("dist", distDirs...)
 			}
-			if dsum.Parts != tc.parts || dsum.Edges != cst.Edges || dsum.PartsFromCache != 0 || dsum.SkippedParts != 0 {
-				t.Fatalf("dist: %+v, want %d parts, %d edges, none cached or skipped", dsum, tc.parts, cst.Edges)
-			}
-			same("dist", distDirs...)
 
 			// Two masterless swarm workers sharing one directory, no store.
 			shared := t.TempDir()

@@ -21,7 +21,9 @@
 //
 // Layout implements core.PartSource, which is what plugs the
 // composition into the batch, distributed and masterless runtimes at
-// once. docs/COMMUNITY.md is the user-facing contract.
+// once. It is the one block layout: a gMark schema (internal/gmark)
+// compiles to the same blocks through Compose. docs/COMMUNITY.md is the
+// user-facing contract.
 package community
 
 import (
@@ -174,13 +176,20 @@ type Block struct {
 	// Seed is the block's derived random seed; scope u of the block
 	// draws from rng.NewScoped(Seed, u).
 	Seed uint64
+	// Name labels the block: "(i,j)", or a gMark edge type's predicate.
+	Name string
+	// AVS marks a block the AVS engine draws over the layout's seed
+	// matrix; the others run ERV with OutDist and InDist.
+	AVS             bool
+	OutDist, InDist erv.Dist
 }
 
-// Layout is a resolved community configuration: concrete sizes,
-// offsets, per-block edge budgets and seeds. It implements
+// Layout is a resolved block layout: concrete sizes, offsets, per-block
+// edge budgets, seeds and generators, from New or Compose. It implements
 // core.PartSource with one part per block.
 type Layout struct {
 	cfg     Config // resolved: Sizes filled, Seed/Edges/MasterSeed set
+	spec    any    // what EnsureManifest records (New's: cfg)
 	offsets []int64
 	blocks  []Block
 	edges   int64
@@ -214,20 +223,9 @@ func New(cfg Config) (*Layout, error) {
 		c.Sizes = sampleSizes(c.Communities, c.MinSize, c.MaxSize, c.SizeExponent, c.MasterSeed)
 	}
 	k := len(c.Sizes)
-	offsets := make([]int64, k+1)
-	for i, s := range c.Sizes {
-		if s < 1 {
-			// A non-positive community is an unusable block rectangle;
-			// surface erv's typed error so spec layers recognize it.
-			return nil, fmt.Errorf("community %d: %w", i, &erv.RangeError{Rows: s, Cols: s})
-		}
-		if s > maxCommunitySize {
-			return nil, fmt.Errorf("community %d: size %d exceeds the generator's 2^47 range limit", i, s)
-		}
-		offsets[i+1] = offsets[i] + s
-	}
-	if total := offsets[k]; total > gformat.MaxVertexID {
-		return nil, fmt.Errorf("community: %d total vertices exceed the 48-bit id space", total)
+	offsets, err := offsetsOf(c.Sizes)
+	if err != nil {
+		return nil, err
 	}
 
 	if len(c.Mixing) != k {
@@ -267,43 +265,88 @@ func New(cfg Config) (*Layout, error) {
 	}
 	budgets := splitBudget(weights, c.Edges)
 
-	l := &Layout{cfg: c, offsets: offsets}
+	var blocks []Block
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			budget := budgets[i*k+j]
 			if budget <= 0 {
 				continue
 			}
+			rows, cols := c.Sizes[i], c.Sizes[j]
 			b := Block{
-				ID:      len(l.blocks),
+				ID:      len(blocks),
 				SrcComm: i, DstComm: j,
 				SrcLo: offsets[i], SrcHi: offsets[i+1],
 				DstLo: offsets[j], DstHi: offsets[j+1],
 				Edges: budget,
 				Intra: i == j,
 				Seed:  rng.Mix64(rng.Mix64(c.MasterSeed, blockSeedSalt), uint64(i*k+j)),
+				Name:  fmt.Sprintf("(%d,%d)", i, j),
+				// Power-of-two squares run AVS (SKG, or NSKG with Noise); the
+				// rest run ERV with the seed's Lemma-6 slopes.
+				AVS: i == j && rows >= 2 && rows&(rows-1) == 0,
 			}
-			rows, cols := b.SrcHi-b.SrcLo, b.DstHi-b.DstLo
+			if !b.AVS {
+				b.OutDist, b.InDist = distForSlope(c.Seed.OutZipfSlope()), distForSlope(c.Seed.InZipfSlope())
+			}
 			if !c.AllowDuplicates && float64(budget) > float64(rows)*float64(cols) {
 				return nil, fmt.Errorf("community: block (%d,%d) budget %d exceeds its %d×%d capacity (raise sizes, lower the weight, or allow duplicates)",
 					i, j, budget, rows, cols)
 			}
-			// Probe-build the block's generator so a bad configuration
-			// (including empty/inverted rectangles, as *erv.RangeError)
-			// fails at spec time, not mid-generation.
-			if _, _, err := l.newScoper(b, new(avs.DedupSet)); err != nil {
-				return nil, fmt.Errorf("community: block (%d,%d): %w", i, j, err)
-			}
-			l.blocks = append(l.blocks, b)
-			l.edges += budget
-			l.scopes += rows
+			blocks = append(blocks, b)
 		}
 	}
-	if len(l.blocks) == 0 {
+	return Compose(c, blocks, fingerprint(c, blocks), c)
+}
+
+// Compose lays out blocks over communities of c.Sizes — New's, or a
+// gMark schema's edge types: each block keeps its rectangle, budget,
+// seed and distributions and gets its position as ID, while c supplies
+// the master seed and what AVS blocks and the duplicate filter read.
+// Every block's generator is probe-built, so a bad configuration
+// (including empty or inverted rectangles, as *erv.RangeError) fails
+// here, not mid-generation. fp is the layout's fingerprint and spec what
+// its run manifests record.
+func Compose(c Config, blocks []Block, fp string, spec any) (*Layout, error) {
+	offsets, err := offsetsOf(c.Sizes)
+	if err != nil {
+		return nil, err
+	}
+	if len(blocks) == 0 {
 		return nil, fmt.Errorf("community: no block received a positive edge budget")
 	}
-	l.fp = fingerprint(c, l.blocks)
+	l := &Layout{cfg: c, spec: spec, offsets: offsets, blocks: blocks, fp: fp}
+	for i := range blocks {
+		b := &blocks[i]
+		b.ID = i
+		if _, _, err := l.newScoper(*b, new(avs.DedupSet)); err != nil {
+			return nil, fmt.Errorf("community: block %s: %w", b.Name, err)
+		}
+		l.edges += b.Edges
+		l.scopes += b.SrcHi - b.SrcLo
+	}
 	return l, nil
+}
+
+// offsetsOf returns each community's first vertex, then the total,
+// checking every size against the generators' range and the total
+// against the id space.
+func offsetsOf(sizes []int64) ([]int64, error) {
+	offsets := make([]int64, len(sizes)+1)
+	for i, s := range sizes {
+		if s < 1 {
+			// A non-positive community is an unusable block rectangle;
+			// surface erv's typed error so spec layers recognize it.
+			return nil, fmt.Errorf("community %d: %w", i, &erv.RangeError{Rows: s, Cols: s})
+		}
+		if s > maxCommunitySize {
+			return nil, fmt.Errorf("community %d: size %d exceeds the generator's 2^47 range limit", i, s)
+		}
+		if offsets[i+1] = offsets[i] + s; offsets[i+1] > gformat.MaxVertexID {
+			return nil, fmt.Errorf("community: %d total vertices exceed the 48-bit id space", offsets[i+1])
+		}
+	}
+	return offsets, nil
 }
 
 // sampleSizes draws k community sizes from the bounded power law with
@@ -383,7 +426,7 @@ func fingerprint(c Config, blocks []Block) string {
 
 // Config returns the resolved configuration (sizes concrete, defaults
 // applied). Marshaled, it round-trips through ParseSpec and New to an
-// identical layout.
+// identical layout. A layout built by Compose returns the Config it was given.
 func (l *Layout) Config() Config { return l.cfg }
 
 // Sizes returns the resolved community sizes.
@@ -475,7 +518,7 @@ func (l *Layout) ArtifactKey(format gformat.Format) store.Key {
 // spec so tools (the statistical validator foremost) can recover what
 // the directory claims to be.
 func (l *Layout) EnsureManifest(dir string, format gformat.Format, parts int) error {
-	spec, err := json.Marshal(l.cfg)
+	spec, err := json.Marshal(l.spec)
 	if err != nil {
 		return err
 	}
@@ -492,23 +535,16 @@ func distForSlope(slope float64) erv.Dist {
 	return erv.Dist{Kind: erv.Gaussian}
 }
 
-// pow2Intra reports whether b is a power-of-two diagonal square — the
-// blocks the AVS engine can generate.
-func (b Block) pow2Intra() bool {
-	rows := b.SrcHi - b.SrcLo
-	return b.Intra && rows >= 2 && rows == b.DstHi-b.DstLo && rows&(rows-1) == 0
-}
-
 // newScoper builds block b's generator and its expected-edges closed
-// form. Power-of-two intra blocks run the real AVS engine (SKG, or NSKG
-// when Noise is set, with the noise stream derived from the block seed);
-// everything else — rectangles and odd-sized squares — runs ERV with the
-// seed's Lemma-6 slopes. Generators are not concurrency-safe: one scoper
-// per thread, filtering duplicates through that thread's set.
+// form: the AVS engine over the layout's seed matrix (with the NSKG
+// noise stream derived from the block seed) when b.AVS, ERV with the
+// block's own distributions otherwise. Generators are not
+// concurrency-safe: one scoper per thread, filtering duplicates through
+// that thread's set.
 func (l *Layout) newScoper(b Block, set *avs.DedupSet) (core.Scoper, func(lo, hi int64) float64, error) {
 	rows, cols := b.SrcHi-b.SrcLo, b.DstHi-b.DstLo
-	seed := *l.cfg.Seed
-	if b.pow2Intra() {
+	if b.AVS {
+		seed := *l.cfg.Seed
 		levels := bits.Len64(uint64(rows)) - 1
 		acfg := avs.Config{
 			Seed:            seed,
@@ -537,8 +573,8 @@ func (l *Layout) newScoper(b Block, set *avs.DedupSet) (core.Scoper, func(lo, hi
 		NumSrc:          rows,
 		NumDst:          cols,
 		NumEdges:        b.Edges,
-		OutDist:         distForSlope(seed.OutZipfSlope()),
-		InDist:          distForSlope(seed.InZipfSlope()),
+		OutDist:         b.OutDist,
+		InDist:          b.InDist,
 		AllowDuplicates: l.cfg.AllowDuplicates,
 	}
 	g, err := erv.New(ecfg)
@@ -577,7 +613,7 @@ func (l *Layout) OpenPart(id int, _ partition.Range) (core.Part, error) {
 		ExpectedEdges: rowEdges,
 		Settled: func(st core.Stats, err error, tel *telemetry.Registry) error {
 			if err != nil {
-				return fmt.Errorf("community: block (%d,%d): %w", b.SrcComm, b.DstComm, err)
+				return fmt.Errorf("community: block %s: %w", b.Name, err)
 			}
 			if tel != nil {
 				tel.Counter(MetricBlocksGenerated).Inc()

@@ -460,7 +460,7 @@ func TestGoldenERVStreamBytes(t *testing.T) {
 		MasterSeed: 11,
 	})
 	for _, b := range lay.Blocks() {
-		if b.pow2Intra() {
+		if b.AVS {
 			t.Fatalf("block (%d,%d) is not on the ERV path", b.SrcComm, b.DstComm)
 		}
 	}

@@ -17,8 +17,10 @@
 // A scope here is the AVS scope procedure over a rectangle, and it
 // filters in-scope duplicates through the same avs.DedupSet, held by
 // the Generator and reused from scope to scope (O(d_max) working
-// memory, no allocation per scope). So a Generator's Scope and Generate
-// are not safe for concurrent use: one Generator per goroutine.
+// memory, no allocation per scope). So a Generator's Scope is not safe
+// for concurrent use: one Generator per goroutine. A collection is
+// drawn row by row by core's part executor, as a community block
+// (internal/community), whatever it was compiled from.
 package erv
 
 import (
@@ -93,7 +95,8 @@ func (d Dist) Validate() error {
 		}
 	case Gaussian:
 	case Uniform:
-		if d.Min < 0 || d.Max < d.Min {
+		// Max−Min+1, the count of degrees drawn from, must fit an int64.
+		if d.Min < 0 || d.Max < d.Min || d.Max-d.Min == math.MaxInt64 {
 			return fmt.Errorf("erv: uniform bounds [%d, %d] invalid", d.Min, d.Max)
 		}
 	case Empirical:
@@ -255,8 +258,8 @@ func prefixRowMass(a, b float64, n int64, levels int) float64 {
 	return sum
 }
 
-// Generator produces one ERV edge collection. Scope and Generate reuse
-// its dedup set (one Generator per goroutine); ScopeSize and the
+// Generator produces one ERV edge collection. Scope reuses its dedup
+// set (one Generator per goroutine); ScopeSize and the
 // probability accessors only read what New filled.
 type Generator struct {
 	cfg       Config
@@ -340,9 +343,6 @@ func New(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // ShareSet makes g filter duplicates through set instead of a set of its
 // own, as avs.Generator.ShareSet does.
 func (g *Generator) ShareSet(set *avs.DedupSet) { g.set = set }
@@ -353,24 +353,22 @@ func (g *Generator) rowMass(u int64) float64 {
 }
 
 // ScopeSize draws the out-degree of source u per Theorem 1 under Kout,
-// normalized to the truncated source range.
+// normalized to the truncated source range — or from the Uniform or
+// Empirical table — clamped to NumDst unless duplicates are allowed.
 func (g *Generator) ScopeSize(u int64, src *rng.Source) int64 {
 	if u < 0 || u >= g.cfg.NumSrc {
 		return 0
 	}
-	if g.outAlias != nil {
-		d := int64(g.outAlias.Sample(src))
-		if !g.cfg.AllowDuplicates && d > g.cfg.NumDst {
-			d = g.cfg.NumDst
-		}
-		return d
+	var d int64
+	switch {
+	case g.outAlias != nil:
+		d = int64(g.outAlias.Sample(src))
+	case g.uniformOut:
+		d = g.cfg.OutDist.Min + src.Int63n(g.cfg.OutDist.Max-g.cfg.OutDist.Min+1)
+	default:
+		d = src.Binomial(g.cfg.NumEdges, g.rowMass(u)/g.outNorm)
 	}
-	if g.uniformOut {
-		d := g.cfg.OutDist.Min + src.Int63n(g.cfg.OutDist.Max-g.cfg.OutDist.Min+1)
-		return d
-	}
-	p := g.rowMass(u) / g.outNorm
-	d := src.Binomial(g.cfg.NumEdges, p)
+	// A deduplicated row holds at most NumDst distinct destinations.
 	if !g.cfg.AllowDuplicates && d > g.cfg.NumDst {
 		d = g.cfg.NumDst
 	}
@@ -407,7 +405,7 @@ func (g *Generator) ExpectedEdges(lo, hi int64) float64 {
 		}
 		return float64(hi-lo) * sum / mass
 	case g.uniformOut:
-		return float64(hi-lo) * float64(g.cfg.OutDist.Min+g.cfg.OutDist.Max) / 2
+		return float64(hi-lo) * (float64(g.cfg.OutDist.Min) + float64(g.cfg.OutDist.Max)) / 2
 	}
 	mass := prefixRowMass(g.outA, g.outB, hi, g.srcLevels) - prefixRowMass(g.outA, g.outB, lo, g.srcLevels)
 	return float64(g.cfg.NumEdges) * mass / g.outNorm
@@ -510,24 +508,4 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 		}
 	}
 	return out
-}
-
-// Generate runs all scopes of the collection, emitting range-local
-// (src, dsts) pairs, and returns the number of edges generated.
-func (g *Generator) Generate(masterSeed uint64, emit func(src int64, dsts []int64) error) (int64, error) {
-	var total int64
-	var buf []int64
-	var src rng.Source // reseeded per scope: no allocation per vertex
-	for u := int64(0); u < g.cfg.NumSrc; u++ {
-		src.Reseed(masterSeed, uint64(u))
-		dsts := g.Scope(u, &src, buf)
-		buf = dsts
-		total += int64(len(dsts))
-		if emit != nil && len(dsts) > 0 {
-			if err := emit(u, dsts); err != nil {
-				return total, err
-			}
-		}
-	}
-	return total, nil
 }

@@ -167,7 +167,7 @@ func TestScopeSizesSumToBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := g.Generate(7, nil)
+	total, err := generate(g, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestOutZipfianInGaussian(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := stats.NewDegreeCounter()
-	if _, err := g.Generate(3, func(src int64, dsts []int64) error {
+	if _, err := generate(g, 3, func(src int64, dsts []int64) error {
 		counter.AddScope(src, dsts)
 		return nil
 	}); err != nil {
@@ -249,7 +249,7 @@ func TestInZipfian(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := stats.NewDegreeCounter()
-	if _, err := g.Generate(9, func(src int64, dsts []int64) error {
+	if _, err := generate(g, 9, func(src int64, dsts []int64) error {
 		counter.AddScope(src, dsts)
 		return nil
 	}); err != nil {
@@ -274,7 +274,7 @@ func TestDestinationsInRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Generate(5, func(src int64, dsts []int64) error {
+	if _, err := generate(g, 5, func(src int64, dsts []int64) error {
 		if src < 0 || src >= 100 {
 			t.Fatalf("src %d out of range", src)
 		}
@@ -302,7 +302,7 @@ func TestDedupVsDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Generate(1, func(src int64, dsts []int64) error {
+	if _, err := generate(g, 1, func(src int64, dsts []int64) error {
 		seen := make(map[int64]bool)
 		for _, d := range dsts {
 			if seen[d] {
@@ -322,7 +322,7 @@ func TestDedupVsDuplicates(t *testing.T) {
 	}
 	foundDup := false
 	for seed := uint64(1); seed < 20 && !foundDup; seed++ {
-		if _, err := gd.Generate(seed, func(src int64, dsts []int64) error {
+		if _, err := generate(gd, seed, func(src int64, dsts []int64) error {
 			seen := make(map[int64]bool)
 			for _, d := range dsts {
 				if seen[d] {
@@ -350,13 +350,68 @@ func TestUniformOutDegrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Generate(11, func(src int64, dsts []int64) error {
+	if _, err := generate(g, 11, func(src int64, dsts []int64) error {
 		if len(dsts) < 2 || len(dsts) > 5 {
 			t.Fatalf("uniform degree %d outside [2,5]", len(dsts))
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUniformSpanOverflowRejected: a uniform span whose degree count
+// Max−Min+1 overflows an int64 is a validation error, not a panic in
+// the first draw.
+func TestUniformSpanOverflowRejected(t *testing.T) {
+	huge := Dist{Kind: Uniform, Min: 0, Max: math.MaxInt64}
+	if err := huge.Validate(); err == nil {
+		t.Fatal("expected error for a span of 2^63 degrees")
+	}
+	if _, err := New(Config{NumSrc: 60, NumDst: 40, NumEdges: 1, OutDist: huge, InDist: Dist{Kind: Gaussian}}); err == nil {
+		t.Fatal("New accepted a span of 2^63 degrees")
+	}
+	if err := (Dist{Kind: Uniform, Min: 1, Max: math.MaxInt64}).Validate(); err != nil {
+		t.Fatalf("a span of 2^63−1 degrees fits: %v", err)
+	}
+}
+
+// TestUniformOutDegreesClampToRange: a uniform out-degree above the
+// destination range is clamped to it, as binomial and empirical draws
+// are, so a deduplicated row never asks for more destinations than
+// exist (or for trillions of them). With duplicates allowed the draw
+// stands.
+func TestUniformOutDegreesClampToRange(t *testing.T) {
+	for _, out := range []Dist{
+		{Kind: Uniform, Min: 4_000_000_000_000, Max: 4_000_000_000_000},
+		{Kind: Uniform, Min: 1, Max: math.MaxInt64},
+		{Kind: Uniform, Min: 50, Max: 60},
+	} {
+		g, err := New(Config{NumSrc: 60, NumDst: 40, NumEdges: 1, OutDist: out, InDist: Dist{Kind: Gaussian}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows int64
+		if _, err := generate(g, 5, func(src int64, dsts []int64) error {
+			rows++
+			if len(dsts) != 40 {
+				t.Fatalf("%v: row %d has %d destinations, want all 40", out, src, len(dsts))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if rows != 60 {
+			t.Fatalf("%v: %d rows emitted, want 60", out, rows)
+		}
+	}
+	g, err := New(Config{NumSrc: 60, NumDst: 40, NumEdges: 1, AllowDuplicates: true,
+		OutDist: Dist{Kind: Uniform, Min: 50, Max: 60}, InDist: Dist{Kind: Gaussian}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := g.ScopeSize(0, rng.New(1)); d < 50 || d > 60 {
+		t.Fatalf("with duplicates allowed the degree %d left [50, 60]", d)
 	}
 }
 
@@ -377,11 +432,11 @@ func TestDeterministic(t *testing.T) {
 	}
 	g1, _ := New(cfg)
 	g2, _ := New(cfg)
-	t1, err := g1.Generate(42, nil)
+	t1, err := generate(g1, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := g2.Generate(42, nil)
+	t2, err := generate(g2, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +531,7 @@ func TestEmpiricalOutDegrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := make([]float64, len(weights))
-	if _, err := g.Generate(3, nil); err != nil {
+	if _, err := generate(g, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	src := rng.New(9)
@@ -513,7 +568,7 @@ func TestEmpiricalInBuckets(t *testing.T) {
 	}
 	bucketCounts := make([]float64, len(weights))
 	var total float64
-	if _, err := g.Generate(7, func(src int64, dsts []int64) error {
+	if _, err := generate(g, 7, func(src int64, dsts []int64) error {
 		for _, d := range dsts {
 			bucketCounts[d*int64(len(weights))/4000]++
 			total++

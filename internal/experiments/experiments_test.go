@@ -312,38 +312,32 @@ func TestFig14Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1 := res.Time("Graph500", "1G", sc)
-	gIB := res.Time("Graph500", "IB", sc)
-	t1 := res.Time("TrillionG", "1G", sc)
-	tIB := res.Time("TrillionG", "IB", sc)
-	if g1 == 0 || gIB == 0 || t1 == 0 || tIB == 0 {
-		t.Fatal("missing cells")
+	cell := func(method, network string) Fig14Row {
+		row, ok := res.Row(method, network, sc)
+		if !ok || row.Elapsed == 0 {
+			t.Fatalf("missing cell %s %s", method, network)
+		}
+		return row
 	}
-	// The network dependence is the deterministic byte-over-bandwidth
-	// model: Graph500 pays heavily on 1G, almost nothing on IB, and
-	// TrillionG pays ~nothing either way. (Total times additionally
-	// carry host compute noise of a few ms, so they are reported but
-	// asserted only through the network component.)
-	g1Net := res.Network("Graph500", "1G", sc)
-	gIBNet := res.Network("Graph500", "IB", sc)
-	t1Net := res.Network("TrillionG", "1G", sc)
-	if g1Net < 5*gIBNet {
-		t.Fatalf("Graph500 network 1G %v not ≫ IB %v", g1Net, gIBNet)
+	g1, gIB, t1 := cell("Graph500", "1G"), cell("Graph500", "IB"), cell("TrillionG", "1G")
+	// Asserted on the simulator's deterministic terms only — modelled
+	// network time (bytes over bandwidth) and counted construction work —
+	// never on measured time, which moves with host load: Graph500 pays
+	// heavily on 1G, almost nothing on IB, and TrillionG ~nothing either
+	// way; Graph500 ships and re-sorts every edge it generates (|E| split
+	// evenly over 60 workers, the rest dropped), TrillionG none.
+	if g1.NetworkTime < 5*gIB.NetworkTime {
+		t.Fatalf("Graph500 network 1G %v not ≫ IB %v", g1.NetworkTime, gIB.NetworkTime)
 	}
-	if t1Net*5 > g1Net {
-		t.Fatalf("TrillionG 1G network %v not ≪ Graph500's %v", t1Net, g1Net)
+	if t1.NetworkTime*5 > g1.NetworkTime {
+		t.Fatalf("TrillionG 1G network %v not ≪ Graph500's %v", t1.NetworkTime, g1.NetworkTime)
 	}
-	// Construction ratio: Graph500 ≫ TrillionG on the slow network. A
-	// single GC pause can spike one TrillionG leg's tiny construct
-	// phase, so take the min over both network legs (the quantity is
-	// network-independent for TrillionG).
-	tgRatio := res.Ratio("TrillionG", "1G", sc)
-	if r := res.Ratio("TrillionG", "IB", sc); r >= 0 && r < tgRatio {
-		tgRatio = r
-	}
-	if res.Ratio("Graph500", "1G", sc) < 2*tgRatio {
-		t.Fatalf("construction ratios not separated: g5 %v vs tg %v",
-			res.Ratio("Graph500", "1G", sc), tgRatio)
+	for _, net := range []string{"1G", "IB"} {
+		g5, tg := cell("Graph500", net), cell("TrillionG", net)
+		if want := int64(16) << sc / 60 * 60; g5.Shuffled != want || tg.Shuffled != 0 {
+			t.Fatalf("%s: edges shuffled g5 %d (want %d), tg %d (want 0)", net, g5.Shuffled, want, tg.Shuffled)
+		}
+		t.Logf("%s: construction ratio measured g5 %.3f tg %.3f", net, g5.ConstructionRatio, tg.ConstructionRatio)
 	}
 	res.Report().Print(&bytes.Buffer{})
 }

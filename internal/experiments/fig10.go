@@ -20,8 +20,10 @@ type Fig10Result struct {
 	InKSNormal float64
 	// InMean and InWantMean compare the Gaussian mean to |E_pred|/|V_dst|.
 	InMean, InWantMean float64
-	// PredicateCounts records edges per predicate.
+	// PredicateCounts records edges per predicate; Predicates lists
+	// them in schema order.
 	PredicateCounts map[string]int64
+	Predicates      []string
 }
 
 // Fig10 generates the bibliographical graph (defaults: 2^16 vertices,
@@ -53,6 +55,7 @@ func Fig10(numVertices, numEdges int64) (*Fig10Result, error) {
 		InSkewness:      stats.Skewness(counter.InDegrees()),
 		InKSNormal:      stats.KSAgainstNormal(counter.InDegrees()),
 		PredicateCounts: counts,
+		Predicates:      schema.Predicates(),
 	}
 	res.InMean, _ = stats.MeanStd(counter.InDegrees())
 	var papers int64
@@ -83,8 +86,8 @@ func (r *Fig10Result) Report() Report {
 		"in", "gaussian", fmtF(r.InSkewness), fmtF(r.InKSNormal), "-",
 		fmt.Sprintf("%.2f (want %.2f)", r.InMean, r.InWantMean),
 	})
-	for pred, n := range r.PredicateCounts {
-		rep.Notes = append(rep.Notes, fmt.Sprintf("predicate %s: %d edges", pred, n))
+	for _, pred := range r.Predicates {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("predicate %s: %d edges", pred, r.PredicateCounts[pred]))
 	}
 	return rep
 }

@@ -3,8 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
-	"repro/internal/erv"
+	"repro/internal/gmark"
 	"repro/internal/skg"
 	"repro/internal/stats"
 )
@@ -35,44 +36,24 @@ func Table3(scale int) (*Table3Result, error) {
 	res := &Table3Result{}
 	numSrc := int64(1) << uint(scale)
 	numEdges := 16 * numSrc
+	gaussian := gmark.DistSpec{Kind: "gaussian"}
 
 	// Out-degree Zipfian rows for three slopes, including the Graph500
 	// constant −1.662 the paper calls out.
 	for _, slope := range []float64{-1.0, -1.662, -2.5} {
-		g, err := erv.New(erv.Config{
-			NumSrc: numSrc, NumDst: numSrc, NumEdges: numEdges,
-			OutDist: erv.Dist{Kind: erv.Zipfian, Slope: slope},
-			InDist:  erv.Dist{Kind: erv.Gaussian},
+		classSum := make([]float64, scale+1)
+		classN := make([]float64, scale+1)
+		err := table3Draw(numSrc, numEdges, gmark.DistSpec{Kind: "zipfian", Slope: slope}, gaussian, 3, func(src int64, dsts []int64) {
+			ones := bits.OnesCount64(uint64(src))
+			classSum[ones] += float64(len(dsts))
+			classN[ones]++
 		})
 		if err != nil {
 			return nil, err
 		}
-		classSum := make([]float64, scale+1)
-		classN := make([]float64, scale+1)
-		if _, err := g.Generate(3, func(src int64, dsts []int64) error {
-			ones := popcount(src)
-			classSum[ones] += float64(len(dsts))
-			classN[ones]++
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		var xs, ys []float64
-		for k := 0; k <= scale; k++ {
-			if classN[k] < 8 {
-				continue
-			}
-			mean := classSum[k] / classN[k]
-			if mean < 2 {
-				continue
-			}
-			xs = append(xs, float64(k))
-			ys = append(ys, math.Log2(mean))
-		}
-		measured, _, _ := stats.LinearFit(xs, ys)
 		res.Rows = append(res.Rows, Table3Row{
 			Label:       fmt.Sprintf("Kout zipfian slope %.3f", slope),
-			TheorySlope: slope, MeasuredSlope: measured,
+			TheorySlope: slope, MeasuredSlope: classSlope(classSum, classN),
 			Mean: math.NaN(), WantMean: math.NaN(), KSNormal: math.NaN(),
 		})
 	}
@@ -80,64 +61,29 @@ func Table3(scale int) (*Table3Result, error) {
 	// In-degree Zipfian row: measure the popcount-class means of the
 	// *destination* IDs.
 	inSlope := -1.4
-	gin, err := erv.New(erv.Config{
-		NumSrc: numSrc, NumDst: numSrc, NumEdges: numEdges,
-		OutDist: erv.Dist{Kind: erv.Gaussian},
-		InDist:  erv.Dist{Kind: erv.Zipfian, Slope: inSlope},
-	})
-	if err != nil {
-		return nil, err
-	}
 	counter := stats.NewDegreeCounter()
-	if _, err := gin.Generate(5, func(src int64, dsts []int64) error {
-		counter.AddScope(src, dsts)
-		return nil
-	}); err != nil {
+	if err := table3Draw(numSrc, numEdges, gaussian, gmark.DistSpec{Kind: "zipfian", Slope: inSlope}, 5, counter.AddScope); err != nil {
 		return nil, err
 	}
 	classSum := make([]float64, scale+1)
 	classN := make([]float64, scale+1)
 	for v, d := range counter.InByVertex() {
-		ones := popcount(v)
-		classSum[ones] += float64(d)
-		classN[ones]++
+		classSum[bits.OnesCount64(uint64(v))] += float64(d)
 	}
 	// Include zero-in-degree vertices of each class in the mean.
 	for k := 0; k <= scale; k++ {
 		classN[k] = float64(choose(scale, k))
 	}
-	var xs, ys []float64
-	for k := 0; k <= scale; k++ {
-		if classN[k] < 8 {
-			continue
-		}
-		mean := classSum[k] / classN[k]
-		if mean < 2 {
-			continue
-		}
-		xs = append(xs, float64(k))
-		ys = append(ys, math.Log2(mean))
-	}
-	measuredIn, _, _ := stats.LinearFit(xs, ys)
 	res.Rows = append(res.Rows, Table3Row{
 		Label:       fmt.Sprintf("Kin zipfian slope %.3f", inSlope),
-		TheorySlope: inSlope, MeasuredSlope: measuredIn,
+		TheorySlope: inSlope, MeasuredSlope: classSlope(classSum, classN),
 		Mean: math.NaN(), WantMean: math.NaN(), KSNormal: math.NaN(),
 	})
 
 	// Gaussian row: uniform seed, mean |E|/|V|.
-	gg, err := erv.New(erv.Config{
-		NumSrc: numSrc, NumDst: numSrc, NumEdges: numEdges,
-		OutDist: erv.Dist{Kind: erv.Gaussian},
-		InDist:  erv.Dist{Kind: erv.Gaussian},
-	})
-	if err != nil {
-		return nil, err
-	}
 	var degs []int64
-	if _, err := gg.Generate(7, func(src int64, dsts []int64) error {
+	if err := table3Draw(numSrc, numEdges, gaussian, gaussian, 7, func(_ int64, dsts []int64) {
 		degs = append(degs, int64(len(dsts)))
-		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -151,12 +97,35 @@ func Table3(scale int) (*Table3Result, error) {
 	return res, nil
 }
 
-func popcount(v int64) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
+// table3Draw draws one ERV collection over numSrc×numSrc through
+// gmark.Schema.Generate: a schema of one node type and one predicate
+// with the given out- and in-distributions. emit sees every non-empty
+// scope.
+func table3Draw(numSrc, numEdges int64, out, in gmark.DistSpec, masterSeed uint64, emit func(src int64, dsts []int64)) error {
+	s := &gmark.Schema{
+		Name: "table3", NumVertices: numSrc, NumEdges: numEdges,
+		NodeTypes: []gmark.NodeType{{Name: "v", Ratio: 1}},
+		EdgeTypes: []gmark.EdgeType{{Predicate: "e", SrcType: "v", DstType: "v", Ratio: 1, OutDist: out, InDist: in}},
 	}
-	return n
+	_, err := s.Generate(masterSeed, func(_ string, src int64, dsts []int64) error {
+		emit(src, dsts)
+		return nil
+	})
+	return err
+}
+
+// classSlope fits log2 of the mean degree per popcount class against
+// the class, over classes of at least 8 vertices and mean at least 2.
+func classSlope(sum, n []float64) float64 {
+	var xs, ys []float64
+	for k := range sum {
+		if n[k] >= 8 && sum[k]/n[k] >= 2 {
+			xs = append(xs, float64(k))
+			ys = append(ys, math.Log2(sum[k]/n[k]))
+		}
+	}
+	slope, _, _ := stats.LinearFit(xs, ys)
+	return slope
 }
 
 func choose(n, k int) int64 {

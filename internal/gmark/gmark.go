@@ -1,9 +1,10 @@
 // Package gmark implements schema-driven rich graph generation
 // (Section 6.2): a gMark-style graph configuration — node types with
 // ratios, edge predicates with ratios, and per-predicate in-/out-degree
-// distributions — is compiled into one ERV edge collection per
+// distributions — is compiled into one ERV community block per
 // predicate (one colored rectangle of Figure 7b) and generated at
-// TrillionG speed with duplicate elimination, which gMark itself lacks.
+// TrillionG speed by core's part executor, with the duplicate
+// elimination gMark itself lacks.
 package gmark
 
 import (
@@ -11,7 +12,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
+	"repro/internal/community"
+	"repro/internal/core"
 	"repro/internal/erv"
 	"repro/internal/rng"
 )
@@ -164,63 +168,80 @@ func (s *Schema) Ranges() []VertexRange {
 	return out
 }
 
-// Edge is one labeled edge of the rich graph, with global vertex IDs.
-type Edge struct {
-	Predicate string
-	Src, Dst  int64
+// Predicates returns the schema's distinct predicates in schema order —
+// the order Generate emits them in, for printing its counts.
+func (s *Schema) Predicates() []string {
+	var out []string
+	for _, et := range s.EdgeTypes {
+		if !slices.Contains(out, et.Predicate) {
+			out = append(out, et.Predicate)
+		}
+	}
+	return out
 }
 
-// Generate produces the rich graph: one ERV collection per edge type.
-// emit receives each scope with its predicate; scopes use global IDs.
-// Returns per-predicate edge counts.
-func (s *Schema) Generate(masterSeed uint64, emit func(predicate string, src int64, dsts []int64) error) (map[string]int64, error) {
+// Layout compiles the schema into community blocks, one colored
+// rectangle of Figure 7b each: node types are the communities, laid out
+// by Ranges, and edge type i is block i — source-type rows by target-type
+// columns, max(1, round(ratio·|E|)) edges, seed Mix64(masterSeed,
+// i+0x9D), the schema's own distributions, always ERV (so a same-type
+// predicate such as cites stays off AVS), named by its predicate.
+func (s *Schema) Layout(masterSeed uint64) (*community.Layout, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	ranges := make(map[string]VertexRange)
-	for _, r := range s.Ranges() {
-		ranges[r.Type] = r
+	ranges := s.Ranges()
+	types := make(map[string]int, len(ranges))
+	sizes := make([]int64, len(ranges))
+	for i, r := range ranges {
+		types[r.Type], sizes[i] = i, r.Hi-r.Lo
 	}
+	blocks := make([]community.Block, len(s.EdgeTypes))
+	for i, et := range s.EdgeTypes {
+		src, dst := types[et.SrcType], types[et.DstType]
+		out, _ := et.OutDist.toERV() // kinds checked by Validate
+		in, _ := et.InDist.toERV()
+		blocks[i] = community.Block{
+			SrcComm: src, DstComm: dst, Intra: src == dst,
+			SrcLo: ranges[src].Lo, SrcHi: ranges[src].Hi, DstLo: ranges[dst].Lo, DstHi: ranges[dst].Hi,
+			Edges: max(1, int64(math.Round(et.Ratio*float64(s.NumEdges)))),
+			Seed:  rng.Mix64(masterSeed, uint64(i)+0x9D),
+			Name:  et.Predicate, OutDist: out, InDist: in,
+		}
+	}
+	spec, err := json.Marshal(struct {
+		Schema     *Schema `json:"schema"`
+		MasterSeed uint64  `json:"master_seed"`
+	}{s, masterSeed})
+	if err != nil {
+		return nil, fmt.Errorf("gmark: %w", err)
+	}
+	l, err := community.Compose(community.Config{Sizes: sizes, MasterSeed: masterSeed}, blocks, "gmark/v1 "+string(spec), json.RawMessage(spec))
+	if err != nil {
+		return nil, fmt.Errorf("gmark: %w", err)
+	}
+	return l, nil
+}
+
+// Generate produces the rich graph: the layout's parts one at a time, in
+// part order, through the part executor. emit receives every non-empty
+// scope with its predicate, in global IDs. Returns per-predicate counts.
+func (s *Schema) Generate(masterSeed uint64, emit func(predicate string, src int64, dsts []int64) error) (map[string]int64, error) {
+	l, err := s.Layout(masterSeed)
+	if err != nil {
+		return nil, err
+	}
+	ranges, ids, _ := l.Plan(0) // 0 asks for the layout's own parts: it cannot fail
 	counts := make(map[string]int64)
-	for ei, et := range s.EdgeTypes {
-		srcR, dstR := ranges[et.SrcType], ranges[et.DstType]
-		outD, err := et.OutDist.toERV()
-		if err != nil {
-			return counts, err
-		}
-		inD, err := et.InDist.toERV()
-		if err != nil {
-			return counts, err
-		}
-		budget := int64(math.Round(et.Ratio * float64(s.NumEdges)))
-		if budget < 1 {
-			budget = 1
-		}
-		gen, err := erv.New(erv.Config{
-			NumSrc:   srcR.Hi - srcR.Lo,
-			NumDst:   dstR.Hi - dstR.Lo,
-			NumEdges: budget,
-			OutDist:  outD,
-			InDist:   inD,
-		})
-		if err != nil {
-			return counts, fmt.Errorf("gmark: predicate %q: %w", et.Predicate, err)
-		}
-		collectionSeed := rng.Mix64(masterSeed, uint64(ei)+0x9D)
-		pred := et.Predicate
-		global := make([]int64, 0, 64)
-		n, err := gen.Generate(collectionSeed, func(src int64, dsts []int64) error {
-			if emit == nil {
+	for i, b := range l.Blocks() {
+		sinks := core.CallbackSinks(func(src int64, dsts []int64) error {
+			if emit == nil || len(dsts) == 0 {
 				return nil
 			}
-			global = global[:0]
-			for _, d := range dsts {
-				global = append(global, dstR.Lo+d)
-			}
-			return emit(pred, srcR.Lo+src, global)
+			return emit(b.Name, src, dsts)
 		})
-		counts[pred] += n
-		if err != nil {
+		st, err := core.GenerateParts(l, ranges[i:i+1], ids[i:i+1], sinks, nil)
+		if counts[b.Name] += st.Edges; err != nil {
 			return counts, err
 		}
 	}
