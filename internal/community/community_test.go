@@ -44,7 +44,8 @@ func mustLayout(t *testing.T, cfg Config) *Layout {
 
 // streamLayout streams every block in part order through
 // core.StreamParts — the way the HTTP server streams a community job —
-// and returns the bytes. Every scope must pass the sink decoration.
+// and returns the bytes. Every scope must be told of by its written
+// chunk.
 func streamLayout(t *testing.T, lay *Layout, format gformat.Format, workers int) ([]byte, core.Stats) {
 	t.Helper()
 	ranges, ids, err := lay.Plan(0)
@@ -61,29 +62,17 @@ func streamLayout(t *testing.T, lay *Layout, format gformat.Format, workers int)
 	}
 	var buf bytes.Buffer
 	var scopes atomic.Int64
-	st, err := core.StreamParts(context.Background(), lay, format, next, workers, &buf, func(inner core.SinkFactory) core.SinkFactory {
-		return func(worker int, r partition.Range) (gformat.Writer, error) {
-			w, err := inner(worker, r)
-			return scopeCounter{w, &scopes}, err
-		}
+	st, err := core.StreamParts(context.Background(), lay, format, next, workers, &buf, func(_ int, done core.Stats) error {
+		scopes.Add(done.Scopes)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scopes.Load() != lay.ScopeTotal() {
-		t.Fatalf("%d scopes passed the sink decoration, ScopeTotal is %d", scopes.Load(), lay.ScopeTotal())
+	if scopes.Load() != lay.ScopeTotal() || st.Scopes != lay.ScopeTotal() {
+		t.Fatalf("%d scopes told of by the written chunks, %d counted, ScopeTotal is %d", scopes.Load(), st.Scopes, lay.ScopeTotal())
 	}
 	return buf.Bytes(), st
-}
-
-type scopeCounter struct {
-	gformat.Writer
-	n *atomic.Int64
-}
-
-func (c scopeCounter) WriteScope(src int64, dsts []int64) error {
-	c.n.Add(1)
-	return c.Writer.WriteScope(src, dsts)
 }
 
 // readParts returns each part's bytes indexed by block id.

@@ -71,10 +71,9 @@ func FetchFromStore(st *store.Store, src PartSource, dir string, format gformat.
 // complete at its final path), is also ingested into the store under
 // its source key. Wrap order matters: IngestingSinks goes outside
 // AtomicPartSinks (the file must be renamed into place before ingest
-// reads it) and inside ObservedSinks (telemetry should see real write
-// counts, and the store has its own counters). It knows nothing of the
-// writers it wraps, so the ingest reads each finished part back to hash
-// it; RunParts' own stack (storedPartSinks) does not have to.
+// reads it). It knows nothing of the writers it wraps, so the ingest
+// reads each finished part back to hash it; RunParts' own stack
+// (storedPartSinks) does not have to.
 func IngestingSinks(inner SinkFactory, st *store.Store, src PartSource, dir string, format gformat.Format, ids []int) SinkFactory {
 	if st == nil {
 		return inner

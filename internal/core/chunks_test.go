@@ -129,7 +129,7 @@ func TestChunkSchedulerBalancesAttempts(t *testing.T) {
 	for i := range writers {
 		writers[i] = gformat.NewDiscardWriter(gformat.ADJ6)
 	}
-	s := openParts(cfg, ranges, seqIDs(threads), writers, threads, nil)
+	s := openParts(cfg, ranges, seqIDs(threads), writers, threads, nil, nil)
 	type thread struct {
 		clock, drew int64
 		p           *partRun
@@ -152,7 +152,7 @@ func TestChunkSchedulerBalancesAttempts(t *testing.T) {
 			break
 		}
 		if th.c != nil {
-			s.finish(th.p, th.c, Stats{}, 0, 0, nil)
+			s.finish(th.p, th.c, 0, 0, nil)
 		}
 		s.mu.Lock()
 		var more bool
@@ -199,8 +199,10 @@ func TestChunkSchedulerBalancesAttempts(t *testing.T) {
 // the hub rows at its first scope until the other threads have run as
 // far ahead as they will, and counts what they buffered: never more
 // expected edges than the window, so never more destinations than the
-// window plus one scope in a head thread's hands. One thread buffers
-// nothing at all.
+// window plus the head chunk each thread has in hand. Every chunk is
+// drawn into a buffer before it is written, so one thread holds at most
+// one chunk or one row, whichever is larger — at Scale 15 the hub row,
+// which is the largest chunk, so one thread's peak is the largest scope.
 func TestChunkSchedulerRunaheadBounded(t *testing.T) {
 	const parts = 3
 	threads := min(parts, runtime.GOMAXPROCS(0))
@@ -232,7 +234,7 @@ func TestChunkSchedulerRunaheadBounded(t *testing.T) {
 	if m.peak < chunkEdges/2 {
 		t.Fatalf("only %d destinations ever ran ahead: no chunk was drawn behind the held head", m.peak)
 	}
-	if bound := window + window/8 + st.MaxDegree; m.peak > bound {
+	if bound := window + window/8 + int64(threads)*max(chunkEdges+chunkEdges/8, st.MaxDegree); m.peak > bound {
 		t.Fatalf("%d destinations buffered ahead of the writers, bound %d", m.peak, bound)
 	}
 

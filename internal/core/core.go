@@ -136,6 +136,9 @@ func (c Config) workers() int {
 
 // Stats reports a completed run.
 type Stats struct {
+	// Scopes is the number of source rows drawn and written, empty ones
+	// included.
+	Scopes int64
 	// Edges is the number of edges generated (and written).
 	Edges int64
 	// Attempts counts stochastic trials including in-scope duplicates.

@@ -24,7 +24,7 @@ import (
 // worker's lease, a swarm worker's claim — runs the same sequence:
 //
 //	ResumeParts: Plan → EnsureManifest → SweepTemps → MissingParts → RunParts
-//	RunParts:    store fetch → (atomic+digest → ingest → observed) sinks → GenerateParts
+//	RunParts:    store fetch → (atomic+digest → ingest) sinks → GenerateParts
 //
 // and every runtime that turns one into a single ordered byte stream —
 // the server's jobs, the facade's StreamRange — runs
@@ -49,6 +49,23 @@ import (
 // and independently resumable); the first error in part order is
 // returned, attributed to its position, after all parts settle.
 func GenerateParts(src PartSource, ranges []partition.Range, ids []int, sinks SinkFactory, tel *telemetry.Registry) (Stats, error) {
+	return generateParts(src, ranges, ids, sinks, tel, nil)
+}
+
+// ChunkFunc is told of each chunk a part's writer has taken: the part's
+// id and the chunk's counted work — its scopes, edges and attempts, the
+// bytes the writer grew by, its largest degree and the drawing thread's
+// working-set peak. It is called by the thread that wrote the chunk,
+// right after the write, and for one part never twice at once. A non-nil
+// error fails the part, which is left unclosed (under atomic sinks, never
+// renamed into place). Merged, a run's deltas are its Stats, but for
+// bytes a writer adds at Close (none of gformat's does), which reach
+// Stats and the registry alone.
+type ChunkFunc func(id int, done Stats) error
+
+// generateParts is GenerateParts telling onChunk, if non-nil, of every
+// chunk written.
+func generateParts(src PartSource, ranges []partition.Range, ids []int, sinks SinkFactory, tel *telemetry.Registry, onChunk ChunkFunc) (Stats, error) {
 	if len(ranges) == 0 {
 		return Stats{}, fmt.Errorf("core: no ranges to generate")
 	}
@@ -66,7 +83,7 @@ func GenerateParts(src PartSource, ranges []partition.Range, ids []int, sinks Si
 	}
 
 	start := time.Now()
-	parts := drawParts(src, ranges, ids, writers, tel)
+	parts := drawParts(src, ranges, ids, writers, tel, onChunk)
 	out.GenDuration = time.Since(start)
 	out.Elapsed = out.GenDuration
 
@@ -94,31 +111,40 @@ const (
 	aheadEdges = 4 * chunkEdges
 )
 
-// chunk is a run of rows [lo, hi) of one part, taken by one thread. The
-// chunk at the head of its part's queue when it was taken writes each
-// scope through as it is drawn; one taken behind another is drawn ahead
-// into lens and dsts (row lo+i has lens[i] destinations, flat in dsts)
-// and written when every chunk before it has been. The buffers are
-// reused from chunk to chunk, and from run to run, through aheadChunks.
+// chunk is a run of rows [lo, hi) of one part, taken by one thread and
+// drawn into lens and dsts (row lo+i has lens[i] destinations, flat in
+// dsts), then written when every chunk before it has been. The chunk at
+// the head of its part's queue when it was taken is the thread's own: the
+// thread writes it before it takes another. One taken behind another is
+// drawn ahead and charged against the window until it is written. Both
+// reuse their buffers from run to run, through headChunks and
+// aheadChunks.
 type chunk struct {
 	lo, hi int64
 	ahead  bool
 	cost   int64 // charged against the window while an ahead chunk is unwritten
 	drawn  bool
+	st     Stats // the rows' counted work, once drawn
 	lens   []int32
 	dsts   []int64
 }
 
-// aheadChunks recycles the buffers of chunks drawn ahead: a run needs at
-// most a window's worth at once, and a process that generates again and
-// again (a server, a swarm worker) would otherwise allocate them anew
-// each time. A chunk's edges scatter around its expectation; an eighth
-// over is a dozen standard deviations at this size.
-var aheadChunks = sync.Pool{New: func() any {
-	return &chunk{dsts: make([]int64, 0, chunkEdges+chunkEdges/8)}
-}}
+// aheadChunks and headChunks recycle chunk buffers: a run needs one per
+// thread and a window's worth at once, and a process that generates
+// again and again (a server, a swarm worker, a stream's every part) would
+// otherwise allocate them anew each time. A chunk's edges scatter around
+// its expectation; an eighth over is a dozen standard deviations at this
+// size. Heads are pooled apart because only a head holds a row larger
+// than the window: its grown buffer serves the next thread's head, and
+// does not pass into every chunk the window hands out.
+var (
+	aheadChunks = sync.Pool{New: newChunk}
+	headChunks  = sync.Pool{New: newChunk}
+)
 
-// write replays a chunk drawn ahead into its part's writer.
+func newChunk() any { return &chunk{dsts: make([]int64, 0, chunkEdges+chunkEdges/8)} }
+
+// write replays a drawn chunk into its part's writer.
 func (c *chunk) write(w gformat.Writer) error {
 	dsts := c.dsts
 	for i, n := range c.lens {
@@ -135,23 +161,26 @@ func (c *chunk) write(w gformat.Writer) error {
 // the head of queue, and passes from thread to thread under that mutex.
 type partRun struct {
 	Part
+	id    int
 	w     gformat.Writer
-	tw    *timedWriter // w, when a registry is attached
-	next  int64        // first row not yet cut into a chunk; Hi when none is left or the part failed
-	cut   int64        // end of the next chunk, 0 until computed
-	cost  int64        // and its cost
-	queue []*chunk     // taken and not yet written, in row order
-	stats Stats
+	bytes int64    // w's byte count after the last chunk; the writer's, like w
+	next  int64    // first row not yet cut into a chunk; Hi when none is left or the part failed
+	cut   int64    // end of the next chunk, 0 until computed
+	cost  int64    // and its cost
+	queue []*chunk // taken and not yet written, in row order
+	stats Stats    // the counted work of the chunks written
 	err   error
-	// built and drew sum, over threads, the time spent building this
-	// part's Scopers and drawing its chunks.
-	built, drew time.Duration
+	// built, drew and wrote sum, over threads, the time spent building
+	// this part's Scopers, drawing its chunks and writing them.
+	built, drew, wrote time.Duration
 }
 
 // chunkSched hands the rows of a set of parts to threads. A thread asks
 // for work with take and reports it with finish; nothing else is shared.
 type chunkSched struct {
-	tel *telemetry.Registry
+	tel     *telemetry.Registry
+	meters  *coreMeters // tel's run totals, nil without one
+	onChunk ChunkFunc
 
 	mu     sync.Mutex
 	room   sync.Cond // a chunk was written, a queue emptied or a part ran out of rows
@@ -165,34 +194,37 @@ type chunkSched struct {
 // PartSource and every runtime: it draws the rows of the opened parts
 // and writes part i's scopes into writers[i], in row order, closing the
 // writer after the last; a part that fails — to open, to build a Scoper,
-// to write — is abandoned unclosed, so under atomic sinks it is never
-// renamed into place, and its error is kept in part order.
+// to write, in onChunk — is abandoned unclosed, so under atomic sinks it
+// is never renamed into place, and its error is kept in part order.
 //
 // min(len(ranges), GOMAXPROCS) threads — drawing is CPU-bound, and a
 // thread keeps O(d_max) of warm storage, so parts beyond the CPUs get no
 // thread of their own — take chunks cooperatively: each takes the next
 // chunk of the first part that still has rows and either has no chunk in
-// flight — the thread then holds the part's head and calls its writer
-// scope by scope — or fits the run-ahead window, in which case the chunk
-// is drawn into a buffer and handed to the writer when its turn comes,
-// by the thread that finishes the chunk before it or by its own, which-
-// ever is later. Scope (seed, row) is a pure function, so which thread
-// draws a row changes nothing the writer sees. Taking chunks in part
-// order, not own part first, is what keeps threads busy: a thread whose
-// part is exhausted, or whose way is barred by a full window behind a
-// hub row, always has the next part's head to fall back on. The window
-// holds aheadEdges expected edges per thread; a chunk that
-// alone exceeds it (one huge row) is only ever drawn at the head. So
-// extra memory is O(threads · (d_max + chunk)), and with one thread
-// every chunk is a head chunk: nothing is buffered, no goroutine starts.
+// flight — the thread then holds the part's head — or fits the run-ahead
+// window. Every chunk is drawn into a buffer and handed to the writer
+// when its turn comes, by the thread that finishes the chunk before it
+// or by its own, whichever is later; a head chunk's turn has come when it
+// is drawn. Scope (seed, row) is a pure function, so which thread draws a
+// row changes nothing the writer sees. Taking chunks in part order, not
+// own part first, is what keeps threads busy: a thread whose part is
+// exhausted, or whose way is barred by a full window behind a hub row,
+// always has the next part's head to fall back on. The window holds
+// aheadEdges expected edges per thread; a chunk that alone exceeds it
+// (one huge row) is only ever drawn at the head. So extra memory is
+// O(threads · (d_max + chunk)), and with one thread every chunk is a
+// head chunk: one chunk or one row, whichever is larger, is in hand, and
+// no goroutine starts.
 //
-// With a registry, a part records once, as it settles: the recvec-build,
-// scope-draw and sink-write stages (thread-time sums, the writer's calls
-// timed locally so the hot loop never touches shared state) and the
-// scope, edge, attempt and byte counters.
-func drawParts(src PartSource, ranges []partition.Range, ids []int, writers []gformat.Writer, tel *telemetry.Registry) []*partRun {
+// The written chunk is the one point where a run is observed: the thread
+// that wrote it settles its counted work — onChunk, then, with a
+// registry, the scope, edge, attempt and byte counters and the edge rate
+// — a few clock reads and atomic adds per chunk. A part records its
+// recvec-build, scope-draw and sink-write stages (thread-time sums) once,
+// as it settles.
+func drawParts(src PartSource, ranges []partition.Range, ids []int, writers []gformat.Writer, tel *telemetry.Registry, onChunk ChunkFunc) []*partRun {
 	threads := min(len(ranges), runtime.GOMAXPROCS(0))
-	s := openParts(src, ranges, ids, writers, threads, tel)
+	s := openParts(src, ranges, ids, writers, threads, tel, onChunk)
 	if threads == 1 {
 		s.work()
 		return s.parts
@@ -211,12 +243,12 @@ func drawParts(src PartSource, ranges []partition.Range, ids []int, writers []gf
 
 // openParts opens every part for a scheduler that `threads` threads will
 // work; a part with no rows settles here.
-func openParts(src PartSource, ranges []partition.Range, ids []int, writers []gformat.Writer, threads int, tel *telemetry.Registry) *chunkSched {
-	s := &chunkSched{tel: tel, parts: make([]*partRun, len(ranges))}
+func openParts(src PartSource, ranges []partition.Range, ids []int, writers []gformat.Writer, threads int, tel *telemetry.Registry, onChunk ChunkFunc) *chunkSched {
+	s := &chunkSched{tel: tel, meters: newCoreMeters(tel), onChunk: onChunk, parts: make([]*partRun, len(ranges))}
 	s.room.L = &s.mu
 	s.window = aheadEdges * int64(threads)
 	for i, r := range ranges {
-		p := &partRun{w: writers[i]}
+		p := &partRun{id: ids[i], w: writers[i]}
 		s.parts[i] = p
 		part, err := src.OpenPart(ids[i], r)
 		if err != nil {
@@ -224,10 +256,6 @@ func openParts(src PartSource, ranges []partition.Range, ids []int, writers []gf
 			continue
 		}
 		p.Part, p.next = part, part.Lo
-		if tel != nil {
-			p.tw = &timedWriter{Writer: p.w, rate: tel.RateGauge(MetricEdgesPerSec, 0)}
-			p.w = p.tw
-		}
 		if p.Lo >= p.Hi {
 			s.settle(p)
 		}
@@ -246,15 +274,15 @@ func (s *chunkSched) work() {
 		acct  memacct.Acct
 		buf   []int64
 		src   rng.Source // reseeded per scope: no allocation per vertex
-		head  chunk
+		head  = headChunks.Get().(*chunk)
 	)
+	defer headChunks.Put(head)
 	for {
-		p, c := s.take(&head)
+		p, c := s.take(head)
 		if p == nil {
 			return
 		}
-		var st Stats
-		var built, drew time.Duration
+		var built time.Duration
 		var err error
 		start := time.Now()
 		if of != p {
@@ -268,38 +296,28 @@ func (s *chunkSched) work() {
 			}
 			built = time.Since(start)
 		}
-		var wrote time.Duration
-		if p.tw != nil && !c.ahead {
-			wrote = p.tw.elapsed
-		}
-		for v := c.lo; v < c.hi && err == nil; v++ {
-			u := v - p.SrcOff
-			src.Reseed(p.Seed, uint64(u))
-			dsts, attempts := scope(u, &src, buf)
-			buf = dsts
-			if p.DstOff != 0 {
-				for i := range dsts {
-					dsts[i] += p.DstOff
+		st := &c.st
+		if err == nil {
+			for v := c.lo; v < c.hi; v++ {
+				u := v - p.SrcOff
+				src.Reseed(p.Seed, uint64(u))
+				dsts, attempts := scope(u, &src, buf)
+				buf = dsts
+				if p.DstOff != 0 {
+					for i := range dsts {
+						dsts[i] += p.DstOff
+					}
 				}
-			}
-			st.Attempts += attempts
-			st.Edges += int64(len(dsts))
-			st.MaxDegree = max(st.MaxDegree, int64(len(dsts)))
-			if c.ahead {
+				st.Attempts += attempts
+				st.Edges += int64(len(dsts))
+				st.MaxDegree = max(st.MaxDegree, int64(len(dsts)))
 				c.lens = append(c.lens, int32(len(dsts)))
 				c.dsts = append(c.dsts, dsts...)
-			} else {
-				err = p.w.WriteScope(v, dsts)
 			}
+			st.Scopes = c.hi - c.lo
 		}
 		st.PeakWorkerBytes = acct.Peak()
-		if p.tw != nil {
-			drew = time.Since(start) - built
-			if !c.ahead {
-				drew -= p.tw.elapsed - wrote
-			}
-		}
-		s.finish(p, c, st, built, drew, err)
+		s.finish(p, c, built, time.Since(start)-built, err)
 	}
 }
 
@@ -320,9 +338,9 @@ func (s *chunkSched) take(mine *chunk) (*partRun, *chunk) {
 
 // next is take without the wait, called with mu held: the next chunk of
 // the first part that has rows left and either no chunk in flight or
-// room in the window, or none — for now, if more. A head chunk needs no
-// buffers and is written by the thread that draws it before that thread
-// takes another, so it lives in the thread's own `mine`.
+// room in the window, or none — for now, if more. A head chunk is
+// written by the thread that draws it before that thread takes another,
+// so it lives in the thread's own `mine`.
 func (s *chunkSched) next(mine *chunk) (p *partRun, c *chunk, more bool) {
 	for s.first < len(s.parts) && s.parts[s.first].next >= s.parts[s.first].Hi {
 		s.first++
@@ -362,12 +380,11 @@ func (s *chunkSched) next(mine *chunk) (p *partRun, c *chunk, more bool) {
 
 // finish records a drawn chunk. If it is at the head of its part, the
 // calling thread is the part's writer until the queue runs out of drawn
-// chunks: it writes the ones drawn ahead, returns their buffers, and
-// settles the part after its last row. Otherwise the chunk waits, drawn,
-// for the thread that gets to it.
-func (s *chunkSched) finish(p *partRun, c *chunk, st Stats, built, drew time.Duration, err error) {
+// chunks: it writes them, settles each one's counted work, returns the
+// buffers of those drawn ahead, and settles the part after its last row.
+// Otherwise the chunk waits, drawn, for the thread that gets to it.
+func (s *chunkSched) finish(p *partRun, c *chunk, built, drew time.Duration, err error) {
 	s.mu.Lock()
-	p.stats.merge(st)
 	p.built += built
 	p.drew += drew
 	if err != nil {
@@ -380,14 +397,22 @@ func (s *chunkSched) finish(p *partRun, c *chunk, st Stats, built, drew time.Dur
 	}
 	for len(p.queue) > 0 && p.queue[0].drawn {
 		c := p.queue[0]
-		if c.ahead && p.err == nil {
+		if p.err == nil {
 			// Only this thread can reach the writer: c stays at the head,
 			// so chunks taken meanwhile queue behind it.
 			s.mu.Unlock()
+			start := time.Now()
 			err := c.write(p.w)
+			wrote := time.Since(start)
+			if err == nil {
+				err = s.written(p, c)
+			}
 			s.mu.Lock()
+			p.wrote += wrote
 			if err != nil {
 				s.fail(p, err)
+			} else {
+				p.stats.merge(c.st)
 			}
 		}
 		p.queue = p.queue[:copy(p.queue, p.queue[1:])]
@@ -404,6 +429,21 @@ func (s *chunkSched) finish(p *partRun, c *chunk, st Stats, built, drew time.Dur
 	}
 }
 
+// written settles a chunk its part's writer has taken, on the writer's
+// thread, without the lock: the chunk's byte count is the writer's
+// growth, and onChunk, then the registry, are told of its work.
+func (s *chunkSched) written(p *partRun, c *chunk) error {
+	b := p.w.BytesWritten()
+	c.st.BytesWritten, p.bytes = b-p.bytes, b
+	if s.onChunk != nil {
+		if err := s.onChunk(p.id, c.st); err != nil {
+			return err
+		}
+	}
+	s.meters.add(c.st)
+	return nil
+}
+
 // fail records a part's first error and stops cutting it; chunks of it
 // already in flight drain through finish unwritten. Called with mu held.
 func (s *chunkSched) fail(p *partRun, err error) {
@@ -417,19 +457,21 @@ func (s *chunkSched) fail(p *partRun, err error) {
 // unless the part failed, its books are closed either way.
 func (s *chunkSched) settle(p *partRun) {
 	if p.err == nil {
+		start := time.Now()
 		p.err = p.w.Close()
+		p.wrote += time.Since(start)
 	}
-	p.stats.BytesWritten = p.w.BytesWritten()
+	// Bytes no chunk was told of — Close's, a failed chunk's — are the
+	// part's all the same.
+	b := p.w.BytesWritten()
+	s.meters.add(Stats{BytesWritten: b - p.stats.BytesWritten})
+	p.stats.BytesWritten = b
 	if tel := s.tel; tel != nil {
 		tel.Stage(StageRecvecBuild).Observe(p.built, 1)
-		tel.Stage(StageSinkWrite).Observe(p.tw.elapsed, p.stats.Edges)
+		tel.Stage(StageSinkWrite).Observe(p.wrote, p.stats.Edges)
 		if p.drew > 0 {
-			tel.Stage(StageScopeDraw).Observe(p.drew, p.tw.scopes)
+			tel.Stage(StageScopeDraw).Observe(p.drew, p.stats.Scopes)
 		}
-		tel.Counter(MetricScopes).Add(p.tw.scopes)
-		tel.Counter(MetricEdges).Add(p.stats.Edges)
-		tel.Counter(MetricAttempts).Add(p.stats.Attempts)
-		tel.Counter(MetricBytes).Add(p.stats.BytesWritten)
 	}
 	if p.Settled != nil {
 		p.err = p.Settled(p.stats, p.err, s.tel)
@@ -438,6 +480,7 @@ func (s *chunkSched) settle(p *partRun) {
 
 // merge folds one part's counts into the run's.
 func (s *Stats) merge(part Stats) {
+	s.Scopes += part.Scopes
 	s.Edges += part.Edges
 	s.Attempts += part.Attempts
 	s.BytesWritten += part.BytesWritten
@@ -457,7 +500,7 @@ const slotCap = 1 << 20
 // global state, is exactly the part files GenerateParts would write,
 // joined. next is the lazy part schedule: it is never called
 // concurrently, and ok=false — which it must keep answering — ends the
-// stream. wrap, if non-nil, decorates each part's sink (progress
+// stream. onChunk, if non-nil, is told of every chunk written (progress
 // counters), as in RunParts.
 //
 // At most `workers` goroutines take parts in order and draw each, on
@@ -470,20 +513,29 @@ const slotCap = 1 << 20
 // the call is GenerateParts of one part into the encoder over w — batch.
 //
 // Cancelling ctx, a write error on w or a part's own failure ends the
-// stream: parts blocked on their turn wake, running parts stop at their
-// next scope, and that first cause is returned as is. Stats sums the
-// parts taken (Ranges is left empty: a schedule can hold millions).
-func StreamParts(ctx context.Context, src PartSource, format gformat.Format, next func() (id int, r partition.Range, ok bool), workers int, w io.Writer, wrap func(SinkFactory) SinkFactory) (Stats, error) {
+// stream: parts blocked on their turn wake, running parts stop after
+// their next chunk, and that first cause is returned as is. Stats sums
+// the parts taken (Ranges is left empty: a schedule can hold millions).
+func StreamParts(ctx context.Context, src PartSource, format gformat.Format, next func() (id int, r partition.Range, ok bool), workers int, w io.Writer, onChunk ChunkFunc) (Stats, error) {
 	if !streamable(format) {
 		return Stats{}, fmt.Errorf("core: format %v is not streamable (use tsv or adj6)", format)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	o := &orderedStream{w: w, ctx: ctx, cancel: cancel}
+	o := &orderedStream{w: w, cancel: cancel}
 	o.turn.L = &o.mu
 	// Parts parked on their turn cannot see ctx; fail wakes them.
 	stop := context.AfterFunc(ctx, func() { o.fail(ctx.Err()) })
 	defer stop()
+	written := func(id int, done Stats) error {
+		if err := ctx.Err(); err != nil {
+			return o.fail(err)
+		}
+		if onChunk != nil {
+			return onChunk(id, done)
+		}
+		return nil
+	}
 
 	var out Stats
 	var take sync.Mutex // serialises next, the sequence numbers and out
@@ -503,25 +555,19 @@ func StreamParts(ctx context.Context, src PartSource, format gformat.Format, nex
 				o.fail(err)
 				return
 			}
-			sinks := SinkFactory(func(int, partition.Range) (gformat.Writer, error) {
-				if format == gformat.TSV {
-					return &streamWriter{Writer: gformat.NewTSVWriter(slot), o: o}, nil
-				}
-				return &streamWriter{Writer: gformat.NewADJ6Writer(slot), o: o}, nil
-			})
-			if wrap != nil {
-				sinks = wrap(sinks)
+			var sink gformat.Writer
+			if format == gformat.TSV {
+				sink = gformat.NewTSVWriter(slot)
+			} else {
+				sink = gformat.NewADJ6Writer(slot)
 			}
-			sink, err := sinks(0, r)
-			if err == nil {
-				// One part, one thread: every chunk is a head chunk, drawn in
-				// this goroutine straight into the encoder.
-				p := drawParts(src, []partition.Range{r}, []int{id}, []gformat.Writer{sink}, nil)[0]
-				take.Lock()
-				out.merge(p.stats)
-				take.Unlock()
-				err = p.err
-			}
+			// One part, one thread: every chunk is a head chunk, drawn in
+			// this goroutine and written into the encoder.
+			p := drawParts(src, []partition.Range{r}, []int{id}, []gformat.Writer{sink}, nil, written)[0]
+			take.Lock()
+			out.merge(p.stats)
+			take.Unlock()
+			err := p.err
 			if err == nil {
 				err = slot.finish()
 			}
@@ -554,7 +600,6 @@ func StreamParts(ctx context.Context, src PartSource, format gformat.Format, nex
 // turn it is to write to it.
 type orderedStream struct {
 	w      io.Writer
-	ctx    context.Context
 	cancel context.CancelFunc
 	// head is the sequence number of the part whose bytes go straight to
 	// w. It is written under mu; the head part reads it lock-free.
@@ -566,8 +611,8 @@ type orderedStream struct {
 }
 
 // fail records err as the stream's failure unless one is recorded
-// already, stops every part (running parts see ctx at their next scope,
-// parked ones wake), and returns the recorded failure.
+// already, stops every part (running parts see ctx after their next
+// chunk, parked ones wake), and returns the recorded failure.
 func (o *orderedStream) fail(err error) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -655,44 +700,22 @@ func (s *streamSlot) finish() error {
 	return nil
 }
 
-// streamWriter is a part's encoder inside a stream: it checks for the
-// stream's end before every scope, so a cancelled or failed stream stops
-// generating within one scope per running part.
-type streamWriter struct {
-	gformat.Writer
-	o *orderedStream
-}
-
-func (w *streamWriter) WriteScope(src int64, dsts []int64) error {
-	select {
-	case <-w.o.ctx.Done():
-		return w.o.fail(w.o.ctx.Err())
-	default:
-	}
-	return w.Writer.WriteScope(src, dsts)
-}
-
 // RunParts makes the given parts of src — which the caller found
 // missing from dir — exist there: each is materialized from the store
 // on a checksum-verified hit (Stats.PartsFromCache counts them) and
 // otherwise generated through the one sink stack every runtime shares:
 // atomic part files (a crash leaves only .tmp litter, never a truncated
-// part), ingested into the store after the rename (storedPartSinks),
-// feeding tel's per-format sink counters. A nil store and a nil
-// registry drop their layers. opt is the swarm's shared-directory publish behaviour (zero
-// for everyone else); wrap, if non-nil, decorates the finished stack
-// (the dist worker's heartbeat progress counter).
-func RunParts(src PartSource, dir string, format gformat.Format, ranges []partition.Range, ids []int, st *store.Store, tel *telemetry.Registry, opt PartSinkOptions, wrap func(SinkFactory) SinkFactory) (Stats, error) {
+// part), ingested into the store after the rename (storedPartSinks).
+// A nil store drops its layer. opt is the swarm's shared-directory
+// publish behaviour (zero for everyone else); onChunk, if non-nil, is
+// told of every chunk written (the dist worker's heartbeat progress).
+func RunParts(src PartSource, dir string, format gformat.Format, ranges []partition.Range, ids []int, st *store.Store, tel *telemetry.Registry, opt PartSinkOptions, onChunk ChunkFunc) (Stats, error) {
 	missing, missingIDs, hits, err := FetchFromStore(st, src, dir, format, ranges, ids)
 	if err != nil || len(missing) == 0 {
 		return Stats{PartsFromCache: hits}, err
 	}
 	sinks := storedPartSinks(dir, format, src, missingIDs, st, opt)
-	sinks = ObservedSinks(sinks, format, tel)
-	if wrap != nil {
-		sinks = wrap(sinks)
-	}
-	gst, err := GenerateParts(src, missing, missingIDs, sinks, tel)
+	gst, err := generateParts(src, missing, missingIDs, sinks, tel, onChunk)
 	gst.PartsFromCache = hits
 	return gst, err
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/gformat"
-	"repro/internal/partition"
 	"repro/internal/telemetry"
 )
 
@@ -37,95 +34,45 @@ const (
 	MetricEdgesPerSec = "core.edges_per_sec"
 )
 
-// SinkMetric returns the per-format counter name ObservedSinks feeds:
-// SinkMetric(ADJ6, "edges") = "core.sink.adj6.edges_total".
-func SinkMetric(format gformat.Format, what string) string {
-	return "core.sink." + extOf(format) + "." + what + "_total"
+// ObservedSinks returns inner.
+//
+// Deprecated: the per-format core.sink.<fmt>.{edges,bytes}_total
+// counters it fed are retired — a run has one format, and
+// core.edges_total and core.bytes_total carry the same numbers, settled
+// once per written chunk by the part executor.
+func ObservedSinks(inner SinkFactory, _ gformat.Format, _ *telemetry.Registry) SinkFactory {
+	return inner
 }
 
-// ObservedSinks wraps a sink factory so every writer feeds the
-// registry's per-format byte and edge counters as it goes. Wrap the
-// innermost factory (file, atomic or discard sinks) — the counters see
-// exactly what reaches the format encoder.
-func ObservedSinks(inner SinkFactory, format gformat.Format, tel *telemetry.Registry) SinkFactory {
+// coreMeters are a registry's run totals, which the part executor
+// settles once per written chunk.
+type coreMeters struct {
+	scopes, edges, attempts, bytes *telemetry.Counter
+	rate                           *telemetry.RateGauge
+}
+
+// newCoreMeters returns tel's run totals, or nil without a registry.
+func newCoreMeters(tel *telemetry.Registry) *coreMeters {
 	if tel == nil {
-		return inner
+		return nil
 	}
-	edges := tel.Counter(SinkMetric(format, "edges"))
-	bytes := tel.Counter(SinkMetric(format, "bytes"))
-	return func(worker int, r partition.Range) (gformat.Writer, error) {
-		w, err := inner(worker, r)
-		if err != nil {
-			return nil, err
-		}
-		return &countingWriter{Writer: w, edges: edges, bytes: bytes}, nil
+	return &coreMeters{
+		scopes:   tel.Counter(MetricScopes),
+		edges:    tel.Counter(MetricEdges),
+		attempts: tel.Counter(MetricAttempts),
+		bytes:    tel.Counter(MetricBytes),
+		rate:     tel.RateGauge(MetricEdgesPerSec, 0),
 	}
 }
 
-// countingWriter forwards to the wrapped writer and settles the
-// registry counters incrementally, so live scrapers (the dist worker's
-// /metrics listener) see progress mid-part, not only at Close.
-type countingWriter struct {
-	gformat.Writer
-	edges, bytes       *telemetry.Counter
-	lastEdges, lastOut int64
-}
-
-func (c *countingWriter) WriteScope(src int64, dsts []int64) error {
-	if err := c.Writer.WriteScope(src, dsts); err != nil {
-		return err
+// add counts done's work into the totals; a nil m counts nothing.
+func (m *coreMeters) add(done Stats) {
+	if m == nil {
+		return
 	}
-	c.settle()
-	return nil
-}
-
-func (c *countingWriter) Close() error {
-	err := c.Writer.Close()
-	c.settle()
-	return err
-}
-
-// settle publishes the writer's counter growth since the last call.
-// The writer is called from one goroutine at a time (whichever thread
-// holds the head of the part), so the local bookkeeping needs no locks;
-// only the registry adds are atomic.
-func (c *countingWriter) settle() {
-	if e := c.Writer.EdgesWritten(); e != c.lastEdges {
-		c.edges.Add(e - c.lastEdges)
-		c.lastEdges = e
-	}
-	if b := c.Writer.BytesWritten(); b != c.lastOut {
-		c.bytes.Add(b - c.lastOut)
-		c.lastOut = b
-	}
-}
-
-// timedWriter measures the wall time a part spends inside the format
-// encoder and sink (WriteScope and Close), accumulating locally so the
-// per-scope cost is two clock reads, no shared state. drawParts wraps
-// each part's writer in one to attribute the threads' time on the part
-// to the draw and write stages after the fact.
-type timedWriter struct {
-	gformat.Writer
-	elapsed time.Duration
-	scopes  int64
-	rate    *telemetry.RateGauge
-}
-
-func (t *timedWriter) WriteScope(src int64, dsts []int64) error {
-	start := time.Now()
-	err := t.Writer.WriteScope(src, dsts)
-	t.elapsed += time.Since(start)
-	t.scopes++
-	if t.rate != nil {
-		t.rate.Add(int64(len(dsts)))
-	}
-	return err
-}
-
-func (t *timedWriter) Close() error {
-	start := time.Now()
-	err := t.Writer.Close()
-	t.elapsed += time.Since(start)
-	return err
+	m.scopes.Add(done.Scopes)
+	m.edges.Add(done.Edges)
+	m.attempts.Add(done.Attempts)
+	m.bytes.Add(done.BytesWritten)
+	m.rate.Add(done.Edges)
 }

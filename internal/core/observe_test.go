@@ -1,6 +1,12 @@
 package core
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,7 +21,7 @@ func TestGenerateObservedCountersMatchStats(t *testing.T) {
 	tel := telemetry.NewRegistry()
 	cfg := DefaultConfig(10)
 	cfg.Workers = 3
-	st, err := GenerateObserved(cfg, ObservedSinks(DiscardSinks(gformat.ADJ6), gformat.ADJ6, tel), tel)
+	st, err := GenerateObserved(cfg, DiscardSinks(gformat.ADJ6), tel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +37,8 @@ func TestGenerateObservedCountersMatchStats(t *testing.T) {
 	if got := tel.CounterValue(MetricBytes); got != st.BytesWritten {
 		t.Fatalf("bytes counter %d, stats %d", got, st.BytesWritten)
 	}
-	if got := tel.CounterValue(SinkMetric(gformat.ADJ6, "edges")); got != st.Edges {
-		t.Fatalf("per-format edge counter %d, stats %d", got, st.Edges)
-	}
-	if got := tel.CounterValue(SinkMetric(gformat.ADJ6, "bytes")); got != st.BytesWritten {
-		t.Fatalf("per-format byte counter %d, stats %d", got, st.BytesWritten)
+	if st.Scopes != cfg.NumVertices() {
+		t.Fatalf("stats count %d scopes, want %d", st.Scopes, cfg.NumVertices())
 	}
 
 	// Stage accounting: plan ran once, and the recvec-build, draw and
@@ -102,18 +105,77 @@ func TestObservedSinksSharedRegistry(t *testing.T) {
 	tel := telemetry.NewRegistry()
 	cfg := DefaultConfig(8)
 	cfg.Workers = 2
-	st1, err := GenerateObserved(cfg, ObservedSinks(DiscardSinks(gformat.TSV), gformat.TSV, tel), tel)
+	st1, err := GenerateObserved(cfg, DiscardSinks(gformat.TSV), tel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := GenerateObserved(cfg, ObservedSinks(DiscardSinks(gformat.TSV), gformat.TSV, tel), tel)
+	st2, err := GenerateObserved(cfg, DiscardSinks(gformat.TSV), tel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := tel.CounterValue(MetricEdges); got != st1.Edges+st2.Edges {
 		t.Fatalf("edge counter %d after two runs, want %d", got, st1.Edges+st2.Edges)
 	}
-	if got := tel.CounterValue(SinkMetric(gformat.TSV, "bytes")); got != st1.BytesWritten+st2.BytesWritten {
+	if got := tel.CounterValue(MetricBytes); got != st1.BytesWritten+st2.BytesWritten {
 		t.Fatalf("byte counter %d, want %d", got, st1.BytesWritten+st2.BytesWritten)
+	}
+}
+
+// TestObservabilityDocListsEveryCoreMetric diffs the core.* table of
+// docs/OBSERVABILITY.md against the Stage* and Metric* constants of
+// observe.go, one metric per row: a metric added, renamed or retired
+// without its row — or a retired row left behind — fails here.
+func TestObservabilityDocListsEveryCoreMetric(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "observe.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := map[string]bool{} // name → is a stage
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for i, name := range spec.Names {
+			stage := strings.HasPrefix(name.Name, "Stage")
+			if stage || strings.HasPrefix(name.Name, "Metric") {
+				v, err := strconv.Unquote(spec.Values[i].(*ast.BasicLit).Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				code[v] = stage
+			}
+		}
+		return true
+	})
+
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`core.") {
+			continue
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		documented[name] = true
+		stage, ok := code[name]
+		if !ok {
+			t.Errorf("docs/OBSERVABILITY.md lists %s, which observe.go does not define", name)
+			continue
+		}
+		if kind := strings.TrimSpace(cells[2]); (kind == "stage") != stage {
+			t.Errorf("docs/OBSERVABILITY.md gives %s the kind %q", name, kind)
+		}
+	}
+	for name := range code {
+		if !documented[name] {
+			t.Errorf("observe.go defines %s, which docs/OBSERVABILITY.md does not list", name)
+		}
+	}
+	if len(code) == 0 {
+		t.Fatal("no Stage* or Metric* constants found in observe.go")
 	}
 }

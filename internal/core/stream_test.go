@@ -74,12 +74,12 @@ func TestStreamPartsConcatenatesParts(t *testing.T) {
 // aheadMeter counts, from outside StreamParts, the bytes buffered ahead
 // of the write cursor: everything the parts' encoders have taken (their
 // own 64 KiB buffers included) minus what has reached the stream's
-// writer. Its sink decoration samples the gap after every scope; its
-// Write is the stream's writer.
+// writer. Its chunk callback samples the gap after every written chunk;
+// its Write is the stream's writer.
 type aheadMeter struct {
 	mu      sync.Mutex
-	moved   sync.Cond // a part's encoded count advanced
-	encoded map[gformat.Writer]int64
+	moved   sync.Cond     // a part's encoded count advanced
+	encoded map[int]int64 // by part id
 	written int64
 	peak    int64
 	hold    func(m *aheadMeter) bool // Write waits while this holds (mu held)
@@ -87,28 +87,14 @@ type aheadMeter struct {
 }
 
 func newAheadMeter(hold func(*aheadMeter) bool) *aheadMeter {
-	m := &aheadMeter{encoded: map[gformat.Writer]int64{}, hold: hold}
+	m := &aheadMeter{encoded: map[int]int64{}, hold: hold}
 	m.moved.L = &m.mu
 	return m
 }
 
-func (m *aheadMeter) wrap(inner SinkFactory) SinkFactory {
-	return func(worker int, r partition.Range) (gformat.Writer, error) {
-		w, err := inner(worker, r)
-		return meteredWriter{w, m}, err
-	}
-}
-
-type meteredWriter struct {
-	gformat.Writer
-	m *aheadMeter
-}
-
-func (w meteredWriter) WriteScope(src int64, dsts []int64) error {
-	err := w.Writer.WriteScope(src, dsts)
-	m := w.m
+func (m *aheadMeter) chunk(id int, done Stats) error {
 	m.mu.Lock()
-	m.encoded[w.Writer] = w.Writer.BytesWritten()
+	m.encoded[id] += done.BytesWritten
 	var total int64
 	for _, n := range m.encoded {
 		total += n
@@ -116,7 +102,7 @@ func (w meteredWriter) WriteScope(src int64, dsts []int64) error {
 	m.peak = max(m.peak, total-m.written)
 	m.moved.Broadcast()
 	m.mu.Unlock()
-	return err
+	return nil
 }
 
 func (m *aheadMeter) Write(p []byte) (int, error) {
@@ -157,7 +143,7 @@ func TestStreamPartsRunaheadBounded(t *testing.T) {
 		released = released || m.runningAhead(slotCap/2) >= workers-1
 		return !released
 	})
-	st, err := StreamParts(context.Background(), cfg, gformat.TSV, next, workers, m, m.wrap)
+	st, err := StreamParts(context.Background(), cfg, gformat.TSV, next, workers, m, m.chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +153,8 @@ func TestStreamPartsRunaheadBounded(t *testing.T) {
 	if m.written != st.BytesWritten {
 		t.Fatalf("writer saw %d bytes, stats count %d", m.written, st.BytesWritten)
 	}
-	// One scope of slack: the gap is sampled after a scope is encoded.
+	// One scope of slack, as when the gap was sampled after every scope:
+	// sampled after every chunk, it can only be lower.
 	if bound := int64(workers*(slotCap+encoderBuf)) + 12*st.MaxDegree; m.peak > bound {
 		t.Fatalf("%d bytes buffered ahead of the writer, bound %d", m.peak, bound)
 	}
@@ -184,7 +171,7 @@ func TestStreamPartsSingleWorkerIsBatch(t *testing.T) {
 	_, next := planSchedule(t, cfg, 3)
 	m := newAheadMeter(nil)
 	before := runtime.NumGoroutine()
-	st, err := StreamParts(context.Background(), cfg, gformat.ADJ6, next, 1, m, m.wrap)
+	st, err := StreamParts(context.Background(), cfg, gformat.ADJ6, next, 1, m, m.chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +200,7 @@ func TestStreamPartsCancelAndWriteError(t *testing.T) {
 			}
 			return true
 		})
-		st, err := StreamParts(ctx, cfg, gformat.TSV, next, workers, m, m.wrap)
+		st, err := StreamParts(ctx, cfg, gformat.TSV, next, workers, m, m.chunk)
 		if err != context.Canceled {
 			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
 		}

@@ -13,8 +13,6 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/faultpoint"
-	"repro/internal/gformat"
-	"repro/internal/partition"
 	"repro/internal/pressure"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -259,9 +257,17 @@ func executeLease(job Job, cfg WorkerConfig, conn net.Conn, send func(interface{
 	// Any range generated before — by this worker, a previous
 	// incarnation, or anyone sharing the store — is a verified copy
 	// instead of a regeneration. The registry rides along so a worker's
-	// -metrics-addr shows live core-pipeline throughput.
+	// -metrics-addr shows live core-pipeline throughput, and every
+	// written chunk bumps the heartbeat's progress counter and passes the
+	// chaos point.
 	st, err := core.RunParts(src, cfg.OutDir, job.Format, missing, missingIDs, cfg.Store, cfg.Telemetry,
-		core.PartSinkOptions{}, func(sinks core.SinkFactory) core.SinkFactory { return progressSinks(sinks, &scopes) })
+		core.PartSinkOptions{}, func(_ int, done core.Stats) error {
+			if err := faultpoint.Fire("dist.worker.scope"); err != nil {
+				return err
+			}
+			scopes.Add(done.Scopes)
+			return nil
+		})
 	cfg.Telemetry.Counter(MetricWorkerCacheHits).Add(int64(st.PartsFromCache))
 	close(stop)
 	hb.Wait()
@@ -279,33 +285,4 @@ func executeLease(job Job, cfg WorkerConfig, conn net.Conn, send func(interface{
 		FromCache:       st.PartsFromCache,
 		Level:           cfg.level(),
 	}, nil
-}
-
-// progressSinks wraps a sink factory so every written scope bumps the
-// shared progress counter (read by the heartbeat goroutine) and passes
-// the per-scope chaos point.
-func progressSinks(inner core.SinkFactory, scopes *atomic.Int64) core.SinkFactory {
-	return func(worker int, r partition.Range) (gformat.Writer, error) {
-		w, err := inner(worker, r)
-		if err != nil {
-			return nil, err
-		}
-		return &progressWriter{Writer: w, scopes: scopes}, nil
-	}
-}
-
-type progressWriter struct {
-	gformat.Writer
-	scopes *atomic.Int64
-}
-
-func (p *progressWriter) WriteScope(src int64, dsts []int64) error {
-	if err := faultpoint.Fire("dist.worker.scope"); err != nil {
-		return err
-	}
-	if err := p.Writer.WriteScope(src, dsts); err != nil {
-		return err
-	}
-	p.scopes.Add(1)
-	return nil
 }

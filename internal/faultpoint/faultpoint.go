@@ -76,7 +76,8 @@ var (
 	mu     sync.Mutex
 	points map[string]*point
 	// armed is the fast path: Fire is called on hot paths (every scope
-	// write), so the disarmed case must cost one atomic load.
+	// an atomic part writer takes, every chunk a dist worker writes), so
+	// the disarmed case must cost one atomic load.
 	armed atomic.Int32
 )
 

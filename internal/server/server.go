@@ -518,12 +518,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// concatenated, so the spooled artifact is shared with the
 		// part-file world.
 		_, err = core.StreamParts(ctx, job.src, job.format, job.parts(), job.workers, streamOut,
-			countingSinks(func(edges int) {
-				job.scopes.Add(1)
-				job.edges.Add(int64(edges))
-				s.metrics.scopesTotal.Add(1)
-				s.metrics.addEdges(int64(edges))
-			}))
+			func(_ int, done core.Stats) error {
+				job.scopes.Add(done.Scopes)
+				job.edges.Add(done.Edges)
+				s.metrics.scopesTotal.Add(done.Scopes)
+				s.metrics.addEdges(done.Edges)
+				return nil
+			})
 		if sw != nil {
 			s.ingestSpooled(sw, job, err)
 		}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/gformat"
@@ -94,33 +93,6 @@ func listParts(ranges []partition.Range, ids []int) partSchedule {
 	}
 }
 
-// countingSinks decorates a stream's sinks so onScope sees every scope
-// once it has been written (from whichever goroutine generated it).
-func countingSinks(onScope func(edges int)) func(core.SinkFactory) core.SinkFactory {
-	return func(inner core.SinkFactory) core.SinkFactory {
-		return func(worker int, r partition.Range) (gformat.Writer, error) {
-			w, err := inner(worker, r)
-			if err != nil {
-				return nil, err
-			}
-			return &countingWriter{Writer: w, onScope: onScope}, nil
-		}
-	}
-}
-
-type countingWriter struct {
-	gformat.Writer
-	onScope func(edges int)
-}
-
-func (c *countingWriter) WriteScope(src int64, dsts []int64) error {
-	if err := c.Writer.WriteScope(src, dsts); err != nil {
-		return err
-	}
-	c.onScope(len(dsts))
-	return nil
-}
-
 // StreamRange streams the scopes of the vertex range [lo, hi) into w
 // in the given format. The bytes are identical to the corresponding
 // slice of the part files core.Generate would write for the same
@@ -145,11 +117,9 @@ func StreamRange(ctx context.Context, cfg core.Config, format gformat.Format, lo
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var scopes atomic.Int64
-	st, err := core.StreamParts(ctx, cfg, format, cutRange(cfg, lo, hi, workers), workers, w,
-		countingSinks(func(int) { scopes.Add(1) }))
+	st, err := core.StreamParts(ctx, cfg, format, cutRange(cfg, lo, hi, workers), workers, w, nil)
 	return StreamStats{
-		Scopes:          scopes.Load(),
+		Scopes:          st.Scopes,
 		Edges:           st.Edges,
 		Attempts:        st.Attempts,
 		MaxDegree:       st.MaxDegree,

@@ -191,7 +191,7 @@ func (a *Accumulator) ConsumeDir(dir string) error {
 // CollectingSinks wraps a sink factory so every scope is recorded into
 // the accumulator on its way to the inner sinks — validation riding
 // along generation instead of re-reading the output. Compose freely
-// with core.ObservedSinks and core.DiscardSinks.
+// with core.DiscardSinks.
 func CollectingSinks(inner core.SinkFactory, a *Accumulator) core.SinkFactory {
 	return func(worker int, r partition.Range) (gformat.Writer, error) {
 		w, err := inner(worker, r)
