@@ -31,9 +31,6 @@ type Config struct {
 	// Noise, when non-nil, switches the engine to the NSKG model
 	// (Appendix C); it must have at least Levels levels.
 	Noise *skg.Noise
-	// Opts selects the ablation variant of edge determination;
-	// recvec.Production() is the real system.
-	Opts recvec.Options
 	// HighPrecision switches RecVec arithmetic to math/big.Float
 	// (the paper's BigDecimal mode, Section 5).
 	HighPrecision bool
@@ -42,6 +39,13 @@ type Config struct {
 	// paper's criticism of such lists ("a huge number of repeated
 	// edges") is measurable by diffing this mode against the default.
 	AllowDuplicates bool
+	// CommunityV1 draws every destination by the full descent that
+	// community's power-of-two intra blocks have always drawn with: all
+	// Levels steps, a fresh uniform at every step (Figure 13's
+	// all-ideas-off cell, less its per-edge vector rebuild, which
+	// consumed no randomness). Only community sets it, to keep those
+	// blocks' bytes; stream v2 deletes it. HighPrecision ignores it.
+	CommunityV1 bool
 }
 
 // Validate checks the configuration.
@@ -155,10 +159,9 @@ type ScopeResult struct {
 }
 
 // Scope generates the full scope of source vertex u: it draws the scope
-// size, rebuilds the generator's recursive vector for u once (Idea#1,
-// unless ablated), and determines destinations until the size is
-// reached, discarding duplicates. buf, if non-nil, is reused for the
-// destination slice.
+// size, rebuilds the generator's recursive vector for u once (Idea#1),
+// and determines destinations until the size is reached, discarding
+// duplicates. buf, if non-nil, is reused for the destination slice.
 //
 // The returned destinations are unique. Generation is deterministic
 // given src's state.
@@ -197,18 +200,14 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		total = g.vec.RowProb()
 	}
 	if total > 0 {
-		// Everything the configuration decides is decided here, once per
-		// scope; the loop below branches only on locals that never change
-		// while it runs. Idea#1 ablated means rebuilding the vector before
-		// every edge; DetermineOpt sends Production() straight to Determine.
-		opts := cfg.Opts
-		rebuild := !opts.ReuseVector && big == nil
-		vec, set := &g.vec, g.set
+		// The path is decided here, once per scope: the loops below branch
+		// only on locals that never change while they run.
+		vec, set, v1 := &g.vec, g.set, cfg.CommunityV1
 		set.Begin(size, nv, !cfg.AllowDuplicates)
 		// size is known before the first draw: one growth, not a doubling
 		// per power of two on the way to a hub row.
 		dsts, attempts, limit := slices.Grow(res.Dsts, int(size)), int64(0), maxAttempts(size)
-		if big == nil && opts == recvec.Production() {
+		if big == nil && !v1 {
 			// While n more destinations and n more attempts are both allowed,
 			// the loop below would make the next n attempts whatever they hit
 			// (an attempt adds at most one destination), so DrawLanes draws a
@@ -231,15 +230,14 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 			}
 		}
 		for int64(len(dsts)) < size && attempts < limit {
-			if rebuild {
-				g.resetVector(u)
-			}
-			x := src.UniformTo(total)
 			var dst int64
-			if big != nil {
-				dst = big.Determine(x)
-			} else {
-				dst = vec.DetermineOpt(x, src, opts)
+			switch {
+			case big != nil:
+				dst = big.Determine(src.UniformTo(total))
+			case v1:
+				dst = redrawDescent(vec, src.UniformTo(total), src)
+			default:
+				dst = vec.Determine(src.UniformTo(total))
 			}
 			attempts++
 			if set.Insert(dst) {
@@ -266,6 +264,22 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 
 // maxAttempts is the rejection-sampling cap of a scope of the given size.
 func maxAttempts(size int64) int64 { return 64*size + 1024 }
+
+// redrawDescent is Config.CommunityV1's descent from the uniform x on
+// [0, vec.RowProb()): at every level k, from the top, it takes bit k when
+// x ≥ F_u(2^k) and then redraws x uniformly on [0, F_u(2^k)), whichever
+// half x fell in. That is levels more uniforms per edge from src.
+func redrawDescent(vec *recvec.Vector, x float64, src *rng.Source) int64 {
+	var dst int64
+	for k := vec.Levels() - 1; k >= 0; k-- {
+		fk := vec.At(k)
+		if x >= fk {
+			dst |= 1 << uint(k)
+		}
+		x = src.UniformTo(fk)
+	}
+	return dst
+}
 
 // resetVector rebuilds the generator's recursive vector for source u.
 func (g *Generator) resetVector(u int64) {

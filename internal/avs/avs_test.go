@@ -2,10 +2,10 @@ package avs
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/memacct"
-	"repro/internal/recvec"
 	"repro/internal/rng"
 	"repro/internal/skg"
 	"repro/internal/stats"
@@ -16,7 +16,6 @@ func baseConfig(levels int) Config {
 		Seed:     skg.Graph500Seed,
 		Levels:   levels,
 		NumEdges: 16 << uint(levels),
-		Opts:     recvec.Production(),
 	}
 }
 
@@ -146,7 +145,7 @@ func TestScopeWithSizeExact(t *testing.T) {
 // TestScopeWithSizeClampsToNumVertices: asking for more than |V|
 // distinct destinations is clamped instead of looping forever.
 func TestScopeWithSizeClampsToNumVertices(t *testing.T) {
-	cfg := Config{Seed: skg.UniformSeed, Levels: 4, NumEdges: 100, Opts: recvec.Production()}
+	cfg := Config{Seed: skg.UniformSeed, Levels: 4, NumEdges: 100}
 	g, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -256,37 +255,33 @@ func TestNoisyScopeGeneration(t *testing.T) {
 	}
 }
 
-// TestAblationVariantsProduceSameTotals: all option combos generate
-// statistically equivalent graphs (same expected |E| and max degree
-// order); exact per-scope sizes agree because scope sizing is
-// option-independent.
+// TestAblationVariantsProduceSameTotals: the two float64 samplers the
+// engine keeps — production and CommunityV1, Figure 13's all-ideas-off
+// descent — draw the same scope sizes from the same streams and about
+// |E| distinct edges each; only where the destinations land differs.
 func TestAblationVariantsProduceSameTotals(t *testing.T) {
-	combos := []recvec.Options{
-		{},
-		{ReuseVector: true},
-		{ReuseVector: true, SparseRecursion: true},
-		{ReuseVector: true, SparseRecursion: true, SingleRandom: true},
-	}
-	var sizes [][]int64
-	for _, o := range combos {
+	var sizes [2][]int64
+	for i, v1 := range []bool{false, true} {
 		cfg := baseConfig(10)
-		cfg.Opts = o
+		cfg.CommunityV1 = v1
 		g, err := New(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ss []int64
+		var total int64
+		var buf []int64
 		for u := int64(0); u < cfg.NumVertices(); u++ {
-			ss = append(ss, g.ScopeSize(u, rng.NewScoped(77, uint64(u))))
+			sizes[i] = append(sizes[i], g.ScopeSize(u, rng.NewScoped(77, uint64(u))))
+			res := g.Scope(u, rng.NewScoped(77, uint64(u)), buf)
+			buf = res.Dsts
+			total += int64(len(res.Dsts))
 		}
-		sizes = append(sizes, ss)
+		if want := float64(cfg.NumEdges); math.Abs(float64(total)-want) > 0.05*want {
+			t.Fatalf("v1 %v: %d edges, want ≈ %d", v1, total, cfg.NumEdges)
+		}
 	}
-	for i := 1; i < len(sizes); i++ {
-		for u := range sizes[0] {
-			if sizes[i][u] != sizes[0][u] {
-				t.Fatalf("combo %d scope %d size %d != %d", i, u, sizes[i][u], sizes[0][u])
-			}
-		}
+	if !slices.Equal(sizes[0], sizes[1]) {
+		t.Fatal("CommunityV1 changed the scope sizes drawn from the same streams")
 	}
 }
 

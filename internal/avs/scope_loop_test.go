@@ -26,20 +26,22 @@ func randomSeed(src *rng.Source, zeroAt int64) skg.Seed {
 
 // referenceScope is the scope loop as it stood before the vector, the
 // descent and the dedup set were rewritten: a fresh vector per scope, a
-// binary search per recursion step (SparseRecursion+SingleRandom without
-// ReuseVector reaches recvec's per-step search, not Determine) and a Go
-// map for duplicates. It returns the destinations, the attempt count and
-// the bytes the scope charges to memacct.
+// binary search per recursion step (referenceDetermine) and a Go map for
+// duplicates. Under CommunityV1 it is the loop those blocks drew with
+// before they kept their vector: a fresh vector before every attempt and
+// a uniform redrawn at every level. It returns the destinations, the
+// attempt count and the bytes the scope charges to memacct.
 func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, int64, int64) {
 	if nv := cfg.NumVertices(); size > nv {
 		size = nv
 	}
-	var vec *recvec.Vector
-	if cfg.Noise != nil {
-		vec = recvec.NewNoisy(cfg.Noise, u, cfg.Levels)
-	} else {
-		vec = recvec.New(cfg.Seed, u, cfg.Levels)
+	build := func() *recvec.Vector {
+		if cfg.Noise != nil {
+			return recvec.NewNoisy(cfg.Noise, u, cfg.Levels)
+		}
+		return recvec.New(cfg.Seed, u, cfg.Levels)
 	}
+	vec := build()
 	tracked := int64(cfg.Levels+1) * 16
 	total := vec.RowProb()
 	if total <= 0 {
@@ -49,10 +51,23 @@ func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, int64,
 		dsts     []int64
 		attempts int64
 		seen     = make(map[int64]struct{})
-		perStep  = recvec.Options{SparseRecursion: true, SingleRandom: true}
 	)
 	for int64(len(dsts)) < size && attempts < 64*size+1024 {
-		dst := vec.DetermineOpt(src.UniformTo(total), src, perStep)
+		var dst int64
+		if cfg.CommunityV1 {
+			vec = build()
+			x := src.UniformTo(total)
+			for k := cfg.Levels - 1; k >= 0; k-- {
+				if x >= vec.At(k) {
+					dst |= 1 << uint(k)
+					x = src.UniformTo(vec.At(k))
+				} else {
+					x = src.UniformTo(vec.At(k))
+				}
+			}
+		} else {
+			dst = referenceDetermine(vec, src.UniformTo(total))
+		}
 		attempts++
 		if _, dup := seen[dst]; dup && !cfg.AllowDuplicates {
 			continue
@@ -64,6 +79,37 @@ func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, int64,
 		tracked += 8 * int64(len(dsts))
 	}
 	return dsts, attempts, tracked
+}
+
+// referenceDetermine is Theorem 2 as first written: a fresh binary search
+// of the vector per recursion step for the largest k with f[k] ≤ x,
+// clamped below the previous step's index. It shares nothing with
+// Determine's one downward scan.
+func referenceDetermine(vec *recvec.Vector, x float64) int64 {
+	var dst int64
+	prev := vec.Levels()
+	for x >= vec.At(0) && x > 0 {
+		lo, hi := 0, vec.Levels()
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if vec.At(mid) <= x {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		k := lo - 1
+		if k >= prev {
+			k = prev - 1
+			if k < 0 {
+				break
+			}
+		}
+		prev = k
+		dst |= 1 << uint(k)
+		x = (x - vec.At(k)) / vec.Sigma(k)
+	}
+	return dst
 }
 
 // sameAsReference runs one scope through g and through referenceScope
@@ -82,7 +128,7 @@ func sameAsReference(t *testing.T, g *Generator, u, size int64, stream uint64) (
 			cfg.Levels, u, size, cfg.Noise != nil, cfg.AllowDuplicates, len(res.Dsts), res.Attempts, len(wantDsts), wantAttempts)
 	}
 	if got.Uint64() != want.Uint64() {
-		t.Fatalf("levels %d u %d size %d: stream position after the scope differs from the reference loop's", cfg.Levels, u, size)
+		t.Fatalf("levels %d u %d size %d v1 %v: stream position after the scope differs from the reference loop's", cfg.Levels, u, size, cfg.CommunityV1)
 	}
 	return tracked, wantAttempts, int64(len(wantDsts))
 }
@@ -95,6 +141,7 @@ func sameAsReference(t *testing.T, g *Generator, u, size int64, stream uint64) (
 // matrices (some with a zero entry), 1–40 levels, NSKG on and off, both
 // orientations, AllowDuplicates, every size around the batch width, and
 // sizes that land in every dedup tier including the size == |V| clamp.
+// CommunityV1 is held to its own reference over the same cases.
 func TestScopeMatchesReferenceLoop(t *testing.T) {
 	src := rng.New(12)
 	tiers := make(map[dedupTier]int)
@@ -105,7 +152,6 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 			Seed:            randomSeed(src, src.Int63n(12)),
 			Levels:          levels,
 			NumEdges:        16 * nv,
-			Opts:            recvec.Production(),
 			AllowDuplicates: i%7 == 3,
 		}
 		if noise := skg.MaxNoise(cfg.Seed); i%2 == 1 && noise > 0 {
@@ -121,8 +167,13 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 				cfg.Noise = cfg.Noise.Transpose()
 			}
 		}
-		var acct memacct.Acct
+		var acct, acctV1 memacct.Acct
 		g, err := New(cfg, &acct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.CommunityV1 = true
+		gV1, err := New(cfg, &acctV1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,17 +186,21 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 		for size := int64(1); size <= 2*recvec.WideLanes+1; size++ {
 			sizes = append(sizes, size)
 		}
-		var wantPeak int64
+		var wantPeak, wantPeakV1 int64
 		for _, size := range sizes {
 			if size > 1<<13 {
 				continue // keep hub-sized scopes of wide graphs out of a unit test
 			}
-			tracked, _, _ := sameAsReference(t, g, src.Int63n(nv), size, src.Uint64())
+			u, stream := src.Int63n(nv), src.Uint64()
+			tracked, _, _ := sameAsReference(t, g, u, size, stream)
 			wantPeak = max(wantPeak, tracked)
 			tiers[g.set.tier]++
+			tracked, _, _ = sameAsReference(t, gV1, u, size, stream)
+			wantPeakV1 = max(wantPeakV1, tracked)
 		}
-		if acct.Peak() != wantPeak || acct.Current() != 0 {
-			t.Fatalf("case %d: accounting peak %d cur %d, reference peak %d", i, acct.Peak(), acct.Current(), wantPeak)
+		if acct.Peak() != wantPeak || acct.Current() != 0 || acctV1.Peak() != wantPeakV1 || acctV1.Current() != 0 {
+			t.Fatalf("case %d: accounting peak %d cur %d, reference peak %d; v1 peak %d cur %d, reference %d",
+				i, acct.Peak(), acct.Current(), wantPeak, acctV1.Peak(), acctV1.Current(), wantPeakV1)
 		}
 	}
 	for _, tier := range []dedupTier{tierNone, tierBitmap, tierTable} {
@@ -175,11 +230,20 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 		{noBeta, 2, 1, 1},
 	} {
 		nv := int64(1) << uint(tc.levels)
-		g, err := New(Config{Seed: tc.seed, Levels: tc.levels, NumEdges: 128 * nv, Opts: recvec.Production()}, nil)
+		cfg := Config{Seed: tc.seed, Levels: tc.levels, NumEdges: 128 * nv}
+		g, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.CommunityV1 = true
+		gV1, err := New(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for stream := uint64(0); stream < 8; stream++ {
+			if _, attempts, _ := sameAsReference(t, gV1, tc.u, nv, stream); attempts != maxAttempts(nv) {
+				t.Errorf("v1 seed %v levels %d u %d: stopped after %d attempts, want the cap %d", tc.seed, tc.levels, tc.u, attempts, maxAttempts(nv))
+			}
 			_, attempts, kept := sameAsReference(t, g, tc.u, nv, stream)
 			if attempts != maxAttempts(nv) {
 				t.Errorf("seed %v levels %d u %d: stopped after %d attempts, want the cap %d", tc.seed, tc.levels, tc.u, attempts, maxAttempts(nv))

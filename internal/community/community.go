@@ -551,6 +551,7 @@ func (l *Layout) newScoper(b Block, set *avs.DedupSet) (core.Scoper, func(lo, hi
 			Levels:          levels,
 			NumEdges:        b.Edges,
 			AllowDuplicates: l.cfg.AllowDuplicates,
+			CommunityV1:     true,
 		}
 		if l.cfg.Noise > 0 {
 			n, err := skg.NewNoise(seed, levels, l.cfg.Noise, rng.New(rng.Mix64(b.Seed, noiseSalt)))

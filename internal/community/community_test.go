@@ -12,10 +12,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/avs"
 	"repro/internal/core"
 	"repro/internal/erv"
 	"repro/internal/gformat"
 	"repro/internal/partition"
+	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -465,4 +467,77 @@ func TestGoldenERVStreamBytes(t *testing.T) {
 			t.Errorf("%v: sha256 %s (%d edges, %d bytes), want %s", tc.format, got, st.Edges, len(streamed), tc.want)
 		}
 	}
+}
+
+// TestGoldenAVSStreamBytes pins whole-stream bytes of the v1 sampler
+// that power-of-two intra blocks draw with (a full descent redrawing a
+// uniform at every level), without noise and with it. Communities 1024
+// and 256 are sparse power-of-two blocks, 300 takes the rectangle path,
+// and the dense 64-vertex block asks its heaviest rows for every cell,
+// so some end on the attempt cap (checked below). The digests were
+// generated at the commit before power-of-two blocks stopped rebuilding
+// their vector before every attempt.
+func TestGoldenAVSStreamBytes(t *testing.T) {
+	for _, tc := range []struct {
+		noise     float64
+		tsv, adj6 string
+	}{
+		{0, "83833cc63fb2fc854759956c80e0c5985188bee9a11cc4447697d092c4a1e8bd", "96ebffdca7ff3f4d7883ebdb0ec2dff8860ac71a2e25ac7f8bf77b06864e940e"},
+		{0.1, "eef61a65c09b273c2c9764e0c632adb9a9b870893476527df4a91ae18cfc427d", "ba686e9717e9458189922176d6be17f9448e368b42fd2359fce69e1baba4cdd3"},
+	} {
+		lay := mustLayout(t, Config{
+			Sizes:      []int64{1024, 256, 300, 64},
+			Mixing:     [][]float64{{6, 1, 1, 0}, {1, 3, 1, 0}, {1, 1, 2, 0}, {0, 0, 0, 1.5}},
+			Edges:      40000,
+			Noise:      tc.noise,
+			MasterSeed: 5,
+		})
+		var pow2, capped int
+		for _, b := range lay.Blocks() {
+			if !b.AVS {
+				continue
+			}
+			pow2++
+			if b.SrcHi-b.SrcLo == 64 {
+				capped += cappedRows(t, lay, b)
+			}
+		}
+		if pow2 != 3 || capped == 0 {
+			t.Fatalf("noise %v: %d power-of-two blocks (want 3), %d dense rows on the attempt cap (want some)", tc.noise, pow2, capped)
+		}
+		for _, f := range []struct {
+			format gformat.Format
+			want   string
+		}{{gformat.TSV, tc.tsv}, {gformat.ADJ6, tc.adj6}} {
+			streamed, st := streamLayout(t, lay, f.format, 1)
+			if got := fmt.Sprintf("%x", sha256.Sum256(streamed)); got != f.want {
+				t.Errorf("noise %v %v: sha256 %s (%d edges, %d bytes), want %s", tc.noise, f.format, got, st.Edges, len(streamed), f.want)
+			}
+		}
+	}
+}
+
+// cappedRows draws block b's rows as the executor does and counts those
+// that came back short after exactly the attempt cap, 64·size+1024.
+func cappedRows(t *testing.T, lay *Layout, b Block) int {
+	t.Helper()
+	part, err := lay.OpenPart(b.ID, partition.Range{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope, err := part.NewScoper(new(avs.DedupSet), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src rng.Source
+	n := 0
+	for v := part.Lo; v < part.Hi; v++ {
+		u := v - part.SrcOff
+		src.Reseed(part.Seed, uint64(u))
+		dsts, attempts := scope(u, &src, nil)
+		if size := (attempts - 1024) / 64; attempts >= 1024 && (attempts-1024)%64 == 0 && int64(len(dsts)) < size {
+			n++
+		}
+	}
+	return n
 }

@@ -46,9 +46,10 @@ type Config struct {
 	// taking chunks of rows from whichever part has some left, so no
 	// thread is bound to a part. The graph does not depend on it.
 	Workers int
-	// Opts selects the edge-determination variant; zero value is the
-	// all-ideas-off ablation, so most callers should use
-	// DefaultConfig or set recvec.Production().
+	// Opts must be recvec.Production() (DefaultConfig sets it); Validate
+	// refuses anything else. The ablation variants live in
+	// internal/experiments. The field stays only because
+	// CacheFingerprint prints it: stream v2 deletes it.
 	Opts recvec.Options
 	// HighPrecision switches RecVec arithmetic to math/big.Float.
 	HighPrecision bool
@@ -123,6 +124,9 @@ func (c Config) Validate() error {
 	}
 	if c.Orientation != AVSO && c.Orientation != AVSI {
 		return fmt.Errorf("core: unknown orientation %d", int(c.Orientation))
+	}
+	if c.Opts != recvec.Production() {
+		return fmt.Errorf("core: options %+v: only recvec.Production() generates", c.Opts)
 	}
 	return nil
 }
@@ -316,7 +320,6 @@ func NewScopeGenerator(cfg Config, acct *memacct.Acct) (*avs.Generator, error) {
 		Levels:          cfg.Scale,
 		NumEdges:        cfg.NumEdges(),
 		Noise:           noise,
-		Opts:            cfg.Opts,
 		HighPrecision:   cfg.HighPrecision,
 		AllowDuplicates: cfg.AllowDuplicates,
 	}, acct)

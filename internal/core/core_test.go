@@ -300,18 +300,35 @@ func TestGenerateSeq(t *testing.T) {
 	}
 }
 
-// TestAblationZeroOptsStillCorrect: the all-ideas-off variant produces
-// a statistically equivalent graph (same edge total).
+// TestAblationZeroOptsStillCorrect: only recvec.Production() generates,
+// so the zero options (Figure 13's all-ideas-off cell, which now runs in
+// internal/experiments) and every one-idea-off value are refused by
+// Validate and by every entry point before anything is drawn or written.
 func TestAblationZeroOptsStillCorrect(t *testing.T) {
-	cfg := DefaultConfig(10)
-	cfg.Opts = recvec.Options{} // everything off
-	cfg.Workers = 2
-	st, err := Generate(cfg, DiscardSinks(gformat.ADJ6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64(cfg.NumEdges())
-	if math.Abs(float64(st.Edges)-want) > 0.05*want {
-		t.Fatalf("edges %d, want ≈ %d", st.Edges, cfg.NumEdges())
+	for _, o := range []recvec.Options{
+		{},
+		{SparseRecursion: true, SingleRandom: true},
+		{ReuseVector: true, SingleRandom: true},
+		{ReuseVector: true, SparseRecursion: true},
+		{ReuseVector: true, SparseRecursion: true, SingleRandom: true, LinearSearch: true},
+	} {
+		cfg := DefaultConfig(10)
+		cfg.Opts = o
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%+v: Validate accepted it", o)
+		}
+		if _, err := Generate(cfg, DiscardSinks(gformat.ADJ6)); err == nil {
+			t.Errorf("%+v: Generate accepted it", o)
+		}
+		if _, err := Plan(cfg, 2); err == nil {
+			t.Errorf("%+v: Plan accepted it", o)
+		}
+		dir := t.TempDir()
+		if _, err := ResumeToDir(cfg, dir, gformat.ADJ6); err == nil {
+			t.Errorf("%+v: ResumeToDir accepted it", o)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("%+v: ResumeToDir left %d entries behind", o, len(left))
+		}
 	}
 }

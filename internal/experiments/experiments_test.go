@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -286,22 +287,78 @@ func TestFig12Shapes(t *testing.T) {
 	res.Report().Print(&bytes.Buffer{})
 }
 
+// TestFig13Shapes asserts Figure 13 in the work each idea removes, not
+// in time: Idea#1 builds one vector per non-empty scope instead of one
+// more per attempt, Idea#3 draws one uniform per attempt, and Idea#2
+// takes fewer recursion steps than the full descent's one per level.
+// Every cell keeps the (Edges, Attempts) that core.GenerateSeq drew for
+// it at Scale 15, seed 601, before the variants left the generator; the
+// production row draws the all-on cell's stream. The all-off/all-on time
+// ratio is logged, not asserted.
 func TestFig13Shapes(t *testing.T) {
-	res, err := Fig13(15)
+	const scale = 15
+	res, err := Fig13(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 8 {
-		t.Fatalf("cells %d", len(res.Rows))
+	if len(res.Rows) != 9 || !res.Rows[8].Production {
+		t.Fatalf("%d rows, want eight cells and the production row", len(res.Rows))
 	}
-	allOff := res.Time(false, false, false)
-	allOn := res.Time(true, true, true)
-	if allOn == 0 || allOff == 0 {
-		t.Fatal("missing cells")
+	levels := int64(scale)
+	for _, want := range []struct {
+		i1, i2, i3      bool
+		edges, attempts int64
+	}{
+		{false, false, false, 524869, 634455},
+		{false, false, true, 524869, 632629},
+		{false, true, false, 524869, 633460},
+		{false, true, true, 524869, 632629},
+		{true, false, false, 524869, 634455},
+		{true, false, true, 524869, 632629},
+		{true, true, false, 524869, 633460},
+		{true, true, true, 524869, 632629},
+	} {
+		row, ok := res.Cell(want.i1, want.i2, want.i3)
+		if !ok {
+			t.Fatalf("missing cell %v%v%v", want.i1, want.i2, want.i3)
+		}
+		name := fmt.Sprintf("cell %v/%v/%v", want.i1, want.i2, want.i3)
+		if row.Edges != want.edges || row.Attempts != want.attempts {
+			t.Errorf("%s: %d edges / %d attempts, want %d / %d", name, row.Edges, row.Attempts, want.edges, want.attempts)
+		}
+		if row.Scopes != res.Rows[0].Scopes || row.Scopes == 0 {
+			t.Errorf("%s: %d non-empty scopes, cell 0 had %d", name, row.Scopes, res.Rows[0].Scopes)
+		}
+		if want.i1 && row.Builds != row.Scopes {
+			t.Errorf("%s: %d builds, want one per non-empty scope (%d)", name, row.Builds, row.Scopes)
+		}
+		if !want.i1 && row.Builds != row.Attempts+row.Scopes {
+			t.Errorf("%s: %d builds, want attempts + scopes = %d", name, row.Builds, row.Attempts+row.Scopes)
+		}
+		// One uniform per attempt, and without Idea#3 one more per step:
+		// every level of a full descent, every 1 bit of a sparse one.
+		uniforms := row.Attempts
+		if !want.i3 {
+			uniforms += row.Steps
+		}
+		if row.Uniforms != uniforms {
+			t.Errorf("%s: %d uniforms, want %d", name, row.Uniforms, uniforms)
+		}
+		if !want.i2 && row.Steps != row.Attempts*levels {
+			t.Errorf("%s: %d steps, want attempts·levels = %d", name, row.Steps, row.Attempts*levels)
+		}
+		if want.i2 {
+			if off, _ := res.Cell(want.i1, false, want.i3); row.Steps >= off.Steps {
+				t.Errorf("%s: %d steps, not fewer than the full descent's %d", name, row.Steps, off.Steps)
+			}
+		}
 	}
-	// The paper reports ~8x end to end; require 1.5x to stay robust.
-	if float64(allOff) < 1.5*float64(allOn) {
-		t.Fatalf("all-on %v not clearly faster than all-off %v", allOn, allOff)
+	allOn, _ := res.Cell(true, true, true)
+	if prod := res.Rows[8]; prod.Edges != allOn.Edges || prod.Attempts != allOn.Attempts {
+		t.Errorf("production row %d edges / %d attempts, all-on cell %d / %d", prod.Edges, prod.Attempts, allOn.Edges, allOn.Attempts)
+	}
+	if on := res.Time(true, true, true); on > 0 {
+		t.Logf("all-off / all-on time: %.2fx", float64(res.Time(false, false, false))/float64(on))
 	}
 	res.Report().Print(&bytes.Buffer{})
 }

@@ -79,19 +79,23 @@ func Table2(scales []int, drawsPerCell int) (*Table2Result, error) {
 		}
 
 		vec := recvec.New(seed, u, sc)
-		for _, search := range []string{"binary", "linear"} {
+		for _, cell := range []struct {
+			name   string
+			search search
+		}{{"binary", binary}, {"linear", linear}} {
+			v := variant{sparse: true, single: true, search: cell.search}
 			src := rng.New(9)
-			opts := recvec.Options{SparseRecursion: true, SingleRandom: true, LinearSearch: search == "linear"}
+			var w work
 			start := time.Now()
 			var sink int64
 			for i := 0; i < drawsPerCell; i++ {
 				x := src.UniformTo(vec.RowProb())
-				sink += vec.DetermineOpt(x, nil, opts)
+				sink += v.descend(vec, x, nil, &w)
 			}
 			el := time.Since(start)
 			_ = sink
 			res.Rows = append(res.Rows, Table2Row{
-				Structure: "RecVec", Search: search, Scale: sc,
+				Structure: "RecVec", Search: cell.name, Scale: sc,
 				NsPerEdge: float64(el.Nanoseconds()) / float64(drawsPerCell),
 				Bytes:     int64(16 * (sc + 1)),
 			})

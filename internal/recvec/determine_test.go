@@ -78,9 +78,6 @@ func checkDetermine(t *testing.T, v *Vector, xs ...float64) {
 		if got != want {
 			t.Fatalf("levels %d u %d x %v: Determine %d, binary search %d (f %v)", v.levels, v.u, x, got, want, v.f)
 		}
-		if viaOpt := v.DetermineOpt(x, nil, Production()); viaOpt != got {
-			t.Fatalf("DetermineOpt(Production) %d != Determine %d", viaOpt, got)
-		}
 	}
 	checkWide(t, v, probes)
 }

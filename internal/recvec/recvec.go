@@ -13,8 +13,6 @@
 //
 //   - the naive CDF vector of Section 4.2 (O(|V|) space) with linear and
 //     binary search, used as the exactness reference and for Table 2;
-//   - ablation variants of the three key performance ideas of
-//     Section 4.3, driving the Figure 13 reproduction;
 //   - a math/big.Float backend standing in for the paper's BigDecimal
 //     RecVec (Section 5).
 package recvec
@@ -328,53 +326,20 @@ func takeMask(x, fb uint64) uint64 {
 	return (below - 1) & -positive
 }
 
-// searchBinary returns the largest k with f[k] <= x, i.e. the index
-// selected in step (2) of Theorem 2, via binary search on the
-// non-decreasing vector: O(log levels) per call. Only the ablation
-// variants search per recursion step; Determine scans once.
-func (v *Vector) searchBinary(x float64) int {
-	lo, hi := 0, v.levels // invariant: f[lo] <= x, f[hi] > x is not guaranteed at entry
-	// Find first index i in (0, levels] with f[i] > x; answer is i-1.
-	// Caller guarantees f[0] <= x < f[levels].
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.f[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
-// searchLinear is the linear-scan variant of searchBinary, provided
-// because for vectors of length ≤ ~40 a branch-predictable linear scan
-// can beat binary search (Table 2 ablation).
-func (v *Vector) searchLinear(x float64) int {
-	k := 0
-	for k < v.levels && v.f[k+1] <= x {
-		k++
-	}
-	return k
-}
-
-// Options selects an ablation variant of edge determination. The zero
-// value disables every idea (the RMAT-like worst case given the same
-// stochastic model); Production() enables all three.
+// Options names the paper's three performance ideas of Section 4.3
+// (plus Table 2's linear search). The generators draw only with
+// Production(); the ablation variants, and the Figure 13 and Table 2
+// runs that measure them, live in internal/experiments. core.Config
+// keeps the field because its cache fingerprint prints it.
 type Options struct {
-	// ReuseVector (Idea#1): when false, the generator rebuilds the vector
-	// before every edge instead of reusing the per-scope one.
+	// ReuseVector (Idea#1): one vector per scope, not one per edge.
 	ReuseVector bool
-	// SparseRecursion (Idea#2): when true, recursion count equals the
-	// number of 1 bits in the destination ID (Theorem 2 search); when
-	// false a full levels-step descent is performed.
+	// SparseRecursion (Idea#2): recurse only on the destination's 1 bits.
 	SparseRecursion bool
-	// SingleRandom (Idea#3): when true, one uniform value is drawn per
-	// edge and translated; when false a fresh uniform is drawn at every
-	// recursion step.
+	// SingleRandom (Idea#3): one uniform value per edge, translated.
 	SingleRandom bool
-	// LinearSearch switches the in-vector search from binary to linear
-	// scan (Table 2 ablation; orthogonal to the paper's three ideas).
+	// LinearSearch switches the per-step search from binary to linear
+	// (Table 2; orthogonal to the paper's three ideas).
 	LinearSearch bool
 }
 
@@ -383,69 +348,15 @@ func Production() Options {
 	return Options{ReuseVector: true, SparseRecursion: true, SingleRandom: true}
 }
 
-// DetermineOpt maps a uniform value to a destination under the given
-// ablation options, drawing any extra randomness from src. The returned
-// destination follows the same distribution for every option combination
-// (property-tested); only the work performed differs.
-func (v *Vector) DetermineOpt(x float64, src *rng.Source, o Options) int64 {
-	if o == Production() {
-		return v.Determine(x)
+// DetermineOpt returns Determine(x).
+//
+// Deprecated: only Production() generates; it panics on anything else.
+// The ablation variants live in internal/experiments. Call Determine.
+func (v *Vector) DetermineOpt(x float64, _ *rng.Source, o Options) int64 {
+	if o != Production() {
+		panic(fmt.Sprintf("recvec: DetermineOpt(%+v): only Production() generates", o))
 	}
-	if o.SparseRecursion {
-		return v.determineSparse(x, src, o)
-	}
-	return v.determineFull(x, src, o)
-}
-
-func (v *Vector) determineSparse(x float64, src *rng.Source, o Options) int64 {
-	var dst int64
-	prev := v.levels
-	for x >= v.f[0] && x > 0 {
-		var k int
-		if o.LinearSearch {
-			k = v.searchLinear(x)
-		} else {
-			k = v.searchBinary(x)
-		}
-		if k >= prev {
-			k = prev - 1
-			if k < 0 {
-				break
-			}
-		}
-		prev = k
-		dst |= 1 << uint(k)
-		if o.SingleRandom {
-			x = (x - v.f[k]) / v.sigma[k]
-		} else {
-			// The conditional distribution of the remainder is uniform on
-			// [0, f[k]); redrawing is distributionally identical.
-			x = src.UniformTo(v.f[k])
-		}
-	}
-	return dst
-}
-
-// determineFull walks every bit position from MSB to LSB (levels steps),
-// which is what the model costs without Idea#2. The invariant is
-// x ∈ [0, f[k+1]) at the start of step k.
-func (v *Vector) determineFull(x float64, src *rng.Source, o Options) int64 {
-	var dst int64
-	for k := v.levels - 1; k >= 0; k-- {
-		if x >= v.f[k] {
-			dst |= 1 << uint(k)
-			if o.SingleRandom {
-				x = (x - v.f[k]) / v.sigma[k]
-			} else {
-				x = src.UniformTo(v.f[k])
-			}
-		} else if !o.SingleRandom {
-			// Redraw within the kept region to mirror RMAT's
-			// one-random-value-per-recursion behaviour.
-			x = src.UniformTo(v.f[k])
-		}
-	}
-	return dst
+	return v.Determine(x)
 }
 
 // CDFVector is the naive Section 4.2 data structure: the full cumulative

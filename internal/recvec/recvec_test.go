@@ -183,71 +183,6 @@ func TestDetermineDistribution(t *testing.T) {
 	}
 }
 
-// TestAllOptionCombosSameDistribution: the 8 ablation combinations (and
-// linear search) must be distributionally indistinguishable.
-func TestAllOptionCombosSameDistribution(t *testing.T) {
-	k := skg.Graph500Seed
-	const levels = 5
-	n := int64(1) << levels
-	u := int64(9)
-	v := New(k, u, levels)
-	probs := make([]float64, n)
-	for dst := int64(0); dst < n; dst++ {
-		probs[dst] = skg.EdgeProb(k, u, dst, levels)
-	}
-	combos := []Options{
-		{},
-		{SingleRandom: true},
-		{SparseRecursion: true},
-		{SparseRecursion: true, SingleRandom: true},
-		{SparseRecursion: true, LinearSearch: true},
-		{SparseRecursion: true, SingleRandom: true, LinearSearch: true},
-	}
-	for ci, o := range combos {
-		src := rng.New(uint64(100 + ci))
-		const draws = 200000
-		obs := make([]int64, n)
-		for i := 0; i < draws; i++ {
-			x := src.UniformTo(v.RowProb())
-			obs[v.DetermineOpt(x, src, o)]++
-		}
-		stat := chiSquare(obs, probs, v.RowProb(), draws)
-		// 31 dof; 99.9th percentile ≈ 61.1.
-		if stat > 75 {
-			t.Fatalf("combo %+v: chi-square %v too large for 31 dof", o, stat)
-		}
-	}
-}
-
-// TestSingleRandomDeterminesSameAsProduction: with SingleRandom the
-// sparse path must agree value-for-value with the production Determine.
-func TestSingleRandomDeterminesSameAsProduction(t *testing.T) {
-	v := New(skg.Graph500Seed, 333, 12)
-	src := rng.New(11)
-	o := Options{SparseRecursion: true, SingleRandom: true}
-	for i := 0; i < 10000; i++ {
-		x := src.UniformTo(v.RowProb())
-		if a, b := v.Determine(x), v.DetermineOpt(x, nil, o); a != b {
-			t.Fatalf("x=%v: Determine %d, DetermineOpt %d", x, a, b)
-		}
-	}
-}
-
-// TestFullDescentSingleRandomMatches: full descent with a single random
-// value is the same deterministic map as sparse search.
-func TestFullDescentSingleRandomMatches(t *testing.T) {
-	v := New(paperSeed, 6, 9)
-	src := rng.New(13)
-	for i := 0; i < 10000; i++ {
-		x := src.UniformTo(v.RowProb())
-		a := v.DetermineOpt(x, nil, Options{SparseRecursion: true, SingleRandom: true})
-		b := v.DetermineOpt(x, nil, Options{SingleRandom: true})
-		if a != b {
-			t.Fatalf("x=%v: sparse %d, full %d", x, a, b)
-		}
-	}
-}
-
 // TestVectorMonotone: property — RecVec is non-decreasing and tops out
 // at Lemma 1's row probability, for random vertices.
 func TestVectorMonotone(t *testing.T) {
@@ -431,17 +366,6 @@ func TestBigVectorHighScale(t *testing.T) {
 		d := bv.Determine(src.UniformTo(bv.RowProb()))
 		if d < 0 || d >= 1<<levels {
 			t.Fatalf("destination %d out of range", d)
-		}
-	}
-}
-
-func TestSearchLinearEqualsBinary(t *testing.T) {
-	v := New(skg.Graph500Seed, 4242, 30)
-	src := rng.New(53)
-	for i := 0; i < 20000; i++ {
-		x := src.UniformIn(v.At(0), v.RowProb())
-		if a, b := v.searchLinear(x), v.searchBinary(x); a != b {
-			t.Fatalf("x=%v: linear %d, binary %d", x, a, b)
 		}
 	}
 }

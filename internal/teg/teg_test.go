@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/avs"
-	"repro/internal/recvec"
 	"repro/internal/rng"
 	"repro/internal/skg"
 	"repro/internal/stats"
@@ -84,7 +83,6 @@ func TestKSAgainstStochastic(t *testing.T) {
 	stoch := func(master uint64) stats.Hist {
 		g, err := avs.New(avs.Config{
 			Seed: skg.Graph500Seed, Levels: levels, NumEdges: edges,
-			Opts: recvec.Production(),
 		}, nil)
 		if err != nil {
 			t.Fatal(err)

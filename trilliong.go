@@ -62,14 +62,6 @@ const (
 	CSR6 = gformat.CSR6
 )
 
-// Options exposes the recursive-vector ablation switches (Section 4.3).
-// Production() is what you want unless you are reproducing Figure 13.
-type Options = recvec.Options
-
-// Production returns the options with all three performance ideas
-// enabled.
-func Production() Options { return recvec.Production() }
-
 // Config configures one generation run. The zero value is not usable;
 // start from New.
 type Config struct {
@@ -90,8 +82,6 @@ type Config struct {
 	// GOMAXPROCS). A thread per part, up to GOMAXPROCS, draws them; the
 	// threads share the parts' rows, so none is bound to a part.
 	Workers int
-	// Opts are the recursive-vector options (New sets Production).
-	Opts Options
 	// HighPrecision switches the recursive vector to 128-bit floats,
 	// the paper's BigDecimal mode for trillion-scale accuracy.
 	HighPrecision bool
@@ -116,7 +106,7 @@ const (
 )
 
 // New returns the standard configuration at the given scale:
-// Graph500 seed, edge factor 16, production options, master seed 1.
+// Graph500 seed, edge factor 16, master seed 1.
 func New(scale int) Config {
 	c := core.DefaultConfig(scale)
 	return Config{
@@ -124,7 +114,6 @@ func New(scale int) Config {
 		EdgeFactor: c.EdgeFactor,
 		Seed:       c.Seed,
 		MasterSeed: c.MasterSeed,
-		Opts:       c.Opts,
 	}
 }
 
@@ -136,7 +125,7 @@ func (c Config) toCore() core.Config {
 		NoiseParam:      c.NoiseParam,
 		MasterSeed:      c.MasterSeed,
 		Workers:         c.Workers,
-		Opts:            c.Opts,
+		Opts:            recvec.Production(),
 		HighPrecision:   c.HighPrecision,
 		Orientation:     c.Orientation,
 		AllowDuplicates: c.AllowDuplicates,

@@ -22,9 +22,6 @@ func TestNewDefaults(t *testing.T) {
 	if cfg.NumVertices() != 4096 || cfg.NumEdges() != 65536 {
 		t.Fatalf("sizes wrong: %d/%d", cfg.NumVertices(), cfg.NumEdges())
 	}
-	if !cfg.Opts.ReuseVector || !cfg.Opts.SparseRecursion || !cfg.Opts.SingleRandom {
-		t.Fatal("production options not set")
-	}
 }
 
 func TestGenerateToDirADJ6(t *testing.T) {
