@@ -78,10 +78,10 @@ func (c Config) NumVertices() int64 { return int64(1) << uint(c.Levels) }
 // concurrently (the partitioner's parallel combine relies on this).
 type Generator struct {
 	cfg Config
-	// acct, when non-nil, is charged for the per-scope dedup structure
-	// and the recursive vector, making O(d_max) visible to experiments.
-	// It is a high-water mark only: each scope is charged and released in
-	// one step at its end, so Peak is exact and Current stays 0.
+	// acct, when non-nil, observes the per-scope dedup structure and the
+	// recursive vector, making O(d_max) visible to experiments. It is a
+	// high-water mark only: each scope is observed once, at its end, so
+	// Peak is exact and Current stays 0.
 	acct *memacct.Acct
 	// rowProb[c] is P_{u→} of a vertex with c one bits under the
 	// noise-free model (Lemma 1); nil under NSKG.
@@ -209,46 +209,41 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		dsts, attempts, limit := slices.Grow(res.Dsts, int(size)), int64(0), maxAttempts(size)
 		if big == nil && !v1 {
 			// While n more destinations and n more attempts are both allowed,
-			// the loop below would make the next n attempts whatever they hit
-			// (an attempt adds at most one destination), so DrawLanes draws a
-			// batch of up to n in stream order and determines it together,
-			// and its results are inserted in lane order: same Dsts, Attempts
-			// and state of src. Batches narrow from WideLanes to Lanes as n
-			// falls, and the scalar loop takes the last n < Lanes.
+			// the one-draw-per-attempt loop would make the next n attempts
+			// whatever they hit (an attempt adds at most one destination), so
+			// DrawLanes draws a batch of min(n, WideLanes) in stream order and
+			// determines it together, and its results are inserted in lane
+			// order: same Dsts, Attempts and state of src. When n falls to 0
+			// the scope has its size or its cap, where that loop stops too.
 			var out [recvec.WideLanes]int64
 			for {
-				n := vec.DrawLanes(src, min(size-int64(len(dsts)), limit-attempts), &out)
-				if n == 0 {
+				room := min(size-int64(len(dsts)), limit-attempts)
+				if room <= 0 {
 					break
 				}
+				n := vec.DrawLanes(src, room, &out)
 				attempts += int64(n)
-				for _, dst := range out[:n] {
-					if set.Insert(dst) {
-						dsts = append(dsts, dst)
-					}
+				dsts = set.InsertLanes(out[:n], dsts)
+			}
+		} else {
+			for int64(len(dsts)) < size && attempts < limit {
+				var dst int64
+				if big != nil {
+					dst = big.Determine(src.UniformTo(total))
+				} else {
+					dst = redrawDescent(vec, src.UniformTo(total), src)
 				}
-			}
-		}
-		for int64(len(dsts)) < size && attempts < limit {
-			var dst int64
-			switch {
-			case big != nil:
-				dst = big.Determine(src.UniformTo(total))
-			case v1:
-				dst = redrawDescent(vec, src.UniformTo(total), src)
-			default:
-				dst = vec.Determine(src.UniformTo(total))
-			}
-			attempts++
-			if set.Insert(dst) {
-				dsts = append(dsts, dst)
+				attempts++
+				if set.Insert(dst) {
+					dsts = append(dsts, dst)
+				}
 			}
 		}
 		res.Dsts, res.Attempts = dsts, attempts
 	}
 	if g.acct != nil {
-		// One charge per scope, at its high-water mark: the vector (f and
-		// sigma, float64 each) plus 8 bytes per kept destination — what
+		// One observation per scope, of its high-water mark: the vector (f
+		// and sigma, float64 each) plus 8 bytes per kept destination — what
 		// the algorithm needs, not the capacity the dedup set retains
 		// (DESIGN.md §5). Charges inside a scope only ever grew, so the
 		// peak equals that of charging per insert.
@@ -256,8 +251,7 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		if !cfg.AllowDuplicates {
 			tracked += int64(len(res.Dsts)) * memacct.VertexBytes
 		}
-		g.acct.Add(tracked)
-		g.acct.Add(-tracked)
+		g.acct.Observe(tracked)
 	}
 	return res
 }

@@ -66,23 +66,60 @@ func (s *DedupSet) Begin(size, nv int64, dedup bool) {
 func (s *DedupSet) Insert(v int64) bool {
 	switch s.tier {
 	case tierBitmap:
-		w, bit := &s.words[v>>6], uint64(1)<<(uint(v)&63)
-		if *w&bit != 0 {
-			return false
-		}
-		*w |= bit
-		return true
+		return insertBit(s.words, v)
 	case tierTable:
-		key, mask := v+1, uint64(len(s.table)-1)
-		for i := uint64(v) * 0x9E3779B97F4A7C15 >> s.shift; ; i = (i + 1) & mask {
-			switch s.table[i] {
-			case 0:
-				s.table[i] = key
-				return true
-			case key:
-				return false
-			}
-		}
+		return insertKey(s.table, s.shift, v)
 	}
 	return true
+}
+
+// InsertLanes inserts vs in order and appends to dsts, in order, each
+// value that Insert would have admitted: a repeat within vs is rejected
+// as a repeat across calls is. It is one call per batch of draws with
+// the tier decided once, where Insert is one call and one tier switch
+// per draw.
+func (s *DedupSet) InsertLanes(vs, dsts []int64) []int64 {
+	switch s.tier {
+	case tierBitmap:
+		for _, v := range vs {
+			if insertBit(s.words, v) {
+				dsts = append(dsts, v)
+			}
+		}
+	case tierTable:
+		for _, v := range vs {
+			if insertKey(s.table, s.shift, v) {
+				dsts = append(dsts, v)
+			}
+		}
+	default:
+		dsts = append(dsts, vs...)
+	}
+	return dsts
+}
+
+// insertBit sets bit v of the bitmap tier and reports whether it was
+// clear.
+func insertBit(words []uint64, v int64) bool {
+	w, bit := &words[v>>6], uint64(1)<<(uint(v)&63)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
+}
+
+// insertKey stores v+1 in the table tier, probing linearly from its
+// multiplicative hash, and reports whether it was absent.
+func insertKey(table []int64, shift uint, v int64) bool {
+	key, mask := v+1, uint64(len(table)-1)
+	for i := uint64(v) * 0x9E3779B97F4A7C15 >> shift; ; i = (i + 1) & mask {
+		switch table[i] {
+		case 0:
+			table[i] = key
+			return true
+		case key:
+			return false
+		}
+	}
 }

@@ -3,13 +3,15 @@ package avs
 // Benchmarks of the in-scope dedup structures (DESIGN.md §5), each
 // filling one scope of `degree` distinct destinations of a 2^18-vertex
 // graph with reused storage, as a warmed-up worker does: the two tiers
-// of DedupSet against a Go map and against the sorted slice that used
-// to serve sizes ≤ 48. Run with `go test -bench=Dedup ./internal/avs/`.
+// of DedupSet, by Insert and by InsertLanes, against a Go map and
+// against the sorted slice that used to serve sizes ≤ 48. Run with
+// `go test -bench=Dedup ./internal/avs/`.
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/recvec"
 	"repro/internal/rng"
 )
 
@@ -60,6 +62,21 @@ func BenchmarkDedup(b *testing.B) {
 							sink++
 						}
 					}
+				}
+			})
+			// The same inserts as the scope loops make them: InsertLanes
+			// per batch of up to WideLanes draws, appending to a buffer
+			// grown to the degree.
+			b.Run(fmt.Sprintf("lanes/%s/degree=%d", tc.name, degree), func(b *testing.B) {
+				var s DedupSet
+				dsts := make([]int64, 0, degree)
+				for i := 0; i < b.N; i++ {
+					s.Begin(tc.size, tc.nv, true)
+					dsts = dsts[:0]
+					for j := 0; j < len(vals); j += recvec.WideLanes {
+						dsts = s.InsertLanes(vals[j:min(j+recvec.WideLanes, len(vals))], dsts)
+					}
+					sink += len(dsts)
 				}
 			})
 		}

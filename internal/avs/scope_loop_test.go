@@ -2,6 +2,7 @@ package avs
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -29,9 +30,10 @@ func randomSeed(src *rng.Source, zeroAt int64) skg.Seed {
 // binary search per recursion step (referenceDetermine) and a Go map for
 // duplicates. Under CommunityV1 it is the loop those blocks drew with
 // before they kept their vector: a fresh vector before every attempt and
-// a uniform redrawn at every level. It returns the destinations, the
-// attempt count and the bytes the scope charges to memacct.
-func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, int64, int64) {
+// a uniform redrawn at every level. It returns the destinations, one
+// flag per attempt (true where it kept a destination) and the bytes the
+// scope charges to memacct.
+func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, []bool, int64) {
 	if nv := cfg.NumVertices(); size > nv {
 		size = nv
 	}
@@ -45,14 +47,14 @@ func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, int64,
 	tracked := int64(cfg.Levels+1) * 16
 	total := vec.RowProb()
 	if total <= 0 {
-		return nil, 0, tracked
+		return nil, nil, tracked
 	}
 	var (
-		dsts     []int64
-		attempts int64
-		seen     = make(map[int64]struct{})
+		dsts []int64
+		kept []bool
+		seen = make(map[int64]struct{})
 	)
-	for int64(len(dsts)) < size && attempts < 64*size+1024 {
+	for int64(len(dsts)) < size && int64(len(kept)) < 64*size+1024 {
 		var dst int64
 		if cfg.CommunityV1 {
 			vec = build()
@@ -68,8 +70,10 @@ func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, int64,
 		} else {
 			dst = referenceDetermine(vec, src.UniformTo(total))
 		}
-		attempts++
-		if _, dup := seen[dst]; dup && !cfg.AllowDuplicates {
+		_, dup := seen[dst]
+		dup = dup && !cfg.AllowDuplicates
+		kept = append(kept, !dup)
+		if dup {
 			continue
 		}
 		seen[dst] = struct{}{}
@@ -78,7 +82,29 @@ func referenceScope(cfg Config, u, size int64, src *rng.Source) ([]int64, int64,
 	if !cfg.AllowDuplicates {
 		tracked += 8 * int64(len(dsts))
 	}
-	return dsts, attempts, tracked
+	return dsts, kept, tracked
+}
+
+// lastBatch replays the production loop's batch schedule over the
+// reference's attempts, kept as referenceScope reports them, and returns
+// the width of the scope's last DrawLanes call and whether the attempt
+// cap rather than the size bounded it.
+func lastBatch(kept []bool, size int64) (width int64, byCap bool) {
+	limit := maxAttempts(size)
+	var n, at int64
+	for {
+		room := min(size-n, limit-at)
+		if room <= 0 {
+			return width, byCap
+		}
+		width, byCap = min(room, recvec.WideLanes), limit-at < size-n
+		for _, k := range kept[at : at+width] {
+			if k {
+				n++
+			}
+		}
+		at += width
+	}
 }
 
 // referenceDetermine is Theorem 2 as first written: a fresh binary search
@@ -116,25 +142,25 @@ func referenceDetermine(vec *recvec.Vector, x float64) int64 {
 // on equal streams and requires equal destinations in equal order, equal
 // attempts and an equal next random value: the loop drew exactly as many
 // values as the reference, no more. It returns the reference's tracked
-// bytes, attempts and number of destinations kept.
-func sameAsReference(t *testing.T, g *Generator, u, size int64, stream uint64) (tracked, attempts, kept int64) {
+// bytes and its per-attempt kept flags.
+func sameAsReference(t *testing.T, g *Generator, u, size int64, stream uint64) (tracked int64, kept []bool) {
 	t.Helper()
 	cfg := g.Config()
 	want, got := rng.New(stream), rng.New(stream)
-	wantDsts, wantAttempts, tracked := referenceScope(cfg, u, size, want)
+	wantDsts, kept, tracked := referenceScope(cfg, u, size, want)
 	res := g.ScopeWithSize(u, size, got, nil)
-	if res.Attempts != wantAttempts || !slices.Equal(res.Dsts, wantDsts) {
+	if res.Attempts != int64(len(kept)) || !slices.Equal(res.Dsts, wantDsts) {
 		t.Fatalf("levels %d u %d size %d noisy %v dups %v: got %d dsts / %d attempts, reference %d / %d",
-			cfg.Levels, u, size, cfg.Noise != nil, cfg.AllowDuplicates, len(res.Dsts), res.Attempts, len(wantDsts), wantAttempts)
+			cfg.Levels, u, size, cfg.Noise != nil, cfg.AllowDuplicates, len(res.Dsts), res.Attempts, len(wantDsts), len(kept))
 	}
 	if got.Uint64() != want.Uint64() {
 		t.Fatalf("levels %d u %d size %d v1 %v: stream position after the scope differs from the reference loop's", cfg.Levels, u, size, cfg.CommunityV1)
 	}
-	return tracked, wantAttempts, int64(len(wantDsts))
+	return tracked, kept
 }
 
 // TestScopeMatchesReferenceLoop: the scope loop with its reused vector,
-// lane-batched descent plus scalar tail and flat dedup set emits the
+// padded lane-batched descent and flat dedup set emits the
 // stream of the loop it replaced — identical destinations in identical
 // order after identical attempt counts, an identical accounting peak
 // and an identical stream position afterwards — over random seed
@@ -178,8 +204,8 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Every size up to two wide batches and one — so every hand-over
-		// from WideLanes to Lanes to the scalar loop — sizes on both sides
+		// Every size up to two wide batches and one — so a padded last
+		// call of every width, bounded by the size — sizes on both sides
 		// of the table/bitmap boundary |V|/64, and more than |V| (clamped
 		// to it).
 		sizes := []int64{16, 700, nv/64 + 1, nv + 5}
@@ -192,10 +218,10 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 				continue // keep hub-sized scopes of wide graphs out of a unit test
 			}
 			u, stream := src.Int63n(nv), src.Uint64()
-			tracked, _, _ := sameAsReference(t, g, u, size, stream)
+			tracked, _ := sameAsReference(t, g, u, size, stream)
 			wantPeak = max(wantPeak, tracked)
 			tiers[g.set.tier]++
-			tracked, _, _ = sameAsReference(t, gV1, u, size, stream)
+			tracked, _ = sameAsReference(t, gV1, u, size, stream)
 			wantPeakV1 = max(wantPeakV1, tracked)
 		}
 		if acct.Peak() != wantPeak || acct.Current() != 0 || acctV1.Peak() != wantPeakV1 || acctV1.Current() != 0 {
@@ -209,25 +235,24 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 		}
 	}
 
-	// Rows asked for all of |V| that end on the attempt cap instead, one
-	// per tier the cap can fall in. The cap is a multiple of WideLanes, so
-	// it falls in the tier whose width the final shortfall admits. A hub
-	// row whose rarest cells stay unhit ends short by a few, in a tier that
-	// depends on the stream. Under noBeta a row reaches 2^popcount(u)
-	// cells: a row with one of 16 ends short by at least WideLanes (wide
-	// batches), a row with four of eight by Lanes (narrow batches), and a
-	// row with two of four by less (the scalar tail).
+	// Rows that end on the attempt cap. A hub row asked for all of |V|
+	// ends short by the rarest cells. Under noBeta a row reaches only
+	// 2^popcount(u) cells, so a larger size leaves a fixed shortfall once
+	// those are found, the batches narrow to it, and the size and the
+	// stream decide where the cap falls in the last one: each width the
+	// cap can cut must occur as a padded call bounded by the cap, not by
+	// the size.
 	noBeta := skg.Seed{A: 0.6, B: 0, C: 0.3, D: 0.1}
+	byCap := make(map[int64]int)
 	for _, tc := range []struct {
 		seed   skg.Seed
 		levels int
-		u      int64
-		tier   int64 // batch width at the cap, 1 for the scalar tail; 0 unchecked
+		us     []int64
+		sizes  []int64 // nil: all of |V|
 	}{
-		{skg.Graph500Seed, 8, 0, 0},
-		{noBeta, 4, 0, recvec.WideLanes},
-		{noBeta, 3, 0b011, recvec.Lanes},
-		{noBeta, 2, 1, 1},
+		{skg.Graph500Seed, 8, []int64{0}, nil},
+		{noBeta, 4, []int64{0, 1, 3, 7}, capSizes},
+		{noBeta, 10, []int64{0, 5, 7}, capSizes},
 	} {
 		nv := int64(1) << uint(tc.levels)
 		cfg := Config{Seed: tc.seed, Levels: tc.levels, NumEdges: 128 * nv}
@@ -240,26 +265,44 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for stream := uint64(0); stream < 8; stream++ {
-			if _, attempts, _ := sameAsReference(t, gV1, tc.u, nv, stream); attempts != maxAttempts(nv) {
-				t.Errorf("v1 seed %v levels %d u %d: stopped after %d attempts, want the cap %d", tc.seed, tc.levels, tc.u, attempts, maxAttempts(nv))
-			}
-			_, attempts, kept := sameAsReference(t, g, tc.u, nv, stream)
-			if attempts != maxAttempts(nv) {
-				t.Errorf("seed %v levels %d u %d: stopped after %d attempts, want the cap %d", tc.seed, tc.levels, tc.u, attempts, maxAttempts(nv))
-			}
-			tier := int64(1)
-			if short := nv - kept; short >= recvec.WideLanes {
-				tier = recvec.WideLanes
-			} else if short >= recvec.Lanes {
-				tier = recvec.Lanes
-			}
-			if tc.tier != 0 && tier != tc.tier {
-				t.Errorf("seed %v levels %d u %d: %d of %d cells kept, so the cap fell in tier %d, want %d", tc.seed, tc.levels, tc.u, kept, nv, tier, tc.tier)
+		sizes := tc.sizes
+		if sizes == nil {
+			sizes = []int64{nv}
+		}
+		for _, u := range tc.us {
+			for _, size := range sizes {
+				if tc.sizes != nil && (size <= 1<<bits.OnesCount64(uint64(u)) || size > nv) {
+					continue // the row can fill it, or |V| clamps it
+				}
+				for stream := uint64(0); stream < 8; stream++ {
+					if _, kept := sameAsReference(t, gV1, u, size, stream); int64(len(kept)) != maxAttempts(size) {
+						t.Errorf("v1 seed %v levels %d u %d size %d: stopped after %d attempts, want the cap %d", tc.seed, tc.levels, u, size, len(kept), maxAttempts(size))
+					}
+					_, kept := sameAsReference(t, g, u, size, stream)
+					if int64(len(kept)) != maxAttempts(size) {
+						t.Errorf("seed %v levels %d u %d size %d: stopped after %d attempts, want the cap %d", tc.seed, tc.levels, u, size, len(kept), maxAttempts(size))
+					}
+					if width, capped := lastBatch(kept, size); capped {
+						byCap[width]++
+					}
+				}
 			}
 		}
 	}
+	// The cap 64·size+1024 is a multiple of WideLanes, and the size keeps
+	// every batch full while size − len(dsts) ≥ WideLanes, so a last call
+	// the cap bounds below the size is at most WideLanes − 2 wide: an
+	// earlier call must have been narrowed by the size first.
+	for width := int64(1); width <= recvec.WideLanes-2; width++ {
+		if byCap[width] == 0 {
+			t.Errorf("no scope ended on a padded call of width %d bounded by the cap (by width: %v); the cap cases no longer cover it", width, byCap)
+		}
+	}
 }
+
+// capSizes are the sizes of the cap cases, every size up to two wide
+// batches and one; a row runs those above the cells it reaches.
+var capSizes = []int64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
 
 // TestRowProbTableMatchesSKG: the popcount table returns the bits
 // skg.RowProb returns, so binomial means and scope sizes cannot move.

@@ -481,24 +481,28 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 	attempts, limit := int64(0), 64*size+1024
 	if g.dstVec != nil {
 		// As in avs.ScopeWithSize: while n more destinations and n more
-		// attempts are both allowed, the loop below would consume the next
-		// n draws whatever they yield, so a batch of up to n is determined
-		// together; out-of-range ones are skipped uncounted, as drawDst does.
+		// attempts are both allowed, one drawDst per attempt (the loop the
+		// other in-distributions run below) would consume the next n draws
+		// whatever they yield, so a batch of min(n, WideLanes) is determined
+		// together. Its in-range lanes are moved to the front and counted
+		// as attempts; out-of-range ones are skipped uncounted, as drawDst
+		// skips them. When n falls to 0 that loop would stop too.
+		numDst := g.cfg.NumDst
 		var vs [recvec.WideLanes]int64
 		for {
-			n := g.dstVec.DrawLanes(src, min(size-int64(len(out)), limit-attempts), &vs)
-			if n == 0 {
-				break
+			room := min(size-int64(len(out)), limit-attempts)
+			if room <= 0 {
+				return out
 			}
+			n, in := g.dstVec.DrawLanes(src, room, &vs), 0
 			for _, v := range vs[:n] {
-				if v >= g.cfg.NumDst {
-					continue
-				}
-				attempts++
-				if set.Insert(v) {
-					out = append(out, v)
+				vs[in] = v
+				if v < numDst {
+					in++
 				}
 			}
+			attempts += int64(in)
+			out = set.InsertLanes(vs[:in], out)
 		}
 	}
 	for int64(len(out)) < size && attempts < limit {

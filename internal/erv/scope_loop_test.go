@@ -32,42 +32,97 @@ func generate(g *Generator, seed uint64, emit func(src int64, dsts []int64) erro
 // referenceScope is Scope as it stood before the lane-batched descent:
 // one drawDst per attempt, with a Go map for duplicates. It returns the
 // destinations and the scope size drawn, which they fall short of when
-// the scope ended on the attempt cap.
-func referenceScope(g *Generator, u int64, src *rng.Source) (out []int64, size int64) {
+// the scope ended on the attempt cap, and, for a destination vector,
+// what each uniform the draws consumed did, for lastBatch.
+func referenceScope(g *Generator, u int64, src *rng.Source) (out []int64, size int64, draws []drawn) {
 	size = g.ScopeSize(u, src)
 	if size <= 0 {
-		return nil, size
+		return nil, size, nil
 	}
 	if g.cfg.AllowDuplicates {
 		for int64(len(out)) < size {
 			out = append(out, g.drawDst(src))
 		}
-		return out, size
+		return out, size, nil
+	}
+	draw := g.drawDst
+	if g.dstVec != nil {
+		// drawDst's rejection loop, logging each uniform it consumes.
+		draw = func(src *rng.Source) int64 {
+			for {
+				v := g.dstVec.Determine(src.UniformTo(g.dstVec.RowProb()))
+				if v < g.cfg.NumDst {
+					return v
+				}
+				draws = append(draws, outOfRange)
+			}
+		}
 	}
 	seen := make(map[int64]bool)
 	attempts := int64(0)
 	for int64(len(out)) < size && attempts < 64*size+1024 {
 		attempts++
-		if v := g.drawDst(src); !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+		v := draw(src)
+		if seen[v] {
+			draws = append(draws, repeat)
+			continue
 		}
+		draws = append(draws, kept)
+		seen[v] = true
+		out = append(out, v)
 	}
-	return out, size
+	if g.dstVec == nil {
+		draws = nil
+	}
+	return out, size, draws
+}
+
+// drawn is what one uniform of a destination-vector draw did.
+type drawn uint8
+
+const (
+	outOfRange drawn = iota // skipped uncounted
+	repeat                  // an attempt that hit a kept destination
+	kept                    // an attempt that kept a new destination
+)
+
+// lastBatch replays Scope's batch schedule over the reference's draws
+// and returns the width of the scope's last DrawLanes call and whether
+// the attempt cap rather than the size bounded it.
+func lastBatch(draws []drawn, size int64) (width int64, byCap bool) {
+	limit := 64*size + 1024
+	var n, at, i int64
+	for {
+		room := min(size-n, limit-at)
+		if room <= 0 {
+			return width, byCap
+		}
+		width, byCap = min(room, recvec.WideLanes), limit-at < size-n
+		for _, d := range draws[i : i+width] {
+			if d != outOfRange {
+				at++
+			}
+			if d == kept {
+				n++
+			}
+		}
+		i += width
+	}
 }
 
 // TestScopeMatchesReferenceLoop is the twin of avs's test of the same
-// name: Scope with its wide and narrow batches and its scalar tail emits
-// the destinations of the one-draw-per-attempt loop, in its order, and
-// leaves the stream where that loop leaves it. Destination ranges are
-// mostly not powers of two, so out-of-range draws are skipped uncounted
-// inside batches and the attempt cap falls anywhere in a batch. Out
-// distributions ask for every size up to two wide batches and one — so
-// every hand-over from WideLanes to Lanes to the scalar loop — and for
-// all of a range whose rare cells stay unhit, which ends on the cap with
-// a shortfall in each tier's range. (A size above the range is clamped
-// to it, so only skewed in-distributions leave cells unhit: about one
-// scope in fifty ends on the cap.)
+// name: Scope with its padded batches emits the destinations of the
+// one-draw-per-attempt loop, in its order, and leaves the stream where
+// that loop leaves it. Destination ranges are mostly not powers of two,
+// so out-of-range draws are skipped uncounted inside batches and the
+// attempt cap falls anywhere in a batch. Out distributions ask for every
+// size up to two wide batches and one — so a last call of every width
+// bounded by the size — and for all of a range whose rare cells stay
+// unhit, which ends on the cap: a last call of every width below
+// WideLanes must be bounded by the cap while more destinations were
+// still wanted. (A size above the range is clamped to it, so only skewed
+// in-distributions leave cells unhit: about one scope in fifty ends on
+// the cap.)
 func TestScopeMatchesReferenceLoop(t *testing.T) {
 	ins := []Dist{
 		{Kind: Zipfian, Slope: -2.5},
@@ -77,9 +132,9 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 		{Kind: Empirical, Weights: []float64{5, 0, 1, 3}},
 	}
 	var scopes, cappedAll, batched int
-	// capped counts batched scopes that ended on the cap by the batch
-	// width their final shortfall admits, 1 for the scalar tail.
-	capped := make(map[int64]int)
+	// byCap counts batched scopes whose last call the attempt cap bounded
+	// below the size, by the call's width.
+	byCap := make(map[int64]int)
 	for _, numDst := range []int64{1, 3, 5, 16, 37, 100, 1000, 4097} {
 		outs := []Dist{
 			{Kind: Uniform, Min: numDst - 2, Max: numDst},
@@ -104,7 +159,7 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 				}
 				for u := int64(0); u < cfg.NumSrc; u++ {
 					want, got := rng.NewScoped(uint64(numDst), uint64(u)), rng.NewScoped(uint64(numDst), uint64(u))
-					wantDsts, size := referenceScope(g, u, want)
+					wantDsts, size, draws := referenceScope(g, u, want)
 					gotDsts := g.Scope(u, got, nil)
 					if !slices.Equal(gotDsts, wantDsts) {
 						t.Fatalf("NumDst %d in %v out %v dups %v u %d: got %d destinations %v, reference %d %v",
@@ -115,23 +170,15 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 							numDst, in.Kind, out, cfg.AllowDuplicates, u)
 					}
 					scopes++
-					short := size - int64(len(wantDsts))
-					if short > 0 {
+					if size > int64(len(wantDsts)) {
 						cappedAll++
 					}
-					if g.dstVec == nil || cfg.AllowDuplicates {
-						continue
+					if draws == nil {
+						continue // no destination vector, or no dedup: not batched
 					}
-					if size >= recvec.Lanes {
-						batched++
-					}
-					switch {
-					case short >= recvec.WideLanes:
-						capped[recvec.WideLanes]++
-					case short >= recvec.Lanes:
-						capped[recvec.Lanes]++
-					case short > 0:
-						capped[1]++
+					batched++
+					if width, capped := lastBatch(draws, size); capped {
+						byCap[width]++
 					}
 				}
 			}
@@ -140,9 +187,9 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 	if cappedAll < scopes/50 || batched < scopes/5 {
 		t.Errorf("of %d scopes %d ended on the attempt cap and %d had a batched phase; the sweep no longer covers them", scopes, cappedAll, batched)
 	}
-	for _, tier := range []int64{recvec.WideLanes, recvec.Lanes, 1} {
-		if capped[tier] == 0 {
-			t.Errorf("of %d scopes none ended on the attempt cap in tier %d (capped by tier: %v); the sweep no longer covers it", scopes, tier, capped)
+	for width := int64(1); width < recvec.WideLanes; width++ {
+		if byCap[width] == 0 {
+			t.Errorf("of %d scopes none ended on a padded call of width %d bounded by the cap (by width: %v); the sweep no longer covers it", scopes, width, byCap)
 		}
 	}
 }

@@ -9,9 +9,9 @@
 // them when freed; the peak is the algorithm's space demand.
 //
 // The AVS scope generator is the exception to "when it grows": it
-// charges a scope's whole working set in one step as the scope
-// completes and releases it at once, so for it only Peak is meaningful
-// and Current reads 0 between charges.
+// observes a per-scope peak, Observe of the scope's whole working set as
+// the scope completes, which raises Peak and never moves Current, so
+// for it only Peak is meaningful and Current reads 0.
 package memacct
 
 import "sync/atomic"
@@ -24,8 +24,17 @@ type Acct struct {
 }
 
 // Add charges n bytes (n may be negative to release).
-func (a *Acct) Add(n int64) {
-	c := a.cur.Add(n)
+func (a *Acct) Add(n int64) { a.raisePeak(a.cur.Add(n)) }
+
+// Observe reports a transient working set of n bytes on top of what is
+// charged: Peak rises to Current()+n if that is higher, and Current does
+// not move. It is Add(n) followed by Add(−n) without the two writes to
+// the shared counter, so a hot loop can report each step's high-water
+// mark for the price of two loads.
+func (a *Acct) Observe(n int64) { a.raisePeak(a.cur.Load() + n) }
+
+// raisePeak lifts the high-water mark to c if c is higher.
+func (a *Acct) raisePeak(c int64) {
 	for {
 		p := a.peak.Load()
 		if c <= p || a.peak.CompareAndSwap(p, c) {

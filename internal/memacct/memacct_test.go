@@ -24,8 +24,8 @@ func TestAddAndPeak(t *testing.T) {
 
 // TestConcurrentAddPeakReset hammers every method from concurrent
 // goroutines — chargers, readers, and a resetter — so the race
-// detector can vet the CAS peak loop against Reset's two independent
-// stores. The only invariants that survive interleaved resets are
+// detector can vet the CAS peak loops of Add and Observe against
+// Reset's two independent stores. The only invariants that survive interleaved resets are
 // non-tearing ones: readers never observe torn values, Peak never goes
 // negative, and a final quiescent Reset leaves both counters zero.
 func TestConcurrentAddPeakReset(t *testing.T) {
@@ -37,6 +37,7 @@ func TestConcurrentAddPeakReset(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 2000; j++ {
 				a.Add(int64(j%7) * VertexBytes)
+				a.Observe(int64(j%5) * EdgeBytes)
 				a.Add(-int64(j%7) * VertexBytes)
 			}
 		}()
@@ -90,4 +91,46 @@ func TestConcurrentPeakIsAtLeastMaxSingle(t *testing.T) {
 	if a.Peak() < 10 {
 		t.Fatalf("peak %d below single charge", a.Peak())
 	}
+}
+
+// TestObserveIsAddPair: Observe(n) leaves Current and Peak where
+// Add(n) then Add(−n) leaves them, with and without bytes charged.
+func TestObserveIsAddPair(t *testing.T) {
+	var obs, pair Acct
+	for _, step := range []struct{ charge, observe int64 }{
+		{0, 100}, {0, 40}, {60, 30}, {0, 120}, {-60, 150}, {0, 0},
+	} {
+		obs.Add(step.charge)
+		pair.Add(step.charge)
+		obs.Observe(step.observe)
+		pair.Add(step.observe)
+		pair.Add(-step.observe)
+		if obs.Current() != pair.Current() || obs.Peak() != pair.Peak() {
+			t.Fatalf("after %+v: Observe gives current %d peak %d, Add pair %d %d",
+				step, obs.Current(), obs.Peak(), pair.Current(), pair.Peak())
+		}
+	}
+}
+
+// BenchmarkScopePeak times one scope's report to the accountant, as the
+// AVS scope loop makes it: op=observe is Observe, op=add-pair the two
+// Add calls it replaced. The peak is already higher, as it is for all
+// but the record scopes of a run.
+func BenchmarkScopePeak(b *testing.B) {
+	b.Run("op=observe", func(b *testing.B) {
+		var a Acct
+		a.Observe(1 << 20)
+		for i := 0; i < b.N; i++ {
+			a.Observe(int64(i & 1023))
+		}
+	})
+	b.Run("op=add-pair", func(b *testing.B) {
+		var a Acct
+		a.Observe(1 << 20)
+		for i := 0; i < b.N; i++ {
+			n := int64(i & 1023)
+			a.Add(n)
+			a.Add(-n)
+		}
+	})
 }

@@ -84,7 +84,7 @@ func checkDetermine(t *testing.T, v *Vector, xs ...float64) {
 
 // wideKernels are the two implementations of the wide entry point:
 // whatever determineWide dispatches to on this machine and build, and the
-// Go fallback, called explicitly, whose halves are DetermineBatch. Where
+// Go fallback, called explicitly, whose halves are determineBatch. Where
 // the build has no AVX2 kernel they coincide.
 var wideKernels = []struct {
 	name      string
@@ -124,7 +124,7 @@ func FuzzDetermine(f *testing.F) {
 	f.Add(0.3, 0.3, 0.3, uint8(2), uint8(1), uint64(1), 0.0)           // γ = 0, one level
 	f.Add(0.4, 0.3, 0.2, uint8(0), uint8(0), uint64(0), 0.5)           // α = 0 at the top (only) level
 	f.Add(0.4, 0.3, 0.2, uint8(2), uint8(1), uint64(3), 0.25)          // γ = 0 at the top of two levels
-	f.Add(0.4, 0.3, 0.2, uint8(0), uint8(Lanes-2), uint64(3), 0.75)    // α = 0 at the top of Lanes−1 levels
+	f.Add(0.4, 0.3, 0.2, uint8(0), uint8(lanes-2), uint64(3), 0.75)    // α = 0 at the top of lanes−1 levels
 	f.Add(0.57, 0.19, 0.19, uint8(9), uint8(46), uint64(1)<<46-1, 0.9) // the most levels avs admits
 	f.Fuzz(func(t *testing.T, a, b, c float64, zeroAt, levels uint8, u uint64, frac float64) {
 		k, ok := fuzzSeed(a, b, c, zeroAt)
@@ -236,5 +236,105 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { v.Reset(skg.Graph500Seed, 5, 40) }); n != 0 {
 		t.Fatalf("Reset on a warmed vector allocates %v times", n)
+	}
+}
+
+// TestDrawLanesRoom: DrawLanes draws exactly min(room, WideLanes)
+// uniforms — a twin source advanced by that many values gives the same
+// next Uint64 — and determines each to Determine's bits, from a room of
+// 0 through a full batch and beyond, on a plain, a degenerate and a
+// noisy vector.
+func TestDrawLanesRoom(t *testing.T) {
+	ns, err := skg.NewNoise(skg.Graph500Seed, 18, 0.05, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := []*Vector{
+		New(skg.Graph500Seed, 0b1011_0110_1101, 18),
+		New(skg.Seed{A: 0, B: 0.6, C: 0.3, D: 0.1}, 0b0110, 5),
+		NewNoisy(ns, 12345, 18),
+	}
+	rooms := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1 << 40}
+	for i, v := range vecs {
+		for _, room := range rooms {
+			src, twin := rng.NewScoped(uint64(i), uint64(room)), rng.NewScoped(uint64(i), uint64(room))
+			var out [WideLanes]int64
+			n := v.DrawLanes(src, room, &out)
+			if want := int(min(room, WideLanes)); n != want {
+				t.Fatalf("vector %d room %d: drew %d, want %d", i, room, n, want)
+			}
+			for l := range n {
+				x := twin.UniformTo(v.RowProb())
+				if want := v.Determine(x); out[l] != want {
+					t.Fatalf("vector %d room %d lane %d: %d, Determine(%v) = %d", i, room, l, out[l], x, want)
+				}
+			}
+			if src.Uint64() != twin.Uint64() {
+				t.Fatalf("vector %d room %d: the source moved other than by %d draws", i, room, n)
+			}
+		}
+	}
+}
+
+// resetTwoPass is Reset as it stood before σ was fused into the
+// downward walk: f top-down reloading f[x+1], then σ bottom-up in a
+// second pass. It is the reference the fused loop must match bit for bit.
+func resetTwoPass(k skg.Seed, u int64, levels int) (f, sigma []float64) {
+	var row, frac [2]float64
+	for bit := uint64(0); bit < 2; bit++ {
+		row[bit] = k.RowSum(bit)
+		if row[bit] > 0 {
+			frac[bit] = k.At(bit, 0) / row[bit]
+		}
+	}
+	p := 1.0
+	for x := 0; x < levels; x++ {
+		p *= row[(uint64(u)>>uint(x))&1]
+	}
+	f, sigma = make([]float64, levels+1), make([]float64, levels)
+	f[levels] = p
+	for x := levels - 1; x >= 0; x-- {
+		f[x] = f[x+1] * frac[(uint64(u)>>uint(x))&1]
+	}
+	for k := range sigma {
+		if f[k] > 0 {
+			sigma[k] = (f[k+1] - f[k]) / f[k]
+		} else {
+			sigma[k] = math.Inf(1)
+		}
+	}
+	return f, sigma
+}
+
+// TestResetSigmaMatchesTwoPass: the fused Reset leaves every f and σ
+// with the bits of the two-pass build, at every level count avs admits,
+// for the Graph500 seed, a seed whose zero column-0 entry gives f = 0
+// and σ = +Inf levels, and a seed with a −0 entry.
+func TestResetSigmaMatchesTwoPass(t *testing.T) {
+	seeds := []skg.Seed{
+		skg.Graph500Seed,
+		{A: 0, B: 0.6, C: 0.3, D: 0.1},
+		{A: math.Copysign(0, -1), B: 0.6, C: 0.3, D: 0.1},
+	}
+	src := rng.New(33)
+	var v Vector
+	for _, k := range seeds {
+		for lv := 1; lv <= maxLevels; lv++ {
+			for range 4 {
+				u := src.Int63n(1 << uint(lv))
+				v.Reset(k, u, lv)
+				f, sigma := resetTwoPass(k, u, lv)
+				for x := range f {
+					if math.Float64bits(v.At(x)) != math.Float64bits(f[x]) {
+						t.Fatalf("seed %v levels %d u %d: f[%d] = %v, two-pass %v", k, lv, u, x, v.At(x), f[x])
+					}
+				}
+				for x := range sigma {
+					if math.Float64bits(v.Sigma(x)) != math.Float64bits(sigma[x]) {
+						t.Fatalf("seed %v levels %d u %d: σ[%d] = %v, two-pass %v", k, lv, u, x, v.Sigma(x), sigma[x])
+					}
+				}
+			}
+		}
 	}
 }

@@ -91,11 +91,16 @@ func (v *Vector) Reset(k skg.Seed, u int64, levels int) {
 	for x := 0; x < levels; x++ {
 		p *= row[(uint64(u)>>uint(x))&1]
 	}
-	v.f[levels] = p
+	f, sigma := v.f[:levels+1], v.sigma[:levels]
+	f[levels] = p
+	// The product walks down in a register and σ[x] is computed as soon
+	// as f[x] is, so the levels' independent divisions overlap the serial
+	// multiply chain rather than wait for its last link, f[0].
 	for x := levels - 1; x >= 0; x-- {
-		v.f[x] = v.f[x+1] * frac[(uint64(u)>>uint(x))&1]
+		lo := p * frac[(uint64(u)>>uint(x))&1]
+		f[x], sigma[x] = lo, sigmaOf(lo, p)
+		p = lo
 	}
-	v.fillSigma()
 }
 
 // ResetNoisy is Reset for the NSKG model: it rebuilds v in place as
@@ -110,7 +115,8 @@ func (v *Vector) ResetNoisy(ns *skg.Noise, u int64, levels int) {
 		lev := ns.Level(levels - 1 - x)
 		p *= lev.RowSum((uint64(u) >> uint(x)) & 1)
 	}
-	v.f[levels] = p
+	f, sigma := v.f[:levels+1], v.sigma[:levels]
+	f[levels] = p
 	for x := levels - 1; x >= 0; x-- {
 		srcBit := (uint64(u) >> uint(x)) & 1
 		lev := ns.Level(levels - 1 - x)
@@ -119,9 +125,10 @@ func (v *Vector) ResetNoisy(ns *skg.Noise, u int64, levels int) {
 		if row > 0 {
 			frac = lev.At(srcBit, 0) / row
 		}
-		v.f[x] = v.f[x+1] * frac
+		lo := p * frac
+		f[x], sigma[x] = lo, sigmaOf(lo, p)
+		p = lo
 	}
-	v.fillSigma()
 }
 
 // NewRef builds the vector by direct Definition 2 summation of
@@ -148,13 +155,19 @@ func NewRef(k skg.Seed, u int64, levels int) *Vector {
 }
 
 func (v *Vector) fillSigma() {
-	for k := 0; k < v.levels; k++ {
-		if v.f[k] > 0 {
-			v.sigma[k] = (v.f[k+1] - v.f[k]) / v.f[k]
-		} else {
-			v.sigma[k] = math.Inf(1)
-		}
+	for k := range v.sigma {
+		v.sigma[k] = sigmaOf(v.f[k], v.f[k+1])
 	}
+}
+
+// sigmaOf is the Lemma 3 ratio σ = (hi − lo)/lo of a bit whose lower
+// and upper boundaries are F(2^k) = lo and F(2^(k+1)) = hi, and +Inf
+// when lo is not positive (the level can then only send x to 0).
+func sigmaOf(lo, hi float64) float64 {
+	if lo > 0 {
+		return (hi - lo) / lo
+	}
+	return math.Inf(1)
 }
 
 // Levels returns log2|V|.
@@ -176,9 +189,10 @@ func (v *Vector) Sigma(k int) float64 { return v.sigma[k] }
 // Determine implements Theorem 2 / Algorithm 5: it maps a uniform random
 // value x ∈ [0, RowProb()) to a destination vertex, recursing only on
 // 1 bits (Idea#2) and translating a single random value in place
-// (Idea#3). The scope loops call it for the last < Lanes destinations
-// of a scope and DrawLanes, which determines batches of draws to the
-// same bits, for the rest.
+// (Idea#3). It serves callers that draw one destination at a time
+// (erv's drawDst, teg, the experiments); the scope loops draw
+// every destination through DrawLanes, which determines batches of
+// draws to the same bits.
 //
 // The Theorem 2 search "largest k with f[k] ≤ x" is done as one downward
 // scan shared by all recursion steps: selected indices strictly
@@ -212,44 +226,37 @@ func (v *Vector) Determine(x float64) int64 {
 	return dst
 }
 
-// Lanes is how many draws DetermineBatch, the Go kernel, descends
+// lanes is how many draws determineBatch, the Go kernel, descends
 // together: four independent scalar divide chains saturate the scalar
 // divider (two gain nothing over Determine; eight in Go gain 5 %, as
-// they spill — DESIGN.md §5.1). DetermineBatch writes its lanes out by
-// hand, so the two change together.
-const Lanes = 4
+// they spill — DESIGN.md §5.1). determineBatch writes its lanes out by
+// hand, so the two change together. The Go wide kernel is two such
+// batches; callers see only WideLanes.
+const lanes = 4
 
 // WideLanes is how many draws determineWide descends together. The
-// packed divider needs two independent ymm chains of Lanes doubles to
+// packed divider needs two independent ymm chains of lanes doubles to
 // run at its throughput, and there it takes about 0.4 of the Go kernel's
 // time per draw (DESIGN.md §5.1).
-const WideLanes = 2 * Lanes
+const WideLanes = 2 * lanes
 
 // DrawLanes draws and determines the next batch of a scope's
-// destinations: WideLanes uniforms on [0, RowProb()) from src when room
-// is at least WideLanes, else Lanes when room is at least Lanes, else
-// none. It sets out[l] = Determine(x_l) for the l-th value drawn, to the
-// bit, and returns how many values it drew. A scope loop passes as room
-// the number of draws it would make next whatever they hit, so a batch
-// consumes src exactly as one Determine per draw would.
+// destinations: n = min(room, WideLanes) uniforms on [0, RowProb())
+// from src, for room ≥ 0. It sets out[l] = Determine(x_l) for the l-th
+// value drawn, to the bit, and returns n. Every batch descends all
+// WideLanes lanes; those past n hold +0, which takes no level, so a
+// short batch costs one wide pass. A scope loop
+// passes as room the number of draws it would make next whatever they
+// hit, so a batch consumes src exactly as one Determine per draw would.
 func (v *Vector) DrawLanes(src *rng.Source, room int64, out *[WideLanes]int64) int {
 	var xs [WideLanes]float64
+	n := int(min(room, WideLanes))
 	total := v.RowProb()
-	switch {
-	case room >= WideLanes:
-		for l := range xs {
-			xs[l] = src.UniformTo(total)
-		}
-		v.determineWide(&xs, out)
-		return WideLanes
-	case room >= Lanes:
-		for l := range Lanes {
-			xs[l] = src.UniformTo(total)
-		}
-		v.DetermineBatch((*[Lanes]float64)(xs[:Lanes]), (*[Lanes]int64)(out[:Lanes]))
-		return Lanes
+	for l := range xs[:n] {
+		xs[l] = src.UniformTo(total)
 	}
-	return 0
+	v.determineWide(&xs, out)
+	return n
 }
 
 // determineWide sets out[l] = Determine(xs[l]) for every lane, to the
@@ -265,11 +272,11 @@ func (v *Vector) determineWide(xs *[WideLanes]float64, out *[WideLanes]int64) {
 	v.determineWideGo(xs, out)
 }
 
-// determineWideGo is determineWide in two DetermineBatch passes: the
+// determineWideGo is determineWide in two determineBatch passes: the
 // fallback and the oracle the AVX2 kernel is tested against.
 func (v *Vector) determineWideGo(xs *[WideLanes]float64, out *[WideLanes]int64) {
-	v.DetermineBatch((*[Lanes]float64)(xs[:Lanes]), (*[Lanes]int64)(out[:Lanes]))
-	v.DetermineBatch((*[Lanes]float64)(xs[Lanes:]), (*[Lanes]int64)(out[Lanes:]))
+	v.determineBatch((*[lanes]float64)(xs[:lanes]), (*[lanes]int64)(out[:lanes]))
+	v.determineBatch((*[lanes]float64)(xs[lanes:]), (*[lanes]int64)(out[lanes:]))
 }
 
 const (
@@ -277,7 +284,7 @@ const (
 	infBits = 0x7FF << 52 // math.Float64bits(math.Inf(1))
 )
 
-// DetermineBatch sets out[l] = Determine(xs[l]) for every lane, to the
+// determineBatch sets out[l] = Determine(xs[l]) for every lane, to the
 // bit. Determine's serial compare-subtract-divide chain is latency- and
 // mispredict-bound; the draws of one scope are independent, so the batch
 // walks all levels once for all lanes, computes every lane's translated
@@ -290,7 +297,7 @@ const (
 // f[k] ≥ 0 (sign cleared so a −0 seed entry compares as +0) and f
 // non-decreasing, which a valid seed gives and skg.NewNoise keeps (it
 // draws within skg.MaxNoise whatever its tolerance admitted).
-func (v *Vector) DetermineBatch(xs *[Lanes]float64, out *[Lanes]int64) {
+func (v *Vector) determineBatch(xs *[lanes]float64, out *[lanes]int64) {
 	sigma := v.sigma
 	f := v.f[:len(sigma)]
 	x0, x1 := math.Float64bits(xs[0]), math.Float64bits(xs[1])

@@ -390,10 +390,24 @@ func TestNewRefPanicsOnHugeLevels(t *testing.T) {
 	NewRef(skg.Graph500Seed, 0, 30)
 }
 
+// BenchmarkBuildVector times one vector build: build=new allocates it,
+// as New does; build=reset refills one vector, as a scope loop does per
+// row. Levels are bench/'s sparse graph (18) and a paper-scale one (36).
 func BenchmarkBuildVector(b *testing.B) {
 	k := skg.Graph500Seed
-	for i := 0; i < b.N; i++ {
-		New(k, int64(i), 36)
+	for _, levels := range []int{18, 36} {
+		mask := int64(1)<<uint(levels) - 1
+		b.Run(fmt.Sprintf("levels=%d/build=new", levels), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				New(k, int64(i)&mask, levels)
+			}
+		})
+		b.Run(fmt.Sprintf("levels=%d/build=reset", levels), func(b *testing.B) {
+			var v Vector
+			for i := 0; i < b.N; i++ {
+				v.Reset(k, int64(i)&mask, levels)
+			}
+		})
 	}
 }
 
@@ -422,7 +436,7 @@ var benchSink int64
 
 // BenchmarkDetermineBatch reports ns per draw, not per batch, for both
 // kernels of the wide entry point: kernel=go is the Go kernel (two
-// DetermineBatch passes per WideLanes draws), kernel=avx2 the assembly
+// determineBatch passes per WideLanes draws), kernel=avx2 the assembly
 // one, skipped where the CPU or the build has none. Levels are bench/'s
 // dense (13) and sparse (18) graphs, a paper-scale graph (36) and the
 // most avs admits (47). draws=pool descends a fixed pool of draws, the
@@ -468,6 +482,26 @@ func BenchmarkDetermineBatch(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkDrawLanes times one DrawLanes call at 18 levels (bench/'s
+// sparse graph), draws included, for every room a scope loop can pass:
+// room=8 is a full batch, and rooms 1–7 are the padded calls that end a
+// scope, which cost one wide pass whatever the room. It reports ns per
+// call, and ns per kept draw beside BenchmarkDetermine's.
+func BenchmarkDrawLanes(b *testing.B) {
+	v := benchVector(18)
+	for room := int64(1); room <= WideLanes; room++ {
+		b.Run(fmt.Sprintf("room=%d", room), func(b *testing.B) {
+			src := rng.New(1)
+			var out [WideLanes]int64
+			for i := 0; i < b.N; i++ {
+				v.DrawLanes(src, room, &out)
+				benchSink += out[0]
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*room), "ns/draw")
+		})
 	}
 }
 
