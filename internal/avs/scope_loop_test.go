@@ -289,10 +289,13 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 			}
 		}
 	}
-	// The cap 64·size+1024 is a multiple of WideLanes, and the size keeps
-	// every batch full while size − len(dsts) ≥ WideLanes, so a last call
-	// the cap bounds below the size is at most WideLanes − 2 wide: an
-	// earlier call must have been narrowed by the size first.
+	// The cap 64·size+1024 is a multiple of WideLanes (16), and the size
+	// keeps every batch full while size − len(dsts) ≥ WideLanes, so a
+	// padded last call the cap bounds below the size is at most
+	// WideLanes − 2 = 14 wide: for limit − attempts to leave a remainder,
+	// an earlier call must have been narrowed by the size, after which at
+	// most WideLanes − 1 destinations are wanted, and the cap must bound
+	// the last call strictly below that. Width 15 cannot occur.
 	for width := int64(1); width <= recvec.WideLanes-2; width++ {
 		if byCap[width] == 0 {
 			t.Errorf("no scope ended on a padded call of width %d bounded by the cap (by width: %v); the cap cases no longer cover it", width, byCap)
@@ -300,9 +303,15 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 	}
 }
 
-// capSizes are the sizes of the cap cases, every size up to two wide
-// batches and one; a row runs those above the cells it reaches.
-var capSizes = []int64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+// capSizes are the sizes of the cap cases, every size from 2 up to two
+// wide batches and one; a row runs those above the cells it reaches.
+var capSizes = func() []int64 {
+	var sizes []int64
+	for size := int64(2); size <= 2*recvec.WideLanes+1; size++ {
+		sizes = append(sizes, size)
+	}
+	return sizes
+}()
 
 // TestRowProbTableMatchesSKG: the popcount table returns the bits
 // skg.RowProb returns, so binomial means and scope sizes cannot move.

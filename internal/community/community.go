@@ -583,10 +583,7 @@ func (l *Layout) newScoper(b Block, set *avs.DedupSet) (core.Scoper, func(lo, hi
 		return nil, nil, err
 	}
 	g.ShareSet(set)
-	return func(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
-		dsts := g.Scope(u, src, buf)
-		return dsts, int64(len(dsts))
-	}, g.ExpectedEdges, nil
+	return g.ScopeAttempts, g.ExpectedEdges, nil
 }
 
 // OpenPart implements core.PartSource: block id. Scope u of the block

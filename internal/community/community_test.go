@@ -469,6 +469,47 @@ func TestGoldenERVStreamBytes(t *testing.T) {
 	}
 }
 
+// TestERVBlocksReportAttempts: the attempts an ERV block reports to
+// core.Stats are its real ones, duplicates included — per row what
+// erv's ScopeAttempts returns on the executor's stream, a count erv's
+// TestScopeMatchesReferenceLoop holds to the one-draw-per-attempt loop —
+// so the dense 37×37 block, whose heavy rows end on the attempt cap,
+// reports more attempts than edges.
+func TestERVBlocksReportAttempts(t *testing.T) {
+	lay := mustLayout(t, Config{
+		Sizes:      []int64{3000, 1000, 37},
+		Mixing:     [][]float64{{6, 2, 1}, {2, 3, 1}, {1, 1, 0.6}},
+		Edges:      40000,
+		MasterSeed: 11,
+	})
+	_, st := streamLayout(t, lay, gformat.ADJ6, 2)
+	var edges, attempts, denseEdges, denseAttempts int64
+	for _, b := range lay.Blocks() {
+		rows, cols := b.SrcHi-b.SrcLo, b.DstHi-b.DstLo
+		g, err := erv.New(erv.Config{NumSrc: rows, NumDst: cols, NumEdges: b.Edges, OutDist: b.OutDist, InDist: b.InDist})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var src rng.Source
+		for u := range rows {
+			src.Reseed(b.Seed, uint64(u))
+			dsts, n := g.ScopeAttempts(u, &src, nil)
+			edges += int64(len(dsts))
+			attempts += n
+			if rows == 37 && cols == 37 {
+				denseEdges += int64(len(dsts))
+				denseAttempts += n
+			}
+		}
+	}
+	if st.Edges != edges || st.Attempts != attempts {
+		t.Fatalf("stats report %d edges after %d attempts, the blocks' rows drew %d after %d", st.Edges, st.Attempts, edges, attempts)
+	}
+	if denseAttempts <= denseEdges {
+		t.Fatalf("the dense block drew %d edges in %d attempts, want more attempts than edges", denseEdges, denseAttempts)
+	}
+}
+
 // TestGoldenAVSStreamBytes pins whole-stream bytes of the v1 sampler
 // that power-of-two intra blocks draw with (a full descent redrawing a
 // uniform at every level), without noise and with it. Communities 1024

@@ -464,20 +464,25 @@ func (g *Generator) drawDst(src *rng.Source) int64 {
 // avs.ScopeWithSize, so a near-full row comes back short rather than
 // looping; the cap is part of the stream.
 func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
+	out, _ := g.ScopeAttempts(u, src, buf)
+	return out
+}
+
+// ScopeAttempts is Scope, also returning the scope's attempts: its
+// in-range destination draws, kept or rejected as duplicates, which
+// outnumber the destinations exactly when duplicates were rejected. It
+// has the signature of core.Scoper.
+func (g *Generator) ScopeAttempts(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
 	size := g.ScopeSize(u, src)
 	out := buf[:0]
 	if size <= 0 {
-		return out
+		return out, 0
 	}
 	out = slices.Grow(out, int(size)) // known before the first draw
-	if g.cfg.AllowDuplicates {
-		for int64(len(out)) < size {
-			out = append(out, g.drawDst(src))
-		}
-		return out
-	}
+	// Under AllowDuplicates the set admits everything, so every attempt
+	// keeps its destination and the cap, above size, never binds.
 	set := g.set
-	set.Begin(size, g.cfg.NumDst, true)
+	set.Begin(size, g.cfg.NumDst, !g.cfg.AllowDuplicates)
 	attempts, limit := int64(0), 64*size+1024
 	if g.dstVec != nil {
 		// As in avs.ScopeWithSize: while n more destinations and n more
@@ -492,7 +497,7 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 		for {
 			room := min(size-int64(len(out)), limit-attempts)
 			if room <= 0 {
-				return out
+				return out, attempts
 			}
 			n, in := g.dstVec.DrawLanes(src, room, &vs), 0
 			for _, v := range vs[:n] {
@@ -511,5 +516,5 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 			out = append(out, v)
 		}
 	}
-	return out
+	return out, attempts
 }

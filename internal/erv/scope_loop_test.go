@@ -31,19 +31,14 @@ func generate(g *Generator, seed uint64, emit func(src int64, dsts []int64) erro
 
 // referenceScope is Scope as it stood before the lane-batched descent:
 // one drawDst per attempt, with a Go map for duplicates. It returns the
-// destinations and the scope size drawn, which they fall short of when
-// the scope ended on the attempt cap, and, for a destination vector,
-// what each uniform the draws consumed did, for lastBatch.
-func referenceScope(g *Generator, u int64, src *rng.Source) (out []int64, size int64, draws []drawn) {
+// destinations, the scope size drawn, which they fall short of when the
+// scope ended on the attempt cap, the attempts made and, for a
+// destination vector, what each uniform the draws consumed did, for
+// lastBatch.
+func referenceScope(g *Generator, u int64, src *rng.Source) (out []int64, size, attempts int64, draws []drawn) {
 	size = g.ScopeSize(u, src)
 	if size <= 0 {
-		return nil, size, nil
-	}
-	if g.cfg.AllowDuplicates {
-		for int64(len(out)) < size {
-			out = append(out, g.drawDst(src))
-		}
-		return out, size, nil
+		return nil, size, 0, nil
 	}
 	draw := g.drawDst
 	if g.dstVec != nil {
@@ -58,23 +53,32 @@ func referenceScope(g *Generator, u int64, src *rng.Source) (out []int64, size i
 			}
 		}
 	}
-	seen := make(map[int64]bool)
-	attempts := int64(0)
-	for int64(len(out)) < size && attempts < 64*size+1024 {
-		attempts++
-		v := draw(src)
-		if seen[v] {
-			draws = append(draws, repeat)
-			continue
+	if g.cfg.AllowDuplicates {
+		for int64(len(out)) < size {
+			out = append(out, draw(src))
+			draws = append(draws, kept)
 		}
-		draws = append(draws, kept)
-		seen[v] = true
-		out = append(out, v)
+	} else {
+		seen := make(map[int64]bool)
+		for int64(len(out)) < size && attempts < 64*size+1024 {
+			attempts++
+			v := draw(src)
+			if seen[v] {
+				draws = append(draws, repeat)
+				continue
+			}
+			draws = append(draws, kept)
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	if g.cfg.AllowDuplicates {
+		attempts = int64(len(out))
 	}
 	if g.dstVec == nil {
 		draws = nil
 	}
-	return out, size, draws
+	return out, size, attempts, draws
 }
 
 // drawn is what one uniform of a destination-vector draw did.
@@ -112,18 +116,55 @@ func lastBatch(draws []drawn, size int64) (width int64, byCap bool) {
 
 // TestScopeMatchesReferenceLoop is the twin of avs's test of the same
 // name: Scope with its padded batches emits the destinations of the
-// one-draw-per-attempt loop, in its order, and leaves the stream where
-// that loop leaves it. Destination ranges are mostly not powers of two,
-// so out-of-range draws are skipped uncounted inside batches and the
-// attempt cap falls anywhere in a batch. Out distributions ask for every
-// size up to two wide batches and one — so a last call of every width
-// bounded by the size — and for all of a range whose rare cells stay
-// unhit, which ends on the cap: a last call of every width below
-// WideLanes must be bounded by the cap while more destinations were
-// still wanted. (A size above the range is clamped to it, so only skewed
-// in-distributions leave cells unhit: about one scope in fifty ends on
-// the cap.)
+// one-draw-per-attempt loop, in its order, after as many attempts, and
+// leaves the stream where that loop leaves it. Destination ranges are
+// mostly not powers of two, so out-of-range draws are skipped uncounted
+// inside batches and the attempt cap falls anywhere in a batch. Out
+// distributions ask for every size up to two wide batches and one — so
+// a last call of every width bounded by the size — and for all of a
+// range whose rare cells stay unhit, which ends on the cap. (A size
+// above the range is clamped to it, so only skewed in-distributions
+// leave cells unhit: about one scope in fifty ends on the cap.) Rows of
+// a steep in-distribution asked for all of their range then end on the
+// cap with a shortfall of a wide batch or more, so a last call of every
+// width below WideLanes must be bounded by the cap while more
+// destinations were still wanted.
 func TestScopeMatchesReferenceLoop(t *testing.T) {
+	var scopes, cappedAll, batched int
+	// byCap counts batched scopes whose last call the attempt cap bounded
+	// below the size, by the call's width.
+	byCap := make(map[int64]int)
+	// check runs scope u of cfg both ways on equal streams.
+	check := func(cfg Config, u int64) {
+		t.Helper()
+		g, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := rng.NewScoped(uint64(cfg.NumDst), uint64(u)), rng.NewScoped(uint64(cfg.NumDst), uint64(u))
+		wantDsts, size, wantAttempts, draws := referenceScope(g, u, want)
+		gotDsts, attempts := g.ScopeAttempts(u, got, nil)
+		if !slices.Equal(gotDsts, wantDsts) || attempts != wantAttempts {
+			t.Fatalf("NumDst %d in %v out %v dups %v u %d: got %d destinations after %d attempts %v, reference %d after %d %v",
+				cfg.NumDst, cfg.InDist.Kind, cfg.OutDist, cfg.AllowDuplicates, u, len(gotDsts), attempts, gotDsts, len(wantDsts), wantAttempts, wantDsts)
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("NumDst %d in %v out %v dups %v u %d: stream position after the scope differs from the reference loop's",
+				cfg.NumDst, cfg.InDist.Kind, cfg.OutDist, cfg.AllowDuplicates, u)
+		}
+		scopes++
+		if size > int64(len(wantDsts)) {
+			cappedAll++
+		}
+		if draws == nil {
+			return // no destination vector: not batched
+		}
+		batched++
+		if width, capped := lastBatch(draws, size); capped {
+			byCap[width]++
+		}
+	}
+
 	ins := []Dist{
 		{Kind: Zipfian, Slope: -2.5},
 		{Kind: Zipfian, Slope: -0.7},
@@ -131,10 +172,6 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 		{Kind: Uniform},
 		{Kind: Empirical, Weights: []float64{5, 0, 1, 3}},
 	}
-	var scopes, cappedAll, batched int
-	// byCap counts batched scopes whose last call the attempt cap bounded
-	// below the size, by the call's width.
-	byCap := make(map[int64]int)
 	for _, numDst := range []int64{1, 3, 5, 16, 37, 100, 1000, 4097} {
 		outs := []Dist{
 			{Kind: Uniform, Min: numDst - 2, Max: numDst},
@@ -153,39 +190,25 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 					OutDist: out, InDist: in,
 					AllowDuplicates: (i+j)%5 == 4,
 				}
-				g, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for u := int64(0); u < cfg.NumSrc; u++ {
-					want, got := rng.NewScoped(uint64(numDst), uint64(u)), rng.NewScoped(uint64(numDst), uint64(u))
-					wantDsts, size, draws := referenceScope(g, u, want)
-					gotDsts := g.Scope(u, got, nil)
-					if !slices.Equal(gotDsts, wantDsts) {
-						t.Fatalf("NumDst %d in %v out %v dups %v u %d: got %d destinations %v, reference %d %v",
-							numDst, in.Kind, out, cfg.AllowDuplicates, u, len(gotDsts), gotDsts, len(wantDsts), wantDsts)
-					}
-					if got.Uint64() != want.Uint64() {
-						t.Fatalf("NumDst %d in %v out %v dups %v u %d: stream position after the scope differs from the reference loop's",
-							numDst, in.Kind, out, cfg.AllowDuplicates, u)
-					}
-					scopes++
-					if size > int64(len(wantDsts)) {
-						cappedAll++
-					}
-					if draws == nil {
-						continue // no destination vector, or no dedup: not batched
-					}
-					batched++
-					if width, capped := lastBatch(draws, size); capped {
-						byCap[width]++
-					}
+					check(cfg, u)
 				}
 			}
 		}
 	}
 	if cappedAll < scopes/50 || batched < scopes/5 {
 		t.Errorf("of %d scopes %d ended on the attempt cap and %d had a batched phase; the sweep no longer covers them", scopes, cappedAll, batched)
+	}
+
+	for _, numDst := range []int64{37, 100, 300} {
+		cfg := Config{
+			NumSrc: 128, NumDst: numDst, NumEdges: numDst,
+			OutDist: Dist{Kind: Uniform, Min: numDst, Max: numDst},
+			InDist:  Dist{Kind: Zipfian, Slope: -2.5},
+		}
+		for u := int64(0); u < cfg.NumSrc; u++ {
+			check(cfg, u)
+		}
 	}
 	for width := int64(1); width < recvec.WideLanes; width++ {
 		if byCap[width] == 0 {

@@ -84,33 +84,36 @@ func checkDetermine(t *testing.T, v *Vector, xs ...float64) {
 
 // wideKernels are the two implementations of the wide entry point:
 // whatever determineWide dispatches to on this machine and build, and the
-// Go fallback, called explicitly, whose halves are determineBatch. Where
-// the build has no AVX2 kernel they coincide.
+// Go fallback, called explicitly, whose passes are determineBatch. Where
+// the build has no AVX2 kernels they coincide.
 var wideKernels = []struct {
 	name      string
-	determine func(*Vector, *[WideLanes]float64, *[WideLanes]int64)
+	determine func(*Vector, *[WideLanes]float64, *[WideLanes]int64, int)
 }{
 	{"determineWide", (*Vector).determineWide},
 	{"determineWideGo", (*Vector).determineWideGo},
 }
 
-// checkWide puts every cyclic window of WideLanes consecutive xs through
-// both wide kernels, which must agree with Determine lane for lane; the
-// windows wrap around, so every x passes through every lane.
+// checkWide puts every cyclic window of consecutive xs through both wide
+// kernels at both widths, WideLanes/2 (the two-chain pass) and WideLanes
+// (the four-chain pass), which must agree with Determine lane for lane;
+// the windows wrap around, so every x passes through every lane.
 func checkWide(t *testing.T, v *Vector, xs []float64) {
 	t.Helper()
-	for i := range xs {
-		var window [WideLanes]float64
-		var want [WideLanes]int64
-		for l := range window {
-			window[l] = xs[(i+l)%len(xs)]
-			want[l] = v.Determine(window[l])
-		}
-		for _, k := range wideKernels {
-			var got [WideLanes]int64
-			k.determine(v, &window, &got)
-			if got != want {
-				t.Fatalf("levels %d u %d xs %v: %s %v, Determine %v (f %v)", v.levels, v.u, window, k.name, got, want, v.f)
+	for _, width := range []int{WideLanes / 2, WideLanes} {
+		for i := range xs {
+			var window [WideLanes]float64
+			var want [WideLanes]int64
+			for l := range width {
+				window[l] = xs[(i+l)%len(xs)]
+				want[l] = v.Determine(window[l])
+			}
+			for _, k := range wideKernels {
+				var got [WideLanes]int64
+				k.determine(v, &window, &got, width)
+				if got != want {
+					t.Fatalf("levels %d u %d width %d xs %v: %s %v, Determine %v (f %v)", v.levels, v.u, width, window, k.name, got, want, v.f)
+				}
 			}
 		}
 	}
@@ -254,7 +257,10 @@ func TestDrawLanesRoom(t *testing.T) {
 		New(skg.Seed{A: 0, B: 0.6, C: 0.3, D: 0.1}, 0b0110, 5),
 		NewNoisy(ns, 12345, 18),
 	}
-	rooms := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1 << 40}
+	rooms := []int64{1 << 40}
+	for room := int64(0); room <= WideLanes+1; room++ {
+		rooms = append(rooms, room)
+	}
 	for i, v := range vecs {
 		for _, room := range rooms {
 			src, twin := rng.NewScoped(uint64(i), uint64(room)), rng.NewScoped(uint64(i), uint64(room))

@@ -230,53 +230,65 @@ func (v *Vector) Determine(x float64) int64 {
 // together: four independent scalar divide chains saturate the scalar
 // divider (two gain nothing over Determine; eight in Go gain 5 %, as
 // they spill — DESIGN.md §5.1). determineBatch writes its lanes out by
-// hand, so the two change together. The Go wide kernel is two such
-// batches; callers see only WideLanes.
+// hand, so the two change together. The Go wide kernel is two or four
+// such batches; callers see only WideLanes.
 const lanes = 4
 
-// WideLanes is how many draws determineWide descends together. The
-// packed divider needs two independent ymm chains of lanes doubles to
-// run at its throughput, and there it takes about 0.4 of the Go kernel's
-// time per draw (DESIGN.md §5.1).
-const WideLanes = 2 * lanes
+// WideLanes is the most draws one DrawLanes call determines: four ymm
+// chains of lanes doubles. One chain's subtract–divide–blend takes about
+// 20 cycles per level, with two chains' VDIVPDs in it, while the packed
+// divider accepts one about every 8; four chains keep it busy, at about
+// 32 cycles per level for twice the lanes (DESIGN.md §5.1 "Wide
+// descent").
+const WideLanes = 4 * lanes
 
 // DrawLanes draws and determines the next batch of a scope's
 // destinations: n = min(room, WideLanes) uniforms on [0, RowProb())
 // from src, for room ≥ 0. It sets out[l] = Determine(x_l) for the l-th
-// value drawn, to the bit, and returns n. Every batch descends all
-// WideLanes lanes; those past n hold +0, which takes no level, so a
-// short batch costs one wide pass. A scope loop
-// passes as room the number of draws it would make next whatever they
-// hit, so a batch consumes src exactly as one Determine per draw would.
+// value drawn, to the bit, and returns n. A batch of n ≤ WideLanes/2
+// descends the two-chain kernel's WideLanes/2 lanes, a larger one all
+// WideLanes; lanes past n hold +0, which takes no level, so a short
+// batch costs one pass of its kernel. A scope loop passes as room the
+// number of draws it would make next whatever they hit, so a batch
+// consumes src exactly as one Determine per draw would.
 func (v *Vector) DrawLanes(src *rng.Source, room int64, out *[WideLanes]int64) int {
 	var xs [WideLanes]float64
 	n := int(min(room, WideLanes))
-	total := v.RowProb()
-	for l := range xs[:n] {
-		xs[l] = src.UniformTo(total)
-	}
-	v.determineWide(&xs, out)
+	src.UniformsTo(xs[:n], v.RowProb())
+	v.determineWide(&xs, out, n)
 	return n
 }
 
-// determineWide sets out[l] = Determine(xs[l]) for every lane, to the
-// bit: by the AVX2 kernel where the CPU has AVX2 and the build has
-// assembly, else by determineWideGo. IEEE subtraction and division are
-// correctly rounded whether issued as DIVSD or packed VDIVPD, and Go
-// sets neither FTZ nor DAZ, so both give the same bits.
-func (v *Vector) determineWide(xs *[WideLanes]float64, out *[WideLanes]int64) {
-	if hasAVX2 {
-		determineWideAVX2(v.f, v.sigma, xs, out)
-		return
+// determineWide sets out[l] = Determine(xs[l]) to the bit for every lane
+// of the pass n selects: the first WideLanes/2 when n ≤ WideLanes/2,
+// else all WideLanes (a 16-lane pass costs about 1.6 of an 8-lane one,
+// so short batches keep the narrow pass). It runs the AVX2 kernels
+// where the CPU has AVX2 and the build has assembly, else
+// determineWideGo. IEEE subtraction and division are correctly rounded
+// whether issued as DIVSD or packed VDIVPD, and Go sets neither FTZ nor
+// DAZ, so all give the same bits.
+func (v *Vector) determineWide(xs *[WideLanes]float64, out *[WideLanes]int64, n int) {
+	switch {
+	case !hasAVX2:
+		v.determineWideGo(xs, out, n)
+	case n <= WideLanes/2:
+		determine8AVX2(v.f, v.sigma, (*[WideLanes / 2]float64)(xs[:]), (*[WideLanes / 2]int64)(out[:]))
+	default:
+		determine16AVX2(v.f, v.sigma, xs, out)
 	}
-	v.determineWideGo(xs, out)
 }
 
-// determineWideGo is determineWide in two determineBatch passes: the
-// fallback and the oracle the AVX2 kernel is tested against.
-func (v *Vector) determineWideGo(xs *[WideLanes]float64, out *[WideLanes]int64) {
-	v.determineBatch((*[lanes]float64)(xs[:lanes]), (*[lanes]int64)(out[:lanes]))
-	v.determineBatch((*[lanes]float64)(xs[lanes:]), (*[lanes]int64)(out[lanes:]))
+// determineWideGo is determineWide in determineBatch passes, two when
+// n ≤ WideLanes/2 and four otherwise: the fallback and the oracle the
+// AVX2 kernels are tested against lane for lane.
+func (v *Vector) determineWideGo(xs *[WideLanes]float64, out *[WideLanes]int64, n int) {
+	width := WideLanes
+	if n <= WideLanes/2 {
+		width = WideLanes / 2
+	}
+	for l := 0; l < width; l += lanes {
+		v.determineBatch((*[lanes]float64)(xs[l:]), (*[lanes]int64)(out[l:]))
+	}
 }
 
 const (

@@ -434,10 +434,11 @@ func BenchmarkDetermine(b *testing.B) {
 // benchSink keeps the benchmarks' destinations live.
 var benchSink int64
 
-// BenchmarkDetermineBatch reports ns per draw, not per batch, for both
-// kernels of the wide entry point: kernel=go is the Go kernel (two
-// determineBatch passes per WideLanes draws), kernel=avx2 the assembly
-// one, skipped where the CPU or the build has none. Levels are bench/'s
+// BenchmarkDetermineBatch reports ns per draw, not per pass, for both
+// kernels of the wide entry point at both pass widths: kernel=go is the
+// Go kernel (a determineBatch pass per four lanes), kernel=avx2 the
+// assembly ones, skipped where the CPU or the build has none; lanes=8 is
+// the two-chain pass, lanes=16 the four-chain one. Levels are bench/'s
 // dense (13) and sparse (18) graphs, a paper-scale graph (36) and the
 // most avs admits (47). draws=pool descends a fixed pool of draws, the
 // kernel alone; draws=rng draws every value first, as DrawLanes does,
@@ -446,40 +447,40 @@ func BenchmarkDetermineBatch(b *testing.B) {
 	kernels := []struct {
 		name      string
 		available bool
-		determine func(*Vector, *[WideLanes]float64, *[WideLanes]int64)
+		determine func(*Vector, *[WideLanes]float64, *[WideLanes]int64, int)
 	}{
 		{"go", true, (*Vector).determineWideGo},
 		{"avx2", hasAVX2, (*Vector).determineWide},
 	}
 	for _, k := range kernels {
-		for _, levels := range []int{13, 18, 36, 47} {
-			for _, draws := range []string{"pool", "rng"} {
-				fromPool := draws == "pool"
-				b.Run(fmt.Sprintf("kernel=%s/levels=%d/draws=%s", k.name, levels, draws), func(b *testing.B) {
-					if !k.available {
-						b.Skip("no AVX2 kernel on this CPU or in this build")
-					}
-					v := benchVector(levels)
-					src := rng.New(1)
-					pool := make([]float64, 4096)
-					for i := range pool {
-						pool[i] = src.UniformTo(v.RowProb())
-					}
-					var xs [WideLanes]float64
-					var out [WideLanes]int64
-					b.ResetTimer()
-					for i := 0; i < b.N; i += WideLanes {
-						in := (*[WideLanes]float64)(pool[i%len(pool):])
-						if !fromPool {
-							for l := range xs {
-								xs[l] = src.UniformTo(v.RowProb())
-							}
-							in = &xs
+		for _, width := range []int{WideLanes / 2, WideLanes} {
+			for _, levels := range []int{13, 18, 36, 47} {
+				for _, draws := range []string{"pool", "rng"} {
+					fromPool := draws == "pool"
+					b.Run(fmt.Sprintf("kernel=%s/lanes=%d/levels=%d/draws=%s", k.name, width, levels, draws), func(b *testing.B) {
+						if !k.available {
+							b.Skip("no AVX2 kernel on this CPU or in this build")
 						}
-						k.determine(v, in, &out)
-						benchSink += out[0] + out[WideLanes-1]
-					}
-				})
+						v := benchVector(levels)
+						src := rng.New(1)
+						pool := make([]float64, 4096+WideLanes)
+						for i := range pool {
+							pool[i] = src.UniformTo(v.RowProb())
+						}
+						var xs [WideLanes]float64
+						var out [WideLanes]int64
+						b.ResetTimer()
+						for i := 0; i < b.N; i += width {
+							in := (*[WideLanes]float64)(pool[i%4096:])
+							if !fromPool {
+								src.UniformsTo(xs[:width], v.RowProb())
+								in = &xs
+							}
+							k.determine(v, in, &out, width)
+							benchSink += out[0] + out[width-1]
+						}
+					})
+				}
 			}
 		}
 	}
@@ -487,9 +488,10 @@ func BenchmarkDetermineBatch(b *testing.B) {
 
 // BenchmarkDrawLanes times one DrawLanes call at 18 levels (bench/'s
 // sparse graph), draws included, for every room a scope loop can pass:
-// room=8 is a full batch, and rooms 1–7 are the padded calls that end a
-// scope, which cost one wide pass whatever the room. It reports ns per
-// call, and ns per kept draw beside BenchmarkDetermine's.
+// room=16 is a full batch; rooms 1–8 are the calls the two-chain pass
+// serves and rooms 9–16 the four-chain one, each costing one pass of its
+// kernel whatever the room. It reports ns per call, and ns per kept draw
+// beside BenchmarkDetermine's.
 func BenchmarkDrawLanes(b *testing.B) {
 	v := benchVector(18)
 	for room := int64(1); room <= WideLanes; room++ {

@@ -86,15 +86,22 @@ func (r *Source) Reseed(master uint64, scope uint64) {
 // Uint64 returns the next 64 random bits.
 func (r *Source) Uint64() uint64 {
 	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	var x uint64
+	x, s[0], s[1], s[2], s[3] = next(s[0], s[1], s[2], s[3])
+	return x
+}
+
+// next is one xoshiro256** step: the output of state (s0, s1, s2, s3)
+// and the state after it.
+func next(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return x, s0, s1, s2, bits.RotateLeft64(s3, 45)
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.
@@ -105,6 +112,21 @@ func (r *Source) Float64() float64 {
 // UniformTo returns a uniform float64 in [0, hi).
 func (r *Source) UniformTo(hi float64) float64 {
 	return r.Float64() * hi
+}
+
+// UniformsTo sets xs[i] to the i-th of len(xs) successive UniformTo(hi)
+// values, bit for bit, and leaves r where those calls would leave it.
+// The xoshiro state stays in locals for the whole batch and is stored
+// back once, where UniformTo loads and stores it per value. The cached
+// normal variate is untouched, as UniformTo leaves it.
+func (r *Source) UniformsTo(xs []float64, hi float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range xs {
+		var x uint64
+		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		xs[i] = float64(x>>11) / (1 << 53) * hi
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // UniformIn returns a uniform float64 in [lo, hi).

@@ -228,6 +228,34 @@ func BenchmarkUint64(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkUniforms reports ns per uniform for a batch of 16 drawn as
+// DrawLanes draws them, by call=UniformTo (one call per value) and by
+// call=UniformsTo (one call per batch).
+func BenchmarkUniforms(b *testing.B) {
+	for _, batched := range []bool{false, true} {
+		name := "call=UniformTo"
+		if batched {
+			name = "call=UniformsTo"
+		}
+		b.Run(name, func(b *testing.B) {
+			r := New(1)
+			var xs [16]float64
+			var sink float64
+			for i := 0; i < b.N; i += len(xs) {
+				if batched {
+					r.UniformsTo(xs[:], 0.75)
+				} else {
+					for l := range xs {
+						xs[l] = r.UniformTo(0.75)
+					}
+				}
+				sink += xs[0] + xs[len(xs)-1]
+			}
+			_ = sink
+		})
+	}
+}
+
 func BenchmarkNormal(b *testing.B) {
 	r := New(1)
 	var sink float64
@@ -266,4 +294,55 @@ func TestReseedEqualsNewScoped(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkUniformsTo fills n values with UniformsTo(hi) on one copy of src
+// and draws n UniformTo(hi) values on another: the values must match bit
+// for bit, both copies must then give the same next Uint64, and a
+// following Normal — cached spare or fresh pair — must be unchanged.
+func checkUniformsTo(t *testing.T, src Source, n int, hi float64) {
+	t.Helper()
+	batch, one := src, src
+	xs := make([]float64, n)
+	batch.UniformsTo(xs, hi)
+	for i, x := range xs {
+		if want := one.UniformTo(hi); math.Float64bits(x) != math.Float64bits(want) {
+			t.Fatalf("n %d hi %v: value %d is %v, UniformTo gives %v", n, hi, i, x, want)
+		}
+	}
+	if a, b := batch.Normal(1, 2), one.Normal(1, 2); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("n %d hi %v: Normal after the batch %v, after UniformTo %v", n, hi, a, b)
+	}
+	if a, b := batch.Uint64(), one.Uint64(); a != b {
+		t.Fatalf("n %d hi %v: next Uint64 %#x, after UniformTo %#x", n, hi, a, b)
+	}
+}
+
+// TestUniformsToMatchesUniformTo: UniformsTo is n UniformTo calls for
+// every batch width up to one past DrawLanes' widest, on bounds that
+// include 0 and a subnormal, with and without a cached normal spare.
+func TestUniformsToMatchesUniformTo(t *testing.T) {
+	his := []float64{0, math.SmallestNonzeroFloat64, 1, 3.5e-9, 100 * New(17).Float64()}
+	for n := 0; n <= 17; n++ {
+		for i, hi := range his {
+			src := NewScoped(uint64(n), uint64(i))
+			checkUniformsTo(t, *src, n, hi)
+			src.Normal(0, 1) // leaves a spare
+			checkUniformsTo(t, *src, n, hi)
+		}
+	}
+}
+
+func FuzzUniformsTo(f *testing.F) {
+	f.Add(uint64(1), uint8(16), 1.0, false)
+	f.Add(uint64(2), uint8(0), 0.0, true)
+	f.Add(uint64(3), uint8(17), math.SmallestNonzeroFloat64, true)
+	f.Add(uint64(4), uint8(9), 0.25, false)
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, hi float64, spare bool) {
+		src := New(seed)
+		if spare {
+			src.Normal(0, 1)
+		}
+		checkUniformsTo(t, *src, int(n%18), hi)
+	})
 }

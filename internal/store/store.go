@@ -186,6 +186,10 @@ type Store struct {
 	// (SetPressureLevel); cached artifacts are the cheapest thing to
 	// give back when the disk fills — they can always be regenerated.
 	level pressure.Level
+
+	// verifySnapshotted, when set (by tests only), runs in VerifyAll
+	// between the listing snapshot and the first hash.
+	verifySnapshotted func()
 }
 
 // Open opens (creating if needed) the store rooted at dir: the object
@@ -839,6 +843,9 @@ func (s *Store) List() []Info {
 // error is returned alongside whatever it found.
 func (s *Store) VerifyAll() (checked int, corrupt []Key, err error) {
 	infos := s.List()
+	if s.verifySnapshotted != nil {
+		s.verifySnapshotted()
+	}
 	bad := make([]bool, len(infos))
 	errs := make([]error, len(infos))
 	verify := func(i int) {
