@@ -73,7 +73,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.maxStreams, "max-streams", 4, "concurrently streaming jobs (scheduler slots)")
 	fs.IntVar(&o.maxJobs, "max-jobs", 1024, "job registry capacity")
-	fs.IntVar(&o.maxWorkers, "max-workers", 0, "parts generated concurrently per job (0 = GOMAXPROCS)")
+	fs.IntVar(&o.maxWorkers, "max-workers", 0, "threads generating one job (0 = GOMAXPROCS)")
 	fs.IntVar(&o.maxScale, "max-scale", 34, "largest accepted scale")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "graceful shutdown bound")
 	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")

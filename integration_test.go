@@ -519,16 +519,8 @@ func TestPartExecutorConformance(t *testing.T) {
 					batch.Write(b)
 				}
 				for _, workers := range []int{1, 3} {
-					i := 0
-					next := func() (int, partition.Range, bool) {
-						if i == len(ids) {
-							return 0, partition.Range{}, false
-						}
-						i++
-						return ids[i-1], ranges[i-1], true
-					}
 					streamed := sha256.New()
-					if _, err := core.StreamParts(context.Background(), tc.src, format, next, workers, streamed, nil); err != nil {
+					if _, err := core.StreamParts(context.Background(), tc.src, format, ranges, ids, workers, streamed, nil, nil); err != nil {
 						t.Fatalf("%s workers %d: %v", row, workers, err)
 					}
 					if got, want := hex.EncodeToString(streamed.Sum(nil)), hex.EncodeToString(batch.Sum(nil)); got != want {

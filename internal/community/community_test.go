@@ -54,17 +54,9 @@ func streamLayout(t *testing.T, lay *Layout, format gformat.Format, workers int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	next := func() (int, partition.Range, bool) {
-		if i == len(ids) {
-			return 0, partition.Range{}, false
-		}
-		i++
-		return ids[i-1], ranges[i-1], true
-	}
 	var buf bytes.Buffer
 	var scopes atomic.Int64
-	st, err := core.StreamParts(context.Background(), lay, format, next, workers, &buf, func(_ int, done core.Stats) error {
+	st, err := core.StreamParts(context.Background(), lay, format, ranges, ids, workers, &buf, nil, func(_ int, done core.Stats) error {
 		scopes.Add(done.Scopes)
 		return nil
 	})

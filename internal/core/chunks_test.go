@@ -25,6 +25,7 @@ type drawMeter struct {
 	mu       sync.Mutex
 	attempts map[*avs.DedupSet]int64 // per thread
 	rows     []int64                 // attempts by local row, if non-nil
+	scopes   int64                   // rows drawn
 	// gap counts destinations drawn and not yet handed to a writer: what
 	// the run-ahead buffers hold, plus the scope a head thread is about to
 	// write. peak is its high-water mark.
@@ -50,6 +51,7 @@ func (m *drawMeter) OpenPart(id int, r partition.Range) (Part, error) {
 			dsts, attempts := scope(u, src, buf)
 			m.mu.Lock()
 			m.attempts[set] += attempts
+			m.scopes++
 			if m.rows != nil {
 				m.rows[u] = attempts
 			}
@@ -129,7 +131,7 @@ func TestChunkSchedulerBalancesAttempts(t *testing.T) {
 	for i := range writers {
 		writers[i] = gformat.NewDiscardWriter(gformat.ADJ6)
 	}
-	s := openParts(cfg, ranges, seqIDs(threads), writers, threads, nil, nil)
+	s := openParts(cfg, ranges, seqIDs(threads), writers, threads, false, nil, nil)
 	type thread struct {
 		clock, drew int64
 		p           *partRun
@@ -196,13 +198,17 @@ func TestChunkSchedulerBalancesAttempts(t *testing.T) {
 }
 
 // TestChunkSchedulerRunaheadBounded holds the writer of the part with
-// the hub rows at its first scope until the other threads have run as
-// far ahead as they will, and counts what they buffered: never more
-// expected edges than the window, so never more destinations than the
-// window plus the head chunk each thread has in hand. Every chunk is
-// drawn into a buffer before it is written, so one thread holds at most
-// one chunk or one row, whichever is larger — at Scale 15 the hub row,
-// which is the largest chunk, so one thread's peak is the largest scope.
+// the hub rows at its first scope while the other threads run ahead, and
+// counts what they buffered: never more expected edges than the window,
+// so never more destinations than the window plus the head chunk each
+// thread has in hand. Every chunk is drawn into a buffer before it is
+// written, so one thread holds at most one chunk or one row, whichever is
+// larger — at Scale 15 the hub row, which is the largest chunk, so one
+// thread's peak is the largest scope. The bound is the same whether the
+// run is unordered — the held part is released once every other part is
+// written and closed — or ordered, as a stream is, where no part behind
+// the held one may write, so every chunk of theirs is drawn ahead — it is
+// released once the other threads have stalled.
 func TestChunkSchedulerRunaheadBounded(t *testing.T) {
 	const parts = 3
 	threads := min(parts, runtime.GOMAXPROCS(0))
@@ -216,30 +222,57 @@ func TestChunkSchedulerRunaheadBounded(t *testing.T) {
 	}
 	window := int64(aheadEdges * threads)
 
-	m := newDrawMeter(cfg)
-	var closed sync.WaitGroup // the parts behind the held one
-	closed.Add(parts - 1)
-	sinks := func(worker int, r partition.Range) (gformat.Writer, error) {
-		return &heldWriter{Writer: gformat.NewDiscardWriter(gformat.ADJ6), first: worker == 0, closed: &closed}, nil
-	}
-	st, err := GenerateParts(m, ranges, seqIDs(parts), m.sinks(sinks), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Edges < 4*window {
-		t.Fatalf("%d edges do not exercise a %d-edge window", st.Edges, window)
-	}
-	// While part 0's writer was held, every other part was drawn and
-	// closed: whatever could run ahead of it did.
-	if m.peak < chunkEdges/2 {
-		t.Fatalf("only %d destinations ever ran ahead: no chunk was drawn behind the held head", m.peak)
-	}
-	if bound := window + window/8 + int64(threads)*max(chunkEdges+chunkEdges/8, st.MaxDegree); m.peak > bound {
-		t.Fatalf("%d destinations buffered ahead of the writers, bound %d", m.peak, bound)
+	for _, ordered := range []bool{false, true} {
+		m := newDrawMeter(cfg)
+		var s *chunkSched
+		var closed sync.WaitGroup // the parts behind the held one
+		closed.Add(parts - 1)
+		writers := make([]gformat.Writer, parts)
+		for i := range writers {
+			h := &heldWriter{Writer: gformat.NewDiscardWriter(gformat.ADJ6)}
+			switch {
+			case i > 0:
+				h.closed = closed.Done
+			case ordered:
+				h.hold = func() {
+					for !stalled(s) {
+						runtime.Gosched()
+					}
+				}
+			default:
+				h.hold = closed.Wait
+			}
+			writers[i] = drawMeterWriter{h, m}
+		}
+		s = openParts(m, ranges, seqIDs(parts), writers, threads, ordered, nil, nil)
+		var wg sync.WaitGroup
+		for i := 0; i < threads; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.work()
+			}()
+		}
+		wg.Wait()
+		st := s.total(ranges, 0)
+		for _, p := range s.parts {
+			if p.err != nil {
+				t.Fatalf("ordered %v: %v", ordered, p.err)
+			}
+		}
+		if st.Edges < 4*window {
+			t.Fatalf("%d edges do not exercise a %d-edge window", st.Edges, window)
+		}
+		if m.peak < chunkEdges/2 {
+			t.Fatalf("ordered %v: only %d destinations ever ran ahead: no chunk was drawn behind the held head", ordered, m.peak)
+		}
+		if bound := window + window/8 + int64(threads)*max(chunkEdges+chunkEdges/8, st.MaxDegree); m.peak > bound {
+			t.Fatalf("ordered %v: %d destinations buffered ahead of the writers, bound %d", ordered, m.peak, bound)
+		}
 	}
 
 	one := newDrawMeter(cfg)
-	st, err = GenerateParts(one, []partition.Range{{Lo: 0, Hi: cfg.NumVertices()}}, seqIDs(1), one.sinks(DiscardSinks(gformat.ADJ6)), nil)
+	st, err := GenerateParts(one, []partition.Range{{Lo: 0, Hi: cfg.NumVertices()}}, seqIDs(1), one.sinks(DiscardSinks(gformat.ADJ6)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,26 +281,46 @@ func TestChunkSchedulerRunaheadBounded(t *testing.T) {
 	}
 }
 
-// heldWriter is a sink that blocks: the first part's refuses its first
-// scope until every other part has been closed.
+// stalled reports whether no thread of s can take a chunk: every chunk
+// taken is drawn, and every part with rows left has been probed since
+// its last chunk was taken and has no room in the window for its next —
+// in an ordered run whose turn part is held at its first chunk, where
+// the threads that run ahead stop.
+func stalled(s *chunkSched) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.parts {
+		for _, c := range p.queue {
+			if !c.drawn {
+				return false
+			}
+		}
+		if p.next < p.Hi && (p.cut <= p.next || s.ahead+p.cost <= s.window) {
+			return false
+		}
+	}
+	return true
+}
+
+// heldWriter is a sink that blocks: hold, if set, runs before its first
+// scope, and closed, if set, when it is closed.
 type heldWriter struct {
 	gformat.Writer
-	first  bool
-	held   bool
-	closed *sync.WaitGroup
+	hold   func()
+	closed func()
 }
 
 func (w *heldWriter) WriteScope(src int64, dsts []int64) error {
-	if w.first && !w.held {
-		w.held = true
-		w.closed.Wait()
+	if w.hold != nil {
+		w.hold()
+		w.hold = nil
 	}
 	return w.Writer.WriteScope(src, dsts)
 }
 
 func (w *heldWriter) Close() error {
-	if !w.first {
-		w.closed.Done()
+	if w.closed != nil {
+		w.closed()
 	}
 	return w.Writer.Close()
 }
@@ -324,12 +377,12 @@ func TestChunkSchedulerFailedAndBlockedParts(t *testing.T) {
 		w, err := inner(worker, r)
 		switch worker {
 		case 0: // blocks at its first scope until part 2 is closed
-			return &heldWriter{Writer: w, first: true, closed: &sibling}, err
+			return &heldWriter{Writer: w, hold: sibling.Wait}, err
 		case 1, 3: // fail in the middle
 			rows := int(r.Hi - r.Lo)
 			return &breakingWriter{Writer: w, n: rows / 2, closed: &closedParts[worker]}, err
 		default:
-			return &heldWriter{Writer: w, closed: &sibling}, err
+			return &heldWriter{Writer: w, closed: sibling.Done}, err
 		}
 	}, nil)
 	if !errors.Is(err, errSinkFull) || !strings.Contains(err.Error(), "worker 1:") {

@@ -330,7 +330,7 @@ func NewScopeGenerator(cfg Config, acct *memacct.Acct) (*avs.Generator, error) {
 // form in place of the drawn degrees, so there is nothing to combine or
 // gather: cut i ends at the row boundary whose prefix of rowEdges —
 // Theorem 1's mean, NSKG noise included — is nearest the proportional
-// target (i+1)·|E|/parts, found by CutRows in O(Scale · log|V|) —
+// target (i+1)·|E|/parts, found by cutRows in O(Scale · log|V|) —
 // microseconds a cut, at any scale. A row heavier than a part's share is
 // a part of its own, and parts beyond the rows (or beside a hub row) are
 // empty; Range.Edges is the rounded expectation. The plan is a pure
@@ -352,7 +352,7 @@ func Plan(cfg Config, parts int) ([]partition.Range, error) {
 			target := float64(cfg.NumEdges()) * float64(i+1) / float64(parts)
 			// The last boundary at or below the target (or row 1, if the
 			// first row alone is over it), then whichever neighbour is nearer.
-			hi = CutRows(edges, 0, nv, target)
+			hi = cutRows(edges, 0, nv, target)
 			if hi < nv && edges(0, hi+1)-target < target-edges(0, hi) {
 				hi++
 			} else if hi == 1 && target < edges(0, 1)-target {

@@ -130,13 +130,13 @@ func RowEdges(seed skg.Seed, noise *skg.Noise, levels int, edges int64) func(lo,
 	}
 }
 
-// CutRows is the one budget cutter — the plan, the server's part
-// schedule and the executor's chunks all come from it: the end of the
-// longest run of rows [lo, end) ⊆ [lo, hi) whose expected edges, by the
-// closed form edges (monotone in its second argument), stay within
-// budget. One row over budget is a run of its own, so end > lo whenever
-// hi > lo. It costs O(log(hi−lo)) evaluations of edges.
-func CutRows(edges func(lo, hi int64) float64, lo, hi int64, budget float64) int64 {
+// cutRows is the one budget cutter — the plan and the executor's chunks
+// both come from it: the end of the longest run of rows [lo, end) ⊆
+// [lo, hi) whose expected edges, by the closed form edges (monotone in
+// its second argument), stay within budget. One row over budget is a run
+// of its own, so end > lo whenever hi > lo. It costs O(log(hi−lo))
+// evaluations of edges.
+func cutRows(edges func(lo, hi int64) float64, lo, hi int64, budget float64) int64 {
 	if hi <= lo {
 		return hi
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/avs"
@@ -29,7 +28,7 @@ import (
 // and every runtime that turns one into a single ordered byte stream —
 // the server's jobs, the facade's StreamRange — runs
 //
-//	StreamParts: take parts in order → drawParts → encoder → the part's turn on w
+//	StreamParts: an encoder over w per part → drawParts, ordered
 //
 // It is written once here because the determinism contract makes the
 // outputs identical by construction; the callers differ only in which
@@ -72,25 +71,19 @@ func generateParts(src PartSource, ranges []partition.Range, ids []int, sinks Si
 	if len(ranges) != len(ids) {
 		return Stats{}, fmt.Errorf("core: %d ranges but %d part ids", len(ranges), len(ids))
 	}
-	out := Stats{Ranges: ranges}
 	writers := make([]gformat.Writer, len(ranges))
 	for i, r := range ranges {
 		w, err := sinks(i, r)
 		if err != nil {
-			return out, err
+			return Stats{Ranges: ranges}, err
 		}
 		writers[i] = w
 	}
 
 	start := time.Now()
-	parts := drawParts(src, ranges, ids, writers, tel, onChunk)
-	out.GenDuration = time.Since(start)
-	out.Elapsed = out.GenDuration
-
-	for _, p := range parts {
-		out.merge(p.stats)
-	}
-	for i, p := range parts {
+	s := drawParts(src, ranges, ids, writers, min(len(ranges), runtime.GOMAXPROCS(0)), false, tel, onChunk)
+	out := s.total(ranges, time.Since(start))
+	for i, p := range s.parts {
 		if p.err != nil {
 			return out, fmt.Errorf("core: worker %d: %w", i, p.err)
 		}
@@ -100,7 +93,7 @@ func generateParts(src PartSource, ranges []partition.Range, ids []int, sinks Si
 
 // A chunk is the scheduling unit: a run of consecutive rows of one part
 // holding about chunkEdges expected edges — at least one row, at most
-// chunkEdges rows — cut on demand by CutRows from the part's closed
+// chunkEdges rows — cut on demand by cutRows from the part's closed
 // form. aheadEdges is how far, in expected edges per thread, chunks may
 // be drawn ahead of their part's writer: four chunks,
 // so that behind a head stalled on a near-full hub row a thread can draw
@@ -161,15 +154,16 @@ func (c *chunk) write(w gformat.Writer) error {
 // the head of queue, and passes from thread to thread under that mutex.
 type partRun struct {
 	Part
-	id    int
-	w     gformat.Writer
-	bytes int64    // w's byte count after the last chunk; the writer's, like w
-	next  int64    // first row not yet cut into a chunk; Hi when none is left or the part failed
-	cut   int64    // end of the next chunk, 0 until computed
-	cost  int64    // and its cost
-	queue []*chunk // taken and not yet written, in row order
-	stats Stats    // the counted work of the chunks written
-	err   error
+	id      int
+	w       gformat.Writer
+	bytes   int64    // w's byte count after the last chunk; the writer's, like w
+	next    int64    // first row not yet cut into a chunk; Hi when none is left or the part failed
+	cut     int64    // end of the next chunk, 0 until computed
+	cost    int64    // and its cost
+	queue   []*chunk // taken and not yet written, in row order
+	stats   Stats    // the counted work of the chunks written
+	err     error
+	settled bool // closed, unless it failed, and its books closed
 	// built, drew and wrote sum, over threads, the time spent building
 	// this part's Scopers, drawing its chunks and writing them.
 	built, drew, wrote time.Duration
@@ -183,38 +177,50 @@ type chunkSched struct {
 	onChunk ChunkFunc
 
 	mu     sync.Mutex
-	room   sync.Cond // a chunk was written, a queue emptied or a part ran out of rows
+	room   sync.Cond // a chunk was written, a queue emptied, a part ran out of rows or the turn passed
 	parts  []*partRun
 	first  int   // parts before this one have no rows left to cut
 	ahead  int64 // summed cost of the unwritten ahead chunks
 	window int64 // its bound
+
+	// An ordered run (a stream) writes only the turn part, the first not
+	// settled; err is its first failure, after which nothing is taken,
+	// written or settled.
+	ordered bool
+	turn    int
+	err     error
 }
 
 // drawParts is Algorithm 4's outer loop, written once for every
 // PartSource and every runtime: it draws the rows of the opened parts
-// and writes part i's scopes into writers[i], in row order, closing the
-// writer after the last; a part that fails — to open, to build a Scoper,
-// to write, in onChunk — is abandoned unclosed, so under atomic sinks it
-// is never renamed into place, and its error is kept in part order.
+// on `threads` threads and writes part i's scopes into writers[i], in
+// row order, closing the writer after the last; a part that fails — to
+// open, to build a Scoper, to write, in onChunk — is abandoned unclosed,
+// so under atomic sinks it is never renamed into place, and its error is
+// kept in part order.
 //
-// min(len(ranges), GOMAXPROCS) threads — drawing is CPU-bound, and a
-// thread keeps O(d_max) of warm storage, so parts beyond the CPUs get no
-// thread of their own — take chunks cooperatively: each takes the next
-// chunk of the first part that still has rows and either has no chunk in
-// flight — the thread then holds the part's head — or fits the run-ahead
-// window. Every chunk is drawn into a buffer and handed to the writer
-// when its turn comes, by the thread that finishes the chunk before it
-// or by its own, whichever is later; a head chunk's turn has come when it
-// is drawn. Scope (seed, row) is a pure function, so which thread draws a
-// row changes nothing the writer sees. Taking chunks in part order, not
-// own part first, is what keeps threads busy: a thread whose part is
-// exhausted, or whose way is barred by a full window behind a hub row,
-// always has the next part's head to fall back on. The window holds
-// aheadEdges expected edges per thread; a chunk that alone exceeds it
-// (one huge row) is only ever drawn at the head. So extra memory is
-// O(threads · (d_max + chunk)), and with one thread every chunk is a
-// head chunk: one chunk or one row, whichever is larger, is in hand, and
-// no goroutine starts.
+// Drawing is CPU-bound and a thread keeps O(d_max) of warm storage, so
+// callers give no more threads than GOMAXPROCS. They take chunks
+// cooperatively: each takes the next chunk of the first part that still
+// has rows and either has no chunk in flight — the thread then holds the
+// part's head — or fits the run-ahead window. Every chunk is drawn into
+// a buffer and handed to the writer when its turn comes, by the thread
+// that finishes the chunk before it or by its own, whichever is later; a
+// head chunk's turn has come when it is drawn. Scope (seed, row) is a
+// pure function, so which thread draws a row changes nothing the writer
+// sees. Taking chunks in part order, not own part first, is what keeps
+// threads busy: a thread whose part is exhausted, or whose way is barred
+// by a full window behind a hub row, always has the next part's head to
+// fall back on. The window holds aheadEdges expected edges per thread; a
+// chunk that alone exceeds it (one huge row) is only ever drawn at the
+// head. So extra memory is O(threads · (d_max + chunk)), and with one
+// thread every chunk is a head chunk: one chunk or one row, whichever is
+// larger, is in hand, and no goroutine starts.
+//
+// An ordered run adds one rule: a part's chunks are written only once
+// the part before it has settled. Until then they are all drawn ahead,
+// in the same window, and the thread that settles the turn part passes
+// the turn on and writes what the next part has drawn.
 //
 // The written chunk is the one point where a run is observed: the thread
 // that wrote it settles its counted work — onChunk, then, with a
@@ -222,12 +228,11 @@ type chunkSched struct {
 // — a few clock reads and atomic adds per chunk. A part records its
 // recvec-build, scope-draw and sink-write stages (thread-time sums) once,
 // as it settles.
-func drawParts(src PartSource, ranges []partition.Range, ids []int, writers []gformat.Writer, tel *telemetry.Registry, onChunk ChunkFunc) []*partRun {
-	threads := min(len(ranges), runtime.GOMAXPROCS(0))
-	s := openParts(src, ranges, ids, writers, threads, tel, onChunk)
+func drawParts(src PartSource, ranges []partition.Range, ids []int, writers []gformat.Writer, threads int, ordered bool, tel *telemetry.Registry, onChunk ChunkFunc) *chunkSched {
+	s := openParts(src, ranges, ids, writers, threads, ordered, tel, onChunk)
 	if threads == 1 {
 		s.work()
-		return s.parts
+		return s
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
@@ -238,13 +243,13 @@ func drawParts(src PartSource, ranges []partition.Range, ids []int, writers []gf
 		}()
 	}
 	wg.Wait()
-	return s.parts
+	return s
 }
 
 // openParts opens every part for a scheduler that `threads` threads will
 // work; a part with no rows settles here.
-func openParts(src PartSource, ranges []partition.Range, ids []int, writers []gformat.Writer, threads int, tel *telemetry.Registry, onChunk ChunkFunc) *chunkSched {
-	s := &chunkSched{tel: tel, meters: newCoreMeters(tel), onChunk: onChunk, parts: make([]*partRun, len(ranges))}
+func openParts(src PartSource, ranges []partition.Range, ids []int, writers []gformat.Writer, threads int, ordered bool, tel *telemetry.Registry, onChunk ChunkFunc) *chunkSched {
+	s := &chunkSched{tel: tel, meters: newCoreMeters(tel), onChunk: onChunk, parts: make([]*partRun, len(ranges)), ordered: ordered}
 	s.room.L = &s.mu
 	s.window = aheadEdges * int64(threads)
 	for i, r := range ranges {
@@ -252,15 +257,27 @@ func openParts(src PartSource, ranges []partition.Range, ids []int, writers []gf
 		s.parts[i] = p
 		part, err := src.OpenPart(ids[i], r)
 		if err != nil {
-			p.err = err // no rows: nothing of it is ever taken
+			s.fail(p, err) // no rows: nothing of it is ever taken
 			continue
 		}
 		p.Part, p.next = part, part.Lo
 		if p.Lo >= p.Hi {
 			s.settle(p)
+			p.settled = true
 		}
 	}
+	s.pass()
 	return s
+}
+
+// total is the Stats of a run over ranges that took `took`: the parts'
+// counts merged.
+func (s *chunkSched) total(ranges []partition.Range, took time.Duration) Stats {
+	out := Stats{Ranges: ranges, GenDuration: took, Elapsed: took}
+	for _, p := range s.parts {
+		out.merge(p.stats)
+	}
+	return out
 }
 
 // work is one thread: it owns the storage worth keeping warm between
@@ -337,11 +354,14 @@ func (s *chunkSched) take(mine *chunk) (*partRun, *chunk) {
 }
 
 // next is take without the wait, called with mu held: the next chunk of
-// the first part that has rows left and either no chunk in flight or
-// room in the window, or none — for now, if more. A head chunk is
-// written by the thread that draws it before that thread takes another,
-// so it lives in the thread's own `mine`.
+// the first part that has rows left and either no chunk in flight, with
+// its turn to write, or room in the window, or none — for now, if more.
+// A head chunk is written by the thread that draws it before that thread
+// takes another, so it lives in the thread's own `mine`.
 func (s *chunkSched) next(mine *chunk) (p *partRun, c *chunk, more bool) {
+	if s.err != nil {
+		return nil, nil, false
+	}
 	for s.first < len(s.parts) && s.parts[s.first].next >= s.parts[s.first].Hi {
 		s.first++
 	}
@@ -351,12 +371,12 @@ func (s *chunkSched) next(mine *chunk) (p *partRun, c *chunk, more bool) {
 		}
 		if p.cut <= p.next {
 			lo := p.next - p.SrcOff
-			p.cut = p.SrcOff + CutRows(p.ExpectedEdges, lo, min(p.Hi-p.SrcOff, lo+chunkEdges), chunkEdges)
+			p.cut = p.SrcOff + cutRows(p.ExpectedEdges, lo, min(p.Hi-p.SrcOff, lo+chunkEdges), chunkEdges)
 			// Drawn ahead it holds a whole buffer, however few edges it
 			// turns out to have; only a single row can be dearer.
 			p.cost = max(int64(math.Ceil(p.ExpectedEdges(lo, p.cut-p.SrcOff))), chunkEdges)
 		}
-		head := len(p.queue) == 0
+		head := len(p.queue) == 0 && s.onTurn(p)
 		if !head && s.ahead+p.cost > s.window {
 			continue
 		}
@@ -378,11 +398,12 @@ func (s *chunkSched) next(mine *chunk) (p *partRun, c *chunk, more bool) {
 	return nil, nil, s.first < len(s.parts)
 }
 
-// finish records a drawn chunk. If it is at the head of its part, the
-// calling thread is the part's writer until the queue runs out of drawn
-// chunks: it writes them, settles each one's counted work, returns the
-// buffers of those drawn ahead, and settles the part after its last row.
-// Otherwise the chunk waits, drawn, for the thread that gets to it.
+// finish records a drawn chunk. If it is at the head of its part, and
+// the part's turn to write has come, the calling thread is the part's
+// writer until the queue runs out of drawn chunks (writeDrawn), and
+// settles the part after its last row — then, in an ordered run, passes
+// the turn on and writes what the next part has drawn. Otherwise the
+// chunk waits, drawn, for the thread that gets to it.
 func (s *chunkSched) finish(p *partRun, c *chunk, built, drew time.Duration, err error) {
 	s.mu.Lock()
 	p.built += built
@@ -391,15 +412,36 @@ func (s *chunkSched) finish(p *partRun, c *chunk, built, drew time.Duration, err
 		s.fail(p, err)
 	}
 	c.drawn = true
-	if p.queue[0] != c {
+	if p.queue[0] != c || !s.onTurn(p) {
 		s.mu.Unlock()
 		return
 	}
+	for p != nil {
+		s.writeDrawn(p)
+		if len(p.queue) > 0 || p.next < p.Hi || s.err != nil {
+			break
+		}
+		s.room.Broadcast()
+		s.mu.Unlock()
+		s.settle(p)
+		s.mu.Lock()
+		p.settled = true
+		p = s.pass()
+	}
+	s.room.Broadcast()
+	s.mu.Unlock()
+}
+
+// writeDrawn writes p's drawn chunks, from the head of its queue on, as
+// p's writer: it settles each one's counted work and returns the buffers
+// of those drawn ahead; after a failure, the part's or an ordered run's,
+// it drops them unwritten. Called with mu held, which it lets go around
+// each write — the chunk stays at the head, so chunks taken meanwhile
+// queue behind it and only this thread can reach the writer.
+func (s *chunkSched) writeDrawn(p *partRun) {
 	for len(p.queue) > 0 && p.queue[0].drawn {
 		c := p.queue[0]
-		if p.err == nil {
-			// Only this thread can reach the writer: c stays at the head,
-			// so chunks taken meanwhile queue behind it.
+		if p.err == nil && s.err == nil {
 			s.mu.Unlock()
 			start := time.Now()
 			err := c.write(p.w)
@@ -421,12 +463,32 @@ func (s *chunkSched) finish(p *partRun, c *chunk, built, drew time.Duration, err
 			aheadChunks.Put(c)
 		}
 	}
-	settled := len(p.queue) == 0 && p.next >= p.Hi
-	s.room.Broadcast()
-	s.mu.Unlock()
-	if settled {
-		s.settle(p)
+}
+
+// onTurn reports whether p's chunks may be written: any part's, but in
+// an ordered run only the turn part's. Called with mu held.
+func (s *chunkSched) onTurn(p *partRun) bool {
+	return !s.ordered || s.turn < len(s.parts) && s.parts[s.turn] == p
+}
+
+// pass moves the turn past the parts that have settled — in an ordered
+// run, one that failed in settling (its writer's last flush, its
+// Settled) ends the run there — and, in an ordered run that has not
+// failed, returns the turn part if the chunk at the head of its queue is
+// drawn: the calling thread is then its writer. Called with mu held.
+func (s *chunkSched) pass() *partRun {
+	for ; s.turn < len(s.parts) && s.parts[s.turn].settled; s.turn++ {
+		if s.ordered && s.err == nil {
+			s.err = s.parts[s.turn].err
+		}
 	}
+	if !s.ordered || s.err != nil || s.turn == len(s.parts) {
+		return nil
+	}
+	if p := s.parts[s.turn]; len(p.queue) > 0 && p.queue[0].drawn {
+		return p
+	}
+	return nil
 }
 
 // written settles a chunk its part's writer has taken, on the writer's
@@ -445,12 +507,16 @@ func (s *chunkSched) written(p *partRun, c *chunk) error {
 }
 
 // fail records a part's first error and stops cutting it; chunks of it
-// already in flight drain through finish unwritten. Called with mu held.
+// already in flight drain through finish unwritten. In an ordered run
+// the first error is the run's and ends it. Called with mu held.
 func (s *chunkSched) fail(p *partRun, err error) {
 	if p.err == nil {
 		p.err = err
 	}
 	p.next = p.Hi
+	if s.ordered && s.err == nil {
+		s.err = err
+	}
 }
 
 // settle ends a part no thread will touch again: its writer is closed
@@ -488,216 +554,64 @@ func (s *Stats) merge(part Stats) {
 	s.PeakWorkerBytes = max(s.PeakWorkerBytes, part.PeakWorkerBytes)
 }
 
-// slotCap is how many encoded bytes one part may run ahead of its turn:
-// 1 MiB holds a whole part of a schedule cut for parallelism (see the
-// server's chunkEdges), so run-ahead parts finish without stalling,
-// while a part of any size — a Scale-34 hub row — stalls here.
-const slotCap = 1 << 20
-
-// StreamParts writes the parts next yields into w as one byte stream:
-// each part's bytes in the given format, concatenated in the order next
-// yielded them — which, TSV and ADJ6 encoding scope by scope with no
-// global state, is exactly the part files GenerateParts would write,
-// joined. next is the lazy part schedule: it is never called
-// concurrently, and ok=false — which it must keep answering — ends the
-// stream. onChunk, if non-nil, is told of every chunk written (progress
-// counters), as in RunParts.
+// StreamParts writes the planned parts of src (ranges and ids as in
+// GenerateParts) into w as one byte stream, each part's bytes in the
+// given format, in part order — which, TSV and ADJ6 encoding scope by
+// scope with no global state, is the part files GenerateParts would
+// write, joined. tel and onChunk, if non-nil, observe the run as in
+// RunParts.
 //
-// At most `workers` goroutines take parts in order and draw each, on
-// their own, into the format's ordinary encoder. The part at the
-// head of the line writes straight through to w; a part running ahead
-// appends to its worker's buffer and blocks at slotCap until it is head,
-// so stream memory is O(workers · (d_max + slotCap)) whatever a part's
-// size, and a slow w throttles generation. With workers ≤ 1 every part
-// is head when it starts: nothing is buffered, no goroutine starts, and
-// the call is GenerateParts of one part into the encoder over w — batch.
-//
-// Cancelling ctx, a write error on w or a part's own failure ends the
-// stream: parts blocked on their turn wake, running parts stop after
-// their next chunk, and that first cause is returned as is. Stats sums
-// the parts taken (Ranges is left empty: a schedule can hold millions).
-func StreamParts(ctx context.Context, src PartSource, format gformat.Format, next func() (id int, r partition.Range, ok bool), workers int, w io.Writer, onChunk ChunkFunc) (Stats, error) {
+// It is drawParts as an ordered run on min(max(workers, 1), GOMAXPROCS)
+// threads, each part through an ordinary encoder over w, so stream
+// memory is the batch bound, O(threads · (d_max + chunk)) and the
+// window, whatever the parts' sizes, a slow w throttles generation, and
+// workers ≤ 1 is one thread and no goroutine: batch. The first failure —
+// a part's, a write error on w, ctx cancelled (seen after the next chunk
+// written) — ends the stream: no later part writes a byte, and that
+// failure is returned as is.
+func StreamParts(ctx context.Context, src PartSource, format gformat.Format, ranges []partition.Range, ids []int, workers int, w io.Writer, tel *telemetry.Registry, onChunk ChunkFunc) (Stats, error) {
 	if !streamable(format) {
 		return Stats{}, fmt.Errorf("core: format %v is not streamable (use tsv or adj6)", format)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	o := &orderedStream{w: w, cancel: cancel}
-	o.turn.L = &o.mu
-	// Parts parked on their turn cannot see ctx; fail wakes them.
-	stop := context.AfterFunc(ctx, func() { o.fail(ctx.Err()) })
-	defer stop()
+	if len(ranges) != len(ids) {
+		return Stats{}, fmt.Errorf("core: %d ranges but %d part ids", len(ranges), len(ids))
+	}
+	writers := make([]gformat.Writer, len(ranges))
+	for i := range writers {
+		writers[i] = &turnEncoder{Writer: gformat.NewDiscardWriter(format), format: format, w: w}
+	}
 	written := func(id int, done Stats) error {
-		if err := ctx.Err(); err != nil {
-			return o.fail(err)
-		}
-		if onChunk != nil {
-			return onChunk(id, done)
-		}
-		return nil
-	}
-
-	var out Stats
-	var take sync.Mutex // serialises next, the sequence numbers and out
-	var taken int64
-	work := func() {
-		slot := &streamSlot{o: o}
-		for {
-			take.Lock()
-			id, r, ok := next()
-			slot.seq = taken
-			taken++
-			take.Unlock()
-			if !ok {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				o.fail(err)
-				return
-			}
-			var sink gformat.Writer
-			if format == gformat.TSV {
-				sink = gformat.NewTSVWriter(slot)
-			} else {
-				sink = gformat.NewADJ6Writer(slot)
-			}
-			// One part, one thread: every chunk is a head chunk, drawn in
-			// this goroutine and written into the encoder.
-			p := drawParts(src, []partition.Range{r}, []int{id}, []gformat.Writer{sink}, nil, written)[0]
-			take.Lock()
-			out.merge(p.stats)
-			take.Unlock()
-			err := p.err
-			if err == nil {
-				err = slot.finish()
-			}
-			if err != nil {
-				o.fail(err)
-				return
-			}
-		}
-	}
-	start := time.Now()
-	if workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
-	out.GenDuration = time.Since(start)
-	out.Elapsed = out.GenDuration
-	return out, o.fail(nil) // nil records nothing: the first failure, if any
-}
-
-// orderedStream is the one writer StreamParts' parts share, and whose
-// turn it is to write to it.
-type orderedStream struct {
-	w      io.Writer
-	cancel context.CancelFunc
-	// head is the sequence number of the part whose bytes go straight to
-	// w. It is written under mu; the head part reads it lock-free.
-	head atomic.Int64
-
-	mu   sync.Mutex
-	turn sync.Cond // head advanced, or err set
-	err  error     // the stream's first failure
-}
-
-// fail records err as the stream's failure unless one is recorded
-// already, stops every part (running parts see ctx after their next
-// chunk, parked ones wake), and returns the recorded failure.
-func (o *orderedStream) fail(err error) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.err == nil && err != nil {
-		o.err = err
-		o.cancel()
-		o.turn.Broadcast()
-	}
-	return o.err
-}
-
-// write sends the head part's bytes to w.
-func (o *orderedStream) write(p []byte) (int, error) {
-	n, err := o.w.Write(p)
-	if err != nil {
-		err = o.fail(err)
-	}
-	return n, err
-}
-
-// streamSlot is one worker's place in the stream: the io.Writer under
-// the encoder of the part it is generating, and the buffer (reused from
-// part to part) that part fills while it runs ahead of its turn.
-type streamSlot struct {
-	o      *orderedStream
-	seq    int64
-	atHead bool // this part's turn has come: buf is flushed, writes go through
-	buf    []byte
-}
-
-func (s *streamSlot) Write(p []byte) (int, error) {
-	n := 0
-	for !s.atHead {
-		if s.o.head.Load() != s.seq {
-			room := slotCap - len(s.buf)
-			if len(p)-n <= room {
-				s.buf = append(s.buf, p[n:]...)
-				return len(p), nil
-			}
-			s.buf = append(s.buf, p[n:n+room]...)
-			n += room
-		}
-		if err := s.await(); err != nil {
-			return n, err
-		}
-	}
-	m, err := s.o.write(p[n:])
-	return n + m, err
-}
-
-// await blocks until it is this part's turn (or the stream failed) and
-// flushes what the part buffered while it ran ahead.
-func (s *streamSlot) await() error {
-	o := s.o
-	o.mu.Lock()
-	for o.err == nil && o.head.Load() != s.seq {
-		o.turn.Wait()
-	}
-	err := o.err
-	o.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.atHead = true
-	if len(s.buf) > 0 {
-		_, err = o.write(s.buf)
-		s.buf = s.buf[:0]
-	}
-	return err
-}
-
-// finish ends a generated part: its remaining bytes reach w, in turn,
-// and the turn passes to the next part.
-func (s *streamSlot) finish() error {
-	if !s.atHead {
-		if err := s.await(); err != nil {
+		if err := ctx.Err(); err != nil || onChunk == nil {
 			return err
 		}
+		return onChunk(id, done)
 	}
-	s.atHead = false
-	s.o.mu.Lock()
-	s.o.head.Add(1)
-	s.o.turn.Broadcast()
-	s.o.mu.Unlock()
-	return nil
+	start := time.Now()
+	s := drawParts(src, ranges, ids, writers, min(max(workers, 1), runtime.GOMAXPROCS(0)), true, tel, written)
+	return s.total(ranges, time.Since(start)), s.err
+}
+
+// turnEncoder is a streamed part's encoder over the stream's writer,
+// made at the part's first scope — parts write one at a time, in turn,
+// so however many parts a plan holds, one encoder buffer is in use at a
+// time — and an empty discard writer until then.
+type turnEncoder struct {
+	gformat.Writer
+	format gformat.Format
+	w      io.Writer
+	opened bool
+}
+
+func (e *turnEncoder) WriteScope(src int64, dsts []int64) error {
+	if !e.opened {
+		e.opened = true
+		if e.format == gformat.TSV {
+			e.Writer = gformat.NewTSVWriter(e.w)
+		} else {
+			e.Writer = gformat.NewADJ6Writer(e.w)
+		}
+	}
+	return e.Writer.WriteScope(src, dsts)
 }
 
 // RunParts makes the given parts of src — which the caller found

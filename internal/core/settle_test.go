@@ -47,7 +47,7 @@ func sameCounts(a, b Stats) bool {
 // TestChunkSettleSumsToStats: the deltas the chunk callback is told of
 // merge exactly to the Stats RunParts and StreamParts return, with one
 // thread or worker and with three, every row is counted once, and the
-// registry's run totals are the same numbers.
+// registry's run totals are the same numbers, streamed or not.
 func TestChunkSettleSumsToStats(t *testing.T) {
 	cfg := DefaultConfig(13)
 	cfg.NoiseParam = 0.1
@@ -84,16 +84,25 @@ func TestChunkSettleSumsToStats(t *testing.T) {
 		}()
 	}
 
+	ranges, err = Plan(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 3} {
 		var tally chunkTally
 		var out bytes.Buffer
-		_, next := planSchedule(t, cfg, 5)
-		st, err := StreamParts(context.Background(), cfg, gformat.ADJ6, next, workers, &out, tally.chunk)
+		tel := telemetry.NewRegistry()
+		st, err := StreamParts(context.Background(), cfg, gformat.ADJ6, ranges, seqIDs(5), workers, &out, tel, tally.chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameCounts(tally.all, st) || st.Scopes != cfg.NumVertices() || st.BytesWritten != int64(out.Len()) {
 			t.Fatalf("%d workers: chunks merge to %+v, StreamParts returned %+v over %d rows in %d bytes", workers, tally.all, st, cfg.NumVertices(), out.Len())
+		}
+		for name, want := range map[string]int64{MetricScopes: st.Scopes, MetricEdges: st.Edges, MetricAttempts: st.Attempts, MetricBytes: st.BytesWritten} {
+			if got := tel.CounterValue(name); got != want {
+				t.Fatalf("%d workers: streamed %s = %d, stats %d", workers, name, got, want)
+			}
 		}
 	}
 }

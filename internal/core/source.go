@@ -112,9 +112,10 @@ type Part struct {
 	// rows [lo, hi) (global rows less SrcOff) — what chunks are cut by.
 	ExpectedEdges func(lo, hi int64) float64
 	// Settled, if non-nil, is called once when the part has settled —
-	// every row written and the writer closed, or failed — with the
-	// part's counts and error, and returns the error to report: the
-	// place for a source's own counters and its name on the error.
+	// every row written and the writer closed, or failed (but for a
+	// stream's failure, which ends it unsettled) — with its counts and
+	// error, and returns the error to report: the place for a source's
+	// own counters and its name on the error.
 	Settled func(st Stats, err error, tel *telemetry.Registry) error
 }
 

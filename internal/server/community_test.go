@@ -13,6 +13,7 @@ import (
 	"repro/internal/community"
 	"repro/internal/core"
 	"repro/internal/gformat"
+	"repro/internal/telemetry"
 )
 
 // batchCommunity generates the layout to a directory and returns the
@@ -104,6 +105,52 @@ func TestServerCommunityStreamEqualsBatch(t *testing.T) {
 	}
 }
 
+// TestServerCommunityStreamFeedsRegistry: a streamed community job
+// moves the server's registry as a batch run moves its own — every
+// block counted generated, its edges split into intra- and
+// inter-community totals, and the core run totals equal to the job's.
+func TestServerCommunityStreamFeedsRegistry(t *testing.T) {
+	spec := `{"sizes":[8,5,8],"mixing":[[4,1,0],[1,2,1],[0,1,3]],"edges":120,"master_seed":11}`
+	cfg, err := community.ParseSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := community.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The batch run's split of the edges is the reference.
+	tel := telemetry.NewRegistry()
+	if _, err := lay.GenerateToDir(t.TempDir(), gformat.TSV, community.RunOptions{Telemetry: tel}); err != nil {
+		t.Fatal(err)
+	}
+	intra, inter := tel.CounterValue(community.MetricIntraEdges), tel.CounterValue(community.MetricInterEdges)
+
+	srv, base := newTestServer(t, Options{})
+	id := createJob(t, base, `{"shape":"community","format":"tsv","workers":2,"community":`+spec+`}`)
+	streamJobByID(t, base, id)
+	srv.streams.Wait()
+	st := getStatus(t, base, id)
+	if st.State != StateDone {
+		t.Fatalf("status %+v", st)
+	}
+	reg := srv.metrics.tel
+	for name, want := range map[string]int64{
+		community.MetricBlocksGenerated: int64(lay.NumBlocks()),
+		community.MetricIntraEdges:      intra,
+		community.MetricInterEdges:      inter,
+		core.MetricScopes:               lay.ScopeTotal(),
+		core.MetricEdges:                st.EdgesStreamed,
+	} {
+		if got := reg.CounterValue(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if intra+inter != st.EdgesStreamed || intra == 0 || inter == 0 {
+		t.Fatalf("intra %d + inter %d edges, the job streamed %d", intra, inter, st.EdgesStreamed)
+	}
+}
+
 // TestServerCommunityStreamCacheHit: a community job's whole-stream
 // artifact lands in the store and a second identical job replays it
 // bit-identically — and a job differing only in its mixing matrix does
@@ -157,7 +204,7 @@ func TestServerCommunityStreamCancel(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 
 	// Shutdown waits for every stream handler — and a handler returns
-	// only after core.StreamParts has collected its workers.
+	// only after core.StreamParts has joined its threads.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -52,14 +52,15 @@ func FuzzJobSpecCompile(f *testing.F) {
 		if c.cost < 0 || c.scopesTotal < 0 || c.workers < 0 || c.workers > lim.maxWorkersPerJob {
 			t.Fatalf("cost %d, scopes_total %d, workers %d", c.cost, c.scopesTotal, c.workers)
 		}
-		next := c.parts()
+		if len(c.ranges) != len(c.ids) {
+			t.Fatalf("%d ranges but %d part ids", len(c.ranges), len(c.ids))
+		}
+		// A classic job is the one part [lo, hi), empty or not; a
+		// community job's parts are its non-empty blocks.
 		prevID, at, rows := -1, c.lo, int64(0)
-		for {
-			id, r, ok := next()
-			if !ok {
-				break
-			}
-			if id <= prevID || r.Hi <= r.Lo || r.Lo < 0 || r.Hi > c.hi {
+		for i, r := range c.ranges {
+			id := c.ids[i]
+			if id <= prevID || r.Hi < r.Lo || c.scale == 0 && r.Hi == r.Lo || r.Lo < 0 || r.Hi > c.hi {
 				t.Fatalf("part %d = [%d, %d) after part %d", id, r.Lo, r.Hi, prevID)
 			}
 			if c.scale > 0 && r.Lo != at {
@@ -69,10 +70,7 @@ func FuzzJobSpecCompile(f *testing.F) {
 			rows += r.Hi - r.Lo
 		}
 		if rows != c.scopesTotal || (c.scale > 0 && at != c.hi) {
-			t.Fatalf("schedule covers %d rows ending at %d, want %d rows ending at %d", rows, at, c.scopesTotal, c.hi)
-		}
-		if _, _, ok := next(); ok {
-			t.Fatal("schedule yields a part after its end")
+			t.Fatalf("plan covers %d rows ending at %d, want %d rows ending at %d", rows, at, c.scopesTotal, c.hi)
 		}
 	})
 }

@@ -93,15 +93,17 @@ type specLimits struct {
 }
 
 // compiled is a spec resolved against the server limits into what a
-// stream needs, whatever its shape: the part source, a fresh ordered
-// part schedule per stream, the artifact key of the whole output
-// (core.PartKey of the range for the classic shape, the layout's
+// stream needs, whatever its shape: the part source, the parts a stream
+// writes in order (the one range [lo, hi) of the classic shape, the
+// layout's blocks for community shapes), the artifact key of the whole
+// output (core.PartKey of the range for the classic shape, the layout's
 // ArtifactKey for community shapes — so server jobs share cache entries
 // with batch and distributed runs of the same configuration), and the
 // numbers the API reports.
 type compiled struct {
 	src     core.PartSource
-	parts   func() partSchedule
+	ranges  []partition.Range
+	ids     []int
 	workers int
 	key     store.Key
 	format  gformat.Format
@@ -223,7 +225,8 @@ func (s JobSpec) compileCommunity(lim specLimits) (compiled, error) {
 	}
 	return compiled{
 		src:         lay,
-		parts:       func() partSchedule { return listParts(ranges, ids) },
+		ranges:      ranges,
+		ids:         ids,
 		workers:     workers,
 		key:         lay.ArtifactKey(format),
 		format:      format,
@@ -286,11 +289,13 @@ func (s JobSpec) compileClassic(lim specLimits) (compiled, error) {
 	if err != nil {
 		return compiled{}, fmt.Errorf("estimating job cost: %w", err)
 	}
+	whole := partition.Range{Lo: lo, Hi: hi}
 	return compiled{
 		src:         cfg,
-		parts:       func() partSchedule { return cutRange(cfg, lo, hi, workers) },
+		ranges:      []partition.Range{whole},
+		ids:         []int{0},
 		workers:     workers,
-		key:         core.PartKey(cfg, format, partition.Range{Lo: lo, Hi: hi}),
+		key:         core.PartKey(cfg, format, whole),
 		format:      format,
 		lo:          lo,
 		hi:          hi,

@@ -39,7 +39,7 @@ type Options struct {
 	// is evicted (then the oldest stale pending one), and POST fails
 	// with 503 if every slot is live (0 = 1024).
 	MaxJobs int
-	// MaxWorkersPerJob caps the parts a job generates concurrently (0 =
+	// MaxWorkersPerJob caps the threads that generate a job (0 =
 	// GOMAXPROCS). Jobs that ask for 0 workers get this cap.
 	MaxWorkersPerJob int
 	// MaxScale rejects specs above this scale (0 = 34).
@@ -517,7 +517,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// through one executor — byte-identical to the batch part files
 		// concatenated, so the spooled artifact is shared with the
 		// part-file world.
-		_, err = core.StreamParts(ctx, job.src, job.format, job.parts(), job.workers, streamOut,
+		_, err = core.StreamParts(ctx, job.src, job.format, job.ranges, job.ids, job.workers, streamOut, s.metrics.tel,
 			func(_ int, done core.Stats) error {
 				job.scopes.Add(done.Scopes)
 				job.edges.Add(done.Edges)

@@ -214,20 +214,11 @@ func TestServerClientDisconnect(t *testing.T) {
 	}
 	resp.Body.Close() // hang up mid-stream
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st := getStatus(t, base, id); st.State == StateCanceled {
-			if st.ScopesDone >= st.ScopesTotal {
-				t.Fatalf("canceled job claims completion: %+v", st)
-			}
-			break
-		} else if st.State == StateDone || st.State == StateFailed {
-			t.Fatalf("state %v, want canceled", st.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never canceled: %+v", getStatus(t, base, id))
-		}
-		time.Sleep(20 * time.Millisecond)
+	// The handler joined srv.streams before its first byte; it leaves
+	// after recording the job's end.
+	srv.streams.Wait()
+	if st := getStatus(t, base, id); st.State != StateCanceled || st.ScopesDone >= st.ScopesTotal {
+		t.Fatalf("after a hang-up mid-stream: %+v, want canceled short of completion", st)
 	}
 	if n := srv.metrics.jobsCanceled.Value(); n != 1 {
 		t.Fatalf("jobs_canceled %d", n)
@@ -236,7 +227,7 @@ func TestServerClientDisconnect(t *testing.T) {
 
 // TestServerCancelEndpoint aborts a running stream via DELETE.
 func TestServerCancelEndpoint(t *testing.T) {
-	_, base := newTestServer(t, Options{})
+	srv, base := newTestServer(t, Options{})
 	id := createJob(t, base, `{"scale":20,"format":"tsv","workers":2}`)
 	resp, err := http.Get(base + "/v1/jobs/" + id + "/stream")
 	if err != nil {
@@ -258,12 +249,9 @@ func TestServerCancelEndpoint(t *testing.T) {
 	// The stream ends (possibly truncated) and the job records the
 	// cancellation.
 	io.Copy(io.Discard, resp.Body)
-	deadline := time.Now().Add(10 * time.Second)
-	for getStatus(t, base, id).State != StateCanceled {
-		if time.Now().After(deadline) {
-			t.Fatalf("job never canceled: %+v", getStatus(t, base, id))
-		}
-		time.Sleep(20 * time.Millisecond)
+	srv.streams.Wait()
+	if st := getStatus(t, base, id); st.State != StateCanceled {
+		t.Fatalf("after DELETE mid-stream: %+v, want canceled", st)
 	}
 }
 

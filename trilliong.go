@@ -250,11 +250,12 @@ type StreamOptions = server.StreamOptions
 // stream). The bytes are identical to the corresponding slice of the
 // part files GenerateToDir writes for the same (Config, MasterSeed):
 // scopes appear in vertex order, encoded exactly as the batch writers
-// encode them. The stream is an ordered schedule of parts run by the
-// batch executor (core.StreamParts): the part at the head writes
-// straight through, parts running ahead buffer a bounded amount, so a
-// slow w throttles generation and memory stays O(Workers · d_max)
-// regardless of range size; cancelling ctx aborts the stream.
+// encode them. The stream is the range as one part, run by the batch
+// executor's chunk scheduler in order (core.StreamParts): the workers
+// share its rows a chunk at a time, chunks drawn ahead of the writer
+// wait in a bounded window, so a slow w throttles generation and memory
+// stays O(Workers · d_max) regardless of range size; cancelling ctx
+// aborts the stream.
 func (c Config) StreamRange(ctx context.Context, w io.Writer, format Format, lo, hi int64) (StreamStats, error) {
 	return c.StreamRangeOpts(ctx, w, format, lo, hi, StreamOptions{})
 }
