@@ -202,7 +202,7 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 
 	for _, numDst := range []int64{37, 100, 300} {
 		cfg := Config{
-			NumSrc: 128, NumDst: numDst, NumEdges: numDst,
+			NumSrc: 512, NumDst: numDst, NumEdges: numDst,
 			OutDist: Dist{Kind: Uniform, Min: numDst, Max: numDst},
 			InDist:  Dist{Kind: Zipfian, Slope: -2.5},
 		}

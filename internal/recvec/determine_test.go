@@ -63,7 +63,7 @@ func fuzzSeed(a, b, c float64, zeroAt uint8) (skg.Seed, bool) {
 // values around them that historically broke descents: every boundary
 // f[k] and its float neighbours, 0, the largest value below the total,
 // the total itself and subnormals. Then checkWide puts the probes
-// through both wide kernels, every probe through every lane.
+// through every wide kernel, every probe through every lane.
 func checkDetermine(t *testing.T, v *Vector, xs ...float64) {
 	t.Helper()
 	total := v.RowProb()
@@ -82,25 +82,45 @@ func checkDetermine(t *testing.T, v *Vector, xs ...float64) {
 	checkWide(t, v, probes)
 }
 
-// wideKernels are the two implementations of the wide entry point:
-// whatever determineWide dispatches to on this machine and build, and the
-// Go fallback, called explicitly, whose passes are determineBatch. Where
-// the build has no AVX2 kernels they coincide.
+// wideKernels are the implementations of the wide entry point, each
+// named: whatever determineWide dispatches to on this machine and build,
+// the Go fallback whose passes are determineBatch, the VDIVPD kernels
+// (an eight- or sixteen-lane pass, or a sixteen-lane pass and another,
+// as n needs) and the certified pass, which descends all WideLanes lanes
+// whatever n is. A kernel the CPU or the build lacks is skipped. The
+// certified pass reports whether it certified every lane; only then is
+// its output held to Determine, and a pass it hands back is the
+// fallback's to get right.
 var wideKernels = []struct {
 	name      string
-	determine func(*Vector, *[WideLanes]float64, *[WideLanes]int64, int)
+	available bool
+	determine func(*Vector, *[WideLanes]float64, *[WideLanes]int64, int) bool
 }{
-	{"determineWide", (*Vector).determineWide},
-	{"determineWideGo", (*Vector).determineWideGo},
+	{"determineWide", true, func(v *Vector, xs *[WideLanes]float64, out *[WideLanes]int64, n int) bool {
+		v.determineWide(xs, out, n)
+		return true
+	}},
+	{"determineWideGo", true, func(v *Vector, xs *[WideLanes]float64, out *[WideLanes]int64, n int) bool {
+		v.determineWideGo(xs, out, n)
+		return true
+	}},
+	{"determineWideAVX2", hasAVX2, func(v *Vector, xs *[WideLanes]float64, out *[WideLanes]int64, n int) bool {
+		v.determineWideAVX2(xs, out, n)
+		return true
+	}},
+	{"determineCertified", hasEVEX, func(v *Vector, xs *[WideLanes]float64, out *[WideLanes]int64, _ int) bool {
+		return v.determineCertified(xs, out)
+	}},
 }
 
-// checkWide puts every cyclic window of consecutive xs through both wide
-// kernels at both widths, WideLanes/2 (the two-chain pass) and WideLanes
-// (the four-chain pass), which must agree with Determine lane for lane;
-// the windows wrap around, so every x passes through every lane.
+// checkWide puts every cyclic window of consecutive xs through every
+// wide kernel at the widths of the three passes: 8 (the two-chain
+// VDIVPD pass), 16 (the four-chain one) and WideLanes (the certified
+// pass, or two VDIVPD passes), which must agree with Determine lane for
+// lane; the windows wrap around, so every x passes through every lane.
 func checkWide(t *testing.T, v *Vector, xs []float64) {
 	t.Helper()
-	for _, width := range []int{WideLanes / 2, WideLanes} {
+	for _, width := range []int{8, 16, WideLanes} {
 		for i := range xs {
 			var window [WideLanes]float64
 			var want [WideLanes]int64
@@ -110,7 +130,9 @@ func checkWide(t *testing.T, v *Vector, xs []float64) {
 			}
 			for _, k := range wideKernels {
 				var got [WideLanes]int64
-				k.determine(v, &window, &got, width)
+				if !k.available || !k.determine(v, &window, &got, width) {
+					continue
+				}
 				if got != want {
 					t.Fatalf("levels %d u %d width %d xs %v: %s %v, Determine %v (f %v)", v.levels, v.u, width, window, k.name, got, want, v.f)
 				}
@@ -173,11 +195,14 @@ func TestDetermineMatchesBinarySearchRandom(t *testing.T) {
 	}
 }
 
-// TestDetermineBatchOutsideDomain: the bit-pattern predicates of both
-// wide kernels agree with Determine's float compares on what a descent
+// TestDetermineBatchOutsideDomain: the bit-pattern predicates of every
+// wide kernel agree with Determine's float compares on what a descent
 // can produce or be handed beyond [0, total) — ±0, negatives, ±Inf and
 // both signs of NaN, from σ = 0 levels (x/0, 0/0) and σ = +Inf levels —
 // and on a seed entry given as −0, whose f[k] = −0 must compare as +0.
+// The last three seeds put the certified pass's vectors outside its
+// domain, and the NaN and +Inf probes fail its certificate, so its
+// fallback is held to Determine too.
 func TestDetermineBatchOutsideDomain(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	negNaN := math.Copysign(math.NaN(), -1)

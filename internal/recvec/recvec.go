@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/rng"
 	"repro/internal/skg"
@@ -37,7 +38,21 @@ type Vector struct {
 	f []float64
 	// sigma[k] = (f[k+1]-f[k])/f[k], the Lemma 3 ratio of bit k.
 	sigma []float64
+	// recip[k] = RN(1/σ[k]), the certified pass's operand, filled by
+	// the first pass wider than sixteen lanes after a build (fillRecip);
+	// recipState says whether it is filled and the vector certifiable.
+	recip      []float64
+	recipState uint8
 }
+
+// recipState values. The zero value is recipStale, so a vector built by
+// a struct literal or rebuilt by resize fills recip before its next
+// certified pass.
+const (
+	recipStale = iota
+	recipCertified
+	recipOutside
+)
 
 // New builds the recursive vector of source vertex u via Lemma 2 in
 // O(levels) time. Bit k of u (LSB = bit 0) selects the seed row used at
@@ -60,7 +75,7 @@ func NewNoisy(ns *skg.Noise, u int64, levels int) *Vector {
 // resize points f and sigma at one backing array of 2·levels+1 values,
 // reusing the current one when it is large enough.
 func (v *Vector) resize(u int64, levels int) {
-	v.levels, v.u = levels, u
+	v.levels, v.u, v.recipState = levels, u, recipStale
 	n := 2*levels + 1
 	buf := v.f[:0] // f heads the backing array, so its capacity is the array's
 	if cap(buf) < n {
@@ -202,8 +217,10 @@ func (v *Vector) Sigma(k int) float64 { return v.sigma[k] }
 // search per step (clamped below the previous index) selects, and
 // translates x with the same subtraction and division, so destinations
 // are bit-identical to that formulation (fuzzed in determine_test.go).
-// The division must stay a division: multiplying by a stored 1/σ rounds
-// differently and would change the generated graph.
+// The quotient must stay RN((x − f[k])/σ[k]): a product by a stored 1/σ
+// alone rounds differently on about one quotient in six and would change
+// the generated graph. The certified pass (determine32EVEX) gets the
+// same quotient from 1/σ and two FMA steps and proves it per lane.
 func (v *Vector) Determine(x float64) int64 {
 	f, sigma := v.f, v.sigma
 	f0 := f[0]
@@ -230,27 +247,31 @@ func (v *Vector) Determine(x float64) int64 {
 // together: four independent scalar divide chains saturate the scalar
 // divider (two gain nothing over Determine; eight in Go gain 5 %, as
 // they spill — DESIGN.md §5.1). determineBatch writes its lanes out by
-// hand, so the two change together. The Go wide kernel is two or four
+// hand, so the two change together. The Go wide kernel is two to eight
 // such batches; callers see only WideLanes.
 const lanes = 4
 
-// WideLanes is the most draws one DrawLanes call determines: four ymm
-// chains of lanes doubles. One chain's subtract–divide–blend takes about
-// 20 cycles per level, with two chains' VDIVPDs in it, while the packed
-// divider accepts one about every 8; four chains keep it busy, at about
-// 32 cycles per level for twice the lanes (DESIGN.md §5.1 "Wide
-// descent").
-const WideLanes = 4 * lanes
+// WideLanes is the most draws one DrawLanes call determines: the
+// certified pass's eight chains of four doubles. The VDIVPD kernels
+// descend eight or sixteen lanes; four ymm divide chains keep the
+// packed divider busy at about 32 cycles per level for sixteen lanes,
+// and the certified pass, which computes the quotient on the FMA ports
+// instead, does thirty-two in about as many (DESIGN.md §5.1 "Wide
+// descent" and "Certified descent").
+const WideLanes = 8 * lanes
 
 // DrawLanes draws and determines the next batch of a scope's
 // destinations: n = min(room, WideLanes) uniforms on [0, RowProb())
 // from src, for room ≥ 0. It sets out[l] = Determine(x_l) for the l-th
-// value drawn, to the bit, and returns n. A batch of n ≤ WideLanes/2
-// descends the two-chain kernel's WideLanes/2 lanes, a larger one all
-// WideLanes; lanes past n hold +0, which takes no level, so a short
-// batch costs one pass of its kernel. A scope loop passes as room the
-// number of draws it would make next whatever they hit, so a batch
-// consumes src exactly as one Determine per draw would.
+// value drawn, to the bit, and returns n. A batch of n ≤ 8 descends the
+// two-chain kernel's eight lanes, one of n ≤ 16 the four-chain kernel's
+// sixteen and a larger one all WideLanes; lanes past n hold +0, which
+// takes no level, so a short batch costs one pass of its kernel. A
+// scope loop passes as room the number of draws it would make next
+// whatever they hit, so a batch consumes src exactly as one Determine
+// per draw would. The first call wider than sixteen after a build fills
+// the vector's reciprocals, so one vector must not be drawn from by two
+// goroutines at once (each scope loop owns its vector).
 func (v *Vector) DrawLanes(src *rng.Source, room int64, out *[WideLanes]int64) int {
 	var xs [WideLanes]float64
 	n := int(min(room, WideLanes))
@@ -260,32 +281,102 @@ func (v *Vector) DrawLanes(src *rng.Source, room int64, out *[WideLanes]int64) i
 }
 
 // determineWide sets out[l] = Determine(xs[l]) to the bit for every lane
-// of the pass n selects: the first WideLanes/2 when n ≤ WideLanes/2,
-// else all WideLanes (a 16-lane pass costs about 1.6 of an 8-lane one,
-// so short batches keep the narrow pass). It runs the AVX2 kernels
-// where the CPU has AVX2 and the build has assembly, else
-// determineWideGo. IEEE subtraction and division are correctly rounded
-// whether issued as DIVSD or packed VDIVPD, and Go sets neither FTZ nor
-// DAZ, so all give the same bits.
+// of the pass n selects. Where the CPU has AVX2 and the build has
+// assembly, n ≤ 16 runs the VDIVPD kernels (determineWideAVX2) and a
+// larger n the certified pass, which falls back to them for the whole
+// pass where it cannot certify every lane or the CPU lacks AVX-512VL and
+// FMA; elsewhere determineWideGo runs. IEEE subtraction and division are
+// correctly rounded whether issued as DIVSD or packed VDIVPD, the
+// certified quotient is proved equal to them, and Go sets neither FTZ
+// nor DAZ, so all give the same bits.
 func (v *Vector) determineWide(xs *[WideLanes]float64, out *[WideLanes]int64, n int) {
 	switch {
 	case !hasAVX2:
 		v.determineWideGo(xs, out, n)
-	case n <= WideLanes/2:
-		determine8AVX2(v.f, v.sigma, (*[WideLanes / 2]float64)(xs[:]), (*[WideLanes / 2]int64)(out[:]))
-	default:
-		determine16AVX2(v.f, v.sigma, xs, out)
+	case n <= 16 || !hasEVEX || !v.determineCertified(xs, out):
+		v.determineWideAVX2(xs, out, n)
 	}
 }
 
-// determineWideGo is determineWide in determineBatch passes, two when
-// n ≤ WideLanes/2 and four otherwise: the fallback and the oracle the
-// AVX2 kernels are tested against lane for lane.
-func (v *Vector) determineWideGo(xs *[WideLanes]float64, out *[WideLanes]int64, n int) {
-	width := WideLanes
-	if n <= WideLanes/2 {
-		width = WideLanes / 2
+// determineWideAVX2 is determineWide on the VDIVPD kernels alone: one
+// eight-lane pass for n ≤ 8, one sixteen-lane pass for n ≤ 16, and for
+// a larger n a sixteen-lane pass and then an eight- or sixteen-lane one
+// (a sixteen-lane pass costs about 1.6 of an eight-lane one, so short
+// batches keep the narrow pass).
+func (v *Vector) determineWideAVX2(xs *[WideLanes]float64, out *[WideLanes]int64, n int) {
+	for l := 0; ; l += 16 {
+		if n-l <= 8 {
+			determine8AVX2(v.f, v.sigma, (*[8]float64)(xs[l:]), (*[8]int64)(out[l:]))
+		} else {
+			determine16AVX2(v.f, v.sigma, (*[16]float64)(xs[l:]), (*[16]int64)(out[l:]))
+		}
+		if n-l <= 16 {
+			return
+		}
 	}
+}
+
+// fallbackPasses counts the certified passes that determineWide handed
+// back to the VDIVPD kernels: a vector outside the certified domain, or
+// a pass with a lane that failed the certificate. It is read by tests
+// only; docs/MATH.md "Certified quotient" proves that no lane of a draw
+// in [0, RowProb()) fails on a vector inside the domain.
+var fallbackPasses atomic.Int64
+
+// determineCertified runs the certified pass over all WideLanes lanes
+// and reports whether it did; if not, out is garbage and the pass must
+// be recomputed. recip is filled at the vector's first such pass.
+func (v *Vector) determineCertified(xs *[WideLanes]float64, out *[WideLanes]int64) bool {
+	if v.recipState == recipStale {
+		v.fillRecip()
+	}
+	if v.recipState == recipCertified && determine32EVEX(v.f, v.sigma, v.recip, xs, out) {
+		return true
+	}
+	fallbackPasses.Add(1)
+	return false
+}
+
+// The certified domain (docs/MATH.md "Certified quotient"): every level
+// has f[k] ≥ minCertF and σ[k] in [minCertSigma, maxCertSigma]. Then
+// every lane's t = x − f[k] is 0 or at least 2⁻⁵⁵³ in magnitude, and no
+// step of the certified quotient underflows.
+const (
+	minCertF     = 0x1p-500
+	minCertSigma = 0x1p-256
+	maxCertSigma = 0x1p256
+)
+
+// certifiable reports whether a level of boundary f and ratio sigma lies
+// in the certified domain. It is false for σ = +Inf (f ≤ 0), σ = 0 and
+// NaN.
+func certifiable(f, sigma float64) bool {
+	return f >= minCertF && sigma >= minCertSigma && sigma <= maxCertSigma
+}
+
+// fillRecip sets recip[k] = RN(1/σ[k]), one division per level, and
+// decides once for the vector whether every level is certifiable.
+func (v *Vector) fillRecip() {
+	levels := len(v.sigma)
+	if cap(v.recip) < levels {
+		v.recip = make([]float64, levels)
+	}
+	v.recip = v.recip[:levels]
+	v.recipState = recipCertified
+	for k, s := range v.sigma {
+		v.recip[k] = 1 / s
+		if !certifiable(v.f[k], s) {
+			v.recipState = recipOutside
+		}
+	}
+}
+
+// determineWideGo is determineWide in determineBatch passes, one per
+// four lanes of what the AVX2 passes cover — 8, 16, 24 or 32 lanes as
+// n needs: the fallback and the oracle the assembly kernels are tested
+// against lane for lane.
+func (v *Vector) determineWideGo(xs *[WideLanes]float64, out *[WideLanes]int64, n int) {
+	width := max(8, (n+7)&^7)
 	for l := 0; l < width; l += lanes {
 		v.determineBatch((*[lanes]float64)(xs[l:]), (*[lanes]int64)(out[l:]))
 	}

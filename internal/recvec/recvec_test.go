@@ -434,32 +434,35 @@ func BenchmarkDetermine(b *testing.B) {
 // benchSink keeps the benchmarks' destinations live.
 var benchSink int64
 
-// BenchmarkDetermineBatch reports ns per draw, not per pass, for both
-// kernels of the wide entry point at both pass widths: kernel=go is the
+// BenchmarkDetermineBatch reports ns per draw, not per pass, for every
+// kernel of the wide entry point at every pass width: kernel=go is the
 // Go kernel (a determineBatch pass per four lanes), kernel=avx2 the
-// assembly ones, skipped where the CPU or the build has none; lanes=8 is
-// the two-chain pass, lanes=16 the four-chain one. Levels are bench/'s
-// dense (13) and sparse (18) graphs, a paper-scale graph (36) and the
-// most avs admits (47). draws=pool descends a fixed pool of draws, the
-// kernel alone; draws=rng draws every value first, as DrawLanes does,
-// and reads against BenchmarkDetermine line for line.
+// VDIVPD ones (lanes=8 the two-chain pass, lanes=16 the four-chain one,
+// lanes=32 a four-chain pass twice) and kernel=evex the certified pass
+// (lanes=32 only), each skipped where the CPU or the build has none.
+// Levels are bench/'s dense (13) and sparse (18) graphs, a paper-scale
+// graph (36) and the most avs admits (47). draws=pool descends a fixed
+// pool of draws, the kernel alone; draws=rng draws every value first, as
+// DrawLanes does, and reads against BenchmarkDetermine line for line.
 func BenchmarkDetermineBatch(b *testing.B) {
 	kernels := []struct {
 		name      string
 		available bool
+		widths    []int
 		determine func(*Vector, *[WideLanes]float64, *[WideLanes]int64, int)
 	}{
-		{"go", true, (*Vector).determineWideGo},
-		{"avx2", hasAVX2, (*Vector).determineWide},
+		{"go", true, []int{8, 16, WideLanes}, (*Vector).determineWideGo},
+		{"avx2", hasAVX2, []int{8, 16, WideLanes}, (*Vector).determineWideAVX2},
+		{"evex", hasEVEX, []int{WideLanes}, (*Vector).determineWide},
 	}
 	for _, k := range kernels {
-		for _, width := range []int{WideLanes / 2, WideLanes} {
+		for _, width := range k.widths {
 			for _, levels := range []int{13, 18, 36, 47} {
 				for _, draws := range []string{"pool", "rng"} {
 					fromPool := draws == "pool"
 					b.Run(fmt.Sprintf("kernel=%s/lanes=%d/levels=%d/draws=%s", k.name, width, levels, draws), func(b *testing.B) {
 						if !k.available {
-							b.Skip("no AVX2 kernel on this CPU or in this build")
+							b.Skip("no such kernel on this CPU or in this build")
 						}
 						v := benchVector(levels)
 						src := rng.New(1)
@@ -488,10 +491,11 @@ func BenchmarkDetermineBatch(b *testing.B) {
 
 // BenchmarkDrawLanes times one DrawLanes call at 18 levels (bench/'s
 // sparse graph), draws included, for every room a scope loop can pass:
-// room=16 is a full batch; rooms 1–8 are the calls the two-chain pass
-// serves and rooms 9–16 the four-chain one, each costing one pass of its
-// kernel whatever the room. It reports ns per call, and ns per kept draw
-// beside BenchmarkDetermine's.
+// room=32 is a full batch; rooms 1–8 are the calls the two-chain pass
+// serves, rooms 9–16 the four-chain one and rooms 17–32 the certified
+// pass (two VDIVPD passes where the CPU lacks it), each costing one pass
+// of its kernel whatever the room. It reports ns per call, and ns per
+// kept draw beside BenchmarkDetermine's.
 func BenchmarkDrawLanes(b *testing.B) {
 	v := benchVector(18)
 	for room := int64(1); room <= WideLanes; room++ {

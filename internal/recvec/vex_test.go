@@ -9,17 +9,23 @@ import (
 	"testing"
 )
 
-// vecReg matches an xmm or ymm register operand.
-var vecReg = regexp.MustCompile(`^[XY][0-9]+$`)
+// vecReg matches an xmm or ymm register operand, zmmReg a zmm one.
+var (
+	vecReg = regexp.MustCompile(`^[XY][0-9]+$`)
+	zmmReg = regexp.MustCompile(`^Z[0-9]+$`)
+)
 
-// vexViolations checks Go assembly against the two rules the AVX2 kernel
-// lives by: every instruction that names an X or Y register is
-// VEX-encoded (its mnemonic starts with V), and in a TEXT block that
-// names a Y register every RET comes right after VZEROUPPER. A legacy-SSE
-// instruction while upper ymm halves are dirty, or a return to Go code
-// with them dirty, costs a state transition on every call: one MOVQ
-// BX, X13 in a prototype of the kernel, in place of VMOVQ, took the
-// 8-level kernel from 5.7 to 24.1 ns per draw, about 140 ns per call.
+// vexViolations checks Go assembly against the three rules the kernels
+// live by: every instruction that names an X or Y register is VEX- or
+// EVEX-encoded (its mnemonic starts with V), in a TEXT block that names
+// a Y register every RET comes right after VZEROUPPER, and no operand is
+// a Z register. A legacy-SSE instruction while upper ymm halves are
+// dirty, or a return to Go code with them dirty, costs a state
+// transition on every call: one MOVQ BX, X13 in a prototype of the
+// kernel, in place of VMOVQ, took the 8-level kernel from 5.7 to 24.1
+// ns per draw, about 140 ns per call. A 512-bit operation draws the
+// AVX-512 frequency licence, which would slow the code around the
+// kernel too; EVEX-encoded ymm operations (k masks, ymm16–31) do not.
 func vexViolations(src string) []string {
 	var bad []string
 	var usesY bool
@@ -55,6 +61,9 @@ func vexViolations(src string) []string {
 			}
 		}
 		for _, op := range fields[1:] {
+			if zmmReg.MatchString(op) {
+				bad = append(bad, fmt.Sprintf("line %d: %s names %s, a 512-bit register", i+1, mnemonic, op))
+			}
 			if !vecReg.MatchString(op) {
 				continue
 			}
@@ -95,6 +104,9 @@ func TestAssemblyIsAllVEX(t *testing.T) {
 		text + "\tVPXOR Y0, Y0, Y0\n\tJZ out\n\tVZEROUPPER\n\tRET\nout:\n\tRET\n":      1,
 		text + "\tVPXOR Y0, Y0, Y0\n\tMOVUPD (AX), X1\n\tVZEROUPPER\n\tRET\n":          1,
 		text + "\tCPUID\n\tRET\n" + text + "\tVMOVUPD (AX), Y1\n\tVZEROUPPER\n\tRET\n": 0,
+		text + "\tVPCMPQ $5, Y8, Y16, K1\n\tVZEROUPPER\n\tRET\n":                       0,
+		text + "\tVPORQ Y11, Y24, K1, Y24\n\tVZEROUPPER\n\tRET\n":                      0,
+		text + "\tVMOVUPD (AX), Z0\n\tVZEROUPPER\n\tRET\n":                             1,
 	} {
 		if got := vexViolations(src); len(got) != want {
 			t.Errorf("%q: %d violations %v, want %d", src, len(got), got, want)

@@ -228,8 +228,8 @@ func BenchmarkUint64(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkUniforms reports ns per uniform for a batch of 16 drawn as
-// DrawLanes draws them, by call=UniformTo (one call per value) and by
+// BenchmarkUniforms reports ns per uniform for a batch of 32 drawn as
+// a full DrawLanes call draws them, by call=UniformTo (one call per value) and by
 // call=UniformsTo (one call per batch).
 func BenchmarkUniforms(b *testing.B) {
 	for _, batched := range []bool{false, true} {
@@ -239,7 +239,7 @@ func BenchmarkUniforms(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			r := New(1)
-			var xs [16]float64
+			var xs [32]float64
 			var sink float64
 			for i := 0; i < b.N; i += len(xs) {
 				if batched {
@@ -323,7 +323,7 @@ func checkUniformsTo(t *testing.T, src Source, n int, hi float64) {
 // include 0 and a subnormal, with and without a cached normal spare.
 func TestUniformsToMatchesUniformTo(t *testing.T) {
 	his := []float64{0, math.SmallestNonzeroFloat64, 1, 3.5e-9, 100 * New(17).Float64()}
-	for n := 0; n <= 17; n++ {
+	for n := 0; n <= 33; n++ {
 		for i, hi := range his {
 			src := NewScoped(uint64(n), uint64(i))
 			checkUniformsTo(t, *src, n, hi)
@@ -336,13 +336,13 @@ func TestUniformsToMatchesUniformTo(t *testing.T) {
 func FuzzUniformsTo(f *testing.F) {
 	f.Add(uint64(1), uint8(16), 1.0, false)
 	f.Add(uint64(2), uint8(0), 0.0, true)
-	f.Add(uint64(3), uint8(17), math.SmallestNonzeroFloat64, true)
+	f.Add(uint64(3), uint8(33), math.SmallestNonzeroFloat64, true)
 	f.Add(uint64(4), uint8(9), 0.25, false)
 	f.Fuzz(func(t *testing.T, seed uint64, n uint8, hi float64, spare bool) {
 		src := New(seed)
 		if spare {
 			src.Normal(0, 1)
 		}
-		checkUniformsTo(t, *src, int(n%18), hi)
+		checkUniformsTo(t, *src, int(n%34), hi)
 	})
 }
