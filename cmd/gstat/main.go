@@ -24,8 +24,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/gformat"
@@ -185,7 +183,7 @@ func main() {
 		cfg.EdgeFactor = *expectEF
 		cfg.NoiseParam = *expectNoise
 		cfg.MasterSeed = *expectMaster
-		seed, err := parseSeed(*expectSeed)
+		seed, err := skg.ParseSeed(*expectSeed)
 		if err != nil {
 			fatal(err)
 		}
@@ -275,23 +273,6 @@ func ingest(name string, f gformat.Format, counter *stats.DegreeCounter) (int64,
 		return edges, nil
 	}
 	return edges, fmt.Errorf("unsupported format %v", f)
-}
-
-func parseSeed(spec string) (skg.Seed, error) {
-	fields := strings.Split(spec, ",")
-	if len(fields) != 4 {
-		return skg.Seed{}, fmt.Errorf("seed must be four comma-separated numbers, got %q", spec)
-	}
-	vals := make([]float64, 4)
-	for i, p := range fields {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return skg.Seed{}, fmt.Errorf("seed entry %q: %w", p, err)
-		}
-		vals[i] = v
-	}
-	s := skg.Seed{A: vals[0], B: vals[1], C: vals[2], D: vals[3]}
-	return s, s.Validate()
 }
 
 func fatal(err error) {

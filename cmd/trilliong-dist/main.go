@@ -46,8 +46,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strconv"
-	"strings"
 
 	trilliong "repro"
 	"repro/internal/community"
@@ -118,7 +116,7 @@ func main() {
 	// classicConfig is the single-model job the flags describe (both the
 	// master and a masterless worker need it when -community is unset).
 	classicConfig := func() core.Config {
-		seed, err := parseSeed(*seedSpec)
+		seed, err := skg.ParseSeed(*seedSpec)
 		if err != nil {
 			fatal(err)
 		}
@@ -317,23 +315,6 @@ func loadCommunityLayout(path string) (*community.Layout, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return lay, nil
-}
-
-func parseSeed(spec string) (skg.Seed, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 4 {
-		return skg.Seed{}, fmt.Errorf("seed must be four comma-separated numbers, got %q", spec)
-	}
-	vals := make([]float64, 4)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return skg.Seed{}, fmt.Errorf("seed entry %q: %w", p, err)
-		}
-		vals[i] = v
-	}
-	s := skg.Seed{A: vals[0], B: vals[1], C: vals[2], D: vals[3]}
-	return s, s.Validate()
 }
 
 func fatal(err error) {

@@ -34,8 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/community"
 	"repro/internal/core"
@@ -134,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.MasterSeed = *master
 	}
 	if set["seed"] {
-		s, err := parseSeed(*seedSpec)
+		s, err := skg.ParseSeed(*seedSpec)
 		if err != nil {
 			fmt.Fprintln(stderr, "trilliong-validate:", err)
 			return 2
@@ -260,21 +258,4 @@ func consumeStore(acc *validate.Accumulator, cfg core.Config, dir, formatName st
 		return fmt.Errorf("store is missing %d of %d parts for this configuration", len(missing), len(ranges))
 	}
 	return acc.ConsumeDir(scratch)
-}
-
-func parseSeed(spec string) (skg.Seed, error) {
-	fields := strings.Split(spec, ",")
-	if len(fields) != 4 {
-		return skg.Seed{}, fmt.Errorf("seed must be four comma-separated numbers, got %q", spec)
-	}
-	vals := make([]float64, 4)
-	for i, p := range fields {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return skg.Seed{}, fmt.Errorf("seed entry %q: %w", p, err)
-		}
-		vals[i] = v
-	}
-	s := skg.Seed{A: vals[0], B: vals[1], C: vals[2], D: vals[3]}
-	return s, s.Validate()
 }

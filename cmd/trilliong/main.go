@@ -20,10 +20,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	trilliong "repro"
+	"repro/internal/skg"
 )
 
 func main() {
@@ -54,7 +53,7 @@ func main() {
 		runCommunity(*commSpec, *format, *out, *storeDir, *storeMax, *remoteSpec)
 		return
 	}
-	seed, err := parseSeed(*seedSpec)
+	seed, err := skg.ParseSeed(*seedSpec)
 	if err != nil {
 		fatal(err)
 	}
@@ -189,23 +188,6 @@ func runCommunity(specPath, format, out, storeDir string, storeMax int64, remote
 		fmt.Printf("store            %d objects, %d bytes (hits %d, misses %d, ingests %d)\n",
 			cs.Objects, cs.Bytes, cs.Hits, cs.Misses, cs.Ingests)
 	}
-}
-
-func parseSeed(spec string) (trilliong.Seed, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 4 {
-		return trilliong.Seed{}, fmt.Errorf("seed must be four comma-separated numbers, got %q", spec)
-	}
-	vals := make([]float64, 4)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return trilliong.Seed{}, fmt.Errorf("seed entry %q: %w", p, err)
-		}
-		vals[i] = v
-	}
-	s := trilliong.Seed{A: vals[0], B: vals[1], C: vals[2], D: vals[3]}
-	return s, s.Validate()
 }
 
 func fatal(err error) {

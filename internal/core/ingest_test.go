@@ -6,7 +6,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -28,15 +27,16 @@ func storedObject(t *testing.T, st *store.Store, key store.Key) (store.Sidecar, 
 	return side, readFile(t, base+".part")
 }
 
-// assertStoreTmpEmpty: no ingest left anything staged.
-func assertStoreTmpEmpty(t *testing.T, st *store.Store) {
+// assertNoStoreStaging: no ingest left a staging temp (a dot-named
+// file) in the store's object tree.
+func assertNoStoreStaging(t *testing.T, st *store.Store) {
 	t.Helper()
-	litter, err := os.ReadDir(filepath.Join(st.Dir(), "tmp"))
+	litter, err := filepath.Glob(filepath.Join(st.Dir(), "objects", "*", ".*"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(litter) != 0 {
-		t.Fatalf("%d files left under the store's tmp/, first %s", len(litter), litter[0].Name())
+		t.Fatalf("staging temps left in the store's tree: %v", litter)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestIngestedSidecarIsPartDigest(t *testing.T) {
 					t.Errorf("part %d: sidecar records %d edges", i, side.Edges)
 				}
 			}
-			assertStoreTmpEmpty(t, st)
+			assertNoStoreStaging(t, st)
 		})
 	}
 }
@@ -144,7 +144,7 @@ func TestFailedPartIsNotIngested(t *testing.T) {
 			if len(sidecars) != 0 {
 				t.Fatalf("files in the object tree: %v", sidecars)
 			}
-			assertStoreTmpEmpty(t, st)
+			assertNoStoreStaging(t, st)
 
 			stats, err := ResumeToDirStore(cfg, dir, gformat.TSV, st)
 			if err != nil || stats.Edges == 0 {
@@ -195,7 +195,7 @@ func TestLostPublishRaceStillIngests(t *testing.T) {
 			t.Errorf("part %d: sidecar %s, peer's file %x", i, side.SHA256, sum)
 		}
 	}
-	assertStoreTmpEmpty(t, st)
+	assertNoStoreStaging(t, st)
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "part-*.tmp")); len(tmps) != 0 {
 		t.Fatalf("temp litter: %v", tmps)
 	}

@@ -94,21 +94,8 @@ func (s *Server) SetStore(st *store.Store, spoolDir string) error {
 // normal byte/edge accounting so job status and metrics read the same
 // as a generated run.
 func (s *Server) serveFromStore(w http.ResponseWriter, out *flushWriter, job *Job) (bool, error) {
-	spool, err := os.CreateTemp(s.spoolDir, "hit-*")
-	if err != nil {
-		return false, err
-	}
-	spoolPath := spool.Name()
-	spool.Close()
-	os.Remove(spoolPath) // Retrieve re-creates it atomically
-	defer os.Remove(spoolPath)
-
-	info, ok, err := s.store.Retrieve(job.key, spoolPath)
-	if err != nil || !ok {
-		return false, err
-	}
-	f, err := os.Open(spoolPath)
-	if err != nil {
+	f, info, err := s.retrieveSpooled(job.key)
+	if f == nil {
 		return false, err
 	}
 	defer f.Close()
@@ -124,6 +111,32 @@ func (s *Server) serveFromStore(w http.ResponseWriter, out *flushWriter, job *Jo
 	s.metrics.scopesTotal.Add(job.scopesTotal)
 	s.metrics.addEdges(info.Edges)
 	return true, nil
+}
+
+// retrieveSpooled materializes key's artifact in a fresh spool file and
+// opens it for reading. A miss (or a corrupt entry, already evicted) is
+// a nil file and a nil error. The spool file is unlinked before it is
+// returned: the open file is its only reference, so closing it frees
+// the space.
+func (s *Server) retrieveSpooled(key store.Key) (*os.File, store.Info, error) {
+	spool, err := os.CreateTemp(s.spoolDir, "hit-*")
+	if err != nil {
+		return nil, store.Info{}, fmt.Errorf("spool: %w", err)
+	}
+	spoolPath := spool.Name()
+	spool.Close()
+	os.Remove(spoolPath) // Retrieve re-creates it atomically
+	defer os.Remove(spoolPath)
+
+	info, ok, err := s.store.Retrieve(key, spoolPath)
+	if err != nil || !ok {
+		return nil, store.Info{}, err
+	}
+	f, err := os.Open(spoolPath)
+	if err != nil {
+		return nil, store.Info{}, fmt.Errorf("spool: %w", err)
+	}
+	return f, info, nil
 }
 
 // spoolWriter tees a generating stream into a spool file so a clean
@@ -197,29 +210,14 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	spool, err := os.CreateTemp(s.spoolDir, "dl-*")
+	f, info, err := s.retrieveSpooled(key)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "spool: %v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	spoolPath := spool.Name()
-	spool.Close()
-	os.Remove(spoolPath)
-	defer os.Remove(spoolPath)
-
-	info, ok, err := s.store.Retrieve(key, spoolPath)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "store: %v", err)
-		return
-	}
-	if !ok {
+	if f == nil {
 		w.Header().Set("X-Trilliong-Cache", "miss")
 		writeError(w, http.StatusNotFound, "artifact for job %s is not cached", job.ID)
-		return
-	}
-	f, err := os.Open(spoolPath)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "spool: %v", err)
 		return
 	}
 	defer f.Close()

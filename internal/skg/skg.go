@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
+	"strings"
 
 	"repro/internal/rng"
 )
@@ -51,6 +53,25 @@ func (k Seed) Validate() error {
 		return fmt.Errorf("skg: seed entries sum to %v, want 1", s)
 	}
 	return nil
+}
+
+// ParseSeed parses the command-line form of a seed, "A,B,C,D" (spaces
+// around an entry are allowed), and validates it.
+func ParseSeed(spec string) (Seed, error) {
+	parts := strings.Split(spec, ",")
+	if len(parts) != 4 {
+		return Seed{}, fmt.Errorf("seed must be four comma-separated numbers, got %q", spec)
+	}
+	vals := make([]float64, 4)
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return Seed{}, fmt.Errorf("seed entry %q: %w", p, err)
+		}
+		vals[i] = v
+	}
+	s := Seed{A: vals[0], B: vals[1], C: vals[2], D: vals[3]}
+	return s, s.Validate()
 }
 
 // At returns the entry addressed by one source bit and one destination

@@ -2,6 +2,7 @@ package skg
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -484,5 +485,36 @@ func TestFitSeed(t *testing.T) {
 	}
 	if _, err := FitSeed(-1, -1, 1.5); err == nil {
 		t.Fatal("expected assortativity error")
+	}
+}
+
+func TestParseSeed(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want Seed
+		ok   bool
+	}{
+		{"0.57,0.19,0.19,0.05", Graph500Seed, true},
+		{" 0.25 , 0.25 ,0.25, 0.25 ", UniformSeed, true},
+		{"", Seed{}, false},
+		{"1,2,3", Seed{}, false},
+		{"a,b,c,d", Seed{}, false},
+		{"x,y,z,w", Seed{}, false},
+		{"0.5,0.5,0.5,0.5", Seed{}, false},
+		{"0.9,0.05,0.04,0.02,0", Seed{}, false},
+	} {
+		got, err := ParseSeed(tc.spec)
+		if (err == nil) != tc.ok {
+			t.Fatalf("ParseSeed(%q) error = %v, want ok=%v", tc.spec, err, tc.ok)
+		}
+		if tc.ok && got != tc.want {
+			t.Fatalf("ParseSeed(%q) = %+v, want %+v", tc.spec, got, tc.want)
+		}
+	}
+	if _, err := ParseSeed("1,2,3"); err == nil || err.Error() != `seed must be four comma-separated numbers, got "1,2,3"` {
+		t.Fatalf("wrong-arity error = %v", err)
+	}
+	if _, err := ParseSeed("0.5,x,0.25,0.25"); err == nil || !strings.HasPrefix(err.Error(), `seed entry "x": `) {
+		t.Fatalf("bad-entry error = %v", err)
 	}
 }

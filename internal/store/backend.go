@@ -1,6 +1,7 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -69,10 +70,29 @@ func ParseSidecar(b []byte) (Sidecar, error) {
 	if err := json.Unmarshal(b, &side); err != nil {
 		return Sidecar{}, err
 	}
-	if side.Schema != sidecarSchema || side.Size < 0 {
+	switch {
+	case side.Schema != sidecarSchema:
 		return Sidecar{}, fmt.Errorf("store: sidecar has schema %q", side.Schema)
+	case !isDigest(side.SHA256):
+		return Sidecar{}, fmt.Errorf("store: sidecar sha256 %q is not a lowercase hex SHA-256", side.SHA256)
+	case side.Size < 0 || side.Edges < 0:
+		return Sidecar{}, fmt.Errorf("store: sidecar has size %d and edges %d", side.Size, side.Edges)
 	}
 	return side, nil
+}
+
+// isDigest reports whether s is a SHA-256 in lowercase hex, the one
+// spelling the store writes.
+func isDigest(s string) bool {
+	if len(s) != sha256.Size*2 {
+		return false
+	}
+	for _, c := range []byte(s) {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Encode renders the sidecar in its canonical stored form (JSON, one
@@ -104,40 +124,60 @@ func ObjectName(key Key, suffix string) string {
 }
 
 // KeyFromObjectName inverts ObjectName, accepting either object of a
-// pair; ok is false for names that are not store objects.
+// pair; ok is false for names that are not store objects. Only the base
+// name is read, and only in the spelling ObjectName writes.
 func KeyFromObjectName(name string) (key Key, suffix string, ok bool) {
-	base := name
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		base = name[i+1:]
-	}
+	base := name[strings.LastIndexByte(name, '/')+1:]
 	for _, suf := range []string{PayloadSuffix, SidecarSuffix} {
-		if strings.HasSuffix(base, suf) {
-			k, err := ParseKey(strings.TrimSuffix(base, suf))
-			if err != nil {
-				return Key{}, "", false
-			}
-			return k, suf, true
+		if digest, found := strings.CutSuffix(base, suf); found && isDigest(digest) {
+			return Key{digest: digest}, suf, true
 		}
 	}
 	return Key{}, "", false
 }
 
-// DirBackend is a Backend over a plain directory — a mounted NFS
-// export, a shared scratch disk, or a test double for the remote tier.
-// It follows the same payload-then-sidecar write order and temp+rename
-// atomicity as the local store, so a crash mid-Put leaves garbage a
-// later Put overwrites, never a readable half-object.
+// DirBackend is the one implementation of the object tree: a plain
+// directory of <dd>/<digest>.part payloads beside their <digest>.sum
+// sidecars. It is the Store's hot tier (rooted at <root>/objects) and a
+// cold tier over a mounted NFS export, a shared scratch disk or a test
+// double, so both tiers share one commit and one crash recovery.
+//
+// A commit stages the payload as a dot-named temp in its bucket and
+// moves it into place in a fixed crash order: payload fsynced, sidecar
+// written and fsynced, payload renamed, sidecar renamed, bucket
+// fsynced. An object without a readable sidecar does not exist, so a
+// crash leaves no readable half-object — only temps and, between the
+// two renames, a payload without a sidecar. Recovery (NewDirBackend,
+// List and the Store's Open) discards that litter once it is
+// staleAfter old, so it never touches a commit in flight in another
+// process sharing the tree.
 type DirBackend struct {
 	root string
 }
 
+// staleAfter is how long a staging temp or a payload without a sidecar
+// must have gone unwritten before recovery discards it. Anything
+// younger may belong to a peer's commit still in flight.
+const staleAfter = time.Hour
+
+// Name patterns of a commit's staging temps. The leading dot keeps
+// them apart from objects: no key parses from them.
+const (
+	payloadTemp = ".put-"
+	sidecarTemp = ".sum-"
+)
+
 // NewDirBackend opens (creating if needed) a directory-backed cold
-// tier rooted at dir.
+// tier rooted at dir and recovers it from any earlier crash.
 func NewDirBackend(dir string) (*DirBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: dir backend: %w", err)
 	}
-	return &DirBackend{root: dir}, nil
+	d := &DirBackend{root: dir}
+	if err := d.recover(nil); err != nil {
+		return nil, fmt.Errorf("store: dir backend: %w", err)
+	}
+	return d, nil
 }
 
 // Dir returns the backend's root directory.
@@ -149,38 +189,82 @@ func (d *DirBackend) path(key Key, suffix string) string {
 
 // Put implements Backend.
 func (d *DirBackend) Put(key Key, r io.Reader, side Sidecar) error {
-	bucket := filepath.Dir(d.path(key, PayloadSuffix))
-	if err := os.MkdirAll(bucket, 0o755); err != nil {
-		return fmt.Errorf("store: dir backend: %w", err)
-	}
-	tmp, err := os.CreateTemp(bucket, ".put-*")
+	err := d.write(key, func(f *os.File) (Sidecar, error) {
+		_, err := io.Copy(f, r)
+		return side, err
+	})
 	if err != nil {
 		return fmt.Errorf("store: dir backend: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	_, err = io.Copy(tmp, r)
-	if err == nil {
-		err = tmp.Sync()
+	return nil
+}
+
+// write is the one commit: fill stages key's payload into a temp in
+// its bucket and returns the sidecar to record, then the pair moves
+// into place in the crash order of the type comment. A fill error
+// aborts it with nothing left behind. A concurrent commit of the same
+// key overwrites identical bytes (keys are content addresses).
+func (d *DirBackend) write(key Key, fill func(*os.File) (Sidecar, error)) error {
+	bucket := filepath.Dir(d.path(key, PayloadSuffix))
+	if err := os.MkdirAll(bucket, 0o755); err != nil {
+		return err
 	}
-	if cerr := tmp.Close(); err == nil {
+	var side Sidecar
+	payload, err := stage(bucket, payloadTemp, func(f *os.File) (err error) {
+		side, err = fill(f)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	defer os.Remove(payload) // no-op after the rename
+	sidecar, err := stage(bucket, sidecarTemp, func(f *os.File) error {
+		_, err := f.Write(side.Encode())
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	defer os.Remove(sidecar)
+	if err := os.Rename(payload, d.path(key, PayloadSuffix)); err != nil {
+		return err
+	}
+	if err := os.Rename(sidecar, d.path(key, SidecarSuffix)); err != nil {
+		return err
+	}
+	return syncDir(bucket)
+}
+
+// stage writes a new temp file in dir through fill, fsyncs it and
+// returns its name; on failure it leaves nothing behind.
+func stage(dir, prefix string, fill func(*os.File) error) (string, error) {
+	f, err := os.CreateTemp(dir, prefix+"*")
+	if err != nil {
+		return "", err
+	}
+	err = fill(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("store: dir backend: %w", err)
+		os.Remove(f.Name())
+		return "", err
 	}
-	sideTmp, err := writeTempFile(bucket, ".sum-*", side.Encode())
+	return f.Name(), nil
+}
+
+// syncDir fsyncs a directory so just-renamed entries survive a crash —
+// the same discipline as internal/core's atomic part sinks.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("store: dir backend: %w", err)
+		return err
 	}
-	defer os.Remove(sideTmp)
-	if err := os.Rename(tmpName, d.path(key, PayloadSuffix)); err != nil {
-		return fmt.Errorf("store: dir backend: %w", err)
-	}
-	if err := os.Rename(sideTmp, d.path(key, SidecarSuffix)); err != nil {
-		return fmt.Errorf("store: dir backend: %w", err)
-	}
-	return syncDir(bucket)
+	defer f.Close()
+	return f.Sync()
 }
 
 // Get implements Backend.
@@ -221,7 +305,8 @@ func (d *DirBackend) Head(key Key) (Sidecar, bool, error) {
 	return side, true, nil
 }
 
-// Delete implements Backend.
+// Delete implements Backend. The sidecar goes first, so the object
+// stops existing before its payload does.
 func (d *DirBackend) Delete(key Key) error {
 	var errs []string
 	for _, suf := range []string{SidecarSuffix, PayloadSuffix} {
@@ -235,27 +320,70 @@ func (d *DirBackend) Delete(key Key) error {
 	return nil
 }
 
-// List implements Backend.
+// List implements Backend. It walks the tree as recovery does, and
+// discards what recovery discards.
 func (d *DirBackend) List() ([]BackendEntry, error) {
 	var out []BackendEntry
-	err := filepath.WalkDir(d.root, func(path string, de fs.DirEntry, err error) error {
-		if err != nil || de.IsDir() || !strings.HasSuffix(path, SidecarSuffix) {
-			return err
-		}
-		key, _, ok := KeyFromObjectName(filepath.ToSlash(path))
-		if !ok {
-			return nil
-		}
-		side, ok, herr := d.Head(key)
-		if herr != nil || !ok {
-			return herr
-		}
+	err := d.recover(func(key Key, side Sidecar, _ fs.FileInfo) {
 		out = append(out, BackendEntry{Key: key, Side: side})
-		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("store: dir backend: %w", err)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key.digest < out[j].Key.digest })
 	return out, nil
+}
+
+// recover is the tree's one crash recovery and its one walk. Every
+// committed object — a sidecar that parses, beside a payload of the
+// size it records — is handed to found (if not nil) with the payload's
+// FileInfo. A sidecar that does not parse, or whose payload is missing
+// or of another size, is removed with its payload at once: a commit
+// renames its sidecar last, so none in flight looks like that. Staging
+// temps and payloads without a sidecar are removed only once they are
+// staleAfter old. Other files (the Store's pins) are left alone.
+func (d *DirBackend) recover(found func(Key, Sidecar, fs.FileInfo)) error {
+	cutoff := time.Now().Add(-staleAfter)
+	removeIfStale := func(path string, de fs.DirEntry) {
+		if info, err := de.Info(); err == nil && info.ModTime().Before(cutoff) {
+			os.Remove(path)
+		}
+	}
+	return filepath.WalkDir(d.root, func(path string, de fs.DirEntry, err error) error {
+		if err != nil || de.IsDir() {
+			return err
+		}
+		name := de.Name()
+		if strings.HasPrefix(name, payloadTemp) || strings.HasPrefix(name, sidecarTemp) {
+			removeIfStale(path, de)
+			return nil
+		}
+		key, suffix, ok := KeyFromObjectName(name)
+		switch {
+		case !ok:
+			return nil
+		case suffix == PayloadSuffix:
+			if _, err := os.Lstat(d.path(key, SidecarSuffix)); os.IsNotExist(err) {
+				removeIfStale(path, de)
+			}
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			return nil // deleted under the walk
+		}
+		if err != nil {
+			return err
+		}
+		side, perr := ParseSidecar(b)
+		st, serr := os.Stat(d.path(key, PayloadSuffix))
+		if perr != nil || serr != nil || st.Size() != side.Size {
+			d.Delete(key)
+			return nil
+		}
+		if found != nil {
+			found(key, side, st)
+		}
+		return nil
+	})
 }

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,5 +124,62 @@ func TestConcurrentRetrieveVsGCAndDelete(t *testing.T) {
 				t.Fatalf("post-churn verify: corrupt=%v err=%v", corrupt, err)
 			}
 		})
+	}
+}
+
+// TestPeerOpenKeepsInflightIngest: a second process opening the same
+// store — a late swarm worker — must not break an ingest in flight.
+// A peer reopens the root in a loop while one Store ingests a 64 MiB
+// payload by IngestFile and by IngestDigest; both must succeed, and
+// both objects must be retrievable here and from a fresh Open.
+func TestPeerOpenKeepsInflightIngest(t *testing.T) {
+	dir := t.TempDir()
+	root := filepath.Join(dir, "store")
+	s := mustOpen(t, root, Options{})
+	payload := bytes.Repeat([]byte("0\t1\n"), 16<<20)
+	src := writeSrc(t, dir, "part.tsv", payload)
+	sum := sha256.Sum256(payload)
+
+	var reopens atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := Open(root, Options{}); err != nil {
+				t.Errorf("peer Open: %v", err)
+				return
+			}
+			reopens.Add(1)
+		}
+	}()
+	for reopens.Load() == 0 {
+		runtime.Gosched()
+	}
+	byFile, byDigest := testKey(t, 0), testKey(t, 1)
+	errFile := s.IngestFile(byFile, src, 0)
+	errDigest := s.IngestDigest(byDigest, src, sum[:], int64(len(payload)), 0)
+	close(stop)
+	<-done
+	if errFile != nil || errDigest != nil {
+		t.Fatalf("ingests beside a reopening peer: IngestFile %v, IngestDigest %v", errFile, errDigest)
+	}
+
+	dst := filepath.Join(dir, "out")
+	for _, st := range []*Store{s, mustOpen(t, root, Options{})} {
+		for _, key := range []Key{byFile, byDigest} {
+			if _, ok, err := st.Retrieve(key, dst); !ok || err != nil {
+				t.Fatalf("Retrieve %s: ok=%v err=%v", key, ok, err)
+			}
+			got, err := os.ReadFile(dst)
+			if err != nil || sha256.Sum256(got) != sum {
+				t.Fatalf("Retrieve %s: wrong bytes (%v)", key, err)
+			}
+		}
 	}
 }

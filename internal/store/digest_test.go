@@ -11,20 +11,31 @@ import (
 )
 
 // assertNoObject: key left nothing behind — no index entry, no payload,
-// no sidecar, nothing staged under tmp/.
+// no sidecar, no staging temp in the tree.
 func assertNoObject(t *testing.T, s *Store, key Key) {
 	t.Helper()
 	if s.Has(key) {
 		t.Fatal("the store indexed the object")
 	}
-	for _, p := range []string{s.payloadPath(key.digest), s.sumPath(key.digest)} {
-		if _, err := os.Stat(p); err == nil {
+	for _, suf := range []string{PayloadSuffix, SidecarSuffix} {
+		if p := s.hot.path(key, suf); fileExists(p) {
 			t.Fatalf("%s exists", p)
 		}
 	}
-	if litter, _ := os.ReadDir(s.tmpDir()); len(litter) != 0 {
-		t.Fatalf("%d files left under tmp/, first %s", len(litter), litter[0].Name())
+	assertNoStaging(t, s)
+}
+
+// assertNoStaging: no commit left a staging temp in the store's tree.
+func assertNoStaging(t *testing.T, s *Store) {
+	t.Helper()
+	if litter, _ := filepath.Glob(filepath.Join(s.hot.Dir(), "*", ".*")); len(litter) != 0 {
+		t.Fatalf("staging temps left in the tree: %v", litter)
 	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // TestIngestDigestRoundTrip: an object ingested by digest is the object
@@ -45,25 +56,22 @@ func TestIngestDigestRoundTrip(t *testing.T) {
 	if err := byFile.IngestFile(key, src, 60000); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []func(*Store) string{
-		func(s *Store) string { return s.payloadPath(key.digest) },
-		func(s *Store) string { return s.sumPath(key.digest) },
-	} {
-		a, err := os.ReadFile(path(byDigest))
+	for _, suf := range []string{PayloadSuffix, SidecarSuffix} {
+		a, err := os.ReadFile(byDigest.hot.path(key, suf))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(path(byFile))
+		b, err := os.ReadFile(byFile.hot.path(key, suf))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Fatalf("%s differs between the two ingests", filepath.Base(path(byFile)))
+			t.Fatalf("%s differs between the two ingests", suf)
 		}
 	}
-	side, err := readSidecar(byDigest.sumPath(key.digest))
-	if err != nil || side.SHA256 != hex.EncodeToString(sum[:]) || side.Size != int64(len(payload)) || side.Edges != 60000 {
-		t.Fatalf("sidecar %+v, %v", side, err)
+	side, ok, err := byDigest.hot.Head(key)
+	if !ok || err != nil || side.SHA256 != hex.EncodeToString(sum[:]) || side.Size != int64(len(payload)) || side.Edges != 60000 {
+		t.Fatalf("sidecar %+v, %v, %v", side, ok, err)
 	}
 
 	dst := filepath.Join(dir, "out.tsv")
@@ -83,9 +91,7 @@ func TestIngestDigestRoundTrip(t *testing.T) {
 	if got := byDigest.Stats().Ingests; got != 1 {
 		t.Fatalf("ingests after a duplicate = %d, want 1", got)
 	}
-	if litter, _ := os.ReadDir(byDigest.tmpDir()); len(litter) != 0 {
-		t.Fatalf("%d files left under tmp/", len(litter))
-	}
+	assertNoStaging(t, byDigest)
 }
 
 // TestIngestDigestShortCopy: a file that is not as long as its writer

@@ -13,14 +13,14 @@
 // On disk the store is a flat object tree:
 //
 //	root/
-//	  tmp/                          ingest/retrieve staging (swept on Open)
 //	  objects/<dd>/<digest>.part    payload
 //	  objects/<dd>/<digest>.sum     sidecar: {sha256, size, edges, codec}
 //	  objects/<dd>/<digest>.pin     persistent pin marker (optional)
 //
-// Every write follows the atomic discipline of internal/core's resume
-// sinks: temp file, fsync, rename, directory fsync — an object either
-// exists completely or not at all. Every read re-hashes the payload
+// The tree is a DirBackend, the same one a directory cold tier is:
+// every write is its commit (staged temp, fsync, rename, directory
+// fsync), so an object either exists completely or not at all, and
+// Open runs its crash recovery. Every read re-hashes the payload
 // against the sidecar, so a corrupted object is detected, evicted and
 // reported as a miss (the caller regenerates; the store self-heals).
 //
@@ -30,9 +30,11 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"os"
@@ -165,6 +167,7 @@ type entry struct {
 // safe for concurrent use.
 type Store struct {
 	root     string
+	hot      *DirBackend // the object tree under root/objects
 	maxBytes int64
 	tel      *telemetry.Registry
 	remote   Backend
@@ -193,9 +196,8 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store rooted at dir: the object
-// tree is scanned into the index, half-ingested temporaries are swept,
-// and objects whose payload is missing or whose size disagrees with the
-// sidecar are discarded.
+// tree is recovered from any crash (DirBackend) and scanned into the
+// index in the same walk.
 func Open(dir string, opts Options) (*Store, error) {
 	tel := opts.Telemetry
 	if tel == nil {
@@ -222,13 +224,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.remoteMisses = tel.Counter(MetricRemoteMisses)
 		s.remoteVerifyFails = tel.Counter(MetricRemoteVerifyFailure)
 	}
-	for _, d := range []string{s.objectsDir(), s.tmpDir()} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-	}
-	if err := s.sweepTmp(); err != nil {
-		return nil, err
+	s.hot = &DirBackend{root: filepath.Join(dir, "objects")}
+	if err := os.MkdirAll(s.hot.root, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	if err := s.scan(); err != nil {
 		return nil, err
@@ -285,69 +283,25 @@ func (s *Store) effectiveBudgetLocked() int64 {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.root }
 
-func (s *Store) objectsDir() string { return filepath.Join(s.root, "objects") }
-func (s *Store) tmpDir() string     { return filepath.Join(s.root, "tmp") }
+// pinPath is where key's pin marker lives: beside its object, in a
+// file of the Store's own that the tree's recovery leaves alone.
+func (s *Store) pinPath(key Key) string { return s.hot.path(key, ".pin") }
 
-func (s *Store) payloadPath(digest string) string {
-	return filepath.Join(s.objectsDir(), digest[:2], digest+".part")
-}
-func (s *Store) sumPath(digest string) string {
-	return filepath.Join(s.objectsDir(), digest[:2], digest+".sum")
-}
-func (s *Store) pinPath(digest string) string {
-	return filepath.Join(s.objectsDir(), digest[:2], digest+".pin")
-}
-
-// sweepTmp removes staging litter from a crashed ingest or retrieve.
-func (s *Store) sweepTmp() error {
-	ents, err := os.ReadDir(s.tmpDir())
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, e := range ents {
-		os.Remove(filepath.Join(s.tmpDir(), e.Name()))
-	}
-	return nil
-}
-
-// scan rebuilds the index from the object tree. Initial LRU order is
-// payload mtime, so a reopened store evicts oldest-written first until
-// real access recency accumulates.
+// scan builds the index from the tree's recovery walk. Initial LRU
+// order is payload mtime, so a reopened store evicts oldest-written
+// first until real access recency accumulates.
 func (s *Store) scan() error {
 	type found struct {
 		e     *entry
 		mtime int64
 	}
 	var all []found
-	err := filepath.WalkDir(s.objectsDir(), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".sum") {
-			return err
-		}
-		digest := strings.TrimSuffix(filepath.Base(path), ".sum")
-		side, err := readSidecar(path)
-		if err != nil {
-			// A torn or alien sidecar: discard the pair.
-			os.Remove(path)
-			os.Remove(s.payloadPath(digest))
-			return nil
-		}
-		st, err := os.Stat(s.payloadPath(digest))
-		if err != nil || st.Size() != side.Size {
-			os.Remove(path)
-			os.Remove(s.payloadPath(digest))
-			return nil
-		}
-		_, pinErr := os.Stat(s.pinPath(digest))
+	err := s.hot.recover(func(key Key, side Sidecar, payload fs.FileInfo) {
+		_, pinErr := os.Stat(s.pinPath(key))
 		all = append(all, found{
-			e: &entry{
-				digest: digest,
-				size:   side.Size,
-				edges:  side.Edges,
-				pinned: pinErr == nil,
-			},
-			mtime: st.ModTime().UnixNano(),
+			e:     &entry{digest: key.digest, size: side.Size, edges: side.Edges, pinned: pinErr == nil},
+			mtime: payload.ModTime().UnixNano(),
 		})
-		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("store: scanning objects: %w", err)
@@ -364,27 +318,23 @@ func (s *Store) scan() error {
 	return nil
 }
 
-func readSidecar(path string) (Sidecar, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Sidecar{}, err
-	}
-	side, err := ParseSidecar(b)
-	if err != nil {
-		return Sidecar{}, fmt.Errorf("store: sidecar %s: %w", path, err)
-	}
-	return side, nil
+// digester hashes and counts what is written to it: every read of an
+// object checks the bytes against the sidecar through one.
+type digester struct {
+	h hash.Hash
+	n int64
 }
 
-// syncDir fsyncs a directory so just-renamed entries survive a crash —
-// the same discipline as internal/core's atomic part sinks.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+func newDigester() *digester { return &digester{h: sha256.New()} }
+
+func (d *digester) Write(p []byte) (int, error) {
+	d.n += int64(len(p))
+	return d.h.Write(p)
+}
+
+// matches reports whether the bytes written are the ones side records.
+func (d *digester) matches(side Sidecar) bool {
+	return d.n == side.Size && hex.EncodeToString(d.h.Sum(nil)) == side.SHA256
 }
 
 // IngestFile copies the file at src into the store under key, hashing
@@ -412,9 +362,9 @@ func (s *Store) IngestDigest(key Key, src string, sum []byte, size, edges int64)
 	return s.ingest(key, src, edges, sum, size)
 }
 
-// ingest stages a durable copy of src under tmp/ and commits it as
-// key's object. With sum == nil the copy is hashed as it is made;
-// otherwise it must be size bytes long and sum is taken on trust.
+// ingest stages a durable copy of src and commits it as key's object.
+// With sum == nil the copy is hashed as it is made; otherwise it must
+// be size bytes long and sum is taken on trust.
 func (s *Store) ingest(key Key, src string, edges int64, sum []byte, size int64) error {
 	if key.IsZero() {
 		return fmt.Errorf("store: ingest with zero key")
@@ -433,41 +383,22 @@ func (s *Store) ingest(key Key, src string, edges int64, sum []byte, size int64)
 		return fmt.Errorf("store: ingest: %w", err)
 	}
 	defer in.Close()
-
-	tmp, err := os.CreateTemp(s.tmpDir(), "ingest-*")
-	if err != nil {
-		return fmt.Errorf("store: ingest: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if sum == nil {
-		h := sha256.New()
-		size, err = io.Copy(io.MultiWriter(tmp, h), in)
-		sum = h.Sum(nil)
-	} else {
-		var copied int64
-		// *os.File to *os.File: copy_file_range, no user-space buffer.
-		if copied, err = io.Copy(tmp, in); err == nil && copied != size {
-			err = fmt.Errorf("copied %d bytes of %s, its writer hashed %d", copied, src, size)
+	err = s.hot.write(key, func(tmp *os.File) (Sidecar, error) {
+		var err error
+		if sum == nil {
+			h := sha256.New()
+			size, err = io.Copy(io.MultiWriter(tmp, h), in)
+			sum = h.Sum(nil)
+		} else {
+			var copied int64
+			// *os.File to *os.File: copy_file_range, no user-space buffer.
+			if copied, err = io.Copy(tmp, in); err == nil && copied != size {
+				err = fmt.Errorf("copied %d bytes of %s, its writer hashed %d", copied, src, size)
+			}
 		}
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+		return Sidecar{Schema: sidecarSchema, SHA256: hex.EncodeToString(sum), Size: size, Edges: edges, Codec: CodecVersion}, err
+	})
 	if err != nil {
-		return fmt.Errorf("store: ingest: %w", err)
-	}
-	side := Sidecar{
-		Schema: sidecarSchema,
-		SHA256: hex.EncodeToString(sum),
-		Size:   size,
-		Edges:  edges,
-		Codec:  CodecVersion,
-	}
-	if err := s.install(key.digest, tmpName, side); err != nil {
 		return fmt.Errorf("store: ingest: %w", err)
 	}
 
@@ -481,52 +412,6 @@ func (s *Store) ingest(key Key, src string, edges int64, sum []byte, size int64)
 	s.evictLocked(s.effectiveBudgetLocked())
 	s.mu.Unlock()
 	return nil
-}
-
-// install moves a staged, fsynced payload and its sidecar into the
-// object tree. Payload first, sidecar second: a crash between the two
-// leaves a payload without a sidecar, which the next Open discards. If
-// a concurrent ingest or promotion of the same key won the race, the
-// renames overwrite identical bytes (keys are content addresses).
-func (s *Store) install(digest, payloadTmp string, side Sidecar) error {
-	sideTmp, err := writeTempFile(s.tmpDir(), "sum-*", side.Encode())
-	if err != nil {
-		return err
-	}
-	defer os.Remove(sideTmp) // no-op after a successful rename
-	bucket := filepath.Dir(s.payloadPath(digest))
-	if err := os.MkdirAll(bucket, 0o755); err != nil {
-		return err
-	}
-	if err := os.Rename(payloadTmp, s.payloadPath(digest)); err != nil {
-		return err
-	}
-	if err := os.Rename(sideTmp, s.sumPath(digest)); err != nil {
-		return err
-	}
-	return syncDir(bucket)
-}
-
-// writeTempFile writes b to a new temp file in dir, fsyncs and returns
-// its name.
-func writeTempFile(dir, pattern string, b []byte) (string, error) {
-	f, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return "", err
-	}
-	name := f.Name()
-	_, err = f.Write(b)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(name)
-		return "", err
-	}
-	return name, nil
 }
 
 // Retrieve materializes key's artifact at dst (atomically: temp +
@@ -554,7 +439,7 @@ func (s *Store) Retrieve(key Key, dst string) (Info, bool, error) {
 	e.seq = s.clock
 	s.mu.Unlock()
 
-	okHash, size, err := s.copyVerified(e, dst)
+	okHash, err := s.copyVerified(key, dst)
 	s.mu.Lock()
 	e.inUse--
 	s.mu.Unlock()
@@ -565,11 +450,11 @@ func (s *Store) Retrieve(key Key, dst string) (Info, bool, error) {
 		// Checksum mismatch: the object is damaged. Evict it so the
 		// regenerated (or re-promoted) part can be re-ingested cleanly.
 		s.verifyFails.Inc()
-		s.removeObject(key.digest)
+		s.removeObject(key)
 		return s.retrieveRemote(key, dst)
 	}
 	s.hits.Inc()
-	s.bytesSaved.Add(size)
+	s.bytesSaved.Add(e.size)
 	return Info{Key: key, Size: e.size, Edges: e.edges, Pinned: e.pinned}, true, nil
 }
 
@@ -588,7 +473,7 @@ func (s *Store) retrieveRemote(key Key, dst string) (Info, bool, error) {
 		s.misses.Inc()
 		return Info{}, false, nil
 	}
-	okHash, size, err := s.copyVerified(e, dst)
+	okHash, err := s.copyVerified(key, dst)
 	s.mu.Lock()
 	e.inUse--
 	s.mu.Unlock()
@@ -599,11 +484,11 @@ func (s *Store) retrieveRemote(key Key, dst string) (Info, bool, error) {
 		// The just-promoted copy failed its read-back: local damage.
 		s.verifyFails.Inc()
 		s.misses.Inc()
-		s.removeObject(key.digest)
+		s.removeObject(key)
 		return Info{}, false, nil
 	}
 	s.remoteHits.Inc()
-	s.bytesSaved.Add(size)
+	s.bytesSaved.Add(e.size)
 	return Info{Key: key, Size: e.size, Edges: e.edges, Pinned: e.pinned}, true, nil
 }
 
@@ -616,67 +501,55 @@ func (s *Store) Has(key Key) bool {
 	return ok
 }
 
-// copyVerified streams the payload into dst while hashing, then
-// atomically renames dst into place only when the hash matches.
-func (s *Store) copyVerified(e *entry, dst string) (bool, int64, error) {
-	in, err := os.Open(s.payloadPath(e.digest))
-	if err != nil {
-		// Payload vanished under us (external tampering): treat as
-		// corruption, not an I/O error, so the caller regenerates.
-		return false, 0, nil
-	}
-	defer in.Close()
+// copyVerified streams key's payload into dst while hashing, then
+// atomically renames dst into place only when the bytes match the
+// sidecar. A payload or sidecar that vanished under us (external
+// tampering) is corruption, not an I/O error, so the caller
+// regenerates.
+func (s *Store) copyVerified(key Key, dst string) (bool, error) {
 	tmp, err := os.CreateTemp(filepath.Dir(dst), ".store-fetch-*")
 	if err != nil {
-		return false, 0, fmt.Errorf("store: retrieve: %w", err)
+		return false, fmt.Errorf("store: retrieve: %w", err)
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName)
-	h := sha256.New()
-	size, err := io.Copy(io.MultiWriter(tmp, h), in)
+	d := newDigester()
+	side, ok, err := s.hot.Get(key, io.MultiWriter(tmp, d))
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return false, 0, fmt.Errorf("store: retrieve: %w", err)
+		return false, fmt.Errorf("store: retrieve: %w", err)
 	}
-	if size != e.size || hex.EncodeToString(h.Sum(nil)) != e.digest2sum(s) {
-		return false, 0, nil
+	if !ok || !d.matches(side) {
+		return false, nil
 	}
 	if err := os.Rename(tmpName, dst); err != nil {
-		return false, 0, fmt.Errorf("store: retrieve: %w", err)
+		return false, fmt.Errorf("store: retrieve: %w", err)
 	}
 	if err := syncDir(filepath.Dir(dst)); err != nil {
-		return false, 0, fmt.Errorf("store: retrieve: %w", err)
+		return false, fmt.Errorf("store: retrieve: %w", err)
 	}
-	return true, size, nil
-}
-
-// digest2sum returns the expected payload hash: the sidecar's SHA256.
-// The scan/ingest invariant keeps it equal to the entry digest's
-// sidecar record; reading it from the sidecar (not the key) means a
-// forged key cannot bypass verification.
-func (e *entry) digest2sum(s *Store) string {
-	side, err := readSidecar(s.sumPath(e.digest))
-	if err != nil {
-		return "" // verification fails, object is evicted
-	}
-	return side.SHA256
+	return true, nil
 }
 
 // removeObject deletes an object's files and index entry (used for
 // corruption eviction and GC). In-flight readers finish their streams
 // on the open file handles.
-func (s *Store) removeObject(digest string) {
+func (s *Store) removeObject(key Key) {
 	s.mu.Lock()
-	if e, ok := s.entries[digest]; ok {
-		delete(s.entries, digest)
+	if e, ok := s.entries[key.digest]; ok {
+		delete(s.entries, key.digest)
 		s.total -= e.size
 	}
 	s.mu.Unlock()
-	os.Remove(s.payloadPath(digest))
-	os.Remove(s.sumPath(digest))
-	os.Remove(s.pinPath(digest))
+	s.removeFiles(key)
+}
+
+// removeFiles deletes key's object from the tree, then its pin.
+func (s *Store) removeFiles(key Key) {
+	s.hot.Delete(key)
+	os.Remove(s.pinPath(key))
 }
 
 // evictLocked drops least-recently-used unpinned, idle entries until
@@ -709,7 +582,7 @@ func (s *Store) evictLocked(budget int64) (removed int, freed int64) {
 		if s.remote != nil && !victim.remote {
 			victim.inUse++
 			s.mu.Unlock()
-			err := s.demote(victim.digest)
+			err := s.demote(Key{digest: victim.digest})
 			s.mu.Lock()
 			victim.inUse--
 			if err != nil {
@@ -734,9 +607,7 @@ func (s *Store) evictLocked(budget int64) (removed int, freed int64) {
 		freed += victim.size
 		removed++
 		s.evictions.Inc()
-		os.Remove(s.payloadPath(victim.digest))
-		os.Remove(s.sumPath(victim.digest))
-		os.Remove(s.pinPath(victim.digest))
+		s.removeFiles(Key{digest: victim.digest})
 	}
 	return removed, freed
 }
@@ -745,16 +616,18 @@ func (s *Store) evictLocked(budget int64) (removed int, freed int64) {
 // mu held; the caller holds a reader pin so the files cannot vanish
 // mid-upload. A Head that finds the object already cold (an earlier
 // demotion, or another replica sharing the bucket) skips the upload.
-func (s *Store) demote(digest string) error {
-	key := Key{digest: digest}
+func (s *Store) demote(key Key) error {
 	if _, ok, err := s.remote.Head(key); err == nil && ok {
 		return nil
 	}
-	side, err := readSidecar(s.sumPath(digest))
+	side, ok, err := s.hot.Head(key)
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(s.payloadPath(digest))
+	if !ok {
+		return fmt.Errorf("store: demote: no sidecar for %s", key)
+	}
+	f, err := os.Open(s.hot.path(key, PayloadSuffix))
 	if err != nil {
 		return err
 	}
@@ -779,7 +652,7 @@ func (s *Store) GC(target int64) (removed int, freed int64) {
 // Delete means "forget this artifact", unlike eviction, which only
 // moves it down a tier.
 func (s *Store) Delete(key Key) {
-	s.removeObject(key.digest)
+	s.removeObject(key)
 	if s.remote != nil {
 		s.remote.Delete(key)
 	}
@@ -797,7 +670,7 @@ func (s *Store) Pin(key Key) error {
 	if !ok {
 		return fmt.Errorf("store: pin: no object %s", key)
 	}
-	f, err := os.Create(s.pinPath(key.digest))
+	f, err := os.Create(s.pinPath(key))
 	if err != nil {
 		return fmt.Errorf("store: pin: %w", err)
 	}
@@ -815,7 +688,7 @@ func (s *Store) Unpin(key Key) error {
 	if !ok {
 		return fmt.Errorf("store: unpin: no object %s", key)
 	}
-	if err := os.Remove(s.pinPath(key.digest)); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(s.pinPath(key)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: unpin: %w", err)
 	}
 	return nil
@@ -849,7 +722,7 @@ func (s *Store) VerifyAll() (checked int, corrupt []Key, err error) {
 	bad := make([]bool, len(infos))
 	errs := make([]error, len(infos))
 	verify := func(i int) {
-		okHash, verr := s.verifyOne(infos[i].Key.digest)
+		okHash, verr := s.verifyOne(infos[i].Key)
 		if verr != nil {
 			errs[i] = verr
 			return
@@ -893,30 +766,22 @@ func (s *Store) VerifyAll() (checked int, corrupt []Key, err error) {
 		}
 		if bad[i] {
 			s.verifyFails.Inc()
-			s.removeObject(infos[i].Key.digest)
+			s.removeObject(infos[i].Key)
 			corrupt = append(corrupt, infos[i].Key)
 		}
 	}
 	return checked, corrupt, err
 }
 
-// verifyOne re-hashes one payload in place.
-func (s *Store) verifyOne(digest string) (bool, error) {
-	side, err := readSidecar(s.sumPath(digest))
+// verifyOne re-hashes one payload in place. A torn sidecar or a
+// vanished payload is corrupt.
+func (s *Store) verifyOne(key Key) (bool, error) {
+	d := newDigester()
+	side, ok, err := s.hot.Get(key, d)
 	if err != nil {
-		return false, nil // torn sidecar = corrupt
+		return false, fmt.Errorf("store: verify %s: %w", key, err)
 	}
-	f, err := os.Open(s.payloadPath(digest))
-	if err != nil {
-		return false, nil // vanished payload = corrupt
-	}
-	defer f.Close()
-	h := sha256.New()
-	size, err := io.Copy(h, f)
-	if err != nil {
-		return false, fmt.Errorf("store: verify %s: %w", digest, err)
-	}
-	return size == side.Size && hex.EncodeToString(h.Sum(nil)) == side.SHA256, nil
+	return ok && d.matches(side), nil
 }
 
 // Stats is a point-in-time store summary.
@@ -963,9 +828,14 @@ func (s *Store) CorruptForTest(key Key) error {
 	if !ok {
 		return fmt.Errorf("store: no object %s to corrupt", key)
 	}
-	garbage := make([]byte, e.size)
-	for i := range garbage {
-		garbage[i] = 0xA5
+	// In place: the object's files are the tree's to create and remove.
+	f, err := os.OpenFile(s.hot.path(key, PayloadSuffix), os.O_WRONLY, 0)
+	if err != nil {
+		return err
 	}
-	return os.WriteFile(s.payloadPath(key.digest), garbage, 0o644)
+	_, err = f.Write(bytes.Repeat([]byte{0xA5}, int(e.size)))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

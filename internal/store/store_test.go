@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -249,6 +250,63 @@ func TestPinSurvivesReopen(t *testing.T) {
 	}
 }
 
+// plantLitter leaves in the object tree at root what crashes leave —
+// staging temps of both kinds, a payload whose commit died between its
+// two renames, and a torn sidecar — and, as fresh files, what a peer's
+// commit in flight looks like. It returns the crash litter recovery
+// must remove and the in-flight files it must keep.
+func plantLitter(t *testing.T, root string) (gone, kept []string) {
+	t.Helper()
+	stale := time.Now().Add(-2 * staleAfter)
+	plant := func(name, data string, mtime time.Time) string {
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	crashed, torn, inflight := testKey(t, 101), testKey(t, 102), testKey(t, 103)
+	bucket := crashed.digest[:2] + "/"
+	gone = []string{
+		plant(bucket+".put-crashed", "half", stale),
+		plant(bucket+".sum-crashed", "{", stale),
+		plant(ObjectName(crashed, PayloadSuffix), "orphan", stale),
+		// A torn sidecar is no commit in flight, however fresh.
+		plant(ObjectName(torn, SidecarSuffix), "{torn", time.Now()),
+	}
+	kept = []string{
+		plant(bucket+".put-inflight", "half", time.Now()),
+		plant(bucket+".sum-inflight", "{", time.Now()),
+		plant(ObjectName(inflight, PayloadSuffix), "renamed, sidecar next", time.Now()),
+	}
+	return gone, kept
+}
+
+// assertRecovered: recovery removed the crash litter and kept a peer's
+// commit in flight.
+func assertRecovered(t *testing.T, gone, kept []string) {
+	t.Helper()
+	for _, p := range gone {
+		if fileExists(p) {
+			t.Errorf("crash litter %s survived recovery", p)
+		}
+	}
+	for _, p := range kept {
+		if !fileExists(p) {
+			t.Errorf("in-flight %s was removed", p)
+		}
+	}
+}
+
+// TestOpenSweepsTmpAndDiscardsTornObjects: Open removes the litter a
+// crash leaves once it is older than the grace period, torn sidecars
+// at once, and keeps what a live peer's commit has staged.
 func TestOpenSweepsTmpAndDiscardsTornObjects(t *testing.T) {
 	dir := t.TempDir()
 	root := filepath.Join(dir, "store")
@@ -258,33 +316,10 @@ func TestOpenSweepsTmpAndDiscardsTornObjects(t *testing.T) {
 	if err := s.IngestFile(key, src, 0); err != nil {
 		t.Fatal(err)
 	}
-
-	// Simulate a crash: staging litter plus a payload with no sidecar
-	// and a sidecar with no payload.
-	litter := filepath.Join(root, "tmp", "ingest-crashed")
-	if err := os.WriteFile(litter, []byte("half"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bucket := filepath.Join(root, "objects", "ab")
-	if err := os.MkdirAll(bucket, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	orphanPayload := filepath.Join(bucket, "ab0000.part")
-	if err := os.WriteFile(orphanPayload, []byte("orphan"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	orphanSum := filepath.Join(bucket, "abffff.sum")
-	if err := os.WriteFile(orphanSum, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	gone, kept := plantLitter(t, s.hot.Dir())
 
 	s2 := mustOpen(t, root, Options{})
-	if _, err := os.Stat(litter); !os.IsNotExist(err) {
-		t.Fatal("tmp litter survived Open")
-	}
-	if _, err := os.Stat(orphanSum); !os.IsNotExist(err) {
-		t.Fatal("torn sidecar survived Open")
-	}
+	assertRecovered(t, gone, kept)
 	if infos := s2.List(); len(infos) != 1 || infos[0].Key != key {
 		t.Fatalf("List after reopen = %+v, want just %s", infos, key)
 	}

@@ -1,8 +1,7 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -13,49 +12,45 @@ import (
 // store).
 func (s *Store) Remote() Backend { return s.remote }
 
-// promote downloads key's object from the cold tier and installs it in
-// the hot tier with the usual temp/rename/dir-fsync discipline. On
-// success it returns the entry with a reader pin held (the caller
-// releases it). nil entry with nil error means the backend does not
-// have the object, the transport failed (degrade to miss — callers
-// regenerate), or the payload failed verification; a corrupt cold
-// object is deleted so a future demotion re-uploads clean bytes.
+// Outcomes of a promotion's download that abort its commit without
+// being local errors.
+var (
+	errRemoteMiss    = errors.New("not in the cold tier")
+	errRemoteCorrupt = errors.New("cold copy fails its sidecar")
+)
+
+// promote downloads key's object from the cold tier into the hot tier
+// through the tree's one commit, verifying it on the way. On success
+// it returns the entry with a reader pin held (the caller releases
+// it). nil entry with nil error means the backend does not have the
+// object, the transport failed (degrade to miss — callers regenerate),
+// or the payload failed verification; a corrupt cold object is deleted
+// so a future demotion re-uploads clean bytes.
 func (s *Store) promote(key Key) (*entry, error) {
-	tmp, err := os.CreateTemp(s.tmpDir(), "promote-*")
-	if err != nil {
-		return nil, fmt.Errorf("store: promote: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	h := sha256.New()
-	side, ok, gerr := s.remote.Get(key, io.MultiWriter(tmp, h))
-	err = tmp.Sync()
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if gerr != nil || !ok {
+	var side Sidecar
+	err := s.hot.write(key, func(tmp *os.File) (Sidecar, error) {
+		d := newDigester()
+		got, ok, err := s.remote.Get(key, io.MultiWriter(tmp, d))
+		side = got
+		switch {
+		case err != nil || !ok:
+			return got, errRemoteMiss
+		case !d.matches(got):
+			return got, errRemoteCorrupt
+		}
+		return got, nil
+	})
+	switch {
+	case errors.Is(err, errRemoteMiss):
 		s.remoteMisses.Inc()
 		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: promote: %w", err)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); side.SHA256 != got {
+	case errors.Is(err, errRemoteCorrupt):
 		// The cold copy is damaged: self-heal by deleting it. The next
 		// eviction of a regenerated hot copy re-uploads clean bytes.
 		s.remoteVerifyFails.Inc()
 		s.remote.Delete(key)
 		return nil, nil
-	}
-	st, err := os.Stat(tmpName)
-	if err != nil || st.Size() != side.Size {
-		s.remoteVerifyFails.Inc()
-		s.remote.Delete(key)
-		return nil, nil
-	}
-
-	// The same commit as an ingest's, in the same crash order.
-	if err := s.install(key.digest, tmpName, side); err != nil {
+	case err != nil:
 		return nil, fmt.Errorf("store: promote: %w", err)
 	}
 
@@ -93,7 +88,7 @@ func (s *Store) Push(key Key) error {
 	if !ok {
 		return fmt.Errorf("store: push: no local object %s", key)
 	}
-	err := s.demote(key.digest)
+	err := s.demote(key)
 	s.mu.Lock()
 	e.inUse--
 	if err == nil {
@@ -222,15 +217,15 @@ func (s *Store) VerifyRemote() (checked int, corrupt []Key, err error) {
 	}
 	for _, be := range entries {
 		checked++
-		h := sha256.New()
-		side, ok, err := s.remote.Get(be.Key, h)
+		d := newDigester()
+		side, ok, err := s.remote.Get(be.Key, d)
 		if err != nil {
 			return checked, corrupt, err
 		}
 		if !ok {
 			continue // deleted mid-scan
 		}
-		if hex.EncodeToString(h.Sum(nil)) != side.SHA256 {
+		if !d.matches(side) {
 			s.remoteVerifyFails.Inc()
 			s.remote.Delete(be.Key)
 			corrupt = append(corrupt, be.Key)
