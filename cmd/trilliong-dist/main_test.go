@@ -1,9 +1,15 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
+	"repro/internal/skg"
+)
+
+// TestParseSeed checks the -seed forms this command accepts and rejects;
+// the master and masterless workers parse the flag with skg.ParseSeed.
 func TestParseSeed(t *testing.T) {
-	s, err := parseSeed("0.57,0.19,0.19,0.05")
+	s, err := skg.ParseSeed("0.57,0.19,0.19,0.05")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -11,8 +17,8 @@ func TestParseSeed(t *testing.T) {
 		t.Fatalf("seed %+v", s)
 	}
 	for _, bad := range []string{"", "1,2,3", "x,y,z,w", "0.5,0.5,0.5,0.5"} {
-		if _, err := parseSeed(bad); err == nil {
-			t.Fatalf("parseSeed(%q) accepted", bad)
+		if _, err := skg.ParseSeed(bad); err == nil {
+			t.Fatalf("ParseSeed(%q) accepted", bad)
 		}
 	}
 }

@@ -1,21 +1,27 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
+	"repro/internal/skg"
+)
+
+// TestParseSeed checks the -seed forms this command accepts and rejects;
+// main parses the flag with skg.ParseSeed.
 func TestParseSeed(t *testing.T) {
-	s, err := parseSeed("0.57,0.19,0.19,0.05")
+	s, err := skg.ParseSeed("0.57,0.19,0.19,0.05")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.A != 0.57 || s.B != 0.19 || s.C != 0.19 || s.D != 0.05 {
 		t.Fatalf("seed %+v", s)
 	}
-	if _, err := parseSeed(" 0.25 , 0.25 ,0.25, 0.25 "); err != nil {
+	if _, err := skg.ParseSeed(" 0.25 , 0.25 ,0.25, 0.25 "); err != nil {
 		t.Fatalf("whitespace not tolerated: %v", err)
 	}
 	for _, bad := range []string{"", "1,2,3", "a,b,c,d", "0.5,0.5,0.5,0.5", "0.9,0.05,0.04,0.02,0"} {
-		if _, err := parseSeed(bad); err == nil {
-			t.Fatalf("parseSeed(%q) accepted", bad)
+		if _, err := skg.ParseSeed(bad); err == nil {
+			t.Fatalf("ParseSeed(%q) accepted", bad)
 		}
 	}
 }
