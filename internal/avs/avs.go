@@ -11,6 +11,7 @@ package avs
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -86,6 +87,10 @@ type Generator struct {
 	// rowProb[c] is P_{u→} of a vertex with c one bits under the
 	// noise-free model (Lemma 1); nil under NSKG.
 	rowProb []float64
+	// reach is d̂_max, the largest expected scope (MaxExpectedDegree):
+	// the set serves every scope from its bitmap when |V| ≤ 64·reach
+	// (and |V| ≤ 2^23).
+	reach int64
 	// vec and set are the reusable recursive vector (Idea#1 taken across
 	// scopes) and in-scope duplicate filter: the generator's own, unless
 	// ShareSet lent it the calling thread's.
@@ -99,6 +104,7 @@ func New(cfg Config, acct *memacct.Acct) (*Generator, error) {
 		return nil, err
 	}
 	g := &Generator{cfg: cfg, acct: acct, set: new(DedupSet)}
+	maxProb := 1.0
 	if cfg.Noise == nil {
 		// The very expression of skg.RowProb, evaluated once per popcount
 		// class instead of once per vertex: same bits, so the same
@@ -107,9 +113,35 @@ func New(cfg Config, acct *memacct.Acct) (*Generator, error) {
 		for ones := range g.rowProb {
 			g.rowProb[ones] = skg.RowProb(cfg.Seed, int64(1)<<uint(ones)-1, cfg.Levels)
 		}
+		maxProb = slices.Max(g.rowProb)
+	} else {
+		// Noise.RowProb is a product of one factor per level, a row sum of
+		// that level's matrix picked by u's bit: its maximum takes the
+		// larger row at every level.
+		for i := range cfg.Levels {
+			k := cfg.Noise.Level(i)
+			maxProb *= max(k.A+k.B, k.C+k.D)
+		}
 	}
+	g.reach = ReachOf(float64(cfg.NumEdges)*maxProb, cfg.NumVertices())
 	return g, nil
 }
+
+// ReachOf is d̂_max for a generator of the given largest expected scope
+// and vertex (destination) count: ⌈mean⌉ clamped to [1, nv].
+func ReachOf(mean float64, nv int64) int64 {
+	if !(mean < float64(nv)) { // also NaN
+		return nv
+	}
+	return max(int64(math.Ceil(mean)), 1)
+}
+
+// MaxExpectedDegree returns d̂_max, the generator's largest expected
+// scope max_u |E|·P_{u→} from Lemma 1 (under NSKG, Lemma 7's), rounded
+// up and clamped to [1, |V|]. Scopes of a generator with |V| ≤ 64·d̂_max
+// (and |V| ≤ 2^23) all deduplicate through one retained bitmap of at
+// most 8·d̂_max bytes.
+func (g *Generator) MaxExpectedDegree() int64 { return g.reach }
 
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
@@ -203,7 +235,7 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		// The path is decided here, once per scope: the loops below branch
 		// only on locals that never change while they run.
 		vec, set, v1 := &g.vec, g.set, cfg.CommunityV1
-		set.Begin(size, nv, !cfg.AllowDuplicates)
+		set.Begin(size, nv, g.reach, !cfg.AllowDuplicates)
 		// size is known before the first draw: one growth, not a doubling
 		// per power of two on the way to a hub row.
 		dsts, attempts, limit := slices.Grow(res.Dsts, int(size)), int64(0), maxAttempts(size)
@@ -239,6 +271,7 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 				}
 			}
 		}
+		set.End(dsts)
 		res.Dsts, res.Attempts = dsts, attempts
 	}
 	if g.acct != nil {

@@ -336,39 +336,52 @@ func TestMemoryAccountingIsScopeLocal(t *testing.T) {
 	}
 }
 
-// TestDedupSetTiers: every tier answers membership like a Go map, also
-// when reused for a second scope (stale entries must not leak through
-// Begin).
+// TestDedupSetTiers: Begin takes the bitmap for a hub row, |V| ≤
+// 64·size, and for every scope of a generator whose d̂_max reaches |V|/64
+// while |V| ≤ 2^23; the table otherwise. Every tier
+// answers membership like a Go map, also when reused for a later scope
+// after an ended or an abandoned one (stale entries must not leak
+// through Begin).
 func TestDedupSetTiers(t *testing.T) {
 	var s DedupSet
 	src := rng.New(5)
 	for _, tc := range []struct {
-		size, nv int64
-		want     dedupTier
+		size, nv, reach int64
+		want            dedupTier
 	}{
-		{1, 1 << 20, tierTable},
-		{16, 1 << 20, tierTable},
-		{5000, 1 << 20, tierTable},
-		{1 << 14, 1 << 20, tierBitmap},
-		{1000, 1000, tierBitmap}, // size == |V|
-		{1, 2, tierBitmap},
+		{1, 1 << 20, 1, tierTable},
+		{1, 1 << 20, 1 << 14, tierBitmap},  // d̂_max reaches |V|/64
+		{1, 1 << 20, 1<<14 - 1, tierTable}, // one short of it
+		{1, 1 << 24, 1 << 20, tierTable},   // it does, but past 2^23 bits
+		{1 << 18, 1 << 24, 1, tierBitmap},  // a hub row past 2^23 bits
+		{16, 1 << 20, 16, tierTable},
+		{5000, 1 << 20, 5000, tierTable},
+		{1 << 14, 1 << 20, 1, tierBitmap}, // a hub row beyond d̂_max
+		{1000, 1000, 1000, tierBitmap},    // size == |V|
+		{1, 2, 1, tierBitmap},
 	} {
-		for round := 0; round < 2; round++ {
-			s.Begin(tc.size, tc.nv, true)
+		for round := 0; round < 3; round++ {
+			s.Begin(tc.size, tc.nv, tc.reach, true)
 			if s.tier != tc.want {
-				t.Fatalf("size %d of %d: tier %d, want %d", tc.size, tc.nv, s.tier, tc.want)
+				t.Fatalf("size %d of %d, reach %d: tier %d, want %d", tc.size, tc.nv, tc.reach, s.tier, tc.want)
 			}
 			seen := make(map[int64]bool)
+			var dsts []int64
 			for int64(len(seen)) < tc.size {
 				v := src.Int63n(tc.nv)
 				if fresh := s.Insert(v); fresh == seen[v] {
 					t.Fatalf("size %d of %d: insert(%d) = %v, seen before = %v", tc.size, tc.nv, v, fresh, seen[v])
+				} else if fresh {
+					dsts = append(dsts, v)
 				}
 				seen[v] = true
 			}
+			if round != 1 { // round 1 abandons its scope
+				s.End(dsts)
+			}
 		}
 	}
-	s.Begin(10, 1<<20, false)
+	s.Begin(10, 1<<20, 1<<20, false)
 	if !s.Insert(7) || !s.Insert(7) {
 		t.Fatal("tierNone rejected a repeat")
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -573,4 +574,61 @@ func cappedRows(t *testing.T, lay *Layout, b Block) int {
 		}
 	}
 	return n
+}
+
+// TestLentSetAcrossBlocks: one dedup set lent to every block's scoper,
+// row by row in turn across blocks of different NumDst — AVS and ERV
+// blocks, dense diagonal blocks on the set's bitmap and sparse
+// rectangles on its table — admits exactly what a fresh set per block
+// admits, in the same order after the same attempts.
+func TestLentSetAcrossBlocks(t *testing.T) {
+	lay := mustLayout(t, Config{
+		Sizes:      []int64{1024, 300, 5000},
+		Mixing:     [][]float64{{8, 0.02, 0.02}, {0.02, 4, 0.02}, {0.02, 0.02, 6}},
+		Edges:      100000,
+		MasterSeed: 3,
+	})
+	lent := new(avs.DedupSet)
+	type block struct {
+		part        core.Part
+		shared, own core.Scoper
+	}
+	var blocks []block
+	for id := range lay.NumBlocks() {
+		part, err := lay.OpenPart(id, partition.Range{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := part.NewScoper(lent, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := part.NewScoper(new(avs.DedupSet), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, block{part, shared, own})
+	}
+	var src rng.Source
+	var edges int64
+	for u, more := int64(0), true; more; u++ {
+		more = false
+		for id, b := range blocks {
+			if u >= b.part.Hi-b.part.Lo {
+				continue
+			}
+			more = true
+			src.Reseed(b.part.Seed, uint64(u))
+			want, wantAttempts := b.own(u, &src, nil)
+			src.Reseed(b.part.Seed, uint64(u))
+			got, attempts := b.shared(u, &src, nil)
+			if !slices.Equal(got, want) || attempts != wantAttempts {
+				t.Fatalf("block %d row %d: lent set kept %d of %d attempts, a fresh set %d of %d", id, u, len(got), attempts, len(want), wantAttempts)
+			}
+			edges += int64(len(got))
+		}
+	}
+	if edges < 90000 {
+		t.Fatalf("%d edges drawn of a 100000-edge budget", edges)
+	}
 }

@@ -17,10 +17,15 @@
 // A scope here is the AVS scope procedure over a rectangle, and it
 // filters in-scope duplicates through the same avs.DedupSet, held by
 // the Generator and reused from scope to scope (O(d_max) working
-// memory, no allocation per scope). So a Generator's Scope is not safe
-// for concurrent use: one Generator per goroutine. A collection is
-// drawn row by row by core's part executor, as a community block
-// (internal/community), whatever it was compiled from.
+// memory, no allocation per scope). The generator's d̂_max, its largest
+// expected out-degree (Kout's heaviest row, Uniform's Max, Empirical's
+// largest degree), lets every row of a rectangle with NumDst ≤ 64·d̂_max
+// use the set's bitmap, and ScopeAttempts ends each scope on the set
+// with the destinations it admitted, which cleans that bitmap in
+// O(row). So a Generator's Scope is not safe for concurrent use: one
+// Generator per goroutine. A collection is drawn row by row by core's
+// part executor, as a community block (internal/community), whatever it
+// was compiled from.
 package erv
 
 import (
@@ -284,6 +289,10 @@ type Generator struct {
 	// set is the in-scope duplicate filter, reused across Scope calls:
 	// the generator's own, unless ShareSet lent it the calling thread's.
 	set *avs.DedupSet
+	// reach is d̂_max, the largest expected out-degree, clamped to
+	// [1, NumDst]: the set's bitmap serves every row when NumDst ≤
+	// 64·reach (and NumDst ≤ 2^23).
+	reach int64
 }
 
 // New validates cfg and precomputes the shared vectors.
@@ -297,6 +306,7 @@ func New(cfg Config) (*Generator, error) {
 		dstLevels: levelsFor(cfg.NumDst),
 		set:       new(avs.DedupSet),
 	}
+	var maxOut float64 // the largest expected out-degree
 	switch {
 	case cfg.OutDist.Kind == Empirical:
 		t, err := alias.New(cfg.OutDist.Weights)
@@ -304,6 +314,7 @@ func New(cfg Config) (*Generator, error) {
 			return nil, err
 		}
 		g.outAlias = t
+		maxOut = float64(len(cfg.OutDist.Weights) - 1)
 	default:
 		if kout, ok := cfg.OutDist.outSeed(); ok {
 			g.outA = kout.A + kout.B
@@ -315,10 +326,13 @@ func New(cfg Config) (*Generator, error) {
 			for ones := range g.outMass {
 				g.outMass[ones] = math.Pow(g.outA, float64(g.srcLevels-ones)) * math.Pow(g.outB, float64(ones))
 			}
+			maxOut = float64(cfg.NumEdges) * slices.Max(g.outMass) / g.outNorm
 		} else {
 			g.uniformOut = true
+			maxOut = float64(cfg.OutDist.Max)
 		}
 	}
+	g.reach = avs.ReachOf(maxOut, cfg.NumDst)
 	switch {
 	case cfg.InDist.Kind == Empirical:
 		t, err := alias.New(cfg.InDist.Weights)
@@ -482,7 +496,7 @@ func (g *Generator) ScopeAttempts(u int64, src *rng.Source, buf []int64) ([]int6
 	// Under AllowDuplicates the set admits everything, so every attempt
 	// keeps its destination and the cap, above size, never binds.
 	set := g.set
-	set.Begin(size, g.cfg.NumDst, !g.cfg.AllowDuplicates)
+	set.Begin(size, g.cfg.NumDst, g.reach, !g.cfg.AllowDuplicates)
 	attempts, limit := int64(0), 64*size+1024
 	if g.dstVec != nil {
 		// As in avs.ScopeWithSize: while n more destinations and n more
@@ -497,6 +511,7 @@ func (g *Generator) ScopeAttempts(u int64, src *rng.Source, buf []int64) ([]int6
 		for {
 			room := min(size-int64(len(out)), limit-attempts)
 			if room <= 0 {
+				set.End(out)
 				return out, attempts
 			}
 			n, in := g.dstVec.DrawLanes(src, room, &vs), 0
@@ -516,5 +531,6 @@ func (g *Generator) ScopeAttempts(u int64, src *rng.Source, buf []int64) ([]int6
 			out = append(out, v)
 		}
 	}
+	set.End(out)
 	return out, attempts
 }

@@ -612,3 +612,35 @@ func TestEmpiricalValidation(t *testing.T) {
 		t.Fatal("kind name")
 	}
 }
+
+// TestMaxExpectedOutDegree: the generator's d̂_max, which picks its
+// dedup tier, is the largest expected out-degree of each out-
+// distribution — Kout's heaviest row mass, Uniform's Max, Empirical's
+// largest degree — clamped to [1, NumDst].
+func TestMaxExpectedOutDegree(t *testing.T) {
+	zipf := Dist{Kind: Zipfian, Slope: -1.5}
+	for _, tc := range []struct {
+		cfg  Config
+		want func(g *Generator) float64
+	}{
+		{Config{NumSrc: 1000, NumDst: 5000, NumEdges: 20000, OutDist: zipf, InDist: zipf}, func(g *Generator) float64 {
+			var top float64
+			for u := range g.cfg.NumSrc {
+				top = max(top, float64(g.cfg.NumEdges)*g.ScopeSizeProb(u))
+			}
+			return math.Ceil(top)
+		}},
+		{Config{NumSrc: 10, NumDst: 5000, NumEdges: 1, OutDist: Dist{Kind: Uniform, Min: 3, Max: 70}, InDist: zipf}, func(*Generator) float64 { return 70 }},
+		{Config{NumSrc: 10, NumDst: 50, NumEdges: 1, OutDist: Dist{Kind: Uniform, Min: 3, Max: 70}, InDist: zipf}, func(*Generator) float64 { return 50 }},
+		{Config{NumSrc: 10, NumDst: 5000, NumEdges: 1, OutDist: Dist{Kind: Empirical, Weights: []float64{1, 0, 2, 0}}, InDist: zipf}, func(*Generator) float64 { return 3 }},
+		{Config{NumSrc: 10, NumDst: 5000, NumEdges: 1, OutDist: Dist{Kind: Empirical, Weights: []float64{1}}, InDist: zipf}, func(*Generator) float64 { return 1 }},
+	} {
+		g, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.want(g); math.Abs(float64(g.reach)-want) > 1 {
+			t.Errorf("%v out-degrees over %d columns: d̂_max %d, want %v", tc.cfg.OutDist.Kind, tc.cfg.NumDst, g.reach, want)
+		}
+	}
+}

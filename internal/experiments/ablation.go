@@ -127,18 +127,20 @@ func stepLinear(vec *recvec.Vector, x float64) int {
 // ablate draws every scope of g's graph under v and counts the work.
 // Scope u is seeded as the part executor seeds it, src.Reseed(masterSeed,
 // u), and sized by g.ScopeSize; its destinations are rejection-sampled
-// up to avs's attempt cap, 64·size+1024, through an avs.DedupSet. So a
-// variant draws the stream core.GenerateSeq drew when it could still run
-// one, and the all-on variant draws the production stream.
+// up to avs's attempt cap, 64·size+1024, through an avs.DedupSet begun
+// and ended as ScopeWithSize begins and ends it. So a variant draws the
+// stream core.GenerateSeq drew when it could still run one, and the
+// all-on variant draws the production stream.
 func (v variant) ablate(g *avs.Generator, masterSeed uint64) Fig13Row {
 	cfg := g.Config()
-	nv := cfg.NumVertices()
+	nv, reach := cfg.NumVertices(), g.MaxExpectedDegree()
 	var (
-		vec recvec.Vector
-		set avs.DedupSet
-		src rng.Source
-		w   work
-		row = Fig13Row{Idea1: v.reuse, Idea2: v.sparse, Idea3: v.single}
+		vec  recvec.Vector
+		set  avs.DedupSet
+		dsts []int64 // the scope's admitted destinations, which end it
+		src  rng.Source
+		w    work
+		row  = Fig13Row{Idea1: v.reuse, Idea2: v.sparse, Idea3: v.single}
 	)
 	build := func(u int64) {
 		w.builds++
@@ -161,18 +163,20 @@ func (v variant) ablate(g *avs.Generator, masterSeed uint64) Fig13Row {
 		if total <= 0 {
 			continue
 		}
-		set.Begin(size, nv, !cfg.AllowDuplicates)
-		var kept, attempts int64
-		for limit := 64*size + 1024; kept < size && attempts < limit; attempts++ {
+		set.Begin(size, nv, reach, !cfg.AllowDuplicates)
+		dsts = dsts[:0]
+		var attempts int64
+		for limit := 64*size + 1024; int64(len(dsts)) < size && attempts < limit; attempts++ {
 			if !v.reuse {
 				build(u)
 			}
 			w.uniforms++
-			if set.Insert(v.descend(&vec, src.UniformTo(total), &src, &w)) {
-				kept++
+			if dst := v.descend(&vec, src.UniformTo(total), &src, &w); set.Insert(dst) {
+				dsts = append(dsts, dst)
 			}
 		}
-		row.Edges += kept
+		set.End(dsts)
+		row.Edges += int64(len(dsts))
 		row.Attempts += attempts
 	}
 	row.Elapsed = time.Since(start)
