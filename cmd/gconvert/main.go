@@ -52,18 +52,9 @@ func main() {
 		fatal(err)
 	}
 
-	var w gformat.Writer
-	switch fo {
-	case gformat.TSV:
-		w = gformat.NewTSVWriter(out)
-	case gformat.ADJ6:
-		w = gformat.NewADJ6Writer(out)
-	case gformat.CSR6:
-		cw, err := gformat.NewCSR6Writer(out, *vertices)
-		if err != nil {
-			fatal(err)
-		}
-		w = cw
+	w, err := gformat.NewWriter(out, fo, *vertices)
+	if err != nil {
+		fatal(err)
 	}
 
 	if err := copyGraph(in, fi, w); err != nil {
@@ -78,64 +69,9 @@ func main() {
 	fmt.Printf("converted %d edges, %d bytes written\n", w.EdgesWritten(), w.BytesWritten())
 }
 
-func copyGraph(in *os.File, fi gformat.Format, w gformat.Writer) error {
-	switch fi {
-	case gformat.TSV:
-		r := gformat.NewTSVReader(in)
-		// Group consecutive edges of one source into a scope.
-		var cur int64 = -1
-		var dsts []int64
-		flush := func() error {
-			if cur < 0 || len(dsts) == 0 {
-				return nil
-			}
-			return w.WriteScope(cur, dsts)
-		}
-		for {
-			e, err := r.Next()
-			if err == io.EOF {
-				return flush()
-			}
-			if err != nil {
-				return err
-			}
-			if e.Src != cur {
-				if err := flush(); err != nil {
-					return err
-				}
-				cur, dsts = e.Src, dsts[:0]
-			}
-			dsts = append(dsts, e.Dst)
-		}
-	case gformat.ADJ6:
-		r := gformat.NewADJ6Reader(in)
-		for {
-			src, dsts, err := r.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := w.WriteScope(src, dsts); err != nil {
-				return err
-			}
-		}
-	case gformat.CSR6:
-		g, err := gformat.ReadCSR6(in)
-		if err != nil {
-			return err
-		}
-		for v := int64(0); v < g.NumVertices; v++ {
-			if adj := g.Adj(v); len(adj) > 0 {
-				if err := w.WriteScope(v, adj); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("unsupported input format")
+// copyGraph writes every scope of in, a graph in format fi, to w.
+func copyGraph(in io.Reader, fi gformat.Format, w gformat.Writer) error {
+	return gformat.Scan(in, fi, w.WriteScope)
 }
 
 func fatal(err error) {

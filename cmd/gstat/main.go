@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -92,23 +91,18 @@ func buildReport(edges int64, out, in stats.Hist, outDegrees []int64) jsonReport
 	return r
 }
 
-// buildExpectReport re-streams the input files into a validation
-// accumulator and evaluates them against the closed-form expectations
-// of cfg (internal/validate). The report's "out" axis is the scope
-// axis as written in the files, matching the model's convention.
-func buildExpectReport(files []string, f gformat.Format, cfg core.Config) (*validate.Report, error) {
+// expectReport evaluates acc — the input files' scopes, counted in
+// the same pass as gstat's own statistics — against the closed-form
+// expectations of cfg (internal/validate). The report's "out" axis is
+// the scope axis as written in the files, matching the model's
+// convention.
+func expectReport(acc *validate.Accumulator, cfg core.Config) (*validate.Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m, err := validate.FromConfig(cfg)
 	if err != nil {
 		return nil, err
-	}
-	acc := validate.NewAccumulator()
-	for _, name := range files {
-		if err := acc.ConsumeFile(name, f); err != nil {
-			return nil, err
-		}
 	}
 	rep := validate.Evaluate(m, acc, validate.DefaultThresholds(), nil, "gstat")
 	rep.Params = validate.ParamsFromConfig(cfg)
@@ -144,14 +138,26 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	var cfg core.Config
 	counter := stats.NewDegreeCounter()
-	var edges int64
-	for _, name := range flag.Args() {
-		n, err := ingest(name, f, counter)
+	sinks := []scopeAdder{counter}
+	var acc *validate.Accumulator // the -expect-scale side of the one pass
+	if *expectScale > 0 && *compare == "" {
+		cfg = core.DefaultConfig(*expectScale)
+		cfg.EdgeFactor = *expectEF
+		cfg.NoiseParam = *expectNoise
+		cfg.MasterSeed = *expectMaster
+		seed, err := skg.ParseSeed(*expectSeed)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
+			fatal(err)
 		}
-		edges += n
+		cfg.Seed = seed
+		acc = validate.NewAccumulator()
+		sinks = append(sinks, acc)
+	}
+	edges, err := ingestAll(flag.Args(), f, sinks...)
+	if err != nil {
+		fatal(err)
 	}
 	out, in := counter.OutHist(), counter.InHist()
 	if *inadj {
@@ -161,8 +167,8 @@ func main() {
 	}
 	if *compare != "" {
 		other := stats.NewDegreeCounter()
-		if _, err := ingest(*compare, f, other); err != nil {
-			fatal(fmt.Errorf("%s: %w", *compare, err))
+		if _, err := ingestAll([]string{*compare}, f, other); err != nil {
+			fatal(err)
 		}
 		oo, oi := other.OutHist(), other.InHist()
 		if *inadj {
@@ -178,17 +184,8 @@ func main() {
 		return
 	}
 	var expectRep *validate.Report
-	if *expectScale > 0 {
-		cfg := core.DefaultConfig(*expectScale)
-		cfg.EdgeFactor = *expectEF
-		cfg.NoiseParam = *expectNoise
-		cfg.MasterSeed = *expectMaster
-		seed, err := skg.ParseSeed(*expectSeed)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Seed = seed
-		if expectRep, err = buildExpectReport(flag.Args(), f, cfg); err != nil {
+	if acc != nil {
+		if expectRep, err = expectReport(acc, cfg); err != nil {
 			fatal(err)
 		}
 	}
@@ -224,55 +221,42 @@ func main() {
 	}
 }
 
-func ingest(name string, f gformat.Format, counter *stats.DegreeCounter) (int64, error) {
+// ingestAll is ingest over several files, in order, with the edge
+// counts summed.
+func ingestAll(files []string, f gformat.Format, sinks ...scopeAdder) (int64, error) {
+	var edges int64
+	for _, name := range files {
+		n, err := ingest(name, f, sinks...)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", name, err)
+		}
+		edges += n
+	}
+	return edges, nil
+}
+
+// scopeAdder counts scanned scopes: gstat's degree counter and, with
+// -expect-scale, the validation accumulator.
+type scopeAdder interface {
+	AddScope(src int64, dsts []int64)
+}
+
+// ingest scans one file into every sink and returns its edge count.
+func ingest(name string, f gformat.Format, sinks ...scopeAdder) (int64, error) {
 	file, err := os.Open(name)
 	if err != nil {
 		return 0, err
 	}
 	defer file.Close()
 	var edges int64
-	switch f {
-	case gformat.TSV:
-		r := gformat.NewTSVReader(file)
-		for {
-			e, err := r.Next()
-			if err == io.EOF {
-				return edges, nil
-			}
-			if err != nil {
-				return edges, err
-			}
-			counter.AddEdge(e.Src, e.Dst)
-			edges++
+	err = gformat.Scan(file, f, func(src int64, dsts []int64) error {
+		for _, s := range sinks {
+			s.AddScope(src, dsts)
 		}
-	case gformat.ADJ6:
-		r := gformat.NewADJ6Reader(file)
-		for {
-			src, dsts, err := r.Next()
-			if err == io.EOF {
-				return edges, nil
-			}
-			if err != nil {
-				return edges, err
-			}
-			counter.AddScope(src, dsts)
-			edges += int64(len(dsts))
-		}
-	case gformat.CSR6:
-		g, err := gformat.ReadCSR6(file)
-		if err != nil {
-			return 0, err
-		}
-		for v := int64(0); v < g.NumVertices; v++ {
-			adj := g.Adj(v)
-			if len(adj) > 0 {
-				counter.AddScope(v, adj)
-				edges += int64(len(adj))
-			}
-		}
-		return edges, nil
-	}
-	return edges, fmt.Errorf("unsupported format %v", f)
+		edges += int64(len(dsts))
+		return nil
+	})
+	return edges, err
 }
 
 func fatal(err error) {

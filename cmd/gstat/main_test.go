@@ -1,13 +1,62 @@
 package main
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gformat"
 	"repro/internal/stats"
+	"repro/internal/validate"
 )
+
+// buildExpectReport is gstat's -expect-scale side alone: the files read
+// once into a validation accumulator, then expectReport.
+func buildExpectReport(files []string, f gformat.Format, cfg core.Config) (*validate.Report, error) {
+	acc := validate.NewAccumulator()
+	if _, err := ingestAll(files, f, acc); err != nil {
+		return nil, err
+	}
+	return expectReport(acc, cfg)
+}
+
+// TestIngestOnePassFeedsEverySink: one read of a file counts the same
+// degrees into gstat's counter and the validation accumulator as two
+// separate reads do.
+func TestIngestOnePassFeedsEverySink(t *testing.T) {
+	path := genFixture(t)
+	counter, acc := stats.NewDegreeCounter(), validate.NewAccumulator()
+	edges, err := ingestAll([]string{path}, gformat.ADJ6, counter, acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := stats.NewDegreeCounter()
+	if n, err := ingest(path, gformat.ADJ6, alone); err != nil || n != edges {
+		t.Fatalf("lone ingest: %d edges, %v; one pass counted %d", n, err, edges)
+	}
+	if !maps.Equal(counter.OutHist(), alone.OutHist()) || !maps.Equal(counter.InHist(), alone.InHist()) {
+		t.Fatal("the shared pass counted other degrees than a lone one")
+	}
+	if acc.Edges() != edges {
+		t.Fatalf("accumulator saw %d edges, counter %d", acc.Edges(), edges)
+	}
+	cfg := core.DefaultConfig(10)
+	shared, err := expectReport(acc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	separate, err := buildExpectReport([]string{path}, gformat.ADJ6, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := shared.JSON()
+	b, _ := separate.JSON()
+	if string(a) != string(b) {
+		t.Fatalf("one-pass report differs from a separate read:\n%s\nvs\n%s", a, b)
+	}
+}
 
 func TestIngestADJ6(t *testing.T) {
 	dir := t.TempDir()

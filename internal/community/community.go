@@ -630,7 +630,7 @@ func (l *Layout) OpenPart(id int, _ partition.Range) (core.Part, error) {
 // layout: CSR6 needs exactly one scope per vertex, but a vertex heads
 // one scope per block it sources.
 func checkFormat(format gformat.Format) error {
-	if format != gformat.TSV && format != gformat.ADJ6 {
+	if !format.Streams() {
 		return fmt.Errorf("community: format %v unsupported (blocked output repeats source scopes; use tsv or adj6)", format)
 	}
 	return nil

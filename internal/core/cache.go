@@ -94,15 +94,15 @@ func IngestingSinks(inner SinkFactory, st *store.Store, src PartSource, dir stri
 
 // storedPartSinks is RunParts' file layer: AtomicPartSinks (with opt)
 // under IngestingSinks, built in one place so that the two can share a
-// pass over the bytes. When there is a store and the format is
-// streamable, each part's encoder feeds a SHA-256 the blocks it sends to
+// pass over the bytes. When there is a store and the format streams,
+// each part's encoder feeds a SHA-256 the blocks it sends to
 // the file, and the ingest after the rename hands the store that digest
 // and the byte count instead of having the part read back and hashed
 // (store.IngestDigest). The digest is of the bytes the encoder produced
 // — what the part's key promises. Without a store nothing is hashed;
 // CSR6, whose header is back-filled by seeking, is read back as before.
 func storedPartSinks(dir string, format gformat.Format, src PartSource, ids []int, st *store.Store, opt PartSinkOptions) SinkFactory {
-	if st == nil || !streamable(format) {
+	if st == nil || !format.Streams() {
 		return IngestingSinks(atomicPartSinks(dir, format, src.NumVertices(), ids, opt), st, src, dir, format, ids)
 	}
 	return func(worker int, r partition.Range) (gformat.Writer, error) {

@@ -570,7 +570,7 @@ func (s *Stats) merge(part Stats) {
 // written) — ends the stream: no later part writes a byte, and that
 // failure is returned as is.
 func StreamParts(ctx context.Context, src PartSource, format gformat.Format, ranges []partition.Range, ids []int, workers int, w io.Writer, tel *telemetry.Registry, onChunk ChunkFunc) (Stats, error) {
-	if !streamable(format) {
+	if !format.Streams() {
 		return Stats{}, fmt.Errorf("core: format %v is not streamable (use tsv or adj6)", format)
 	}
 	if len(ranges) != len(ids) {
@@ -605,11 +605,11 @@ type turnEncoder struct {
 func (e *turnEncoder) WriteScope(src int64, dsts []int64) error {
 	if !e.opened {
 		e.opened = true
-		if e.format == gformat.TSV {
-			e.Writer = gformat.NewTSVWriter(e.w)
-		} else {
-			e.Writer = gformat.NewADJ6Writer(e.w)
+		w, err := gformat.NewWriter(e.w, e.format, 0)
+		if err != nil {
+			return err
 		}
+		e.Writer = w
 	}
 	return e.Writer.WriteScope(src, dsts)
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -22,7 +23,7 @@ import (
 // distributed workers all agree on this layout, which is what lets a
 // restarted worker recognize work it already finished.
 func PartPath(dir string, format gformat.Format, idx int) string {
-	return filepath.Join(dir, fmt.Sprintf("part-%05d.%s", idx, extOf(format)))
+	return filepath.Join(dir, fmt.Sprintf("part-%05d.%s", idx, strings.ToLower(format.String())))
 }
 
 // MissingParts filters (ranges, ids) — parallel slices pairing each
@@ -149,8 +150,9 @@ func atomicPartSinks(dir string, format gformat.Format, numVertices int64, ids [
 	}
 }
 
-// newAtomicWriter opens the atomic writer of part idx; sum is
-// newPartWriter's.
+// newAtomicWriter opens the atomic writer of part idx. sum, if not nil,
+// is handed every block the encoder sends to the file, in order — the
+// part's bytes, if the format streams front to back (Format.Streams).
 func newAtomicWriter(dir string, format gformat.Format, numVertices int64, idx int, opt PartSinkOptions, sum io.Writer) (gformat.Writer, error) {
 	final := PartPath(dir, format, idx)
 	tmp := final + ".tmp"
@@ -166,7 +168,11 @@ func newAtomicWriter(dir string, format gformat.Format, numVertices int64, idx i
 	if err != nil {
 		return nil, err
 	}
-	w, err := newPartWriter(f, format, numVertices, sum)
+	var out io.Writer = f
+	if sum != nil {
+		out = io.MultiWriter(f, sum)
+	}
+	w, err := gformat.NewWriter(out, format, numVertices)
 	if err != nil {
 		f.Close()
 		os.Remove(tmp)

@@ -31,17 +31,7 @@ func CheckPart(path string, format gformat.Format) error {
 		return err
 	}
 	defer f.Close()
-	switch format {
-	case gformat.TSV:
-		err = gformat.CheckTSV(f)
-	case gformat.ADJ6:
-		err = gformat.CheckADJ6(f)
-	case gformat.CSR6:
-		err = gformat.CheckCSR6(f)
-	default:
-		return fmt.Errorf("core: unsupported format %v", format)
-	}
-	if err != nil {
+	if err := gformat.Check(f, format); err != nil {
 		return fmt.Errorf("core: part %s: %w", path, err)
 	}
 	return nil

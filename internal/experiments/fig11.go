@@ -265,10 +265,7 @@ func (r *Fig11bResult) trillionG(scale int, format gformat.Format) (Fig11bRow, e
 	var edges, bytes int64
 	err = sim.RunPhase("generate", func(w cluster.Worker) error {
 		st, err := core.GenerateRanges(cfg, ranges[w.Index:w.Index+1], func(int, partition.Range) (gformat.Writer, error) {
-			if format == gformat.TSV {
-				return gformat.NewTSVWriter(io.Discard), nil
-			}
-			return gformat.NewADJ6Writer(io.Discard), nil
+			return gformat.NewWriter(io.Discard, format, 0)
 		})
 		edges += st.Edges
 		bytes += st.BytesWritten
@@ -278,12 +275,8 @@ func (r *Fig11bResult) trillionG(scale int, format gformat.Format) (Fig11bRow, e
 		return Fig11bRow{}, err
 	}
 	sim.AddModeledTime("store", r.storeTime(bytes))
-	name := "TrillionG (TSV)"
-	if format == gformat.ADJ6 {
-		name = "TrillionG (ADJ6)"
-	}
 	return Fig11bRow{
-		Method: name, Scale: scale, Elapsed: sim.Elapsed(), Edges: edges, Bytes: bytes,
+		Method: "TrillionG (" + format.String() + ")", Scale: scale, Elapsed: sim.Elapsed(), Edges: edges, Bytes: bytes,
 		StoreTime: r.storeTime(bytes), NetworkTime: sim.NetworkTime(),
 	}, nil
 }

@@ -10,6 +10,20 @@ import (
 	"math/bits"
 )
 
+// Check structurally validates a part of format f: CheckTSV, CheckADJ6
+// or CheckCSR6.
+func Check(r io.ReadSeeker, f Format) error {
+	switch f {
+	case TSV:
+		return CheckTSV(r)
+	case ADJ6:
+		return CheckADJ6(r)
+	case CSR6:
+		return CheckCSR6(r)
+	}
+	return fmt.Errorf("gformat: unsupported format %v", f)
+}
+
 // CheckCSR6 structurally validates a CSR6 file without loading it: the
 // magic, the header's vertex/edge counts against the file size
 // (header + offsets + neighbours must account for every byte), and the

@@ -13,6 +13,10 @@
 // which covers the paper's largest runs (Scale 38). Writers count the
 // bytes and edges they emit so experiment harnesses can report format
 // overheads; readers exist for every format so tests can round-trip.
+//
+// The choice of encoder, reader or checker for a Format is made here
+// and nowhere else: NewWriter, Scan and Check, with Format.Streams for
+// whether parts concatenate.
 package gformat
 
 import (
@@ -60,6 +64,12 @@ func (f Format) String() string {
 	}
 }
 
+// Streams reports whether f is encoded scope by scope, front to back,
+// with no global state: its parts concatenate into one stream and can be
+// hashed as they are written. CSR6 back-fills an offset table through a
+// seekable writer, and holds one scope per vertex.
+func (f Format) Streams() bool { return f == TSV || f == ADJ6 }
+
 // ParseFormat converts a name ("tsv", "adj6", "csr6", case-insensitive
 // by convention of lower input) to a Format.
 func ParseFormat(s string) (Format, error) {
@@ -88,6 +98,29 @@ type Writer interface {
 	BytesWritten() int64
 	// EdgesWritten returns the number of edges emitted so far.
 	EdgesWritten() int64
+}
+
+// NewWriter returns the encoder of format f over w. CSR6 back-fills its
+// header and offset table, so it needs w to be an io.WriteSeeker and a
+// vertex count; the streamed formats ignore numVertices.
+func NewWriter(w io.Writer, f Format, numVertices int64) (Writer, error) {
+	switch f {
+	case TSV:
+		return NewTSVWriter(w), nil
+	case ADJ6:
+		return NewADJ6Writer(w), nil
+	case CSR6:
+		ws, ok := w.(io.WriteSeeker)
+		if !ok {
+			return nil, errors.New("gformat: CSR6 needs a seekable writer")
+		}
+		cw, err := NewCSR6Writer(ws, numVertices)
+		if err != nil {
+			return nil, err
+		}
+		return cw, nil
+	}
+	return nil, fmt.Errorf("gformat: unsupported format %v", f)
 }
 
 func get48(buf []byte) int64 {
@@ -403,6 +436,80 @@ func (d *DiscardWriter) EdgesWritten() int64 { return d.edges }
 
 // --- Readers ---
 
+// Scan reads a graph in format f from r and calls fn once per scope, in
+// file order, stopping at the first error fn or the reader returns. A
+// TSV scope is a run of consecutive lines with the same source (a source
+// that comes back after another is a second scope); ADJ6 and CSR6 scopes
+// are the file's records, and an empty one is never passed on, so the
+// three encodings of one graph scan alike. dsts is valid only during the
+// call.
+func Scan(r io.Reader, f Format, fn func(src int64, dsts []int64) error) error {
+	switch f {
+	case TSV:
+		return scanTSV(NewTSVReader(r), fn)
+	case ADJ6:
+		a := NewADJ6Reader(r)
+		var buf []int64
+		for {
+			src, dsts, err := a.next(buf)
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if len(dsts) > 0 {
+				if err := fn(src, dsts); err != nil {
+					return err
+				}
+			}
+			buf = dsts
+		}
+	case CSR6:
+		g, err := ReadCSR6(r)
+		if err != nil {
+			return err
+		}
+		for v := int64(0); v < g.NumVertices; v++ {
+			if adj := g.Adj(v); len(adj) > 0 {
+				if err := fn(v, adj); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("gformat: unsupported format %v", f)
+}
+
+// scanTSV is Scan's TSV case: it gathers each run of one source's edges
+// into a scope.
+func scanTSV(t *TSVReader, fn func(src int64, dsts []int64) error) error {
+	var src int64
+	var dsts []int64
+	for {
+		e, err := t.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if len(dsts) > 0 && e.Src != src {
+			if err := fn(src, dsts); err != nil {
+				return err
+			}
+			dsts = dsts[:0]
+		}
+		src = e.Src
+		dsts = append(dsts, e.Dst)
+	}
+	if len(dsts) == 0 {
+		return nil
+	}
+	return fn(src, dsts)
+}
+
 // TSVReader streams edges from the text format.
 type TSVReader struct {
 	sc  *bufio.Scanner
@@ -478,7 +585,11 @@ func NewADJ6Reader(r io.Reader) *ADJ6Reader {
 }
 
 // Next returns the next (source, destinations) record, or io.EOF.
-func (a *ADJ6Reader) Next() (int64, []int64, error) {
+func (a *ADJ6Reader) Next() (int64, []int64, error) { return a.next(nil) }
+
+// next is Next reading the destinations into buf's storage, when buf
+// is not nil.
+func (a *ADJ6Reader) next(buf []int64) (int64, []int64, error) {
 	var head [10]byte
 	if _, err := io.ReadFull(a.br, head[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -492,7 +603,10 @@ func (a *ADJ6Reader) Next() (int64, []int64, error) {
 	// declared count: a corrupt header must produce a clean error, not
 	// a multi-gigabyte allocation.
 	const chunk = 4096
-	dsts := make([]int64, 0, min64(int64(n), chunk))
+	dsts := buf[:0]
+	if dsts == nil {
+		dsts = make([]int64, 0, min64(int64(n), chunk))
+	}
 	var b [6]byte
 	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(a.br, b[:]); err != nil {
@@ -552,12 +666,20 @@ func ReadCSR6(r io.Reader) (*CSRGraph, error) {
 	// Incremental reads: corrupt headers must error, not allocate the
 	// declared (possibly enormous) sizes up front.
 	g.Offsets = make([]uint64, 0, min64(nv+1, 1<<16))
+	// Every offset is checked as it arrives — from 0, never decreasing,
+	// never past the edge count — so that Adj cannot slice out of range.
 	var ob [8]byte
+	var prev uint64
 	for i := int64(0); i <= nv; i++ {
 		if _, err := io.ReadFull(br, ob[:]); err != nil {
 			return nil, fmt.Errorf("gformat: reading CSR6 offsets (%d of %d): %w", i, nv+1, err)
 		}
-		g.Offsets = append(g.Offsets, binary.LittleEndian.Uint64(ob[:]))
+		off := binary.LittleEndian.Uint64(ob[:])
+		if off < prev || off > uint64(ne) || (i == 0 && off != 0) {
+			return nil, fmt.Errorf("gformat: corrupt CSR6 offset table: entry %d is %d after %d, with %d edges", i, off, prev, ne)
+		}
+		prev = off
+		g.Offsets = append(g.Offsets, off)
 	}
 	if g.Offsets[nv] != uint64(ne) {
 		return nil, fmt.Errorf("gformat: CSR6 offset table ends at %d, want %d edges", g.Offsets[nv], ne)

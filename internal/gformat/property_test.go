@@ -133,11 +133,23 @@ func FuzzADJ6Reader(f *testing.F) {
 }
 
 // FuzzReadCSR6: corrupt CSR headers error cleanly without huge
-// allocations or panics.
+// allocations or panics, and every vertex of a graph that loads has an
+// adjacency list to walk.
 func FuzzReadCSR6(f *testing.F) {
 	f.Add(make([]byte, 24))
 	f.Add(append([]byte("CSR6\x00\x00\x00\x01"), make([]byte, 64)...))
+	f.Add(csr6Bytes(2, 1, []uint64{0, 5, 1}, []int64{0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ReadCSR6(bytes.NewReader(data))
+		g, err := ReadCSR6(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var edges int64
+		for v := int64(0); v < g.NumVertices; v++ {
+			edges += int64(len(g.Adj(v)))
+		}
+		if edges != g.NumEdges() {
+			t.Fatalf("adjacency lists hold %d edges, the graph %d", edges, g.NumEdges())
+		}
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/gformat"
 	"repro/internal/pressure"
 	"repro/internal/store"
 )
@@ -222,11 +221,7 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 	}
 	defer f.Close()
 
-	if job.format == gformat.TSV {
-		w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	}
+	w.Header().Set("Content-Type", contentType(job.format))
 	w.Header().Set("X-Trilliong-Cache", "hit")
 	w.Header().Set("X-Trilliong-Job-Id", job.ID)
 	w.Header().Set("Content-Length", fmt.Sprint(info.Size))

@@ -145,7 +145,7 @@ func (s JobSpec) compileFormat() (gformat.Format, error) {
 	if err != nil {
 		return 0, err
 	}
-	if format != gformat.TSV && format != gformat.ADJ6 {
+	if !format.Streams() {
 		return 0, fmt.Errorf("server: format %v is not streamable (use tsv or adj6)", format)
 	}
 	return format, nil

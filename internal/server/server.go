@@ -252,6 +252,15 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// contentType is the media type a stream or download of format f is
+// served as.
+func contentType(f gformat.Format) string {
+	if f == gformat.TSV {
+		return "text/tab-separated-values; charset=utf-8"
+	}
+	return "application/octet-stream"
+}
+
 // createResponse answers POST /v1/jobs.
 type createResponse struct {
 	ID          string `json:"id"`
@@ -471,11 +480,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.streamsActive.Add(1)
 	defer s.metrics.streamsActive.Add(-1)
 
-	if job.format == gformat.TSV {
-		w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	}
+	w.Header().Set("Content-Type", contentType(job.format))
 	w.Header().Set("X-Trilliong-Job-Id", job.ID)
 	w.Header().Set("X-Trilliong-Scopes-Total", fmt.Sprint(job.scopesTotal))
 

@@ -2,7 +2,6 @@ package validate
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -67,17 +66,6 @@ func (a *Accumulator) AddScope(src int64, dsts []int64) {
 	a.mu.Unlock()
 }
 
-// AddEdge records one edge.
-func (a *Accumulator) AddEdge(src, dst int64) {
-	a.mu.Lock()
-	a.counter.AddEdge(src, dst)
-	a.edges++
-	if a.hook != nil {
-		a.hook(src, dst)
-	}
-	a.mu.Unlock()
-}
-
 // Edges returns the number of edges recorded so far.
 func (a *Accumulator) Edges() int64 {
 	a.mu.Lock()
@@ -117,41 +105,12 @@ func (a *Accumulator) ConsumeFile(path string, f gformat.Format) error {
 		return err
 	}
 	defer file.Close()
-	switch f {
-	case gformat.TSV:
-		r := gformat.NewTSVReader(file)
-		for {
-			e, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			a.AddEdge(e.Src, e.Dst)
-		}
-	case gformat.ADJ6:
-		r := gformat.NewADJ6Reader(file)
-		for {
-			src, dsts, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			a.AddScope(src, dsts)
-		}
-	case gformat.CSR6:
-		g, err := gformat.ReadCSR6(file)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		for v := int64(0); v < g.NumVertices; v++ {
-			a.AddScope(v, g.Adj(v))
-		}
-	default:
-		return fmt.Errorf("validate: unsupported format %v", f)
+	err = gformat.Scan(file, f, func(src int64, dsts []int64) error {
+		a.AddScope(src, dsts)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	a.mu.Lock()
 	a.files++

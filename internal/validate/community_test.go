@@ -119,9 +119,9 @@ func TestEvaluateCommunityFlagsStrayEdges(t *testing.T) {
 	acc := NewAccumulator()
 	tally := NewCommunityTally(lay)
 	acc.SetEdgeHook(tally.Observe)
-	acc.AddEdge(0, 1)       // planned: (0,0)
-	acc.AddEdge(200, 0)     // community 1 → community 0: unplanned
-	acc.AddEdge(999_999, 1) // outside the vertex space entirely
+	acc.AddScope(0, []int64{1})       // planned: (0,0)
+	acc.AddScope(200, []int64{0})     // community 1 → community 0: unplanned
+	acc.AddScope(999_999, []int64{1}) // outside the vertex space entirely
 
 	rep := EvaluateCommunity(lay, acc, tally, DefaultThresholds(), nil, "stray")
 	c := findCheck(rep, "community_stray")
