@@ -1,7 +1,7 @@
 // Package backoff provides capped exponential backoff with jitter for
 // retry loops: a distributed worker redialing its master, a client told
 // to come back later by a loaded server. The delay sequence is the
-// classic Base·Multiplier^attempt capped at Max, with a uniformly
+// classic Base·2^attempt capped at Max, with a uniformly
 // random fraction (Jitter) subtracted so a fleet of retriers that
 // failed together does not retry together (the "thundering herd").
 package backoff
@@ -19,8 +19,6 @@ type Policy struct {
 	Base time.Duration
 	// Max caps every delay (0 = 5s).
 	Max time.Duration
-	// Multiplier is the per-attempt growth factor (0 = 2).
-	Multiplier float64
 	// Jitter is the fraction of each delay that is randomized: the
 	// returned delay is uniform in [d·(1−Jitter), d]. 0 disables
 	// jitter; values outside [0, 1] are clamped.
@@ -38,9 +36,6 @@ func (p Policy) withDefaults() Policy {
 	if p.Max <= 0 {
 		p.Max = 5 * time.Second
 	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = 2
-	}
 	if p.Jitter < 0 {
 		p.Jitter = 0
 	}
@@ -54,7 +49,7 @@ func (p Policy) withDefaults() Policy {
 }
 
 // Delay returns the wait before retry number `attempt` (0-based): Base
-// for attempt 0, growing by Multiplier each attempt, capped at Max,
+// for attempt 0, doubling each attempt, capped at Max,
 // with Jitter applied last. Negative attempts are treated as 0.
 func (p Policy) Delay(attempt int) time.Duration {
 	p = p.withDefaults()
@@ -62,11 +57,9 @@ func (p Policy) Delay(attempt int) time.Duration {
 		attempt = 0
 	}
 	// Closed form rather than a multiply loop: Delay(math.MaxInt) must
-	// return instantly, and a Multiplier ≤ 1 (a flat or shrinking
-	// schedule) must not spin attempt times looking for a cap it will
-	// never reach. Pow overflows to +Inf for huge growing schedules,
-	// which the Max clamp absorbs.
-	d := float64(p.Base) * math.Pow(p.Multiplier, float64(attempt))
+	// return instantly. Pow overflows to +Inf for huge attempts, which
+	// the Max clamp absorbs.
+	d := float64(p.Base) * math.Pow(2, float64(attempt))
 	if d > float64(p.Max) {
 		d = float64(p.Max)
 	}

@@ -51,6 +51,7 @@ type Config struct {
 	// CacheFingerprint prints it: stream v2 deletes it.
 	Opts recvec.Options
 	// HighPrecision switches RecVec arithmetic to math/big.Float.
+	// Validate refuses it with NoiseParam > 0.
 	HighPrecision bool
 	// Orientation selects out-edge scopes (AVS-O, the default) or
 	// in-edge scopes (AVS-I, Section 3.3). Under AVS-I a scope is a
@@ -117,6 +118,11 @@ func (c Config) Validate() error {
 	}
 	if c.NoiseParam < 0 || c.NoiseParam > skg.MaxNoise(c.Seed) {
 		return fmt.Errorf("core: noise %v outside [0, %v]", c.NoiseParam, skg.MaxNoise(c.Seed))
+	}
+	if c.HighPrecision && c.NoiseParam > 0 {
+		// The big.Float vector is built from the plain seed, so its
+		// destinations would ignore the noise that sizes the scopes.
+		return fmt.Errorf("core: high precision does not support noise (noise %v): use one or the other", c.NoiseParam)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: negative workers")

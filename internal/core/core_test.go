@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/gformat"
@@ -53,6 +54,12 @@ func TestConfigBasics(t *testing.T) {
 	bad.Workers = -1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected workers error")
+	}
+	// The big.Float vector would draw destinations without the noise.
+	bad = cfg
+	bad.HighPrecision, bad.NoiseParam = true, 0.1
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "high precision") {
+		t.Fatalf("high precision with noise: err = %v", err)
 	}
 }
 

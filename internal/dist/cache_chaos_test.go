@@ -47,7 +47,7 @@ func runStoreCluster(t *testing.T, cfg core.Config, st *store.Store) (Summary, [
 				MasterAddr: m.Addr(),
 				Threads:    2,
 				OutDir:     dirs[i],
-				Backoff:    fastBackoff,
+				redial:     fastBackoff,
 				Store:      st,
 			})
 		}(i)

@@ -69,7 +69,7 @@ func runChaosClusterWith(t *testing.T, mc MasterConfig) (Summary, []string, *tel
 				Threads:    2,
 				OutDir:     dirs[i],
 				MaxDials:   30,
-				Backoff:    backoff.Policy{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond},
+				redial:     backoff.Policy{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond},
 			})
 		}(i)
 	}
@@ -240,7 +240,7 @@ func TestChaosTelemetryCountsInjectedFaults(t *testing.T) {
 			Threads:    1,
 			OutDir:     outDir,
 			MaxDials:   30,
-			Backoff:    fastBackoff,
+			redial:     fastBackoff,
 			Telemetry:  wtel,
 		})
 	}()
@@ -302,7 +302,7 @@ func TestHelperWorkerProcess(t *testing.T) {
 	}
 	if err := RunWorker(WorkerConfig{
 		MasterAddr: fields[0], Threads: threads, OutDir: fields[1],
-		MaxDials: 30, Backoff: backoff.Policy{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond},
+		MaxDials: 30, redial: backoff.Policy{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond},
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -357,7 +357,7 @@ func TestChaosProcessCrashAndRestart(t *testing.T) {
 		defer wg.Done()
 		healthyErr = RunWorker(WorkerConfig{
 			MasterAddr: m.Addr(), Threads: 2, OutDir: healthyDir,
-			MaxDials: 30, Backoff: backoff.Policy{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond},
+			MaxDials: 30, redial: backoff.Policy{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond},
 		})
 	}()
 

@@ -61,7 +61,7 @@ func runCluster(t *testing.T, mc MasterConfig, workers, threads int) (Summary, [
 				MasterAddr: addr,
 				Threads:    threads,
 				OutDir:     dirs[i],
-				Backoff:    fastBackoff,
+				redial:     fastBackoff,
 			})
 		}(i)
 	}
@@ -193,11 +193,11 @@ func TestHeterogeneousWorkers(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		err1 = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 1, OutDir: dir1, Backoff: fastBackoff})
+		err1 = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 1, OutDir: dir1, redial: fastBackoff})
 	}()
 	go func() {
 		defer wg.Done()
-		err2 = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 3, OutDir: dir2, Backoff: fastBackoff})
+		err2 = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 3, OutDir: dir2, redial: fastBackoff})
 	}()
 	sum, err := m.Run()
 	wg.Wait()
@@ -255,7 +255,7 @@ func TestWorkerValidation(t *testing.T) {
 	start := time.Now()
 	err = RunWorker(WorkerConfig{
 		MasterAddr: "127.0.0.1:1", Threads: 1, OutDir: t.TempDir(),
-		DialTimeout: 200 * time.Millisecond, MaxDials: 2, Backoff: fastBackoff,
+		dialTimeout: 200 * time.Millisecond, MaxDials: 2, redial: fastBackoff,
 	})
 	if err == nil {
 		t.Fatal("expected dial error")
@@ -290,7 +290,7 @@ func TestMasterAcceptTimeout(t *testing.T) {
 func TestMasterHandshakeTimeout(t *testing.T) {
 	m, err := NewMaster(MasterConfig{
 		Addr: "127.0.0.1:0", Workers: 1, Config: testConfig(8),
-		Format: gformat.ADJ6, HandshakeTimeout: 100 * time.Millisecond,
+		Format: gformat.ADJ6, handshakeTimeout: 100 * time.Millisecond,
 		AcceptTimeout: 400 * time.Millisecond,
 	})
 	if err != nil {
@@ -429,7 +429,7 @@ func TestTransientFailureIsRetried(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		werr = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 1, OutDir: dir, Backoff: fastBackoff})
+		werr = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 1, OutDir: dir, redial: fastBackoff})
 	}()
 	sum, err := m.Run()
 	wg.Wait()
@@ -469,7 +469,7 @@ func TestStalledWorkerLeaseRequeued(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		werr = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dir, Backoff: fastBackoff})
+		werr = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dir, redial: fastBackoff})
 	}()
 	sum, err := m.Run()
 	wg.Wait()
@@ -510,7 +510,7 @@ func TestVanishedWorkerLeaseRequeued(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		werr = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dir, Backoff: fastBackoff})
+		werr = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dir, redial: fastBackoff})
 	}()
 	sum, err := m.Run()
 	wg.Wait()
@@ -544,7 +544,7 @@ func TestMinWorkersDegradedStart(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dirs[i], Backoff: fastBackoff})
+			errs[i] = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dirs[i], redial: fastBackoff})
 		}(i)
 	}
 	sum, err := m.Run()
@@ -580,7 +580,7 @@ func TestWorkerConnectsViaBackoff(t *testing.T) {
 		defer wg.Done()
 		werr = RunWorker(WorkerConfig{
 			MasterAddr: addr, Threads: 2, OutDir: dir,
-			DialTimeout: time.Second, MaxDials: 20, Backoff: fastBackoff,
+			dialTimeout: time.Second, MaxDials: 20, redial: fastBackoff,
 		})
 	}()
 	time.Sleep(300 * time.Millisecond)
@@ -626,7 +626,7 @@ func TestWorkerResumesExistingParts(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		werr = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dirs[0], Backoff: fastBackoff})
+		werr = RunWorker(WorkerConfig{MasterAddr: m.Addr(), Threads: 2, OutDir: dirs[0], redial: fastBackoff})
 	}()
 	sum, err := m.Run()
 	wg.Wait()

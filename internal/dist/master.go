@@ -50,10 +50,6 @@ type MasterConfig struct {
 	// outstanding parts but zero connected workers for this long is
 	// aborted (0 = 60s).
 	AcceptTimeout time.Duration
-	// HandshakeTimeout bounds each small gob exchange (Hello read, Job
-	// and Bye writes), so a hung or half-open worker connection cannot
-	// block the master forever (0 = 30s).
-	HandshakeTimeout time.Duration
 	// HeartbeatInterval is the heartbeat period workers are told to
 	// use (0 = 2s).
 	HeartbeatInterval time.Duration
@@ -75,7 +71,15 @@ type MasterConfig struct {
 	// (see internal/dist metric constants). nil uses a private
 	// registry, so instrumentation is always on and never global.
 	Telemetry *telemetry.Registry
+
+	// handshakeTimeout replaces defaultHandshakeTimeout in tests.
+	handshakeTimeout time.Duration
 }
+
+// defaultHandshakeTimeout bounds each small gob exchange (Hello read,
+// Job and Bye writes), so a hung or half-open worker connection cannot
+// block the master forever.
+const defaultHandshakeTimeout = 30 * time.Second
 
 func (c MasterConfig) minWorkers() int {
 	if c.MinWorkers > 0 {
@@ -192,8 +196,8 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.AcceptTimeout == 0 {
 		cfg.AcceptTimeout = 60 * time.Second
 	}
-	if cfg.HandshakeTimeout == 0 {
-		cfg.HandshakeTimeout = 30 * time.Second
+	if cfg.handshakeTimeout == 0 {
+		cfg.handshakeTimeout = defaultHandshakeTimeout
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -372,7 +376,7 @@ func (m *Master) handleWorker(conn net.Conn) {
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
 
 	var first interface{}
-	if err := decodeWithin(conn, dec, m.cfg.HandshakeTimeout, &first); err != nil {
+	if err := decodeWithin(conn, dec, m.cfg.handshakeTimeout, &first); err != nil {
 		return // a silent or garbage connection must not hurt the run
 	}
 	hi, ok := first.(Hello)
@@ -428,7 +432,7 @@ func (m *Master) handleWorker(conn net.Conn) {
 
 	sendBye := func() {
 		var bye interface{} = Bye{}
-		encodeWithin(conn, enc, m.cfg.HandshakeTimeout, &bye)
+		encodeWithin(conn, enc, m.cfg.handshakeTimeout, &bye)
 	}
 
 	for {
@@ -511,7 +515,7 @@ func (m *Master) handleWorker(conn net.Conn) {
 			return
 		}
 		var out interface{} = job
-		if err := encodeWithin(conn, enc, m.cfg.HandshakeTimeout, &out); err != nil {
+		if err := encodeWithin(conn, enc, m.cfg.handshakeTimeout, &out); err != nil {
 			m.requeue(ids, fmt.Sprintf("sending lease: %v", err))
 			return
 		}

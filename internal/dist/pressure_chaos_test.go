@@ -17,18 +17,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// hotController builds a controller pinned at the given level. The
-// thresholds are pushed far out and the loop is never started, so real
-// host signals cannot move it off the forced level.
+// hotController builds a controller pinned at the given level. Its
+// loop is never started and nothing samples it, so real host signals
+// cannot move it off the forced level.
 func hotController(lvl pressure.Level) *pressure.Controller {
-	c := pressure.New(pressure.Config{
-		MemBudgetBytes: -1,
-		Thresholds: pressure.Thresholds{
-			LoadElevated: 1e9, LoadCritical: 2e9,
-			GoroutineElevated: 1 << 40, GoroutineCritical: 1 << 41,
-			FDElevated: 1 << 40, FDCritical: 1 << 41,
-		},
-	})
+	c := pressure.New(pressure.Config{MemBudgetBytes: -1})
 	c.Force(lvl)
 	return c
 }
@@ -73,7 +66,7 @@ func TestChaosPressureWithholdsFreshLeases(t *testing.T) {
 		defer wg.Done()
 		hotErr = RunWorker(WorkerConfig{
 			MasterAddr: m.Addr(), Threads: 2, OutDir: hotDir,
-			MaxDials: 30, Backoff: fastBackoff,
+			MaxDials: 30, redial: fastBackoff,
 			Pressure: hotController(pressure.Critical), Telemetry: hotTel,
 		})
 	}()
@@ -81,7 +74,7 @@ func TestChaosPressureWithholdsFreshLeases(t *testing.T) {
 		defer wg.Done()
 		coldErr = RunWorker(WorkerConfig{
 			MasterAddr: m.Addr(), Threads: 2, OutDir: coldDir,
-			MaxDials: 30, Backoff: fastBackoff,
+			MaxDials: 30, redial: fastBackoff,
 		})
 	}()
 	sum, err := m.Run()
@@ -134,7 +127,7 @@ func TestChaosPressureAllHotStillCompletes(t *testing.T) {
 		defer wg.Done()
 		workerErr = RunWorker(WorkerConfig{
 			MasterAddr: m.Addr(), Threads: 2, OutDir: dir,
-			MaxDials: 30, Backoff: fastBackoff,
+			MaxDials: 30, redial: fastBackoff,
 			Pressure: hotController(pressure.Critical),
 		})
 	}()
@@ -193,7 +186,7 @@ func TestChaosPressureRequeueDrainsThroughHotWorker(t *testing.T) {
 		defer wg.Done()
 		hotErr = RunWorker(WorkerConfig{
 			MasterAddr: m.Addr(), Threads: 2, OutDir: hotDir,
-			MaxDials: 30, Backoff: fastBackoff,
+			MaxDials: 30, redial: fastBackoff,
 			Pressure: hotController(pressure.Critical), Telemetry: hotTel,
 		})
 	}()
@@ -203,7 +196,7 @@ func TestChaosPressureRequeueDrainsThroughHotWorker(t *testing.T) {
 		// withheld), hits the armed drop, and gives up for good.
 		RunWorker(WorkerConfig{
 			MasterAddr: m.Addr(), Threads: 2, OutDir: coldDir,
-			MaxDials: 1, Backoff: fastBackoff,
+			MaxDials: 1, redial: fastBackoff,
 		})
 	}()
 	sum, err := m.Run()

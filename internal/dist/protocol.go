@@ -137,28 +137,24 @@ func init() {
 	gob.Register(Bye{})
 }
 
-// decodeWithin decodes one gob message under a read deadline (0 = no
-// deadline), clearing the deadline afterwards so later exchanges on
-// the same connection start fresh. The encoder/decoder pair must be
-// reused across messages — gob streams type descriptors once — which
-// is why the deadline wraps the existing decoder instead of a new one.
+// decodeWithin decodes one gob message under a read deadline, clearing
+// the deadline afterwards so later exchanges on the same connection
+// start fresh. The encoder/decoder pair must be reused across messages
+// — gob streams type descriptors once — which is why the deadline
+// wraps the existing decoder instead of a new one.
 func decodeWithin(conn net.Conn, dec *gob.Decoder, d time.Duration, v interface{}) error {
-	if d > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(d)); err != nil {
-			return err
-		}
-		defer conn.SetReadDeadline(time.Time{})
+	if err := conn.SetReadDeadline(time.Now().Add(d)); err != nil {
+		return err
 	}
+	defer conn.SetReadDeadline(time.Time{})
 	return dec.Decode(v)
 }
 
 // encodeWithin is decodeWithin's write-side twin.
 func encodeWithin(conn net.Conn, enc *gob.Encoder, d time.Duration, v interface{}) error {
-	if d > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(d)); err != nil {
-			return err
-		}
-		defer conn.SetWriteDeadline(time.Time{})
+	if err := conn.SetWriteDeadline(time.Now().Add(d)); err != nil {
+		return err
 	}
+	defer conn.SetWriteDeadline(time.Time{})
 	return enc.Encode(v)
 }

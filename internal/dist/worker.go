@@ -29,22 +29,11 @@ type WorkerConfig struct {
 	// already present are skipped, so pointing a restarted worker at
 	// its old directory resumes its work.
 	OutDir string
-	// DialTimeout bounds each connection attempt (0 = 10s).
-	DialTimeout time.Duration
 	// MaxDials caps consecutive unfruitful connection attempts —
 	// failed dials, or sessions that died before receiving a lease —
 	// before the worker gives up. A session that received a lease
 	// resets the count (0 = 10).
 	MaxDials int
-	// Backoff schedules the wait between connection attempts; the
-	// zero value uses the package defaults (100ms base, 5s cap,
-	// doubling, no jitter) with full jitter enabled.
-	Backoff backoff.Policy
-	// HandshakeTimeout, when set, bounds each gob exchange with the
-	// master (Hello/result/heartbeat writes). Reads are exempt:
-	// waiting for a lease legitimately lasts until other workers free
-	// up work. 0 leaves the writes unbounded.
-	HandshakeTimeout time.Duration
 	// Pressure, when set, stamps this worker's current host-pressure
 	// level onto every protocol message (Hello, Heartbeat, Done, Fail),
 	// letting the master route fresh ranges away from a straining host
@@ -61,7 +50,15 @@ type WorkerConfig struct {
 	// core generation stages of every lease it executes (serve it via
 	// trilliong-dist's -metrics-addr). nil uses a private registry.
 	Telemetry *telemetry.Registry
+
+	// dialTimeout and redial replace defaultDialTimeout and the
+	// default redial schedule in tests.
+	dialTimeout time.Duration
+	redial      backoff.Policy
 }
+
+// defaultDialTimeout bounds each connection attempt.
+const defaultDialTimeout = 10 * time.Second
 
 func (c WorkerConfig) maxDials() int {
 	if c.MaxDials > 0 {
@@ -77,8 +74,11 @@ func (c WorkerConfig) level() pressure.Level {
 	return c.Pressure.Level()
 }
 
+// backoff schedules the wait between connection attempts: the backoff
+// package's defaults (100ms base, 5s cap, doubling) with half of each
+// delay jittered.
 func (c WorkerConfig) backoff() backoff.Policy {
-	p := c.Backoff
+	p := c.redial
 	if p.Jitter == 0 {
 		p.Jitter = 0.5
 	}
@@ -100,8 +100,8 @@ func RunWorker(cfg WorkerConfig) error {
 	} else if !info.IsDir() {
 		return fmt.Errorf("dist: output path %q is not a directory", cfg.OutDir)
 	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 10 * time.Second
+	if cfg.dialTimeout == 0 {
+		cfg.dialTimeout = defaultDialTimeout
 	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
@@ -122,7 +122,7 @@ func RunWorker(cfg WorkerConfig) error {
 		if dials++; dials > 1 {
 			cfg.Telemetry.Counter(MetricWorkerReconnects).Inc()
 		}
-		conn, err := net.DialTimeout("tcp", cfg.MasterAddr, cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", cfg.MasterAddr, cfg.dialTimeout)
 		if err != nil {
 			failures++
 			lastErr = fmt.Errorf("dialing master: %w", err)
@@ -153,7 +153,7 @@ func runSession(conn net.Conn, cfg WorkerConfig) (done, leased bool, err error) 
 	send := func(v interface{}) error {
 		sendMu.Lock()
 		defer sendMu.Unlock()
-		return encodeWithin(conn, enc, cfg.HandshakeTimeout, &v)
+		return enc.Encode(&v)
 	}
 
 	if err := faultpoint.Fire("dist.worker.hello"); err != nil {

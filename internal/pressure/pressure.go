@@ -13,10 +13,10 @@
 //	          best-effort work, flip readiness probes
 //
 // Transitions are hysteretic and debounced: escalation is immediate
-// (by default) but de-escalation requires the signals to stay below
-// the *exit* thresholds — a fraction of the entry thresholds — for
-// several consecutive samples, so a load spike flapping around a
-// threshold cannot oscillate the whole system between modes.
+// but de-escalation requires the signals to stay below the *exit*
+// thresholds — a fraction of the entry thresholds — for several
+// consecutive samples, so a load spike flapping around a threshold
+// cannot oscillate the whole system between modes.
 //
 // Consumers read Controller.Level (one atomic load, safe on admission
 // hot paths) or subscribe with OnChange. The admission surfaces wired
@@ -32,6 +32,7 @@ package pressure
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/faultpoint"
-	"repro/internal/memacct"
 	"repro/internal/telemetry"
 )
 
@@ -110,12 +110,6 @@ type Signals struct {
 	// it is judged against (0 = memory check disabled).
 	RSSBytes       int64
 	MemBudgetBytes int64
-	// TrackedBytes is the algorithmic working set charged to the
-	// configured memacct.Acct (0 when none) — the structure-level view
-	// that moves ahead of RSS, since Go's RSS lags frees. Only structures
-	// that charge while they are live show up here; avs scopes charge and
-	// release in one step (peak only) and contribute nothing.
-	TrackedBytes int64
 	// DiskUsedFrac is the used fraction of the watched disk (0 when no
 	// path is configured); DiskFreeBytes the space still available.
 	DiskUsedFrac  float64
@@ -125,77 +119,51 @@ type Signals struct {
 	FDs        int
 }
 
-// MemUsedFrac is the fraction of the memory budget in use: the larger
-// of RSS and tracked bytes over the budget (0 when no budget).
+// MemUsedFrac is the fraction of the memory budget in use: RSS over
+// the budget (0 when no budget).
 func (s Signals) MemUsedFrac() float64 {
 	if s.MemBudgetBytes <= 0 {
 		return 0
 	}
-	used := s.RSSBytes
-	if s.TrackedBytes > used {
-		used = s.TrackedBytes
-	}
-	return float64(used) / float64(s.MemBudgetBytes)
+	return float64(s.RSSBytes) / float64(s.MemBudgetBytes)
 }
 
-// Thresholds are the per-signal entry bounds for Elevated and
-// Critical. Zero fields take the documented defaults; a negative
-// field disables that signal's contribution entirely.
-type Thresholds struct {
-	// LoadElevated/LoadCritical bound the per-CPU load average
-	// (0 = 2 and 4: twice/four times as many runnable tasks as CPUs).
-	LoadElevated, LoadCritical float64
-	// MemElevated/MemCritical bound the used fraction of the memory
-	// budget (0 = 0.85 and 0.95).
-	MemElevated, MemCritical float64
-	// DiskElevated/DiskCritical bound the watched disk's used fraction
-	// (0 = 0.85 and 0.95).
-	DiskElevated, DiskCritical float64
-	// GoroutineElevated/GoroutineCritical bound the goroutine count
-	// (0 = 50k and 200k — far above any healthy TrillionG process).
-	GoroutineElevated, GoroutineCritical int
-	// FDElevated/FDCritical bound open file descriptors (0 = 70% and
-	// 90% of the soft RLIMIT_NOFILE, or 4096/8192 when unreadable).
-	FDElevated, FDCritical int
-	// ExitRatio scales entry thresholds into exit thresholds for
+// The classification bounds: per signal, the entry thresholds of
+// Elevated and Critical. The file-descriptor pair is not here: it is
+// 70 % and 90 % of the soft RLIMIT_NOFILE (fdThresholds).
+const (
+	// Per-CPU load average: twice and four times as many runnable
+	// tasks as CPUs.
+	loadElevated, loadCritical = 2.0, 4.0
+	// Used fraction of the memory budget.
+	memElevated, memCritical = 0.85, 0.95
+	// Used fraction of the watched disk.
+	diskElevated, diskCritical = 0.85, 0.95
+	// Goroutine count: far above any healthy TrillionG process.
+	goroutineElevated, goroutineCritical = 50_000, 200_000
+
+	// exitRatio scales entry thresholds into exit thresholds for
 	// hysteresis: once a level is entered, it is held until the signal
-	// drops below entry·ExitRatio (0 = 0.8; clamped to (0, 1]).
-	ExitRatio float64
-}
+	// drops below entry·exitRatio.
+	exitRatio = 0.8
 
-func (t Thresholds) withDefaults() Thresholds {
-	defF := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
+	// raiseAfter is how many consecutive samples must classify at a
+	// higher level before escalating: escalate immediately.
+	raiseAfter = 1
+	// lowerAfter is how many consecutive samples must classify at a
+	// lower level before de-escalating: calm down slowly.
+	lowerAfter = 3
+)
+
+// fdThresholds returns the file-descriptor entry thresholds: 70 % and
+// 90 % of the soft RLIMIT_NOFILE, or 4096 and 8192 when it is
+// unreadable.
+func fdThresholds() (elevated, critical float64) {
+	soft := fdSoftLimit()
+	if soft <= 0 {
+		return 4096, 8192
 	}
-	defI := func(v *int, d int) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	defF(&t.LoadElevated, 2)
-	defF(&t.LoadCritical, 4)
-	defF(&t.MemElevated, 0.85)
-	defF(&t.MemCritical, 0.95)
-	defF(&t.DiskElevated, 0.85)
-	defF(&t.DiskCritical, 0.95)
-	defI(&t.GoroutineElevated, 50_000)
-	defI(&t.GoroutineCritical, 200_000)
-	if t.FDElevated == 0 || t.FDCritical == 0 {
-		soft := fdSoftLimit()
-		if soft <= 0 {
-			defI(&t.FDElevated, 4096)
-			defI(&t.FDCritical, 8192)
-		} else {
-			defI(&t.FDElevated, int(float64(soft)*0.7))
-			defI(&t.FDCritical, int(float64(soft)*0.9))
-		}
-	}
-	if t.ExitRatio <= 0 || t.ExitRatio > 1 {
-		t.ExitRatio = 0.8
-	}
-	return t
+	return math.Floor(float64(soft) * 0.7), math.Floor(float64(soft) * 0.9)
 }
 
 // Config configures a Controller.
@@ -209,17 +177,6 @@ type Config struct {
 	// DiskPath, when set, watches that filesystem's fullness —
 	// typically the artifact store or output directory.
 	DiskPath string
-	// Acct, when set, contributes memacct's tracked working-set bytes
-	// to the memory signal alongside RSS.
-	Acct *memacct.Acct
-	// Thresholds tune the classification bounds.
-	Thresholds Thresholds
-	// RaiseAfter is how many consecutive samples must classify at a
-	// higher level before escalating (0 = 1: escalate immediately).
-	RaiseAfter int
-	// LowerAfter is how many consecutive samples must classify at a
-	// lower level before de-escalating (0 = 3: calm down slowly).
-	LowerAfter int
 	// Telemetry receives the os.* and pressure.* metrics
 	// (nil = private registry).
 	Telemetry *telemetry.Registry
@@ -233,7 +190,6 @@ const (
 	MetricRSS         = "os.mem_rss_bytes"
 	MetricMemBudget   = "os.mem_budget_bytes"
 	MetricMemUsedFrac = "os.mem_used_frac"
-	MetricTracked     = "os.mem_tracked_bytes"
 	MetricDiskUsed    = "os.disk_used_frac"
 	MetricDiskFree    = "os.disk_free_bytes"
 	MetricGoroutines  = "os.goroutines"
@@ -250,8 +206,10 @@ const (
 // load.
 type Controller struct {
 	cfg Config
-	th  Thresholds
 	tel *telemetry.Registry
+	// fdElevated and fdCritical are the descriptor entry thresholds,
+	// read from RLIMIT_NOFILE once at New.
+	fdElevated, fdCritical float64
 
 	level atomic.Int32
 
@@ -271,7 +229,6 @@ type Controller struct {
 	gRSS        *telemetry.Gauge
 	gBudget     *telemetry.Gauge
 	gMemFrac    *telemetry.Gauge
-	gTracked    *telemetry.Gauge
 	gDiskUsed   *telemetry.Gauge
 	gDiskFree   *telemetry.Gauge
 	gGoroutines *telemetry.Gauge
@@ -283,12 +240,6 @@ func New(cfg Config) *Controller {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.RaiseAfter < 1 {
-		cfg.RaiseAfter = 1
-	}
-	if cfg.LowerAfter < 1 {
-		cfg.LowerAfter = 3
-	}
 	if cfg.MemBudgetBytes == 0 {
 		cfg.MemBudgetBytes = hostMemoryBytes()
 	}
@@ -298,7 +249,6 @@ func New(cfg Config) *Controller {
 	}
 	c := &Controller{
 		cfg:         cfg,
-		th:          cfg.Thresholds.withDefaults(),
 		tel:         tel,
 		samples:     tel.Counter(MetricSamples),
 		transitions: tel.Counter(MetricTransitions),
@@ -307,12 +257,12 @@ func New(cfg Config) *Controller {
 		gRSS:        tel.Gauge(MetricRSS),
 		gBudget:     tel.Gauge(MetricMemBudget),
 		gMemFrac:    tel.Gauge(MetricMemUsedFrac),
-		gTracked:    tel.Gauge(MetricTracked),
 		gDiskUsed:   tel.Gauge(MetricDiskUsed),
 		gDiskFree:   tel.Gauge(MetricDiskFree),
 		gGoroutines: tel.Gauge(MetricGoroutines),
 		gFDs:        tel.Gauge(MetricFDs),
 	}
+	c.fdElevated, c.fdCritical = fdThresholds()
 	tel.Gauge(MetricCPUs).Set(float64(numCPU()))
 	tel.GaugeFunc(MetricLevel, func() float64 { return float64(c.Level()) })
 	return c
@@ -322,11 +272,11 @@ func New(cfg Config) *Controller {
 func (c *Controller) Telemetry() *telemetry.Registry { return c.tel }
 
 // RecoveryHint is the soonest a pressure episode can de-escalate:
-// LowerAfter consecutive calm samples at the sampling interval.
+// lowerAfter consecutive calm samples at the sampling interval.
 // Admission surfaces use it as an honest Retry-After floor while
 // shedding load.
 func (c *Controller) RecoveryHint() time.Duration {
-	return time.Duration(c.cfg.LowerAfter) * c.cfg.Interval
+	return lowerAfter * c.cfg.Interval
 }
 
 // Level returns the current pressure level (one atomic load).
@@ -418,7 +368,7 @@ func (c *Controller) Sample() (Signals, Level) {
 	if v, ok := faultpoint.FireValue(PointSignals); ok {
 		// Injected samples replace the real ones entirely, so a chaos
 		// scenario is deterministic even on a loaded host.
-		sig = c.syntheticSignals(v)
+		sig = syntheticSignals(v)
 		c.injected.Inc()
 	}
 	c.samples.Inc()
@@ -444,9 +394,9 @@ func (c *Controller) step(target Level) Level {
 		c.pending, c.votes = target, 0
 	}
 	c.votes++
-	need := c.cfg.RaiseAfter
+	need := raiseAfter
 	if target < cur {
-		need = c.cfg.LowerAfter
+		need = lowerAfter
 	}
 	if c.votes < need {
 		c.mu.Unlock()
@@ -465,29 +415,21 @@ func (c *Controller) step(target Level) Level {
 
 // classify maps one sample to its target level under hysteresis: a
 // signal that entered a level holds it until it drops below
-// entry·ExitRatio. The overall level is the worst per-signal level.
+// entry·exitRatio. The overall level is the worst per-signal level.
 func (c *Controller) classify(sig Signals, cur Level) Level {
-	worst := OK
-	bump := func(l Level) {
-		if l > worst {
-			worst = l
-		}
-	}
-	bump(levelForF(sig.LoadPerCPU, c.th.LoadElevated, c.th.LoadCritical, cur, c.th.ExitRatio))
-	bump(levelForF(sig.MemUsedFrac(), c.th.MemElevated, c.th.MemCritical, cur, c.th.ExitRatio))
-	bump(levelForF(sig.DiskUsedFrac, c.th.DiskElevated, c.th.DiskCritical, cur, c.th.ExitRatio))
-	bump(levelForF(float64(sig.Goroutines), float64(c.th.GoroutineElevated), float64(c.th.GoroutineCritical), cur, c.th.ExitRatio))
-	bump(levelForF(float64(sig.FDs), float64(c.th.FDElevated), float64(c.th.FDCritical), cur, c.th.ExitRatio))
-	return worst
+	return max(
+		levelFor(sig.LoadPerCPU, loadElevated, loadCritical, cur),
+		levelFor(sig.MemUsedFrac(), memElevated, memCritical, cur),
+		levelFor(sig.DiskUsedFrac, diskElevated, diskCritical, cur),
+		levelFor(float64(sig.Goroutines), goroutineElevated, goroutineCritical, cur),
+		levelFor(float64(sig.FDs), c.fdElevated, c.fdCritical, cur),
+	)
 }
 
-// levelForF classifies one signal value against its entry thresholds,
+// levelFor classifies one signal value against its entry thresholds,
 // holding the current level's grip until the value crosses the exit
-// threshold. Non-positive thresholds disable the signal.
-func levelForF(v, enterElev, enterCrit float64, cur Level, exitRatio float64) Level {
-	if enterElev <= 0 || enterCrit <= 0 || v <= 0 {
-		return OK
-	}
+// threshold. A zero value (unknown) is below every exit threshold.
+func levelFor(v, enterElev, enterCrit float64, cur Level) Level {
 	switch {
 	case v >= enterCrit, cur >= Critical && v >= enterCrit*exitRatio:
 		return Critical
@@ -503,7 +445,6 @@ func (c *Controller) publish(sig Signals) {
 	c.gRSS.Set(float64(sig.RSSBytes))
 	c.gBudget.Set(float64(sig.MemBudgetBytes))
 	c.gMemFrac.Set(sig.MemUsedFrac())
-	c.gTracked.Set(float64(sig.TrackedBytes))
 	c.gDiskUsed.Set(sig.DiskUsedFrac)
 	c.gDiskFree.Set(float64(sig.DiskFreeBytes))
 	c.gGoroutines.Set(float64(sig.Goroutines))
@@ -517,7 +458,7 @@ func (c *Controller) publish(sig Signals) {
 // semicolon-separated key=value list applied onto zeroed signals.
 // Unknown keys and malformed values are ignored — an injection must
 // never crash the process it is drilling.
-func (c *Controller) syntheticSignals(spec string) Signals {
+func syntheticSignals(spec string) Signals {
 	var sig Signals
 	for _, kv := range strings.Split(spec, ";") {
 		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
@@ -528,7 +469,7 @@ func (c *Controller) syntheticSignals(spec string) Signals {
 		switch key {
 		case "level":
 			if l, ok := ParseLevel(val); ok {
-				sig.LoadPerCPU = c.syntheticLoad(l)
+				sig.LoadPerCPU = syntheticLoad(l)
 			}
 		case "load":
 			if f, err := strconv.ParseFloat(val, 64); err == nil {
@@ -559,21 +500,21 @@ func (c *Controller) syntheticSignals(spec string) Signals {
 
 // syntheticLoad returns a per-CPU load decisively at the given level:
 // well past the entry threshold for Elevated/Critical, zero for OK.
-func (c *Controller) syntheticLoad(l Level) float64 {
+func syntheticLoad(l Level) float64 {
 	switch l {
 	case Critical:
-		return c.th.LoadCritical * 2
+		return loadCritical * 2
 	case Elevated:
 		// Midway between the two entries: above Elevated's entry, below
 		// Critical's exit.
-		return (c.th.LoadElevated + c.th.LoadCritical*c.th.ExitRatio) / 2
+		return (loadElevated + loadCritical*exitRatio) / 2
 	}
 	return 0
 }
 
 // String renders a sample for logs and drills.
 func (s Signals) String() string {
-	return fmt.Sprintf("load/cpu=%.2f mem=%.0f%% (rss=%d tracked=%d budget=%d) disk=%.0f%% goroutines=%d fds=%d",
-		s.LoadPerCPU, s.MemUsedFrac()*100, s.RSSBytes, s.TrackedBytes, s.MemBudgetBytes,
+	return fmt.Sprintf("load/cpu=%.2f mem=%.0f%% (rss=%d budget=%d) disk=%.0f%% goroutines=%d fds=%d",
+		s.LoadPerCPU, s.MemUsedFrac()*100, s.RSSBytes, s.MemBudgetBytes,
 		s.DiskUsedFrac*100, s.Goroutines, s.FDs)
 }

@@ -1,37 +1,22 @@
 package pressure
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/faultpoint"
-	"repro/internal/memacct"
 	"repro/internal/telemetry"
 )
 
-// quiet returns a controller whose every real signal is disabled, so
-// only injected samples can move it. RaiseAfter/LowerAfter default
-// (1 / 3) unless overridden after New.
-func quiet(t *testing.T, cfg Config) *Controller {
-	t.Helper()
-	if cfg.MemBudgetBytes == 0 {
-		cfg.MemBudgetBytes = -1 // no auto budget from /proc/meminfo
-	}
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
-	// Push real-signal thresholds far out of reach so host noise on the
-	// test machine cannot flip levels under us.
-	if cfg.Thresholds == (Thresholds{}) {
-		cfg.Thresholds = Thresholds{
-			LoadElevated: 1e6, LoadCritical: 2e6,
-			GoroutineElevated: 1 << 30, GoroutineCritical: 1<<30 + 1,
-			FDElevated: 1 << 30, FDCritical: 1<<30 + 1,
-		}
-	}
-	return New(cfg)
+// newController returns a controller with no memory budget and a
+// private registry. Real samples still read the host; tests that need
+// a level arm PointSignals, whose samples replace the real ones.
+func newController(reg *telemetry.Registry) *Controller {
+	return New(Config{MemBudgetBytes: -1, Telemetry: reg})
 }
 
 // TestLevelString covers the wire names both ways.
@@ -59,13 +44,17 @@ func TestLevelString(t *testing.T) {
 }
 
 // TestRealSample: sampling the actual host populates the gauges with
-// plausible values and stays OK under the far-out test thresholds.
+// plausible values, and the first sample's level is its classification
+// (escalation takes one sample).
 func TestRealSample(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := quiet(t, Config{Telemetry: reg})
+	c := newController(reg)
 	sig, lvl := c.Sample()
-	if lvl != OK {
-		t.Fatalf("level = %v on an idle sample", lvl)
+	if want := c.classify(sig, OK); lvl != want {
+		t.Fatalf("level = %v after one sample classified %v", lvl, want)
+	}
+	if sig.MemUsedFrac() != 0 {
+		t.Fatalf("mem frac = %v with the memory check disabled", sig.MemUsedFrac())
 	}
 	if sig.Goroutines < 1 {
 		t.Fatalf("goroutines = %d", sig.Goroutines)
@@ -81,54 +70,104 @@ func TestRealSample(t *testing.T) {
 	}
 }
 
-// TestDefaultsAndBudget: zero-config thresholds fill in, and the
-// automatic memory budget comes from the host when readable.
+// TestDefaultsAndBudget: the automatic memory budget comes from the
+// host when readable, and the descriptor thresholds from the soft
+// RLIMIT_NOFILE.
 func TestDefaultsAndBudget(t *testing.T) {
-	th := Thresholds{}.withDefaults()
-	if th.LoadElevated != 2 || th.LoadCritical != 4 || th.MemElevated != 0.85 ||
-		th.MemCritical != 0.95 || th.ExitRatio != 0.8 {
-		t.Fatalf("defaults = %+v", th)
-	}
-	if th.FDElevated <= 0 || th.FDCritical <= th.FDElevated {
-		t.Fatalf("fd defaults = %d/%d", th.FDElevated, th.FDCritical)
-	}
 	c := New(Config{Telemetry: telemetry.NewRegistry()})
 	if host := hostMemoryBytes(); host > 0 && c.cfg.MemBudgetBytes != host {
 		t.Fatalf("auto budget = %d, want host total %d", c.cfg.MemBudgetBytes, host)
 	}
+	if soft := fdSoftLimit(); soft > 0 {
+		if c.fdElevated != math.Floor(float64(soft)*0.7) || c.fdCritical != math.Floor(float64(soft)*0.9) {
+			t.Fatalf("fd thresholds = %v/%v for soft limit %d", c.fdElevated, c.fdCritical, soft)
+		}
+	}
+	if c.fdElevated <= 0 || c.fdCritical <= c.fdElevated {
+		t.Fatalf("fd thresholds = %v/%v", c.fdElevated, c.fdCritical)
+	}
 }
 
-// TestClassifyLadder: each signal alone can lift the level, and the
-// worst signal wins.
+// TestClassifyLadder drives every signal through the ladder at the
+// fixed thresholds, one injected sample at a time: entry at Elevated
+// and at Critical escalates on one sample; a value between entry·0.8
+// and the entry holds the level; a value below entry·0.8 de-escalates
+// only on the third calm sample in a row, and a hot sample restarts
+// that count. The worst signal wins.
 func TestClassifyLadder(t *testing.T) {
-	c := New(Config{MemBudgetBytes: 1 << 30, Telemetry: telemetry.NewRegistry()})
-	cases := []struct {
-		name string
-		sig  Signals
-		want Level
+	t.Cleanup(faultpoint.Reset)
+	fdE, fdC := fdThresholds()
+	ratio := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	count := func(v float64) string { return strconv.Itoa(int(math.Ceil(v))) }
+	signals := []struct {
+		key        string
+		elev, crit float64
+		format     func(float64) string
 	}{
-		{"idle", Signals{LoadPerCPU: 0.5}, OK},
-		{"load-elev", Signals{LoadPerCPU: 2.5}, Elevated},
-		{"load-crit", Signals{LoadPerCPU: 9}, Critical},
-		{"mem-elev", Signals{RSSBytes: 900 << 20, MemBudgetBytes: 1 << 30}, Elevated},
-		{"mem-crit", Signals{RSSBytes: 1000 << 20, MemBudgetBytes: 1 << 30}, Critical},
-		{"tracked-beats-rss", Signals{RSSBytes: 1, TrackedBytes: 1000 << 20, MemBudgetBytes: 1 << 30}, Critical},
-		{"disk-elev", Signals{DiskUsedFrac: 0.9}, Elevated},
-		{"disk-crit", Signals{DiskUsedFrac: 0.97}, Critical},
-		{"goroutines", Signals{Goroutines: 60_000}, Elevated},
-		{"worst-wins", Signals{LoadPerCPU: 2.5, DiskUsedFrac: 0.99}, Critical},
+		{"load", 2, 4, ratio},
+		{"mem", 0.85, 0.95, ratio},
+		{"disk", 0.85, 0.95, ratio},
+		{"goroutines", 50_000, 200_000, count},
+		{"fds", fdE, fdC, count},
 	}
-	for _, tc := range cases {
-		if got := c.classify(tc.sig, OK); got != tc.want {
-			t.Errorf("%s: classify = %v, want %v", tc.name, got, tc.want)
-		}
+	type step struct {
+		what string
+		v    func(e, c float64) float64
+		want Level
+	}
+	// Values sit a margin away from each bound, so the truncations of
+	// the "mem" injection and of the integer signals cannot cross one.
+	steps := []step{
+		{"below elevated entry", func(e, _ float64) float64 { return e * 0.99 }, OK},
+		{"elevated entry", func(e, _ float64) float64 { return e * 1.001 }, Elevated},
+		{"elevated hold", func(e, _ float64) float64 { return e * 0.9 }, Elevated},
+		{"critical entry", func(_, c float64) float64 { return c * 1.001 }, Critical},
+		{"critical hold", func(_, c float64) float64 { return c * 0.9 }, Critical},
+		{"critical calm 1", func(_, c float64) float64 { return c * 0.75 }, Critical},
+		{"critical calm 2", func(_, c float64) float64 { return c * 0.75 }, Critical},
+		{"hot again", func(_, c float64) float64 { return c * 1.001 }, Critical},
+		{"critical calm 1 again", func(_, c float64) float64 { return c * 0.75 }, Critical},
+		{"critical calm 2 again", func(_, c float64) float64 { return c * 0.75 }, Critical},
+		{"critical calm 3", func(_, c float64) float64 { return c * 0.75 }, Elevated},
+		{"elevated calm 1", func(e, _ float64) float64 { return e * 0.75 }, Elevated},
+		{"elevated calm 2", func(e, _ float64) float64 { return e * 0.75 }, Elevated},
+		{"elevated calm 3", func(e, _ float64) float64 { return e * 0.75 }, OK},
+	}
+	for _, sg := range signals {
+		t.Run(sg.key, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			c := newController(reg)
+			for _, st := range steps {
+				spec := "pressure:" + sg.key + "=" + sg.format(st.v(sg.elev, sg.crit))
+				if err := faultpoint.Arm(PointSignals, spec); err != nil {
+					t.Fatal(err)
+				}
+				if _, lvl := c.Sample(); lvl != st.want {
+					t.Fatalf("%s (%s): level = %v, want %v", st.what, spec, lvl, st.want)
+				}
+			}
+			if n := reg.CounterValue(MetricTransitions); n != 4 {
+				t.Fatalf("transitions_total = %d, want 4", n)
+			}
+			if n := reg.CounterValue(MetricInjected); n != int64(len(steps)) {
+				t.Fatalf("injected_samples_total = %d", n)
+			}
+		})
+	}
+	// The worst signal wins.
+	c := newController(telemetry.NewRegistry())
+	if err := faultpoint.Arm(PointSignals, "pressure:load=2.5;disk=0.99"); err != nil {
+		t.Fatal(err)
+	}
+	if _, lvl := c.Sample(); lvl != Critical {
+		t.Fatalf("elevated load with a critical disk = %v", lvl)
 	}
 }
 
 // TestHysteresis: once Critical, a value between exit and entry holds
-// Critical; only dropping below entry·ExitRatio releases it.
+// Critical; only dropping below entry·exitRatio releases it.
 func TestHysteresis(t *testing.T) {
-	c := New(Config{MemBudgetBytes: -1, Telemetry: telemetry.NewRegistry()})
+	c := newController(telemetry.NewRegistry())
 	// Entry 4.0, exit 3.2 for load Critical.
 	if got := c.classify(Signals{LoadPerCPU: 3.5}, OK); got != Elevated {
 		t.Fatalf("fresh 3.5 load = %v, want Elevated", got)
@@ -148,19 +187,15 @@ func TestHysteresis(t *testing.T) {
 	}
 }
 
-// TestDebounce: escalation needs RaiseAfter consecutive votes,
-// de-escalation LowerAfter, and a changed vote resets the streak.
+// TestDebounce: escalation needs raiseAfter (1) vote, de-escalation
+// lowerAfter (3) consecutive votes, and a changed vote resets the
+// calm streak.
 func TestDebounce(t *testing.T) {
-	c := quiet(t, Config{})
-	c.cfg.RaiseAfter, c.cfg.LowerAfter = 2, 3
-
-	if lvl := c.step(Critical); lvl != OK {
-		t.Fatalf("one vote escalated: %v", lvl)
-	}
+	c := newController(telemetry.NewRegistry())
 	if lvl := c.step(Critical); lvl != Critical {
-		t.Fatalf("two votes did not escalate: %v", lvl)
+		t.Fatalf("one vote did not escalate: %v", lvl)
 	}
-	// Calm samples: two are not enough...
+	// Calm votes: two are not enough...
 	c.step(OK)
 	if lvl := c.step(OK); lvl != Critical {
 		t.Fatalf("level dropped after 2/3 calm votes: %v", lvl)
@@ -181,8 +216,7 @@ func TestDebounce(t *testing.T) {
 // once, in order, and the transition counter matches.
 func TestOnChangeAndTransitions(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := quiet(t, Config{Telemetry: reg})
-	c.cfg.LowerAfter = 1
+	c := newController(reg)
 	var mu sync.Mutex
 	var seen []Level
 	c.OnChange(func(l Level) {
@@ -191,9 +225,13 @@ func TestOnChangeAndTransitions(t *testing.T) {
 		mu.Unlock()
 	})
 	c.step(Critical)
-	c.step(Elevated)
+	for i := 0; i < 3; i++ {
+		c.step(Elevated)
+	}
 	c.step(Elevated) // no-op: already there
-	c.step(OK)
+	for i := 0; i < 3; i++ {
+		c.step(OK)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	want := []Level{Critical, Elevated, OK}
@@ -210,15 +248,14 @@ func TestOnChangeAndTransitions(t *testing.T) {
 	}
 }
 
-// TestInjectedCycle: an armed pressure faultpoint drives ok→critical→ok
-// deterministically; the budget runs out and real (benign) signals
-// take back over.
+// TestInjectedCycle: an armed pressure faultpoint with a budget drives
+// the level for exactly that many samples, then hands sampling back to
+// the real host.
 func TestInjectedCycle(t *testing.T) {
 	faultpoint.Reset()
 	t.Cleanup(faultpoint.Reset)
 	reg := telemetry.NewRegistry()
-	c := quiet(t, Config{Telemetry: reg})
-	c.cfg.LowerAfter = 2
+	c := newController(reg)
 
 	if err := faultpoint.Arm(PointSignals, "pressure:level=critical*3"); err != nil {
 		t.Fatal(err)
@@ -228,23 +265,22 @@ func TestInjectedCycle(t *testing.T) {
 			t.Fatalf("injected sample %d: level = %v", i, lvl)
 		}
 	}
+	// Budget exhausted: the next sample is the host's own.
+	sig, _ := c.Sample()
 	if n := reg.CounterValue(MetricInjected); n != 3 {
 		t.Fatalf("injected_samples_total = %d", n)
 	}
-	// Budget exhausted: the next real samples are benign and the
-	// debounce releases after LowerAfter of them.
-	if _, lvl := c.Sample(); lvl != Critical {
-		t.Fatal("released after a single calm sample")
+	if n := reg.CounterValue(MetricSamples); n != 4 {
+		t.Fatalf("samples_total = %d", n)
 	}
-	if _, lvl := c.Sample(); lvl != OK {
-		t.Fatal("did not recover once injection drained")
+	if sig.Goroutines < 1 {
+		t.Fatalf("post-injection sample is not a real one: %+v", sig)
 	}
 }
 
 // TestSyntheticGrammar: every injection key parses, junk is ignored.
 func TestSyntheticGrammar(t *testing.T) {
-	c := quiet(t, Config{})
-	sig := c.syntheticSignals("load=7.5; mem=0.97 ;disk=0.5;goroutines=123;fds=45;junk;bad=x")
+	sig := syntheticSignals("load=7.5; mem=0.97 ;disk=0.5;goroutines=123;fds=45;junk;bad=x")
 	if sig.LoadPerCPU != 7.5 || sig.DiskUsedFrac != 0.5 || sig.Goroutines != 123 || sig.FDs != 45 {
 		t.Fatalf("parsed = %+v", sig)
 	}
@@ -252,15 +288,14 @@ func TestSyntheticGrammar(t *testing.T) {
 		t.Fatalf("mem frac = %v", f)
 	}
 	// level= synthesizes a decisive load for each level.
-	th := c.th
-	if l := c.syntheticSignals("level=critical").LoadPerCPU; l < th.LoadCritical {
-		t.Fatalf("critical synthetic load %v below entry %v", l, th.LoadCritical)
+	if l := syntheticSignals("level=critical").LoadPerCPU; l < loadCritical {
+		t.Fatalf("critical synthetic load %v below entry %v", l, loadCritical)
 	}
-	el := c.syntheticSignals("level=elevated").LoadPerCPU
-	if el < th.LoadElevated || el >= th.LoadCritical*th.ExitRatio {
-		t.Fatalf("elevated synthetic load %v outside [%v, %v)", el, th.LoadElevated, th.LoadCritical*th.ExitRatio)
+	el := syntheticSignals("level=elevated").LoadPerCPU
+	if el < loadElevated || el >= loadCritical*exitRatio {
+		t.Fatalf("elevated synthetic load %v outside [%v, %v)", el, loadElevated, loadCritical*exitRatio)
 	}
-	if l := c.syntheticSignals("level=ok").LoadPerCPU; l != 0 {
+	if l := syntheticSignals("level=ok").LoadPerCPU; l != 0 {
 		t.Fatalf("ok synthetic load = %v", l)
 	}
 }
@@ -269,7 +304,7 @@ func TestSyntheticGrammar(t *testing.T) {
 // idempotent and race-free with a second Start.
 func TestStartStop(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := quiet(t, Config{Interval: time.Millisecond, Telemetry: reg})
+	c := New(Config{Interval: time.Millisecond, MemBudgetBytes: -1, Telemetry: reg})
 	stop := c.Start()
 	stop2 := c.Start() // same loop
 	deadline := time.Now().Add(2 * time.Second)
@@ -302,7 +337,7 @@ func TestStartStop(t *testing.T) {
 // TestConcurrentSampleAndReaders: Sample, Level, LastSignals and
 // OnChange registration race cleanly (meaningful under -race).
 func TestConcurrentSampleAndReaders(t *testing.T) {
-	c := quiet(t, Config{Acct: new(memacct.Acct)})
+	c := newController(telemetry.NewRegistry())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -329,29 +364,6 @@ func TestConcurrentSampleAndReaders(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-// TestDisabledSignals: negative thresholds and zero values never
-// escalate, so a partially-blind host (no /proc) stays OK.
-func TestDisabledSignals(t *testing.T) {
-	c := New(Config{
-		MemBudgetBytes: -1,
-		Thresholds: Thresholds{
-			LoadElevated: -1, LoadCritical: -1,
-			MemElevated: -1, MemCritical: -1,
-			DiskElevated: -1, DiskCritical: -1,
-			GoroutineElevated: -1, GoroutineCritical: -1,
-			FDElevated: -1, FDCritical: -1,
-		},
-		Telemetry: telemetry.NewRegistry(),
-	})
-	sig := Signals{LoadPerCPU: 100, RSSBytes: 1 << 40, DiskUsedFrac: 1, Goroutines: 1 << 20, FDs: 1 << 20}
-	if got := c.classify(sig, OK); got != OK {
-		t.Fatalf("disabled signals escalated to %v", got)
-	}
-	if (Signals{}).MemUsedFrac() != 0 {
-		t.Fatal("zero budget produced a mem fraction")
-	}
 }
 
 // TestSignalsString formats without panicking and mentions the level

@@ -21,9 +21,6 @@ func readSignals(cfg Config) Signals {
 	if cfg.MemBudgetBytes > 0 {
 		sig.MemBudgetBytes = cfg.MemBudgetBytes
 	}
-	if cfg.Acct != nil {
-		sig.TrackedBytes = cfg.Acct.Current()
-	}
 	if cfg.DiskPath != "" {
 		if used, free, ok := diskUsage(cfg.DiskPath); ok {
 			sig.DiskUsedFrac, sig.DiskFreeBytes = used, free

@@ -11,18 +11,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// calmController returns a controller whose real signals can never
-// move it, so tests own the level via Force.
+// calmController returns a controller that nothing samples, so tests
+// own the level via Force.
 func calmController() *pressure.Controller {
-	return pressure.New(pressure.Config{
-		MemBudgetBytes: -1,
-		Thresholds: pressure.Thresholds{
-			LoadElevated: 1e9, LoadCritical: 2e9,
-			GoroutineElevated: 1 << 30, GoroutineCritical: 1<<30 + 1,
-			FDElevated: 1 << 30, FDCritical: 1<<30 + 1,
-		},
-		Telemetry: telemetry.NewRegistry(),
-	})
+	return pressure.New(pressure.Config{MemBudgetBytes: -1, Telemetry: telemetry.NewRegistry()})
 }
 
 // acquireAsync runs Acquire in a goroutine and reports the result.

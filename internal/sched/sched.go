@@ -99,8 +99,6 @@ type Config struct {
 	Defaults Limits
 	// Telemetry receives the sched.* metrics (nil = private registry).
 	Telemetry *telemetry.Registry
-	// Clock substitutes time.Now in tests.
-	Clock func() time.Time
 	// Pressure, when set, degrades the scheduler with host pressure:
 	// the effective slot pool shrinks (3/4 at elevated, 1/2 at
 	// critical, never below one so admitted work keeps draining), the
@@ -196,7 +194,7 @@ type Scheduler struct {
 	free    int
 	fq      *FairQueue
 	tenants map[string]*tenantState
-	now     func() time.Time
+	now     func() time.Time // tests substitute
 
 	// ewmaService tracks mean grant hold time (seconds) for honest
 	// queue-drain Retry-After estimates.
@@ -226,17 +224,13 @@ func New(cfg Config) *Scheduler {
 	if tel == nil {
 		tel = telemetry.NewRegistry()
 	}
-	now := cfg.Clock
-	if now == nil {
-		now = time.Now
-	}
 	s := &Scheduler{
 		cfg:        cfg,
 		slots:      cfg.Slots,
 		free:       cfg.Slots,
 		fq:         NewFairQueue(),
 		tenants:    make(map[string]*tenantState),
-		now:        now,
+		now:        time.Now,
 		tel:        tel,
 		admitted:   tel.Counter(MetricAdmitted),
 		granted:    tel.Counter(MetricGranted),

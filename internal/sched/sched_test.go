@@ -123,9 +123,9 @@ func TestSchedulerRateLimitDebt(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	s := New(Config{
 		Slots:   8,
-		Clock:   clk.now,
 		Tenants: map[string]Limits{"a": {Rate: 10, Burst: 10}},
 	})
+	s.now = clk.now
 	// Burst admits a job far larger than the bucket, driving it into debt.
 	g := mustAcquire(t, s, Request{Tenant: "a", Cost: 50})
 	g.Release()
@@ -153,9 +153,9 @@ func TestSchedulerRejectionRefundsTokens(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	s := New(Config{
 		Slots:   1,
-		Clock:   clk.now,
 		Tenants: map[string]Limits{"a": {Rate: 1, Burst: 10, MaxQueued: NoQueue}},
 	})
+	s.now = clk.now
 	g := mustAcquire(t, s, Request{Tenant: "a", Cost: 5}) // tokens 10 → 5
 	// Queue-full rejections must refund their spend: without the refund,
 	// three rejected retries would empty the bucket.
@@ -301,6 +301,10 @@ func TestParseTenantSpec(t *testing.T) {
 		"a,weight=0",            // weight < 1
 		"a,weight=x",            // not a number
 		"a,rate=-1",             // negative
+		"a,rate=NaN",            // not a rate: would read as unlimited
+		"a,rate=Inf",            // not finite
+		"a,burst=NaN",           // not a capacity
+		"a,burst=+Inf",          // not finite
 		"a,ttl=soon",            // unparseable duration
 		"a,max-active=-2",       // negative
 		"a,nonsense=1",          // unknown key

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -71,14 +72,14 @@ func ParseLimits(s string) (Limits, error) {
 			lim.Weight = n
 		case "rate":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 {
-				return Limits{}, fmt.Errorf("bad rate %q (want edges/sec >= 0)", val)
+			if err != nil || f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+				return Limits{}, fmt.Errorf("bad rate %q (want finite edges/sec >= 0)", val)
 			}
 			lim.Rate = f
 		case "burst":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 {
-				return Limits{}, fmt.Errorf("bad burst %q (want edges >= 0)", val)
+			if err != nil || f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+				return Limits{}, fmt.Errorf("bad burst %q (want finite edges >= 0)", val)
 			}
 			lim.Burst = f
 		case "max-active":

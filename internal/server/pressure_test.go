@@ -23,10 +23,7 @@ func pressureOpts() Options {
 	return Options{
 		MaxActiveStreams: 2,
 		EnablePressure:   true,
-		PressureConfig: pressure.Config{
-			MemBudgetBytes: -1,
-			LowerAfter:     2,
-		},
+		PressureConfig:   pressure.Config{MemBudgetBytes: -1},
 	}
 }
 
@@ -163,13 +160,15 @@ func TestPressureDegradationChaos(t *testing.T) {
 	}
 
 	// critical → ok: re-arm the point with calm signals and sample
-	// through the debounce (LowerAfter 2).
+	// through the debounce (three calm samples).
 	if err := faultpoint.Arm(pressure.PointSignals, "pressure:level=ok"); err != nil {
 		t.Fatal(err)
 	}
-	ctrl.Sample()
-	if lvl := ctrl.Level(); lvl != pressure.Critical {
-		t.Fatalf("recovered after one calm sample despite LowerAfter=2 (level %v)", lvl)
+	for calm := 1; calm < 3; calm++ {
+		ctrl.Sample()
+		if lvl := ctrl.Level(); lvl != pressure.Critical {
+			t.Fatalf("recovered after %d calm samples despite the debounce of 3 (level %v)", calm, lvl)
+		}
 	}
 	ctrl.Sample()
 	if lvl := ctrl.Level(); lvl != pressure.OK {

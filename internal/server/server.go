@@ -57,9 +57,6 @@ type Options struct {
 	// value means scheduler defaults: weight 1, no rate limit, a
 	// 64-deep queue shed after 30s.
 	TenantDefaults sched.Limits
-	// EvictPendingAfter is how long an untouched pending job may occupy
-	// a full registry before eviction reclaims its slot (0 = 10m).
-	EvictPendingAfter time.Duration
 
 	// EnablePressure builds a host-pressure controller into the server:
 	// the scheduler degrades with the host (shrunk slot pool, paused
@@ -130,7 +127,7 @@ func New(opts Options) *Server {
 		opts:        opts.withDefaults(),
 		retryPolicy: backoff.Policy{Base: time.Second, Max: 30 * time.Second},
 	}
-	s.reg = newRegistry(s.opts.MaxJobs, s.opts.EvictPendingAfter)
+	s.reg = newRegistry(s.opts.MaxJobs, defaultPendingTTL)
 	s.metrics = newMetrics(s.reg)
 	if s.opts.EnablePressure {
 		pc := s.opts.PressureConfig

@@ -65,23 +65,21 @@ type Config struct {
 	// or under it go up as one PUT (0 = 8 MiB; values under MinPartSize
 	// are raised to it).
 	PartSize int64
-	// MaxAttempts bounds tries per HTTP operation (0 = 4). Retries are
-	// paced by Backoff and triggered by transport errors, 429 and 5xx.
-	MaxAttempts int
-	// Backoff paces retries (zero value = backoff defaults: 100ms base,
-	// 5s cap, doubling, no jitter configured here — set Jitter for
-	// fleets).
-	Backoff backoff.Policy
-	// HTTPClient overrides the transport (nil = a client with sane
-	// timeouts for object traffic).
-	HTTPClient *http.Client
 	// Telemetry receives the store.remote.* transport metrics (nil =
 	// private registry).
 	Telemetry *telemetry.Registry
 
-	// now overrides the signing clock in tests.
-	now func() time.Time
+	// now overrides the signing clock in tests; maxAttempts and
+	// backoff replace defaultMaxAttempts and the default retry pacing.
+	now         func() time.Time
+	maxAttempts int
+	backoff     backoff.Policy
 }
+
+// defaultMaxAttempts bounds tries per HTTP operation. Retries are
+// triggered by transport errors, 429 and 5xx, and paced by the backoff
+// package's defaults: 100ms doubling to a 5s cap, without jitter.
+const defaultMaxAttempts = 4
 
 // Client talks to one bucket of an S3-compatible object store. It
 // implements store.Backend and store.Presigner and is safe for
@@ -123,8 +121,8 @@ func New(cfg Config) (*Client, error) {
 	if cfg.PartSize < MinPartSize {
 		cfg.PartSize = MinPartSize
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
+	if cfg.maxAttempts <= 0 {
+		cfg.maxAttempts = defaultMaxAttempts
 	}
 	if cfg.Prefix != "" && !strings.HasSuffix(cfg.Prefix, "/") {
 		cfg.Prefix += "/"
@@ -132,10 +130,6 @@ func New(cfg Config) (*Client, error) {
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.NewRegistry()
-	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Minute}
 	}
 	now := cfg.now
 	if now == nil {
@@ -145,9 +139,9 @@ func New(cfg Config) (*Client, error) {
 		cfg:       cfg,
 		base:      base,
 		sg:        signer{access: cfg.AccessKey, secret: cfg.SecretKey, region: cfg.Region},
-		http:      hc,
+		http:      &http.Client{Timeout: 10 * time.Minute},
 		now:       now,
-		policy:    cfg.Backoff,
+		policy:    cfg.backoff,
 		requests:  tel.Counter(MetricRequests),
 		retries:   tel.Counter(MetricRetries),
 		errors:    tel.Counter(MetricErrors),
@@ -270,7 +264,7 @@ func asAPIError(err error, out **apiError) bool {
 // an answer, not a failure.
 func (c *Client) do(op string, makeReq func() (*http.Request, string, error), handle func(*http.Response) error) error {
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.cfg.maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Inc()
 			c.policy.Sleep(attempt-1, nil)

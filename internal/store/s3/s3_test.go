@@ -105,7 +105,7 @@ func newTestClient(t *testing.T, mut func(*Config)) (*Client, *FakeServer, *tele
 		Prefix:    "trilliong",
 		AccessKey: fake.Access,
 		SecretKey: fake.Secret,
-		Backoff:   backoff.Policy{Base: time.Millisecond, Max: 2 * time.Millisecond},
+		backoff:   backoff.Policy{Base: time.Millisecond, Max: 2 * time.Millisecond},
 		Telemetry: tel,
 	}
 	if mut != nil {
@@ -181,7 +181,7 @@ func TestClientRoundTrip(t *testing.T) {
 func TestClientRejectsBadCredentials(t *testing.T) {
 	c, _, _ := newTestClient(t, func(cfg *Config) {
 		cfg.SecretKey = "wrong-secret"
-		cfg.MaxAttempts = 1
+		cfg.maxAttempts = 1
 	})
 	err := c.Put(testKey(0), strings.NewReader("x"), testSidecar([]byte("x"), 0))
 	if err == nil || !strings.Contains(err.Error(), "403") {
@@ -208,9 +208,9 @@ func TestClientRetriesServerErrors(t *testing.T) {
 }
 
 // TestClientExhaustsRetries: a persistently failing remote surfaces an
-// error after MaxAttempts tries and counts it.
+// error after maxAttempts tries and counts it.
 func TestClientExhaustsRetries(t *testing.T) {
-	c, fake, tel := newTestClient(t, func(cfg *Config) { cfg.MaxAttempts = 2 })
+	c, fake, tel := newTestClient(t, func(cfg *Config) { cfg.maxAttempts = 2 })
 	fake.FailNext(10)
 	err := c.Put(testKey(0), strings.NewReader("x"), testSidecar([]byte("x"), 0))
 	if err == nil {
@@ -220,7 +220,7 @@ func TestClientExhaustsRetries(t *testing.T) {
 		t.Fatalf("errors = %d, want 1", n)
 	}
 	if n := tel.Counter(MetricRetries).Value(); n != 1 {
-		t.Fatalf("retries = %d, want 1 (MaxAttempts=2)", n)
+		t.Fatalf("retries = %d, want 1 (maxAttempts=2)", n)
 	}
 }
 
@@ -298,7 +298,7 @@ func (e *erroringReader) Read([]byte) (int, error) { return 0, fmt.Errorf("sourc
 // TestClientTornGetSurfacesError: a response that dies mid-body (torn
 // remote read) is an error, not silent truncation.
 func TestClientTornGetSurfacesError(t *testing.T) {
-	c, fake, _ := newTestClient(t, func(cfg *Config) { cfg.MaxAttempts = 1 })
+	c, fake, _ := newTestClient(t, func(cfg *Config) { cfg.maxAttempts = 1 })
 	payload := bytes.Repeat([]byte{42}, 4<<10)
 	if err := c.Put(testKey(0), bytes.NewReader(payload), testSidecar(payload, 1)); err != nil {
 		t.Fatal(err)
@@ -488,7 +488,7 @@ func TestTieredStoreOverS3(t *testing.T) {
 // mid-body must not serve truncated bytes — the store reports a miss
 // and the caller regenerates.
 func TestTieredStoreTornRemoteDegradesToMiss(t *testing.T) {
-	c, fake, _ := newTestClient(t, func(cfg *Config) { cfg.MaxAttempts = 1 })
+	c, fake, _ := newTestClient(t, func(cfg *Config) { cfg.maxAttempts = 1 })
 	st, err := store.Open(filepath.Join(t.TempDir(), "hot"), store.Options{Remote: c})
 	if err != nil {
 		t.Fatal(err)

@@ -202,34 +202,3 @@ func (s *Store) RemoteList() ([]BackendEntry, error) {
 	}
 	return s.remote.List()
 }
-
-// VerifyRemote re-downloads and re-hashes every cold object against
-// its sidecar, deleting (and returning) the corrupt ones — VerifyAll's
-// cold-tier sibling. It transfers every payload; run it as deliberately
-// as you would a bucket audit.
-func (s *Store) VerifyRemote() (checked int, corrupt []Key, err error) {
-	if s.remote == nil {
-		return 0, nil, nil
-	}
-	entries, err := s.remote.List()
-	if err != nil {
-		return 0, nil, err
-	}
-	for _, be := range entries {
-		checked++
-		d := newDigester()
-		side, ok, err := s.remote.Get(be.Key, d)
-		if err != nil {
-			return checked, corrupt, err
-		}
-		if !ok {
-			continue // deleted mid-scan
-		}
-		if !d.matches(side) {
-			s.remoteVerifyFails.Inc()
-			s.remote.Delete(be.Key)
-			corrupt = append(corrupt, be.Key)
-		}
-	}
-	return checked, corrupt, nil
-}

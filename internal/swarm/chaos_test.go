@@ -379,7 +379,7 @@ func TestChaosCriticalPressureThrottlesClaims(t *testing.T) {
 		defer close(done)
 		sum, err = Run(cfg, dir, gformat.ADJ6, Options{
 			Parts: parts, WorkerID: 1, ScanInterval: noSteal,
-			Pressure: ctrl, ThrottleCritical: 250 * time.Millisecond, Telemetry: tel,
+			Pressure: ctrl, throttleCritical: 250 * time.Millisecond, Telemetry: tel,
 		})
 	}()
 	// The wait is counted as the pause begins, and the pause is long:

@@ -112,23 +112,24 @@ type Options struct {
 	// after this many claim passes — a backstop against an environment
 	// where published parts keep vanishing (0 = unbounded).
 	MaxEpochs int
-	// ThrottleCritical is the pause inserted before each claim while
-	// the local host advertises critical pressure; elevated pressure
-	// pauses a quarter of it (0 = ScanInterval).
-	ThrottleCritical time.Duration
 	// Store, when set, is the second rendezvous surface: each claim
 	// consults it before generating (a checksum-verified hit
 	// materializes the part), and every generated part is ingested so
 	// any worker or later run sharing the store skips it. nil keeps
 	// the shared directory as the only rendezvous point.
 	Store *store.Store
-	// Pressure, when set, throttles this worker's claim rate at
-	// elevated/critical levels. The caller owns the controller's
+	// Pressure, when set, throttles this worker's claim rate: before
+	// each claim it pauses ScanInterval at critical pressure and a
+	// quarter of it at elevated. The caller owns the controller's
 	// sampling loop. nil never throttles.
 	Pressure *pressure.Controller
 	// Telemetry receives the swarm.* series plus the core generation
 	// metrics of every claim. nil uses a private registry.
 	Telemetry *telemetry.Registry
+
+	// throttleCritical replaces ScanInterval as the critical-pressure
+	// pause in tests.
+	throttleCritical time.Duration
 }
 
 // Summary reports one worker's share of a masterless run. Totals are
@@ -225,8 +226,8 @@ func Run(src core.PartSource, dir string, format gformat.Format, opts Options) (
 	if opts.ScanInterval <= 0 {
 		opts.ScanInterval = 250 * time.Millisecond
 	}
-	if opts.ThrottleCritical <= 0 {
-		opts.ThrottleCritical = opts.ScanInterval
+	if opts.throttleCritical <= 0 {
+		opts.throttleCritical = opts.ScanInterval
 	}
 	if opts.Telemetry == nil {
 		opts.Telemetry = telemetry.NewRegistry()
@@ -617,7 +618,7 @@ func (w *worker) skip() {
 
 // throttle inserts the pressure pause before a claim. With no master
 // to route work away from a hot host, the host slows itself down:
-// critical pressure pauses a full ThrottleCritical per claim, elevated
+// critical pressure pauses a full ScanInterval per claim, elevated
 // a quarter — enough for cooler peers to take most markers first, while
 // a last-worker-standing still finishes the job.
 func (w *worker) throttle() {
@@ -627,9 +628,9 @@ func (w *worker) throttle() {
 	var d time.Duration
 	switch w.opts.Pressure.Level() {
 	case pressure.Critical:
-		d = w.opts.ThrottleCritical
+		d = w.opts.throttleCritical
 	case pressure.Elevated:
-		d = w.opts.ThrottleCritical / 4
+		d = w.opts.throttleCritical / 4
 	default:
 		return
 	}

@@ -83,7 +83,8 @@ type Config struct {
 	// threads share the parts' rows, so none is bound to a part.
 	Workers int
 	// HighPrecision switches the recursive vector to 128-bit floats,
-	// the paper's BigDecimal mode for trillion-scale accuracy.
+	// the paper's BigDecimal mode for trillion-scale accuracy. Validate
+	// refuses it with NoiseParam > 0.
 	HighPrecision bool
 	// Orientation selects out-edge scopes (AVSO, default: scopes are
 	// source vertices with out-adjacency) or in-edge scopes (AVSI:
@@ -324,9 +325,9 @@ func (c Config) SwarmRun(dir string, format Format, opts SwarmOptions) (SwarmSum
 }
 
 // PressureConfig tunes the host-pressure controller: sampling
-// interval, memory budget, watched disk path, and the classification
-// thresholds. The zero value is serviceable (auto-detected budget,
-// default thresholds). See internal/pressure and docs/PRESSURE.md.
+// interval, memory budget and watched disk path; the classification
+// thresholds are fixed. The zero value is serviceable (auto-detected
+// budget). See internal/pressure and docs/PRESSURE.md.
 type PressureConfig = pressure.Config
 
 // PressureController samples host signals (load, RSS, disk, goroutine
