@@ -24,16 +24,16 @@
 // arms fault injection for drills.
 //
 // Alternatively, -masterless drops the master entirely: every process
-// is a swarm worker that derives the plan and its claim schedule from
-// the job flags alone and rendezvouses with its peers purely through
-// the shared -out directory (and -store, when given) — zero messages,
-// no leases, workers free to join or die at any time (docs/DIST.md has
-// the failure model). A worker takes a part by creating its claim
-// marker (part-NNNNN.<ext>.claim.tmp) beside the part's final name,
-// passes over parts whose marker a peer holds, and steals one only when
-// the marker has outlasted its patience (-scan-interval at least). Each
-// worker of one job runs the identical job flags against the same
-// shared directory:
+// is a swarm worker that derives the plan and its walk order (heaviest
+// part first, the same on every worker) from the job flags alone and
+// rendezvouses with its peers purely through the shared -out directory
+// (and -store, when given) — zero messages, no leases, workers free to
+// join or die at any time (docs/DIST.md has the failure model). A worker
+// takes a part by creating its claim marker (part-NNNNN.<ext>.claim.tmp)
+// beside the part's final name, passes over parts whose marker a peer
+// holds, and steals one only when the marker has outlasted its patience
+// (-scan-interval at least). Each worker of one job runs the identical
+// job flags against the same shared directory:
 //
 //	trilliong-dist -masterless -scale 30 -parts 512 -format adj6 \
 //	    -out /shared/graph -store /shared/store -threads 6
@@ -86,8 +86,8 @@ func main() {
 		storeMax    = flag.Int64("store-max-bytes", 0, "worker: store size budget in bytes (0 = unbounded)")
 		remoteSpec  = flag.String("remote-store", "", "worker: cold tier behind -store: s3://bucket[/prefix]?endpoint=URL or a directory path")
 		withPres    = flag.Bool("pressure", false, "worker: sample host pressure and advertise it in heartbeats so the master routes fresh ranges to cooler machines")
-		masterless  = flag.Bool("masterless", false, "run as a swarm worker: no master, schedule derived from the job flags, rendezvous through the shared -out dir/-store (ignores -role)")
-		swarmID     = flag.Uint64("swarm-id", 0, "masterless: worker identity, its starting point on the shared claim schedule (0 = random)")
+		masterless  = flag.Bool("masterless", false, "run as a swarm worker: no master, walk order derived from the job flags, rendezvous through the shared -out dir/-store (ignores -role)")
+		swarmID     = flag.Uint64("swarm-id", 0, "masterless: worker identity, shown in its summary; every worker walks the same order (0 = random)")
 		scanEvery   = flag.Duration("scan-interval", 0, "masterless: patience floor — a peer's claim marker (a file beside the part; the rendezvous surface is files only) is left alone at least this long, longer when this worker's own parts are slower, before its part is stolen (0 = 250ms)")
 		maxEpochs   = flag.Int("max-epochs", 0, "masterless: abort if a verifying scan still finds parts missing after this many claim passes; a clean run needs one (0 = unbounded)")
 		commSpec    = flag.String("community", "", "community spec JSON file: generate a community composition (master and masterless; blocks are the work units)")

@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -135,13 +136,16 @@ func (c Config) withDefaults() Config {
 
 // ParseSpec decodes a JSON community spec strictly (unknown fields are
 // an error, so a typoed key fails loudly instead of silently changing
-// the graph).
+// the graph, and so is anything but white space after the spec).
 func ParseSpec(b []byte) (Config, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	var c Config
 	if err := dec.Decode(&c); err != nil {
 		return c, fmt.Errorf("community: spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return c, fmt.Errorf("community: spec: data after the spec object")
 	}
 	return c, nil
 }

@@ -375,6 +375,9 @@ func TestParseSpecStrict(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"sizes": [8, 5], "mixxing": []}`)); err == nil {
 		t.Fatal("typoed key decoded silently")
 	}
+	if _, err := ParseSpec([]byte(`{"sizes": [8, 5], "mixing": [[4, 1], [1, 2]]} {"edges": 1}`)); err == nil {
+		t.Fatal("data after the spec decoded silently")
+	}
 	cfg, err := ParseSpec([]byte(`{"sizes": [8, 5], "mixing": [[4, 1], [1, 2]], "edges": 80, "master_seed": 7}`))
 	if err != nil {
 		t.Fatal(err)

@@ -296,7 +296,8 @@ type RunManifest struct {
 // ReadRunManifest loads the generation parameters recorded in dir by
 // ResumeToDir / ResumeToDirStore. Directories written before parameter
 // recording (or by the non-resume path) return an error naming the
-// manifest, so callers can fall back to explicit flags.
+// manifest, so callers can fall back to explicit flags; so does a
+// manifest whose configuration, format or part count would not run.
 func ReadRunManifest(dir string) (*RunManifest, error) {
 	path := filepath.Join(dir, manifestName)
 	b, err := os.ReadFile(path)
@@ -311,6 +312,12 @@ func ReadRunManifest(dir string) (*RunManifest, error) {
 		return nil, fmt.Errorf("core: run manifest %s predates parameter recording", path)
 	}
 	f, err := gformat.ParseFormat(m.Format)
+	if err == nil {
+		err = m.Config.Validate()
+	}
+	if err == nil && m.Parts < 1 {
+		err = fmt.Errorf("%d parts", m.Parts)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: run manifest %s: %w", path, err)
 	}

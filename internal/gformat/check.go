@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"sync"
 )
 
 // Check structurally validates a part of format f: CheckTSV, CheckADJ6
@@ -71,6 +72,10 @@ func CheckCSR6(rs io.ReadSeeker) error {
 	return nil
 }
 
+// checkReaders recycles CheckADJ6's readers: a runtime checks every
+// part it finds, and each reader holds a blockSize buffer.
+var checkReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, blockSize) }}
+
 // CheckADJ6 structurally validates an ADJ6 stream without materialising
 // it: it reads each record's 10-byte head and skips the 6·n bytes of
 // adjacency the head declares, so it allocates nothing per record and a
@@ -78,21 +83,28 @@ func CheckCSR6(rs io.ReadSeeker) error {
 // walking the stream with ADJ6Reader.Next: truncation anywhere is an
 // error, an empty stream is valid.
 func CheckADJ6(r io.Reader) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var head [10]byte
+	br := checkReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil)
+		checkReaders.Put(br)
+	}()
 	for {
-		switch _, err := io.ReadFull(br, head[:]); err {
-		case nil:
-		case io.EOF: // bare, as ReadFull returns it: the stream ended between records
+		// The head is read where it lies in the reader's buffer: a copy
+		// into an array would escape through io.ReadFull's interface.
+		head, err := br.Peek(10)
+		switch {
+		case err == nil:
+		case err == io.EOF && len(head) == 0: // the stream ended between records
 			return nil
-		case io.ErrUnexpectedEOF:
-			return fmt.Errorf("gformat: truncated ADJ6 record: %w", err)
+		case err == io.EOF:
+			return fmt.Errorf("gformat: truncated ADJ6 record: %w", io.ErrUnexpectedEOF)
 		default:
 			return err
 		}
 		n := int(binary.LittleEndian.Uint32(head[6:]))
-		if got, err := br.Discard(6 * n); err != nil {
-			return fmt.Errorf("gformat: truncated ADJ6 adjacency (%d of %d): %w", got/6, n, err)
+		if got, err := br.Discard(10 + 6*n); err != nil {
+			return fmt.Errorf("gformat: truncated ADJ6 adjacency (%d of %d): %w", (got-10)/6, n, err)
 		}
 	}
 }
@@ -109,10 +121,11 @@ const maxInt64Digits = "9223372036854775807"
 // the cut leaves well-formed fields behind (TSVReader, whose scanner
 // hands back an unterminated last line, would read "4\t5" out of a torn
 // "4\t56\n"). It scans bytes block by block: no string per line, no
-// integer conversion, no allocation past the one buffer.
+// integer conversion, and the one buffer is recycled across calls.
 func CheckTSV(r io.Reader) error {
 	const margin = 7 // digitRun reads whole words
-	buf := make([]byte, 1<<16)
+	buf := takeBlock()
+	defer giveBlock(buf)
 	have := 0 // buf[:have] is unchecked: the tail of the last read, then this one
 	for {
 		n, err := r.Read(buf[have : len(buf)-margin])

@@ -183,6 +183,7 @@ func (t *TSVWriter) WriteScope(src int64, dsts []int64) error {
 	prefix[pl] = '\t'
 	pl++
 	b := &t.blk
+	b.take()
 	buf, n := b.buf, b.n
 	for _, d := range dsts {
 		if n > blockSize-tsvLineMax {
@@ -202,8 +203,9 @@ func (t *TSVWriter) WriteScope(src int64, dsts []int64) error {
 	return nil
 }
 
-// Close implements Writer.
-func (t *TSVWriter) Close() error { return t.blk.flush() }
+// Close implements Writer. A writer written after Close carries on
+// where it stopped, as if it had not been closed.
+func (t *TSVWriter) Close() error { return t.blk.close() }
 
 // BytesWritten implements Writer.
 func (t *TSVWriter) BytesWritten() int64 { return t.blk.written() }
@@ -237,6 +239,7 @@ func (a *ADJ6Writer) WriteScope(src int64, dsts []int64) error {
 		return err
 	}
 	b := &a.blk
+	b.take()
 	if b.n > blockSize-10 {
 		if err := b.flush(); err != nil {
 			return err
@@ -252,8 +255,9 @@ func (a *ADJ6Writer) WriteScope(src int64, dsts []int64) error {
 	return nil
 }
 
-// Close implements Writer.
-func (a *ADJ6Writer) Close() error { return a.blk.flush() }
+// Close implements Writer. A writer written after Close carries on
+// where it stopped, as if it had not been closed.
+func (a *ADJ6Writer) Close() error { return a.blk.close() }
 
 // BytesWritten implements Writer.
 func (a *ADJ6Writer) BytesWritten() int64 { return a.blk.written() }
@@ -356,6 +360,7 @@ func (c *CSR6Writer) Close() error {
 	if _, err := c.ws.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
+	b.take()
 	copy(b.buf, csrMagic[:])
 	binary.LittleEndian.PutUint64(b.buf[8:], uint64(c.numVertices))
 	binary.LittleEndian.PutUint64(b.buf[16:], uint64(c.edges))
@@ -374,7 +379,7 @@ func (c *CSR6Writer) Close() error {
 		}
 		off += uint64(c.degrees[v])
 	}
-	return b.flush()
+	return b.close()
 }
 
 // BytesWritten implements Writer: the file's size, the reserved header

@@ -43,8 +43,7 @@ type metrics struct {
 // newMetrics wires the counters, the derived gauges and the per-job
 // progress snapshot into one registry, under the historical
 // /debug/vars key names.
-func newMetrics(reg *registry) *metrics {
-	tel := telemetry.NewRegistry()
+func newMetrics(reg *registry, tel *telemetry.Registry) *metrics {
 	m := &metrics{
 		start:          time.Now(),
 		tel:            tel,

@@ -128,7 +128,7 @@ func New(opts Options) *Server {
 		retryPolicy: backoff.Policy{Base: time.Second, Max: 30 * time.Second},
 	}
 	s.reg = newRegistry(s.opts.MaxJobs, defaultPendingTTL)
-	s.metrics = newMetrics(s.reg)
+	s.metrics = newMetrics(s.reg, telemetry.NewRegistry())
 	if s.opts.EnablePressure {
 		pc := s.opts.PressureConfig
 		pc.Telemetry = s.metrics.tel

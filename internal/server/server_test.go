@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gformat"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 )
 
 // newTestServer returns a running service and its base URL.
@@ -481,20 +482,31 @@ func TestServerListAndMetrics(t *testing.T) {
 	}
 }
 
+// fixedClock is a clock that moves only when the test moves it; the
+// metrics' rate gauge reads it through the telemetry registry.
+func fixedClock() (*time.Time, *telemetry.Registry) {
+	now := time.Unix(1_700_000_000, 0)
+	tel := telemetry.NewRegistry()
+	tel.SetClock(func() time.Time { return now })
+	return &now, tel
+}
+
 func TestMetricsEdgesPerSec(t *testing.T) {
-	m := newMetrics(newRegistry(4, 0))
+	now, tel := fixedClock()
+	m := newMetrics(newRegistry(4, 0), tel)
 	m.addEdges(1000)
-	time.Sleep(5 * time.Millisecond)
-	if r := m.edgesPerSec.Rate(); r <= 0 {
-		t.Fatalf("rate %v", r)
+	*now = now.Add(5 * time.Millisecond)
+	want := 1000 / (5 * time.Millisecond).Seconds()
+	if r := m.edgesPerSec.Rate(); r != want {
+		t.Fatalf("rate %v, want %v", r, want)
 	}
 	// Reading is side-effect-free with respect to other readers: the
-	// second read sees the same baseline (not a zeroed delta), so
-	// back-to-back reads agree up to the clock ticks between them.
+	// second read sees the same baseline (not a zeroed delta), so with
+	// the clock standing still back-to-back reads are equal.
 	r1 := m.edgesPerSec.Rate()
 	r2 := m.edgesPerSec.Rate()
-	if r2 <= 0.9*r1 || r2 >= 1.1*r1 {
-		t.Fatalf("back-to-back reads diverge: %v vs %v", r1, r2)
+	if r1 != want || r2 != r1 {
+		t.Fatalf("back-to-back reads diverge: %v vs %v, want %v", r1, r2, want)
 	}
 	if got := m.edgesPerSec.Total(); got != 1000 {
 		t.Fatalf("rate gauge total %d, want 1000", got)
@@ -505,12 +517,14 @@ func TestMetricsEdgesPerSec(t *testing.T) {
 // delta-since-last-read edges_per_sec: two monitoring systems scraping
 // /debug/vars concurrently would split the delta between them, so each
 // saw a fraction of the true rate (and a fast scraper starved a slow
-// one to ~0). With the fixed-window gauge every concurrent reader must
-// observe a positive rate of the same magnitude.
+// one to ~0). With the fixed-window gauge every concurrent reader of a
+// clock that stands still must observe the one true rate.
 func TestMetricsConcurrentScrapes(t *testing.T) {
-	m := newMetrics(newRegistry(4, 0))
+	now, tel := fixedClock()
+	m := newMetrics(newRegistry(4, 0), tel)
 	m.addEdges(100_000)
-	time.Sleep(10 * time.Millisecond)
+	*now = now.Add(10 * time.Millisecond)
+	want := 100_000 / (10 * time.Millisecond).Seconds()
 
 	const readers = 8
 	rates := make([]float64, readers)
@@ -524,24 +538,9 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 	}
 	wg.Wait()
 	for i, r := range rates {
-		if r <= 0 {
-			t.Fatalf("reader %d starved: rate %v (rates %v)", i, r, rates)
+		if r != want {
+			t.Fatalf("reader %d saw rate %v, want %v (rates %v)", i, r, want, rates)
 		}
-	}
-	// All readers ran within microseconds of each other over a ≥10ms
-	// window; their rates must agree to well under 2x, where the old
-	// implementation produced order-of-magnitude splits.
-	min, max := rates[0], rates[0]
-	for _, r := range rates[1:] {
-		if r < min {
-			min = r
-		}
-		if r > max {
-			max = r
-		}
-	}
-	if max > 2*min {
-		t.Fatalf("concurrent readers disagree: min %v max %v", min, max)
 	}
 }
 

@@ -192,7 +192,7 @@ func TestChaosStaleMarkerIsStolen(t *testing.T) {
 // deterministically: a lone worker's first claim stalls on the armed
 // faultpoint while the test (standing in for a peer on a filesystem that
 // tore its publish) puts a damaged file under the name of the part at
-// the head of the worker's schedule. The worker wakes, finds the part
+// the head of the shared order, the heaviest. The worker wakes, finds the part
 // published, skips it and — no collision stop — draws all the others in
 // the same pass. Its verifying scan then rejects the damaged part, and
 // only that sends it into epoch 1 to draw it.
@@ -205,15 +205,17 @@ func TestChaosEpochAdvancementDeterministic(t *testing.T) {
 	want := batchRef(t, cfg, parts, format)
 
 	dir := t.TempDir()
-	const workerID = 42
-	head := schedule(jobSeed(core.CacheFingerprint(cfg), format, parts), workerID, parts)[0]
+	ranges, ids, err := cfg.Plan(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := ids[heaviestFirst(ranges, ids)[0]]
 
 	if err := faultpoint.Arm(PointClaim, "stall:500ms*1"); err != nil {
 		t.Fatal(err)
 	}
 	var (
 		sum Summary
-		err error
 		wg  sync.WaitGroup
 	)
 	wg.Add(1)
@@ -221,7 +223,7 @@ func TestChaosEpochAdvancementDeterministic(t *testing.T) {
 		defer wg.Done()
 		sum, err = Run(cfg, dir, format, Options{
 			Parts:        parts,
-			WorkerID:     workerID,
+			WorkerID:     42,
 			ScanInterval: noSteal,
 		})
 	}()
@@ -249,7 +251,8 @@ func TestChaosEpochAdvancementDeterministic(t *testing.T) {
 }
 
 // TestChaosDuplicateClaimRace pits two workers with the *same*
-// identity (hence identical schedules) against a one-part job, with a
+// identity (and, as for any two workers, the same order) against a
+// one-part job, with a
 // stall holding both at the claim until each has seen the part missing.
 // The marker lets exactly one of them draw: one generation, one winner,
 // and the other defers to the marker or, arriving late, skips the

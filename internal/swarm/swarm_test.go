@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultpoint"
 	"repro/internal/gformat"
+	"repro/internal/partition"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -133,67 +135,138 @@ func assertSameParts(t *testing.T, got, want map[string][]byte) {
 	}
 }
 
-func TestScheduleIsSharedPermutationWithPrivateRotation(t *testing.T) {
-	const seed, parts = 0xfeed, 16
-	a := schedule(seed, 1, parts)
-	b := schedule(seed, 2, parts)
-	seen := make([]bool, parts)
-	for _, id := range a {
-		if id < 0 || id >= parts || seen[id] {
-			t.Fatalf("not a permutation: %v", a)
+// TestHeaviestFirstOrder: the walk order is a permutation of the plan's
+// positions, by decreasing Edges + rowCost·(Hi−Lo) with ties broken by
+// part id, the same for every worker and every call — it reads the plan
+// and nothing else. A classic plan's parts share their expected edges,
+// so there the rows decide alone.
+func TestHeaviestFirstOrder(t *testing.T) {
+	cost := func(r partition.Range) int64 { return r.Edges + rowCost*(r.Hi-r.Lo) }
+	check := func(name string, ranges []partition.Range, ids []int) []int {
+		t.Helper()
+		order := heaviestFirst(ranges, ids)
+		seen := make([]bool, len(ranges))
+		for _, pos := range order {
+			if pos < 0 || pos >= len(ranges) || seen[pos] {
+				t.Fatalf("%s: not a permutation: %v", name, order)
+			}
+			seen[pos] = true
 		}
-		seen[id] = true
+		if len(order) != len(ranges) {
+			t.Fatalf("%s: %d positions for %d parts", name, len(order), len(ranges))
+		}
+		for k := 1; k < len(order); k++ {
+			a, b := order[k-1], order[k]
+			if ca, cb := cost(ranges[a]), cost(ranges[b]); ca < cb || ca == cb && ids[a] > ids[b] {
+				t.Fatalf("%s: part %d (cost %d) walked before part %d (cost %d): %v", name, ids[a], ca, ids[b], cb, order)
+			}
+		}
+		if again := heaviestFirst(ranges, ids); !slices.Equal(again, order) {
+			t.Fatalf("%s: order not deterministic: %v then %v", name, order, again)
+		}
+		return order
 	}
-	// Same cycle, different starting offset: b must be a rotation of a.
-	start := -1
-	for i, id := range a {
-		if id == b[0] {
-			start = i
-			break
+
+	// Ties by id, whatever order the plan lists them in; rows weigh
+	// rowCost edges each (the expected order holds for 4 ≤ rowCost ≤ 22).
+	order := check("crafted", []partition.Range{
+		{Lo: 0, Hi: 10, Edges: 100},  // id 5: 100 + 10·rowCost
+		{Lo: 10, Hi: 20, Edges: 100}, // id 2: the same cost
+		{Lo: 20, Hi: 21, Edges: 300}, // id 7: 300 + rowCost
+		{Lo: 21, Hi: 121, Edges: 0},  // id 0: 100·rowCost
+		{Lo: 121, Hi: 121, Edges: 0}, // id 1: nothing
+	}, []int{5, 2, 7, 0, 1})
+	if want := []int{3, 2, 1, 0, 4}; !slices.Equal(order, want) {
+		t.Fatalf("crafted plan walked %v, want %v", order, want)
+	}
+
+	cfg := testConfig(14)
+	ranges, ids, err := cfg.Plan(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order = check("classic", ranges, ids)
+	for k := 1; k < len(order); k++ {
+		if r, q := ranges[order[k-1]], ranges[order[k]]; r.Edges == q.Edges && r.Hi-r.Lo < q.Hi-q.Lo {
+			t.Fatalf("classic plan: equal-edge part %d with %d rows before part %d with %d", ids[order[k-1]], r.Hi-r.Lo, ids[order[k]], q.Hi-q.Lo)
 		}
 	}
-	if start < 0 {
-		t.Fatalf("b[0]=%d not found in a=%v", b[0], a)
-	}
-	for i := range b {
-		if b[i] != a[(start+i)%parts] {
-			t.Fatalf("worker schedules are not rotations of one shared cycle:\na=%v\nb=%v", a, b)
+
+	// Whatever its identity, a lone worker's first claim is the head of
+	// the order: while its first write stands still, its one marker is
+	// that part's.
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	head := core.PartPath("", gformat.ADJ6, ids[order[0]]) + ".claim.tmp"
+	for _, id := range []uint64{1, 2, 0xfeed} {
+		if err := faultpoint.Arm("core.sink.write", "stall:50ms*1"); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Deterministic: the same identity derives the same schedule.
-	again := schedule(seed, 1, parts)
-	for i := range a {
-		if a[i] != again[i] {
-			t.Fatal("schedule is not deterministic")
+		dir := t.TempDir()
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(cfg, dir, gformat.ADJ6, Options{Parts: 16, WorkerID: id, ScanInterval: noSteal})
+			done <- err
+		}()
+		waitFor(t, "the first part write", func() bool { return faultpoint.Hits("core.sink.write") >= 1 })
+		m := markers(t, dir)
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Another job walks another cycle.
-	other := schedule(seed+1, 1, parts)
-	same := true
-	for i := range a {
-		if a[i] != other[i] {
-			same = false
-			break
+		if len(m) != 1 || filepath.Base(m[0]) != filepath.Base(head) {
+			t.Fatalf("worker %d first claimed %v, want the head of the order %s", id, m, filepath.Base(head))
 		}
-	}
-	if same {
-		t.Fatal("a different job seed produced the same schedule")
+		faultpoint.Reset()
 	}
 }
 
-func TestJobSeedSeparatesJobs(t *testing.T) {
-	cfg := testConfig(8)
-	base := jobSeed(core.CacheFingerprint(cfg), gformat.ADJ6, 4)
-	if jobSeed(core.CacheFingerprint(cfg), gformat.ADJ6, 8) == base {
-		t.Fatal("part count not mixed into job seed")
+// TestTwoWorkersClaimHeaviestFirst is the order at work, on counted
+// events: two workers start together, and by the time anything is
+// written the heaviest part's marker is taken — both walks begin with
+// it, so the first claim the fleet makes is that part — and the run
+// ends with every part won once, none lost, none stolen, and the batch
+// run's bytes.
+func TestTwoWorkersClaimHeaviestFirst(t *testing.T) {
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	cfg := testConfig(10)
+	const parts = 8
+	want := batchRef(t, cfg, parts, gformat.ADJ6)
+	ranges, ids, err := cfg.Plan(parts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if jobSeed(core.CacheFingerprint(cfg), gformat.TSV, 4) == base {
-		t.Fatal("format not mixed into job seed")
+	// The heaviest part, found here without the order under test.
+	heaviest, most := -1, int64(-1)
+	for i, r := range ranges {
+		if c := r.Edges + rowCost*(r.Hi-r.Lo); c > most {
+			heaviest, most = ids[i], c
+		}
 	}
-	other := cfg
-	other.MasterSeed = 99
-	if jobSeed(core.CacheFingerprint(other), gformat.ADJ6, 4) == base {
-		t.Fatal("config fingerprint not mixed into job seed")
+
+	// The first write anywhere in the process holds still while the
+	// directory is looked at.
+	if err := faultpoint.Arm("core.sink.write", "stall:200ms*1"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	final := core.PartPath(dir, gformat.ADJ6, heaviest)
+	taken := make(chan bool, 1)
+	go func() {
+		for deadline := time.Now().Add(30 * time.Second); faultpoint.Hits("core.sink.write") < 1 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		_, err := os.Stat(final + ".claim.tmp")
+		taken <- err == nil || published(final)
+	}()
+	sums := runWorkers(t, cfg, dir, Options{Parts: parts, ScanInterval: noSteal}, 1, 2)
+	if !<-taken {
+		t.Fatalf("the heaviest part %d was not claimed before the first write", heaviest)
+	}
+	assertSameParts(t, readDir(t, dir, parts, gformat.ADJ6), want)
+	assertNoTempLitter(t, dir)
+	if total(sums, claimed) != parts || total(sums, lost) != 0 || total(sums, stolen) != 0 {
+		t.Fatalf("want %d parts won, none lost or stolen: %+v", parts, sums)
 	}
 }
 
@@ -315,8 +388,9 @@ func TestRunThreeWorkersBitIdentical(t *testing.T) {
 }
 
 // TestRunDrawsEveryPartOnce is the point of claim markers, on counted
-// work: over the sixteen identity pairs of the benchmark's old
-// claim-schedule lottery (and the same with a third worker), with a
+// work: over sixteen identity pairs (and the same with a third worker)
+// — identities no longer move the walk, but every run is another
+// interleaving of the same shared order — with a
 // stall at every claim so the walks overlap, the fleet generates exactly
 // the batch run's edges — no part twice — every part has one winner, no
 // publish is lost, nobody needs a second pass, and the bytes are the

@@ -16,7 +16,7 @@ const (
 	MetricClaimsLost = "swarm.claims_lost_total"
 	// MetricPartsSkipped counts claim-time skips: parts that turned up
 	// published between the scan and this worker reaching them in its
-	// schedule — the footprint of peers working nearby.
+	// walk — the footprint of peers working nearby.
 	MetricPartsSkipped = "swarm.parts_skipped_total"
 	// MetricClaimsDeferred counts parts passed over because a peer held
 	// their claim marker.

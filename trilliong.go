@@ -311,8 +311,9 @@ type SwarmSummary = swarm.Summary
 
 // SwarmRun executes one masterless swarm worker against the shared
 // directory dir: no master, no leases, no messages. The worker derives
-// the plan and a per-epoch claim schedule purely from (Config, its
-// identity, the epoch number), publishes parts via atomic rename —
+// the plan and its walk order — heaviest part first, the same on every
+// worker — purely from (Config, opts.Parts), claims each part through
+// a marker file, publishes parts via atomic rename —
 // racing duplicates are bit-identical, first writer wins — and
 // repeatedly scans dir until no part is missing. Any number of
 // SwarmRun invocations (processes or goroutines, started together or
