@@ -11,12 +11,12 @@
 //	trilliong-validate -community spec.json out/     # community block densities
 //
 // The directory form streams every part-* file (format inferred per
-// file). Generation parameters come from the run manifest written by
-// trilliong -resume / -store; explicit flags override manifest values,
-// and are required when no manifest exists. The -store form validates
-// cached artifact-store entries instead: the run's parts are
-// materialized from the store (every part must be cached) and
-// validated the same way.
+// file). Generation parameters come from the run manifest every
+// trilliong run records in its output directory; explicit flags
+// override manifest values, and are required when no manifest exists.
+// The -store form validates cached artifact-store entries instead: the
+// run's parts are materialized from the store (every part must be
+// cached) and validated the same way.
 //
 // Community-composed output (trilliong -community and friends) is
 // validated against its layout: per-block edge densities, intra/inter
@@ -73,6 +73,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// A classic run's manifest records its config, a community run's its
+	// resolved spec; without one, flags say what the directory holds.
+	var (
+		man    *core.RunManifest
+		manErr error
+	)
+	if dir != "" {
+		man, manErr = core.ReadRunManifest(dir)
+	}
 	var commRaw []byte
 	if *commPath != "" {
 		b, err := os.ReadFile(*commPath)
@@ -81,13 +90,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		commRaw = b
-	} else if dir != "" {
-		// Community runs record their resolved spec in the run manifest;
-		// classic runs (or manifest-less directories) don't, and fall
-		// through to the closed-form path below.
-		if src, _, _, err := core.ReadSourceSpec(dir); err == nil {
-			commRaw = src
-		}
+	} else if man != nil {
+		commRaw = man.Source
 	}
 	if commRaw != nil {
 		if dir == "" {
@@ -101,21 +105,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	var cfg core.Config
-	haveManifest := false
-	if dir != "" {
-		if man, err := core.ReadRunManifest(dir); err == nil {
-			cfg = man.Config
-			haveManifest = true
-		} else if !set["scale"] {
-			fmt.Fprintf(stderr, "trilliong-validate: %v; pass -scale (and friends) explicitly\n", err)
-			return 2
-		}
-	}
-	if !haveManifest {
-		if *scale == 0 {
-			fmt.Fprintln(stderr, "trilliong-validate: -scale is required without a run manifest")
-			return 2
-		}
+	switch {
+	case man != nil && man.Config != nil:
+		cfg = *man.Config
+	case dir != "" && !set["scale"]:
+		fmt.Fprintf(stderr, "trilliong-validate: %v; pass -scale (and friends) explicitly\n", manErr)
+		return 2
+	case *scale == 0:
+		fmt.Fprintln(stderr, "trilliong-validate: -scale is required without a run manifest")
+		return 2
+	default:
 		cfg = core.DefaultConfig(*scale)
 	}
 	// Explicit flags override manifest values.

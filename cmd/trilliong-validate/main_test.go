@@ -15,7 +15,7 @@ import (
 
 func generate(t *testing.T, cfg core.Config, dir string) {
 	t.Helper()
-	if _, err := core.ResumeToDir(cfg, dir, gformat.ADJ6); err != nil {
+	if _, err := core.ResumeToDirStore(cfg, dir, gformat.ADJ6, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -28,7 +28,7 @@ func nskgConfig(scale int) core.Config {
 	return cfg
 }
 
-// The manifest path: a resumed run records its parameters, so the CLI
+// The manifest path: every directory run records its parameters, so the CLI
 // needs nothing but the directory.
 func TestValidateDirFromManifest(t *testing.T) {
 	dir := t.TempDir()

@@ -14,6 +14,11 @@
 // -community the classic shape flags are ignored: the JSON spec is the
 // whole configuration, and the output is one part file per community
 // block, byte-identical across batch, distributed and masterless runs.
+//
+// Every run is resumable: part files are published atomically and the
+// directory records the run's manifest, so rerunning the same command
+// finishes an interrupted run (or writes nothing), while a different
+// configuration is refused instead of mixing two runs' parts.
 package main
 
 import (
@@ -34,12 +39,11 @@ func main() {
 		master     = flag.Uint64("master", 1, "master random seed")
 		workers    = flag.Int("workers", 0, "generation goroutines (0 = GOMAXPROCS)")
 		format     = flag.String("format", "adj6", "output format: tsv, adj6 or csr6")
-		out        = flag.String("out", "", "output directory (required; created if missing)")
+		out        = flag.String("out", "", "output directory (required; created if missing; rerun to finish an interrupted run)")
 		hiprec     = flag.Bool("highprecision", false, "use 128-bit float recursive vectors")
 		dryRun     = flag.Bool("dryrun", false, "generate and count without writing files")
 		estimate   = flag.Bool("estimate", false, "print analytic size estimate and exit (no generation)")
-		resume     = flag.Bool("resume", false, "atomic part files; skip parts that already exist")
-		storeDir   = flag.String("store", "", "artifact store directory: cache parts across runs (implies -resume)")
+		storeDir   = flag.String("store", "", "artifact store directory: cache parts across runs")
 		storeMax   = flag.Int64("store-max-bytes", 0, "store size budget in bytes (0 = unbounded); excess evicted LRU")
 		remoteSpec = flag.String("remote-store", "", "cold tier behind -store: s3://bucket[/prefix]?endpoint=URL or a directory path")
 		commSpec   = flag.String("community", "", "community spec JSON file: generate a community composition instead of the classic shape")
@@ -49,83 +53,90 @@ func main() {
 	if *remoteSpec != "" && *storeDir == "" {
 		fatal(fmt.Errorf("-remote-store requires -store (the local hot tier)"))
 	}
-	if *commSpec != "" {
-		runCommunity(*commSpec, *format, *out, *storeDir, *storeMax, *remoteSpec)
-		return
-	}
-	seed, err := skg.ParseSeed(*seedSpec)
-	if err != nil {
-		fatal(err)
-	}
 	f, err := trilliong.ParseFormat(*format)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := trilliong.New(*scale)
-	cfg.EdgeFactor = *edgeFactor
-	cfg.Seed = seed
-	cfg.NoiseParam = *noise
-	cfg.MasterSeed = *master
-	cfg.Workers = *workers
-	cfg.HighPrecision = *hiprec
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
 
-	if *estimate {
-		for _, name := range []string{"tsv", "adj6", "csr6"} {
-			ff, _ := trilliong.ParseFormat(name)
-			est, err := cfg.EstimateSize(ff)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%-5s %16d bytes (%.2f GB)  %d edges, %d active vertices\n",
-				ff, est.Bytes, float64(est.Bytes)/(1<<30), est.Edges, est.NonZeroVertices)
-		}
-		return
-	}
-
+	// run draws the graph into -out (through cache, if any) or, if dry,
+	// nowhere; header and target describe it.
 	var (
-		st    trilliong.Stats
-		cache *trilliong.Store
+		run    func(cache *trilliong.Store) (trilliong.Stats, error)
+		dry    bool
+		header string
+		target int64
 	)
-	if *dryRun {
-		st, err = cfg.Count(f)
+	if *commSpec != "" {
+		lay := communityLayout(*commSpec)
+		run = func(cache *trilliong.Store) (trilliong.Stats, error) {
+			return trilliong.GenerateCommunityToDir(lay, *out, f, cache)
+		}
+		header = fmt.Sprintf("communities      %d (|V| = %d)\nblocks           %d\n",
+			len(lay.Sizes()), lay.NumVertices(), lay.NumBlocks())
+		target = lay.TotalEdges()
 	} else {
+		seed, err := skg.ParseSeed(*seedSpec)
+		if err != nil {
+			fatal(err)
+		}
+		cfg := trilliong.New(*scale)
+		cfg.EdgeFactor = *edgeFactor
+		cfg.Seed = seed
+		cfg.NoiseParam = *noise
+		cfg.MasterSeed = *master
+		cfg.Workers = *workers
+		cfg.HighPrecision = *hiprec
+		if err := cfg.Validate(); err != nil {
+			fatal(err)
+		}
+		if *estimate {
+			printEstimate(cfg)
+			return
+		}
+		run = func(cache *trilliong.Store) (trilliong.Stats, error) {
+			return cfg.ResumeToDirCached(*out, f, cache)
+		}
+		if dry = *dryRun; dry {
+			run = func(*trilliong.Store) (trilliong.Stats, error) { return cfg.Count(f) }
+		}
+		header = fmt.Sprintf("scale            %d (|V| = %d)\n", *scale, cfg.NumVertices())
+		target = cfg.NumEdges()
+	}
+
+	var cache *trilliong.Store
+	if !dry {
 		if *out == "" {
-			fatal(fmt.Errorf("-out is required (or use -dryrun)"))
+			fatal(fmt.Errorf("-out is required (or, for the classic shape, -dryrun)"))
 		}
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fatal(err)
 		}
 		if *storeDir != "" {
-			remote, rerr := trilliong.OpenStoreBackend(*remoteSpec, nil)
-			if rerr != nil {
-				fatal(fmt.Errorf("-remote-store: %w", rerr))
+			remote, err := trilliong.OpenStoreBackend(*remoteSpec, nil)
+			if err != nil {
+				fatal(fmt.Errorf("-remote-store: %w", err))
 			}
 			cache, err = trilliong.OpenStore(*storeDir, trilliong.StoreOptions{MaxBytes: *storeMax, Remote: remote})
 			if err != nil {
 				fatal(err)
 			}
-			st, err = cfg.ResumeToDirCached(*out, f, cache)
-		} else if *resume {
-			st, err = cfg.ResumeToDir(*out, f)
-		} else {
-			st, err = cfg.GenerateToDir(*out, f)
 		}
 	}
+	st, err := run(cache)
 	if err != nil {
 		fatal(err)
 	}
 
-	fmt.Printf("scale            %d (|V| = %d)\n", *scale, cfg.NumVertices())
-	fmt.Printf("edges            %d (target %d)\n", st.Edges, cfg.NumEdges())
+	fmt.Print(header)
+	fmt.Printf("edges            %d (target %d)\n", st.Edges, target)
 	fmt.Printf("attempts         %d\n", st.Attempts)
 	fmt.Printf("max out-degree   %d\n", st.MaxDegree)
 	fmt.Printf("format           %s, %d bytes\n", f, st.BytesWritten)
 	fmt.Printf("plan / generate  %v / %v\n", st.PlanDuration, st.GenDuration)
 	fmt.Printf("elapsed          %v\n", st.Elapsed)
-	fmt.Printf("peak worker mem  %d bytes (O(d_max))\n", st.PeakWorkerBytes)
+	if st.PeakWorkerBytes > 0 {
+		fmt.Printf("peak worker mem  %d bytes (O(d_max))\n", st.PeakWorkerBytes)
+	}
 	if cache != nil {
 		cs := cache.Stats()
 		fmt.Printf("parts from cache %d\n", st.PartsFromCache)
@@ -134,10 +145,9 @@ func main() {
 	}
 }
 
-// runCommunity generates a community composition: one part file per
-// block, resumable, optionally store-backed.
-func runCommunity(specPath, format, out, storeDir string, storeMax int64, remoteSpec string) {
-	raw, err := os.ReadFile(specPath)
+// communityLayout resolves the community spec file at path.
+func communityLayout(path string) *trilliong.CommunityLayout {
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
 	}
@@ -149,44 +159,19 @@ func runCommunity(specPath, format, out, storeDir string, storeMax int64, remote
 	if err != nil {
 		fatal(err)
 	}
-	f, err := trilliong.ParseFormat(format)
-	if err != nil {
-		fatal(err)
-	}
-	if out == "" {
-		fatal(fmt.Errorf("-out is required with -community"))
-	}
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		fatal(err)
-	}
-	var cache *trilliong.Store
-	if storeDir != "" {
-		remote, rerr := trilliong.OpenStoreBackend(remoteSpec, nil)
-		if rerr != nil {
-			fatal(fmt.Errorf("-remote-store: %w", rerr))
-		}
-		cache, err = trilliong.OpenStore(storeDir, trilliong.StoreOptions{MaxBytes: storeMax, Remote: remote})
+	return lay
+}
+
+// printEstimate prints cfg's analytic size in every format.
+func printEstimate(cfg trilliong.Config) {
+	for _, name := range []string{"tsv", "adj6", "csr6"} {
+		ff, _ := trilliong.ParseFormat(name)
+		est, err := cfg.EstimateSize(ff)
 		if err != nil {
 			fatal(err)
 		}
-	}
-	st, err := trilliong.GenerateCommunityToDir(lay, out, f, cache)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("communities      %d (|V| = %d)\n", len(lay.Sizes()), lay.NumVertices())
-	fmt.Printf("blocks           %d\n", lay.NumBlocks())
-	fmt.Printf("edges            %d (target %d)\n", st.Edges, lay.TotalEdges())
-	fmt.Printf("attempts         %d\n", st.Attempts)
-	fmt.Printf("max out-degree   %d\n", st.MaxDegree)
-	fmt.Printf("format           %s, %d bytes\n", f, st.BytesWritten)
-	fmt.Printf("plan / generate  %v / %v\n", st.PlanDuration, st.GenDuration)
-	fmt.Printf("elapsed          %v\n", st.Elapsed)
-	if cache != nil {
-		cs := cache.Stats()
-		fmt.Printf("parts from cache %d\n", st.PartsFromCache)
-		fmt.Printf("store            %d objects, %d bytes (hits %d, misses %d, ingests %d)\n",
-			cs.Objects, cs.Bytes, cs.Hits, cs.Misses, cs.Ingests)
+		fmt.Printf("%-5s %16d bytes (%.2f GB)  %d edges, %d active vertices\n",
+			ff, est.Bytes, float64(est.Bytes)/(1<<30), est.Edges, est.NonZeroVertices)
 	}
 }
 

@@ -25,13 +25,13 @@ func TestResumeFacade(t *testing.T) {
 	cfg := New(9)
 	cfg.Workers = 2
 	dir := t.TempDir()
-	if _, err := cfg.ResumeToDir(dir, ADJ6); err != nil {
+	if _, err := cfg.GenerateToDir(dir, ADJ6); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, "part-00001.adj6")); err != nil {
 		t.Fatal(err)
 	}
-	st, err := cfg.ResumeToDir(dir, ADJ6)
+	st, err := cfg.GenerateToDir(dir, ADJ6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +41,100 @@ func TestResumeFacade(t *testing.T) {
 	parts, _ := filepath.Glob(filepath.Join(dir, "part-*.adj6"))
 	if len(parts) != 2 {
 		t.Fatalf("parts %v", parts)
+	}
+}
+
+// TestGenerateToDirRefusesOtherPlan: Workers 4, then Workers 2 into the
+// same directory. Part files carry only their index, so the second run
+// would leave parts 2 and 3 of the first beside its own; it must fail
+// instead, with the first run's files as they were.
+func TestGenerateToDirRefusesOtherPlan(t *testing.T) {
+	cfg := New(10)
+	cfg.Workers = 4
+	dir := t.TempDir()
+	if _, err := cfg.GenerateToDir(dir, TSV); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	cfg.Workers = 2
+	if _, err := cfg.GenerateToDir(dir, TSV); err == nil || !strings.Contains(err.Error(), "holds parts of a different run") {
+		t.Fatalf("Workers 4 then 2: err %v, want the manifest mismatch", err)
+	}
+	assertSameFiles(t, dirFiles(t, dir), before)
+}
+
+// TestGenerateToDirRefusesManifestlessParts: a directory holding part
+// files of some other configuration and no manifest (what in-place
+// part writers leave) is refused, not adopted as this run's, and left
+// as it was.
+func TestGenerateToDirRefusesManifestlessParts(t *testing.T) {
+	other := core.DefaultConfig(10)
+	other.MasterSeed = 9
+	other.Workers = 2
+	dir := t.TempDir()
+	if _, err := core.Generate(other, core.FileSinks(dir, ADJ6, other.NumVertices())); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	cfg := New(10)
+	cfg.Workers = 2
+	if _, err := cfg.GenerateToDir(dir, ADJ6); err == nil || !strings.Contains(err.Error(), "no run manifest") {
+		t.Fatalf("err %v, want the refusal of parts without a manifest", err)
+	}
+	assertSameFiles(t, dirFiles(t, dir), before)
+}
+
+// TestGenerateToDirRerunIsNoop: a second run of the same configuration
+// into a finished directory generates nothing and changes no byte.
+func TestGenerateToDirRerunIsNoop(t *testing.T) {
+	cfg := New(10)
+	cfg.Workers = 3
+	dir := t.TempDir()
+	first, err := cfg.GenerateToDir(dir, ADJ6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Edges == 0 {
+		t.Fatal("the first run generated nothing")
+	}
+	before := dirFiles(t, dir)
+	second, err := cfg.GenerateToDir(dir, ADJ6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Edges != 0 || second.BytesWritten != 0 {
+		t.Fatalf("the rerun wrote %d edges, %d bytes; want none", second.Edges, second.BytesWritten)
+	}
+	assertSameFiles(t, dirFiles(t, dir), before)
+}
+
+// dirFiles reads every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
+	}
+	return files
+}
+
+func assertSameFiles(t *testing.T, got, want map[string][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d files, want %d", len(got), len(want))
+	}
+	for name, b := range want {
+		if !bytes.Equal(got[name], b) {
+			t.Fatalf("%s changed", name)
+		}
 	}
 }
 

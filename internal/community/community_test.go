@@ -393,11 +393,14 @@ func TestConfigRoundTripsThroughManifest(t *testing.T) {
 	if _, err := lay.GenerateToDir(dir, gformat.TSV, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	raw, _, _, err := core.ReadSourceSpec(dir)
+	man, err := core.ReadRunManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := ParseSpec(raw)
+	if man.Config != nil {
+		t.Fatalf("a community manifest records a classic config %+v", *man.Config)
+	}
+	cfg, err := ParseSpec(man.Source)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ func TestPartKeyIndependentOfWorkers(t *testing.T) {
 
 // TestResumeRejectsCorruptedPart is the satellite regression test: a
 // part file truncated under its final name (the torn-write scenario
-// ResumeToDir used to trust blindly) must be detected and regenerated,
+// the resume path used to trust blindly) must be detected and regenerated,
 // for each format's verification strategy.
 func TestResumeRejectsCorruptedPart(t *testing.T) {
 	for _, format := range []gformat.Format{gformat.TSV, gformat.ADJ6, gformat.CSR6} {
@@ -176,7 +176,7 @@ func TestResumeRejectsCorruptedPart(t *testing.T) {
 			cfg.MasterSeed = 7
 
 			full := t.TempDir()
-			if _, err := ResumeToDir(cfg, full, format); err != nil {
+			if _, err := ResumeToDirStore(cfg, full, format, nil); err != nil {
 				t.Fatal(err)
 			}
 			ext := map[gformat.Format]string{gformat.TSV: "tsv", gformat.ADJ6: "adj6", gformat.CSR6: "csr6"}[format]
@@ -186,7 +186,7 @@ func TestResumeRejectsCorruptedPart(t *testing.T) {
 			}
 
 			broken := t.TempDir()
-			if _, err := ResumeToDir(cfg, broken, format); err != nil {
+			if _, err := ResumeToDirStore(cfg, broken, format, nil); err != nil {
 				t.Fatal(err)
 			}
 			// Truncate part 1 mid-file: it still exists under its final
@@ -197,7 +197,7 @@ func TestResumeRejectsCorruptedPart(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			stats, err := ResumeToDir(cfg, broken, format)
+			stats, err := ResumeToDirStore(cfg, broken, format, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +226,7 @@ func TestCheckPartAcceptsComplete(t *testing.T) {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ResumeToDir(cfg, sub, format); err != nil {
+		if _, err := ResumeToDirStore(cfg, sub, format, nil); err != nil {
 			t.Fatal(err)
 		}
 		ext := map[gformat.Format]string{gformat.TSV: "tsv", gformat.ADJ6: "adj6", gformat.CSR6: "csr6"}[format]

@@ -187,8 +187,10 @@ func DiscardSinks(format gformat.Format) SinkFactory {
 }
 
 // FileSinks writes one part file per worker into dir, named
-// part-<worker>.<ext>. CSR6 part files carry the global vertex count so
-// they can be read independently.
+// part-<worker>.<ext>, in place: no temp and rename, no manifest. It
+// serves benchmarks and tests; a run into a directory is ResumeParts.
+// CSR6 part files carry the global vertex count so they can be read
+// independently.
 func FileSinks(dir string, format gformat.Format, numVertices int64) SinkFactory {
 	return func(worker int, r partition.Range) (gformat.Writer, error) {
 		f, err := os.Create(PartPath(dir, format, worker))

@@ -331,11 +331,11 @@ func TestAblationZeroOptsStillCorrect(t *testing.T) {
 			t.Errorf("%+v: Plan accepted it", o)
 		}
 		dir := t.TempDir()
-		if _, err := ResumeToDir(cfg, dir, gformat.ADJ6); err == nil {
-			t.Errorf("%+v: ResumeToDir accepted it", o)
+		if _, err := ResumeToDirStore(cfg, dir, gformat.ADJ6, nil); err == nil {
+			t.Errorf("%+v: ResumeToDirStore accepted it", o)
 		}
 		if left, _ := os.ReadDir(dir); len(left) != 0 {
-			t.Errorf("%+v: ResumeToDir left %d entries behind", o, len(left))
+			t.Errorf("%+v: ResumeToDirStore left %d entries behind", o, len(left))
 		}
 	}
 }

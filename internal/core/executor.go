@@ -664,20 +664,14 @@ func ResumeParts(src PartSource, parts int, dir string, format gformat.Format, s
 	return gst, err
 }
 
-// ResumeToDir generates the graph into dir with atomic part files,
-// skipping every part that already exists complete. The configuration
-// (including Workers, which fixes the partition) must match the
-// original run. It is ResumeToDirStore without an artifact store.
-func ResumeToDir(cfg Config, dir string, format gformat.Format) (Stats, error) {
-	return ResumeToDirStore(cfg, dir, format, nil)
-}
-
 // ResumeToDirStore is ResumeParts for a classic Config, one part per
-// worker, backed by an artifact store: each missing part is looked up
-// by its range key and materialized from the store on a hit; each
-// generated part is ingested so the next run — here or on any machine
-// sharing the store — skips it. Stats.PartsFromCache reports the hits.
-// A nil store degrades to plain ResumeToDir.
+// worker — what every classic run into a directory is: atomic part
+// files, the run manifest recorded (or checked: a directory of another
+// run is refused), parts already complete skipped. With a store, each
+// missing part is looked up by its range key and materialized from the
+// store on a hit, and each generated part is ingested so the next run —
+// here or on any machine sharing the store — skips it;
+// Stats.PartsFromCache reports the hits. st may be nil.
 func ResumeToDirStore(cfg Config, dir string, format gformat.Format, st *store.Store) (Stats, error) {
 	return ResumeParts(cfg, cfg.workers(), dir, format, st, nil)
 }

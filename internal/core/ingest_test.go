@@ -79,9 +79,9 @@ func TestIngestedSidecarIsPartDigest(t *testing.T) {
 }
 
 // TestStoredPartSinksHashOnlyForAStore pins which writers carry a
-// hasher: none without a store (plain -resume, dist and swarm runs
-// without one pay for no digest nobody reads), the streamable formats'
-// with one, and CSR6 — back-filled by seeking — never.
+// hasher: none without a store (batch, dist and swarm runs without one
+// pay for no digest nobody reads), the streamable formats' with one,
+// and CSR6 — back-filled by seeking — never.
 func TestStoredPartSinksHashOnlyForAStore(t *testing.T) {
 	cfg := DefaultConfig(8)
 	ranges, err := Plan(cfg, 1)

@@ -19,7 +19,7 @@ import (
 )
 
 // PartPath returns the canonical name of global part `idx` in dir:
-// part-<idx>.<ext>. Single-machine runs, ResumeToDir and the
+// part-<idx>.<ext>. Single-machine runs, the swarm and the
 // distributed workers all agree on this layout, which is what lets a
 // restarted worker recognize work it already finished.
 func PartPath(dir string, format gformat.Format, idx int) string {
@@ -34,7 +34,7 @@ func PartPath(dir string, format gformat.Format, idx int) string {
 // or external corruption can leave a damaged file there, so each
 // present part is structurally verified with CheckPart; failures are
 // deleted and re-listed as missing. This is the resume-skip logic
-// shared by ResumeToDir, the distributed worker, and the masterless
+// shared by ResumeParts, the distributed worker, and the masterless
 // swarm's completion scans. The swarm scans repeatedly on a hot path,
 // so verification of present parts runs on a bounded worker pool; the
 // result slices stay in input order regardless.
@@ -284,35 +284,43 @@ func (m resumeManifest) matches(o resumeManifest) bool {
 	return m.Fingerprint == o.Fingerprint && m.Parts == o.Parts && m.Format == o.Format
 }
 
-// RunManifest is the recorded identity of a generated directory: the
-// configuration (Workers normalized to 0), output format and part
-// count of the run that produced it.
+// RunManifest is the recorded identity of a generated directory: what
+// the run drew — the configuration of a classic run (Workers
+// normalized to 0), or the opaque spec of any other PartSource (the
+// community composition records its resolved spec), exactly one of the
+// two — with the output format and part count.
 type RunManifest struct {
-	Config Config
+	Config *Config
+	Source json.RawMessage
 	Format gformat.Format
 	Parts  int
 }
 
-// ReadRunManifest loads the generation parameters recorded in dir by
-// ResumeToDir / ResumeToDirStore. Directories written before parameter
-// recording (or by the non-resume path) return an error naming the
+// ReadRunManifest loads the run manifest every directory run records
+// (ResumeParts, swarm workers). A directory without one, or with one
+// that predates parameter recording, returns an error naming the
 // manifest, so callers can fall back to explicit flags; so does a
 // manifest whose configuration, format or part count would not run.
+// Core cannot check a source spec: its reader decodes it.
 func ReadRunManifest(dir string) (*RunManifest, error) {
 	path := filepath.Join(dir, manifestName)
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("core: no run manifest in %s (generate with -resume or -store to record parameters): %w", dir, err)
+		return nil, fmt.Errorf("core: no run manifest in %s: %w", dir, err)
 	}
 	var m resumeManifest
 	if err := json.Unmarshal(b, &m); err != nil {
 		return nil, fmt.Errorf("core: run manifest %s is corrupt: %w", path, err)
 	}
-	if m.Config == nil {
+	if m.Config == nil && len(m.Source) == 0 {
 		return nil, fmt.Errorf("core: run manifest %s predates parameter recording", path)
 	}
 	f, err := gformat.ParseFormat(m.Format)
-	if err == nil {
+	switch {
+	case err != nil:
+	case m.Config != nil && len(m.Source) > 0:
+		err = errors.New("records both a config and a source spec")
+	case m.Config != nil:
 		err = m.Config.Validate()
 	}
 	if err == nil && m.Parts < 1 {
@@ -321,7 +329,7 @@ func ReadRunManifest(dir string) (*RunManifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: run manifest %s: %w", path, err)
 	}
-	return &RunManifest{Config: *m.Config, Format: f, Parts: m.Parts}, nil
+	return &RunManifest{Config: m.Config, Source: m.Source, Format: f, Parts: m.Parts}, nil
 }
 
 // EnsureRunManifest validates dir against an existing resume manifest
@@ -340,7 +348,7 @@ func EnsureRunManifest(dir string, src PartSource, format gformat.Format, parts 
 // PartSource: the manifest's identity is the source's fingerprint
 // (plus format and part count), and source — an opaque JSON spec of
 // the job, recorded verbatim — lets downstream tools recover what the
-// directory claims to be. ReadSourceSpec is the reader.
+// directory claims to be. ReadRunManifest is the reader.
 func EnsureSourceManifest(dir, srcFingerprint string, source json.RawMessage, format gformat.Format, parts int) error {
 	want := resumeManifest{
 		Fingerprint: fmt.Sprintf("src=%s format=%v parts=%d", srcFingerprint, format, parts),
@@ -351,47 +359,43 @@ func EnsureSourceManifest(dir, srcFingerprint string, source json.RawMessage, fo
 	return ensureManifest(dir, want)
 }
 
-// ReadSourceSpec returns the opaque PartSource spec recorded in dir's
-// run manifest by EnsureSourceManifest, plus the recorded format and
-// part count. Directories generated by the classic Config path (or
-// with no manifest at all) return an error: callers probe this first
-// and fall back to ReadRunManifest.
-func ReadSourceSpec(dir string) (source json.RawMessage, format gformat.Format, parts int, err error) {
-	path := filepath.Join(dir, manifestName)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: no run manifest in %s: %w", dir, err)
-	}
-	var m resumeManifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, 0, 0, fmt.Errorf("core: run manifest %s is corrupt: %w", path, err)
-	}
-	if len(m.Source) == 0 {
-		return nil, 0, 0, fmt.Errorf("core: run manifest %s records no source spec", path)
-	}
-	f, err := gformat.ParseFormat(m.Format)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: run manifest %s: %w", path, err)
-	}
-	return m.Source, f, m.Parts, nil
-}
-
 // ensureManifest validates dir against an existing manifest or writes
-// want atomically. Directories from runs predating the manifest resume
-// without validation, as before.
+// want atomically. A directory that holds part files but no manifest
+// is refused: nothing says which run its parts belong to, and adopting
+// them would complete another plan's parts under this one's.
 func ensureManifest(dir string, want resumeManifest) error {
 	path := filepath.Join(dir, manifestName)
-	if b, err := os.ReadFile(path); err == nil {
-		var have resumeManifest
-		if err := json.Unmarshal(b, &have); err != nil {
-			return fmt.Errorf("core: resume manifest %s is corrupt: %w", path, err)
+	b, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		part, err := anyPart(dir)
+		if err != nil {
+			return err
 		}
-		if !have.matches(want) {
-			return fmt.Errorf("core: directory %s holds parts of a different run (manifest: %d %s parts; resume asks for %d %s parts with a different plan) — resume with the original configuration or use a fresh directory",
-				dir, have.Parts, have.Format, want.Parts, want.Format)
+		if part == "" {
+			return writeManifest(dir, path, want)
 		}
-		return nil
+		// A peer's manifest lands before its first part, so a part seen
+		// here is a peer's only if the manifest is there now.
+		if b, err = os.ReadFile(path); errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("core: directory %s holds %s but no run manifest, so its parts may be another run's — use a fresh directory", dir, part)
+		}
 	}
+	if err != nil {
+		return err
+	}
+	var have resumeManifest
+	if err := json.Unmarshal(b, &have); err != nil {
+		return fmt.Errorf("core: resume manifest %s is corrupt: %w", path, err)
+	}
+	if !have.matches(want) {
+		return fmt.Errorf("core: directory %s holds parts of a different run (manifest: %d %s parts; this run asks for %d %s parts with a different plan) — rerun with the original configuration or use a fresh directory",
+			dir, have.Parts, have.Format, want.Parts, want.Format)
+	}
+	return nil
+}
+
+// writeManifest records want as dir's manifest at path.
+func writeManifest(dir, path string, want resumeManifest) error {
 	b, err := json.MarshalIndent(want, "", "  ")
 	if err != nil {
 		return err
@@ -421,4 +425,20 @@ func ensureManifest(dir string, want resumeManifest) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// anyPart returns the name of a part file in dir — a regular file
+// under a final part name; temps and claim markers end in .tmp — or ""
+// if there is none.
+func anyPart(dir string) (string, error) {
+	names, err := filepath.Glob(filepath.Join(dir, "part-*"))
+	if err != nil {
+		return "", err
+	}
+	for _, n := range names {
+		if fi, err := os.Lstat(n); err == nil && fi.Mode().IsRegular() && !strings.HasSuffix(n, ".tmp") {
+			return filepath.Base(n), nil
+		}
+	}
+	return "", nil
 }

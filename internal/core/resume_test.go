@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gformat"
@@ -27,7 +28,7 @@ func TestResumeCompletesInterruptedRun(t *testing.T) {
 	cfg.MasterSeed = 77
 
 	full := t.TempDir()
-	if _, err := ResumeToDir(cfg, full, gformat.ADJ6); err != nil {
+	if _, err := ResumeToDirStore(cfg, full, gformat.ADJ6, nil); err != nil {
 		t.Fatal(err)
 	}
 	parts, err := filepath.Glob(filepath.Join(full, "part-*.adj6"))
@@ -38,7 +39,7 @@ func TestResumeCompletesInterruptedRun(t *testing.T) {
 	// Simulate the interrupted run in a second directory: generate all,
 	// then delete parts 1 and 3 and leave a stale temp file behind.
 	broken := t.TempDir()
-	if _, err := ResumeToDir(cfg, broken, gformat.ADJ6); err != nil {
+	if _, err := ResumeToDirStore(cfg, broken, gformat.ADJ6, nil); err != nil {
 		t.Fatal(err)
 	}
 	os.Remove(filepath.Join(broken, "part-00001.adj6"))
@@ -47,7 +48,7 @@ func TestResumeCompletesInterruptedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := ResumeToDir(cfg, broken, gformat.ADJ6)
+	st, err := ResumeToDirStore(cfg, broken, gformat.ADJ6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +73,14 @@ func TestResumeNoopWhenComplete(t *testing.T) {
 	cfg := DefaultConfig(9)
 	cfg.Workers = 2
 	dir := t.TempDir()
-	first, err := ResumeToDir(cfg, dir, gformat.ADJ6)
+	first, err := ResumeToDirStore(cfg, dir, gformat.ADJ6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Edges == 0 {
 		t.Fatal("first run generated nothing")
 	}
-	second, err := ResumeToDir(cfg, dir, gformat.ADJ6)
+	second, err := ResumeToDirStore(cfg, dir, gformat.ADJ6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestResumeCSR6(t *testing.T) {
 	cfg.MasterSeed = 41
 
 	full := t.TempDir()
-	if _, err := ResumeToDir(cfg, full, gformat.CSR6); err != nil {
+	if _, err := ResumeToDirStore(cfg, full, gformat.CSR6, nil); err != nil {
 		t.Fatal(err)
 	}
 	parts, err := filepath.Glob(filepath.Join(full, "part-*.csr6"))
@@ -106,12 +107,12 @@ func TestResumeCSR6(t *testing.T) {
 	}
 
 	broken := t.TempDir()
-	if _, err := ResumeToDir(cfg, broken, gformat.CSR6); err != nil {
+	if _, err := ResumeToDirStore(cfg, broken, gformat.CSR6, nil); err != nil {
 		t.Fatal(err)
 	}
 	os.Remove(filepath.Join(broken, "part-00001.csr6"))
 
-	st, err := ResumeToDir(cfg, broken, gformat.CSR6)
+	st, err := ResumeToDirStore(cfg, broken, gformat.CSR6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,25 +135,61 @@ func TestResumeWorkersMismatchDetected(t *testing.T) {
 	cfg := DefaultConfig(9)
 	cfg.Workers = 4
 	dir := t.TempDir()
-	if _, err := ResumeToDir(cfg, dir, gformat.ADJ6); err != nil {
+	if _, err := ResumeToDirStore(cfg, dir, gformat.ADJ6, nil); err != nil {
 		t.Fatal(err)
 	}
 	os.Remove(filepath.Join(dir, "part-00002.adj6"))
 
 	cfg.Workers = 3
-	if _, err := ResumeToDir(cfg, dir, gformat.ADJ6); err == nil {
+	if _, err := ResumeToDirStore(cfg, dir, gformat.ADJ6, nil); err == nil {
 		t.Fatal("mismatched resume (Workers 4 → 3) was not detected")
 	}
 
 	// Changing the format over existing parts is a mismatch too.
 	cfg.Workers = 4
-	if _, err := ResumeToDir(cfg, dir, gformat.TSV); err == nil {
+	if _, err := ResumeToDirStore(cfg, dir, gformat.TSV, nil); err == nil {
 		t.Fatal("mismatched resume (adj6 → tsv) was not detected")
 	}
 
 	// The original configuration still resumes cleanly.
-	if _, err := ResumeToDir(cfg, dir, gformat.ADJ6); err != nil {
+	if _, err := ResumeToDirStore(cfg, dir, gformat.ADJ6, nil); err != nil {
 		t.Fatalf("matching resume failed: %v", err)
+	}
+}
+
+// TestResumeRefusesPartsWithoutManifest: part files under final names
+// with no manifest beside them belong to no known run — an in-place
+// writer's, or another plan's — so a resume refuses the directory and
+// leaves it untouched. Temps and claim markers alone are a crashed
+// run's litter, not parts: they are swept and the run proceeds.
+func TestResumeRefusesPartsWithoutManifest(t *testing.T) {
+	cfg := DefaultConfig(9)
+	cfg.Workers = 2
+	dir := t.TempDir()
+	other := cfg
+	other.MasterSeed = 5
+	if _, err := Generate(other, FileSinks(dir, gformat.ADJ6, other.NumVertices())); err != nil {
+		t.Fatal(err)
+	}
+	want := readFile(t, PartPath(dir, gformat.ADJ6, 1))
+	if _, err := ResumeToDirStore(cfg, dir, gformat.ADJ6, nil); err == nil || !strings.Contains(err.Error(), "no run manifest") {
+		t.Fatalf("err %v, want the refusal of parts without a manifest", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
+		t.Fatal("the refused run wrote a manifest")
+	}
+	if !bytes.Equal(readFile(t, PartPath(dir, gformat.ADJ6, 1)), want) {
+		t.Fatal("the refused run changed a part")
+	}
+
+	litter := t.TempDir()
+	for _, name := range []string{"part-00000.adj6.tmp", "part-00001.adj6.claim.tmp"} {
+		if err := os.WriteFile(filepath.Join(litter, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err := ResumeToDirStore(cfg, litter, gformat.ADJ6, nil); err != nil || st.Edges == 0 {
+		t.Fatalf("a directory of temps only: %+v, %v", st, err)
 	}
 }
 
@@ -195,7 +232,7 @@ func TestRunManifestRecordsParameters(t *testing.T) {
 	cfg.MasterSeed = 42
 	cfg.Workers = 3
 	dir := t.TempDir()
-	if _, err := ResumeToDir(cfg, dir, gformat.ADJ6); err != nil {
+	if _, err := ResumeToDirStore(cfg, dir, gformat.ADJ6, nil); err != nil {
 		t.Fatal(err)
 	}
 	m, err := ReadRunManifest(dir)
@@ -204,14 +241,14 @@ func TestRunManifestRecordsParameters(t *testing.T) {
 	}
 	want := cfg
 	want.Workers = 0 // normalized out: parts, not Workers, fix the plan
-	if m.Config != want {
-		t.Fatalf("recorded config %+v, want %+v", m.Config, want)
+	if m.Config == nil || *m.Config != want || m.Source != nil {
+		t.Fatalf("recorded config %+v and source %s, want %+v and none", m.Config, m.Source, want)
 	}
 	if m.Format != gformat.ADJ6 || m.Parts != 3 {
 		t.Fatalf("recorded format %v / parts %d, want ADJ6 / 3", m.Format, m.Parts)
 	}
 	// Resuming again with the same configuration still matches.
-	if _, err := ResumeToDir(cfg, dir, gformat.ADJ6); err != nil {
+	if _, err := ResumeToDirStore(cfg, dir, gformat.ADJ6, nil); err != nil {
 		t.Fatalf("re-resume with matching config: %v", err)
 	}
 	// A directory without a manifest reports a usable error.

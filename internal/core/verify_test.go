@@ -119,7 +119,7 @@ func TestResumeRejectsPartTornInsideDigits(t *testing.T) {
 	cfg := DefaultConfig(9)
 	cfg.Workers = 2
 	dir := t.TempDir()
-	if _, err := ResumeToDir(cfg, dir, gformat.TSV); err != nil {
+	if _, err := ResumeToDirStore(cfg, dir, gformat.TSV, nil); err != nil {
 		t.Fatal(err)
 	}
 	victim := PartPath(dir, gformat.TSV, 1)
@@ -140,7 +140,7 @@ func TestResumeRejectsPartTornInsideDigits(t *testing.T) {
 	if _, ids := MissingParts(dir, gformat.TSV, ranges, []int{0, 1}); len(ids) != 1 || ids[0] != 1 {
 		t.Fatalf("missing parts %v, want [1]", ids)
 	}
-	if stats, err := ResumeToDir(cfg, dir, gformat.TSV); err != nil || stats.Edges == 0 {
+	if stats, err := ResumeToDirStore(cfg, dir, gformat.TSV, nil); err != nil || stats.Edges == 0 {
 		t.Fatalf("resume over the torn part: %+v, %v", stats, err)
 	}
 	if !bytes.Equal(readFile(t, victim), whole) {

@@ -388,13 +388,12 @@ func TestRunThreeWorkersBitIdentical(t *testing.T) {
 }
 
 // TestRunDrawsEveryPartOnce is the point of claim markers, on counted
-// work: over sixteen identity pairs (and the same with a third worker)
-// — identities no longer move the walk, but every run is another
-// interleaving of the same shared order — with a
-// stall at every claim so the walks overlap, the fleet generates exactly
-// the batch run's edges — no part twice — every part has one winner, no
-// publish is lost, nobody needs a second pass, and the bytes are the
-// batch run's.
+// work: for a pair of workers, a trio, and a pair sharing one WorkerID
+// (identities do not move the walk, and markers, not ids, keep workers
+// apart), with a stall at every claim so the walks overlap, the fleet
+// generates exactly the batch run's edges — no part twice — every part
+// has one winner, no publish is lost, nobody needs a second pass, and
+// the bytes are the batch run's.
 func TestRunDrawsEveryPartOnce(t *testing.T) {
 	faultpoint.Reset()
 	defer faultpoint.Reset()
@@ -408,27 +407,23 @@ func TestRunDrawsEveryPartOnce(t *testing.T) {
 	if err := faultpoint.Arm(PointClaim, "stall:200us"); err != nil {
 		t.Fatal(err)
 	}
-	for a := uint64(1); a <= 4; a++ {
-		for b := uint64(5); b <= 8; b++ {
-			for _, ids := range [][]uint64{{a, b}, {a, b, a + b + 7}} {
-				dir := t.TempDir()
-				sums := runWorkers(t, cfg, dir, Options{Parts: parts, ScanInterval: noSteal}, ids...)
-				assertSameParts(t, readDir(t, dir, parts, gformat.ADJ6), want)
-				assertNoTempLitter(t, dir)
-				var edges int64
-				for _, s := range sums {
-					edges += s.Edges
-					if s.Epochs > 1 {
-						t.Fatalf("ids %v: worker %d took %d claim passes: %+v", ids, s.WorkerID, s.Epochs, sums)
-					}
-				}
-				if edges != ref.Edges {
-					t.Fatalf("ids %v: fleet generated %d edges, the batch run %d: %+v", ids, edges, ref.Edges, sums)
-				}
-				if total(sums, claimed) != parts || total(sums, lost) != 0 || total(sums, stolen) != 0 {
-					t.Fatalf("ids %v: want %d parts won, none lost or stolen: %+v", ids, parts, sums)
-				}
+	for _, ids := range [][]uint64{{1, 5}, {1, 5, 13}, {3, 3}} {
+		dir := t.TempDir()
+		sums := runWorkers(t, cfg, dir, Options{Parts: parts, ScanInterval: noSteal}, ids...)
+		assertSameParts(t, readDir(t, dir, parts, gformat.ADJ6), want)
+		assertNoTempLitter(t, dir)
+		var edges int64
+		for _, s := range sums {
+			edges += s.Edges
+			if s.Epochs > 1 {
+				t.Fatalf("ids %v: worker %d took %d claim passes: %+v", ids, s.WorkerID, s.Epochs, sums)
 			}
+		}
+		if edges != ref.Edges {
+			t.Fatalf("ids %v: fleet generated %d edges, the batch run %d: %+v", ids, edges, ref.Edges, sums)
+		}
+		if total(sums, claimed) != parts || total(sums, lost) != 0 || total(sums, stolen) != 0 {
+			t.Fatalf("ids %v: want %d parts won, none lost or stolen: %+v", ids, parts, sums)
 		}
 	}
 }

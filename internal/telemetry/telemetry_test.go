@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -144,7 +146,13 @@ func TestRateGaugeFixedWindow(t *testing.T) {
 // must never observe a negative or wildly inflated rate, because no
 // reader resets another's baseline.
 func TestRateGaugeConcurrentReaders(t *testing.T) {
+	// The writer moves a fake clock 2 ms per Add, and every reader waits
+	// for a fresh Add between reads, so each reader's 50 reads span at
+	// least one full 100 ms window.
+	var ticks atomic.Int64
+	base := time.Unix(0, 0)
 	r := NewRegistry()
+	r.SetClock(func() time.Time { return base.Add(time.Duration(ticks.Load()) * 2 * time.Millisecond) })
 	g := r.RateGauge("eps", 100*time.Millisecond)
 	stop := make(chan struct{})
 	var writer sync.WaitGroup
@@ -157,7 +165,7 @@ func TestRateGaugeConcurrentReaders(t *testing.T) {
 				return
 			default:
 				g.Add(10)
-				time.Sleep(100 * time.Microsecond)
+				ticks.Add(1)
 			}
 		}
 	}()
@@ -168,13 +176,16 @@ func TestRateGaugeConcurrentReaders(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for j := 0; j < 50; j++ {
+				seen := ticks.Load()
 				if rate := g.Rate(); rate < 0 {
 					select {
 					case errs <- rate:
 					default:
 					}
 				}
-				time.Sleep(time.Millisecond)
+				for ticks.Load() == seen {
+					runtime.Gosched()
+				}
 			}
 		}()
 	}

@@ -34,7 +34,7 @@ func TestTinyGraphsManyParts(t *testing.T) {
 				one := cfg
 				one.Workers = 1
 				ref := t.TempDir()
-				if _, err := core.ResumeToDir(one, ref, format); err != nil {
+				if _, err := core.ResumeToDirStore(one, ref, format, nil); err != nil {
 					t.Fatal(err)
 				}
 				cfg.Workers = parts
@@ -61,8 +61,8 @@ func TestTinyGraphsManyParts(t *testing.T) {
 						_, err := core.Generate(cfg, core.FileSinks(dir, format, cfg.NumVertices()))
 						return err
 					},
-					"ResumeToDir": func(dir string) error {
-						_, err := core.ResumeToDir(cfg, dir, format)
+					"ResumeToDirStore, no store": func(dir string) error {
+						_, err := core.ResumeToDirStore(cfg, dir, format, nil)
 						return err
 					},
 					"ResumeToDirStore": func(dir string) error {
@@ -164,8 +164,8 @@ func TestResumeRefusesDrawnPlanDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func(dir string) error{
-		"ResumeToDir": func(dir string) error {
-			_, err := core.ResumeToDir(cfg, dir, format)
+		"ResumeToDirStore, no store": func(dir string) error {
+			_, err := core.ResumeToDirStore(cfg, dir, format, nil)
 			return err
 		},
 		"ResumeToDirStore": func(dir string) error {

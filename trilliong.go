@@ -147,21 +147,16 @@ type Stats = core.Stats
 
 // GenerateToDir writes the graph into dir as one part file per worker
 // (part-00000.<ext>, ...) in the given format and returns run
-// statistics. The directory must exist.
+// statistics. The directory must exist. The run is resumable: each
+// part file is written to a temp and renamed into place when complete,
+// and the directory records the run's manifest, so calling again with
+// the same configuration finishes an interrupted run — or, on a
+// finished one, writes nothing — while a different configuration (one
+// that cuts other parts) is refused with the directory left as it was,
+// as is a directory holding part files but no manifest. Stats covers
+// only the parts this call wrote.
 func (c Config) GenerateToDir(dir string, format Format) (Stats, error) {
-	cc := c.toCore()
-	if err := cc.Validate(); err != nil {
-		return Stats{}, err
-	}
-	return core.Generate(cc, core.FileSinks(dir, format, cc.NumVertices()))
-}
-
-// ResumeToDir is GenerateToDir with crash safety: part files are
-// written atomically (temp + rename) and parts that already exist are
-// skipped, so an interrupted run can be re-invoked with the same
-// configuration and directory to finish exactly where it stopped.
-func (c Config) ResumeToDir(dir string, format Format) (Stats, error) {
-	return core.ResumeToDir(c.toCore(), dir, format)
+	return c.ResumeToDirCached(dir, format, nil)
 }
 
 // Store is a crash-safe content-addressed artifact store caching
@@ -205,10 +200,11 @@ func OpenStoreBackend(spec string, tel *telemetry.Registry) (StoreBackend, error
 	return store.NewDirBackend(spec)
 }
 
-// ResumeToDirCached is ResumeToDir backed by an artifact store: parts
+// ResumeToDirCached is GenerateToDir backed by an artifact store: parts
 // whose keys are cached are materialized from the store
 // (checksum-verified) instead of regenerated, and generated parts are
-// ingested for the next run. Stats.PartsFromCache reports the hits.
+// ingested for the next run. Stats.PartsFromCache reports the hits. A
+// nil store is GenerateToDir.
 func (c Config) ResumeToDirCached(dir string, format Format, st *Store) (Stats, error) {
 	return core.ResumeToDirStore(c.toCore(), dir, format, st)
 }
