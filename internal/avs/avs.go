@@ -69,12 +69,12 @@ func (c Config) Validate() error {
 // NumVertices returns |V| = 2^Levels.
 func (c Config) NumVertices() int64 { return int64(1) << uint(c.Levels) }
 
-// Generator generates scopes for one graph configuration. Scope and
-// ScopeWithSize are not safe for concurrent use (they share the
-// generator's recursive vector and dedup set) — give each thread its
-// own instance, as core's executor does: a thread builds one for the
-// part it is drawing rows of, and another when it moves to another
-// part. ScopeSize and the probability
+// Generator generates scopes for one graph configuration. Scope,
+// ScopeAttempts and ScopeWithSize are not safe for concurrent use (they
+// share the generator's recursive vector and dedup set) — give each
+// thread its own instance, as core's executor does: a thread builds one
+// for the part it is drawing rows of, and another when it moves to
+// another part. ScopeSize and the probability
 // accessors only read tables filled by New and are safe to call
 // concurrently (the partitioner's parallel combine relies on this).
 type Generator struct {
@@ -190,34 +190,45 @@ type ScopeResult struct {
 	Attempts int64
 }
 
-// Scope generates the full scope of source vertex u: it draws the scope
-// size, rebuilds the generator's recursive vector for u once (Idea#1),
-// and determines destinations until the size is reached, discarding
-// duplicates. buf, if non-nil, is reused for the destination slice.
-//
-// The returned destinations are unique. Generation is deterministic
-// given src's state.
+// Scope generates the full scope of source vertex u into buf, reused
+// from its start: ScopeAttempts as a ScopeResult.
 func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) ScopeResult {
-	size := g.ScopeSize(u, src)
-	return g.ScopeWithSize(u, size, src, buf)
+	dsts, attempts := g.ScopeAttempts(buf[:0], u, src)
+	return ScopeResult{Src: u, Dsts: dsts, Attempts: attempts}
 }
 
-// ScopeWithSize generates `size` distinct destinations for u (clamped
-// to |V|): Scope after its size draw.
+// ScopeAttempts appends the full scope of source vertex u to dst and
+// returns it with the scope's attempts: it draws the scope size,
+// rebuilds the generator's recursive vector for u once (Idea#1), and
+// determines destinations until the size is reached, discarding
+// duplicates. It has the signature of core.Scoper.
+//
+// The appended destinations are unique. Generation is deterministic
+// given src's state.
+func (g *Generator) ScopeAttempts(dst []int64, u int64, src *rng.Source) ([]int64, int64) {
+	return g.ScopeWithSize(dst, u, g.ScopeSize(u, src), src)
+}
+
+// ScopeWithSize appends `size` distinct destinations for u (clamped to
+// |V|) to dst, growing it as append does, and returns it with the
+// scope's attempts: ScopeAttempts after its size draw. dst's first
+// len(dst) values are left as they are, and neither the duplicate filter
+// nor the accountant sees them.
 //
 // Rejection sampling stops after 64·size+1024 attempts, so a scope
 // whose remaining cells are too improbable to hit (near-full hub rows
 // of tiny or dense graphs) comes back short of `size` rather than
-// looping; Attempts records the cap. There is no fallback enumeration,
-// and the cap is part of the stream: changing either changes bytes.
-func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []int64) ScopeResult {
+// looping; the attempts record the cap. There is no fallback
+// enumeration, and the cap is part of the stream: changing either
+// changes bytes.
+func (g *Generator) ScopeWithSize(dst []int64, u int64, size int64, src *rng.Source) ([]int64, int64) {
 	nv := g.cfg.NumVertices()
 	if size > nv {
 		size = nv
 	}
-	res := ScopeResult{Src: u, Dsts: buf[:0]}
+	start, attempts := len(dst), int64(0)
 	if size <= 0 {
-		return res
+		return dst, 0
 	}
 	cfg := &g.cfg
 	var (
@@ -237,42 +248,44 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		vec, set, v1 := &g.vec, g.set, cfg.CommunityV1
 		set.Begin(size, nv, g.reach, !cfg.AllowDuplicates)
 		// size is known before the first draw: one growth, not a doubling
-		// per power of two on the way to a hub row.
-		dsts, attempts, limit := slices.Grow(res.Dsts, int(size)), int64(0), maxAttempts(size)
+		// per power of two on the way to a hub row. want is the length
+		// dst has once the scope has its size.
+		dst = slices.Grow(dst, int(size))
+		want, limit := int64(start)+size, maxAttempts(size)
 		if big == nil && !v1 {
 			// While n more destinations and n more attempts are both allowed,
 			// the one-draw-per-attempt loop would make the next n attempts
 			// whatever they hit (an attempt adds at most one destination), so
 			// DrawLanes draws a batch of min(n, WideLanes) in stream order and
 			// determines it together, and its results are inserted in lane
-			// order: same Dsts, Attempts and state of src. When n falls to 0
-			// the scope has its size or its cap, where that loop stops too.
+			// order: same destinations, attempts and state of src. When n
+			// falls to 0 the scope has its size or its cap, where that loop
+			// stops too.
 			var out [recvec.WideLanes]int64
 			for {
-				room := min(size-int64(len(dsts)), limit-attempts)
+				room := min(want-int64(len(dst)), limit-attempts)
 				if room <= 0 {
 					break
 				}
 				n := vec.DrawLanes(src, room, &out)
 				attempts += int64(n)
-				dsts = set.InsertLanes(out[:n], dsts)
+				dst = set.InsertLanes(out[:n], dst)
 			}
 		} else {
-			for int64(len(dsts)) < size && attempts < limit {
-				var dst int64
+			for int64(len(dst)) < want && attempts < limit {
+				var v int64
 				if big != nil {
-					dst = big.Determine(src.UniformTo(total))
+					v = big.Determine(src.UniformTo(total))
 				} else {
-					dst = redrawDescent(vec, src.UniformTo(total), src)
+					v = redrawDescent(vec, src.UniformTo(total), src)
 				}
 				attempts++
-				if set.Insert(dst) {
-					dsts = append(dsts, dst)
+				if set.Insert(v) {
+					dst = append(dst, v)
 				}
 			}
 		}
-		set.End(dsts)
-		res.Dsts, res.Attempts = dsts, attempts
+		set.End(dst[start:])
 	}
 	if g.acct != nil {
 		// One observation per scope, of its high-water mark: the vector (f
@@ -282,11 +295,11 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		// peak equals that of charging per insert.
 		tracked := int64(cfg.Levels+1) * 16
 		if !cfg.AllowDuplicates {
-			tracked += int64(len(res.Dsts)) * memacct.VertexBytes
+			tracked += int64(len(dst)-start) * memacct.VertexBytes
 		}
 		g.acct.Observe(tracked)
 	}
-	return res
+	return dst, attempts
 }
 
 // maxAttempts is the rejection-sampling cap of a scope of the given size.

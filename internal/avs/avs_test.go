@@ -136,9 +136,9 @@ func TestScopeWithSizeExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rng.New(17)
-	res := g.ScopeWithSize(123, 200, src, nil)
-	if len(res.Dsts) != 200 {
-		t.Fatalf("got %d destinations, want 200", len(res.Dsts))
+	dsts, _ := g.ScopeWithSize(nil, 123, 200, src)
+	if len(dsts) != 200 {
+		t.Fatalf("got %d destinations, want 200", len(dsts))
 	}
 }
 
@@ -151,9 +151,9 @@ func TestScopeWithSizeClampsToNumVertices(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rng.New(19)
-	res := g.ScopeWithSize(3, 1000, src, nil)
-	if len(res.Dsts) != 16 {
-		t.Fatalf("got %d destinations, want all 16", len(res.Dsts))
+	dsts, _ := g.ScopeWithSize(nil, 3, 1000, src)
+	if len(dsts) != 16 {
+		t.Fatalf("got %d destinations, want all 16", len(dsts))
 	}
 }
 

@@ -248,7 +248,7 @@ func TestGeneratorDedupMemory(t *testing.T) {
 			if size == 0 || !tc.shared && nv <= 64*size {
 				continue // a hub row of the wide graph: see below
 			}
-			buf = g.ScopeWithSize(u, size, &src, buf).Dsts
+			buf, _ = g.ScopeWithSize(buf[:0], u, size, &src)
 			want := tierTable
 			if tc.shared {
 				want = tierBitmap
@@ -267,7 +267,7 @@ func TestGeneratorDedupMemory(t *testing.T) {
 			continue
 		}
 		hub := nv / 64
-		g.ScopeWithSize(0, hub, &src, buf)
+		g.ScopeWithSize(buf[:0], 0, hub, &src)
 		if got := 8 * int64(cap(g.set.words)); g.set.tier != tierBitmap || got > 8*hub || !bitmapClean(g.set) {
 			t.Fatalf("levels %d: hub row of %d: tier %d, retained bitmap %d bytes", tc.levels, hub, g.set.tier, got)
 		}

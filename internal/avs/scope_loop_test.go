@@ -148,10 +148,10 @@ func sameAsReference(t *testing.T, g *Generator, u, size int64, stream uint64) (
 	cfg := g.Config()
 	want, got := rng.New(stream), rng.New(stream)
 	wantDsts, kept, tracked := referenceScope(cfg, u, size, want)
-	res := g.ScopeWithSize(u, size, got, nil)
-	if res.Attempts != int64(len(kept)) || !slices.Equal(res.Dsts, wantDsts) {
+	dsts, attempts := g.ScopeWithSize(nil, u, size, got)
+	if attempts != int64(len(kept)) || !slices.Equal(dsts, wantDsts) {
 		t.Fatalf("levels %d u %d size %d noisy %v dups %v: got %d dsts / %d attempts, reference %d / %d",
-			cfg.Levels, u, size, cfg.Noise != nil, cfg.AllowDuplicates, len(res.Dsts), res.Attempts, len(wantDsts), len(kept))
+			cfg.Levels, u, size, cfg.Noise != nil, cfg.AllowDuplicates, len(dsts), attempts, len(wantDsts), len(kept))
 	}
 	if got.Uint64() != want.Uint64() {
 		t.Fatalf("levels %d u %d size %d v1 %v: stream position after the scope differs from the reference loop's", cfg.Levels, u, size, cfg.CommunityV1)
@@ -399,6 +399,65 @@ func TestScopeSteadyStateAllocs(t *testing.T) {
 		pass() // warm-up: grows buf, the vector and the dedup storage
 		if n := testing.AllocsPerRun(5, pass); n != 0 {
 			t.Errorf("%s: %v allocations per 256 steady-state scopes, want 0", name, n)
+		}
+	}
+}
+
+// TestScopeAttemptsKeepsPrefix: the append form, which core's executor
+// calls with a chunk's earlier rows in dst (already offset, so past any
+// bitmap), leaves those values as they are, shows them to neither the
+// duplicate filter nor the accountant, and appends exactly what Scope
+// returns — destinations, attempts, accounting peak and stream position
+// — whether the row fits dst's spare capacity or, a hub row, makes it
+// grow. The configurations cover the bitmap and table tiers, the
+// CommunityV1 loop and AllowDuplicates.
+func TestScopeAttemptsKeepsPrefix(t *testing.T) {
+	v1, dups := baseConfig(10), baseConfig(12)
+	v1.CommunityV1 = true
+	dups.AllowDuplicates = true
+	for name, cfg := range map[string]Config{
+		"bitmap": baseConfig(14),
+		"table":  {Seed: skg.Graph500Seed, Levels: 20, NumEdges: 1 << 16},
+		"v1":     v1,
+		"dups":   dups,
+	} {
+		var wantAcct, gotAcct memacct.Acct
+		want, err := New(cfg, &wantAcct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := New(cfg, &gotAcct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []int64{-1, cfg.NumVertices(), math.MaxInt64}
+		var fit, grew int
+		for u := int64(0); u < 256; u++ {
+			wantSrc, gotSrc := rng.NewScoped(5, uint64(u)), rng.NewScoped(5, uint64(u))
+			res := want.Scope(u, wantSrc, nil)
+			dst := append(make([]int64, 0, len(prefix)+16), prefix...)
+			out, attempts := got.ScopeAttempts(dst, u, gotSrc)
+			if !slices.Equal(out[:len(prefix)], prefix) || !slices.Equal(dst, prefix) {
+				t.Fatalf("%s u %d: prefix came back as %v, dst holds %v, want %v", name, u, out[:len(prefix)], dst, prefix)
+			}
+			if !slices.Equal(out[len(prefix):], res.Dsts) || attempts != res.Attempts {
+				t.Fatalf("%s u %d: appended %d destinations after %d attempts, Scope returns %d after %d",
+					name, u, len(out)-len(prefix), attempts, len(res.Dsts), res.Attempts)
+			}
+			if gotSrc.Uint64() != wantSrc.Uint64() || gotAcct.Peak() != wantAcct.Peak() {
+				t.Fatalf("%s u %d: stream position or accounting peak (%d, want %d) differs from Scope's", name, u, gotAcct.Peak(), wantAcct.Peak())
+			}
+			if !bitmapClean(got.set) {
+				t.Fatalf("%s u %d: bitmap not clean after the scope", name, u)
+			}
+			if cap(out) > cap(dst) {
+				grew++
+			} else {
+				fit++
+			}
+		}
+		if fit == 0 || grew == 0 {
+			t.Fatalf("%s: %d rows fit dst, %d made it grow: want some of each", name, fit, grew)
 		}
 	}
 }

@@ -323,7 +323,7 @@ func Compose(c Config, blocks []Block, fp string, spec any) (*Layout, error) {
 	for i := range blocks {
 		b := &blocks[i]
 		b.ID = i
-		if _, _, err := l.newScoper(*b, new(avs.DedupSet)); err != nil {
+		if _, _, err := l.newScoper(*b, new(avs.DedupSet), nil); err != nil {
 			return nil, fmt.Errorf("community: block %s: %w", b.Name, err)
 		}
 		l.edges += b.Edges
@@ -544,8 +544,9 @@ func distForSlope(slope float64) erv.Dist {
 // noise stream derived from the block seed) when b.AVS, ERV with the
 // block's own distributions otherwise. Generators are not
 // concurrency-safe: one scoper per thread, filtering duplicates through
-// that thread's set.
-func (l *Layout) newScoper(b Block, set *avs.DedupSet) (core.Scoper, func(lo, hi int64) float64, error) {
+// that thread's set and charging each scope's working set to acct, which
+// may be nil.
+func (l *Layout) newScoper(b Block, set *avs.DedupSet, acct *memacct.Acct) (core.Scoper, func(lo, hi int64) float64, error) {
 	rows, cols := b.SrcHi-b.SrcLo, b.DstHi-b.DstLo
 	if b.AVS {
 		seed := *l.cfg.Seed
@@ -564,15 +565,12 @@ func (l *Layout) newScoper(b Block, set *avs.DedupSet) (core.Scoper, func(lo, hi
 			}
 			acfg.Noise = n
 		}
-		g, err := avs.New(acfg, nil)
+		g, err := avs.New(acfg, acct)
 		if err != nil {
 			return nil, nil, err
 		}
 		g.ShareSet(set)
-		return func(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
-			res := g.Scope(u, src, buf)
-			return res.Dsts, res.Attempts
-		}, core.RowEdges(seed, acfg.Noise, levels, b.Edges), nil
+		return g.ScopeAttempts, core.RowEdges(seed, acfg.Noise, levels, b.Edges), nil
 	}
 	ecfg := erv.Config{
 		NumSrc:          rows,
@@ -587,6 +585,7 @@ func (l *Layout) newScoper(b Block, set *avs.DedupSet) (core.Scoper, func(lo, hi
 		return nil, nil, err
 	}
 	g.ShareSet(set)
+	g.Account(acct)
 	return g.ScopeAttempts, g.ExpectedEdges, nil
 }
 
@@ -600,7 +599,7 @@ func (l *Layout) OpenPart(id int, _ partition.Range) (core.Part, error) {
 		return core.Part{}, fmt.Errorf("community: part %d outside the %d-block layout", id, len(l.blocks))
 	}
 	b := l.blocks[id]
-	_, rowEdges, err := l.newScoper(b, new(avs.DedupSet))
+	_, rowEdges, err := l.newScoper(b, new(avs.DedupSet), nil)
 	if err != nil {
 		return core.Part{}, err
 	}
@@ -608,8 +607,8 @@ func (l *Layout) OpenPart(id int, _ partition.Range) (core.Part, error) {
 		Lo: b.SrcLo, Hi: b.SrcHi,
 		Seed:   b.Seed,
 		SrcOff: b.SrcLo, DstOff: b.DstLo,
-		NewScoper: func(set *avs.DedupSet, _ *memacct.Acct) (core.Scoper, error) {
-			scope, _, err := l.newScoper(b, set)
+		NewScoper: func(set *avs.DedupSet, acct *memacct.Acct) (core.Scoper, error) {
+			scope, _, err := l.newScoper(b, set, acct)
 			return scope, err
 		},
 		ExpectedEdges: rowEdges,

@@ -7,8 +7,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/erv"
 	"repro/internal/gformat"
+	"repro/internal/memacct"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/store"
@@ -492,7 +495,7 @@ func TestERVBlocksReportAttempts(t *testing.T) {
 		var src rng.Source
 		for u := range rows {
 			src.Reseed(b.Seed, uint64(u))
-			dsts, n := g.ScopeAttempts(u, &src, nil)
+			dsts, n := g.ScopeAttempts(nil, u, &src)
 			edges += int64(len(dsts))
 			attempts += n
 			if rows == 37 && cols == 37 {
@@ -574,7 +577,7 @@ func cappedRows(t *testing.T, lay *Layout, b Block) int {
 	for v := part.Lo; v < part.Hi; v++ {
 		u := v - part.SrcOff
 		src.Reseed(part.Seed, uint64(u))
-		dsts, attempts := scope(u, &src, nil)
+		dsts, attempts := scope(nil, u, &src)
 		if size := (attempts - 1024) / 64; attempts >= 1024 && (attempts-1024)%64 == 0 && int64(len(dsts)) < size {
 			n++
 		}
@@ -625,9 +628,9 @@ func TestLentSetAcrossBlocks(t *testing.T) {
 			}
 			more = true
 			src.Reseed(b.part.Seed, uint64(u))
-			want, wantAttempts := b.own(u, &src, nil)
+			want, wantAttempts := b.own(nil, u, &src)
 			src.Reseed(b.part.Seed, uint64(u))
-			got, attempts := b.shared(u, &src, nil)
+			got, attempts := b.shared(nil, u, &src)
 			if !slices.Equal(got, want) || attempts != wantAttempts {
 				t.Fatalf("block %d row %d: lent set kept %d of %d attempts, a fresh set %d of %d", id, u, len(got), attempts, len(want), wantAttempts)
 			}
@@ -636,5 +639,112 @@ func TestLentSetAcrossBlocks(t *testing.T) {
 	}
 	if edges < 90000 {
 		t.Fatalf("%d edges drawn of a 100000-edge budget", edges)
+	}
+}
+
+// TestPeakWorkerBytes: both engines charge each scope's working set to
+// the thread's accountant — AVS its vector, ERV its destination vector,
+// and each 8 bytes per kept destination — so a community run reports a
+// peak: above zero, within that model's bound at the run's largest
+// degree and widest vector, and the same at one thread and four, since
+// it is the largest charge of any scope whichever thread drew it. One
+// layout is a single power-of-two community, an AVS block alone; one
+// has rectangles only; one mixes the two.
+func TestPeakWorkerBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	three := [][]float64{{6, 1, 1}, {1, 3, 1}, {1, 1, 4}}
+	for _, tc := range []struct {
+		sizes  []int64
+		mixing [][]float64
+	}{
+		{[]int64{4096}, [][]float64{{1}}},
+		{[]int64{1000, 300, 3000}, three},
+		{[]int64{1024, 300, 3000}, three},
+	} {
+		lay := mustLayout(t, Config{
+			Sizes:      tc.sizes,
+			Mixing:     tc.mixing,
+			Edges:      60000,
+			Noise:      0.1,
+			MasterSeed: 9,
+		})
+		_, one := streamLayout(t, lay, gformat.ADJ6, 1)
+		_, four := streamLayout(t, lay, gformat.ADJ6, 4)
+		levels := int64(bits.Len64(uint64(slices.Max(tc.sizes))))
+		bound := (levels+1)*16 + one.MaxDegree*memacct.VertexBytes
+		if one.PeakWorkerBytes <= 0 || one.PeakWorkerBytes > bound {
+			t.Fatalf("sizes %v: peak worker bytes %d, want in (0, %d] at max degree %d", tc.sizes, one.PeakWorkerBytes, bound, one.MaxDegree)
+		}
+		if four.PeakWorkerBytes != one.PeakWorkerBytes {
+			t.Fatalf("sizes %v: peak worker bytes %d at four threads, %d at one", tc.sizes, four.PeakWorkerBytes, one.PeakWorkerBytes)
+		}
+	}
+}
+
+// TestOffsetBlocksThroughGenerateParts: the executor draws a chunk's
+// rows one after another into one buffer, so a block's scope is appended
+// after rows already offset by DstOff — values past the block's own
+// duplicate bitmap. Each block with DstOff ≠ 0, an ERV rectangle and an
+// AVS diagonal, run alone through core.GenerateParts, must write what
+// its rows drawn one by one into empty buffers and offset write.
+func TestOffsetBlocksThroughGenerateParts(t *testing.T) {
+	lay := mustLayout(t, Config{
+		Sizes:      []int64{300, 2048},
+		Mixing:     [][]float64{{2, 3}, {3, 4}},
+		Edges:      60000,
+		MasterSeed: 13,
+	})
+	var offset, rect int
+	for _, b := range lay.Blocks() {
+		if b.DstLo == 0 {
+			continue
+		}
+		offset++
+		if !b.AVS {
+			rect++
+		}
+		part, err := lay.OpenPart(b.ID, partition.Range{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scope, err := part.NewScoper(new(avs.DedupSet), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		w, err := gformat.NewWriter(&want, gformat.ADJ6, lay.NumVertices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var src rng.Source
+		for v := part.Lo; v < part.Hi; v++ {
+			u := v - part.SrcOff
+			src.Reseed(part.Seed, uint64(u))
+			dsts, _ := scope(nil, u, &src)
+			for i := range dsts {
+				dsts[i] += part.DstOff
+			}
+			if err := w.WriteScope(v, dsts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		sinks := func(int, partition.Range) (gformat.Writer, error) {
+			return gformat.NewWriter(&got, gformat.ADJ6, lay.NumVertices())
+		}
+		r := partition.Range{Lo: b.SrcLo, Hi: b.SrcHi}
+		st, err := core.GenerateParts(lay, []partition.Range{r}, []int{b.ID}, sinks, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) || st.Edges == 0 {
+			t.Fatalf("block %s (DstOff %d): GenerateParts wrote %d bytes (%d edges), its rows drawn one by one %d", b.Name, part.DstOff, got.Len(), st.Edges, want.Len())
+		}
+	}
+	if offset != 2 || rect != 1 {
+		t.Fatalf("%d blocks with DstOff ≠ 0, %d of them rectangles: want 2 and 1", offset, rect)
 	}
 }

@@ -47,18 +47,18 @@ func (m *drawMeter) OpenPart(id int, r partition.Range) (Part, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
-			dsts, attempts := scope(u, src, buf)
+		return func(dst []int64, u int64, src *rng.Source) ([]int64, int64) {
+			out, attempts := scope(dst, u, src)
 			m.mu.Lock()
 			m.attempts[set] += attempts
 			m.scopes++
 			if m.rows != nil {
 				m.rows[u] = attempts
 			}
-			m.gap += int64(len(dsts))
+			m.gap += int64(len(out) - len(dst))
 			m.peak = max(m.peak, m.gap)
 			m.mu.Unlock()
-			return dsts, attempts
+			return out, attempts
 		}, nil
 	}
 	return p, nil

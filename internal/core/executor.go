@@ -105,13 +105,14 @@ const (
 )
 
 // chunk is a run of rows [lo, hi) of one part, taken by one thread and
-// drawn into lens and dsts (row lo+i has lens[i] destinations, flat in
-// dsts), then written when every chunk before it has been. The chunk at
-// the head of its part's queue when it was taken is the thread's own: the
-// thread writes it before it takes another. One taken behind another is
-// drawn ahead and charged against the window until it is written. Both
-// reuse their buffers from run to run, through headChunks and
-// aheadChunks.
+// drawn straight into lens and dsts (row lo+i has lens[i] destinations,
+// flat in dsts), then written when every chunk before it has been: dsts
+// is the one buffer an edge passes through from draw to encode. The
+// chunk at the head of its part's queue when it was taken is the
+// thread's own: the thread writes it before it takes another. One taken
+// behind another is drawn ahead and charged against the window until it
+// is written. Both reuse their buffers from run to run, through
+// aheadChunks and idleThreads.
 type chunk struct {
 	lo, hi int64
 	ahead  bool
@@ -122,20 +123,34 @@ type chunk struct {
 	dsts   []int64
 }
 
-// aheadChunks and headChunks recycle chunk buffers: a run needs one per
-// thread and a window's worth at once, and a process that generates
-// again and again (a server, a swarm worker, a stream's every part) would
-// otherwise allocate them anew each time. A chunk's edges scatter around
-// its expectation; an eighth over is a dozen standard deviations at this
-// size. Heads are pooled apart because only a head holds a row larger
-// than the window: its grown buffer serves the next thread's head, and
-// does not pass into every chunk the window hands out.
+// thread is the storage one drawing thread keeps warm between chunks:
+// its head chunk, the duplicate filter it lends every Scoper it builds,
+// the accountant those Scopers charge and the stream it reseeds per
+// scope.
+type thread struct {
+	head chunk
+	set  avs.DedupSet
+	acct memacct.Acct
+	src  rng.Source
+}
+
+// aheadChunks and idleThreads recycle chunks and threads: a run needs a
+// thread's storage per thread and a window's worth of chunks at once,
+// and a process that generates again and again (a server, a swarm
+// worker, a stream's every part) would otherwise allocate them anew each
+// time. A chunk's edges scatter around its expectation; an eighth over is
+// a dozen standard deviations at this size. Heads are pooled apart, with
+// their thread, because only a head holds a row larger than the window:
+// its grown buffer serves the next thread's head, and does not pass into
+// every chunk the window hands out. The duplicate filter pooled with it
+// retains O(d_max) (avs.DedupSet), and sync.Pool drops both across
+// garbage collections.
 var (
-	aheadChunks = sync.Pool{New: newChunk}
-	headChunks  = sync.Pool{New: newChunk}
+	aheadChunks = sync.Pool{New: func() any { return &chunk{dsts: newDsts()} }}
+	idleThreads = sync.Pool{New: func() any { return &thread{head: chunk{dsts: newDsts()}} }}
 )
 
-func newChunk() any { return &chunk{dsts: make([]int64, 0, chunkEdges+chunkEdges/8)} }
+func newDsts() []int64 { return make([]int64, 0, chunkEdges+chunkEdges/8) }
 
 // write replays a drawn chunk into its part's writer.
 func (c *chunk) write(w gformat.Writer) error {
@@ -199,21 +214,23 @@ type chunkSched struct {
 // so under atomic sinks it is never renamed into place, and its error is
 // kept in part order.
 //
-// Drawing is CPU-bound and a thread keeps O(d_max) of warm storage, so
-// callers give no more threads than GOMAXPROCS. They take chunks
-// cooperatively: each takes the next chunk of the first part that still
-// has rows and either has no chunk in flight — the thread then holds the
-// part's head — or fits the run-ahead window. Every chunk is drawn into
-// a buffer and handed to the writer when its turn comes, by the thread
-// that finishes the chunk before it or by its own, whichever is later; a
-// head chunk's turn has come when it is drawn. Scope (seed, row) is a
+// Drawing is CPU-bound and a thread keeps O(max(d_max, chunk)) of warm
+// storage, so callers give no more threads than GOMAXPROCS. They take
+// chunks cooperatively: each takes the next chunk of the first part that
+// still has rows and either has no chunk in flight — the thread then
+// holds the part's head — or fits the run-ahead window. Every chunk is
+// drawn straight into its own buffer and handed to the writer when its
+// turn comes, by the thread that finishes the chunk before it or by its
+// own, whichever is later; a head chunk's turn has come when it is
+// drawn. Scope (seed, row) is a
 // pure function, so which thread draws a row changes nothing the writer
 // sees. Taking chunks in part order, not own part first, is what keeps
 // threads busy: a thread whose part is exhausted, or whose way is barred
 // by a full window behind a hub row, always has the next part's head to
 // fall back on. The window holds aheadEdges expected edges per thread; a
 // chunk that alone exceeds it (one huge row) is only ever drawn at the
-// head. So extra memory is O(threads · (d_max + chunk)), and with one
+// head. So a drawn edge is held in one buffer, its chunk's, and extra
+// memory is O(threads · max(d_max, chunk)) and the window; with one
 // thread every chunk is a head chunk: one chunk or one row, whichever is
 // larger, is in hand, and no goroutine starts.
 //
@@ -280,22 +297,19 @@ func (s *chunkSched) total(ranges []partition.Range, took time.Duration) Stats {
 	return out
 }
 
-// work is one thread: it owns the storage worth keeping warm between
-// chunks — the scope buffer, the duplicate filter it lends every Scoper
-// it builds, the Scoper of the part it drew from last.
+// work is one thread: it takes a thread's warm storage from idleThreads
+// and holds the Scoper of the part it drew from last. Each row is drawn
+// straight onto the end of its chunk's buffer, and only that tail is
+// offset by DstOff and counted.
 func (s *chunkSched) work() {
+	t := idleThreads.Get().(*thread)
+	defer idleThreads.Put(t)
 	var (
 		of    *partRun // the part scope was built for
 		scope Scoper
-		set   avs.DedupSet
-		acct  memacct.Acct
-		buf   []int64
-		src   rng.Source // reseeded per scope: no allocation per vertex
-		head  = headChunks.Get().(*chunk)
 	)
-	defer headChunks.Put(head)
 	for {
-		p, c := s.take(head)
+		p, c := s.take(&t.head)
 		if p == nil {
 			return
 		}
@@ -307,8 +321,8 @@ func (s *chunkSched) work() {
 			// parts it visits. The accountant restarts with it, so its peak
 			// is over this part's scopes only.
 			of = nil
-			acct.Reset()
-			if scope, err = p.NewScoper(&set, &acct); err == nil {
+			t.acct.Reset()
+			if scope, err = p.NewScoper(&t.set, &t.acct); err == nil {
 				of = p
 			}
 			built = time.Since(start)
@@ -317,23 +331,24 @@ func (s *chunkSched) work() {
 		if err == nil {
 			for v := c.lo; v < c.hi; v++ {
 				u := v - p.SrcOff
-				src.Reseed(p.Seed, uint64(u))
-				dsts, attempts := scope(u, &src, buf)
-				buf = dsts
+				t.src.Reseed(p.Seed, uint64(u))
+				n := len(c.dsts)
+				var attempts int64
+				c.dsts, attempts = scope(c.dsts, u, &t.src)
+				row := c.dsts[n:]
 				if p.DstOff != 0 {
-					for i := range dsts {
-						dsts[i] += p.DstOff
+					for i := range row {
+						row[i] += p.DstOff
 					}
 				}
 				st.Attempts += attempts
-				st.Edges += int64(len(dsts))
-				st.MaxDegree = max(st.MaxDegree, int64(len(dsts)))
-				c.lens = append(c.lens, int32(len(dsts)))
-				c.dsts = append(c.dsts, dsts...)
+				st.Edges += int64(len(row))
+				st.MaxDegree = max(st.MaxDegree, int64(len(row)))
+				c.lens = append(c.lens, int32(len(row)))
 			}
 			st.Scopes = c.hi - c.lo
 		}
-		st.PeakWorkerBytes = acct.Peak()
+		st.PeakWorkerBytes = t.acct.Peak()
 		s.finish(p, c, built, time.Since(start)-built, err)
 	}
 }
@@ -563,7 +578,7 @@ func (s *Stats) merge(part Stats) {
 //
 // It is drawParts as an ordered run on min(max(workers, 1), GOMAXPROCS)
 // threads, each part through an ordinary encoder over w, so stream
-// memory is the batch bound, O(threads · (d_max + chunk)) and the
+// memory is the batch bound, O(threads · max(d_max, chunk)) and the
 // window, whatever the parts' sizes, a slow w throttles generation, and
 // workers ≤ 1 is one thread and no goroutine: batch. The first failure —
 // a part's, a write error on w, ctx cancelled (seen after the next chunk

@@ -134,19 +134,19 @@ func (c Config) OpenPart(_ int, r partition.Range) (Part, error) {
 				return nil, err
 			}
 			g.ShareSet(set)
-			return func(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
-				res := g.Scope(u, src, buf)
-				return res.Dsts, res.Attempts
-			}, nil
+			return g.ScopeAttempts, nil
 		},
 		ExpectedEdges: c.rowEdges(),
 	}, nil
 }
 
-// Scoper draws one scope: the destinations of local source row u from
-// src (already seeded for u) into buf, which is reused from scope to
-// scope, plus the stochastic attempt count.
-type Scoper func(u int64, src *rng.Source, buf []int64) (dsts []int64, attempts int64)
+// Scoper draws one scope: it appends the destinations of local source
+// row u, drawn from src (already seeded for u), to dst — growing it the
+// way append does — and returns it with the scope's stochastic attempt
+// count. dst's earlier values are neither read nor changed, so the
+// executor draws each row straight into the chunk that carries it to
+// the writer.
+type Scoper func(dst []int64, u int64, src *rng.Source) ([]int64, int64)
 
 // planner names the way Plan cuts parts. Part files carry only their
 // index, so a directory half-written under other cuts must not be

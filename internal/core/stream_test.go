@@ -320,8 +320,8 @@ func (f *failingSource) OpenPart(id int, r partition.Range) (Part, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
-			dsts, attempts := scope(u, src, buf)
+		return func(dst []int64, u int64, src *rng.Source) ([]int64, int64) {
+			dsts, attempts := scope(dst, u, src)
 			if u == f.row {
 				dsts = append(dsts, gformat.MaxVertexID+1)
 			}

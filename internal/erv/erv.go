@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/alias"
 	"repro/internal/avs"
+	"repro/internal/memacct"
 	"repro/internal/recvec"
 	"repro/internal/rng"
 	"repro/internal/skg"
@@ -289,6 +290,9 @@ type Generator struct {
 	// set is the in-scope duplicate filter, reused across Scope calls:
 	// the generator's own, unless ShareSet lent it the calling thread's.
 	set *avs.DedupSet
+	// acct, when non-nil (Account), observes each scope's working set at
+	// its end, as avs.Generator's does.
+	acct *memacct.Acct
 	// reach is d̂_max, the largest expected out-degree, clamped to
 	// [1, NumDst]: the set's bitmap serves every row when NumDst ≤
 	// 64·reach (and NumDst ≤ 2^23).
@@ -360,6 +364,10 @@ func New(cfg Config) (*Generator, error) {
 // ShareSet makes g filter duplicates through set instead of a set of its
 // own, as avs.Generator.ShareSet does.
 func (g *Generator) ShareSet(set *avs.DedupSet) { g.set = set }
+
+// Account makes every later scope observe its working set on acct, as
+// an avs.Generator built with an accountant does. acct may be nil.
+func (g *Generator) Account(acct *memacct.Acct) { g.acct = acct }
 
 // rowMass returns the unnormalized Kout measure of source u ∈ [0, NumSrc).
 func (g *Generator) rowMass(u int64) float64 {
@@ -472,32 +480,36 @@ func (g *Generator) drawDst(src *rng.Source) int64 {
 	}
 }
 
-// Scope generates source u's destinations (deduplicated unless
-// AllowDuplicates). Destinations use range-local IDs [0, NumDst).
-// Rejection sampling stops after 64·size+1024 attempts, the cap of
-// avs.ScopeWithSize, so a near-full row comes back short rather than
-// looping; the cap is part of the stream.
+// Scope generates source u's destinations into buf, reused from its
+// start: ScopeAttempts without the attempts.
 func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
-	out, _ := g.ScopeAttempts(u, src, buf)
+	out, _ := g.ScopeAttempts(buf[:0], u, src)
 	return out
 }
 
-// ScopeAttempts is Scope, also returning the scope's attempts: its
-// in-range destination draws, kept or rejected as duplicates, which
-// outnumber the destinations exactly when duplicates were rejected. It
-// has the signature of core.Scoper.
-func (g *Generator) ScopeAttempts(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
+// ScopeAttempts appends source u's destinations (deduplicated unless
+// AllowDuplicates) to dst, growing it as append does, and returns it
+// with the scope's attempts: its in-range destination draws, kept or
+// rejected as duplicates, which outnumber the destinations exactly when
+// duplicates were rejected. Destinations use range-local IDs
+// [0, NumDst). dst's first len(dst) values are left as they are, and
+// neither the duplicate filter nor the accountant sees them. Rejection
+// sampling stops after 64·size+1024 attempts, the cap of
+// avs.ScopeWithSize, so a near-full row comes back short rather than
+// looping; the cap is part of the stream. It has the signature of
+// core.Scoper.
+func (g *Generator) ScopeAttempts(dst []int64, u int64, src *rng.Source) ([]int64, int64) {
 	size := g.ScopeSize(u, src)
-	out := buf[:0]
 	if size <= 0 {
-		return out, 0
+		return dst, 0
 	}
-	out = slices.Grow(out, int(size)) // known before the first draw
+	start := len(dst)
+	dst = slices.Grow(dst, int(size)) // known before the first draw
 	// Under AllowDuplicates the set admits everything, so every attempt
 	// keeps its destination and the cap, above size, never binds.
 	set := g.set
 	set.Begin(size, g.cfg.NumDst, g.reach, !g.cfg.AllowDuplicates)
-	attempts, limit := int64(0), 64*size+1024
+	want, attempts, limit := int64(start)+size, int64(0), 64*size+1024
 	if g.dstVec != nil {
 		// As in avs.ScopeWithSize: while n more destinations and n more
 		// attempts are both allowed, one drawDst per attempt (the loop the
@@ -509,10 +521,9 @@ func (g *Generator) ScopeAttempts(u int64, src *rng.Source, buf []int64) ([]int6
 		numDst := g.cfg.NumDst
 		var vs [recvec.WideLanes]int64
 		for {
-			room := min(size-int64(len(out)), limit-attempts)
+			room := min(want-int64(len(dst)), limit-attempts)
 			if room <= 0 {
-				set.End(out)
-				return out, attempts
+				break
 			}
 			n, in := g.dstVec.DrawLanes(src, room, &vs), 0
 			for _, v := range vs[:n] {
@@ -522,15 +533,29 @@ func (g *Generator) ScopeAttempts(u int64, src *rng.Source, buf []int64) ([]int6
 				}
 			}
 			attempts += int64(in)
-			out = set.InsertLanes(vs[:in], out)
+			dst = set.InsertLanes(vs[:in], dst)
+		}
+	} else {
+		for int64(len(dst)) < want && attempts < limit {
+			attempts++
+			if v := g.drawDst(src); set.Insert(v) {
+				dst = append(dst, v)
+			}
 		}
 	}
-	for int64(len(out)) < size && attempts < limit {
-		attempts++
-		if v := g.drawDst(src); set.Insert(v) {
-			out = append(out, v)
+	set.End(dst[start:])
+	if g.acct != nil {
+		// avs.ScopeWithSize's charge: the destination vector, if the
+		// in-distribution draws through one, plus 8 bytes per kept
+		// destination unless duplicates are allowed.
+		var tracked int64
+		if g.dstVec != nil {
+			tracked = int64(g.dstLevels+1) * 16
 		}
+		if !g.cfg.AllowDuplicates {
+			tracked += int64(len(dst)-start) * memacct.VertexBytes
+		}
+		g.acct.Observe(tracked)
 	}
-	set.End(out)
-	return out, attempts
+	return dst, attempts
 }

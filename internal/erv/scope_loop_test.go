@@ -1,9 +1,11 @@
 package erv
 
 import (
+	"math"
 	"slices"
 	"testing"
 
+	"repro/internal/memacct"
 	"repro/internal/recvec"
 	"repro/internal/rng"
 )
@@ -143,7 +145,7 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 		}
 		want, got := rng.NewScoped(uint64(cfg.NumDst), uint64(u)), rng.NewScoped(uint64(cfg.NumDst), uint64(u))
 		wantDsts, size, wantAttempts, draws := referenceScope(g, u, want)
-		gotDsts, attempts := g.ScopeAttempts(u, got, nil)
+		gotDsts, attempts := g.ScopeAttempts(nil, u, got)
 		if !slices.Equal(gotDsts, wantDsts) || attempts != wantAttempts {
 			t.Fatalf("NumDst %d in %v out %v dups %v u %d: got %d destinations after %d attempts %v, reference %d after %d %v",
 				cfg.NumDst, cfg.InDist.Kind, cfg.OutDist, cfg.AllowDuplicates, u, len(gotDsts), attempts, gotDsts, len(wantDsts), wantAttempts, wantDsts)
@@ -213,6 +215,64 @@ func TestScopeMatchesReferenceLoop(t *testing.T) {
 	for width := int64(1); width < recvec.WideLanes; width++ {
 		if byCap[width] == 0 {
 			t.Errorf("of %d scopes none ended on a padded call of width %d bounded by the cap (by width: %v); the sweep no longer covers it", scopes, width, byCap)
+		}
+	}
+}
+
+// TestScopeAttemptsKeepsPrefix is the twin of avs's test of the same
+// name: called, as core's executor calls it, with earlier values in dst
+// that no duplicate filter could index, the append form leaves them as
+// they are and appends exactly what Scope returns on the same stream,
+// with the same attempts and accounting peak, whether the row fits dst's
+// spare capacity or makes it grow. NumDst 5000 puts hub rows on the
+// set's bitmap tier and tail rows on its table; a uniform in-distribution
+// takes the one-draw-per-attempt loop.
+func TestScopeAttemptsKeepsPrefix(t *testing.T) {
+	base := Config{
+		NumSrc: 256, NumDst: 5000, NumEdges: 20000,
+		OutDist: Dist{Kind: Zipfian, Slope: -1.5},
+		InDist:  Dist{Kind: Zipfian, Slope: -1.5},
+	}
+	uniform, dups := base, base
+	uniform.InDist = Dist{Kind: Uniform}
+	dups.AllowDuplicates = true
+	for name, cfg := range map[string]Config{"vector": base, "uniform": uniform, "dups": dups} {
+		var wantAcct, gotAcct memacct.Acct
+		want, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Account(&wantAcct)
+		got, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Account(&gotAcct)
+		prefix := []int64{-1, cfg.NumDst, math.MaxInt64}
+		var fit, grew int
+		for u := int64(0); u < cfg.NumSrc; u++ {
+			wantSrc, gotSrc := rng.NewScoped(5, uint64(u)), rng.NewScoped(5, uint64(u))
+			wantDsts, wantAttempts := want.ScopeAttempts(nil, u, wantSrc)
+			dst := append(make([]int64, 0, len(prefix)+16), prefix...)
+			out, attempts := got.ScopeAttempts(dst, u, gotSrc)
+			if !slices.Equal(out[:len(prefix)], prefix) || !slices.Equal(dst, prefix) {
+				t.Fatalf("%s u %d: prefix came back as %v, dst holds %v, want %v", name, u, out[:len(prefix)], dst, prefix)
+			}
+			if !slices.Equal(out[len(prefix):], wantDsts) || attempts != wantAttempts {
+				t.Fatalf("%s u %d: appended %d destinations after %d attempts, want %d after %d",
+					name, u, len(out)-len(prefix), attempts, len(wantDsts), wantAttempts)
+			}
+			if gotSrc.Uint64() != wantSrc.Uint64() || gotAcct.Peak() != wantAcct.Peak() {
+				t.Fatalf("%s u %d: stream position or accounting peak (%d, want %d) differs", name, u, gotAcct.Peak(), wantAcct.Peak())
+			}
+			if cap(out) > cap(dst) {
+				grew++
+			} else {
+				fit++
+			}
+		}
+		if fit == 0 || grew == 0 || wantAcct.Peak() == 0 {
+			t.Fatalf("%s: %d rows fit dst, %d made it grow, peak %d: want some of each and a charge", name, fit, grew, wantAcct.Peak())
 		}
 	}
 }
