@@ -24,9 +24,9 @@ import (
 	"math"
 	"os"
 
+	"repro/cmd/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/gformat"
-	"repro/internal/skg"
 	"repro/internal/stats"
 	"repro/internal/validate"
 )
@@ -116,20 +116,17 @@ func emitJSON(v any) {
 	enc.Encode(v)
 }
 
-func main() {
-	var (
-		format   = flag.String("format", "adj6", "input format: tsv, adj6 or csr6")
-		plot     = flag.Bool("plot", false, "print out-degree plot points (degree<TAB>count)")
-		inadj    = flag.Bool("inadj", false, "input stores in-adjacency lists (AVS-I output): swap in/out")
-		compare  = flag.String("compare", "", "second graph (same format): print KS distances instead of stats")
-		jsonFlag = flag.Bool("json", false, "emit the report as JSON instead of text")
+var (
+	format   = flag.String("format", "adj6", "input format: tsv, adj6 or csr6")
+	plot     = flag.Bool("plot", false, "print out-degree plot points (degree<TAB>count)")
+	inadj    = flag.Bool("inadj", false, "input stores in-adjacency lists (AVS-I output): swap in/out")
+	compare  = flag.String("compare", "", "second graph (same format): print KS distances instead of stats")
+	jsonFlag = flag.Bool("json", false, "emit the report as JSON instead of text")
+	expect   = cliflags.GraphFlags(flag.CommandLine, "expect-", "master", 0)
+)
 
-		expectScale  = flag.Int("expect-scale", 0, "compare against closed-form expectations of this log2 vertex count (0 = off)")
-		expectEF     = flag.Int64("expect-edgefactor", 16, "expected edges per vertex (with -expect-scale)")
-		expectSeed   = flag.String("expect-seed", "0.57,0.19,0.19,0.05", "expected seed matrix a,b,c,d (with -expect-scale)")
-		expectNoise  = flag.Float64("expect-noise", 0, "expected NSKG noise parameter (with -expect-scale)")
-		expectMaster = flag.Uint64("expect-master", 1, "expected master random seed (with -expect-scale)")
-	)
+func main() {
+	flag.Lookup("expect-scale").Usage = "compare against the closed-form expectations of this log2 vertex count and the other -expect-* flags (0 = off)"
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fatal(fmt.Errorf("no input files"))
@@ -142,16 +139,10 @@ func main() {
 	counter := stats.NewDegreeCounter()
 	sinks := []scopeAdder{counter}
 	var acc *validate.Accumulator // the -expect-scale side of the one pass
-	if *expectScale > 0 && *compare == "" {
-		cfg = core.DefaultConfig(*expectScale)
-		cfg.EdgeFactor = *expectEF
-		cfg.NoiseParam = *expectNoise
-		cfg.MasterSeed = *expectMaster
-		seed, err := skg.ParseSeed(*expectSeed)
-		if err != nil {
+	if expect.Scale() > 0 && *compare == "" {
+		if cfg, err = expect.Config(); err != nil {
 			fatal(err)
 		}
-		cfg.Seed = seed
 		acc = validate.NewAccumulator()
 		sinks = append(sinks, acc)
 	}

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"flag"
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/cmd/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/gformat"
 	"repro/internal/stats"
@@ -162,5 +165,20 @@ func TestCompareFlagPath(t *testing.T) {
 	}
 	if ks := stats.KS(ca.OutHist(), cb.OutHist()); ks != 0 {
 		t.Fatalf("identical degree profiles, KS %v", ks)
+	}
+}
+
+// TestFlagSurface: the command's flags — names, types, defaults — are
+// the ones testdata/flags.golden pins; none added, dropped or
+// re-defaulted.
+func TestFlagSurface(t *testing.T) {
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// -update is this test binary's own golden-rewrite flag (json_test.go).
+	got := strings.Replace(cliflags.Surface(flag.CommandLine), "-update *flag.boolValue \"false\"\n", "", 1)
+	if got != string(want) {
+		t.Fatalf("flag surface\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

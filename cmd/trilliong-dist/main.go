@@ -47,54 +47,47 @@ import (
 	"net/http/pprof"
 	"os"
 
-	trilliong "repro"
-	"repro/internal/community"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/faultpoint"
 	"repro/internal/gformat"
 	"repro/internal/pressure"
-	"repro/internal/skg"
 	"repro/internal/store"
 	"repro/internal/swarm"
 	"repro/internal/telemetry"
 )
 
+var (
+	role        = flag.String("role", "", "master or worker")
+	listen      = flag.String("listen", ":7070", "master: listen address")
+	workers     = flag.Int("workers", 1, "master: worker processes to wait for")
+	minWorkers  = flag.Int("min-workers", 0, "master: start degraded with this many workers once -accept-timeout expires (0 = require -workers)")
+	parts       = flag.Int("parts", 0, "master: pin the part-file count (0 = thread sum at start)")
+	graph       = cliflags.GraphFlags(flag.CommandLine, "", "masterseed", 20)
+	format      = flag.String("format", "adj6", "master: output format")
+	acceptTO    = flag.Duration("accept-timeout", 0, "master: registration wait / idle watchdog (0 = 60s)")
+	heartbeat   = flag.Duration("heartbeat", 0, "master: heartbeat interval workers must keep (0 = 2s)")
+	resultTO    = flag.Duration("result-timeout", 0, "master: max silence on a leased connection (0 = 5 heartbeats)")
+	maxRetries  = flag.Int("max-retries", 0, "master: requeues per range before aborting (0 = 2)")
+	maxLease    = flag.Int("max-lease", 0, "master: ranges per lease regardless of worker threads (0 = no cap)")
+	masterAddr  = flag.String("master", "", "worker: master host:port")
+	threads     = flag.Int("threads", 1, "worker: generation goroutines")
+	out         = flag.String("out", "", "worker: local output directory")
+	maxDials    = flag.Int("max-dials", 0, "worker: consecutive failed connection attempts before giving up (0 = 10)")
+	stores      = cliflags.StoreFlags(flag.CommandLine, "store", "worker: artifact store directory (cached ranges are copied, not regenerated)")
+	withPres    = flag.Bool("pressure", false, "worker: sample host pressure and advertise it in heartbeats so the master routes fresh ranges to cooler machines")
+	masterless  = flag.Bool("masterless", false, "run as a swarm worker: no master, walk order derived from the job flags, rendezvous through the shared -out dir/-store (ignores -role)")
+	swarmID     = flag.Uint64("swarm-id", 0, "masterless: worker identity, shown in its summary; every worker walks the same order (0 = random)")
+	scanEvery   = flag.Duration("scan-interval", 0, "masterless: patience floor — a peer's claim marker (a file beside the part; the rendezvous surface is files only) is left alone at least this long, longer when this worker's own parts are slower, before its part is stolen (0 = 250ms)")
+	maxEpochs   = flag.Int("max-epochs", 0, "masterless: abort if a verifying scan still finds parts missing after this many claim passes; a clean run needs one (0 = unbounded)")
+	commSpec    = flag.String("community", "", "community spec JSON file: generate a community composition (master and masterless; blocks are the work units)")
+	faults      = flag.String("faultpoints", "", "arm fault injection, e.g. 'dist.worker.scope=crash*1' (also via "+faultpoint.EnvVar+")")
+	metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/vars (JSON) on this address")
+	withPprof   = flag.Bool("pprof", false, "with -metrics-addr: also mount net/http/pprof under /debug/pprof/")
+)
+
 func main() {
-	var (
-		role        = flag.String("role", "", "master or worker")
-		listen      = flag.String("listen", ":7070", "master: listen address")
-		workers     = flag.Int("workers", 1, "master: worker processes to wait for")
-		minWorkers  = flag.Int("min-workers", 0, "master: start degraded with this many workers once -accept-timeout expires (0 = require -workers)")
-		parts       = flag.Int("parts", 0, "master: pin the part-file count (0 = thread sum at start)")
-		scale       = flag.Int("scale", 20, "master: log2 vertex count")
-		edgeFactor  = flag.Int64("edgefactor", 16, "master: edges per vertex")
-		seedSpec    = flag.String("seed", "0.57,0.19,0.19,0.05", "master: seed matrix a,b,c,d")
-		noise       = flag.Float64("noise", 0, "master: NSKG noise parameter")
-		masterSeed  = flag.Uint64("masterseed", 1, "master: random master seed")
-		format      = flag.String("format", "adj6", "master: output format")
-		acceptTO    = flag.Duration("accept-timeout", 0, "master: registration wait / idle watchdog (0 = 60s)")
-		heartbeat   = flag.Duration("heartbeat", 0, "master: heartbeat interval workers must keep (0 = 2s)")
-		resultTO    = flag.Duration("result-timeout", 0, "master: max silence on a leased connection (0 = 5 heartbeats)")
-		maxRetries  = flag.Int("max-retries", 0, "master: requeues per range before aborting (0 = 2)")
-		maxLease    = flag.Int("max-lease", 0, "master: ranges per lease regardless of worker threads (0 = no cap)")
-		masterAddr  = flag.String("master", "", "worker: master host:port")
-		threads     = flag.Int("threads", 1, "worker: generation goroutines")
-		out         = flag.String("out", "", "worker: local output directory")
-		maxDials    = flag.Int("max-dials", 0, "worker: consecutive failed connection attempts before giving up (0 = 10)")
-		storeDir    = flag.String("store", "", "worker: artifact store directory (cached ranges are copied, not regenerated)")
-		storeMax    = flag.Int64("store-max-bytes", 0, "worker: store size budget in bytes (0 = unbounded)")
-		remoteSpec  = flag.String("remote-store", "", "worker: cold tier behind -store: s3://bucket[/prefix]?endpoint=URL or a directory path")
-		withPres    = flag.Bool("pressure", false, "worker: sample host pressure and advertise it in heartbeats so the master routes fresh ranges to cooler machines")
-		masterless  = flag.Bool("masterless", false, "run as a swarm worker: no master, walk order derived from the job flags, rendezvous through the shared -out dir/-store (ignores -role)")
-		swarmID     = flag.Uint64("swarm-id", 0, "masterless: worker identity, shown in its summary; every worker walks the same order (0 = random)")
-		scanEvery   = flag.Duration("scan-interval", 0, "masterless: patience floor — a peer's claim marker (a file beside the part; the rendezvous surface is files only) is left alone at least this long, longer when this worker's own parts are slower, before its part is stolen (0 = 250ms)")
-		maxEpochs   = flag.Int("max-epochs", 0, "masterless: abort if a verifying scan still finds parts missing after this many claim passes; a clean run needs one (0 = unbounded)")
-		commSpec    = flag.String("community", "", "community spec JSON file: generate a community composition (master and masterless; blocks are the work units)")
-		faults      = flag.String("faultpoints", "", "arm fault injection, e.g. 'dist.worker.scope=crash*1' (also via "+faultpoint.EnvVar+")")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/vars (JSON) on this address")
-		withPprof   = flag.Bool("pprof", false, "with -metrics-addr: also mount net/http/pprof under /debug/pprof/")
-	)
 	flag.Parse()
 
 	tel := telemetry.NewRegistry()
@@ -116,15 +109,10 @@ func main() {
 	// classicConfig is the single-model job the flags describe (both the
 	// master and a masterless worker need it when -community is unset).
 	classicConfig := func() core.Config {
-		seed, err := skg.ParseSeed(*seedSpec)
+		cfg, err := graph.Config()
 		if err != nil {
 			fatal(err)
 		}
-		cfg := core.DefaultConfig(*scale)
-		cfg.EdgeFactor = *edgeFactor
-		cfg.Seed = seed
-		cfg.NoiseParam = *noise
-		cfg.MasterSeed = *masterSeed
 		return cfg
 	}
 
@@ -140,7 +128,7 @@ func main() {
 		if *commSpec != "" {
 			// The layout fixes the part count (one per block), so -parts
 			// need not — and must not — be pinned.
-			lay, err := loadCommunityLayout(*commSpec)
+			lay, err := cliflags.Community(*commSpec)
 			if err != nil {
 				fatal(err)
 			}
@@ -152,19 +140,8 @@ func main() {
 			}
 			src = classicConfig()
 		}
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
-		}
-		st, err := openWorkerStore(*storeDir, *storeMax, *remoteSpec, tel)
-		if err != nil {
-			fatal(err)
-		}
-		var ctrl *pressure.Controller
-		if *withPres {
-			ctrl = pressure.New(pressure.Config{DiskPath: *out, Telemetry: tel})
-			stopSampling := ctrl.Start()
-			defer stopSampling()
-		}
+		st, ctrl, stop := workerSetup(tel)
+		defer stop()
 		sum, err := swarm.Run(src, *out, f, swarm.Options{
 			Parts: *parts, WorkerID: *swarmID, Threads: *threads,
 			ScanInterval: *scanEvery, MaxEpochs: *maxEpochs,
@@ -199,7 +176,7 @@ func main() {
 		}
 		var targetEdges int64
 		if *commSpec != "" {
-			lay, err := loadCommunityLayout(*commSpec)
+			lay, err := cliflags.Community(*commSpec)
 			if err != nil {
 				fatal(err)
 			}
@@ -232,21 +209,8 @@ func main() {
 		if *masterAddr == "" || *out == "" {
 			fatal(fmt.Errorf("worker needs -master and -out"))
 		}
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
-		}
-		st, err := openWorkerStore(*storeDir, *storeMax, *remoteSpec, tel)
-		if err != nil {
-			fatal(err)
-		}
-		var ctrl *pressure.Controller
-		if *withPres {
-			// Watch the disk the part files land on; the os.* and
-			// pressure.* gauges ride the -metrics-addr registry.
-			ctrl = pressure.New(pressure.Config{DiskPath: *out, Telemetry: tel})
-			stopSampling := ctrl.Start()
-			defer stopSampling()
-		}
+		st, ctrl, stop := workerSetup(tel)
+		defer stop()
 		if err := dist.RunWorker(dist.WorkerConfig{
 			MasterAddr: *masterAddr, Threads: *threads, OutDir: *out,
 			MaxDials: *maxDials, Telemetry: tel, Store: st,
@@ -260,26 +224,30 @@ func main() {
 	}
 }
 
+// workerSetup readies what a generating worker (masterless or leased)
+// runs with: the -out directory, the artifact store and, with
+// -pressure, a controller watching the disk the part files land on (the
+// os.* and pressure.* gauges ride the -metrics-addr registry). stop
+// ends its sampling.
+func workerSetup(tel *telemetry.Registry) (st *store.Store, ctrl *pressure.Controller, stop func()) {
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		fatal(err)
+	}
+	st, err := stores.Open(tel)
+	if err != nil {
+		fatal(err)
+	}
+	if !*withPres {
+		return st, nil, func() {}
+	}
+	ctrl = pressure.New(pressure.Config{DiskPath: *out, Telemetry: tel})
+	return st, ctrl, ctrl.Start()
+}
+
 // serveMetrics starts the observability sidecar listener: the process
 // telemetry as Prometheus text on /metrics and expvar-style JSON on
 // /debug/vars, plus (opt-in) the pprof endpoints. It runs for the life
 // of the process; generation traffic stays on the main port.
-// openWorkerStore opens the worker's artifact store with an optional
-// cold tier behind it ("" dir = no store at all).
-func openWorkerStore(dir string, maxBytes int64, remoteSpec string, tel *telemetry.Registry) (*store.Store, error) {
-	if dir == "" {
-		if remoteSpec != "" {
-			return nil, fmt.Errorf("-remote-store requires -store (the local hot tier)")
-		}
-		return nil, nil
-	}
-	remote, err := trilliong.OpenStoreBackend(remoteSpec, tel)
-	if err != nil {
-		return nil, fmt.Errorf("-remote-store: %w", err)
-	}
-	return store.Open(dir, store.Options{MaxBytes: maxBytes, Telemetry: tel, Remote: remote})
-}
-
 func serveMetrics(addr string, tel *telemetry.Registry, withPprof bool) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -298,23 +266,6 @@ func serveMetrics(addr string, tel *telemetry.Registry, withPprof bool) error {
 	fmt.Fprintf(os.Stderr, "trilliong-dist: metrics on http://%s/metrics\n", ln.Addr())
 	go http.Serve(ln, mux)
 	return nil
-}
-
-// loadCommunityLayout reads and resolves a community spec file.
-func loadCommunityLayout(path string) (*community.Layout, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := community.ParseSpec(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	lay, err := community.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return lay, nil
 }
 
 func fatal(err error) {

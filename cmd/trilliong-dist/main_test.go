@@ -1,8 +1,11 @@
 package main
 
 import (
+	"flag"
+	"os"
 	"testing"
 
+	"repro/cmd/internal/cliflags"
 	"repro/internal/skg"
 )
 
@@ -20,5 +23,18 @@ func TestParseSeed(t *testing.T) {
 		if _, err := skg.ParseSeed(bad); err == nil {
 			t.Fatalf("ParseSeed(%q) accepted", bad)
 		}
+	}
+}
+
+// TestFlagSurface: the command's flags — names, types, defaults — are
+// the ones testdata/flags.golden pins; none added, dropped or
+// re-defaulted.
+func TestFlagSurface(t *testing.T) {
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cliflags.Surface(flag.CommandLine); got != string(want) {
+		t.Fatalf("flag surface\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

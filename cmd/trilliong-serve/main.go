@@ -37,6 +37,7 @@ import (
 	"time"
 
 	trilliong "repro"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/faultpoint"
 )
 
@@ -50,10 +51,8 @@ type options struct {
 	maxScale       int
 	drainTimeout   time.Duration
 	pprof          bool
-	storeDir       string
-	storeMax       int64
+	store          *cliflags.Store
 	spoolDir       string
-	remoteStore    string
 	presignTTL     time.Duration
 	tenantSpecs    multiFlag
 	tenantDefaults string
@@ -77,10 +76,8 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.maxScale, "max-scale", 34, "largest accepted scale")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "graceful shutdown bound")
 	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	fs.StringVar(&o.storeDir, "store-dir", "", "artifact store directory: cache streamed artifacts, enable /download")
-	fs.Int64Var(&o.storeMax, "store-max-bytes", 0, "store size budget in bytes (0 = unbounded)")
+	o.store = cliflags.StoreFlags(fs, "store-dir", "artifact store directory: cache streamed artifacts, enable /download")
 	fs.StringVar(&o.spoolDir, "spool-dir", "", "staging directory for in-flight artifact copies (default: inside the store)")
-	fs.StringVar(&o.remoteStore, "remote-store", "", "cold tier behind the store: s3://bucket[/prefix]?endpoint=URL or a directory path (requires -store-dir)")
 	fs.DurationVar(&o.presignTTL, "presign-ttl", 15*time.Minute, "with an S3 -remote-store: /download answers 302 to a presigned URL valid this long for remote-only artifacts (0 = always stream locally)")
 	fs.Var(&o.tenantSpecs, "tenant", "per-tenant scheduling limits, repeatable: name[,weight=N,rate=F,burst=F,max-active=N,max-queued=N|none,ttl=D]")
 	fs.StringVar(&o.tenantDefaults, "tenant-defaults", "", "limits for tenants without a -tenant entry (same key=value list)")
@@ -106,8 +103,8 @@ func (o *options) validate() error {
 	if (o.pressureEvery != 0 || o.memBudget != 0) && !o.pressure {
 		return fmt.Errorf("-pressure-interval and -mem-budget-bytes require -pressure")
 	}
-	if o.remoteStore != "" && o.storeDir == "" {
-		return fmt.Errorf("-remote-store requires -store-dir (the local hot tier)")
+	if err := o.store.Check(); err != nil {
+		return err
 	}
 	if o.presignTTL < 0 {
 		return fmt.Errorf("-presign-ttl must not be negative")
@@ -164,26 +161,18 @@ func (o *options) newService() (*trilliong.Server, error) {
 			MemBudgetBytes: o.memBudget,
 			// Watch the disk that fills when streams are cached; without
 			// a store there is nothing we write to locally.
-			DiskPath: o.storeDir,
+			DiskPath: o.store.Dir,
 		},
 	})
-	if o.storeDir != "" {
-		remote, err := trilliong.OpenStoreBackend(o.remoteStore, svc.Telemetry())
-		if err != nil {
-			return nil, fmt.Errorf("-remote-store: %w", err)
-		}
-		st, err := trilliong.OpenStore(o.storeDir, trilliong.StoreOptions{
-			MaxBytes:  o.storeMax,
-			Telemetry: svc.Telemetry(),
-			Remote:    remote,
-		})
-		if err != nil {
-			return nil, err
-		}
+	st, err := o.store.Open(svc.Telemetry())
+	if err != nil {
+		return nil, err
+	}
+	if st != nil {
 		if err := svc.SetStore(st, o.spoolDir); err != nil {
 			return nil, err
 		}
-		if remote != nil {
+		if o.store.Remote != "" {
 			svc.SetPresignTTL(o.presignTTL)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	trilliong "repro"
+	"repro/cmd/internal/cliflags"
 )
 
 func TestFlagDefaultsAndValidation(t *testing.T) {
@@ -303,5 +304,20 @@ func TestServeScale20EndToEnd(t *testing.T) {
 	}
 	if vars.JobsCanceled != 1 || vars.JobsDone != 2 {
 		t.Fatalf("expvar jobs_canceled=%d jobs_done=%d", vars.JobsCanceled, vars.JobsDone)
+	}
+}
+
+// TestFlagSurface: the command's flags — names, types, defaults — are
+// the ones testdata/flags.golden pins; none added, dropped or
+// re-defaulted.
+func TestFlagSurface(t *testing.T) {
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("trilliong-serve", flag.ContinueOnError)
+	defineFlags(fs)
+	if got := cliflags.Surface(fs); got != string(want) {
+		t.Fatalf("flag surface\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -30,15 +30,17 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"repro/cmd/internal/cliflags"
 	"repro/internal/community"
 	"repro/internal/core"
 	"repro/internal/gformat"
-	"repro/internal/skg"
 	"repro/internal/store"
 	"repro/internal/validate"
 )
@@ -47,30 +49,58 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// options holds the flag values, registered by defineFlags.
+type options struct {
+	graph                             *cliflags.Graph
+	format, storeDir, label, commPath string
+	parts                             int
+	jsonOut                           bool
+}
+
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{graph: cliflags.GraphFlags(fs, "", "master", 0)}
+	fs.Lookup("scale").Usage = "log2 of the vertex count (default: from the run manifest)"
+	fs.StringVar(&o.format, "format", "adj6", "part format for -store mode")
+	fs.StringVar(&o.storeDir, "store", "", "validate artifact-store entries instead of a directory")
+	fs.IntVar(&o.parts, "parts", 0, "partition count of the cached run (-store mode)")
+	fs.StringVar(&o.label, "label", "", "report label (default: the validated path)")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the full report as JSON")
+	fs.StringVar(&o.commPath, "community", "", "community spec JSON file: validate block densities against the layout (default: auto-detect from the run manifest)")
+	return o
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trilliong-validate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		scale      = fs.Int("scale", 0, "log2 of the vertex count (default: from the run manifest)")
-		edgeFactor = fs.Int64("edgefactor", 16, "edges per vertex")
-		seedSpec   = fs.String("seed", "0.57,0.19,0.19,0.05", "seed matrix a,b,c,d")
-		noise      = fs.Float64("noise", 0, "NSKG noise parameter")
-		master     = fs.Uint64("master", 1, "master random seed")
-		format     = fs.String("format", "adj6", "part format for -store mode")
-		storeDir   = fs.String("store", "", "validate artifact-store entries instead of a directory")
-		parts      = fs.Int("parts", 0, "partition count of the cached run (-store mode)")
-		label      = fs.String("label", "", "report label (default: the validated path)")
-		jsonOut    = fs.Bool("json", false, "emit the full report as JSON")
-		commPath   = fs.String("community", "", "community spec JSON file: validate block densities against the layout (default: auto-detect from the run manifest)")
-	)
+	o := defineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	dir := fs.Arg(0)
-	if (dir == "") == (*storeDir == "") {
-		fmt.Fprintln(stderr, "trilliong-validate: need exactly one of an output directory argument or -store")
+	rep, err := o.report(fs.Arg(0))
+	var out []byte
+	switch {
+	case err != nil:
+	case o.jsonOut:
+		out, err = rep.JSON()
+	default:
+		out = []byte(rep.Summary())
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "trilliong-validate:", err)
 		return 2
+	}
+	stdout.Write(out)
+	if rep.Failed() {
+		return 1
+	}
+	return 0
+}
+
+// report validates the output directory dir, or the -store entries of
+// the configured run, against the expectations of what generated it.
+func (o *options) report(dir string) (*validate.Report, error) {
+	if (dir == "") == (o.storeDir == "") {
+		return nil, errors.New("need exactly one of an output directory argument or -store")
 	}
 
 	// A classic run's manifest records its config, a community run's its
@@ -78,150 +108,77 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		man    *core.RunManifest
 		manErr error
+		lay    *community.Layout
+		err    error
 	)
 	if dir != "" {
 		man, manErr = core.ReadRunManifest(dir)
 	}
-	var commRaw []byte
-	if *commPath != "" {
-		b, err := os.ReadFile(*commPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "trilliong-validate:", err)
-			return 2
-		}
-		commRaw = b
-	} else if man != nil {
-		commRaw = man.Source
+	if o.commPath != "" {
+		lay, err = cliflags.Community(o.commPath)
+	} else if man != nil && man.Source != nil {
+		lay, err = cliflags.CommunityLayout(man.Source)
 	}
-	if commRaw != nil {
+	if err != nil {
+		return nil, err
+	}
+	if lay != nil {
 		if dir == "" {
-			fmt.Fprintln(stderr, "trilliong-validate: -community needs an output directory argument (not -store)")
-			return 2
+			return nil, errors.New("-community needs an output directory argument (not -store)")
 		}
-		return runCommunity(commRaw, dir, *label, *jsonOut, stdout, stderr)
+		return communityReport(lay, dir, cmp.Or(o.label, dir))
 	}
 
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	var cfg core.Config
+	// Explicit flags override the manifest's values; without a manifest
+	// they are the configuration, and -scale must be among them.
+	base := core.DefaultConfig(0)
 	switch {
 	case man != nil && man.Config != nil:
-		cfg = *man.Config
-	case dir != "" && !set["scale"]:
-		fmt.Fprintf(stderr, "trilliong-validate: %v; pass -scale (and friends) explicitly\n", manErr)
-		return 2
-	case *scale == 0:
-		fmt.Fprintln(stderr, "trilliong-validate: -scale is required without a run manifest")
-		return 2
-	default:
-		cfg = core.DefaultConfig(*scale)
+		base = *man.Config
+	case dir != "" && o.graph.Scale() == 0:
+		return nil, fmt.Errorf("%v; pass -scale (and friends) explicitly", manErr)
+	case o.graph.Scale() == 0:
+		return nil, errors.New("-scale is required without a run manifest")
 	}
-	// Explicit flags override manifest values.
-	if set["scale"] {
-		cfg.Scale = *scale
+	cfg, err := o.graph.Apply(base)
+	if err == nil {
+		err = cfg.Validate()
 	}
-	if set["edgefactor"] {
-		cfg.EdgeFactor = *edgeFactor
-	}
-	if set["noise"] {
-		cfg.NoiseParam = *noise
-	}
-	if set["master"] {
-		cfg.MasterSeed = *master
-	}
-	if set["seed"] {
-		s, err := skg.ParseSeed(*seedSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "trilliong-validate:", err)
-			return 2
-		}
-		cfg.Seed = s
-	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(stderr, "trilliong-validate:", err)
-		return 2
+	if err != nil {
+		return nil, err
 	}
 
 	acc := validate.NewAccumulator()
 	target := dir
-	if *storeDir != "" {
-		target = "store:" + *storeDir
-		if err := consumeStore(acc, cfg, *storeDir, *format, *parts); err != nil {
-			fmt.Fprintln(stderr, "trilliong-validate:", err)
-			return 2
-		}
-	} else if err := acc.ConsumeDir(dir); err != nil {
-		fmt.Fprintln(stderr, "trilliong-validate:", err)
-		return 2
+	if o.storeDir != "" {
+		target = "store:" + o.storeDir
+		err = consumeStore(acc, cfg, o.storeDir, o.format, o.parts)
+	} else {
+		err = acc.ConsumeDir(dir)
 	}
-
+	if err != nil {
+		return nil, err
+	}
 	m, err := validate.FromConfig(cfg)
 	if err != nil {
-		fmt.Fprintln(stderr, "trilliong-validate:", err)
-		return 2
+		return nil, err
 	}
-	if *label == "" {
-		*label = target
-	}
-	rep := validate.Evaluate(m, acc, validate.DefaultThresholds(), nil, *label)
+	rep := validate.Evaluate(m, acc, validate.DefaultThresholds(), nil, cmp.Or(o.label, target))
 	rep.Params = validate.ParamsFromConfig(cfg)
-
-	if *jsonOut {
-		b, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(stderr, "trilliong-validate:", err)
-			return 2
-		}
-		stdout.Write(b)
-	} else {
-		fmt.Fprint(stdout, rep.Summary())
-	}
-	if rep.Failed() {
-		return 1
-	}
-	return 0
+	return rep, nil
 }
 
-// runCommunity validates a directory of community-composed parts
-// against the layout its spec resolves to: one consumption pass feeds
+// communityReport validates a directory of community-composed parts
+// against their layout: one consumption pass feeds
 // the degree accumulator and the per-block tally at once.
-func runCommunity(spec []byte, dir, label string, jsonOut bool, stdout, stderr io.Writer) int {
-	cfg, err := community.ParseSpec(spec)
-	if err != nil {
-		fmt.Fprintln(stderr, "trilliong-validate:", err)
-		return 2
-	}
-	lay, err := community.New(cfg)
-	if err != nil {
-		fmt.Fprintln(stderr, "trilliong-validate:", err)
-		return 2
-	}
+func communityReport(lay *community.Layout, dir, label string) (*validate.Report, error) {
 	acc := validate.NewAccumulator()
 	tally := validate.NewCommunityTally(lay)
 	acc.SetEdgeHook(tally.Observe)
 	if err := acc.ConsumeDir(dir); err != nil {
-		fmt.Fprintln(stderr, "trilliong-validate:", err)
-		return 2
+		return nil, err
 	}
-	if label == "" {
-		label = dir
-	}
-	rep := validate.EvaluateCommunity(lay, acc, tally, validate.DefaultThresholds(), nil, label)
-	if jsonOut {
-		b, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(stderr, "trilliong-validate:", err)
-			return 2
-		}
-		stdout.Write(b)
-	} else {
-		fmt.Fprint(stdout, rep.Summary())
-	}
-	if rep.Failed() {
-		return 1
-	}
-	return 0
+	return validate.EvaluateCommunity(lay, acc, tally, validate.DefaultThresholds(), nil, label), nil
 }
 
 // consumeStore materializes every part of the configured run from the

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/cmd/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/gformat"
 	"repro/internal/store"
@@ -106,6 +110,39 @@ func TestValidateDirWithoutManifest(t *testing.T) {
 	}
 }
 
+// A directory written while core.Config still carried its sampler
+// options — its manifest has the "Opts" object — is read as the
+// configuration it records (testdata/opts-manifest-s8 at the repository
+// root, the manifest stored under a visible name).
+func TestValidateDirOptsManifest(t *testing.T) {
+	src := filepath.Join("..", "..", "testdata", "opts-manifest-s8")
+	dir := t.TempDir()
+	for name, as := range map[string]string{
+		"trilliong-resume.json": ".trilliong-resume.json",
+		"part-00000.tsv":        "part-00000.tsv",
+		"part-00001.tsv":        "part-00001.tsv",
+	} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, as), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-json", dir}, &out, &errb); code == 2 {
+		t.Fatalf("exit 2, stderr %s", errb.String())
+	}
+	var rep validate.Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("output is not a report: %v\n%s", err, out.String())
+	}
+	if p := rep.Params; p.Model != "nskg" || p.Scale != 8 || p.EdgeFactor != 16 || p.Noise != 0.1 || p.MasterSeed != 42 {
+		t.Errorf("params not read from the manifest: %+v", p)
+	}
+}
+
 // Store mode validates cached parts without an output directory.
 func TestValidateStoreEntries(t *testing.T) {
 	cfg := nskgConfig(13)
@@ -142,5 +179,20 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"-store", "x", "y"}, &out, &errb); code != 2 {
 		t.Errorf("both targets: exit %d, want 2", code)
+	}
+}
+
+// TestFlagSurface: the command's flags — names, types, defaults — are
+// the ones testdata/flags.golden pins; none added, dropped or
+// re-defaulted.
+func TestFlagSurface(t *testing.T) {
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("trilliong-validate", flag.ContinueOnError)
+	defineFlags(fs)
+	if got := cliflags.Surface(fs); got != string(want) {
+		t.Fatalf("flag surface\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

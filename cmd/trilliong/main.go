@@ -27,31 +27,26 @@ import (
 	"os"
 
 	trilliong "repro"
-	"repro/internal/skg"
+	"repro/cmd/internal/cliflags"
+	"repro/internal/core"
+)
+
+var (
+	graph    = cliflags.GraphFlags(flag.CommandLine, "", "master", 20)
+	workers  = flag.Int("workers", 0, "generation goroutines (0 = GOMAXPROCS)")
+	format   = flag.String("format", "adj6", "output format: tsv, adj6 or csr6")
+	out      = flag.String("out", "", "output directory (required; created if missing; rerun to finish an interrupted run)")
+	hiprec   = flag.Bool("highprecision", false, "use 128-bit float recursive vectors")
+	dryRun   = flag.Bool("dryrun", false, "generate and count without writing files")
+	estimate = flag.Bool("estimate", false, "print analytic size estimate and exit (no generation)")
+	stores   = cliflags.StoreFlags(flag.CommandLine, "store", "artifact store directory: cache parts across runs")
+	commSpec = flag.String("community", "", "community spec JSON file: generate a community composition instead of the classic shape")
 )
 
 func main() {
-	var (
-		scale      = flag.Int("scale", 20, "log2 of the vertex count")
-		edgeFactor = flag.Int64("edgefactor", 16, "edges per vertex (|E|/|V|)")
-		seedSpec   = flag.String("seed", "0.57,0.19,0.19,0.05", "seed matrix a,b,c,d")
-		noise      = flag.Float64("noise", 0, "NSKG noise parameter (0 disables, 0.1 standard)")
-		master     = flag.Uint64("master", 1, "master random seed")
-		workers    = flag.Int("workers", 0, "generation goroutines (0 = GOMAXPROCS)")
-		format     = flag.String("format", "adj6", "output format: tsv, adj6 or csr6")
-		out        = flag.String("out", "", "output directory (required; created if missing; rerun to finish an interrupted run)")
-		hiprec     = flag.Bool("highprecision", false, "use 128-bit float recursive vectors")
-		dryRun     = flag.Bool("dryrun", false, "generate and count without writing files")
-		estimate   = flag.Bool("estimate", false, "print analytic size estimate and exit (no generation)")
-		storeDir   = flag.String("store", "", "artifact store directory: cache parts across runs")
-		storeMax   = flag.Int64("store-max-bytes", 0, "store size budget in bytes (0 = unbounded); excess evicted LRU")
-		remoteSpec = flag.String("remote-store", "", "cold tier behind -store: s3://bucket[/prefix]?endpoint=URL or a directory path")
-		commSpec   = flag.String("community", "", "community spec JSON file: generate a community composition instead of the classic shape")
-	)
 	flag.Parse()
-
-	if *remoteSpec != "" && *storeDir == "" {
-		fatal(fmt.Errorf("-remote-store requires -store (the local hot tier)"))
+	if err := stores.Check(); err != nil {
+		fatal(err)
 	}
 	f, err := trilliong.ParseFormat(*format)
 	if err != nil {
@@ -67,7 +62,10 @@ func main() {
 		target int64
 	)
 	if *commSpec != "" {
-		lay := communityLayout(*commSpec)
+		lay, err := cliflags.Community(*commSpec)
+		if err != nil {
+			fatal(err)
+		}
 		run = func(cache *trilliong.Store) (trilliong.Stats, error) {
 			return trilliong.GenerateCommunityToDir(lay, *out, f, cache)
 		}
@@ -75,15 +73,10 @@ func main() {
 			len(lay.Sizes()), lay.NumVertices(), lay.NumBlocks())
 		target = lay.TotalEdges()
 	} else {
-		seed, err := skg.ParseSeed(*seedSpec)
+		cfg, err := graph.Config()
 		if err != nil {
 			fatal(err)
 		}
-		cfg := trilliong.New(*scale)
-		cfg.EdgeFactor = *edgeFactor
-		cfg.Seed = seed
-		cfg.NoiseParam = *noise
-		cfg.MasterSeed = *master
 		cfg.Workers = *workers
 		cfg.HighPrecision = *hiprec
 		if err := cfg.Validate(); err != nil {
@@ -94,12 +87,12 @@ func main() {
 			return
 		}
 		run = func(cache *trilliong.Store) (trilliong.Stats, error) {
-			return cfg.ResumeToDirCached(*out, f, cache)
+			return core.ResumeToDirStore(cfg, *out, f, cache)
 		}
 		if dry = *dryRun; dry {
-			run = func(*trilliong.Store) (trilliong.Stats, error) { return cfg.Count(f) }
+			run = func(*trilliong.Store) (trilliong.Stats, error) { return core.Generate(cfg, core.DiscardSinks(f)) }
 		}
-		header = fmt.Sprintf("scale            %d (|V| = %d)\n", *scale, cfg.NumVertices())
+		header = fmt.Sprintf("scale            %d (|V| = %d)\n", cfg.Scale, cfg.NumVertices())
 		target = cfg.NumEdges()
 	}
 
@@ -111,15 +104,8 @@ func main() {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fatal(err)
 		}
-		if *storeDir != "" {
-			remote, err := trilliong.OpenStoreBackend(*remoteSpec, nil)
-			if err != nil {
-				fatal(fmt.Errorf("-remote-store: %w", err))
-			}
-			cache, err = trilliong.OpenStore(*storeDir, trilliong.StoreOptions{MaxBytes: *storeMax, Remote: remote})
-			if err != nil {
-				fatal(err)
-			}
+		if cache, err = stores.Open(nil); err != nil {
+			fatal(err)
 		}
 	}
 	st, err := run(cache)
@@ -145,28 +131,11 @@ func main() {
 	}
 }
 
-// communityLayout resolves the community spec file at path.
-func communityLayout(path string) *trilliong.CommunityLayout {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	cfg, err := trilliong.ParseCommunitySpec(raw)
-	if err != nil {
-		fatal(err)
-	}
-	lay, err := trilliong.NewCommunityLayout(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	return lay
-}
-
 // printEstimate prints cfg's analytic size in every format.
-func printEstimate(cfg trilliong.Config) {
+func printEstimate(cfg core.Config) {
 	for _, name := range []string{"tsv", "adj6", "csr6"} {
 		ff, _ := trilliong.ParseFormat(name)
-		est, err := cfg.EstimateSize(ff)
+		est, err := core.EstimateSize(cfg, ff)
 		if err != nil {
 			fatal(err)
 		}

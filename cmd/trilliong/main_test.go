@@ -1,10 +1,26 @@
 package main
 
 import (
+	"flag"
+	"os"
 	"testing"
 
+	"repro/cmd/internal/cliflags"
 	"repro/internal/skg"
 )
+
+// TestFlagSurface: the command's flags — names, types, defaults — are
+// the ones testdata/flags.golden pins; none added, dropped or
+// re-defaulted.
+func TestFlagSurface(t *testing.T) {
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cliflags.Surface(flag.CommandLine); got != string(want) {
+		t.Fatalf("flag surface\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
 
 // TestParseSeed checks the -seed forms this command accepts and rejects;
 // main parses the flag with skg.ParseSeed.

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/recvec"
 )
 
 // TestResumeFacade: the public resume flow completes an interrupted
@@ -222,15 +221,9 @@ func TestAVSIThroughPublicConfig(t *testing.T) {
 	}
 }
 
-// TestProductionOptions: the facade has no sampler options; every
-// configuration reaches core with all three ideas on, so its keys are
-// the ones core.DefaultConfig's would be.
+// TestProductionOptions: the facade's New reaches core as
+// core.DefaultConfig, so its keys are the ones core's would be.
 func TestProductionOptions(t *testing.T) {
-	cfg := New(12)
-	cfg.NoiseParam, cfg.HighPrecision, cfg.AllowDuplicates = 0.1, true, true
-	if o := cfg.toCore().Opts; o != recvec.Production() {
-		t.Fatalf("toCore options %+v", o)
-	}
 	if got, want := New(12).toCore(), core.DefaultConfig(12); got != want {
 		t.Fatalf("New(12) reaches core as %+v, DefaultConfig(12) is %+v", got, want)
 	}

@@ -17,12 +17,22 @@ import (
 const CacheCodecVersion = 1
 
 // CacheFingerprint condenses everything about a Config that determines
-// generated bytes. Workers is normalized out: part content is fixed by
-// the vertex range alone, so runs with different parallelism share
-// cache entries (the same normalization the resume manifest uses).
+// generated bytes into the text every store key and run manifest is
+// derived from. Each field is written by name, as fmt printed the
+// struct when Config also carried sampler options; those are written as
+// the one value they could take, so no key moved when the field went.
+// Workers is written as 0: part content is fixed by the vertex range
+// alone, so runs with different parallelism share cache entries (the
+// same normalization the resume manifest uses). A field added to Config
+// moves no key unless it is written here, and one that changes the
+// bytes must be.
 func CacheFingerprint(cfg Config) string {
-	cfg.Workers = 0
-	return fmt.Sprintf("cfg=%+v", cfg)
+	s := cfg.Seed
+	return fmt.Sprintf("cfg={Scale:%v EdgeFactor:%v Seed:{A:%v B:%v C:%v D:%v} NoiseParam:%v MasterSeed:%v Workers:0 "+
+		"Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} "+
+		"HighPrecision:%v Orientation:%v AllowDuplicates:%v}",
+		cfg.Scale, cfg.EdgeFactor, s.A, s.B, s.C, s.D, cfg.NoiseParam, cfg.MasterSeed,
+		cfg.HighPrecision, cfg.Orientation, cfg.AllowDuplicates)
 }
 
 // PartKey derives the store key addressing the bytes of range r in the

@@ -20,7 +20,6 @@ import (
 	"repro/internal/gformat"
 	"repro/internal/memacct"
 	"repro/internal/partition"
-	"repro/internal/recvec"
 	"repro/internal/rng"
 	"repro/internal/skg"
 	"repro/internal/telemetry"
@@ -45,11 +44,6 @@ type Config struct {
 	// taking chunks of rows from whichever part has some left, so no
 	// thread is bound to a part. The graph does not depend on it.
 	Workers int
-	// Opts must be recvec.Production() (DefaultConfig sets it); Validate
-	// refuses anything else. The ablation variants live in
-	// internal/experiments. The field stays only because
-	// CacheFingerprint prints it: stream v2 deletes it.
-	Opts recvec.Options
 	// HighPrecision switches RecVec arithmetic to math/big.Float.
 	// Validate refuses it with NoiseParam > 0.
 	HighPrecision bool
@@ -84,15 +78,14 @@ func (o Orientation) String() string {
 }
 
 // DefaultConfig returns the standard Graph500-style configuration at
-// the given scale: K = [0.57, 0.19; 0.19, 0.05], |E| = 16·|V|, all
-// three performance ideas enabled.
+// the given scale: K = [0.57, 0.19; 0.19, 0.05], |E| = 16·|V|, master
+// seed 1.
 func DefaultConfig(scale int) Config {
 	return Config{
 		Scale:      scale,
 		EdgeFactor: 16,
 		Seed:       skg.Graph500Seed,
 		MasterSeed: 1,
-		Opts:       recvec.Production(),
 	}
 }
 
@@ -129,9 +122,6 @@ func (c Config) Validate() error {
 	}
 	if c.Orientation != AVSO && c.Orientation != AVSI {
 		return fmt.Errorf("core: unknown orientation %d", int(c.Orientation))
-	}
-	if c.Opts != recvec.Production() {
-		return fmt.Errorf("core: options %+v: only recvec.Production() generates", c.Opts)
 	}
 	return nil
 }

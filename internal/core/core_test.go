@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/gformat"
-	"repro/internal/recvec"
 	"repro/internal/skg"
 	"repro/internal/stats"
 )
@@ -350,38 +349,5 @@ func TestGenerateSeq(t *testing.T) {
 	}
 	if len(st.Ranges) != 1 {
 		t.Fatalf("seq used %d ranges", len(st.Ranges))
-	}
-}
-
-// TestAblationZeroOptsStillCorrect: only recvec.Production() generates,
-// so the zero options (Figure 13's all-ideas-off cell, which now runs in
-// internal/experiments) and every one-idea-off value are refused by
-// Validate and by every entry point before anything is drawn or written.
-func TestAblationZeroOptsStillCorrect(t *testing.T) {
-	for _, o := range []recvec.Options{
-		{},
-		{SparseRecursion: true, SingleRandom: true},
-		{ReuseVector: true, SingleRandom: true},
-		{ReuseVector: true, SparseRecursion: true},
-		{ReuseVector: true, SparseRecursion: true, SingleRandom: true, LinearSearch: true},
-	} {
-		cfg := DefaultConfig(10)
-		cfg.Opts = o
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("%+v: Validate accepted it", o)
-		}
-		if _, err := Generate(cfg, DiscardSinks(gformat.ADJ6)); err == nil {
-			t.Errorf("%+v: Generate accepted it", o)
-		}
-		if _, err := Plan(cfg, 2); err == nil {
-			t.Errorf("%+v: Plan accepted it", o)
-		}
-		dir := t.TempDir()
-		if _, err := ResumeToDirStore(cfg, dir, gformat.ADJ6, nil); err == nil {
-			t.Errorf("%+v: ResumeToDirStore accepted it", o)
-		}
-		if left, _ := os.ReadDir(dir); len(left) != 0 {
-			t.Errorf("%+v: ResumeToDirStore left %d entries behind", o, len(left))
-		}
 	}
 }

@@ -5,12 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/gformat"
 	"repro/internal/partition"
+	"repro/internal/recvec"
+	"repro/internal/skg"
 )
 
 // goldenTSV generates cfg with three workers into in-memory TSV parts
@@ -100,23 +105,39 @@ func TestGoldenStats(t *testing.T) {
 }
 
 // TestGoldenKeys pins the identity strings every stored artifact and
-// run manifest written so far is addressed by. CacheFingerprint is fmt's
-// %+v rendering of Config, so a String/Format method on Config, or a
-// field added to or removed from it, silently changes all three —
-// orphaning every existing store entry and failing every resume of an
-// existing directory. Such a change must be deliberate. The literals
-// were regenerated once, on purpose, when the drawn Figure 6 planner
-// gave way to the closed-form cuts: BinsPerWorker left Config (and so
-// %+v and every classic key), and the planner's name entered the
+// run manifest written so far is addressed by, one row per field that
+// moves them. CacheFingerprint writes each field by name in the text
+// fmt's %+v of Config printed while Config still carried the sampler
+// options; a change to it orphans every existing store entry and fails
+// every resume of an existing directory, so it must be deliberate. The
+// first two literals were regenerated once, on purpose, when the drawn
+// Figure 6 planner gave way to the closed-form cuts: BinsPerWorker left
+// Config (and so every classic key), and the planner's name entered the
 // manifest, so a directory cut by the old planner is refused rather than
 // completed with parts cut another way. The bytes of a range did not
-// change, only its key.
+// change, only its key. The other rows were generated by the %+v
+// fingerprint, before the encoder replaced it.
 func TestGoldenKeys(t *testing.T) {
 	nskg := DefaultConfig(12)
 	nskg.NoiseParam = 0.05
 	nskg.Orientation = AVSI
 	nskg.MasterSeed = 42
 	nskg.Workers = 3 // normalized out of all three
+	noisy := DefaultConfig(11)
+	noisy.NoiseParam = 0.1
+	avsi := DefaultConfig(10)
+	avsi.Orientation = AVSI
+	hp := DefaultConfig(14)
+	hp.HighPrecision = true
+	dup := DefaultConfig(10)
+	dup.AllowDuplicates = true
+	uni := DefaultConfig(10)
+	uni.Seed = skg.UniformSeed
+	custom := DefaultConfig(10)
+	custom.Seed = skg.Seed{A: 0.45, B: 0.22, C: 0.22, D: 0.11}
+	custom.MasterSeed = 7
+	ef := DefaultConfig(9)
+	ef.EdgeFactor = 128
 	r := partition.Range{Lo: 0, Hi: 512, Edges: 9000}
 	for _, tc := range []struct {
 		name          string
@@ -129,6 +150,27 @@ func TestGoldenKeys(t *testing.T) {
 		{"nskg-avsi-s12", nskg,
 			"cfg={Scale:12 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0.05 MasterSeed:42 Workers:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-I AllowDuplicates:false}",
 			"adf1a5fa0b783fcaeb25b4a9c5221ccb2555caa949db3dce210f0b56df2de87e"},
+		{"nskg-s11", noisy,
+			"cfg={Scale:11 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0.1 MasterSeed:1 Workers:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-O AllowDuplicates:false}",
+			"7071a624f2f038393da36d9e8a2760a9b21c11ff9494a0916568eb759401d13d"},
+		{"avsi-s10", avsi,
+			"cfg={Scale:10 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0 MasterSeed:1 Workers:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-I AllowDuplicates:false}",
+			"5a002ea3a9b82dc48890d9363c0b36fd89666eecf6eba8e1b4caadf3c0ca5783"},
+		{"highprecision-s14", hp,
+			"cfg={Scale:14 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0 MasterSeed:1 Workers:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:true Orientation:AVS-O AllowDuplicates:false}",
+			"02c1a9cb419d13691b18186a41b13ade5d4c9cfee570e186f211fb6bff16615d"},
+		{"duplicates-s10", dup,
+			"cfg={Scale:10 EdgeFactor:16 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0 MasterSeed:1 Workers:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-O AllowDuplicates:true}",
+			"742eb5a2d7bbc757162e069bed38e4d48be8987b1d02f11802b451cb2f1a220c"},
+		{"uniform-s10", uni,
+			"cfg={Scale:10 EdgeFactor:16 Seed:{A:0.25 B:0.25 C:0.25 D:0.25} NoiseParam:0 MasterSeed:1 Workers:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-O AllowDuplicates:false}",
+			"5feb949de0e7272f45c1108151c0960a575de142bf6cd3c7363bf267811e5073"},
+		{"seed-0.45-s10", custom,
+			"cfg={Scale:10 EdgeFactor:16 Seed:{A:0.45 B:0.22 C:0.22 D:0.11} NoiseParam:0 MasterSeed:7 Workers:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-O AllowDuplicates:false}",
+			"7343d35dc59a06794650fa639a465b2a655d2fe69fc1cda2ea16fa3483f80faa"},
+		{"edgefactor-128-s9", ef,
+			"cfg={Scale:9 EdgeFactor:128 Seed:{A:0.57 B:0.19 C:0.19 D:0.05} NoiseParam:0 MasterSeed:1 Workers:0 Opts:{ReuseVector:true SparseRecursion:true SingleRandom:true LinearSearch:false} HighPrecision:false Orientation:AVS-O AllowDuplicates:false}",
+			"aacc72b9456989d6fb9fac13055227f0a8ddff7d1e8aeae5f466797bdd98025b"},
 	} {
 		if got := CacheFingerprint(tc.cfg); got != tc.wantFP {
 			t.Errorf("%s: CacheFingerprint\n got %s\nwant %s", tc.name, got, tc.wantFP)
@@ -158,5 +200,69 @@ func TestGoldenKeys(t *testing.T) {
 		if want := tc.wantFP + " format=ADJ6 parts=4 plan=rowedges-nearest"; m.Fingerprint != want {
 			t.Errorf("%s: manifest fingerprint\n got %s\nwant %s", tc.name, m.Fingerprint, want)
 		}
+		want := tc.cfg
+		want.Workers = 0
+		if rm, err := ReadRunManifest(dir); err != nil || *rm.Config != want {
+			t.Errorf("%s: manifest config read back as %+v (%v), want %+v", tc.name, rm, err, want)
+		}
+	}
+}
+
+// legacyConfig is Config as it was while it carried the sampler
+// options: CacheFingerprint and the manifest's config object must stay
+// the text fmt and encoding/json made of it.
+type legacyConfig struct {
+	Scale           int
+	EdgeFactor      int64
+	Seed            skg.Seed
+	NoiseParam      float64
+	MasterSeed      uint64
+	Workers         int
+	Opts            recvec.Options
+	HighPrecision   bool
+	Orientation     Orientation
+	AllowDuplicates bool
+}
+
+// TestFingerprintIsLegacyPrint: over awkward floats, extreme integers
+// and every flag, the encoder writes what the %+v fingerprint printed,
+// and a manifest records the config as the same bytes as before.
+func TestFingerprintIsLegacyPrint(t *testing.T) {
+	var cfgs []Config
+	for i, noise := range []float64{0, 0.1, 1e-05, 0.1 + 0.2, 1.0 / 3, 5e-324, 1e21} {
+		c := DefaultConfig(1 + 7*i)
+		c.NoiseParam = noise
+		c.EdgeFactor = int64(1) << (9 * i)
+		c.MasterSeed = math.MaxUint64 >> (11 * i)
+		c.Seed = skg.Seed{A: 0.5 - noise/4, B: 1.0 / 7, C: 0.25, D: 1e-17}
+		c.Workers = i
+		c.HighPrecision = i%2 == 0
+		c.Orientation = Orientation(i % 3)
+		c.AllowDuplicates = i%3 == 1
+		cfgs = append(cfgs, c)
+	}
+	for _, c := range cfgs {
+		old := legacyConfig{c.Scale, c.EdgeFactor, c.Seed, c.NoiseParam, c.MasterSeed, 0,
+			recvec.Production(), c.HighPrecision, c.Orientation, c.AllowDuplicates}
+		if got, want := CacheFingerprint(c), fmt.Sprintf("cfg=%+v", old); got != want {
+			t.Errorf("CacheFingerprint\n got %s\nwant %s", got, want)
+		}
+		old.Workers = c.Workers
+		got, err := json.MarshalIndent(resumeManifest{Config: (*manifestConfig)(&c)}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.MarshalIndent(struct {
+			Fingerprint string        `json:"fingerprint"`
+			Parts       int           `json:"parts"`
+			Format      string        `json:"format"`
+			Config      *legacyConfig `json:"config,omitempty"`
+		}{Config: &old}, "", "  ")
+		if !bytes.Equal(got, want) {
+			t.Errorf("manifest\n got %s\nwant %s", got, want)
+		}
+	}
+	if n, m := reflect.TypeOf(Config{}).NumField(), reflect.TypeOf(legacyConfig{}).NumField(); n != m-1 {
+		t.Fatalf("Config has %d fields, the manifest writes %d: a new field must enter manifestConfig, and CacheFingerprint if it changes bytes", n, m-1)
 	}
 }

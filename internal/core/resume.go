@@ -16,6 +16,7 @@ import (
 	"repro/internal/faultpoint"
 	"repro/internal/gformat"
 	"repro/internal/partition"
+	"repro/internal/skg"
 )
 
 // PartPath returns the canonical name of global part `idx` in dir:
@@ -267,15 +268,38 @@ const manifestName = ".trilliong-resume.json"
 // validator foremost — can recover what a directory claims to be
 // without the user re-typing flags.
 type resumeManifest struct {
-	Fingerprint string  `json:"fingerprint"`
-	Parts       int     `json:"parts"`
-	Format      string  `json:"format"`
-	Config      *Config `json:"config,omitempty"`
+	Fingerprint string          `json:"fingerprint"`
+	Parts       int             `json:"parts"`
+	Format      string          `json:"format"`
+	Config      *manifestConfig `json:"config,omitempty"`
 	// Source is the opaque spec of a non-Config PartSource (the
 	// community composition records its resolved spec here). Core treats
 	// it as a black box: downstream tools that know the spec's schema —
 	// the statistical validator foremost — decode it themselves.
 	Source json.RawMessage `json:"source,omitempty"`
+}
+
+// manifestConfig is a Config as a manifest records it. It is written
+// with the sampler-options object every manifest carried while Config
+// had that field, so a directory's manifest is the same bytes whichever
+// release wrote it; reading ignores the object.
+type manifestConfig Config
+
+func (m manifestConfig) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Scale           int
+		EdgeFactor      int64
+		Seed            skg.Seed
+		NoiseParam      float64
+		MasterSeed      uint64
+		Workers         int
+		Opts            json.RawMessage
+		HighPrecision   bool
+		Orientation     Orientation
+		AllowDuplicates bool
+	}{m.Scale, m.EdgeFactor, m.Seed, m.NoiseParam, m.MasterSeed, m.Workers,
+		json.RawMessage(`{"ReuseVector":true,"SparseRecursion":true,"SingleRandom":true,"LinearSearch":false}`),
+		m.HighPrecision, m.Orientation, m.AllowDuplicates})
 }
 
 // matches compares the identity fields only: Config is informational
@@ -321,7 +345,7 @@ func ReadRunManifest(dir string) (*RunManifest, error) {
 	case m.Config != nil && len(m.Source) > 0:
 		err = errors.New("records both a config and a source spec")
 	case m.Config != nil:
-		err = m.Config.Validate()
+		err = (*Config)(m.Config).Validate()
 	}
 	if err == nil && m.Parts < 1 {
 		err = fmt.Errorf("%d parts", m.Parts)
@@ -329,7 +353,7 @@ func ReadRunManifest(dir string) (*RunManifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: run manifest %s: %w", path, err)
 	}
-	return &RunManifest{Config: m.Config, Source: m.Source, Format: f, Parts: m.Parts}, nil
+	return &RunManifest{Config: (*Config)(m.Config), Source: m.Source, Format: f, Parts: m.Parts}, nil
 }
 
 // EnsureRunManifest validates dir against an existing resume manifest

@@ -166,6 +166,6 @@ func (c Config) EnsureManifest(dir string, format gformat.Format, parts int) err
 		Fingerprint: fmt.Sprintf("%s format=%v parts=%d plan=%s", CacheFingerprint(c), format, parts, planner),
 		Parts:       parts,
 		Format:      format.String(),
-		Config:      &c,
+		Config:      (*manifestConfig)(&c),
 	})
 }

@@ -439,8 +439,9 @@ func takeMask(x, fb uint64) uint64 {
 // Options names the paper's three performance ideas of Section 4.3
 // (plus Table 2's linear search). The generators draw only with
 // Production(); the ablation variants, and the Figure 13 and Table 2
-// runs that measure them, live in internal/experiments. core.Config
-// keeps the field because its cache fingerprint prints it.
+// runs that measure them, live in internal/experiments. No
+// configuration carries Options: its last caller is the bench's
+// per-layer probe (bench/layers.go), through DetermineOpt.
 type Options struct {
 	// ReuseVector (Idea#1): one vector per scope, not one per edge.
 	ReuseVector bool
@@ -453,7 +454,8 @@ type Options struct {
 	LinearSearch bool
 }
 
-// Production returns the options of the real TrillionG path.
+// Production returns the options of the real TrillionG path. Its last
+// caller is the bench's per-layer probe (bench/layers.go).
 func Production() Options {
 	return Options{ReuseVector: true, SparseRecursion: true, SingleRandom: true}
 }
@@ -462,6 +464,7 @@ func Production() Options {
 //
 // Deprecated: only Production() generates; it panics on anything else.
 // The ablation variants live in internal/experiments. Call Determine.
+// Its last caller is the bench's per-layer probe (bench/layers.go).
 func (v *Vector) DetermineOpt(x float64, _ *rng.Source, o Options) int64 {
 	if o != Production() {
 		panic(fmt.Sprintf("recvec: DetermineOpt(%+v): only Production() generates", o))

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gformat"
 	"repro/internal/partition"
-	"repro/internal/recvec"
 	"repro/internal/sched"
 	"repro/internal/skg"
 	"repro/internal/store"
@@ -248,25 +247,17 @@ func (s JobSpec) compileClassic(lim specLimits) (compiled, error) {
 	if err != nil {
 		return compiled{}, err
 	}
-	cfg := core.Config{
-		Scale:           s.Scale,
-		EdgeFactor:      s.EdgeFactor,
-		NoiseParam:      s.Noise,
-		MasterSeed:      s.MasterSeed,
-		Workers:         workers,
-		Opts:            recvec.Production(),
-		AllowDuplicates: s.AllowDuplicates,
+	// Fields the spec leaves zero keep DefaultConfig's values.
+	cfg := core.DefaultConfig(s.Scale)
+	cfg.NoiseParam, cfg.Workers, cfg.AllowDuplicates = s.Noise, workers, s.AllowDuplicates
+	if s.EdgeFactor != 0 {
+		cfg.EdgeFactor = s.EdgeFactor
 	}
-	if cfg.EdgeFactor == 0 {
-		cfg.EdgeFactor = 16
-	}
-	if cfg.MasterSeed == 0 {
-		cfg.MasterSeed = 1
+	if s.MasterSeed != 0 {
+		cfg.MasterSeed = s.MasterSeed
 	}
 	if s.Seed != nil {
 		cfg.Seed = skg.Seed{A: s.Seed[0], B: s.Seed[1], C: s.Seed[2], D: s.Seed[3]}
-	} else {
-		cfg.Seed = skg.Graph500Seed
 	}
 	if err := cfg.Validate(); err != nil {
 		return compiled{}, err

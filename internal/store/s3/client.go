@@ -311,18 +311,19 @@ func (c *Client) attempt(makeReq func() (*http.Request, string, error), handle f
 	return nil
 }
 
+// request returns do's request builder for method on u carrying body
+// b (nil for none), signed over b's SHA-256.
+func request(method string, u *url.URL, b []byte) func() (*http.Request, string, error) {
+	hash := sha256Hex(b)
+	return func() (*http.Request, string, error) {
+		req, err := http.NewRequest(method, u.String(), bytes.NewReader(b))
+		return req, hash, err
+	}
+}
+
 // putSmall uploads b as one PUT.
 func (c *Client) putSmall(key string, b []byte) error {
-	u := c.objectURL(key)
-	hash := sha256Hex(b)
-	err := c.do("put "+key, func() (*http.Request, string, error) {
-		req, err := http.NewRequest(http.MethodPut, u.String(), bytes.NewReader(b))
-		if err != nil {
-			return nil, "", err
-		}
-		req.ContentLength = int64(len(b))
-		return req, hash, nil
-	}, nil)
+	err := c.do("put "+key, request(http.MethodPut, c.objectURL(key), b), nil)
 	if err == nil {
 		c.bytesUp.Add(int64(len(b)))
 	}
@@ -412,13 +413,7 @@ func (c *Client) createMultipart(key string) (string, error) {
 	q.Set("uploads", "")
 	u.RawQuery = q.Encode()
 	var result initiateMultipartResult
-	err := c.do("create multipart "+key, func() (*http.Request, string, error) {
-		req, err := http.NewRequest(http.MethodPost, u.String(), nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return req, sha256Hex(nil), nil
-	}, func(resp *http.Response) error {
+	err := c.do("create multipart "+key, request(http.MethodPost, u, nil), func(resp *http.Response) error {
 		return xml.NewDecoder(resp.Body).Decode(&result)
 	})
 	if err != nil {
@@ -436,15 +431,7 @@ func (c *Client) uploadPart(key, uploadID string, partNum int, b []byte) (etag s
 	q.Set("partNumber", strconv.Itoa(partNum))
 	q.Set("uploadId", uploadID)
 	u.RawQuery = q.Encode()
-	hash := sha256Hex(b)
-	err = c.do(fmt.Sprintf("upload part %d of %s", partNum, key), func() (*http.Request, string, error) {
-		req, err := http.NewRequest(http.MethodPut, u.String(), bytes.NewReader(b))
-		if err != nil {
-			return nil, "", err
-		}
-		req.ContentLength = int64(len(b))
-		return req, hash, nil
-	}, func(resp *http.Response) error {
+	err = c.do(fmt.Sprintf("upload part %d of %s", partNum, key), request(http.MethodPut, u, b), func(resp *http.Response) error {
 		etag = resp.Header.Get("ETag")
 		io.Copy(io.Discard, resp.Body)
 		return nil
@@ -464,15 +451,7 @@ func (c *Client) completeMultipart(key, uploadID string, parts []completedPart) 
 	if err != nil {
 		return err
 	}
-	hash := sha256Hex(body)
-	return c.do("complete multipart "+key, func() (*http.Request, string, error) {
-		req, err := http.NewRequest(http.MethodPost, u.String(), bytes.NewReader(body))
-		if err != nil {
-			return nil, "", err
-		}
-		req.ContentLength = int64(len(body))
-		return req, hash, nil
-	}, func(resp *http.Response) error {
+	return c.do("complete multipart "+key, request(http.MethodPost, u, body), func(resp *http.Response) error {
 		// Some S3 implementations report completion failures inside a
 		// 200 body; surface them rather than trusting the status line.
 		b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
@@ -492,27 +471,14 @@ func (c *Client) abortMultipart(key, uploadID string) {
 	q := u.Query()
 	q.Set("uploadId", uploadID)
 	u.RawQuery = q.Encode()
-	c.do("abort multipart "+key, func() (*http.Request, string, error) {
-		req, err := http.NewRequest(http.MethodDelete, u.String(), nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return req, sha256Hex(nil), nil
-	}, nil)
+	c.do("abort multipart "+key, request(http.MethodDelete, u, nil), nil)
 }
 
 // getSmall fetches a whole object into memory; absent objects are
 // (nil, false, nil).
 func (c *Client) getSmall(key string) ([]byte, bool, error) {
 	var body []byte
-	u := c.objectURL(key)
-	err := c.do("get "+key, func() (*http.Request, string, error) {
-		req, err := http.NewRequest(http.MethodGet, u.String(), nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return req, sha256Hex(nil), nil
-	}, func(resp *http.Response) error {
+	err := c.do("get "+key, request(http.MethodGet, c.objectURL(key), nil), func(resp *http.Response) error {
 		var rerr error
 		body, rerr = io.ReadAll(resp.Body)
 		return rerr
@@ -539,18 +505,14 @@ func (c *Client) Get(key store.Key, w io.Writer) (store.Sidecar, bool, error) {
 	}
 	var n int64
 	var started bool
-	u := c.objectURL(c.objectKey(key, store.PayloadSuffix))
+	get := request(http.MethodGet, c.objectURL(c.objectKey(key, store.PayloadSuffix)), nil)
 	err = c.do("get "+c.objectKey(key, store.PayloadSuffix), func() (*http.Request, string, error) {
 		if started {
 			// Bytes already reached w; a blind retry would corrupt the
 			// stream. Fail the operation instead.
 			return nil, "", fmt.Errorf("payload stream interrupted after %d bytes", n)
 		}
-		req, err := http.NewRequest(http.MethodGet, u.String(), nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return req, sha256Hex(nil), nil
+		return get()
 	}, func(resp *http.Response) error {
 		started = true
 		var rerr error
@@ -588,14 +550,7 @@ func (c *Client) Head(key store.Key) (store.Sidecar, bool, error) {
 // leaves an invisible payload, not a corrupt-looking object).
 func (c *Client) Delete(key store.Key) error {
 	for _, suffix := range []string{store.SidecarSuffix, store.PayloadSuffix} {
-		u := c.objectURL(c.objectKey(key, suffix))
-		err := c.do("delete "+c.objectKey(key, suffix), func() (*http.Request, string, error) {
-			req, err := http.NewRequest(http.MethodDelete, u.String(), nil)
-			if err != nil {
-				return nil, "", err
-			}
-			return req, sha256Hex(nil), nil
-		}, nil)
+		err := c.do("delete "+c.objectKey(key, suffix), request(http.MethodDelete, c.objectURL(c.objectKey(key, suffix)), nil), nil)
 		if err != nil {
 			var ae *apiError
 			if asAPIError(err, &ae) && ae.Status == http.StatusNotFound {
@@ -617,10 +572,33 @@ type listBucketResult struct {
 	} `xml:"Contents"`
 }
 
+// listPage decodes one ListObjectsV2 response body: the keys of the
+// sidecar objects it lists under prefix, and the continuation token of
+// the next page ("" when the listing is complete).
+func listPage(body io.Reader, prefix string) (keys []store.Key, next string, err error) {
+	var page listBucketResult
+	if err := xml.NewDecoder(body).Decode(&page); err != nil {
+		return nil, "", err
+	}
+	for _, obj := range page.Contents {
+		key, suffix, ok := store.KeyFromObjectName(strings.TrimPrefix(obj.Key, prefix))
+		if ok && suffix == store.SidecarSuffix {
+			keys = append(keys, key)
+		}
+	}
+	if page.IsTruncated {
+		next = page.NextContinuationToken
+	}
+	return keys, next, nil
+}
+
 // List implements store.Backend: ListObjectsV2 pages over the prefix,
 // then sidecars are fetched (concurrently, bounded) to build entries.
+// A server that hands back a continuation token already sent would
+// page forever; that is an error.
 func (c *Client) List() ([]store.BackendEntry, error) {
 	var keys []store.Key
+	sent := map[string]bool{}
 	token := ""
 	for {
 		u := *c.base
@@ -634,68 +612,52 @@ func (c *Client) List() ([]store.BackendEntry, error) {
 			q.Set("continuation-token", token)
 		}
 		u.RawQuery = q.Encode()
-		var page listBucketResult
-		err := c.do("list "+c.cfg.Bucket, func() (*http.Request, string, error) {
-			req, err := http.NewRequest(http.MethodGet, u.String(), nil)
-			if err != nil {
-				return nil, "", err
-			}
-			return req, sha256Hex(nil), nil
-		}, func(resp *http.Response) error {
-			return xml.NewDecoder(resp.Body).Decode(&page)
+		var (
+			page []store.Key
+			next string
+		)
+		err := c.do("list "+c.cfg.Bucket, request(http.MethodGet, &u, nil), func(resp *http.Response) (err error) {
+			page, next, err = listPage(resp.Body, c.cfg.Prefix)
+			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, obj := range page.Contents {
-			name := strings.TrimPrefix(obj.Key, c.cfg.Prefix)
-			key, suffix, ok := store.KeyFromObjectName(name)
-			if !ok || suffix != store.SidecarSuffix {
-				continue
-			}
-			keys = append(keys, key)
-		}
-		if !page.IsTruncated || page.NextContinuationToken == "" {
+		keys = append(keys, page...)
+		if next == "" {
 			break
 		}
-		token = page.NextContinuationToken
+		if sent[next] {
+			return nil, fmt.Errorf("s3: list %s: the server repeated continuation token %q", c.cfg.Bucket, next)
+		}
+		sent[next] = true
+		token = next
 	}
 
 	entries := make([]store.BackendEntry, len(keys))
-	present := make([]bool, len(keys))
-	var firstErr error
-	var mu sync.Mutex
+	errs := make([]error, len(keys))
 	sem := make(chan struct{}, 8)
 	var wg sync.WaitGroup
 	for i, key := range keys {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, key store.Key) {
-			defer wg.Done()
-			defer func() { <-sem }()
+		go func() {
+			defer func() { <-sem; wg.Done() }()
 			side, ok, err := c.Head(key)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
 			if ok {
 				entries[i] = store.BackendEntry{Key: key, Side: side}
-				present[i] = true
 			}
-		}(i, key)
+			errs[i] = err
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	out := entries[:0]
-	for i := range entries {
-		if present[i] {
-			out = append(out, entries[i])
+	for i, e := range entries {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		if e.Key != (store.Key{}) {
+			out = append(out, e)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })

@@ -2,6 +2,7 @@ package s3
 
 import (
 	"bytes"
+	"encoding/xml"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -336,6 +338,62 @@ func TestClientListPagination(t *testing.T) {
 		}
 		seen[e.Key.String()] = true
 	}
+}
+
+// TestClientListRepeatedToken: a server that answers every page as
+// truncated with the same continuation token is refused on the repeat,
+// after two requests, instead of being paged forever. (The server ends
+// the listing after 50 pages, so a client that pages on gets no error.)
+func TestClientListRepeatedToken(t *testing.T) {
+	var requests atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		truncated := requests.Add(1) < 50
+		fmt.Fprintf(w, `<ListBucketResult><IsTruncated>%v</IsTruncated><NextContinuationToken>again</NextContinuationToken></ListBucketResult>`, truncated)
+	}))
+	defer srv.Close()
+	c, err := New(Config{Endpoint: srv.URL, Bucket: "artifacts"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.List(); err == nil || !strings.Contains(err.Error(), "repeated continuation token") {
+		t.Fatalf("list: %v after %d requests, want the repeated token refused", err, requests.Load())
+	}
+	if n := requests.Load(); n != 2 {
+		t.Fatalf("%d list requests, want 2", n)
+	}
+}
+
+// FuzzListObjectsPage: decoding any ListObjectsV2 body never panics,
+// and the keys and token it yields, written back as a page, decode to
+// the same keys and token.
+func FuzzListObjectsPage(f *testing.F) {
+	k := store.ObjectName(testKey(0), "")
+	f.Add([]byte(`<ListBucketResult><IsTruncated>true</IsTruncated><NextContinuationToken>t1</NextContinuationToken>`+
+		`<Contents><Key>p/`+k+`.sum</Key><Size>3</Size></Contents><Contents><Key>p/`+k+`.part</Key></Contents></ListBucketResult>`), "p/")
+	f.Add([]byte(`<ListBucketResult><IsTruncated>false</IsTruncated><NextContinuationToken>t1</NextContinuationToken></ListBucketResult>`), "")
+	f.Add([]byte(`<ListBucketResult><Contents><Key>`+k+`.sum</Key></Contents>`), "")
+	f.Add([]byte(`<Error><Code>NoSuchBucket</Code></Error>`), "x")
+	f.Fuzz(func(t *testing.T, body []byte, prefix string) {
+		keys, next, err := listPage(bytes.NewReader(body), prefix)
+		if err != nil {
+			return
+		}
+		page := listBucketResult{IsTruncated: next != "", NextContinuationToken: next}
+		for _, key := range keys {
+			page.Contents = append(page.Contents, struct {
+				Key  string `xml:"Key"`
+				Size int64  `xml:"Size"`
+			}{Key: prefix + store.ObjectName(key, store.SidecarSuffix)})
+		}
+		b, err := xml.Marshal(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys2, next2, err := listPage(bytes.NewReader(b), prefix)
+		if err != nil || !reflect.DeepEqual(keys, keys2) || next2 != next {
+			t.Fatalf("re-encoded page read back as %v %q (%v), want %v %q\n%s", keys2, next2, err, keys, next, b)
+		}
+	})
 }
 
 // TestClientPresignedGet: a presigned URL fetched with a bare

@@ -201,3 +201,54 @@ func TestResumeRefusesDrawnPlanDirectory(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeOptsManifestDirectoryIsNoOp: testdata/opts-manifest-s8
+// holds, verbatim, the finished output of `trilliong -scale 8 -noise 0.1
+// -master 42 -workers 2 -format tsv` from before core.Config lost its
+// sampler-options field: its manifest carries the "Opts" object and a
+// fingerprint that prints it. The same configuration today must find
+// the directory complete — no edge drawn, no byte changed — and the
+// manifest must still read back as that configuration.
+func TestResumeOptsManifestDirectoryIsNoOp(t *testing.T) {
+	cfg := core.DefaultConfig(8)
+	cfg.NoiseParam = 0.1
+	cfg.MasterSeed = 42
+	cfg.Workers = 2
+	dir := t.TempDir()
+	files := map[string][]byte{}
+	for name, as := range map[string]string{
+		"trilliong-resume.json": ".trilliong-resume.json",
+		"part-00000.tsv":        "part-00000.tsv",
+		"part-00001.tsv":        "part-00001.tsv",
+	} {
+		b, err := os.ReadFile(filepath.Join("testdata", "opts-manifest-s8", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, as), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[as] = b
+	}
+	st, err := core.ResumeToDirStore(cfg, dir, gformat.TSV, nil)
+	if err != nil || st.Edges != 0 {
+		t.Fatalf("resume: %d edges, %v; want a no-op", st.Edges, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != len(files) {
+		t.Fatalf("%d entries (%v), want the %d it held", len(entries), err, len(files))
+	}
+	for as, want := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, as)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed (%v)", as, err)
+		}
+	}
+	m, err := core.ReadRunManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 0
+	if *m.Config != cfg || m.Format != gformat.TSV || m.Parts != 2 {
+		t.Fatalf("manifest reads as %+v, config %+v", m, *m.Config)
+	}
+}

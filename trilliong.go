@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gformat"
 	"repro/internal/pressure"
-	"repro/internal/recvec"
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/skg"
@@ -126,7 +125,6 @@ func (c Config) toCore() core.Config {
 		NoiseParam:      c.NoiseParam,
 		MasterSeed:      c.MasterSeed,
 		Workers:         c.Workers,
-		Opts:            recvec.Production(),
 		HighPrecision:   c.HighPrecision,
 		Orientation:     c.Orientation,
 		AllowDuplicates: c.AllowDuplicates,
